@@ -62,7 +62,7 @@ func (f *fakeServe) snapshot() (reg, del []string) {
 func testParams(addr string) params {
 	return params{
 		addr: addr, graph: "default",
-		graphs: 2, graphsNodes: 100, graphsEdges: 500, graphsIncremental: true,
+		graphs: 2, graphsNodes: 100, graphsEdges: 500,
 		conc: 2, batch: 4, topK: 1,
 		duration: 200 * time.Millisecond, warmup: 0,
 		out: "", mutateOut: "", seed: 1, repeat: 1,

@@ -4,7 +4,7 @@
 // every request is a classify; -patch-frac mixes in PATCH /labels writes
 // (random nodes, random classes) and -mutate-frac mixes in PATCH /edges
 // topology mutations (random edge adds, removals of previously added
-// edges) — the benchmarks for the incremental residual subsystem and the
+// edges) — the benchmarks for the residual subsystem and the
 // streaming-mutation subsystem respectively. Query, patch and mutation
 // latencies are reported separately. -repeat aggregates the percentiles
 // over N runs instead of a single one.
@@ -58,7 +58,6 @@ type workload struct {
 	TopK        int     `json:"top_k"`
 	Stream      bool    `json:"stream"`
 	Gzip        bool    `json:"gzip"`
-	F32         bool    `json:"f32,omitempty"`
 	Reorder     string  `json:"reorder,omitempty"`
 	PatchFrac   float64 `json:"patch_frac,omitempty"`
 	PatchBatch  int     `json:"patch_batch,omitempty"`
@@ -251,22 +250,21 @@ type config struct {
 // drive the full workflow (including the abort-cleanup paths) against a
 // fake server without touching global flag state.
 type params struct {
-	addr, graph                   string
-	graphs, graphsNodes           int
-	graphsEdges                   int
-	graphsIncremental, keepGraphs bool
-	graphsAsyncCompact            bool
-	f32                           bool
-	reorder                       string
-	conc, batch, topK             int
-	duration, warmup              time.Duration
-	requests                      int64
-	stream, gz                    bool
-	out, mutateOut                string
-	seed                          int64
-	repeat                        int
-	patchFrac, mutateFrac         float64
-	patchBatch, mutateBatch       int
+	addr, graph             string
+	graphs, graphsNodes     int
+	graphsEdges             int
+	keepGraphs              bool
+	graphsAsyncCompact      bool
+	reorder                 string
+	conc, batch, topK       int
+	duration, warmup        time.Duration
+	requests                int64
+	stream, gz              bool
+	out, mutateOut          string
+	seed                    int64
+	repeat                  int
+	patchFrac, mutateFrac   float64
+	patchBatch, mutateBatch int
 }
 
 // runResult is one run's raw measurements, indexed by target.
@@ -290,10 +288,8 @@ func run() error {
 	flag.IntVar(&p.graphs, "graphs", 0, "mixed-tenant mode: register N synthetic graphs and spread the workload across them")
 	flag.IntVar(&p.graphsNodes, "graphs-nodes", 2000, "mixed-tenant: nodes per registered graph")
 	flag.IntVar(&p.graphsEdges, "graphs-edges", 0, "mixed-tenant: edges per registered graph (0 = 5× nodes)")
-	flag.BoolVar(&p.graphsIncremental, "graphs-incremental", true, "mixed-tenant: register graphs with the incremental residual subsystem")
-	flag.BoolVar(&p.graphsAsyncCompact, "async-compact", false, "mixed-tenant: register graphs with background topology compaction (epoch swap off the mutation path; implies -graphs-incremental)")
+	flag.BoolVar(&p.graphsAsyncCompact, "async-compact", false, "mixed-tenant: register graphs with background topology compaction (epoch swap off the mutation path)")
 	flag.BoolVar(&p.keepGraphs, "keep-graphs", false, "mixed-tenant: leave the registered graphs in place after the run")
-	flag.BoolVar(&p.f32, "f32", false, "mixed-tenant: register graphs with the float32 belief tier (forces -graphs-incremental=false)")
 	flag.StringVar(&p.reorder, "reorder", "", "mixed-tenant: locality reordering pass for registered graphs (degree, rcm)")
 	flag.IntVar(&p.conc, "c", 8, "concurrent closed-loop workers")
 	flag.DurationVar(&p.duration, "duration", 10*time.Second, "run length (ignored when -requests > 0)")
@@ -351,12 +347,7 @@ func execute(ctx context.Context, p params) error {
 		if edges == 0 {
 			edges = 5 * p.graphsNodes
 		}
-		incremental := p.graphsIncremental || p.graphsAsyncCompact
-		if p.f32 {
-			// The float32 tier requires a non-incremental engine.
-			incremental = false
-		}
-		names, err := registerGraphs(ctx, base, p.graphs, p.graphsNodes, edges, incremental, p.graphsAsyncCompact && !p.f32, p.f32, p.reorder, uint64(p.seed))
+		names, err := registerGraphs(ctx, base, p.graphs, p.graphsNodes, edges, p.graphsAsyncCompact, p.reorder, uint64(p.seed))
 		// The cleanup is registered BEFORE the error check: a partial
 		// registration (or a signal mid-burst) must still delete whatever
 		// was admitted. deleteGraphs is idempotent and detached from ctx —
@@ -448,8 +439,7 @@ func execute(ctx context.Context, p params) error {
 
 	wl := workload{
 		Concurrency: p.conc, Batch: p.batch, TopK: p.topK,
-		Stream: p.stream, Gzip: p.gz,
-		F32: p.f32, Reorder: p.reorder,
+		Stream: p.stream, Gzip: p.gz, Reorder: p.reorder,
 		PatchFrac: p.patchFrac, PatchBatch: p.patchBatch,
 		MutateFrac: p.mutateFrac, MutateBatch: p.mutateBatch,
 		Repeat:    p.repeat,
@@ -644,7 +634,7 @@ func runOnce(ctx context.Context, cfg config, run int64) (runResult, error) {
 // excludes build cost) and returns the names admitted so far — on error or
 // cancellation the partial list is returned alongside, so the caller's
 // deferred cleanup can release them.
-func registerGraphs(ctx context.Context, base string, count, nodes, edges int, incremental, asyncCompact, f32 bool, reorder string, seed uint64) ([]string, error) {
+func registerGraphs(ctx context.Context, base string, count, nodes, edges int, asyncCompact bool, reorder string, seed uint64) ([]string, error) {
 	names := make([]string, 0, count)
 	for i := 0; i < count; i++ {
 		if err := ctx.Err(); err != nil {
@@ -653,9 +643,7 @@ func registerGraphs(ctx context.Context, base string, count, nodes, edges int, i
 		name := fmt.Sprintf("lg-%d", i)
 		body, err := json.Marshal(map[string]any{
 			"name":          name,
-			"incremental":   incremental,
 			"async_compact": asyncCompact,
-			"f32_beliefs":   f32,
 			"reorder":       reorder,
 			"warm":          true,
 			"synthetic": map[string]any{

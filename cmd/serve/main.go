@@ -81,10 +81,9 @@ func run() error {
 	seed := flag.Uint64("seed", 1, "synthetic: RNG seed")
 	budgetMB := flag.Int64("mem-budget-mb", 0, "engine memory budget in MiB; cold graphs beyond it are evicted LRU (0 = unlimited)")
 	flushEvery := flag.Int("flush-every", 256, "NDJSON records between flushes on streaming classify responses")
-	incremental := flag.Bool("incremental", true, "default graph: enable push-based residual propagation (o(Δ) label patches, copy-on-write what-if overlays)")
-	residualTol := flag.Float64("residual-tol", 0, "default graph: per-node residual tolerance for -incremental (0 = engine default 1e-8)")
-	compactFrac := flag.Float64("compact-frac", 0, "default graph: delta-overlay share triggering topology compaction on PATCH /edges (0 = engine default 0.25; requires -incremental)")
-	asyncCompact := flag.Bool("async-compact", false, "default graph: build fraction-triggered compactions in the background and swap epochs off the mutation path (requires -incremental)")
+	residualTol := flag.Float64("residual-tol", 0, "default graph: per-node residual tolerance beliefs are served to (0 = engine default 1e-8)")
+	compactFrac := flag.Float64("compact-frac", 0, "default graph: delta-overlay share triggering topology compaction on PATCH /edges (0 = engine default 0.25)")
+	asyncCompact := flag.Bool("async-compact", false, "default graph: build fraction-triggered compactions in the background and swap epochs off the mutation path")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error (debug adds per-request access logs)")
 	metricsAddr := flag.String("metrics-addr", "", "separate admin listen address for /metrics and /debug/pprof (empty = serve them on -addr)")
@@ -134,7 +133,7 @@ func run() error {
 	})
 	defer srvHandler.Close()
 
-	if spec, ok, err := defaultSpec(*synthetic, *edgesPath, *labelsPath, *k, *n, *m, *skew, *f, *seed, *estimator, *incremental, *residualTol, *compactFrac, *asyncCompact); err != nil {
+	if spec, ok, err := defaultSpec(*synthetic, *edgesPath, *labelsPath, *k, *n, *m, *skew, *f, *seed, *estimator, *residualTol, *compactFrac, *asyncCompact); err != nil {
 		return err
 	} else if ok {
 		if _, err := reg.Register(serve.DefaultGraph, spec); err != nil {
@@ -243,18 +242,10 @@ func newLogger(format, level string) (*slog.Logger, error) {
 
 // defaultSpec translates the single-graph flags into a registry spec for
 // the "default" graph; ok is false when no default graph was requested.
-func defaultSpec(synthetic bool, edgesPath, labelsPath string, k, n, m int, skew, f float64, seed uint64, estimator string, incremental bool, residualTol, compactFrac float64, asyncCompact bool) (registry.Spec, bool, error) {
-	opts := factorgraph.EngineOptions{Estimator: estimator, Incremental: incremental}
-	if incremental {
-		opts.ResidualTol = residualTol
-		opts.CompactFraction = compactFrac
-		opts.AsyncCompact = asyncCompact
-	} else if residualTol != 0 {
-		return registry.Spec{}, false, fmt.Errorf("-residual-tol requires -incremental")
-	} else if compactFrac != 0 {
-		return registry.Spec{}, false, fmt.Errorf("-compact-frac requires -incremental")
-	} else if asyncCompact {
-		return registry.Spec{}, false, fmt.Errorf("-async-compact requires -incremental")
+func defaultSpec(synthetic bool, edgesPath, labelsPath string, k, n, m int, skew, f float64, seed uint64, estimator string, residualTol, compactFrac float64, asyncCompact bool) (registry.Spec, bool, error) {
+	opts := factorgraph.EngineOptions{
+		Estimator: estimator, ResidualTol: residualTol,
+		CompactFraction: compactFrac, AsyncCompact: asyncCompact,
 	}
 	if synthetic {
 		if k != 0 && k < 2 {

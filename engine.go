@@ -46,20 +46,29 @@ var ErrEngineClosed = errors.New("engine closed")
 // and the compatibility estimate H from the configured estimator — and then
 // answers classification queries concurrently.
 //
+// Beliefs live in a residual-propagation state (internal/residual) held at
+// the LinBP fixed point: the first query per (graph, H) pair pays one full
+// solve, after which label patches and edge mutations cost o(Δ) pushes
+// around the perturbed neighborhood, and what-if queries clone only the
+// belief rows their frontier touches. The topology is a frozen CSR plus a
+// copy-on-write delta overlay (internal/delta) that compactions fold into
+// the next epoch.
+//
 // Concurrency model: queries take a read lock and serve from an immutable
-// belief snapshot; label updates and re-estimation take the write lock to
-// mutate the seed state and invalidate the snapshot, which the next query
-// rebuilds. On Incremental engines the write lock is narrow: a label
-// patch's residual flush runs on a cloned copy-on-write view
-// (residual.Patch) with NO engine lock held — concurrent readers keep
+// belief snapshot (a clone of the residual beliefs); label updates,
+// mutations and re-estimation take the write lock to change the seed state
+// and invalidate the snapshot, which the next query rebuilds. The write
+// lock is narrow: a patch's residual flush runs on a cloned copy-on-write
+// view (residual.Patch) with NO engine lock held — concurrent readers keep
 // serving the untouched pre-patch beliefs — and only the final
 // belief/residual row swap (Patch.Apply) takes the write lock. patchMu
 // serializes patch sessions against each other, never against readers.
-// What-if queries (Query.ExtraSeeds) run on copy-on-write overlays (or a
-// pooled propagation.State on the non-incremental path), so steady-state
-// serving does not allocate per query. All execution — dense rounds and
-// saturated residual drains alike — runs on the shared parallel core in
-// internal/exec over internal/sparse's worker pool.
+// What-if queries (Query.ExtraSeeds) run on copy-on-write overlays and fall
+// back to a pooled propagation.State only when the overlay floods the
+// graph, so steady-state serving does not allocate per query. All
+// execution — dense rounds and saturated residual drains alike — runs on
+// the shared parallel core in internal/exec over internal/sparse's worker
+// pool.
 type Engine struct {
 	mu sync.RWMutex
 
@@ -72,15 +81,13 @@ type Engine struct {
 
 	snap   *snapshot  // cached propagation result; nil ⇒ stale
 	gen    int64      // bumped under mu on every seed/H/topology change
-	pool   *sync.Pool // *propagation.State bound to the current H
+	pool   *sync.Pool // *propagation.State bound to the current H and epoch (what-if floods)
 	eopts  EngineOptions
 	closed bool // set by Close; all expensive operations refuse afterwards
-	shed   bool // transient state dropped by ReleaseTransient; cleared on rebuild
 
-	// topo is the mutable topology (Incremental engines only): the frozen
-	// base CSR plus the copy-on-write delta overlay that MutateTopology
-	// publishes new epochs of. nil on non-incremental engines — their
-	// topology is immutable. rhoW is the canonical ρ(W) of the current
+	// topo is the mutable topology: the frozen base CSR plus the
+	// copy-on-write delta overlay that MutateTopology publishes new epochs
+	// of; nil only after Close. rhoW is the canonical ρ(W) of the current
 	// epoch's base CSR; ε is pinned to it between compactions.
 	topo *delta.Graph
 	rhoW float64
@@ -94,12 +101,6 @@ type Engine struct {
 	// synchronous compactions swap it together with everything indexed by it.
 	perm *sparse.Perm
 
-	// sched is the exec drain schedule pinned for the current topology
-	// epoch: measured by exec.Tune at build and at each compaction on
-	// incremental engines, static defaults otherwise. An atomic pointer so
-	// snapshot rebuilds (which run without mu) read a consistent value.
-	sched atomic.Pointer[exec.Schedule]
-
 	// compacting marks a background compactor building the next epoch
 	// (AsyncCompact engines only); mutations keep landing in fresh
 	// overlays stacked on the frozen epoch meanwhile. Guarded by mu;
@@ -111,11 +112,10 @@ type Engine struct {
 	// so validation on the hot query paths never takes the engine lock.
 	nNodes atomic.Int64
 
-	// res is the live residual-propagation state (Incremental engines
-	// only): beliefs converged to the current (seeds, H) pair, updated in
-	// place by o(Δ) pushes on label patches. nil ⇒ cold or invalidated by
-	// an H change; the next snapshot rebuild re-initializes it with one
-	// full propagation.
+	// res is the live residual-propagation state: beliefs converged to the
+	// current (seeds, H) pair, updated in place by o(Δ) pushes on label
+	// patches. nil ⇒ cold or invalidated by an H change; the next snapshot
+	// rebuild re-initializes it with one full propagation.
 	res *residual.State
 
 	rebuildMu sync.Mutex // serializes snapshot rebuilds (never held with mu)
@@ -175,8 +175,14 @@ type snapshot struct {
 }
 
 // EngineOptions configures an Engine. The zero value estimates H with DCEr
-// (the paper's recommended method) and propagates with the paper's LinBP
-// defaults (s = 0.5, 10 iterations, centered).
+// (the paper's recommended method) and serves with s = 0.5, centered.
+//
+// Served beliefs are the LinBP fixed point to ResidualTol: convergence is
+// tolerance-driven, and a full propagation runs only on the first query per
+// (graph, H) pair, after SetH/Reestimate, or when a perturbation spreads so
+// far that dense sweeps are cheaper than pushing (the engine falls back
+// automatically and counts it in Stats().ResidualFallbacks). The one-shot
+// facade (Classify, Propagate) instead runs the paper's 10 iterations.
 type EngineOptions struct {
 	// Estimator selects the compatibility estimator: "dcer" (default),
 	// "dce", "mce", "lce" or "holdout".
@@ -188,35 +194,23 @@ type EngineOptions struct {
 	// non-contracting update (the library-level LinBPOptions stays
 	// permissive for divergence experiments).
 	S float64
-	// Iterations is the LinBP iteration count; default 10.
-	Iterations int
-	// Incremental enables the push-based residual propagation subsystem
-	// (internal/residual): beliefs are maintained at the LinBP fixed point
-	// (to ResidualTol) and label updates cost o(Δ) pushes around the
-	// perturbed neighborhood instead of a full re-propagation; what-if
-	// overlays clone only the belief rows their frontier touches. In this
-	// mode Iterations is not used — convergence is tolerance-driven — and
-	// a full propagation runs only on the first query per (graph, H) pair,
-	// after SetH/Reestimate, or when a perturbation spreads so far that
-	// dense sweeps are cheaper than pushing (the engine falls back
-	// automatically and counts it in Stats().ResidualFallbacks).
+	// Incremental is accepted and ignored: every engine is the residual
+	// engine it used to select. Benchmark-only leftover (cmd/bench sets
+	// it), to be dropped with the next benchmark change.
 	Incremental bool
-	// ResidualTol is the per-node residual ∞-norm tolerance of the
-	// incremental mode; 0 means residual.DefaultTol (1e-8). Setting it
-	// without Incremental is an error rather than a silent no-op.
+	// ResidualTol is the per-node residual ∞-norm tolerance; 0 means
+	// residual.DefaultTol (1e-8).
 	ResidualTol float64
 	// ResidualEdgeBudget bounds a single push pass at
 	// ResidualEdgeBudget × nnz(W) edge traversals before the subsystem
 	// falls back to dense sweeps (patches) or a full propagation
 	// (overlays); 0 means the residual package default (4). Raise it on
-	// small or dense graphs where frontiers saturate quickly. Setting it
-	// without Incremental is an error.
+	// small or dense graphs where frontiers saturate quickly.
 	ResidualEdgeBudget float64
 	// CompactFraction is the share of stored adjacency entries allowed to
 	// live in the streaming-mutation delta overlay before a mutation batch
 	// triggers compaction (merge into a fresh canonical CSR + ε
-	// re-derivation); 0 means the default 0.25. Requires Incremental —
-	// only incremental engines accept topology mutations.
+	// re-derivation); 0 means the default 0.25.
 	CompactFraction float64
 	// AsyncCompact moves overlay-fraction compactions off the mutation
 	// path: the triggering MutateTopology batch returns immediately
@@ -225,7 +219,7 @@ type EngineOptions struct {
 	// landing in a fresh overlay stacked on top, and only the swap + the
 	// closed-form residual rescale run under the write lock once the
 	// build is ready. The contraction guard still compacts synchronously —
-	// convergence is never left to a pending build. Requires Incremental.
+	// convergence is never left to a pending build.
 	AsyncCompact bool
 	// Reorder selects a locality-aware node-reordering pass applied to the
 	// CSR at build time and again at every synchronous compaction: "degree"
@@ -236,13 +230,6 @@ type EngineOptions struct {
 	// result uses external ids. Async compactions keep the previous epoch's
 	// ordering (the overlay rebase reuses frozen rows by id).
 	Reorder string
-	// F32Beliefs runs full propagations in float32 storage and arithmetic —
-	// half the belief-matrix bandwidth on the SpMM-bound round loop. Belief
-	// drift vs the float64 kernel is bounded by ~k·deg·2⁻²³ per round and
-	// observed ≤1e-3 end-to-end (pinned in tests); emitted beliefs are
-	// widened back to float64. Requires !Incremental: the residual
-	// subsystem's o(Δ) invariant needs float64 accumulation.
-	F32Beliefs bool
 }
 
 // EngineStats counts the expensive operations an Engine has performed;
@@ -263,7 +250,7 @@ type EngineStats struct {
 	// summaries do not increment it.
 	Summarizations int64
 	// ResidualPatches is the number of label updates applied as o(Δ)
-	// residual pushes instead of snapshot invalidation (Incremental mode).
+	// residual pushes (every update on a warm engine).
 	ResidualPatches int64
 	// ResidualPushes is the total number of node pushes performed by the
 	// residual subsystem, across patches and what-if overlays.
@@ -322,6 +309,34 @@ type NodeResult struct {
 	Top   []ClassScore `json:"top,omitempty"`
 }
 
+// Validate checks every option on its own — no value of one option rejects
+// another — so admission layers (the registry) can refuse a bad spec at
+// registration instead of on the first, expensive, engine build.
+func (o EngineOptions) Validate() error {
+	if !KnownEstimator(o.Estimator) {
+		return fmt.Errorf("factorgraph: %w %q (want dcer, dce, mce, lce or holdout)", ErrUnknownEstimator, o.Estimator)
+	}
+	for _, c := range []struct {
+		name   string
+		v, max float64
+	}{
+		{"convergence parameter S", o.S, 1},
+		{"ResidualTol", o.ResidualTol, math.Inf(1)},
+		{"ResidualEdgeBudget", o.ResidualEdgeBudget, math.Inf(1)},
+		{"CompactFraction", o.CompactFraction, 1},
+	} {
+		// Written so NaN fails too: every comparison against NaN is false.
+		if !(c.v >= 0 && c.v < c.max) {
+			return fmt.Errorf("factorgraph: %s = %v outside [0,%v) (0 selects the default)", c.name, c.v, c.max)
+		}
+	}
+	if !sparse.KnownReorder(o.Reorder) {
+		return fmt.Errorf("factorgraph: unknown reorder mode %q (want \"\", %q, %q or %q)",
+			o.Reorder, sparse.ReorderNone, sparse.ReorderDegree, sparse.ReorderRCM)
+	}
+	return nil
+}
+
 // NewEngine builds a serving engine over g with the given seed labels
 // (length g.N, Unlabeled for unknown) and k classes. It performs all
 // preprocessing eagerly: ρ(W) by cached power iteration and the H estimate
@@ -354,41 +369,8 @@ func newEngine(g *Graph, seeds []int, k int, h *Matrix, method string, opts []En
 	if k < 2 {
 		return nil, fmt.Errorf("factorgraph: engine needs k ≥ 2, got %d", k)
 	}
-	if o.S < 0 || o.S >= 1 {
-		return nil, fmt.Errorf("factorgraph: convergence parameter s=%v outside (0,1)", o.S)
-	}
-	if o.Iterations < 0 {
-		return nil, fmt.Errorf("factorgraph: negative iteration count %d", o.Iterations)
-	}
-	if o.ResidualTol < 0 {
-		return nil, fmt.Errorf("factorgraph: negative residual tolerance %v", o.ResidualTol)
-	}
-	if o.ResidualTol > 0 && !o.Incremental {
-		return nil, fmt.Errorf("factorgraph: ResidualTol set without Incremental (the tolerance tunes the residual subsystem only)")
-	}
-	if o.ResidualEdgeBudget < 0 {
-		return nil, fmt.Errorf("factorgraph: negative residual edge budget %v", o.ResidualEdgeBudget)
-	}
-	if o.ResidualEdgeBudget > 0 && !o.Incremental {
-		return nil, fmt.Errorf("factorgraph: ResidualEdgeBudget set without Incremental")
-	}
-	if o.CompactFraction < 0 || o.CompactFraction >= 1 {
-		if o.CompactFraction != 0 {
-			return nil, fmt.Errorf("factorgraph: compact fraction %v outside (0,1)", o.CompactFraction)
-		}
-	}
-	if o.CompactFraction > 0 && !o.Incremental {
-		return nil, fmt.Errorf("factorgraph: CompactFraction set without Incremental (topology mutations require the residual subsystem)")
-	}
-	if o.AsyncCompact && !o.Incremental {
-		return nil, fmt.Errorf("factorgraph: AsyncCompact set without Incremental (only incremental engines accept topology mutations)")
-	}
-	if !sparse.KnownReorder(o.Reorder) {
-		return nil, fmt.Errorf("factorgraph: unknown reorder mode %q (want \"\", %q, %q or %q)",
-			o.Reorder, sparse.ReorderNone, sparse.ReorderDegree, sparse.ReorderRCM)
-	}
-	if o.F32Beliefs && o.Incremental {
-		return nil, fmt.Errorf("factorgraph: F32Beliefs set with Incremental (the residual fixed-point invariant needs float64 accumulation)")
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
 	if h != nil && (h.Rows != k || h.Cols != k) {
 		return nil, fmt.Errorf("factorgraph: H is %d×%d, engine has k=%d", h.Rows, h.Cols, k)
@@ -420,19 +402,10 @@ func newEngine(g *Graph, seeds []int, k int, h *Matrix, method string, opts []En
 	e.x = x
 	e.nNodes.Store(int64(g.N))
 	e.epochAt = time.Now()
-	// Warm the spectral-radius cache before any query arrives; incremental
-	// engines pin this canonical ρ(W) until their next topology compaction.
+	// Warm the spectral-radius cache before any query arrives; this
+	// canonical ρ(W) stays pinned until the next topology compaction.
 	e.rhoW = g.Adj.SpectralRadiusCached(e.linbpOptions().SpectralIters)
-	if o.Incremental {
-		e.topo = delta.New(g.Adj)
-	}
-	sched := exec.DefaultSchedule()
-	if o.Incremental {
-		// Measure the scatter/pull/delta-sweep crossovers on the live graph
-		// (~ms budget); the result is pinned until a compaction re-tunes it.
-		sched = exec.Tune(g.Adj, k, exec.Runner{}, exec.DefaultTuneBudget)
-	}
-	e.sched.Store(&sched)
+	e.topo = delta.New(g.Adj)
 	est := &Estimate{H: nil, Method: method}
 	if h != nil {
 		est.H = h.Clone()
@@ -449,48 +422,33 @@ func newEngine(g *Graph, seeds []int, k int, h *Matrix, method string, opts []En
 }
 
 // residualOptions derives the residual subsystem's settings from the
-// engine's propagation options, so the incremental fixed point and the
-// pooled LinBP states share s, centering and the spectral-iteration budget.
+// engine's propagation options, so the fixed point and the pooled LinBP
+// states share s, centering and the spectral-iteration budget.
 func (e *Engine) residualOptions() residual.Options {
 	lo := e.linbpOptions()
 	return residual.Options{
 		S: lo.S, Tol: e.eopts.ResidualTol, SpectralIters: lo.SpectralIters,
 		EdgeBudgetFactor: e.eopts.ResidualEdgeBudget,
-		Schedule:         e.schedule(),
 	}
 }
 
-// schedule returns the exec drain schedule pinned for the current epoch.
-func (e *Engine) schedule() exec.Schedule {
-	if p := e.sched.Load(); p != nil {
-		return *p
-	}
-	return exec.DefaultSchedule()
-}
-
+// linbpOptions configures the pooled dense propagation a flooding what-if
+// overlay falls back to. The residual state serves fixed-point beliefs (to
+// ResidualTol), so that propagation must reach the same fixed point or
+// fallback answers would visibly differ from push answers. Error decays
+// like s^T, so T ≈ log_s(tol).
 func (e *Engine) linbpOptions() propagation.LinBPOptions {
 	o := propagation.DefaultLinBPOptions()
 	if e.eopts.S != 0 {
 		o.S = e.eopts.S
 	}
-	if e.eopts.Iterations != 0 {
-		o.Iterations = e.eopts.Iterations
-	}
 	o.SpectralIters = 50
-	o.F32 = e.eopts.F32Beliefs
-	if e.eopts.Incremental {
-		// The residual subsystem serves fixed-point beliefs (to
-		// ResidualTol); when a what-if overlay floods the graph and falls
-		// back to a pooled dense propagation, that propagation must reach
-		// the same fixed point or fallback answers would visibly differ
-		// from push answers. Error decays like s^T, so T ≈ log_s(tol).
-		tol := e.eopts.ResidualTol
-		if tol == 0 {
-			tol = residual.DefaultTol
-		}
-		if it := int(math.Ceil(math.Log(tol)/math.Log(o.S))) + 2; it > o.Iterations {
-			o.Iterations = it
-		}
+	tol := e.eopts.ResidualTol
+	if tol == 0 {
+		tol = residual.DefaultTol
+	}
+	if it := int(math.Ceil(math.Log(tol)/math.Log(o.S))) + 2; it > o.Iterations {
+		o.Iterations = it
 	}
 	return o
 }
@@ -579,25 +537,21 @@ func (e *Engine) summariesFor(lmax int) (*core.Summaries, error) {
 		return e.sums, nil
 	}
 	seeds := append([]int(nil), e.seeds...)
-	// Sketch the LIVE topology: on incremental engines that is the current
-	// delta epoch — a published, immutable overlay that satisfies
-	// core.Topology directly, so a dirty overlay never forces a compaction
-	// just to be summarized. Frozen engines sketch their CSR as before.
-	var w core.Topology = e.g.Adj
-	if e.topo != nil {
-		w = e.topo
-	}
+	// Sketch the LIVE topology: the current delta epoch is a published,
+	// immutable overlay that satisfies core.Topology directly, so a dirty
+	// overlay never forces a compaction just to be summarized.
+	w := e.topo
 	e.mu.RUnlock()
 	// Summarize at the requested depth only: an MCE-configured engine
 	// (ℓmax=1) must not pay the 5-level sketch cost on every build and
 	// rebuild. A later deeper request replaces the cache, after which
-	// shallower ones are served by prefix truncation. Incremental engines
-	// retain the N⁽ℓ⁾ matrices so streaming edge mutations can update the
-	// sketches in place (applySketchDeltas) instead of invalidating them.
+	// shallower ones are served by prefix truncation. The N⁽ℓ⁾ matrices are
+	// retained so streaming edge mutations can update the sketches in place
+	// (applySketchDeltas) instead of invalidating them.
 	e.nSummarizations.Add(1)
 	s, err := core.SummarizeOn(w, seeds, e.k, core.SummaryOptions{
 		LMax: lmax, NonBacktracking: true, Variant: core.Variant1,
-		KeepN: e.eopts.Incremental,
+		KeepN: true,
 	})
 	if err != nil {
 		return nil, err
@@ -664,40 +618,15 @@ func (e *Engine) estimateCached(method string, opts EstimateOptions) (*Estimate,
 	return EstimateBy(method, g, seeds, e.k, opts)
 }
 
-// newStatePool builds a pool of propagation states bound to h and to the
-// given topology epoch (nil topo = the frozen construction CSR). The pool
-// is replaced wholesale whenever H changes — and, on mutable-topology
-// engines, whenever an epoch is published — so pooled states never serve a
-// stale compatibility matrix or a stale graph. One state is constructed
-// eagerly so an invalid configuration fails here with its real cause, not
-// on every query with a generic one.
+// newStatePool returns the what-if flood fallback pool bound to h and to
+// the given topology epoch (see lazyPool). One state is constructed — and
+// dropped — eagerly so an invalid configuration fails here with its real
+// cause, not on every flooding query with a generic one.
 func (e *Engine) newStatePool(h *Matrix, topo *delta.Graph, rhoW float64) (*sync.Pool, error) {
-	opts := e.linbpOptions()
-	build := func() (*propagation.State, error) {
-		if topo != nil {
-			return propagation.NewStateOn(topo, h, opts, rhoW)
-		}
-		return propagation.NewState(e.g.Adj, h, opts)
-	}
-	first, err := build()
-	if err != nil {
+	if _, err := propagation.NewStateOn(topo, h, e.linbpOptions(), rhoW); err != nil {
 		return nil, err
 	}
-	pool := &sync.Pool{New: func() any {
-		st, err := build()
-		if err != nil {
-			return nil
-		}
-		return st
-	}}
-	if !e.eopts.Incremental {
-		// Incremental engines touch pooled states only when an overlay
-		// floods its edge budget; retaining the eagerly-built one would pin
-		// four n×k buffers on an idle engine for a rare path. It served its
-		// purpose (validating the configuration) and is left to the GC.
-		pool.Put(first)
-	}
-	return pool, nil
+	return e.lazyPool(topo, rhoW, h), nil
 }
 
 // K returns the class count.
@@ -768,10 +697,6 @@ func (e *Engine) Stats() EngineStats {
 // recorder exports them per graph and the /v1/admin/health rollup applies
 // ok/warn thresholds to them.
 type NumericHealth struct {
-	// Incremental reports whether the engine runs the residual subsystem;
-	// the contraction/overlay/sketch fields are zero when it does not.
-	Incremental bool
-
 	// ResidualDroppedMass is the cumulative residual ∞-norm mass discarded
 	// by tier demotions, sparse compactions and patch applies since the
 	// residual state was (re)initialized; each unit perturbs served
@@ -804,15 +729,15 @@ type NumericHealth struct {
 	// SketchDrift is the cumulative |Δw| folded into the cached estimator
 	// sketches by first-order updates since the last full summarization;
 	// at SketchDriftLimit (sketchDriftFraction of the live edge count)
-	// the cache is dropped for accuracy. Zero limit means no live cache
-	// bound (no mutable topology).
+	// the cache is dropped for accuracy.
 	SketchDrift      float64
 	SketchDriftLimit float64
 
 	// TunedDeltaDivisor and TunedMinPullWorkers are the exec drain-schedule
-	// thresholds pinned for the current epoch; ScheduleTuned reports whether
-	// they came from a live measurement (exec.Tune at build/compaction) or
-	// are the static defaults.
+	// thresholds in force (exec.DefaultSchedule: constants since the
+	// measured tuner was removed); ScheduleTuned is always false.
+	// Benchmark-only leftovers (cmd/bench prints them), to be dropped with
+	// the next benchmark change.
 	TunedDeltaDivisor   int
 	TunedMinPullWorkers int
 	ScheduleTuned       bool
@@ -824,14 +749,13 @@ type NumericHealth struct {
 func (e *Engine) NumericHealth() NumericHealth {
 	e.mu.RLock()
 	h := NumericHealth{
-		Incremental:      e.eopts.Incremental,
 		ContractionGuard: contractionGuard,
 		ResidualTol:      e.eopts.ResidualTol,
 	}
 	if h.ResidualTol == 0 {
 		h.ResidualTol = residual.DefaultTol
 	}
-	if e.topo != nil {
+	if e.topo != nil { // nil once closed
 		s := e.linbpOptions().S
 		bound := e.topo.RhoDeltaBound()
 		switch {
@@ -860,10 +784,9 @@ func (e *Engine) NumericHealth() NumericHealth {
 	e.sumMu.Lock()
 	h.SketchDrift = e.sumDrift
 	e.sumMu.Unlock()
-	sched := e.schedule()
+	sched := exec.DefaultSchedule(e.liveN(), e.k)
 	h.TunedDeltaDivisor = sched.DeltaDivisor
 	h.TunedMinPullWorkers = sched.MinPullWorkers
-	h.ScheduleTuned = sched.Tuned
 	return h
 }
 
@@ -889,37 +812,23 @@ func csrBytes(n, m int, weighted bool) int64 {
 	return b
 }
 
-// MemoryFootprint estimates this engine's resident bytes.
-//
-// Non-incremental engines report the static EstimateEngineBytes formula
-// (their working set really is the pooled states plus the snapshot).
-// Incremental engines report the tier actually in use: the CSR matrix, the
-// seed/label vectors, the explicit-belief matrix, the snapshot if one is
-// resident, and the residual state's MemoryBytes — two n×k matrices plus
-// only the residual rows currently materialized. An idle incremental
-// engine with an empty frontier therefore reports a fraction of the old
-// five-dense-buffers estimate; the dense residual tier and the
-// patch/overlay clones are transient and never idle-resident. The pooled
-// propagation states an incremental engine keeps for overlay floods are
-// not retained eagerly (see newStatePool) and are excluded as transient
-// scratch. The registry re-reads this per access, so /v1/admin/registry
-// tracks tier changes live.
+// MemoryFootprint estimates this engine's resident bytes from the tier
+// actually in use: the CSR matrix and its delta overlay, the seed/label
+// vectors, the explicit-belief matrix, the snapshot if one is resident, and
+// the residual state's MemoryBytes — two n×k matrices plus only the
+// residual rows currently materialized. An idle engine with an empty
+// frontier therefore reports a fraction of the EstimateEngineBytes
+// admission estimate; the dense residual tier and the patch/overlay clones
+// are transient and never idle-resident, and the pooled propagation states
+// kept for overlay floods are built lazily (see lazyPool) and excluded as
+// transient scratch. The registry re-reads this per access, so
+// /v1/admin/registry tracks tier changes live.
 func (e *Engine) MemoryFootprint() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if !e.eopts.Incremental {
-		if !e.shed {
-			return EstimateEngineBytes(e.g.N, e.g.M, e.k, e.g.Adj.Data != nil)
-		}
-		// Partially released (ReleaseTransient): the snapshot and pooled
-		// states are gone until the next query rebuilds them; what remains
-		// resident is the CSR, the vectors and the explicit beliefs.
-		nn, kk := int64(e.g.N), int64(e.k)
-		return csrBytes(e.g.N, e.g.M, e.g.Adj.Data != nil) + 2*8*nn + 8*nn*kk
-	}
 	nn, kk := int64(e.liveN()), int64(e.k)
 	b := csrBytes(e.g.N, e.g.M, e.g.Adj.Data != nil)
-	if e.topo != nil {
+	if e.topo != nil { // nil once closed
 		b += e.topo.MemoryBytes() // delta-overlay patch rows
 	}
 	b += 2 * 8 * nn // seeds + snapshot labels
@@ -966,13 +875,15 @@ func (e *Engine) Close() {
 	e.ovCache.purge()
 }
 
-// currentSnapshot returns the cached propagation result, rebuilding it when
-// a label update or re-estimation invalidated it. The rebuild propagates
-// OUTSIDE the engine lock (a multi-second operation on large graphs must
-// not block /healthz readers behind a pending writer) on inputs captured
-// under a short read lock, and installs the result only if no write landed
-// in between — otherwise it retries on the fresher state. rebuildMu keeps
-// concurrent cold queries from duplicating the propagation.
+// currentSnapshot returns the cached belief snapshot, rebuilding it when a
+// label update, mutation or re-estimation invalidated it. With a warm
+// residual state the rebuild is a clone + argmax; a cold one (first query,
+// H change, ReleaseTransient) first pays one full solve, which runs OUTSIDE
+// the engine lock (a multi-second operation on large graphs must not block
+// /healthz readers behind a pending writer) on inputs captured under a
+// short read lock, and is installed only if no write landed in between —
+// otherwise it retries on the fresher state. rebuildMu keeps concurrent
+// cold queries from duplicating the propagation.
 func (e *Engine) currentSnapshot(tr *telemetry.Trace) (*snapshot, error) {
 	e.mu.RLock()
 	s := e.snap
@@ -993,7 +904,7 @@ func (e *Engine) currentSnapshot(tr *telemetry.Trace) (*snapshot, error) {
 			e.mu.RUnlock()
 			return s, nil
 		}
-		if e.eopts.Incremental && e.res != nil {
+		if e.res != nil {
 			// The residual state already holds the converged beliefs for
 			// the current seeds (label patches were flushed in place): the
 			// snapshot is a clone + argmax, no propagation. The clone runs
@@ -1006,7 +917,6 @@ func (e *Engine) currentSnapshot(tr *telemetry.Trace) (*snapshot, error) {
 			e.mu.Lock()
 			if e.gen == gen && !e.closed {
 				e.snap = snap
-				e.shed = false
 				e.mu.Unlock()
 				return snap, nil
 			}
@@ -1014,87 +924,43 @@ func (e *Engine) currentSnapshot(tr *telemetry.Trace) (*snapshot, error) {
 			continue
 		}
 		x := e.x.Clone()
-		pool := e.pool
 		h := e.est.H
 		gen := e.gen
 		topo := e.topo
 		rhoW := e.rhoW
-		perm := e.perm
 		e.mu.RUnlock()
 
-		if e.eopts.Incremental {
-			// Cold (or invalidated by an H change): one full solve seeds
-			// the residual state, after which patches are o(Δ). The state
-			// is built over the live topology epoch with the pinned ρ(W),
-			// so a mutated-then-evicted working set re-solves against the
-			// mutated graph, not the construction one.
-			rs, err := residual.NewStateOn(topo, h, e.residualOptions(), rhoW)
-			if err != nil {
-				return nil, fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
-			}
-			e.nPropagations.Add(1)
-			engPropagations.Inc()
-			start := telemetry.Now()
-			doneInit := tr.Start("residual.init")
-			if _, err := rs.Init(x); err != nil {
-				doneInit()
-				return nil, fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
-			}
-			doneInit()
-			hPropagation.ObserveSince(start)
-			e.mu.Lock()
-			if e.gen == gen && !e.closed {
-				e.res = rs
-				e.shed = false
-			}
-			e.mu.Unlock()
-			continue // the res branch above builds (or retries) the snapshot
-		}
-
-		f, err := e.propagateOn(pool, x, tr)
+		// Cold (or invalidated by an H change): one full solve seeds the
+		// residual state, after which patches are o(Δ). The state is built
+		// over the live topology epoch with the pinned ρ(W), so a
+		// mutated-then-evicted working set re-solves against the mutated
+		// graph, not the construction one.
+		rs, err := residual.NewStateOn(topo, h, e.residualOptions(), rhoW)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
 		}
-		snap := &snapshot{beliefs: f, labels: dense.ArgmaxRows(f), perm: perm}
-
+		e.nPropagations.Add(1)
+		engPropagations.Inc()
+		start := telemetry.Now()
+		doneInit := tr.Start("residual.init")
+		_, err = rs.Init(x)
+		doneInit()
+		if err != nil {
+			return nil, fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
+		}
+		hPropagation.ObserveSince(start)
 		e.mu.Lock()
-		if e.gen == gen {
-			e.snap = snap
-			e.shed = false
-			e.mu.Unlock()
-			return snap, nil
+		if e.gen == gen && !e.closed {
+			e.res = rs
 		}
-		// A write landed mid-rebuild; the result is stale. Go again.
 		e.mu.Unlock()
+		// Loop: the res branch above builds (or retries) the snapshot.
 	}
-}
-
-// propagateOn runs one LinBP pass over x on a state from the given pool
-// (which pins a specific H) and returns an owned copy of the beliefs (the
-// state's buffer goes back to the pool). Callers either hold a lock or own
-// a pool reference captured under one.
-func (e *Engine) propagateOn(pool *sync.Pool, x *dense.Matrix, tr *telemetry.Trace) (*dense.Matrix, error) {
-	st, _ := pool.Get().(*propagation.State)
-	if st == nil {
-		return nil, fmt.Errorf("factorgraph: %w: could not build propagation state", ErrEngineInternal)
-	}
-	defer pool.Put(st)
-	e.nPropagations.Add(1)
-	engPropagations.Inc()
-	start := telemetry.Now()
-	donePropagation := tr.Start("propagation")
-	f, err := st.Run(x)
-	donePropagation()
-	hPropagation.ObserveSince(start)
-	if err != nil {
-		return nil, err
-	}
-	return f.Clone(), nil
 }
 
 // Classify answers one query. With no ExtraSeeds the response is served
 // from the cached belief snapshot — O(len result), no propagation; with
-// ExtraSeeds it propagates the overlaid seed matrix on a pooled state.
+// ExtraSeeds it runs a copy-on-write what-if overlay.
 func (e *Engine) Classify(q Query) ([]NodeResult, error) {
 	var out []NodeResult
 	if q.Nodes != nil {
@@ -1113,7 +979,7 @@ func (e *Engine) Classify(q Query) ([]NodeResult, error) {
 }
 
 // QueryMeta describes how a query was answered; the HTTP layer reports it
-// so clients (and benchmarks) can see the incremental subsystem at work.
+// so clients (and benchmarks) can see the residual subsystem at work.
 type QueryMeta struct {
 	// Residual is true when the residual subsystem answered the query —
 	// either directly from live beliefs (small node lists after a patch)
@@ -1145,11 +1011,11 @@ func (e *Engine) ClassifyEach(q Query, fn func(NodeResult) error) error {
 }
 
 // ClassifyEachMeta is ClassifyEach plus metadata about how the query was
-// served. On Incremental engines it prefers the residual paths: what-if
-// queries run on a copy-on-write overlay over the live residual state
-// (falling back to a full pooled propagation only when the overlay frontier
-// floods the graph), and small node-list queries hitting a stale snapshot
-// are answered straight from the live belief rows without rebuilding it.
+// served. What-if queries run on a copy-on-write overlay over the live
+// residual state (falling back to a full pooled propagation only when the
+// overlay frontier floods the graph), and small node-list queries hitting a
+// stale snapshot are answered straight from the live belief rows without
+// rebuilding it.
 func (e *Engine) ClassifyEachMeta(q Query, fn func(NodeResult) error) (QueryMeta, error) {
 	e.nQueries.Add(1)
 	engQueries.Inc()
@@ -1167,30 +1033,28 @@ func (e *Engine) ClassifyEachMeta(q Query, fn func(NodeResult) error) (QueryMeta
 // flushed, rerouted — after the fact), and the slow path nests resolve and
 // emit under the same parent.
 func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResult) error) (QueryMeta, error) {
-	if e.eopts.Incremental {
-		if len(q.ExtraSeeds) > 0 {
-			end := tr.StartSpan()
-			meta, handled, err := e.overlayResidual(q, tr, fn)
-			if handled || err != nil {
-				name := "overlay_flush"
-				if meta.CacheHit {
-					name = "overlay_cached"
-				}
-				end(name)
-				return meta, err
+	if len(q.ExtraSeeds) > 0 {
+		end := tr.StartSpan()
+		meta, handled, err := e.overlayResidual(q, tr, fn)
+		if handled || err != nil {
+			name := "overlay_flush"
+			if meta.CacheHit {
+				name = "overlay_cached"
 			}
-			// Declined: the overlay flooded (or raced an H change) and the
-			// full propagation below serves the query.
-			end("overlay_reroute")
-		} else {
-			end := tr.StartSpan()
-			meta, handled, err := e.residualDirect(q, tr, fn)
-			if handled || err != nil {
-				end("residual_direct")
-				return meta, err
-			}
-			end("") // declined without doing work: no span
+			end(name)
+			return meta, err
 		}
+		// Declined: the overlay flooded (or raced an H change) and the
+		// full propagation below serves the query.
+		end("overlay_reroute")
+	} else {
+		end := tr.StartSpan()
+		meta, handled, err := e.residualDirect(q, tr, fn)
+		if handled || err != nil {
+			end("residual_direct")
+			return meta, err
+		}
+		end("") // declined without doing work: no span
 	}
 	doneResolve := tr.Start("resolve")
 	beliefs, lab, perm, err := e.resolve(q, tr)
@@ -1440,10 +1304,23 @@ func (e *Engine) overlayBeliefs(q Query, tr *telemetry.Trace) (*dense.Matrix, []
 		}
 		row[c] = 1
 	}
-	f, err := e.propagateOn(pool, x, tr)
+	// One LinBP pass on a pooled state (the pool pins H and the epoch).
+	st, _ := pool.Get().(*propagation.State)
+	if st == nil {
+		return nil, nil, nil, fmt.Errorf("factorgraph: %w: could not build propagation state", ErrEngineInternal)
+	}
+	defer pool.Put(st)
+	e.nPropagations.Add(1)
+	engPropagations.Inc()
+	start := telemetry.Now()
+	donePropagation := tr.Start("propagation")
+	f, err := st.Run(x)
+	donePropagation()
+	hPropagation.ObserveSince(start)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	f = f.Clone() // the state's buffer goes back to the pool
 	return f, dense.ArgmaxRows(f), perm, nil
 }
 
@@ -1536,9 +1413,8 @@ func (e *Engine) ClassifyBatch(qs []Query) ([][]NodeResult, error) {
 // reports it in PATCH /labels responses.
 type PatchMeta struct {
 	// Residual is true when the update was propagated in place by o(Δ)
-	// residual pushes; false means the belief snapshot was invalidated and
-	// the next query pays a full propagation (non-incremental engines, or
-	// an incremental engine whose residual state is still cold).
+	// residual pushes; false means the residual state was still cold and
+	// the next query pays the full propagation.
 	Residual bool
 	// PushedNodes / TouchedEdges is the push work the flush performed.
 	PushedNodes  int
@@ -1557,12 +1433,10 @@ type PatchMeta struct {
 
 // UpdateLabels applies an incremental seed-label update without rebuilding
 // anything expensive: set assigns classes to nodes, remove clears seeds.
-// The CSR matrix, ρ(W) and the H estimate are all retained. On a
-// non-incremental engine only the explicit-belief matrix changes and the
-// belief snapshot is invalidated (rebuilt lazily by the next query); on an
-// Incremental engine the change is pushed through the live residual state,
-// so the next query costs o(Δ), not a propagation. Call Reestimate when
-// enough labels changed that H itself should be refreshed.
+// The CSR matrix, ρ(W) and the H estimate are all retained, and the change
+// is pushed through the live residual state, so the next query costs o(Δ),
+// not a propagation. Call Reestimate when enough labels changed that H
+// itself should be refreshed.
 func (e *Engine) UpdateLabels(set map[int]int, remove []int) error {
 	_, err := e.UpdateLabelsMeta(set, remove)
 	return err

@@ -21,7 +21,7 @@ import (
 func TestEngineAsyncCompactParity(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 1500, 6000, 0.05)
 	inc, err := NewEngine(g, seeds, 3, EngineOptions{
-		Incremental: true, AsyncCompact: true, CompactFraction: 0.02,
+		AsyncCompact: true, CompactFraction: 0.02,
 		ResidualTol: 1e-10, ResidualEdgeBudget: 256,
 	})
 	if err != nil {
@@ -96,11 +96,7 @@ func TestEngineAsyncCompactParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewEngineWithH(gf, seeds, 3, inc.Estimate().H, "pinned", EngineOptions{Iterations: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxBeliefDiff(beliefsOf(t, inc), beliefsOf(t, cold)); d > 1e-6 {
+	if d := maxBeliefDiff(beliefsOf(t, inc), denseReference(t, gf, seeds, inc.Estimate().H)); d > 1e-6 {
 		t.Errorf("async-compacted beliefs differ from cold build by %g", d)
 	}
 	t.Logf("async stats: %d compactions (%d async), %d rescales", st.TopoCompactions, st.TopoAsyncCompactions, st.TopoRescales)
@@ -113,7 +109,7 @@ func TestEngineAsyncCompactParity(t *testing.T) {
 // exact for ℓ=1, first-order for deeper levels).
 func TestReestimateIncremental(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 1000, 5000, 0.1)
-	inc, err := NewEngine(g, seeds, 3, EngineOptions{Incremental: true})
+	inc, err := NewEngine(g, seeds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +195,7 @@ func TestReestimateIncremental(t *testing.T) {
 // one fresh summarization of the live overlay — still no compaction.
 func TestReestimateDriftInvalidation(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 300, 1200, 0.1)
-	inc, err := NewEngine(g, seeds, 3, EngineOptions{Incremental: true})
+	inc, err := NewEngine(g, seeds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +233,7 @@ func TestReestimateDriftInvalidation(t *testing.T) {
 // -race. The engine must stay queryable and converge to parity afterwards.
 func TestEngineMutateReleaseRace(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 600, 3000, 0.1)
-	eng, err := NewEngine(g, seeds, 3, EngineOptions{Incremental: true, CompactFraction: 0.05})
+	eng, err := NewEngine(g, seeds, 3, EngineOptions{CompactFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +290,7 @@ func TestEngineMutateReleaseRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewEngineWithH(gf, eng.Seeds(), 3, eng.Estimate().H, "pinned", EngineOptions{Iterations: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxBeliefDiff(beliefsOf(t, eng), beliefsOf(t, cold)); d > 1e-6 {
+	if d := maxBeliefDiff(beliefsOf(t, eng), denseReference(t, gf, eng.Seeds(), eng.Estimate().H)); d > 1e-6 {
 		t.Errorf("post-race beliefs differ from cold build by %g", d)
 	}
 }
@@ -322,7 +314,7 @@ func TestReestimateSpeedArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewEngine(g, seeds, 3, EngineOptions{Incremental: true})
+	inc, err := NewEngine(g, seeds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,7 @@ import (
 // label patch invalidates it.
 func TestEngineOverlayCache(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 2000, 16000, 0.05)
-	eng, err := NewEngine(g, seeds, 3, EngineOptions{
-		Incremental: true, ResidualEdgeBudget: 256,
-	})
+	eng, err := NewEngine(g, seeds, 3, EngineOptions{ResidualEdgeBudget: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +132,8 @@ func TestOverlayCacheLRU(t *testing.T) {
 }
 
 // TestEngineIncrementalMemoryFootprint is the memory acceptance check: on
-// a 200k-node graph an idle Incremental engine (warmed, empty frontier)
-// must report at least 40% less than the old static formula — the dense
+// a 200k-node graph an idle engine (warmed, empty frontier)
+// must report at least 40% less than the static admission formula — the dense
 // residual buffers are gone and the pooled states are not idle-resident.
 func TestEngineIncrementalMemoryFootprint(t *testing.T) {
 	if testing.Short() {
@@ -152,7 +150,7 @@ func TestEngineIncrementalMemoryFootprint(t *testing.T) {
 	}
 	// A preset H skips estimation: this test is about memory, not DCEr.
 	h := SkewedH(k, 8)
-	eng, err := NewEngineWithH(g, seeds, k, h, "gold", EngineOptions{Incremental: true})
+	eng, err := NewEngineWithH(g, seeds, k, h, "gold")
 	if err != nil {
 		t.Fatal(err)
 	}

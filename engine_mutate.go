@@ -2,7 +2,6 @@ package factorgraph
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -10,20 +9,12 @@ import (
 
 	"factorgraph/internal/delta"
 	"factorgraph/internal/dense"
-	"factorgraph/internal/exec"
 	"factorgraph/internal/graph"
 	"factorgraph/internal/propagation"
 	"factorgraph/internal/residual"
 	"factorgraph/internal/sparse"
 	"factorgraph/internal/telemetry"
 )
-
-// ErrTopologyImmutable is returned by topology mutations on an engine that
-// was not built with EngineOptions.Incremental: only the residual subsystem
-// can repropagate an edge change in o(Δ), so the non-incremental engine
-// keeps its construction-time guarantee that the graph is frozen. The HTTP
-// layer maps this to 409.
-var ErrTopologyImmutable = errors.New("graph topology is immutable (engine not incremental)")
 
 // EdgeMutation is one streaming topology change: an undirected edge upsert
 // (W == 0 means weight 1; negative weights are rejected) or, with Remove
@@ -132,9 +123,6 @@ func (e *Engine) mutateTopology(addNodes int, muts []EdgeMutation, tr *telemetry
 	// the real node/edge counts instead of zeros. Every return below runs
 	// with e.mu released, so the deferred read-lock cannot deadlock.
 	defer e.fillTopoDims(&meta)
-	if !e.eopts.Incremental {
-		return MutateMeta{}, ErrTopologyImmutable
-	}
 	if addNodes < 0 {
 		return MutateMeta{}, fmt.Errorf("factorgraph: negative node addition %d", addNodes)
 	}
@@ -241,7 +229,7 @@ func (e *Engine) mutateTopology(addNodes int, muts []EdgeMutation, tr *telemetry
 	// Rebind the overlay-flood fallback pool to the new epoch (lazily — no
 	// eager n×k allocation on the o(Δ) path); stale pooled states drain
 	// with their old pool object.
-	e.pool = e.lazyIncrementalPool(next, e.rhoW, e.est.H)
+	e.pool = e.lazyPool(next, e.rhoW, e.est.H)
 	e.snap = nil
 	e.gen++
 	oldLabelGen := e.labelGen
@@ -424,15 +412,8 @@ func (e *Engine) growLocked(n int) {
 
 // fillTopoDims stamps the live dimensions and overlay fraction on meta.
 func (e *Engine) fillTopoDims(meta *MutateMeta) {
-	e.mu.RLock()
-	if e.topo != nil {
-		meta.Nodes = e.topo.Dim()
-		meta.Edges = e.topo.UndirectedEdges()
-		meta.OverlayFraction = e.topo.PatchedFraction()
-	} else {
-		meta.Nodes, meta.Edges = e.g.N, e.g.M
-	}
-	e.mu.RUnlock()
+	ts := e.TopoStats()
+	meta.Nodes, meta.Edges, meta.OverlayFraction = ts.Nodes, ts.Edges, ts.OverlayFraction
 }
 
 // compactForEstimate merges any pending overlay before a NON-sketch
@@ -441,11 +422,8 @@ func (e *Engine) fillTopoDims(meta *MutateMeta) {
 // silently fit H to a stale graph. The sketch estimators (DCEr, DCE, MCE)
 // never call this — their summaries read the live overlay directly and
 // are maintained under mutations by applySketchDeltas, so Reestimate on a
-// dirty engine is o(Δ). No-op on frozen engines and clean overlays.
+// dirty engine is o(Δ). No-op on clean overlays.
 func (e *Engine) compactForEstimate() error {
-	if !e.eopts.Incremental {
-		return nil
-	}
 	e.mu.RLock()
 	dirty := e.topo != nil && e.topo.Dirty()
 	e.mu.RUnlock()
@@ -462,9 +440,6 @@ func (e *Engine) compactForEstimate() error {
 // is rescaled and re-converged. A no-op (Compacted=false) when the overlay
 // is clean.
 func (e *Engine) CompactTopology() (MutateMeta, error) {
-	if !e.eopts.Incremental {
-		return MutateMeta{}, ErrTopologyImmutable
-	}
 	e.patchMu.Lock()
 	defer e.patchMu.Unlock()
 	var meta MutateMeta
@@ -505,8 +480,7 @@ func (e *Engine) compactNow() (compacted, rescaled bool, err error) {
 	// ordering (Rebase reuses frozen rows keyed by node id).
 	csr, order := topo.CompactOrdered(e.eopts.Reorder)
 	rhoNew := csr.SpectralRadiusCached(e.linbpOptions().SpectralIters)
-	sched := exec.Tune(csr, e.k, exec.Runner{}, exec.DefaultTuneBudget)
-	installed, rescaled := e.installEpoch(topo, csr, rhoNew, order, &sched)
+	installed, rescaled := e.installEpoch(topo, csr, rhoNew, order)
 	if !installed {
 		// patchMu (held by the caller) excludes every other epoch producer,
 		// so a refused install means the engine closed mid-build.
@@ -537,9 +511,7 @@ func (e *Engine) compactNow() (compacted, rescaled bool, err error) {
 // under the same write lock, so readers never observe mixed orderings.
 // Only synchronous compactions pass it — the rebase of an async build
 // reuses frozen rows keyed by node id, which a renumbering would break.
-// sched, when non-nil, is the freshly measured exec schedule to pin for
-// the new epoch.
-func (e *Engine) installEpoch(frozen *delta.Graph, csr *sparse.CSR, rhoNew float64, order []int32, sched *exec.Schedule) (installed, rescaled bool) {
+func (e *Engine) installEpoch(frozen *delta.Graph, csr *sparse.CSR, rhoNew float64, order []int32) (installed, rescaled bool) {
 	newGraph := graph.FromCSR(csr)
 	e.mu.Lock()
 	if e.closed || e.topo == nil || e.topo.Base() != frozen.Base() {
@@ -558,7 +530,7 @@ func (e *Engine) installEpoch(frozen *delta.Graph, csr *sparse.CSR, rhoNew float
 	e.snap = nil
 	e.gen++
 	e.nCompactions.Add(1)
-	e.pool = e.lazyIncrementalPool(newTopo, rhoNew, e.est.H)
+	e.pool = e.lazyPool(newTopo, rhoNew, e.est.H)
 	res := e.res
 	if order != nil {
 		e.perm = e.perm.ComposedWith(order)
@@ -574,12 +546,6 @@ func (e *Engine) installEpoch(frozen *delta.Graph, csr *sparse.CSR, rhoNew float
 			// Carry the resident fixed point across the renumbering instead
 			// of dropping it; SetAdj below rebuilds the drain machinery.
 			res.Permute(order)
-		}
-	}
-	if sched != nil {
-		e.sched.Store(sched)
-		if res != nil {
-			res.SetSchedule(*sched)
 		}
 	}
 	if res != nil {
@@ -660,11 +626,9 @@ func (e *Engine) runAsyncCompact(frozen *delta.Graph) {
 	start := telemetry.Now()
 	csr := frozen.Compact()
 	rhoNew := csr.SpectralRadiusCached(e.linbpOptions().SpectralIters)
-	// No reordering off-thread (the rebase needs stable node ids), but the
-	// schedule is still re-measured on the compacted CSR.
-	sched := exec.Tune(csr, e.k, exec.Runner{}, exec.DefaultTuneBudget)
+	// No reordering off-thread: the rebase needs stable node ids.
 	e.patchMu.Lock()
-	installed, _ := e.installEpoch(frozen, csr, rhoNew, nil, &sched)
+	installed, _ := e.installEpoch(frozen, csr, rhoNew, nil)
 	e.patchMu.Unlock()
 	if installed {
 		e.nAsyncCompactions.Add(1)
@@ -689,13 +653,13 @@ func (e *Engine) WaitCompaction() {
 	e.mu.Unlock()
 }
 
-// lazyIncrementalPool returns a propagation-state pool bound to the given
-// topology epoch and pinned ρ(W) WITHOUT building a state eagerly: the
-// pool exists for the rare overlay-flood fallback, and topology mutations
-// swap pools per batch — an eager n×k×4 allocation per mutated edge would
-// dwarf the o(Δ) push work. The engine's configuration was validated by
-// the eager build at construction.
-func (e *Engine) lazyIncrementalPool(t *delta.Graph, rhoW float64, h *Matrix) *sync.Pool {
+// lazyPool returns a propagation-state pool bound to the given topology
+// epoch and pinned ρ(W) WITHOUT building a state eagerly: the pool exists
+// for the rare overlay-flood fallback, and topology mutations swap pools
+// per batch — an eager n×k×4 allocation per mutated edge would dwarf the
+// o(Δ) push work. The engine's configuration was validated by the eager
+// build at construction.
+func (e *Engine) lazyPool(t *delta.Graph, rhoW float64, h *Matrix) *sync.Pool {
 	opts := e.linbpOptions()
 	hc := h.Clone()
 	return &sync.Pool{New: func() any {
@@ -710,7 +674,7 @@ func (e *Engine) lazyIncrementalPool(t *delta.Graph, rhoW float64, h *Matrix) *s
 // TopoStats is the live view of a mutable topology for admin surfaces.
 type TopoStats struct {
 	// Nodes / Edges are the live dimensions (they track node additions and
-	// edge mutations; for frozen engines they equal the build-time graph).
+	// edge mutations).
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
 	// OverlayFraction is the share of stored adjacency entries living in
@@ -724,7 +688,7 @@ type TopoStats struct {
 	Compactions      int64 `json:"compactions,omitempty"`
 	AsyncCompactions int64 `json:"async_compactions,omitempty"`
 	// Compacting reports a background compactor currently building the
-	// next epoch (AsyncCompact engines only).
+	// next epoch.
 	Compacting bool `json:"compacting,omitempty"`
 }
 
@@ -742,7 +706,7 @@ func (e *Engine) TopoStats() TopoStats {
 		ts.Nodes = e.topo.Dim()
 		ts.Edges = e.topo.UndirectedEdges()
 		ts.OverlayFraction = e.topo.PatchedFraction()
-	} else {
+	} else { // closed: the last compacted graph
 		ts.Nodes, ts.Edges = e.g.N, e.g.M
 	}
 	e.mu.RUnlock()
@@ -772,21 +736,7 @@ func (e *Engine) ReleaseTransient() int64 {
 	}
 	e.snap = nil
 	e.res = nil
-	e.shed = true
-	if e.eopts.Incremental && e.topo != nil {
-		e.pool = e.lazyIncrementalPool(e.topo, e.rhoW, e.est.H)
-	} else {
-		// Rebuild lazily on the frozen CSR: same states the eager pool
-		// would hold, just not resident while shed.
-		w, h, opts := e.g.Adj, e.est.H.Clone(), e.linbpOptions()
-		e.pool = &sync.Pool{New: func() any {
-			st, err := propagation.NewState(w, h, opts)
-			if err != nil {
-				return nil
-			}
-			return st
-		}}
-	}
+	e.pool = e.lazyPool(e.topo, e.rhoW, e.est.H)
 	e.mu.Unlock()
 	e.sumMu.Lock()
 	e.sums = nil

@@ -45,7 +45,7 @@ func edgeList(set map[[2]int32]bool) [][2]int32 {
 func TestEngineMutateParity(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 1500, 6000, 0.05)
 	inc, err := NewEngine(g, seeds, 3, EngineOptions{
-		Incremental: true, ResidualTol: 1e-10, ResidualEdgeBudget: 256,
+		ResidualTol: 1e-10, ResidualEdgeBudget: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,11 +132,7 @@ func TestEngineMutateParity(t *testing.T) {
 	for len(seedsFinal) < n {
 		seedsFinal = append(seedsFinal, Unlabeled)
 	}
-	cold, err := NewEngineWithH(gf, seedsFinal, 3, inc.Estimate().H, "pinned", EngineOptions{Iterations: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxBeliefDiff(beliefsOf(t, inc), beliefsOf(t, cold)); d > 1e-6 {
+	if d := maxBeliefDiff(beliefsOf(t, inc), denseReference(t, gf, seedsFinal, inc.Estimate().H)); d > 1e-6 {
 		t.Errorf("mutated beliefs differ from cold build of the final edge set by %g", d)
 	}
 
@@ -163,7 +159,7 @@ func TestEngineMutateParity(t *testing.T) {
 func TestEngineMutateDeletionsOnly(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 1000, 5000, 0.1)
 	inc, err := NewEngine(g, seeds, 3, EngineOptions{
-		Incremental: true, ResidualTol: 1e-10, ResidualEdgeBudget: 256,
+		ResidualTol: 1e-10, ResidualEdgeBudget: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,11 +193,7 @@ func TestEngineMutateDeletionsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewEngineWithH(gf, seeds, 3, inc.Estimate().H, "pinned", EngineOptions{Iterations: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxBeliefDiff(beliefsOf(t, inc), beliefsOf(t, cold)); d > 1e-6 {
+	if d := maxBeliefDiff(beliefsOf(t, inc), denseReference(t, gf, seeds, inc.Estimate().H)); d > 1e-6 {
 		t.Errorf("post-deletion beliefs differ from cold build by %g", d)
 	}
 }
@@ -211,7 +203,7 @@ func TestEngineMutateDeletionsOnly(t *testing.T) {
 // mutations interleave safely.
 func TestEngineMutateColdAndLabels(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 800, 4000, 0.1)
-	inc, err := NewEngine(g, seeds, 3, EngineOptions{Incremental: true, ResidualEdgeBudget: 256})
+	inc, err := NewEngine(g, seeds, 3, EngineOptions{ResidualEdgeBudget: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,17 +250,7 @@ func TestEngineMutateColdAndLabels(t *testing.T) {
 // TestEngineMutateValidation covers the error paths.
 func TestEngineMutateValidation(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 100, 500, 0.5)
-	frozen, err := NewEngine(g, seeds, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := frozen.MutateTopology(0, []EdgeMutation{{U: 0, V: 1}}); err != ErrTopologyImmutable {
-		t.Errorf("non-incremental mutation error = %v, want ErrTopologyImmutable", err)
-	}
-	if _, err := frozen.CompactTopology(); err != ErrTopologyImmutable {
-		t.Errorf("non-incremental compaction error = %v", err)
-	}
-	inc, err := NewEngine(g, seeds, 3, EngineOptions{Incremental: true})
+	inc, err := NewEngine(g, seeds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,15 +293,6 @@ func TestEngineMutateValidation(t *testing.T) {
 	if meta.MissingRemoves == 0 {
 		t.Error("absent removal not reported as missing")
 	}
-	if _, err := NewEngine(g, seeds, 3, EngineOptions{CompactFraction: 0.5}); err == nil {
-		t.Error("CompactFraction without Incremental accepted")
-	}
-	if _, err := NewEngine(g, seeds, 3, EngineOptions{Incremental: true, CompactFraction: 1.5}); err == nil {
-		t.Error("CompactFraction ≥ 1 accepted")
-	}
-	if _, err := NewEngine(g, seeds, 3, EngineOptions{AsyncCompact: true}); err == nil {
-		t.Error("AsyncCompact without Incremental accepted")
-	}
 	inc.Close()
 	if _, err := inc.MutateTopology(0, []EdgeMutation{{U: 0, V: 1}}); err != ErrEngineClosed {
 		t.Errorf("closed-engine mutation error = %v", err)
@@ -331,7 +304,7 @@ func TestEngineMutateValidation(t *testing.T) {
 // -race: this is the mutation subsystem's race-cleanliness test.
 func TestEngineMutateConcurrent(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 1000, 8000, 0.1)
-	eng, err := NewEngine(g, seeds, 3, EngineOptions{Incremental: true, CompactFraction: 0.02})
+	eng, err := NewEngine(g, seeds, 3, EngineOptions{CompactFraction: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +403,7 @@ func TestMutateQuerySpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewEngine(g, seeds, 3, EngineOptions{Incremental: true})
+	inc, err := NewEngine(g, seeds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +440,7 @@ func TestMutateQuerySpeedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := NewEngineWithH(gf, seeds, 3, h, "persisted", EngineOptions{Incremental: true})
+		cold, err := NewEngineWithH(gf, seeds, 3, h, "persisted")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -355,9 +355,6 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := NewEngine(g, seeds, 3, EngineOptions{S: 2}); err == nil {
 		t.Error("non-contracting s >= 1 accepted")
 	}
-	if _, err := NewEngine(g, seeds, 3, EngineOptions{Iterations: -5}); err == nil {
-		t.Error("negative iteration count accepted")
-	}
 	if _, err := NewEngine(g, seeds, 3, EngineOptions{Estimate: EstimateOptions{LMax: -1}}); err == nil {
 		t.Error("negative lmax accepted (would panic in Summarize)")
 	}

@@ -2,11 +2,10 @@ package dense
 
 import "fmt"
 
-// Matrix32 is the float32 twin of Matrix: the storage tier behind
-// EngineOptions.F32Beliefs. Belief propagation on memory-bandwidth-bound
-// graphs spends its time streaming n×k rows; halving the element width
-// halves that traffic. It deliberately mirrors only the operations the f32
-// propagation path needs — everything else stays float64.
+// Matrix32 is the float32 twin of Matrix, kept only as the operand of the
+// float32 SpMM kernel (sparse.CSR.MulDenseInto32) that cmd/bench times as
+// sparse.spmm_f32_k3_ms; no propagation path uses it. Benchmark-only
+// leftover, to be dropped with that row.
 type Matrix32 struct {
 	Rows, Cols int
 	Data       []float32 // row-major, len Rows*Cols
@@ -20,11 +19,6 @@ func New32(rows, cols int) *Matrix32 {
 	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// Row returns row i as a slice aliasing the matrix storage.
-func (m *Matrix32) Row(i int) []float32 {
-	return m.Data[i*m.Cols : (i+1)*m.Cols]
-}
-
 // FillFrom overwrites m with src, narrowing each entry to float32.
 func (m *Matrix32) FillFrom(src *Matrix) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
@@ -32,15 +26,5 @@ func (m *Matrix32) FillFrom(src *Matrix) {
 	}
 	for i, v := range src.Data {
 		m.Data[i] = float32(v)
-	}
-}
-
-// StoreTo widens m into dst (float64).
-func (m *Matrix32) StoreTo(dst *Matrix) {
-	if m.Rows != dst.Rows || m.Cols != dst.Cols {
-		panic(fmt.Sprintf("dense: StoreTo shape %dx%d to %dx%d", m.Rows, m.Cols, dst.Rows, dst.Cols))
-	}
-	for i, v := range m.Data {
-		dst.Data[i] = float64(v)
 	}
 }

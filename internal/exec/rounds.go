@@ -8,11 +8,10 @@ import (
 
 // minPullWorkers is the parallelism below which the level-synchronous
 // drain runs its sequential scatter schedule instead of the parallel pull
-// one. Pull pays roughly twice the per-edge work of scatter (a discovery
-// pass plus a full row re-scan at every gather) in exchange for race
-// freedom, so it needs ~4-way parallelism before it beats the straight
-// Gauss–Seidel scan; below that the scatter schedule is simply faster.
-const minPullWorkers = 4
+// one. Pull pays a discovery pass plus a full row re-scan at every gather
+// in exchange for race freedom; the scatter schedule is the only one a
+// single worker can run.
+const minPullWorkers = 2
 
 // deltaDivisor: once the active set exceeds n/deltaDivisor, a parallel
 // round stops tracking candidates and runs a whole-matrix delta sweep
@@ -20,7 +19,7 @@ const minPullWorkers = 4
 // over every row at once, and it runs on the branch-free CSR multiply
 // kernel at a fraction of the per-edge cost of a tracked gather; at this
 // density nearly everything neighbors the frontier anyway.
-const deltaDivisor = 8
+const deltaDivisor = 2
 
 // PullPass drains a saturated frontier with level-synchronous rounds over
 // dense residual storage, picking its schedule by available parallelism.
@@ -65,9 +64,8 @@ type PullPass struct {
 	tol float64
 	run Runner
 
-	// sched holds the drain thresholds; NewPullPass seeds the static
-	// defaults and SetSchedule installs a tuned one. Both schedules drain
-	// to the same tolerance, so swapping mid-life is safe.
+	// sched holds the drain thresholds (DefaultSchedule for the pass's
+	// dimensions; tests sweep others).
 	sched Schedule
 
 	activeIdx []int32  // node → slot in rh, -1 when inactive (pull)
@@ -95,7 +93,7 @@ func NewPullPass(w RowIterator, hScaled, f, r *dense.Matrix, norms []float64, to
 	p := &PullPass{
 		w: w, n: n, hs: hScaled.Data, k: hScaled.Rows,
 		f: f, r: r, nrm: norms, tol: tol, run: run,
-		sched:     DefaultSchedule(),
+		sched:     DefaultSchedule(n, hScaled.Rows),
 		activeIdx: make([]int32, n),
 		mark:      make([]uint32, n),
 		cand:      make([][]int32, run.MaxChunks()),
@@ -105,13 +103,6 @@ func NewPullPass(w RowIterator, hScaled, f, r *dense.Matrix, norms []float64, to
 		p.activeIdx[i] = -1
 	}
 	return p
-}
-
-// SetSchedule installs drain thresholds (zero fields fall back to the
-// static defaults). The engine calls this when the per-epoch tuner runs;
-// it must not race a Drain in flight.
-func (p *PullPass) SetSchedule(s Schedule) {
-	p.sched = s.normalized()
 }
 
 // Drain runs rounds until the frontier empties or edge traversals exceed
@@ -160,6 +151,13 @@ func (p *PullPass) pullRound(active []int32, edges int) ([]int32, int) {
 	}
 	rh := p.rh[:len(active)*k]
 	edgeCh := make([]int, p.run.MaxChunks())
+	// A phase over fewer items than chunks leaves the higher chunks unrun:
+	// empty every per-chunk list first, or they would carry the previous
+	// round's entries into this one (rows gathered twice, by two workers).
+	for c := range p.cand {
+		p.cand[c] = p.cand[c][:0]
+		p.next[c] = p.next[c][:0]
+	}
 
 	// Phase 1: absorb active rows, precompute messages, claim candidates.
 	p.run.RowsIndexed(len(active), func(chunk, lo, hi int) {

@@ -69,8 +69,8 @@ func TestPullPassScheduleByWorkers(t *testing.T) {
 				p.scatterRounds, p.trackedRounds, p.deltaRounds)
 		}
 	}
-	// The exact promotion edge, when this machine can express it: 3 chunks
-	// must scatter, 4 must pull.
+	// The exact promotion edge, when this machine can express it: one chunk
+	// fewer than minPullWorkers must scatter, minPullWorkers must pull.
 	if runtime.GOMAXPROCS(0) < minPullWorkers {
 		t.Skipf("GOMAXPROCS %d < %d: pull side of the boundary not expressible", runtime.GOMAXPROCS(0), minPullWorkers)
 	}
@@ -89,14 +89,14 @@ func TestPullPassScheduleByWorkers(t *testing.T) {
 }
 
 // TestPullPassFullScanThreshold pins the n/deltaDivisor promotion edge of
-// the parallel schedule: an active set of exactly n/8 runs the
+// the parallel schedule: an active set of exactly n/deltaDivisor runs the
 // candidate-tracked gather, one more node degenerates to the whole-matrix
 // delta sweep.
 func TestPullPassFullScanThreshold(t *testing.T) {
 	if (Runner{}).MaxChunks() < minPullWorkers {
 		t.Skipf("machine parallelism %d < %d: parallel schedule unavailable", (Runner{}).MaxChunks(), minPullWorkers)
 	}
-	const n = 80 // n/deltaDivisor = 10
+	const n = 80
 	cases := []struct {
 		active      int
 		wantTracked int
@@ -140,7 +140,7 @@ func TestPullPassSchedulesAgree(t *testing.T) {
 		return NewPullPass(w, h, f, r, norms, 1e-10, Runner{Workers: workers}), f, list
 	}
 	// Sequential scatter reference vs parallel pull (small frontier →
-	// tracked) vs forced delta sweeps (frontier > n/8).
+	// tracked).
 	pSeq, fSeq, aSeq := build(1, 12)
 	pSeq.Drain(aSeq, 0)
 	if pSeq.scatterRounds == 0 {
@@ -161,18 +161,17 @@ func TestPullPassSchedulesAgree(t *testing.T) {
 	}
 }
 
-// TestTunedSchedulesConverge is the property test behind the auto-tuner:
-// ANY schedule the tuner can emit — DeltaDivisor across its full clamp
-// range, MinPullWorkers across its clamp range, sticky on or off — must
-// drain to the same fixed point as the sequential Gauss–Seidel reference.
-// The tuner is free to pick whatever the microbenchmark measured; it can
-// only ever change performance, never beliefs.
+// TestTunedSchedulesConverge is the guard that DefaultSchedule's constants sit
+// inside a covered regime: ANY schedule — DeltaDivisor and MinPullWorkers
+// swept well past the defaults on both sides, sticky on or off — must drain
+// to the same fixed point as the sequential Gauss–Seidel reference. A
+// schedule can only ever change performance, never beliefs.
 func TestTunedSchedulesConverge(t *testing.T) {
 	const n, k = 96, 2
 	w := ringCSR(t, n)
 	h := dense.New(k, k)
 	h.Data[0], h.Data[1], h.Data[2], h.Data[3] = 0.2, -0.1, -0.1, 0.2
-	build := func(workers int, sched Schedule, active int) (*PullPass, *dense.Matrix, []int32) {
+	build := func(workers int, active int) (*PullPass, *dense.Matrix, []int32) {
 		f := dense.New(n, k)
 		r := dense.New(n, k)
 		norms := make([]float64, n)
@@ -182,21 +181,21 @@ func TestTunedSchedulesConverge(t *testing.T) {
 			norms[i] = 1
 			list[i] = int32(i)
 		}
-		p := NewPullPass(w, h, f, r, norms, 1e-10, Runner{Workers: workers})
-		p.SetSchedule(sched)
-		return p, f, list
+		return NewPullPass(w, h, f, r, norms, 1e-10, Runner{Workers: workers}), f, list
 	}
 	// Sequential reference: one worker forces the scatter schedule.
-	pSeq, fSeq, aSeq := build(1, DefaultSchedule(), 24)
+	pSeq, fSeq, aSeq := build(1, 24)
 	pSeq.Drain(aSeq, 0)
 	if pSeq.scatterRounds == 0 {
 		t.Fatal("sequential reference did not run the scatter schedule")
 	}
-	for _, dd := range []int{minTunedDeltaDivisor, deltaDivisor, maxTunedDeltaDivisor} {
-		for _, mpw := range []int{minTunedPullWorkers, maxTunedPullWorkers} {
+	def := DefaultSchedule(n, k)
+	for _, dd := range []int{def.DeltaDivisor, 8, 64} {
+		for _, mpw := range []int{def.MinPullWorkers, 8} {
 			for _, sticky := range []bool{false, true} {
-				sched := Schedule{DeltaDivisor: dd, MinPullWorkers: mpw, Sticky: sticky, Tuned: true}
-				p, f, active := build(0, sched, 24)
+				sched := Schedule{DeltaDivisor: dd, MinPullWorkers: mpw, Sticky: sticky}
+				p, f, active := build(0, 24)
+				p.sched = sched
 				pushed, _, _, remaining := p.Drain(active, 0)
 				if remaining != nil || pushed == 0 {
 					t.Fatalf("sched %+v: drain = pushed %d remaining %v", sched, pushed, remaining)
@@ -211,22 +210,49 @@ func TestTunedSchedulesConverge(t *testing.T) {
 	}
 }
 
-// TestTuneEmitsClampedSchedule pins that Tune only ever emits schedules
-// inside the clamp ranges TestTunedSchedulesConverge proves safe, and that
-// tiny graphs fall back to the static defaults.
-func TestTuneEmitsClampedSchedule(t *testing.T) {
-	s := Tune(ringCSR(t, 4096), 4, Runner{}, DefaultTuneBudget)
-	if !s.Tuned {
-		t.Fatal("Tune on a 4096-node graph returned the untuned defaults")
+// TestPullRoundDropsStaleChunkLists: a round over fewer active rows than
+// chunks must not replay the candidates an unrun chunk collected in an
+// earlier round — that gathered a row twice (double-counted mass, and two
+// workers writing it). Two single-round drains on one pass: the second has
+// one active row, so chunk 1 does not run and its list from the first drain
+// (the same neighbors) would be gathered again.
+func TestPullRoundDropsStaleChunkLists(t *testing.T) {
+	run := Runner{Workers: 2}
+	if run.MaxChunks() < minPullWorkers {
+		t.Skipf("machine parallelism %d < %d: parallel schedule unavailable", run.MaxChunks(), minPullWorkers)
 	}
-	if s.DeltaDivisor < minTunedDeltaDivisor || s.DeltaDivisor > maxTunedDeltaDivisor {
-		t.Errorf("DeltaDivisor %d outside [%d,%d]", s.DeltaDivisor, minTunedDeltaDivisor, maxTunedDeltaDivisor)
+	const n, k = 64, 2
+	h := dense.New(k, k)
+	h.Data[0], h.Data[1], h.Data[2], h.Data[3] = 0.2, -0.1, -0.1, 0.2
+	f, r := dense.New(n, k), dense.New(n, k)
+	norms := make([]float64, n)
+	// tol above any mass in play: every drain is exactly one round.
+	p := NewPullPass(ringCSR(t, n), h, f, r, norms, 10, run)
+	seed := func(nodes ...int32) []int32 {
+		for _, u := range nodes {
+			r.Data[int(u)*k] = 1
+			norms[u] = 1
+		}
+		return nodes
 	}
-	if s.MinPullWorkers < minTunedPullWorkers || s.MinPullWorkers > maxTunedPullWorkers {
-		t.Errorf("MinPullWorkers %d outside [%d,%d]", s.MinPullWorkers, minTunedPullWorkers, maxTunedPullWorkers)
+	p.Drain(seed(0, 10), 0) // chunk 0 claims {63, 1}, chunk 1 claims {9, 11}
+	p.Drain(seed(10), 0)    // chunk 0 claims {9, 11}; chunk 1 does not run
+	if p.trackedRounds != 2 {
+		t.Fatalf("tracked rounds = %d, want 2", p.trackedRounds)
 	}
-	small := Tune(ringCSR(t, 16), 4, Runner{}, DefaultTuneBudget)
-	if small.Tuned || small != DefaultSchedule() {
-		t.Errorf("Tune on a 16-node graph = %+v, want untuned defaults %+v", small, DefaultSchedule())
+	// Node 9 received node 10's message once per drain.
+	if got, want := r.Data[9*k], 2*0.2; math.Abs(got-want) > 1e-15 {
+		t.Errorf("r[9][0] = %v, want %v (one gather per round)", got, want)
+	}
+}
+
+// TestDefaultScheduleSticky pins the one input-derived field: sticky gather
+// turns on once the n×k float64 rows outgrow 1 MiB.
+func TestDefaultScheduleSticky(t *testing.T) {
+	if DefaultSchedule(1<<15, 4).Sticky {
+		t.Error("sticky at exactly 1 MiB of rows")
+	}
+	if !DefaultSchedule(1<<15+1, 4).Sticky {
+		t.Error("not sticky just past 1 MiB of rows")
 	}
 }

@@ -1,13 +1,6 @@
 package exec
 
-import (
-	"sync/atomic"
-	"time"
-)
-
-// Schedule holds the drain-schedule thresholds a PullPass runs under. The
-// zero value is normalized to the static defaults; Tune produces a measured
-// one per graph (pinned per epoch by the engine).
+// Schedule holds the drain-schedule thresholds a PullPass runs under.
 type Schedule struct {
 	// DeltaDivisor: a tracked round degenerates to a whole-matrix delta
 	// sweep once the active set exceeds n/DeltaDivisor.
@@ -19,224 +12,22 @@ type Schedule struct {
 	// touches the same belief/residual range every round (cache-warm
 	// repeats) instead of whatever slice of the discovery order it drew.
 	Sticky bool
-	// Tuned records whether the thresholds came from a live measurement
-	// (Tune) rather than the static defaults.
-	Tuned bool
 }
 
-// DefaultSchedule returns the static heuristics the pass shipped with.
-func DefaultSchedule() Schedule {
-	return Schedule{DeltaDivisor: deltaDivisor, MinPullWorkers: minPullWorkers}
-}
+// stickyMinBytes: sticky gather pays a sequential bucketing pass per round;
+// it wins once the dense rows outgrow L2, i.e. when repeat-touch locality
+// is worth protecting.
+const stickyMinBytes = 1 << 20
 
-func (s Schedule) normalized() Schedule {
-	if s.DeltaDivisor <= 0 {
-		s.DeltaDivisor = deltaDivisor
+// DefaultSchedule returns the schedule every pass over an n×k belief matrix
+// runs under. The thresholds are the values a measured per-graph tuner
+// settled on for every engine of every committed benchmark run; every
+// schedule drains to the same tolerance (TestTunedSchedulesConverge), so they
+// decide speed, never beliefs.
+func DefaultSchedule(n, k int) Schedule {
+	return Schedule{
+		DeltaDivisor:   deltaDivisor,
+		MinPullWorkers: minPullWorkers,
+		Sticky:         n*k*8 > stickyMinBytes,
 	}
-	if s.MinPullWorkers <= 0 {
-		s.MinPullWorkers = minPullWorkers
-	}
-	return s
-}
-
-// DefaultTuneBudget bounds the microbenchmark Tune runs on the live graph.
-// Tuning happens once per epoch (build or compaction), so a couple of
-// milliseconds is noise next to the ρ(W) power iteration it rides along.
-const DefaultTuneBudget = 2 * time.Millisecond
-
-// Tuner bounds for the measured thresholds: however noisy the probe, the
-// emitted schedule stays inside the regime the convergence tests cover.
-const (
-	minTunedDeltaDivisor = 2
-	maxTunedDeltaDivisor = 64
-	minTunedPullWorkers  = 2
-	maxTunedPullWorkers  = 8
-
-	// tuneSampleEdges caps how many stored entries each probe kernel
-	// walks; tuneScratchRows is the modulus folding column ids into the
-	// probe's scratch matrix (large enough to exercise real cache misses,
-	// small enough to allocate per tune).
-	tuneSampleEdges = 1 << 16
-	tuneScratchRows = 1 << 12
-
-	// Sticky gather pays a sequential bucketing pass per round; it wins
-	// once the dense rows outgrow L2, i.e. when repeat-touch locality is
-	// worth protecting.
-	stickyMinBytes = 1 << 20
-)
-
-// Tune microbenchmarks the three drain kernels — sequential scatter,
-// tracked pull (discovery + gather re-scan), and the branch-free delta
-// sweep — on a sample of the live graph's rows, and derives the thresholds
-// where each schedule's per-edge cost curve crosses the next:
-//
-//   - a tracked round costs ~cPull per frontier-adjacent edge while a delta
-//     sweep costs cDelta per stored edge, so tracking wins while
-//     active·deg·cPull < nnz·cDelta, i.e. active < n·(cDelta/cPull);
-//     DeltaDivisor ≈ cPull/cDelta.
-//   - a parallel pull round breaks even with the sequential scatter scan
-//     once its worker count covers the per-edge overhead ratio;
-//     MinPullWorkers ≈ cPull/cScatter.
-//
-// The probe allocates O(tuneScratchRows·k) scratch, walks at most
-// tuneSampleEdges entries per kernel and respects the wall-clock budget; on
-// a graph too small to measure it returns the static defaults. Results are
-// exposed on the fg_exec_tuned_* gauges (last tune wins — the per-graph
-// values live in the engine's numeric health).
-func Tune(w RowIterator, k int, run Runner, budget time.Duration) Schedule {
-	s := DefaultSchedule()
-	n, nnz := w.Dim(), w.NNZ()
-	if n < 256 || nnz < 2048 || k <= 0 {
-		return s
-	}
-	if budget <= 0 {
-		budget = DefaultTuneBudget
-	}
-	deadline := time.Now().Add(budget)
-
-	// Deterministic row sample: a fixed stride spreading the probe across
-	// the whole matrix so skewed degree distributions are represented.
-	stride := nnz / tuneSampleEdges
-	if stride < 1 {
-		stride = 1
-	}
-	sample := make([]int32, 0, n/int(stride)+1)
-	for i := 0; i < n; i += int(stride) {
-		sample = append(sample, int32(i))
-	}
-
-	scratch := make([]float64, tuneScratchRows*k)
-	msg := make([]float64, k)
-	for j := range msg {
-		msg[j] = 1e-3
-	}
-	var marks [tuneScratchRows]uint32
-	perBudget := budget / 4
-
-	// Each probe repeats its edge walk until it has both enough edges and
-	// enough wall-clock to trust the division, then reports ns/edge.
-	probe := func(kernel func() int) float64 {
-		start := time.Now()
-		edges := 0
-		for it := 0; ; it++ {
-			edges += kernel()
-			el := time.Since(start)
-			if (edges >= tuneSampleEdges && el >= perBudget/4) || el >= perBudget || time.Now().After(deadline) {
-				if edges == 0 {
-					return 0
-				}
-				return float64(el.Nanoseconds()) / float64(edges)
-			}
-		}
-	}
-
-	// Delta sweep: the branch-free accumulate of the CSR multiply.
-	cDelta := probe(func() int {
-		e := 0
-		for _, u := range sample {
-			cols, wts := w.Row(int(u))
-			orow := scratch[(int(u)%tuneScratchRows)*k : (int(u)%tuneScratchRows+1)*k]
-			if wts == nil {
-				for _, col := range cols {
-					xrow := scratch[(int(col)%tuneScratchRows)*k : (int(col)%tuneScratchRows+1)*k]
-					for j, v := range xrow {
-						orow[j] += v
-					}
-				}
-			} else {
-				for q, col := range cols {
-					xrow := scratch[(int(col)%tuneScratchRows)*k : (int(col)%tuneScratchRows+1)*k]
-					for j, v := range xrow {
-						orow[j] += wts[q] * v
-					}
-				}
-			}
-			e += len(cols)
-		}
-		return e
-	})
-
-	// Scatter: per-edge push with the fused norm update.
-	cScatter := probe(func() int {
-		e := 0
-		for _, u := range sample {
-			cols, wts := w.Row(int(u))
-			for q, col := range cols {
-				wv := 1.0
-				if wts != nil {
-					wv = wts[q]
-				}
-				nRow := scratch[(int(col)%tuneScratchRows)*k : (int(col)%tuneScratchRows+1)*k]
-				norm := 0.0
-				for j := 0; j < k; j++ {
-					nRow[j] += wv * msg[j]
-					a := nRow[j]
-					if a < 0 {
-						a = -a
-					}
-					if a > norm {
-						norm = a
-					}
-				}
-			}
-			e += len(cols)
-		}
-		return e
-	})
-
-	// Pull: discovery CAS plus the candidate's full-row gather re-scan —
-	// the two passes a tracked round pays per frontier-adjacent edge.
-	cPull := probe(func() int {
-		e := 0
-		for _, u := range sample {
-			cols, _ := w.Row(int(u))
-			for _, col := range cols {
-				m := &marks[int(col)%tuneScratchRows]
-				if atomic.CompareAndSwapUint32(m, 0, 1) {
-					atomic.StoreUint32(m, 0)
-				}
-			}
-			e += len(cols)
-			cols, wts := w.Row(int(u))
-			rRow := scratch[(int(u)%tuneScratchRows)*k : (int(u)%tuneScratchRows+1)*k]
-			for q, col := range cols {
-				wv := 1.0
-				if wts != nil {
-					wv = wts[q]
-				}
-				xrow := scratch[(int(col)%tuneScratchRows)*k : (int(col)%tuneScratchRows+1)*k]
-				for j, v := range xrow {
-					rRow[j] += wv * v
-				}
-			}
-			e += len(cols)
-		}
-		return e
-	})
-
-	if cDelta > 0 && cScatter > 0 && cPull > 0 {
-		dd := int(cPull/cDelta + 0.5)
-		if dd < minTunedDeltaDivisor {
-			dd = minTunedDeltaDivisor
-		}
-		if dd > maxTunedDeltaDivisor {
-			dd = maxTunedDeltaDivisor
-		}
-		mpw := int(cPull/cScatter + 0.5)
-		if mpw < minTunedPullWorkers {
-			mpw = minTunedPullWorkers
-		}
-		if mpw > maxTunedPullWorkers {
-			mpw = maxTunedPullWorkers
-		}
-		s = Schedule{
-			DeltaDivisor:   dd,
-			MinPullWorkers: mpw,
-			Sticky:         n*k*8 > stickyMinBytes,
-			Tuned:          true,
-		}
-	}
-	gTunedDeltaDivisor.Set(float64(s.DeltaDivisor))
-	gTunedMinPullWorkers.Set(float64(s.MinPullWorkers))
-	return s
 }

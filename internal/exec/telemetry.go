@@ -3,9 +3,9 @@ package exec
 import "factorgraph/internal/telemetry"
 
 // Process-wide schedule counters: which drain schedule each round actually
-// ran. The auto-tuning roadmap item reads these to see where the
-// n/deltaDivisor and minPullWorkers boundaries land in production; a round
-// is O(frontier·degree) work, so one increment per round is free.
+// ran, i.e. where the n/deltaDivisor and minPullWorkers boundaries land in
+// production; a round is O(frontier·degree) work, so one increment per
+// round is free.
 var (
 	mRoundsTracked = telemetry.Default().Counter("fg_exec_rounds_total",
 		"Pull-pass drain rounds by schedule.", telemetry.Labels{"schedule": "tracked"})
@@ -15,14 +15,4 @@ var (
 		"Pull-pass drain rounds by schedule.", telemetry.Labels{"schedule": "scatter"})
 	mDenseRounds = telemetry.Default().Counter("fg_exec_dense_rounds_total",
 		"Full-matrix dense Jacobi rounds (sweeps and delta-round cores).")
-)
-
-// Tuner gauges: the thresholds the most recent Tune emitted (last tune
-// wins process-wide; per-graph pinned values are reported through the
-// engine's numeric health and /v1/admin/health).
-var (
-	gTunedDeltaDivisor = telemetry.Default().Gauge("fg_exec_tuned_delta_divisor",
-		"DeltaDivisor chosen by the most recent exec schedule tune.")
-	gTunedMinPullWorkers = telemetry.Default().Gauge("fg_exec_tuned_min_pull_workers",
-		"MinPullWorkers chosen by the most recent exec schedule tune.")
 )

@@ -37,15 +37,6 @@ type LinBPOptions struct {
 	EchoCancellation bool
 	// SpectralIters bounds the power iterations for ρ(W). Default 50.
 	SpectralIters int
-	// F32 runs the iterate in float32 storage and arithmetic (the
-	// memory-bandwidth tier behind EngineOptions.F32Beliefs): X, F and the
-	// round scratch halve their footprint and the SpMM streams half the
-	// bytes. Accumulating in float32 costs accuracy — with centered inputs
-	// (|entries| ≤ 1, contraction s < 1) the belief drift vs the float64
-	// kernel is bounded by ~k·deg·2⁻²³ per round and observed ≤1e-3
-	// end-to-end, which the engine pins in tests. Incompatible with
-	// EchoCancellation; beliefs are widened back to float64 on return.
-	F32 bool
 }
 
 func (o *LinBPOptions) defaults() {

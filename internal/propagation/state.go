@@ -35,19 +35,7 @@ type State struct {
 	echo     *dense.Matrix
 	cur, prv []int // label-stability scratch
 
-	// Float32 tier (opts.F32): the iterate, inputs and round scratch in
-	// half-width storage plus the narrowed H̃. s.f stays allocated as the
-	// widened output buffer Run returns.
-	x32, f32, fh32, wfh32 *dense.Matrix32
-	hs32                  []float32
-
 	run exec.Runner // shared execution core; all dense rounds go through it
-}
-
-// mul32er is the float32 SpMM an adjacency must additionally provide for
-// the F32 tier; *sparse.CSR implements it.
-type mul32er interface {
-	MulDenseInto32(out, x *dense.Matrix32)
 }
 
 // NewState validates shapes, computes ε = s/(ρ(W)·ρ(H̃)) once, and
@@ -83,14 +71,6 @@ func NewStateOn(w exec.RowIterator, h *dense.Matrix, opts LinBPOptions, rhoW flo
 		return nil, fmt.Errorf("propagation: negative iteration count %d", opts.Iterations)
 	}
 	opts.defaults()
-	if opts.F32 {
-		if opts.EchoCancellation {
-			return nil, fmt.Errorf("propagation: F32 is incompatible with EchoCancellation")
-		}
-		if _, ok := w.(mul32er); !ok {
-			return nil, fmt.Errorf("propagation: adjacency %T does not support the float32 tier", w)
-		}
-	}
 	s := &State{
 		w:    w,
 		n:    n,
@@ -99,15 +79,8 @@ func NewStateOn(w exec.RowIterator, h *dense.Matrix, opts LinBPOptions, rhoW flo
 		k:    h.Rows,
 		x:    dense.New(n, h.Rows),
 		f:    dense.New(n, h.Rows),
-	}
-	if opts.F32 {
-		s.x32 = dense.New32(n, h.Rows)
-		s.f32 = dense.New32(n, h.Rows)
-		s.fh32 = dense.New32(n, h.Rows)
-		s.wfh32 = dense.New32(n, h.Rows)
-	} else {
-		s.fh = dense.New(n, h.Rows)
-		s.wfh = dense.New(n, h.Rows)
+		fh:   dense.New(n, h.Rows),
+		wfh:  dense.New(n, h.Rows),
 	}
 	if opts.EchoCancellation {
 		s.echo = dense.New(n, h.Rows)
@@ -154,14 +127,6 @@ func (s *State) setH(h *dense.Matrix) error {
 	if s.opts.EchoCancellation {
 		s.h2 = dense.Mul(s.hScaled, s.hScaled)
 	}
-	if s.opts.F32 {
-		if s.hs32 == nil {
-			s.hs32 = make([]float32, len(s.hScaled.Data))
-		}
-		for i, v := range s.hScaled.Data {
-			s.hs32[i] = float32(v)
-		}
-	}
 	return nil
 }
 
@@ -197,9 +162,6 @@ func (s *State) Run(x *dense.Matrix) (*dense.Matrix, error) {
 			s.x.Data[i] -= 1.0 / float64(s.k)
 		}
 		xUse = s.x
-	}
-	if s.opts.F32 {
-		return s.runF32(xUse)
 	}
 	s.f.CopyFrom(xUse)
 	k := s.k
@@ -251,73 +213,6 @@ func (s *State) Run(x *dense.Matrix) (*dense.Matrix, error) {
 		}
 	}
 	return s.f, nil
-}
-
-// runF32 is the float32 round loop: the same F ← X + εWFH̃ iteration with
-// every buffer and accumulation in half-width. The final iterate is widened
-// into s.f so callers see the usual float64 belief matrix.
-func (s *State) runF32(xUse *dense.Matrix) (*dense.Matrix, error) {
-	n, k := s.n, s.k
-	s.x32.FillFrom(xUse)
-	copy(s.f32.Data, s.x32.Data)
-	w32 := s.w.(mul32er) // checked at construction
-	stable := 0
-	havePrev := false
-	for it := 0; it < s.opts.Iterations; it++ {
-		s.run.Rows(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				fRow := s.f32.Data[i*k : (i+1)*k]
-				out := s.fh32.Data[i*k : (i+1)*k]
-				for j := 0; j < k; j++ {
-					var acc float32
-					for c := 0; c < k; c++ {
-						acc += fRow[c] * s.hs32[c*k+j]
-					}
-					out[j] = acc
-				}
-			}
-		})
-		w32.MulDenseInto32(s.wfh32, s.fh32)
-		s.run.Rows(n, func(lo, hi int) {
-			for i := lo * k; i < hi*k; i++ {
-				s.f32.Data[i] = s.x32.Data[i] + s.wfh32.Data[i]
-			}
-		})
-		if s.opts.StopWhenStable > 0 {
-			s.cur = argmaxRows32Into(s.cur, s.f32)
-			if havePrev && equalInts(s.cur, s.prv) {
-				stable++
-				if stable >= s.opts.StopWhenStable {
-					break
-				}
-			} else {
-				stable = 0
-			}
-			s.cur, s.prv = s.prv, s.cur
-			havePrev = true
-		}
-	}
-	s.f32.StoreTo(s.f)
-	return s.f, nil
-}
-
-// argmaxRows32Into is dense.ArgmaxRowsInto for the float32 tier.
-func argmaxRows32Into(dst []int, m *dense.Matrix32) []int {
-	if cap(dst) < m.Rows {
-		dst = make([]int, m.Rows)
-	}
-	dst = dst[:m.Rows]
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		best := 0
-		for j := 1; j < len(row); j++ {
-			if row[j] > row[best] {
-				best = j
-			}
-		}
-		dst[i] = best
-	}
-	return dst
 }
 
 // RunLabels is Run followed by the row-argmax label(·) operator.

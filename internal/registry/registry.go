@@ -390,7 +390,7 @@ func (r *Registry) touchLocked(e *entry) {
 
 // applyMemLocked folds a footprint measurement (taken OUTSIDE r.mu — see
 // releaseFunc) into the registry's resident total, provided the entry
-// still holds the engine it was measured on. Incremental engines'
+// still holds the engine it was measured on. Engine
 // footprints move at runtime — the residual tier promotes and demotes, the
 // snapshot comes and goes — and the budget (plus /v1/admin/registry) must
 // see the tier actually in use, not the build-time estimate.

@@ -6,7 +6,6 @@ import (
 	"factorgraph"
 	"factorgraph/internal/graph"
 	"factorgraph/internal/labels"
-	"factorgraph/internal/sparse"
 )
 
 // SyntheticSpec plants a partition graph with the paper's generator
@@ -97,27 +96,8 @@ func (s *Spec) validate() error {
 	if s.K < 0 || s.K == 1 {
 		return fmt.Errorf("registry: k=%d, want 0 (infer) or ≥ 2", s.K)
 	}
-	if !factorgraph.KnownEstimator(s.Options.Estimator) {
-		return fmt.Errorf("registry: %w %q (want dcer, dce, mce, lce or holdout)",
-			factorgraph.ErrUnknownEstimator, s.Options.Estimator)
-	}
-	if s.Options.ResidualTol < 0 || s.Options.ResidualEdgeBudget < 0 {
-		return fmt.Errorf("registry: negative residual tolerance/edge budget")
-	}
-	if s.Options.CompactFraction < 0 || s.Options.CompactFraction >= 1 {
-		if s.Options.CompactFraction != 0 {
-			return fmt.Errorf("registry: compact_fraction %v outside (0,1)", s.Options.CompactFraction)
-		}
-	}
-	if (s.Options.ResidualTol > 0 || s.Options.ResidualEdgeBudget > 0 || s.Options.CompactFraction > 0 || s.Options.AsyncCompact) && !s.Options.Incremental {
-		return fmt.Errorf("registry: residual_tol/residual_edge_budget/compact_fraction/async_compact require incremental")
-	}
-	if !sparse.KnownReorder(s.Options.Reorder) {
-		return fmt.Errorf("registry: unknown reorder mode %q (want \"\", %q, %q or %q)",
-			s.Options.Reorder, sparse.ReorderNone, sparse.ReorderDegree, sparse.ReorderRCM)
-	}
-	if s.Options.F32Beliefs && s.Options.Incremental {
-		return fmt.Errorf("registry: f32_beliefs requires a non-incremental engine (the residual subsystem accumulates in float64)")
+	if err := s.Options.Validate(); err != nil {
+		return fmt.Errorf("registry: %w", err)
 	}
 	switch {
 	case s.Synthetic != nil:

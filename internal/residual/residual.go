@@ -25,7 +25,7 @@
 // pull rounds on the shared worker pool. When the frontier drains the dense
 // tier is demoted and freed again, so an idle State holds two n×k matrices
 // (X̃ and F), not five — the sparse tier is what keeps a quiescent
-// Incremental engine's footprint near a plain engine's.
+// engine's footprint small.
 //
 // The demotion discards residual mass at or below the tolerance (retaining
 // it would keep the dense array alive). Each discard perturbs the fixed
@@ -107,10 +107,6 @@ type Options struct {
 	// sweeps (0 = all available workers, 1 = sequential). Benchmarks use 1
 	// as the like-for-like sequential baseline.
 	Workers int
-	// Schedule sets the drain-schedule thresholds of saturated drains. The
-	// zero value uses the static defaults; the engine passes the per-epoch
-	// measured schedule from exec.Tune.
-	Schedule exec.Schedule
 }
 
 func (o *Options) defaults() {
@@ -296,21 +292,9 @@ func (s *State) SetAdj(w exec.RowIterator) {
 	}
 }
 
-// SetSchedule installs new drain thresholds (per-epoch tuner output). The
-// caller must serialize against flushes, same as SetAdj.
-func (s *State) SetSchedule(sched exec.Schedule) {
-	s.opts.Schedule = sched
-	if s.pull != nil {
-		s.pull.SetSchedule(sched)
-	}
-}
-
-// newPull builds a PullPass over the current adjacency/storage with the
-// state's schedule applied.
+// newPull builds a PullPass over the current adjacency/storage.
 func (s *State) newPull() *exec.PullPass {
-	p := exec.NewPullPass(s.w, s.hScaled, s.f, s.r, s.norms, s.opts.Tol, s.run)
-	p.SetSchedule(s.opts.Schedule)
-	return p
+	return exec.NewPullPass(s.w, s.hScaled, s.f, s.r, s.norms, s.opts.Tol, s.run)
 }
 
 // Permute renumbers every node-indexed structure of the state by

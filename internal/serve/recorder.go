@@ -338,46 +338,46 @@ const (
 // numericChecks applies the rollup thresholds to one engine's health
 // snapshot.
 func numericChecks(h factorgraph.NumericHealth) []HealthCheck {
-	checks := []HealthCheck{{
-		Name:   "residual_dropped_mass",
-		Value:  h.ResidualDroppedMass,
-		WarnAt: healthDroppedTolMultiple * h.ResidualTol,
-		Detail: "cumulative residual mass discarded by demotions/compactions",
-	}}
-	checks[0].Status = statusAbove(h.ResidualDroppedMass, checks[0].WarnAt)
-	if h.Incremental {
-		checks = append(checks,
-			HealthCheck{
-				Name:   "contraction_margin",
-				Value:  h.ContractionMargin,
-				WarnAt: healthMarginWarn,
-				Status: statusBelow(h.ContractionMargin, healthMarginWarn),
-				Detail: "guard minus worst-case effective s under the live overlay",
-			},
-			HealthCheck{
-				Name:   "overlay_fraction",
-				Value:  h.OverlayFraction,
-				WarnAt: healthTriggerShare * h.CompactTrigger,
-				Status: statusAbove(h.OverlayFraction, healthTriggerShare*h.CompactTrigger),
-				Detail: "patched share of stored entries vs the compaction trigger",
-			},
-			HealthCheck{
-				Name:   "epoch_age_seconds",
-				Value:  h.EpochAgeSeconds,
-				WarnAt: healthEpochAgeWarn,
-				Status: statusEpochAge(h),
-				Detail: "age of the current epoch; warns only when compaction looks overdue",
-			})
-		if h.SketchDriftLimit > 0 {
-			frac := h.SketchDrift / h.SketchDriftLimit
-			checks = append(checks, HealthCheck{
-				Name:   "sketch_drift_fraction",
-				Value:  frac,
-				WarnAt: healthTriggerShare,
-				Status: statusAbove(frac, healthTriggerShare),
-				Detail: "estimator-sketch drift vs the cache-drop threshold",
-			})
-		}
+	droppedWarn := healthDroppedTolMultiple * h.ResidualTol
+	checks := []HealthCheck{
+		{
+			Name:   "residual_dropped_mass",
+			Value:  h.ResidualDroppedMass,
+			WarnAt: droppedWarn,
+			Status: statusAbove(h.ResidualDroppedMass, droppedWarn),
+			Detail: "cumulative residual mass discarded by demotions/compactions",
+		},
+		{
+			Name:   "contraction_margin",
+			Value:  h.ContractionMargin,
+			WarnAt: healthMarginWarn,
+			Status: statusBelow(h.ContractionMargin, healthMarginWarn),
+			Detail: "guard minus worst-case effective s under the live overlay",
+		},
+		{
+			Name:   "overlay_fraction",
+			Value:  h.OverlayFraction,
+			WarnAt: healthTriggerShare * h.CompactTrigger,
+			Status: statusAbove(h.OverlayFraction, healthTriggerShare*h.CompactTrigger),
+			Detail: "patched share of stored entries vs the compaction trigger",
+		},
+		{
+			Name:   "epoch_age_seconds",
+			Value:  h.EpochAgeSeconds,
+			WarnAt: healthEpochAgeWarn,
+			Status: statusEpochAge(h),
+			Detail: "age of the current epoch; warns only when compaction looks overdue",
+		},
+	}
+	if h.SketchDriftLimit > 0 {
+		frac := h.SketchDrift / h.SketchDriftLimit
+		checks = append(checks, HealthCheck{
+			Name:   "sketch_drift_fraction",
+			Value:  frac,
+			WarnAt: healthTriggerShare,
+			Status: statusAbove(frac, healthTriggerShare),
+			Detail: "estimator-sketch drift vs the cache-drop threshold",
+		})
 	}
 	return checks
 }
@@ -459,14 +459,10 @@ func (s *Server) handleNumericHealth(w http.ResponseWriter, r *http.Request) {
 		h := eng.NumericHealth()
 		release()
 		gh := GraphHealth{
-			Graph:               info.Name,
-			Status:              healthOK,
-			Incremental:         h.Incremental,
-			Epoch:               h.Epoch,
-			ScheduleTuned:       h.ScheduleTuned,
-			TunedDeltaDivisor:   h.TunedDeltaDivisor,
-			TunedMinPullWorkers: h.TunedMinPullWorkers,
-			Checks:              numericChecks(h),
+			Graph:  info.Name,
+			Status: healthOK,
+			Epoch:  h.Epoch,
+			Checks: numericChecks(h),
 		}
 		for _, c := range gh.Checks {
 			if c.Status == healthWarn {

@@ -241,11 +241,11 @@ func TestSlowLogEndToEnd(t *testing.T) {
 }
 
 // TestNumericHealthEndpoint: resident graphs report their checks, cold
-// graphs are listed without being built, and an incremental graph carries
-// the contraction/overlay/sketch checks.
+// graphs are listed without being built, and a resident graph carries the
+// contraction/overlay/sketch checks.
 func TestNumericHealthEndpoint(t *testing.T) {
 	srv := newMultiServer(0, Options{})
-	body := `{"name":"rechealth","incremental":true,"synthetic":{"n":200,"m":1000,"f":0.1,"seed":7}}`
+	body := `{"name":"rechealth","synthetic":{"n":200,"m":1000,"f":0.1,"seed":7}}`
 	if rec, _ := doJSON(t, srv, "POST", "/v1/graphs", body); rec.Code != http.StatusCreated {
 		t.Fatalf("create: status %d", rec.Code)
 	}
@@ -273,9 +273,6 @@ func TestNumericHealthEndpoint(t *testing.T) {
 	}
 	if gh == nil {
 		t.Fatalf("no health entry for rechealth: %+v", resp)
-	}
-	if !gh.Incremental {
-		t.Errorf("incremental graph reported as non-incremental")
 	}
 	want := map[string]bool{"residual_dropped_mass": false, "contraction_margin": false, "overlay_fraction": false, "epoch_age_seconds": false}
 	for _, c := range gh.Checks {
@@ -309,7 +306,6 @@ func TestNumericHealthEndpoint(t *testing.T) {
 // TestNumericChecksThresholds pins the warn directions of the rollup.
 func TestNumericChecksThresholds(t *testing.T) {
 	h := factorgraph.NumericHealth{
-		Incremental:         true,
 		ResidualDroppedMass: 1,
 		ResidualTol:         1e-8,
 		ContractionMargin:   0.01,
@@ -337,7 +333,6 @@ func TestNumericChecksThresholds(t *testing.T) {
 
 	// The healthy side of every threshold.
 	h = factorgraph.NumericHealth{
-		Incremental:         true,
 		ResidualDroppedMass: 1e-6,
 		ResidualTol:         1e-8,
 		ContractionMargin:   0.3,
@@ -365,8 +360,8 @@ func TestNumericChecksThresholds(t *testing.T) {
 // resurrected them. The -race acceptance for the recorder lifecycle.
 func TestPerGraphSeriesLifecycleConcurrent(t *testing.T) {
 	srv := newMultiServer(0, Options{TraceSampleRate: 1})
-	// Incremental graphs so label patches do attributable o(Δ) push work —
-	// on a snapshot engine a patch bills only lock-wait time.
+	// Warm graphs so label patches do attributable o(Δ) push work — on a
+	// cold one a patch bills only lock-wait time.
 	for _, name := range []string{"racedel", "racekeep"} {
 		rec, _ := doJSON(t, srv, "POST", "/v1/graphs", incrementalBody(name, 200, 1000))
 		if rec.Code != http.StatusCreated {

@@ -643,8 +643,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, eng *fac
 	}
 }
 
-// classifyStatus maps a Classify error to a status class: engine faults are
-// the server's, everything else is request validation.
+// classifyStatus maps a Classify or MutateTopology error to a status class:
+// engine faults are the server's, everything else is request validation.
 func classifyStatus(err error) int {
 	if errors.Is(err, factorgraph.ErrEngineInternal) || errors.Is(err, factorgraph.ErrEngineClosed) {
 		return http.StatusInternalServerError
@@ -655,7 +655,7 @@ func classifyStatus(err error) int {
 // handleEdgesPatch applies a streaming topology mutation batch. Two body
 // formats: a JSON EdgesPatch, or (Content-Type: application/x-ndjson) one
 // EdgeOp per line, so mutation feeds can stream without buffering
-// client-side. Mutations require an incremental engine (409 otherwise).
+// client-side.
 func (s *Server) handleEdgesPatch(w http.ResponseWriter, r *http.Request, eng *factorgraph.Engine) {
 	var (
 		addNodes int
@@ -741,13 +741,13 @@ func (s *Server) handleEdgesPatch(w http.ResponseWriter, r *http.Request, eng *f
 		compact = false // already done
 	}
 	if err != nil {
-		writeError(w, edgesPatchStatus(err), "%v", err)
+		writeError(w, classifyStatus(err), "%v", err)
 		return
 	}
 	if compact && !meta.Compacted {
 		cm, err := eng.CompactTopology()
 		if err != nil {
-			writeError(w, edgesPatchStatus(err), "%v", err)
+			writeError(w, classifyStatus(err), "%v", err)
 			return
 		}
 		meta.Compacted = cm.Compacted
@@ -767,20 +767,6 @@ func (s *Server) handleEdgesPatch(w http.ResponseWriter, r *http.Request, eng *f
 		Compacting:      meta.CompactPending,
 		OverlayFraction: meta.OverlayFraction,
 	})
-}
-
-// edgesPatchStatus maps a MutateTopology error: an immutable topology is
-// the caller addressing the wrong kind of graph (409 — re-register with
-// "incremental": true), engine faults are 5xx, anything else is request
-// validation.
-func edgesPatchStatus(err error) int {
-	switch {
-	case errors.Is(err, factorgraph.ErrTopologyImmutable):
-		return http.StatusConflict
-	case errors.Is(err, factorgraph.ErrEngineClosed), errors.Is(err, factorgraph.ErrEngineInternal):
-		return http.StatusInternalServerError
-	}
-	return http.StatusBadRequest
 }
 
 func (s *Server) handleLabelsGet(w http.ResponseWriter, r *http.Request, eng *factorgraph.Engine) {

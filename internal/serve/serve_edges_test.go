@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// incSynthBody registers an incremental synthetic graph.
+// incSynthBody registers a warm synthetic graph.
 func incSynthBody(name string, n, m int) string {
-	return fmt.Sprintf(`{"name":%q,"incremental":true,"warm":true,"synthetic":{"n":%d,"m":%d,"f":0.1,"seed":7}}`, name, n, m)
+	return fmt.Sprintf(`{"name":%q,"warm":true,"synthetic":{"n":%d,"m":%d,"f":0.1,"seed":7}}`, name, n, m)
 }
 
 func patchEdges(t *testing.T, srv *Server, graph, body string) (*httptest.ResponseRecorder, EdgesPatchResponse) {
@@ -144,17 +144,10 @@ func TestEdgesPatchNDJSON(t *testing.T) {
 	}
 }
 
-// TestEdgesPatchErrors covers the rejection paths: frozen engines (409),
-// malformed bodies and out-of-range endpoints (400).
+// TestEdgesPatchErrors covers the rejection paths: malformed bodies and
+// out-of-range endpoints (400), unknown graphs (404).
 func TestEdgesPatchErrors(t *testing.T) {
 	srv := newMultiServer(0, Options{})
-	if rec, _ := doJSON(t, srv, "POST", "/v1/graphs", synthBody("frozen", 200, 1000)); rec.Code != http.StatusCreated {
-		t.Fatalf("create: %d", rec.Code)
-	}
-	if rec, _ := patchEdges(t, srv, "frozen", `{"set":[[0,1]]}`); rec.Code != http.StatusConflict {
-		t.Errorf("frozen graph mutation: %d, want 409", rec.Code)
-	}
-
 	if rec, _ := doJSON(t, srv, "POST", "/v1/graphs", incSynthBody("live", 200, 1000)); rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d", rec.Code)
 	}
@@ -231,7 +224,7 @@ func TestStreamingAdaptiveFlush(t *testing.T) {
 // admin counters while queries keep serving.
 func TestEdgesPatchAsyncCompact(t *testing.T) {
 	srv := newMultiServer(0, Options{})
-	body := `{"name":"bg","incremental":true,"async_compact":true,"compact_fraction":0.02,"warm":true,"synthetic":{"n":400,"m":2000,"f":0.1,"seed":7}}`
+	body := `{"name":"bg","async_compact":true,"compact_fraction":0.02,"warm":true,"synthetic":{"n":400,"m":2000,"f":0.1,"seed":7}}`
 	if rec, _ := doJSON(t, srv, "POST", "/v1/graphs", body); rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d: %s", rec.Code, rec.Body.String())
 	}

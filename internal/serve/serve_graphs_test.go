@@ -286,8 +286,17 @@ func TestEvictionTransparentOverHTTP(t *testing.T) {
 		return admin.Stats
 	}
 
-	// Tier 1: both engines stay resident shed; no rebuild ever happens.
-	budget := factorgraph.EstimateEngineBytes(300, 1500, 3, false) * 3 / 2
+	// Tier 1: both engines stay resident, one of them shed; no rebuild ever
+	// happens. The budget holds one warm engine plus one shed one but not
+	// two warm ones; a warm engine is measured (one query on an unbudgeted
+	// server), since it is well under the EstimateEngineBytes admission
+	// figure.
+	probe := newMultiServer(0, Options{})
+	if rec, _ := doJSON(t, probe, "POST", "/v1/graphs", synthBody("probe", 300, 1500)); rec.Code != http.StatusCreated {
+		t.Fatalf("create probe: status %d", rec.Code)
+	}
+	classify(probe, "probe")
+	budget := adminStats(probe).ResidentBytes * 7 / 4
 	srv := newMultiServer(budget, Options{})
 	for _, name := range []string{"hot", "cold"} {
 		rec, _ := doJSON(t, srv, "POST", "/v1/graphs", synthBody(name, 300, 1500))

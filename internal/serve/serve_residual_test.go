@@ -10,16 +10,16 @@ import (
 	"testing"
 )
 
-// incrementalBody is a POST /v1/graphs body enabling the residual
-// subsystem. The generous edge budget keeps small test graphs on the push
-// path (their frontiers saturate long before the default budget expects).
+// incrementalBody is a POST /v1/graphs body for a warm graph whose generous
+// edge budget keeps small test graphs on the push path (their frontiers
+// saturate long before the default budget expects).
 func incrementalBody(name string, n, m int) string {
-	return fmt.Sprintf(`{"name":%q,"synthetic":{"n":%d,"m":%d,"f":0.1,"seed":7},"incremental":true,"residual_edge_budget":256,"warm":true}`, name, n, m)
+	return fmt.Sprintf(`{"name":%q,"synthetic":{"n":%d,"m":%d,"f":0.1,"seed":7},"residual_edge_budget":256,"warm":true}`, name, n, m)
 }
 
-// TestIncrementalPatchOverHTTP: PATCH /labels on an incremental graph
-// reports mode "residual" with pushed-node counts, and subsequent classify
-// answers reflect the patch without a propagation.
+// TestIncrementalPatchOverHTTP: PATCH /labels on a warm graph reports mode
+// "residual" with pushed-node counts, and subsequent classify answers
+// reflect the patch without a propagation.
 func TestIncrementalPatchOverHTTP(t *testing.T) {
 	srv := newMultiServer(0, Options{})
 	rec, _ := doJSON(t, srv, "POST", "/v1/graphs", incrementalBody("inc", 500, 2500))
@@ -60,7 +60,7 @@ func TestIncrementalPatchOverHTTP(t *testing.T) {
 		t.Errorf("patched node label: %+v", cr.Results)
 	}
 
-	// A non-incremental graph reports mode "full".
+	// A cold graph (registered, never queried) reports mode "full".
 	rec, _ = doJSON(t, srv, "POST", "/v1/graphs", synthBody("plain", 500, 2500))
 	if rec.Code != 201 {
 		t.Fatalf("create plain: status %d", rec.Code)
@@ -111,19 +111,27 @@ func TestIncrementalWhatIfOverHTTP(t *testing.T) {
 	}
 }
 
-// TestValidationOfResidualSpec: residual knobs without incremental are
-// rejected at registration, not at first build.
+// TestValidationOfResidualSpec: out-of-range residual knobs are rejected at
+// registration, not at first build — and the fields that used to select
+// the second engine are unknown fields, not silently ignored.
 func TestValidationOfResidualSpec(t *testing.T) {
 	srv := newMultiServer(0, Options{})
 	rec, _ := doJSON(t, srv, "POST", "/v1/graphs",
-		`{"name":"bad","synthetic":{"n":100,"m":500},"residual_tol":1e-6}`)
-	if rec.Code != 400 {
-		t.Errorf("residual_tol without incremental: status %d, want 400", rec.Code)
+		`{"name":"ok","synthetic":{"n":100,"m":500},"residual_tol":1e-6}`)
+	if rec.Code != 201 {
+		t.Errorf("residual_tol on its own: status %d, want 201", rec.Code)
 	}
 	rec, _ = doJSON(t, srv, "POST", "/v1/graphs",
-		`{"name":"bad2","synthetic":{"n":100,"m":500},"incremental":true,"residual_tol":-1}`)
+		`{"name":"bad2","synthetic":{"n":100,"m":500},"residual_tol":-1}`)
 	if rec.Code != 400 {
 		t.Errorf("negative residual_tol: status %d, want 400", rec.Code)
+	}
+	for _, field := range []string{`"incremental":false`, `"incremental":true`, `"f32_beliefs":true`} {
+		rec, _ = doJSON(t, srv, "POST", "/v1/graphs",
+			`{"name":"gone","synthetic":{"n":100,"m":500},`+field+`}`)
+		if rec.Code != 400 || !strings.Contains(rec.Body.String(), "unknown field") {
+			t.Errorf("%s: status %d body %s, want 400 unknown field", field, rec.Code, rec.Body.String())
+		}
 	}
 }
 

@@ -145,7 +145,7 @@ func TestClassifyDebugTrace(t *testing.T) {
 		}
 		seen[st.Stage] = true
 	}
-	// A cold non-incremental engine resolves a snapshot and formats it.
+	// A cold engine resolves a snapshot and formats it.
 	if !seen["resolve"] || !seen["emit"] {
 		t.Errorf("stages %v, want resolve and emit present", seen)
 	}

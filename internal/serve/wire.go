@@ -24,29 +24,21 @@ type CreateGraphRequest struct {
 	// Estimator selects the engine's compatibility estimator: dcer
 	// (default), dce, mce, lce, holdout.
 	Estimator string `json:"estimator"`
-	// Incremental enables the push-based residual propagation subsystem
-	// for this graph: label patches cost o(Δ) pushes instead of a full
-	// re-propagation, and what-if queries clone only the frontier they
-	// touch. Beliefs are served at the LinBP fixed point (to the
-	// tolerance) rather than at a fixed iteration count.
-	Incremental bool `json:"incremental"`
-	// ResidualTol is the per-node residual tolerance of the incremental
-	// mode (0 = the engine default, 1e-8). Requires incremental.
+	// ResidualTol is the per-node residual tolerance beliefs are served
+	// to (0 = the engine default, 1e-8).
 	ResidualTol float64 `json:"residual_tol"`
 	// ResidualEdgeBudget bounds one push pass at this multiple of the
 	// graph's stored edges before falling back to dense propagation
-	// (0 = the engine default, 4). Requires incremental.
+	// (0 = the engine default, 4).
 	ResidualEdgeBudget float64 `json:"residual_edge_budget"`
 	// CompactFraction is the share of adjacency entries allowed in the
 	// streaming-mutation delta overlay before a PATCH /edges batch
-	// triggers compaction (0 = the engine default, 0.25). Requires
-	// incremental.
+	// triggers compaction (0 = the engine default, 0.25).
 	CompactFraction float64 `json:"compact_fraction"`
 	// AsyncCompact runs overlay compactions in the background: the
 	// triggering PATCH /edges batch returns immediately (compacting=true)
 	// while the merged CSR and ρ(W) are built off the request path, and
-	// mutations keep landing in a fresh overlay meanwhile. Requires
-	// incremental.
+	// mutations keep landing in a fresh overlay meanwhile.
 	AsyncCompact bool `json:"async_compact"`
 	// Reorder selects the locality-aware node-reordering pass applied at
 	// build and at synchronous compactions: "degree" (descending-degree),
@@ -54,10 +46,6 @@ type CreateGraphRequest struct {
 	// wire — node ids in every request and response stay the external ids
 	// the graph was loaded with.
 	Reorder string `json:"reorder"`
-	// F32Beliefs runs propagations in float32 (half the belief-matrix
-	// bandwidth; belief drift vs float64 ≤1e-3 end-to-end). Requires a
-	// non-incremental graph.
-	F32Beliefs bool `json:"f32_beliefs"`
 	// Synthetic plants a partition graph with the paper's generator.
 	Synthetic *SyntheticGraphSpec `json:"synthetic"`
 	// Files loads TSV files from the server's filesystem.
@@ -102,13 +90,11 @@ func (r *CreateGraphRequest) Spec() registry.Spec {
 		K: r.K,
 		Options: factorgraph.EngineOptions{
 			Estimator:          r.Estimator,
-			Incremental:        r.Incremental,
 			ResidualTol:        r.ResidualTol,
 			ResidualEdgeBudget: r.ResidualEdgeBudget,
 			CompactFraction:    r.CompactFraction,
 			AsyncCompact:       r.AsyncCompact,
 			Reorder:            r.Reorder,
-			F32Beliefs:         r.F32Beliefs,
 		},
 	}
 	if r.Synthetic != nil {
@@ -183,8 +169,7 @@ func (r *ClassifyRequest) Query() (factorgraph.Query, error) {
 
 // ClassifyResponse is the non-streaming response of POST /v1/classify. The
 // residual fields are present when the query was answered by the
-// incremental subsystem (engines registered with "incremental": true);
-// pushed/cloned counts are non-zero for what-if (extra_seeds) queries and
+// residual subsystem; pushed/cloned counts are non-zero for what-if (extra_seeds) queries and
 // report the size of the perturbed frontier.
 type ClassifyResponse struct {
 	Count   int                      `json:"count"`
@@ -317,8 +302,8 @@ type LabelsPatch struct {
 // LabelsPatchResponse reports the post-update seed count and how the patch
 // was propagated: mode "residual" means the change was pushed through the
 // live residual state in o(Δ) (pushed_nodes/touched_edges quantify the
-// perturbed neighborhood); mode "full" means the belief snapshot was
-// invalidated and the next query pays a full propagation.
+// perturbed neighborhood); mode "full" means the graph was cold (never
+// queried, or released) and the next query pays the full propagation.
 type LabelsPatchResponse struct {
 	Labeled     int    `json:"labeled"`
 	Reestimated bool   `json:"reestimated"`
@@ -501,19 +486,12 @@ type HealthCheck struct {
 	Detail string  `json:"detail,omitempty"`
 }
 
-// GraphHealth is one graph's numeric-health rollup. The tuned_* fields are
-// the exec drain-schedule thresholds pinned for the graph's current epoch;
-// schedule_tuned reports whether they came from a live measurement
-// (build/compaction auto-tune) or are the static defaults.
+// GraphHealth is one graph's numeric-health rollup.
 type GraphHealth struct {
-	Graph               string        `json:"graph"`
-	Status              string        `json:"status"` // ok | warn: worst check
-	Incremental         bool          `json:"incremental"`
-	Epoch               int64         `json:"epoch"`
-	ScheduleTuned       bool          `json:"schedule_tuned"`
-	TunedDeltaDivisor   int           `json:"tuned_delta_divisor,omitempty"`
-	TunedMinPullWorkers int           `json:"tuned_min_pull_workers,omitempty"`
-	Checks              []HealthCheck `json:"checks"`
+	Graph  string        `json:"graph"`
+	Status string        `json:"status"` // ok | warn: worst check
+	Epoch  int64         `json:"epoch"`
+	Checks []HealthCheck `json:"checks"`
 }
 
 // NumericHealthResponse is the body of GET /v1/admin/health. Cold lists

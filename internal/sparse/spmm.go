@@ -246,12 +246,12 @@ func (c *CSR) mulDenseTiled(out, x *dense.Matrix) {
 	})
 }
 
-// MulDenseInto32 computes out = W × X in float32: the opt-in belief tier
-// for memory-bandwidth-bound graphs (EngineOptions.F32Beliefs). Halving the
-// element width halves the bytes every row scan streams. Accumulation is
-// float32 too, so the result drifts from the float64 kernel by O(deg·ulp32)
-// per entry — the engine documents and tests a ≤1e-3 end-to-end belief
-// bound for the centered LinBP iterates this feeds.
+// MulDenseInto32 computes out = W × X in float32. Halving the element width
+// halves the bytes every row scan streams; accumulation is float32 too, so
+// the result drifts from the float64 kernel by O(deg·ulp32) per entry. No
+// propagation path calls it any more (measured 1.13× the float64 kernel):
+// it is a benchmark-only leftover behind cmd/bench's sparse.spmm_f32_k3_ms
+// row, to be dropped with that row.
 func (c *CSR) MulDenseInto32(out, x *dense.Matrix32) {
 	if x.Rows != c.N {
 		panic(fmt.Sprintf("sparse: MulDenseInto32 shape mismatch: W is %d×%d, X has %d rows", c.N, c.N, x.Rows))

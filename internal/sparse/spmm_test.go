@@ -85,7 +85,7 @@ func TestMulDenseKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMulDenseInto32Accuracy bounds the float32 tier against the float64
+// TestMulDenseInto32Accuracy bounds the float32 kernel against the float64
 // kernel on a random 15k-edge graph: per-entry drift is O(deg·ulp32), far
 // inside 1e-4 here. Covers both the register-blocked (k ≤ 4) and generic
 // f32 scans, weighted and unweighted.

@@ -103,7 +103,7 @@ func TestTelemetryOverheadPatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(g, seeds, 3, EngineOptions{Incremental: true})
+	eng, err := NewEngine(g, seeds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestDebugTraceConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(g, seeds, 3, EngineOptions{Incremental: true})
+	eng, err := NewEngine(g, seeds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
