@@ -18,7 +18,6 @@ import (
 	"factorgraph/internal/exec"
 	"factorgraph/internal/graph"
 	"factorgraph/internal/labels"
-	"factorgraph/internal/propagation"
 	"factorgraph/internal/residual"
 	"factorgraph/internal/sparse"
 	"factorgraph/internal/telemetry"
@@ -48,11 +47,13 @@ var ErrEngineClosed = errors.New("engine closed")
 //
 // Beliefs live in a residual-propagation state (internal/residual) held at
 // the LinBP fixed point: the first query per (graph, H) pair pays one full
-// solve, after which label patches and edge mutations cost o(Δ) pushes
-// around the perturbed neighborhood, and what-if queries clone only the
-// belief rows their frontier touches. The topology is a frozen CSR plus a
-// copy-on-write delta overlay (internal/delta) that compactions fold into
-// the next epoch.
+// solve, after which every perturbation of it — a label patch, an edge
+// mutation, a what-if — is the same copy-on-write session (residual.Patch):
+// o(Δ) pushes around the perturbed neighborhood, warm dense sweeps on the
+// session's private clone if it floods. A committed change applies its
+// session; a what-if reads its answer and drops it. The topology is a
+// frozen CSR plus a copy-on-write delta overlay (internal/delta) that
+// compactions fold into the next epoch.
 //
 // Concurrency model: queries take a read lock and serve from an immutable
 // belief snapshot (a clone of the residual beliefs); label updates,
@@ -63,9 +64,9 @@ var ErrEngineClosed = errors.New("engine closed")
 // serving the untouched pre-patch beliefs — and only the final
 // belief/residual row swap (Patch.Apply) takes the write lock. patchMu
 // serializes patch sessions against each other, never against readers.
-// What-if queries (Query.ExtraSeeds) run on copy-on-write overlays and fall
-// back to a pooled propagation.State only when the overlay floods the
-// graph, so steady-state serving does not allocate per query. All
+// What-if queries (Query.ExtraSeeds) flush their never-applied session
+// under the read lock — they read live base rows a concurrent Apply would
+// swap — concurrently with each other and with a patch's flush. All
 // execution — dense rounds and saturated residual drains alike — runs on
 // the shared parallel core in internal/exec over internal/sparse's worker
 // pool.
@@ -74,14 +75,12 @@ type Engine struct {
 
 	g        *Graph
 	k        int
-	seeds    []int         // current seed labels, Unlabeled for unknown
-	nLabeled int           // labeled-seed count, maintained incrementally
-	x        *dense.Matrix // explicit-belief matrix kept in sync with seeds
-	est      *Estimate     // current compatibility estimate
+	seeds    []int     // current seed labels, Unlabeled for unknown
+	nLabeled int       // labeled-seed count, maintained incrementally
+	est      *Estimate // current compatibility estimate
 
-	snap   *snapshot  // cached propagation result; nil ⇒ stale
-	gen    int64      // bumped under mu on every seed/H/topology change
-	pool   *sync.Pool // *propagation.State bound to the current H and epoch (what-if floods)
+	snap   *snapshot // cached propagation result; nil ⇒ stale
+	gen    int64     // bumped under mu on every seed/H/topology change
 	eopts  EngineOptions
 	closed bool // set by Close; all expensive operations refuse afterwards
 
@@ -94,7 +93,7 @@ type Engine struct {
 
 	// perm maps external (wire) node ids to internal CSR rows when the
 	// locality-aware reordering pass is active (EngineOptions.Reorder).
-	// Everything the engine stores — g, seeds, x, topo, res, snapshots — is
+	// Everything the engine stores — g, seeds, topo, res, snapshots — is
 	// in internal order; external ids are translated exactly once at the
 	// boundaries (query nodes, extra seeds, label patches, edge mutations,
 	// emitted results). nil means identity (no reordering). Guarded by mu:
@@ -121,7 +120,7 @@ type Engine struct {
 	rebuildMu sync.Mutex // serializes snapshot rebuilds (never held with mu)
 	patchMu   sync.Mutex // serializes residual patch sessions (acquired before mu)
 
-	// ovCache memoizes what-if overlay frontiers keyed by the canonical
+	// ovCache memoizes what-if sessions' private rows keyed by the canonical
 	// extra-seed set, so repeated interactive what-ifs skip the re-push
 	// entirely. Entries are validated against gen: any seed or H change
 	// invalidates them lazily.
@@ -179,10 +178,11 @@ type snapshot struct {
 //
 // Served beliefs are the LinBP fixed point to ResidualTol: convergence is
 // tolerance-driven, and a full propagation runs only on the first query per
-// (graph, H) pair, after SetH/Reestimate, or when a perturbation spreads so
-// far that dense sweeps are cheaper than pushing (the engine falls back
-// automatically and counts it in Stats().ResidualFallbacks). The one-shot
-// facade (Classify, Propagate) instead runs the paper's 10 iterations.
+// (graph, H) pair and after SetH/Reestimate. A perturbation that spreads so
+// far that dense sweeps are cheaper than pushing finishes with warm sweeps
+// from the current beliefs (counted in Stats().ResidualFallbacks), never a
+// cold solve. The one-shot facade (Classify, Propagate) instead runs the
+// paper's 10 iterations.
 type EngineOptions struct {
 	// Estimator selects the compatibility estimator: "dcer" (default),
 	// "dce", "mce", "lce" or "holdout".
@@ -202,9 +202,9 @@ type EngineOptions struct {
 	// residual.DefaultTol (1e-8).
 	ResidualTol float64
 	// ResidualEdgeBudget bounds a single push pass at
-	// ResidualEdgeBudget × nnz(W) edge traversals before the subsystem
-	// falls back to dense sweeps (patches) or a full propagation
-	// (overlays); 0 means the residual package default (4). Raise it on
+	// ResidualEdgeBudget × nnz(W) edge traversals before the session —
+	// patch, mutation or what-if — finishes with dense sweeps on its
+	// private clone; 0 means the residual package default (4). Raise it on
 	// small or dense graphs where frontiers saturate quickly.
 	ResidualEdgeBudget float64
 	// CompactFraction is the share of stored adjacency entries allowed to
@@ -238,8 +238,9 @@ type EngineStats struct {
 	// Estimations is the number of compatibility estimations (the O(mkℓ)
 	// sketch + optimization pass).
 	Estimations int64
-	// Propagations is the number of full LinBP runs, including what-if
-	// queries.
+	// Propagations is the number of full LinBP solves: the residual
+	// state's cold initializations (first query per (graph, H) pair, after
+	// an H change or a transient release). What-if queries never add one.
 	Propagations int64
 	// Queries is the number of Classify calls answered.
 	Queries int64
@@ -253,13 +254,14 @@ type EngineStats struct {
 	// residual pushes (every update on a warm engine).
 	ResidualPatches int64
 	// ResidualPushes is the total number of node pushes performed by the
-	// residual subsystem, across patches and what-if overlays.
+	// residual subsystem, across patches and what-if sessions.
 	ResidualPushes int64
-	// ResidualFallbacks counts pushes that spread past the edge budget and
-	// finished as (or were rerouted to) dense sweeps or full propagations.
+	// ResidualFallbacks counts sessions (patch, mutation or what-if) that
+	// spread past the edge budget and finished as warm dense sweeps, plus
+	// the mutations whose ε jump dropped the residual state instead.
 	ResidualFallbacks int64
-	// OverlayCacheHits counts what-if queries answered from the memoized
-	// overlay-frontier cache without any pushing.
+	// OverlayCacheHits counts what-if queries answered from the what-if
+	// cache without any pushing.
 	OverlayCacheHits int64
 	// EdgeMutations counts applied streaming edge mutations
 	// (MutateTopology upserts + removals).
@@ -288,7 +290,8 @@ type Query struct {
 	TopK int
 	// ExtraSeeds overlays ephemeral seed labels for this query only:
 	// node → class, or node → Unlabeled to ignore an existing seed. The
-	// engine's state is not modified; the query runs its own propagation.
+	// engine's state is not modified: the query converges its own
+	// copy-on-write session over the live beliefs and discards it.
 	ExtraSeeds map[int]int
 	// Trace, when non-nil, records per-stage timings of how the query was
 	// served (the HTTP layer attaches one for debug=1 requests). nil — the
@@ -372,11 +375,17 @@ func newEngine(g *Graph, seeds []int, k int, h *Matrix, method string, opts []En
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
+	if o.S == 0 {
+		o.S = 0.5 // eopts.S is the convergence parameter in force from here on
+	}
 	if h != nil && (h.Rows != k || h.Cols != k) {
 		return nil, fmt.Errorf("factorgraph: H is %d×%d, engine has k=%d", h.Rows, h.Cols, k)
 	}
 	if len(seeds) != g.N {
 		return nil, fmt.Errorf("factorgraph: %d seed labels for %d nodes", len(seeds), g.N)
+	}
+	if g.N == 0 {
+		return nil, fmt.Errorf("factorgraph: empty graph")
 	}
 	seedsUse := append([]int(nil), seeds...)
 	var perm *sparse.Perm
@@ -395,62 +404,41 @@ func newEngine(g *Graph, seeds []int, k int, h *Matrix, method string, opts []En
 	e := &Engine{g: g, k: k, seeds: seedsUse, perm: perm, eopts: o}
 	e.compactCond = sync.NewCond(&e.mu)
 	e.nLabeled = labels.NumLabeled(e.seeds)
-	x, err := labels.Matrix(e.seeds, k)
-	if err != nil {
-		return nil, err
+	for node, c := range seeds {
+		if c != Unlabeled && (c < 0 || c >= k) {
+			return nil, fmt.Errorf("factorgraph: node %d has seed label %d outside [0,%d)", node, c, k)
+		}
 	}
-	e.x = x
 	e.nNodes.Store(int64(g.N))
 	e.epochAt = time.Now()
 	// Warm the spectral-radius cache before any query arrives; this
 	// canonical ρ(W) stays pinned until the next topology compaction.
-	e.rhoW = g.Adj.SpectralRadiusCached(e.linbpOptions().SpectralIters)
+	e.rhoW = g.Adj.SpectralRadiusCached(spectralIters)
 	e.topo = delta.New(g.Adj)
 	est := &Estimate{H: nil, Method: method}
 	if h != nil {
 		est.H = h.Clone()
 	} else {
+		var err error
 		if est, err = e.runEstimator(); err != nil {
 			return nil, err
 		}
 	}
 	e.est = est
-	if e.pool, err = e.newStatePool(est.H, e.topo, e.rhoW); err != nil {
-		return nil, err
-	}
 	return e, nil
 }
 
+// spectralIters bounds the power iteration behind every ρ(W) the engine
+// derives, at construction and at each compaction.
+const spectralIters = 50
+
 // residualOptions derives the residual subsystem's settings from the
-// engine's propagation options, so the fixed point and the pooled LinBP
-// states share s, centering and the spectral-iteration budget.
+// engine's options (zero values select the residual package defaults).
 func (e *Engine) residualOptions() residual.Options {
-	lo := e.linbpOptions()
 	return residual.Options{
-		S: lo.S, Tol: e.eopts.ResidualTol, SpectralIters: lo.SpectralIters,
+		S: e.eopts.S, Tol: e.eopts.ResidualTol, SpectralIters: spectralIters,
 		EdgeBudgetFactor: e.eopts.ResidualEdgeBudget,
 	}
-}
-
-// linbpOptions configures the pooled dense propagation a flooding what-if
-// overlay falls back to. The residual state serves fixed-point beliefs (to
-// ResidualTol), so that propagation must reach the same fixed point or
-// fallback answers would visibly differ from push answers. Error decays
-// like s^T, so T ≈ log_s(tol).
-func (e *Engine) linbpOptions() propagation.LinBPOptions {
-	o := propagation.DefaultLinBPOptions()
-	if e.eopts.S != 0 {
-		o.S = e.eopts.S
-	}
-	o.SpectralIters = 50
-	tol := e.eopts.ResidualTol
-	if tol == 0 {
-		tol = residual.DefaultTol
-	}
-	if it := int(math.Ceil(math.Log(tol)/math.Log(o.S))) + 2; it > o.Iterations {
-		o.Iterations = it
-	}
-	return o
 }
 
 // KnownEstimator reports whether EstimateBy would accept the name (""
@@ -618,17 +606,6 @@ func (e *Engine) estimateCached(method string, opts EstimateOptions) (*Estimate,
 	return EstimateBy(method, g, seeds, e.k, opts)
 }
 
-// newStatePool returns the what-if flood fallback pool bound to h and to
-// the given topology epoch (see lazyPool). One state is constructed — and
-// dropped — eagerly so an invalid configuration fails here with its real
-// cause, not on every flooding query with a generic one.
-func (e *Engine) newStatePool(h *Matrix, topo *delta.Graph, rhoW float64) (*sync.Pool, error) {
-	if _, err := propagation.NewStateOn(topo, h, e.linbpOptions(), rhoW); err != nil {
-		return nil, err
-	}
-	return e.lazyPool(topo, rhoW, h), nil
-}
-
 // K returns the class count.
 func (e *Engine) K() int { return e.k }
 
@@ -636,8 +613,13 @@ func (e *Engine) K() int { return e.k }
 // additions); lock-free so hot-path validation never contends.
 func (e *Engine) liveN() int { return int(e.nNodes.Load()) }
 
-// Graph returns the underlying graph (shared, read-only).
-func (e *Engine) Graph() *Graph { return e.g }
+// Graph returns the underlying graph (shared, read-only): the canonical
+// CSR of the current topology epoch, which compactions replace.
+func (e *Engine) Graph() *Graph {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.g
+}
 
 // Estimate returns the current compatibility estimate.
 func (e *Engine) Estimate() *Estimate {
@@ -756,7 +738,7 @@ func (e *Engine) NumericHealth() NumericHealth {
 		h.ResidualTol = residual.DefaultTol
 	}
 	if e.topo != nil { // nil once closed
-		s := e.linbpOptions().S
+		s := e.eopts.S
 		bound := e.topo.RhoDeltaBound()
 		switch {
 		case e.rhoW > 0:
@@ -793,13 +775,15 @@ func (e *Engine) NumericHealth() NumericHealth {
 // EstimateEngineBytes estimates the resident memory of an Engine serving an
 // n-node, m-edge, k-class graph: the CSR adjacency matrix (IndPtr int64,
 // Indices int32 over 2m stored entries, Data float64 when weighted), the
-// seed and label vectors, and the n×k float64 working set — explicit
-// beliefs, belief snapshot, and roughly two pooled propagation states of
-// four buffers each. The registry uses this as the admission weight for its
-// memory budget; it deliberately overcounts slightly rather than under.
+// seed and label vectors, and the n×k float64 working set at its peak —
+// the residual state's X̃ and F, the belief snapshot, and one promoted
+// session in flight (its belief, residual and explicit-belief clones plus
+// the two sweep scratch matrices): eight matrices. The registry uses this
+// as the admission weight for its memory budget; it deliberately
+// overcounts an idle engine rather than undercount a busy one.
 func EstimateEngineBytes(n, m, k int, weighted bool) int64 {
-	vectors := 2 * 8 * int64(n)                     // seeds + snapshot labels
-	matrices := (2 + 2*4) * 8 * int64(n) * int64(k) // x, snapshot beliefs, 2 states × 4 buffers
+	vectors := 2 * 8 * int64(n)                       // seeds + snapshot labels
+	matrices := (2 + 1 + 5) * 8 * int64(n) * int64(k) // X̃+F, snapshot beliefs, one promoted session
 	return csrBytes(n, m, weighted) + vectors + matrices
 }
 
@@ -814,14 +798,12 @@ func csrBytes(n, m int, weighted bool) int64 {
 
 // MemoryFootprint estimates this engine's resident bytes from the tier
 // actually in use: the CSR matrix and its delta overlay, the seed/label
-// vectors, the explicit-belief matrix, the snapshot if one is resident, and
-// the residual state's MemoryBytes — two n×k matrices plus only the
-// residual rows currently materialized. An idle engine with an empty
-// frontier therefore reports a fraction of the EstimateEngineBytes
-// admission estimate; the dense residual tier and the patch/overlay clones
-// are transient and never idle-resident, and the pooled propagation states
-// kept for overlay floods are built lazily (see lazyPool) and excluded as
-// transient scratch. The registry re-reads this per access, so
+// vectors, the snapshot if one is resident, and the residual state's
+// MemoryBytes — two n×k matrices plus only the residual rows currently
+// materialized. An idle engine with an empty frontier therefore reports a
+// fraction of the EstimateEngineBytes admission estimate; the dense
+// residual tier and the session clones are transient and never
+// idle-resident. The registry re-reads this per access, so
 // /v1/admin/registry tracks tier changes live.
 func (e *Engine) MemoryFootprint() int64 {
 	e.mu.RLock()
@@ -832,9 +814,6 @@ func (e *Engine) MemoryFootprint() int64 {
 		b += e.topo.MemoryBytes() // delta-overlay patch rows
 	}
 	b += 2 * 8 * nn // seeds + snapshot labels
-	if e.x != nil {
-		b += 8 * nn * kk // explicit beliefs
-	}
 	if e.snap != nil {
 		b += 8*nn*kk + 8*nn // snapshot beliefs + labels
 	}
@@ -856,7 +835,7 @@ func (e *Engine) Mutated() bool {
 }
 
 // Close releases the engine's large buffers — the belief snapshot, the
-// propagation-state pool and the cached summaries — and marks the engine
+// residual state and the cached summaries — and marks the engine
 // closed; subsequent queries and updates fail with ErrEngineClosed. The
 // graph itself is NOT owned by the engine and is left untouched. Close is
 // idempotent.
@@ -864,8 +843,6 @@ func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
 	e.snap = nil
-	e.pool = nil
-	e.x = nil
 	e.res = nil
 	e.topo = nil
 	e.mu.Unlock()
@@ -923,7 +900,7 @@ func (e *Engine) currentSnapshot(tr *telemetry.Trace) (*snapshot, error) {
 			e.mu.Unlock()
 			continue
 		}
-		x := e.x.Clone()
+		seeds := append([]int(nil), e.seeds...)
 		h := e.est.H
 		gen := e.gen
 		topo := e.topo
@@ -936,6 +913,10 @@ func (e *Engine) currentSnapshot(tr *telemetry.Trace) (*snapshot, error) {
 		// mutated-then-evicted working set re-solves against the mutated
 		// graph, not the construction one.
 		rs, err := residual.NewStateOn(topo, h, e.residualOptions(), rhoW)
+		if err != nil {
+			return nil, fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
+		}
+		x, err := labels.Matrix(seeds, e.k)
 		if err != nil {
 			return nil, fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
 		}
@@ -960,7 +941,7 @@ func (e *Engine) currentSnapshot(tr *telemetry.Trace) (*snapshot, error) {
 
 // Classify answers one query. With no ExtraSeeds the response is served
 // from the cached belief snapshot — O(len result), no propagation; with
-// ExtraSeeds it runs a copy-on-write what-if overlay.
+// ExtraSeeds it converges a copy-on-write what-if session and drops it.
 func (e *Engine) Classify(q Query) ([]NodeResult, error) {
 	var out []NodeResult
 	if q.Nodes != nil {
@@ -983,16 +964,20 @@ func (e *Engine) Classify(q Query) ([]NodeResult, error) {
 type QueryMeta struct {
 	// Residual is true when the residual subsystem answered the query —
 	// either directly from live beliefs (small node lists after a patch)
-	// or through a what-if overlay.
+	// or through a what-if session.
 	Residual bool
-	// PushedNodes / TouchedEdges is the push work an overlay performed
-	// (zero for non-overlay queries).
+	// PushedNodes / TouchedEdges is the push work a what-if session
+	// performed (zero for other queries).
 	PushedNodes  int
 	TouchedEdges int
-	// ClonedRows is how many copy-on-write belief rows an overlay
-	// materialized — the size of its frontier.
+	// ClonedRows is how many belief rows a what-if session held privately:
+	// the copy-on-write rows of its frontier, or every row once the
+	// session promoted to a private dense view.
 	ClonedRows int
-	// CacheHit is true when the overlay frontier came from the engine's
+	// FellBack reports that the what-if spread past the edge budget and
+	// the session finished with warm dense sweeps on its private clone.
+	FellBack bool
+	// CacheHit is true when the session's rows came from the engine's
 	// what-if cache: the query's extra-seed set was flushed before at the
 	// current label generation, so no pushing ran at all. The push/clone
 	// counts then describe the cached flush.
@@ -1011,10 +996,9 @@ func (e *Engine) ClassifyEach(q Query, fn func(NodeResult) error) error {
 }
 
 // ClassifyEachMeta is ClassifyEach plus metadata about how the query was
-// served. What-if queries run on a copy-on-write overlay over the live
-// residual state (falling back to a full pooled propagation only when the
-// overlay frontier floods the graph), and small node-list queries hitting a
-// stale snapshot are answered straight from the live belief rows without
+// served. What-if queries run on a copy-on-write session over the live
+// residual state that is never applied, and small node-list queries hitting
+// a stale snapshot are answered straight from the live belief rows without
 // rebuilding it.
 func (e *Engine) ClassifyEachMeta(q Query, fn func(NodeResult) error) (QueryMeta, error) {
 	e.nQueries.Add(1)
@@ -1029,41 +1013,34 @@ func (e *Engine) ClassifyEachMeta(q Query, fn func(NodeResult) error) (QueryMeta
 
 // classifyEachMeta is the body of ClassifyEachMeta under its
 // "engine.classify" span: the residual fast paths record themselves as
-// deferred-name child spans (the stage only learns what it was — cached,
-// flushed, rerouted — after the fact), and the slow path nests resolve and
-// emit under the same parent.
+// deferred-name child spans (the stage only learns what it was — cached or
+// flushed — after the fact), and the snapshot path nests resolve and emit
+// under the same parent.
 func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResult) error) (QueryMeta, error) {
+	end := tr.StartSpan()
 	if len(q.ExtraSeeds) > 0 {
-		end := tr.StartSpan()
-		meta, handled, err := e.overlayResidual(q, tr, fn)
-		if handled || err != nil {
-			name := "overlay_flush"
-			if meta.CacheHit {
-				name = "overlay_cached"
-			}
-			end(name)
-			return meta, err
+		meta, err := e.overlayResidual(q, tr, fn)
+		name := "overlay_flush"
+		if meta.CacheHit {
+			name = "overlay_cached"
 		}
-		// Declined: the overlay flooded (or raced an H change) and the
-		// full propagation below serves the query.
-		end("overlay_reroute")
-	} else {
-		end := tr.StartSpan()
-		meta, handled, err := e.residualDirect(q, tr, fn)
-		if handled || err != nil {
-			end("residual_direct")
-			return meta, err
-		}
-		end("") // declined without doing work: no span
+		end(name)
+		return meta, err
 	}
+	meta, handled, err := e.residualDirect(q, tr, fn)
+	if handled || err != nil {
+		end("residual_direct")
+		return meta, err
+	}
+	end("") // declined without doing work: no span
 	doneResolve := tr.Start("resolve")
-	beliefs, lab, perm, err := e.resolve(q, tr)
+	snap, err := e.currentSnapshot(tr)
 	doneResolve()
 	if err != nil {
 		return QueryMeta{}, err
 	}
 	doneEmit := tr.Start("emit")
-	err = e.formatEach(q, beliefs, lab, perm, fn)
+	err = e.formatEach(q, snap.beliefs, snap.labels, snap.perm, fn)
 	doneEmit()
 	return QueryMeta{}, err
 }
@@ -1123,37 +1100,30 @@ func (e *Engine) residualDirect(q Query, tr *telemetry.Trace, fn func(NodeResult
 	return QueryMeta{Residual: true}, true, nil
 }
 
-// overlayResidual answers a what-if query on a copy-on-write overlay over
-// the live residual state: only the frontier the extra seeds perturb is
-// cloned and pushed. handled=false (with no error) reroutes to the full
-// pooled propagation — either the residual state raced an H change, or the
-// overlay flooded past the edge budget.
+// overlayResidual answers a what-if query as a label patch that is never
+// applied: the extra seeds queue on a copy-on-write residual.Patch over the
+// live state, the session converges — o(Δ) pushes around the perturbed
+// frontier, pull rounds and warm dense sweeps on its private clone if it
+// floods — the answer is read through it, and it is aborted.
 //
-// The overlay flush and row materialization run under the read lock (they
-// read live base rows a concurrent patch could mutate); that hold is
-// bounded by the edge budget — a flooding overlay stops at the budget and
-// reroutes to the pooled propagation, which runs lock-free as always. Keep
-// ResidualEdgeBudget modest on latency-sensitive deployments.
-func (e *Engine) overlayResidual(q Query, tr *telemetry.Trace, fn func(NodeResult) error) (QueryMeta, bool, error) {
-	// Validate before any work, exactly like the full overlay path.
+// The session flush and row materialization run under the read lock (they
+// read live base rows a concurrent Apply would swap). A flooding what-if
+// therefore holds it through its warm sweeps: a patch's row swap arriving
+// meanwhile waits for it, and so do the readers queued behind that writer.
+func (e *Engine) overlayResidual(q Query, tr *telemetry.Trace, fn func(NodeResult) error) (QueryMeta, error) {
 	liveN := e.liveN()
 	for node, c := range q.ExtraSeeds {
 		if node < 0 || node >= liveN {
-			return QueryMeta{}, true, fmt.Errorf("factorgraph: extra seed node %d out of range n=%d", node, liveN)
+			return QueryMeta{}, fmt.Errorf("factorgraph: extra seed node %d out of range n=%d", node, liveN)
 		}
 		if c != Unlabeled && (c < 0 || c >= e.k) {
-			return QueryMeta{}, true, fmt.Errorf("factorgraph: extra seed class %d outside [0,%d)", c, e.k)
+			return QueryMeta{}, fmt.Errorf("factorgraph: extra seed class %d outside [0,%d)", c, e.k)
 		}
 	}
 	for _, node := range q.Nodes {
 		if node < 0 || node >= liveN {
-			return QueryMeta{}, true, fmt.Errorf("factorgraph: query node %d out of range n=%d", node, liveN)
+			return QueryMeta{}, fmt.Errorf("factorgraph: query node %d out of range n=%d", node, liveN)
 		}
-	}
-	// Ensure the residual base exists (first query per (graph, H) pays the
-	// one full solve).
-	if _, err := e.currentSnapshot(tr); err != nil {
-		return QueryMeta{}, true, err
 	}
 	topk := q.TopK
 	if topk > e.k {
@@ -1161,61 +1131,73 @@ func (e *Engine) overlayResidual(q Query, tr *telemetry.Trace, fn func(NodeResul
 	}
 	key := overlayCacheKey(q.ExtraSeeds)
 	e.mu.RLock()
+	for e.res == nil && !e.closed {
+		// Cold, or raced an H change: the first query per (graph, H) pays
+		// the one full solve, then the what-if runs on the fresh state.
+		e.mu.RUnlock()
+		if _, err := e.currentSnapshot(tr); err != nil {
+			return QueryMeta{}, err
+		}
+		e.mu.RLock()
+	}
 	if e.closed {
 		e.mu.RUnlock()
-		return QueryMeta{}, true, ErrEngineClosed
+		return QueryMeta{}, ErrEngineClosed
 	}
-	if e.res == nil {
-		e.mu.RUnlock()
-		return QueryMeta{}, false, nil // raced an H change; full path serves it
-	}
+	res := e.res
 	var meta QueryMeta
-	var overlayRow func(node int) []float64
+	var sessionRow func(node int) []float64
+	var session *residual.Patch
 	if cached := e.ovCache.get(key, e.gen); cached != nil {
 		// This exact what-if was flushed at the current generation: its
-		// cloned frontier rows are still the fixed point, so serving is a
-		// pure read — no pushing, no cloning.
+		// session rows are still the fixed point, so serving is a pure
+		// read — no pushing, no cloning.
 		meta = QueryMeta{
 			Residual: true, CacheHit: true,
 			PushedNodes: cached.pushed, TouchedEdges: cached.edges,
 			ClonedRows: len(cached.rows),
 		}
-		overlayRow = func(node int) []float64 {
+		sessionRow = func(node int) []float64 {
 			if row, ok := cached.rows[int32(node)]; ok {
 				return row
 			}
-			return e.res.Row(node)
+			return res.Row(node)
 		}
 		e.nOverlayCacheHits.Add(1)
 		engWhatifHits.Inc()
 	} else {
 		engWhatifMisses.Inc()
-		ov := e.res.NewOverlay()
-		ov.Trace = tr
+		session = res.BeginPatch()
+		session.Trace = tr
 		for node, c := range q.ExtraSeeds {
-			ov.SetSeed(e.perm.ToInternal(node), c)
+			// The delta is taken against the X̃ the base holds, not e.seeds:
+			// between a label patch's seed install and its Apply the seeds
+			// are one patch ahead of the beliefs this session reads.
+			in := e.perm.ToInternal(node)
+			if d := seedDelta(e.k, seedOf(res.XRow(in)), c); d != nil {
+				session.AddDelta(in, d)
+			}
 		}
-		st := ov.Flush()
-		e.nResidualPushes.Add(int64(st.Pushed))
-		if st.FellBack {
-			e.mu.RUnlock()
-			e.nResidualFallbacks.Add(1)
-			return QueryMeta{}, false, nil // graph-wide what-if: full propagation
+		st := e.flushSession(session)
+		rows, owned := session.OwnedRows(overlayCacheMaxRows)
+		meta = QueryMeta{
+			Residual: true, PushedNodes: st.Pushed, TouchedEdges: st.Edges,
+			ClonedRows: owned, FellBack: st.FellBack,
 		}
-		meta = QueryMeta{Residual: true, PushedNodes: st.Pushed, TouchedEdges: st.Edges, ClonedRows: ov.Touched()}
-		overlayRow = ov.Row
-		// Memoize the frontier for the next identical what-if. gen cannot
-		// move while we hold the read lock, so the entry is pinned to
-		// exactly the base state the flush read; any later patch or H
-		// change bumps gen and invalidates it lazily.
-		e.ovCache.put(&overlayCacheEntry{
-			key: key, gen: e.gen,
-			rows: ov.ClonedBeliefRows(), pushed: st.Pushed, edges: st.Edges,
-		})
+		sessionRow = session.Row
+		if rows != nil {
+			// Memoize the session's rows for the next identical what-if.
+			// gen cannot move while we hold the read lock, so the entry is
+			// pinned to exactly the base state the flush read; any later
+			// patch or H change bumps gen and invalidates it lazily.
+			e.ovCache.put(&overlayCacheEntry{
+				key: key, gen: e.gen, rows: rows, pushed: st.Pushed, edges: st.Edges,
+			})
+		}
 	}
-	// Materialize the answer under the read lock (overlay rows alias the
+	// Materialize the answer under the read lock (session rows alias the
 	// base, and the id mapping is frozen while we hold it), then emit
-	// outside it. Overlay rows and the cache are keyed by internal ids.
+	// outside it. Session rows and the cache are keyed by internal ids.
 	n := len(q.Nodes)
 	if q.Nodes == nil {
 		n = liveN
@@ -1227,11 +1209,14 @@ func (e *Engine) overlayResidual(q Query, tr *telemetry.Trace, fn func(NodeResul
 		if q.Nodes != nil {
 			node = q.Nodes[i]
 		}
-		row := overlayRow(e.perm.ToInternal(node))
+		row := sessionRow(e.perm.ToInternal(node))
 		labs[i] = argmaxRow(row)
 		if topk > 0 {
 			rows[i] = append([]float64(nil), row...)
 		}
+	}
+	if session != nil {
+		session.Abort() // a what-if never reaches the base
 	}
 	e.mu.RUnlock()
 	doneEmit := tr.Start("emit")
@@ -1242,10 +1227,37 @@ func (e *Engine) overlayResidual(q Query, tr *telemetry.Trace, fn func(NodeResul
 			node = q.Nodes[i]
 		}
 		if err := e.emitResult(node, rows[i], labs[i], topk, fn); err != nil {
-			return meta, true, err
+			return meta, err
 		}
 	}
-	return meta, true, nil
+	return meta, nil
+}
+
+// seedOf reads a node's seed class back from its explicit-belief row — the
+// one positive entry of a one-hot row, centered or not — or Unlabeled.
+func seedOf(xRow []float64) int {
+	for c, v := range xRow {
+		if v > 0 {
+			return c
+		}
+	}
+	return Unlabeled
+}
+
+// seedDelta is the explicit-belief change of moving a node's seed from old
+// to c, onehot(c) − onehot(old); nil when nothing changes.
+func seedDelta(k, old, c int) []float64 {
+	if old == c {
+		return nil
+	}
+	delta := make([]float64, k)
+	if old != Unlabeled {
+		delta[old] -= 1
+	}
+	if c != Unlabeled {
+		delta[c] += 1
+	}
+	return delta
 }
 
 func argmaxRow(row []float64) int {
@@ -1256,72 +1268,6 @@ func argmaxRow(row []float64) int {
 		}
 	}
 	return best
-}
-
-// resolve produces the belief matrix, labels and row-ordering permutation
-// answering q: the cached snapshot for plain queries, a dedicated
-// propagation for overlay queries.
-func (e *Engine) resolve(q Query, tr *telemetry.Trace) (*dense.Matrix, []int, *sparse.Perm, error) {
-	if len(q.ExtraSeeds) == 0 {
-		s, err := e.currentSnapshot(tr)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return s.beliefs, s.labels, s.perm, nil
-	}
-	return e.overlayBeliefs(q, tr)
-}
-
-func (e *Engine) overlayBeliefs(q Query, tr *telemetry.Trace) (*dense.Matrix, []int, *sparse.Perm, error) {
-	// Capture the belief matrix and the pool (which pins H) under a short
-	// read lock, then propagate OUTSIDE the lock: a what-if propagation can
-	// take hundreds of milliseconds on a large graph, and holding the read
-	// lock that long would stall every snapshot query behind any pending
-	// writer. A concurrent H swap is harmless — this query completes
-	// against the H it captured, as if it had arrived just before.
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return nil, nil, nil, ErrEngineClosed
-	}
-	x := e.x.Clone()
-	pool := e.pool
-	perm := e.perm
-	e.mu.RUnlock()
-	for node, c := range q.ExtraSeeds {
-		if node < 0 || node >= x.Rows {
-			return nil, nil, nil, fmt.Errorf("factorgraph: extra seed node %d out of range n=%d", node, x.Rows)
-		}
-		row := x.Row(perm.ToInternal(node))
-		for j := range row {
-			row[j] = 0
-		}
-		if c == Unlabeled {
-			continue
-		}
-		if c < 0 || c >= e.k {
-			return nil, nil, nil, fmt.Errorf("factorgraph: extra seed class %d outside [0,%d)", c, e.k)
-		}
-		row[c] = 1
-	}
-	// One LinBP pass on a pooled state (the pool pins H and the epoch).
-	st, _ := pool.Get().(*propagation.State)
-	if st == nil {
-		return nil, nil, nil, fmt.Errorf("factorgraph: %w: could not build propagation state", ErrEngineInternal)
-	}
-	defer pool.Put(st)
-	e.nPropagations.Add(1)
-	engPropagations.Inc()
-	start := telemetry.Now()
-	donePropagation := tr.Start("propagation")
-	f, err := st.Run(x)
-	donePropagation()
-	hPropagation.ObserveSince(start)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	f = f.Clone() // the state's buffer goes back to the pool
-	return f, dense.ArgmaxRows(f), perm, nil
 }
 
 // formatEach renders the query response record by record. All queried
@@ -1383,8 +1329,8 @@ func (e *Engine) emitResult(node int, row []float64, lab, topk int, fn func(Node
 }
 
 // ClassifyBatch answers many queries concurrently (bounded by GOMAXPROCS).
-// Queries without ExtraSeeds share one snapshot rebuild; overlay queries
-// each run on their own pooled propagation state. Results align with qs;
+// Queries without ExtraSeeds share one snapshot rebuild; what-if queries
+// each converge their own copy-on-write session. Results align with qs;
 // the first error is returned, with successful entries preserved.
 func (e *Engine) ClassifyBatch(qs []Query) ([][]NodeResult, error) {
 	out := make([][]NodeResult, len(qs))
@@ -1511,7 +1457,7 @@ func (e *Engine) updateLabelsMeta(set map[int]int, remove []int, tr *telemetry.T
 		patch.Trace = tr
 	}
 	// External ids translate to internal rows under the write lock that
-	// freezes the mapping; seeds, x and the residual state are all in
+	// freezes the mapping; seeds and the residual state are both in
 	// internal order.
 	for node, c := range set {
 		e.setSeedLocked(e.perm.ToInternal(node), c, patch)
@@ -1533,42 +1479,54 @@ func (e *Engine) updateLabelsMeta(set map[int]int, remove []int, tr *telemetry.T
 	// a single reader. The deltas queued by setSeedLocked coalesce into one
 	// flush per batch.
 	flushStart := telemetry.Now()
-	st := patch.Flush()
+	st := e.flushSession(patch)
 	hPatchFlushLabel.ObserveSince(flushStart)
 	var flushSec float64
 	if !flushStart.IsZero() {
 		flushSec = time.Since(flushStart).Seconds()
 	}
 	e.nResidualPatches.Add(1)
-	e.nResidualPushes.Add(int64(st.Pushed))
-	if st.FellBack {
-		e.nResidualFallbacks.Add(1)
-	}
 	applyStart := telemetry.Now()
 	doneApply := tr.Start("apply")
-	e.mu.Lock()
-	applied := e.res == res && !e.closed
-	if applied {
-		// The swap: row copies for a narrow patch, pointer swaps for a
-		// promoted one.
-		patch.Apply()
-		e.snap = nil
-		e.gen++
-	}
-	e.mu.Unlock()
+	e.commitSession(res, patch)
 	doneApply()
 	hPatchApplyLabel.ObserveSince(applyStart)
-	if !applied {
-		// An H change, ReleaseTransient or Close replaced (or dropped) the
-		// residual state mid-flush: any successor state initializes from the
-		// already patched seeds, so the session result is discarded — Abort
-		// releases a promoted session's O(n·k) clones eagerly.
-		patch.Abort()
-	}
 	return PatchMeta{
 		Residual: true, PushedNodes: st.Pushed, TouchedEdges: st.Edges, FellBack: st.FellBack,
 		LockWaitSeconds: lockWaitSec, FlushSeconds: flushSec,
 	}, nil
+}
+
+// flushSession converges a patch session — committed change or what-if —
+// and counts its work.
+func (e *Engine) flushSession(p *residual.Patch) residual.Stats {
+	st := p.Flush()
+	e.nResidualPushes.Add(int64(st.Pushed))
+	if st.FellBack {
+		e.nResidualFallbacks.Add(1)
+	}
+	return st
+}
+
+// commitSession ends a flushed session of a committed change: under the
+// write lock it swaps the result into res — row copies for a narrow patch,
+// pointer swaps for a promoted one — unless an H change, ReleaseTransient
+// or Close replaced (or dropped) the residual state mid-flush. Any
+// successor state initializes from the already patched seeds and topology,
+// so the session is then discarded; Abort releases a promoted session's
+// O(n·k) clones eagerly.
+func (e *Engine) commitSession(res *residual.State, p *residual.Patch) {
+	e.mu.Lock()
+	applied := e.res == res && !e.closed
+	if applied {
+		p.Apply()
+		e.snap = nil
+		e.gen++
+	}
+	e.mu.Unlock()
+	if !applied {
+		p.Abort()
+	}
 }
 
 // setSeedLocked installs seed class c on a node given by INTERNAL row id
@@ -1581,25 +1539,14 @@ func (e *Engine) setSeedLocked(node, c int, patch *residual.Patch) {
 		e.nLabeled--
 	}
 	e.seeds[node] = c
-	row := e.x.Row(node)
-	for j := range row {
-		row[j] = 0
+	if patch == nil {
+		return
 	}
-	if c != Unlabeled {
-		row[c] = 1
-	}
-	if patch != nil && old != c {
-		// Queue the explicit-belief delta on the patch session;
-		// UpdateLabelsMeta flushes once after the whole batch so
-		// overlapping patches coalesce.
-		delta := make([]float64, e.k)
-		if old != Unlabeled {
-			delta[old] -= 1
-		}
-		if c != Unlabeled {
-			delta[c] += 1
-		}
-		patch.AddDelta(node, delta)
+	// Queue the explicit-belief delta on the patch session;
+	// UpdateLabelsMeta flushes once after the whole batch so overlapping
+	// patches coalesce.
+	if d := seedDelta(e.k, old, c); d != nil {
+		patch.AddDelta(node, d)
 	}
 }
 
@@ -1614,20 +1561,12 @@ func (e *Engine) Reestimate() (*Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.mu.RLock()
-	topo, rhoW := e.topo, e.rhoW
-	e.mu.RUnlock()
-	pool, err := e.newStatePool(est.H, topo, rhoW)
-	if err != nil {
-		return nil, err
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, ErrEngineClosed
 	}
 	e.est = est
-	e.pool = pool
 	e.snap = nil
 	e.res = nil // H changed: the residual fixed point is void
 	e.gen++
@@ -1646,13 +1585,7 @@ func (e *Engine) SetH(h *Matrix, method string) error {
 	if e.closed {
 		return ErrEngineClosed
 	}
-	est := &Estimate{H: h.Clone(), Method: method}
-	pool, err := e.newStatePool(est.H, e.topo, e.rhoW)
-	if err != nil {
-		return err
-	}
-	e.est = est
-	e.pool = pool
+	e.est = &Estimate{H: h.Clone(), Method: method}
 	e.snap = nil
 	e.res = nil // H changed: the residual fixed point is void
 	e.gen++

@@ -14,12 +14,13 @@ import (
 // rows, far below one belief matrix on any graph worth caching for.
 const overlayCacheCap = 64
 
-// overlayCacheMaxRows is the largest overlay frontier worth memoizing:
-// beyond it the cloned rows stop being "a frontier" and start being a
-// belief matrix, and re-pushing is cheap relative to the memory.
+// overlayCacheMaxRows is the most rows a what-if session may hold for it
+// to be memoized — a sparse session's frontier, or a promoted session's
+// whole private matrix on a graph this small: beyond it the rows stop being
+// "a frontier" and start being a belief matrix worth of memory per entry.
 const overlayCacheMaxRows = 8192
 
-// overlayCacheEntry is one memoized what-if: the overlay's cloned belief
+// overlayCacheEntry is one memoized what-if: the session's private belief
 // rows plus the flush work that produced them, pinned to the engine
 // generation they were computed at.
 type overlayCacheEntry struct {

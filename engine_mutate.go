@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"factorgraph/internal/delta"
-	"factorgraph/internal/dense"
 	"factorgraph/internal/graph"
-	"factorgraph/internal/propagation"
 	"factorgraph/internal/residual"
 	"factorgraph/internal/sparse"
 	"factorgraph/internal/telemetry"
@@ -226,10 +223,6 @@ func (e *Engine) mutateTopology(addNodes int, muts []EdgeMutation, tr *telemetry
 		}
 	}
 	e.topo = next
-	// Rebind the overlay-flood fallback pool to the new epoch (lazily — no
-	// eager n×k allocation on the o(Δ) path); stale pooled states drain
-	// with their old pool object.
-	e.pool = e.lazyPool(next, e.rhoW, e.est.H)
 	e.snap = nil
 	e.gen++
 	oldLabelGen := e.labelGen
@@ -264,32 +257,18 @@ func (e *Engine) mutateTopology(addNodes int, muts []EdgeMutation, tr *telemetry
 		// Flush OUTSIDE the engine locks — same narrow-locking contract as
 		// label patches: readers serve pre-mutation beliefs meanwhile.
 		flushStart := telemetry.Now()
-		st := patch.Flush()
+		st := e.flushSession(patch)
 		hPatchFlushTopo.ObserveSince(flushStart)
 		if !flushStart.IsZero() {
 			meta.FlushSeconds = time.Since(flushStart).Seconds()
 		}
 		meta.Residual = true
 		meta.PushedNodes, meta.TouchedEdges, meta.FellBack = st.Pushed, st.Edges, st.FellBack
-		e.nResidualPushes.Add(int64(st.Pushed))
-		if st.FellBack {
-			e.nResidualFallbacks.Add(1)
-		}
 		applyStart := telemetry.Now()
 		doneApply := tr.Start("apply")
-		e.mu.Lock()
-		applied := e.res == res && !e.closed
-		if applied {
-			patch.Apply()
-			e.snap = nil
-			e.gen++
-		}
-		e.mu.Unlock()
+		e.commitSession(res, patch)
 		doneApply()
 		hPatchApplyTopo.ObserveSince(applyStart)
-		if !applied {
-			patch.Abort() // base replaced mid-flush; discard the session
-		}
 	}
 
 	switch {
@@ -390,20 +369,16 @@ func (e *Engine) contractionGuardTrippedLocked(t *delta.Graph) bool {
 	if e.rhoW == 0 {
 		return true // base had no edges; ε was degenerate — re-derive
 	}
-	s := e.linbpOptions().S
-	return s*(1+bound/e.rhoW) > contractionGuard
+	return e.eopts.S*(1+bound/e.rhoW) > contractionGuard
 }
 
 // growLocked extends the engine's per-node state to n nodes (appended ids,
-// Unlabeled, zero explicit beliefs). Callers hold e.mu; the residual state
-// grows separately (the caller orders it against SetAdj).
+// Unlabeled). Callers hold e.mu; the residual state grows separately (the
+// caller orders it against SetAdj).
 func (e *Engine) growLocked(n int) {
 	for len(e.seeds) < n {
 		e.seeds = append(e.seeds, Unlabeled)
 	}
-	grown := dense.New(n, e.k)
-	copy(grown.Data, e.x.Data)
-	e.x = grown
 	if e.perm != nil {
 		// Added nodes map identically until the next reordering compaction.
 		e.perm = e.perm.Grown(n)
@@ -479,7 +454,7 @@ func (e *Engine) compactNow() (compacted, rescaled bool, err error) {
 	// id map atomically with the epoch swap. Async builds keep the previous
 	// ordering (Rebase reuses frozen rows keyed by node id).
 	csr, order := topo.CompactOrdered(e.eopts.Reorder)
-	rhoNew := csr.SpectralRadiusCached(e.linbpOptions().SpectralIters)
+	rhoNew := csr.SpectralRadiusCached(spectralIters)
 	installed, rescaled := e.installEpoch(topo, csr, rhoNew, order)
 	if !installed {
 		// patchMu (held by the caller) excludes every other epoch producer,
@@ -507,8 +482,8 @@ func (e *Engine) compactNow() (compacted, rescaled bool, err error) {
 //
 // order, when non-nil, is the reordering the caller already applied to csr
 // (newID[old] = new, over the pre-compaction internal space): the id map,
-// the seed/belief vectors and the residual state are permuted to match
-// under the same write lock, so readers never observe mixed orderings.
+// the seed vector and the residual state are permuted to match under the
+// same write lock, so readers never observe mixed orderings.
 // Only synchronous compactions pass it — the rebase of an async build
 // reuses frozen rows keyed by node id, which a renumbering would break.
 func (e *Engine) installEpoch(frozen *delta.Graph, csr *sparse.CSR, rhoNew float64, order []int32) (installed, rescaled bool) {
@@ -530,21 +505,17 @@ func (e *Engine) installEpoch(frozen *delta.Graph, csr *sparse.CSR, rhoNew float
 	e.snap = nil
 	e.gen++
 	e.nCompactions.Add(1)
-	e.pool = e.lazyPool(newTopo, rhoNew, e.est.H)
 	res := e.res
 	if order != nil {
 		e.perm = e.perm.ComposedWith(order)
 		ns := make([]int, len(e.seeds))
-		nx := dense.New(e.x.Rows, e.k)
 		for old, lab := range e.seeds {
 			ns[order[old]] = lab
-			copy(nx.Row(int(order[old])), e.x.Row(old))
 		}
 		e.seeds = ns
-		e.x = nx
 		if res != nil {
 			// Carry the resident fixed point across the renumbering instead
-			// of dropping it; SetAdj below rebuilds the drain machinery.
+			// of dropping it; SetAdj below swaps in the permuted epoch.
 			res.Permute(order)
 		}
 	}
@@ -578,22 +549,8 @@ func (e *Engine) installEpoch(frozen *delta.Graph, csr *sparse.CSR, rhoNew float
 	if rescaled {
 		// Re-converge to the rescaled fixed point outside the locks.
 		patch := res.BeginPatch()
-		st := patch.Flush()
-		e.nResidualPushes.Add(int64(st.Pushed))
-		if st.FellBack {
-			e.nResidualFallbacks.Add(1)
-		}
-		e.mu.Lock()
-		applied := e.res == res && !e.closed
-		if applied {
-			patch.Apply()
-			e.snap = nil
-			e.gen++
-		}
-		e.mu.Unlock()
-		if !applied {
-			patch.Abort() // base replaced mid-flush; discard the session
-		}
+		e.flushSession(patch)
+		e.commitSession(res, patch)
 	}
 	return true, rescaled
 }
@@ -625,7 +582,7 @@ func (e *Engine) startAsyncCompact() bool {
 func (e *Engine) runAsyncCompact(frozen *delta.Graph) {
 	start := telemetry.Now()
 	csr := frozen.Compact()
-	rhoNew := csr.SpectralRadiusCached(e.linbpOptions().SpectralIters)
+	rhoNew := csr.SpectralRadiusCached(spectralIters)
 	// No reordering off-thread: the rebase needs stable node ids.
 	e.patchMu.Lock()
 	installed, _ := e.installEpoch(frozen, csr, rhoNew, nil)
@@ -651,24 +608,6 @@ func (e *Engine) WaitCompaction() {
 		e.compactCond.Wait()
 	}
 	e.mu.Unlock()
-}
-
-// lazyPool returns a propagation-state pool bound to the given topology
-// epoch and pinned ρ(W) WITHOUT building a state eagerly: the pool exists
-// for the rare overlay-flood fallback, and topology mutations swap pools
-// per batch — an eager n×k×4 allocation per mutated edge would dwarf the
-// o(Δ) push work. The engine's configuration was validated by the eager
-// build at construction.
-func (e *Engine) lazyPool(t *delta.Graph, rhoW float64, h *Matrix) *sync.Pool {
-	opts := e.linbpOptions()
-	hc := h.Clone()
-	return &sync.Pool{New: func() any {
-		st, err := propagation.NewStateOn(t, hc, opts, rhoW)
-		if err != nil {
-			return nil
-		}
-		return st
-	}}
 }
 
 // TopoStats is the live view of a mutable topology for admin surfaces.
@@ -720,10 +659,9 @@ func (e *Engine) Dims() (n, m int) {
 }
 
 // ReleaseTransient drops the engine's rebuildable working state — the
-// belief snapshot, the residual solver state, the pooled propagation
-// states, the cached summaries and the what-if cache — while keeping
-// everything whose loss would force a cold rebuild: the graph (CSR plus
-// delta overlay), the seed labels, the explicit beliefs and the H
+// belief snapshot, the residual solver state, the cached summaries and the
+// what-if cache — while keeping everything whose loss would force a cold
+// rebuild: the graph (CSR plus delta overlay), the seed labels and the H
 // estimate. The next query re-solves with ONE propagation — o(build), not
 // o(parse+estimate+build) — and no acknowledged mutation (labels, H,
 // topology) is lost, so the registry may partially release ANY engine,
@@ -736,7 +674,6 @@ func (e *Engine) ReleaseTransient() int64 {
 	}
 	e.snap = nil
 	e.res = nil
-	e.pool = e.lazyPool(e.topo, e.rhoW, e.est.H)
 	e.mu.Unlock()
 	e.sumMu.Lock()
 	e.sums = nil

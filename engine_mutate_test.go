@@ -300,7 +300,8 @@ func TestEngineMutateValidation(t *testing.T) {
 }
 
 // TestEngineMutateConcurrent hammers an incremental engine with parallel
-// classify/what-if readers, label patches and topology mutations. Run with
+// classify/what-if readers, label patches and topology mutations — and a
+// Graph() reader, which races the epoch swap of every compaction. Run with
 // -race: this is the mutation subsystem's race-cleanliness test.
 func TestEngineMutateConcurrent(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 1000, 8000, 0.1)
@@ -332,9 +333,11 @@ func TestEngineMutateConcurrent(t *testing.T) {
 	}
 	// Topology mutator: adds + removes, crossing the tiny compaction
 	// threshold repeatedly so swaps run under live read traffic.
+	mutated := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(mutated)
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 40; i++ {
 			u, v := rng.Intn(g.N), rng.Intn(g.N)
@@ -372,6 +375,23 @@ func TestEngineMutateConcurrent(t *testing.T) {
 		for i := 0; i < perGoro; i++ {
 			eng.MemoryFootprint()
 			eng.TopoStats()
+		}
+	}()
+	// Graph() and nothing else, for as long as the mutator compacts: any
+	// other engine call would order this goroutine after the epoch swap.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-mutated:
+				return
+			default:
+				if eng.Graph().N != g.N {
+					t.Error("Graph() returned a graph of the wrong size")
+					return
+				}
+			}
 		}
 	}()
 	wg.Wait()

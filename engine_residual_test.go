@@ -2,6 +2,7 @@ package factorgraph
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"sync"
@@ -20,8 +21,15 @@ func warmParityEngine(t *testing.T, g *Graph, seeds []int) *Engine {
 	// The 2k-node test graphs saturate a push frontier long before a
 	// 1e-10 tolerance bites, so give the subsystem a generous edge budget:
 	// these tests verify parity and isolation, not push economics.
+	return warmEngine(t, g, seeds, 256)
+}
+
+// warmEngine is warmParityEngine at the given ResidualEdgeBudget (0 = the
+// default, which every what-if and patch on the 2k fixtures floods).
+func warmEngine(t *testing.T, g *Graph, seeds []int, budget float64) *Engine {
+	t.Helper()
 	inc, err := NewEngine(g, seeds, 3, EngineOptions{
-		ResidualTol: 1e-10, ResidualEdgeBudget: 256,
+		ResidualTol: 1e-10, ResidualEdgeBudget: budget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,40 +107,117 @@ func TestEngineIncrementalPatchParity(t *testing.T) {
 	}
 }
 
-// TestEngineIncrementalOverlayParity compares residual what-if overlays
-// against a converged full propagation of the overlaid seeds.
+// TestEngineIncrementalOverlayParity compares what-if sessions against a
+// converged full propagation of the overlaid seeds — within the edge budget
+// (pushes and pull rounds) and past it (the default budget floods on this
+// fixture and the session finishes with warm sweeps) — and checks that
+// either way the what-if reports its work and leaves the engine exactly as
+// it found it.
 func TestEngineIncrementalOverlayParity(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 2000, 16000, 0.05)
-	inc := warmParityEngine(t, g, seeds)
-
-	node := -1
+	unlabeled, labeled := -1, -1
 	for i, c := range seeds {
-		if c == Unlabeled {
-			node = i
-			break
+		if c == Unlabeled && unlabeled < 0 {
+			unlabeled = i
+		}
+		if c != Unlabeled && labeled < 0 {
+			labeled = i
 		}
 	}
-	extra := map[int]int{node: 2, (node + 1) % g.N: Unlabeled}
-	incRows, incMeta := whatIfBeliefs(t, inc, extra)
-	if !incMeta.Residual {
-		t.Error("incremental overlay did not use the residual path")
+	// A new seed, a flipped one and a cleared (or absent) one.
+	extra := map[int]int{
+		unlabeled:             2,
+		labeled:               (seeds[labeled] + 1) % 3,
+		(unlabeled + 1) % g.N: Unlabeled,
 	}
-	// At this graph size and tolerance the frontier may legitimately reach
-	// every node (locality on large/partitioned graphs is covered by the
-	// residual package's own tests); here we only require the overlay to
-	// have actually cloned rows rather than mutated the base.
-	if incMeta.ClonedRows == 0 {
-		t.Error("overlay cloned no rows")
-	}
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		flood  bool
+	}{
+		{"within budget", 256, false},
+		{"flooding", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inc := warmEngine(t, g, seeds, tc.budget)
+			beliefsBefore, seedsBefore, statsBefore := beliefsOf(t, inc), inc.Seeds(), inc.Stats()
 
-	fullRows := denseReference(t, g, withExtraSeeds(seeds, extra), inc.Estimate().H)
-	if d := maxBeliefDiff(incRows, fullRows); d > 1e-6 {
-		t.Errorf("overlay beliefs differ from full what-if propagation by %g", d)
-	}
+			incRows, incMeta := whatIfBeliefs(t, inc, extra)
+			if !incMeta.Residual {
+				t.Error("what-if did not use the residual path")
+			}
+			if incMeta.FellBack != tc.flood {
+				t.Errorf("FellBack = %v, want %v (meta %+v)", incMeta.FellBack, tc.flood, incMeta)
+			}
+			// At this graph size and tolerance the frontier may legitimately
+			// reach every node (locality on large/partitioned graphs is
+			// covered by the residual package's own tests); here we only
+			// require the session to have done and reported its work on
+			// private rows rather than mutated the base.
+			if incMeta.PushedNodes == 0 || incMeta.TouchedEdges == 0 || incMeta.ClonedRows == 0 {
+				t.Errorf("what-if reported no work: %+v", incMeta)
+			}
+			fullRows := denseReference(t, g, withExtraSeeds(seeds, extra), inc.Estimate().H)
+			if d := maxBeliefDiff(incRows, fullRows); d > 1e-6 {
+				t.Errorf("what-if beliefs differ from full what-if propagation by %g", d)
+			}
 
-	// The overlay must not have leaked into the engine.
-	if inc.Seeds()[node] != Unlabeled {
-		t.Error("overlay persisted its seed")
+			// The what-if must not have leaked into the engine, and was
+			// never a full propagation.
+			st := inc.Stats()
+			if st.Propagations != statsBefore.Propagations {
+				t.Errorf("what-if ran %d full propagations", st.Propagations-statsBefore.Propagations)
+			}
+			if tc.flood && st.ResidualFallbacks != statsBefore.ResidualFallbacks+1 {
+				t.Errorf("flood counted %d fallbacks, want 1", st.ResidualFallbacks-statsBefore.ResidualFallbacks)
+			}
+			if st.ResidualPushes == statsBefore.ResidualPushes {
+				t.Error("what-if pushes not counted in ResidualPushes")
+			}
+			for node, c := range inc.Seeds() {
+				if c != seedsBefore[node] {
+					t.Fatalf("what-if persisted a seed at node %d", node)
+				}
+			}
+			if d := maxBeliefDiff(beliefsOf(t, inc), beliefsBefore); d != 0 {
+				t.Errorf("what-if moved the engine's beliefs by %g", d)
+			}
+		})
+	}
+}
+
+// TestEngineWhatIfBesidePatchOnSameNode: a what-if that overrides node X's
+// seed has one right answer whatever X's own seed is, so it must give that
+// answer while label patches on X are in flight — including between a
+// patch's seed install and its row swap, when the engine's seed vector is
+// one patch ahead of the beliefs the what-if session reads.
+func TestEngineWhatIfBesidePatchOnSameNode(t *testing.T) {
+	g, seeds, _ := engineFixture(t, 1000, 8000, 0.1)
+	inc := warmEngine(t, g, seeds, 0)
+	const x = 7
+	extra := map[int]int{x: 2}
+	want := denseReference(t, g, withExtraSeeds(seeds, extra), inc.Estimate().H)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 30; i++ {
+			if err := inc.UpdateLabels(map[int]int{x: i % 2}, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for racing := true; racing; {
+		select {
+		case <-done:
+			racing = false // one last what-if on the quiescent engine
+		default:
+		}
+		got, _ := whatIfBeliefs(t, inc, extra)
+		if d := maxBeliefDiff(got, want); d > 1e-6 {
+			t.Fatalf("what-if beside a patch on its own node is off by %g", d)
+		}
 	}
 }
 
@@ -175,9 +260,10 @@ func TestEngineIncrementalDirectPath(t *testing.T) {
 }
 
 // TestEngineIncrementalConcurrent hammers an incremental engine with
-// parallel snapshot queries, overlay what-ifs, patches and re-estimations.
-// Run with -race: this is the overlay-frontier-isolation-under-concurrency
-// test at the engine level.
+// parallel snapshot queries, what-ifs (point ones and full-graph ones that
+// flood the default budget and sweep on private clones), patches and
+// re-estimations. Run with -race: this is the session-isolation-under-
+// concurrency test at the engine level.
 func TestEngineIncrementalConcurrent(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 1000, 8000, 0.1)
 	eng, err := NewEngine(g, seeds, 3)
@@ -186,7 +272,7 @@ func TestEngineIncrementalConcurrent(t *testing.T) {
 	}
 	const readers, writers, perGoro = 8, 2, 25
 	var wg sync.WaitGroup
-	errc := make(chan error, readers+writers+1)
+	errc := make(chan error, readers+writers+2)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -220,6 +306,29 @@ func TestEngineIncrementalConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		flooded := 0
+		for i := 0; i < perGoro; i++ {
+			meta, err := eng.ClassifyEachMeta(Query{TopK: 1, ExtraSeeds: map[int]int{(i * 31) % g.N: i % 3}},
+				func(NodeResult) error { return nil })
+			if err != nil {
+				errc <- err
+				return
+			}
+			if !meta.Residual {
+				errc <- fmt.Errorf("what-if %d was not served by a residual session: %+v", i, meta)
+				return
+			}
+			if meta.FellBack {
+				flooded++
+			}
+		}
+		if flooded == 0 {
+			errc <- fmt.Errorf("none of %d full-graph what-ifs flooded the default budget", perGoro)
+		}
+	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -30,9 +30,7 @@ type Frontier struct {
 
 // NewFrontier builds an empty frontier. Nodes whose norm is at or below
 // tol are never admitted. promoteAt <= 0 disables the promotion signal
-// (the frontier stays a heap forever — copy-on-write overlays use this,
-// since they bail to a full propagation before a saturated drain could
-// pay off).
+// (the frontier stays a heap forever).
 func NewFrontier(tol float64, promoteAt int) *Frontier {
 	return &Frontier{tol: tol, promoteAt: promoteAt, inq: make(map[int32]struct{})}
 }

@@ -85,7 +85,7 @@ func TestFrontierPromoteDemote(t *testing.T) {
 	}
 }
 
-// TestFrontierNoPromotion: promoteAt <= 0 never promotes (overlay mode).
+// TestFrontierNoPromotion: promoteAt <= 0 never promotes.
 func TestFrontierNoPromotion(t *testing.T) {
 	f := NewFrontier(0, 0)
 	for i := int32(0); i < 10000; i++ {

@@ -31,10 +31,9 @@ const (
 
 // Drain runs the sequential largest-residual-first push loop over a
 // small-tier frontier until it empties, saturates, or exhausts the edge
-// budget (edgeBudget <= 0 means unbounded). It is the single push loop
-// shared by the resident residual state, what-if overlays and patch
-// sessions; the budget check runs after each push so a kernel's invariant
-// is never left mid-node.
+// budget (edgeBudget <= 0 means unbounded). It is the single push loop of
+// the residual solver's patch sessions; the budget check runs after each
+// push so a kernel's invariant is never left mid-node.
 func Drain(f *Frontier, k PushKernel, edgeBudget int) (pushed, edges int, outcome DrainOutcome) {
 	tol := f.tol
 	for f.Len() > 0 {

@@ -12,8 +12,8 @@
 //     promotion signal once the set saturates (the saturated tier's
 //     active arrays and mark bitmaps belong to PullPass);
 //   - Drain: the sequential largest-first push loop for heap-tier
-//     frontiers, generic over a PushKernel so the resident state and its
-//     copy-on-write views (overlays, patch sessions) share one loop;
+//     frontiers, generic over a PushKernel so the solver's copy-on-write
+//     patch sessions own the storage and this package the scheduling;
 //   - PullPass: the level-synchronous parallel drain for saturated
 //     frontiers — per round, every active node's residual is absorbed in
 //     parallel, then the dirtied neighborhood *pulls* its incoming mass in

@@ -52,10 +52,9 @@ func NewState(w *sparse.CSR, h *dense.Matrix, opts LinBPOptions) (*State, error)
 }
 
 // NewStateOn is NewState over an arbitrary RowIterator adjacency with a
-// caller-supplied ρ(W): the mutable-topology engine builds states over its
-// delta overlay with the ρ pinned at the last compaction, so the scaling
-// matches the engine's residual solver instead of re-running a power
-// iteration over a moving graph.
+// caller-supplied ρ(W) — a delta overlay with the ρ pinned at its last
+// compaction scales like the serving engine's residual solver instead of
+// re-running a power iteration over a moving graph.
 func NewStateOn(w exec.RowIterator, h *dense.Matrix, opts LinBPOptions, rhoW float64) (*State, error) {
 	if h.Rows != h.Cols {
 		return nil, fmt.Errorf("propagation: H is %d×%d, want square", h.Rows, h.Cols)
@@ -131,9 +130,8 @@ func (s *State) setH(h *dense.Matrix) error {
 }
 
 // SetH swaps the compatibility matrix (same k) without reallocating
-// buffers or recomputing ρ(W). Only safe on a single-owner State: the
-// Engine instead replaces its whole state pool on an H change, because a
-// pooled State may be mid-Run in a concurrent query.
+// buffers or recomputing ρ(W). Only safe on a single-owner State: a
+// concurrent Run would read H̃ mid-swap.
 func (s *State) SetH(h *dense.Matrix) error {
 	if h.Rows != s.k || h.Cols != s.k {
 		return fmt.Errorf("propagation: SetH got %d×%d, state is k=%d", h.Rows, h.Cols, s.k)

@@ -126,8 +126,8 @@ type entry struct {
 	lastHMethod string
 
 	// shed marks an engine partially released under memory pressure
-	// (snapshot + solver + pooled state dropped, CSR and delta overlay
-	// kept); cleared on the next acquisition. partials counts them.
+	// (snapshot + solver dropped, CSR and delta overlay kept); cleared on
+	// the next acquisition. partials counts them.
 	shed     bool
 	partials int64
 
@@ -408,9 +408,8 @@ func (r *Registry) applyMemLocked(e *entry, eng *factorgraph.Engine, m int64) {
 // fits the budget.
 //
 // Tier 1 — partial release: the LRU engine's transient working state
-// (belief snapshot, residual solver, pooled propagation states, caches)
-// is dropped while the CSR (plus delta overlay), seeds and H stay
-// resident. No acknowledged state is lost, so EVERY cold engine
+// (belief snapshot, residual solver, caches) is dropped while the CSR
+// (plus delta overlay), seeds and H stay resident. No acknowledged state is lost, so EVERY cold engine
 // qualifies — mutated and non-rebuildable ones included — and the next
 // access re-solves with one propagation: o(build), not o(parse+build).
 //

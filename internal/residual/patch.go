@@ -6,31 +6,35 @@ import (
 	"factorgraph/internal/telemetry"
 )
 
-// Patch is a copy-on-write flush session over a base State for label
-// patches: the serving engine queues seed deltas on it, flushes it OUTSIDE
-// the engine write lock — readers keep serving the pre-patch beliefs from
-// the untouched base meanwhile — and then applies the result under the
-// write lock with Apply, which only swaps rows (or, for a promoted patch,
-// whole matrices). That is the narrow-locking contract: propagation-scale
-// work never runs under a lock readers contend on.
+// Patch is a copy-on-write flush session over a base State — the package's
+// one drain. For a committed change the serving engine queues seed (or
+// edge) deltas on it, flushes it OUTSIDE the engine write lock — readers
+// keep serving the pre-patch beliefs from the untouched base meanwhile —
+// and then applies the result under the write lock with Apply, which only
+// swaps rows (or, for a promoted patch, whole matrices). That is the
+// narrow-locking contract: propagation-scale work never runs under a lock
+// readers contend on. A what-if query is the same session with a different
+// ending: it reads its answer through Row and Aborts, so nothing it
+// computed ever reaches the base.
 //
 // A small patch stays in the sparse tier: residual rows copy-on-write from
 // the base's sparse map, belief rows clone on first touch, and the drain is
-// the same sequential exec.Drain loop overlays use. A wide patch — one
-// whose frontier saturates or whose pushes exhaust the edge budget —
-// promotes to a private dense view: the base beliefs are cloned wholesale
-// (O(n·k), far below a propagation's O(m·k·T)) and the drain becomes
-// exec.PullPass parallel rounds, with dense sweeps as the final fallback.
-// Either way Flush converges, so the engine never discards its residual
-// state on a flooding patch anymore; FellBack merely reports that sweeps
-// finished the job.
+// the sequential exec.Drain loop. A wide patch — one whose frontier
+// saturates or whose pushes exhaust the edge budget — promotes to a private
+// dense view: the base beliefs are cloned wholesale (O(n·k), far below a
+// propagation's O(m·k·T)) and the drain becomes exec.PullPass parallel
+// rounds, with warm dense sweeps as the final fallback. Either way Flush
+// converges; FellBack merely reports that sweeps finished the job.
 //
-// A Patch never mutates its base before Apply. The caller must serialize
-// patch sessions against each other and Apply against every base access
-// (the engine holds its patch mutex across the session and its write lock
-// across Apply). Exactly one Apply or Abort per patch: a session whose
-// result is discarded (the owner dropped or replaced the base mid-flush)
-// must be Aborted so a promoted session's O(n·k) clones release eagerly.
+// A Patch never mutates its base before Apply, so sessions that end in
+// Abort may run concurrently with each other and with one that will be
+// applied, as long as the base is not mutated meanwhile (the engine holds
+// its read lock across a what-if session). The caller must serialize
+// sessions it means to Apply against each other and Apply against every
+// base access (the engine holds its patch mutex across such a session and
+// its write lock across Apply). Exactly one Apply or Abort per patch: a
+// session whose result is discarded must be Aborted so a promoted
+// session's O(n·k) clones release eagerly.
 type Patch struct {
 	base *State
 
@@ -54,8 +58,8 @@ type Patch struct {
 }
 
 // BeginPatch opens a patch session. If the base's dense residual tier is
-// resident (a bounded flush stopped mid-drain), the session starts
-// promoted so the retained residual is carried exactly.
+// resident (a Rescale awaiting its drain), the session starts promoted so
+// the retained residual is carried exactly.
 func (s *State) BeginPatch() *Patch {
 	p := &Patch{
 		base:   s,
@@ -296,14 +300,12 @@ func (p *Patch) Apply() {
 		// held; carry still-dirty rows (post-sweep there normally are none)
 		// into a fresh sparse tier and drop the rest — the same
 		// Tol-bounded discard as a demotion.
-		s.r, s.norms, s.pull = nil, nil, nil
+		s.r, s.norms = nil, nil
 		s.sRows = make(map[int32][]float64)
-		s.front.Reset()
 		dropped := 0.0
 		for i, norm := range p.norms {
 			if norm > s.opts.Tol {
 				s.sRows[int32(i)] = append([]float64(nil), p.dr.Row(i)...)
-				s.front.Add(int32(i), norm)
 			} else if norm > 0 {
 				dropped += norm
 			}
@@ -322,6 +324,44 @@ func (p *Patch) Apply() {
 		}
 	}
 	s.compact()
+}
+
+// Row returns node's belief row as the session sees it: the private matrix
+// row once promoted, else the cloned row if the drain touched it, else the
+// base's. The slice aliases session or base storage; treat it as read-only
+// and do not retain it past the lock that protects the base.
+func (p *Patch) Row(node int) []float64 {
+	if p.df != nil {
+		return p.df.Row(node)
+	}
+	if row, ok := p.rows[int32(node)]; ok {
+		return row
+	}
+	return p.base.f.Row(node)
+}
+
+// OwnedRows reports the belief rows the session holds privately: a sparse
+// session's copy-on-write clones, or every row of a promoted session's
+// matrix. size is their count; rows (node → row) is nil when size exceeds
+// max, so a promoted session on a large graph never materializes an
+// n-entry map. The rows stay valid after Abort — the engine's what-if
+// cache retains them.
+func (p *Patch) OwnedRows(max int) (rows map[int32][]float64, size int) {
+	size = len(p.rows)
+	if p.df != nil {
+		size = p.df.Rows
+	}
+	if size > max {
+		return nil, size
+	}
+	if p.df == nil {
+		return p.rows, size
+	}
+	rows = make(map[int32][]float64, size)
+	for i := 0; i < size; i++ {
+		rows[int32(i)] = p.df.Row(i)
+	}
+	return rows, size
 }
 
 // Abort ends the session without merging anything into the base: every

@@ -9,49 +9,47 @@
 //
 //	F* = F + (I − A)⁻¹ R,   A·M := εW M H̃,
 //
-// so beliefs are exact up to the residual mass still queued. When seed
-// labels change, the change lands as a sparse delta in R; Flush then pushes
-// residual rows whose ∞-norm exceeds the tolerance to their neighbors,
-// largest first, touching only the perturbed neighborhood instead of
-// re-running O(m·k·iters) over the whole graph. Because ε is chosen so that
-// ρ(A) = s < 1 (Eq. 2 of the paper), pushed mass contracts geometrically
-// and the loop terminates.
+// so beliefs are exact up to the residual mass still queued. Every change
+// after Init — seed labels, edge weights, a new ε — lands as a sparse delta
+// in the residual of a Patch, the one copy-on-write drain session over the
+// State: Patch.Flush pushes residual rows whose ∞-norm exceeds the
+// tolerance to their neighbors, largest first, touching only the perturbed
+// neighborhood instead of re-running O(m·k·iters) over the whole graph.
+// Because ε is chosen so that ρ(A) = s < 1 (Eq. 2 of the paper), pushed
+// mass contracts geometrically from any start and the loop terminates.
 //
 // Scheduling lives in internal/exec and is tiered. A small frontier drains
 // through exec.Drain — the sequential priority-queue push loop — over a
 // compact sparse residual map holding only the dirty rows. Past a
-// load-factor threshold the frontier saturates: the residual promotes to
-// dense arrays and exec.PullPass drains it with level-synchronous PARALLEL
-// pull rounds on the shared worker pool. When the frontier drains the dense
-// tier is demoted and freed again, so an idle State holds two n×k matrices
-// (X̃ and F), not five — the sparse tier is what keeps a quiescent
-// engine's footprint small.
+// load-factor threshold the frontier saturates: the session promotes to
+// private dense arrays and exec.PullPass drains it with level-synchronous
+// PARALLEL pull rounds on the shared worker pool, and past the edge budget
+// warm dense sweeps finish the job. The dense tier lives and dies with the
+// session, so an idle State holds two n×k matrices (X̃ and F), not five —
+// the sparse tier is what keeps a quiescent engine's footprint small.
 //
-// The demotion discards residual mass at or below the tolerance (retaining
-// it would keep the dense array alive). Each discard perturbs the fixed
-// point by at most Tol·s/(1−s) per node, and the sparse tier's compaction
-// applies the same bound; DefaultTol keeps the cumulative drift of any
-// realistic patch sequence orders of magnitude inside the 1e-6 agreement
-// budget the parity tests enforce. FlushBounded never discards: a
-// non-converged bounded flush keeps the dense tier resident so the
-// invariant stays exact for the caller.
+// Applying a session discards residual mass at or below the tolerance
+// (retaining it would keep a dense array alive). Each discard perturbs the
+// fixed point by at most Tol·s/(1−s) per node, and the sparse tier's
+// compaction applies the same bound; DefaultTol keeps the cumulative drift
+// of any realistic patch sequence orders of magnitude inside the 1e-6
+// agreement budget the parity tests enforce.
 //
-// The same push kernel powers three layers above:
+// The one session type serves two layers above:
 //
-//   - the serving Engine keeps one live State per graph so PATCH /labels
-//     costs o(Δ) instead of a full re-propagation,
-//   - label patches flush on a Patch — a copy-on-write session over the
-//     base State — so the engine's write lock is held only for the final
-//     row swap, not the propagation work, and
-//   - what-if queries run on an Overlay — copy-on-write belief/residual
-//     rows over a shared base State — so each overlay clones only the
-//     frontier its extra seeds actually touch.
+//   - committed changes (PATCH /labels, edge mutations, the ε rescale of a
+//     compaction) flush on a Patch outside the serving Engine's locks and
+//     end in Apply, so the write lock is held only for the final row swap,
+//     not the propagation work, and
+//   - what-if queries are the same session never applied: they queue their
+//     extra seeds, flush, read the answer through Patch.Row and end in
+//     Abort, cloning only the frontier their seeds actually touch.
 //
 // A State is NOT safe for concurrent mutation; the Engine serializes
-// Init/AddDelta/Flush/Patch.Apply behind its write lock and reads behind
-// its read lock. Overlays and Patches never mutate their base, so any
-// number of them may run concurrently over one State as long as the base
-// is not mutated meanwhile.
+// Init/Patch.Apply behind its write lock and reads behind its read lock.
+// Patches never mutate their base before Apply, so any number of them may
+// run concurrently over one State as long as the base is not mutated
+// meanwhile.
 package residual
 
 import (
@@ -134,8 +132,9 @@ func (o *Options) defaults() {
 	}
 }
 
-// Stats reports the work one Init or Flush performed; the Engine surfaces
-// them through its own counters and the HTTP layer puts them in responses.
+// Stats reports the work one Init or Patch.Flush performed; the Engine
+// surfaces them through its own counters and the HTTP layer puts them in
+// responses.
 type Stats struct {
 	// Pushed is the number of node pushes (a node may be pushed more than
 	// once as returning mass re-raises its residual).
@@ -169,25 +168,20 @@ type State struct {
 
 	hScaled *dense.Matrix // centered, ε-scaled H̃ (same as propagation.State)
 
-	x *dense.Matrix // centered explicit beliefs, kept in sync via AddDelta
+	x *dense.Matrix // centered explicit beliefs, kept in sync by Patch.Apply
 	f *dense.Matrix // current belief estimate
 
 	run       exec.Runner
-	front     *exec.Frontier
 	promoteAt int
 
 	// Sparse residual tier: the only residual storage while the frontier
 	// is small. Rows are exact residual rows; absent means zero.
 	sRows map[int32][]float64
 
-	// Dense residual tier; non-nil while promoted (saturated drains,
-	// sweeps, or a bounded flush that stopped mid-drain).
+	// Dense residual tier; non-nil only during Init's sweeps and between a
+	// Rescale and the Apply of the patch session that drains it.
 	r     *dense.Matrix
 	norms []float64
-	pull  *exec.PullPass
-
-	rowBuf []float64 // push scratch: the row being pushed
-	rhBuf  []float64 // push scratch: row × H̃
 
 	edgeBudget int
 
@@ -255,10 +249,7 @@ func NewStateOn(w exec.RowIterator, h *dense.Matrix, opts Options, rhoW float64)
 		run:       exec.Runner{Workers: opts.Workers},
 		promoteAt: promoteThreshold(n),
 		sRows:     make(map[int32][]float64),
-		rowBuf:    make([]float64, k),
-		rhBuf:     make([]float64, k),
 	}
-	s.front = exec.NewFrontier(opts.Tol, s.promoteAt)
 	s.resetEdgeBudget()
 	return s, nil
 }
@@ -283,27 +274,14 @@ func (s *State) resetEdgeBudget() {
 func (s *State) SetAdj(w exec.RowIterator) {
 	s.w = w
 	s.resetEdgeBudget()
-	if s.r != nil {
-		// A resident dense tier drains through a PullPass that caches the
-		// adjacency (and sizes its scratch from it): rebuild it over the
-		// new epoch. A preceding Grow discarded the old pass, so this is
-		// also where a grown state gets its correctly-sized scratch.
-		s.pull = s.newPull()
-	}
-}
-
-// newPull builds a PullPass over the current adjacency/storage.
-func (s *State) newPull() *exec.PullPass {
-	return exec.NewPullPass(s.w, s.hScaled, s.f, s.r, s.norms, s.opts.Tol, s.run)
 }
 
 // Permute renumbers every node-indexed structure of the state by
 // newID[old] = new — the locality-aware compaction path re-orders the
 // graph at an epoch swap and carries the resident solver state across
-// instead of discarding the o(Δ) machinery. The dense-tier PullPass is
-// dropped; the caller must follow with SetAdj (the permuted epoch), which
-// rebuilds it — the same contract Grow has. Beliefs, residuals and the
-// fixed point are unchanged up to row order.
+// instead of discarding the o(Δ) machinery. The caller must follow with
+// SetAdj (the permuted epoch) — the same contract Grow has. Beliefs,
+// residuals and the fixed point are unchanged up to row order.
 func (s *State) Permute(newID []int32) {
 	if len(newID) != s.n {
 		panic(fmt.Sprintf("residual: Permute map length %d, want %d", len(newID), s.n))
@@ -317,7 +295,6 @@ func (s *State) Permute(newID []int32) {
 			norms[nn] = s.norms[old]
 		}
 		s.norms = norms
-		s.pull = nil
 	}
 	if len(s.sRows) > 0 {
 		rows := make(map[int32][]float64, len(s.sRows))
@@ -325,11 +302,6 @@ func (s *State) Permute(newID []int32) {
 			rows[newID[node]] = row
 		}
 		s.sRows = rows
-	}
-	// The frontier stores node ids; rebuild it from the renumbered rows.
-	s.front.Reset()
-	for node, row := range s.sRows {
-		s.front.Add(node, infNorm(row))
 	}
 }
 
@@ -362,16 +334,9 @@ func (s *State) Grow(n int) {
 		norms := make([]float64, n)
 		copy(norms, s.norms)
 		s.norms = norms
-		// The old PullPass scratch is sized to the old n; drop it. The
-		// caller's SetAdj (mandatory before the next flush — the adjacency
-		// must match the grown dimension) builds the replacement.
-		s.pull = nil
 	}
 	s.n = n
 	s.promoteAt = promoteThreshold(n)
-	if s.front.Len() == 0 {
-		s.front = exec.NewFrontier(s.opts.Tol, s.promoteAt)
-	}
 }
 
 // growMatrix returns a copy of m extended to n rows, new rows filled with
@@ -400,7 +365,7 @@ func (s *State) Rescale(c float64) {
 	if c == 1 {
 		return
 	}
-	s.promote()
+	s.promoteForSweep()
 	k := s.k
 	s.run.Rows(s.n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -468,30 +433,18 @@ func (s *State) Init(x *dense.Matrix) (Stats, error) {
 	}
 	s.f.CopyFrom(s.x)
 	s.sRows = make(map[int32][]float64)
-	s.front.Reset()
-	s.promote()
-	st := s.sweepToTol()
+	s.promoteForSweep()
+	st := sweepToTol(s.run, s.w, s.hScaled, s.x, s.f, s.r, s.norms,
+		s.opts.Tol*sweepSlack, s.opts.MaxSweeps)
 	s.demote()
 	mSweeps.Add(int64(st.Sweeps))
 	return st, nil
 }
 
-// promote moves the residual into the dense tier: allocates the n×k array,
-// folds the sparse rows in, and builds the PullPass scratch.
-func (s *State) promote() {
-	if s.r != nil {
-		return
-	}
-	s.promoteForSweep()
-	s.pull = s.newPull()
-}
-
-// promoteForSweep is the cheap promotion for a drain that goes straight to
-// dense sweeps: just the dense array and the norm table. The sparse rows
-// are NOT folded in — the invariant R = X̃ + A·F − F holds exactly at all
-// times, so the sweep's first recomputation regenerates the residual from
-// (X̃, F) and anything folded would be overwritten unread. No PullPass is
-// built either; sweeps never drain node-at-a-time.
+// promoteForSweep moves the residual into the dense tier: the n×k array and
+// the norm table, with the sparse rows folded in (Rescale transforms them;
+// Init's sweeps regenerate the residual from (X̃, F) anyway). No PullPass is
+// built: the State never drains node-at-a-time, its patch sessions do.
 func (s *State) promoteForSweep() {
 	if s.r != nil {
 		return
@@ -504,7 +457,6 @@ func (s *State) promoteForSweep() {
 		s.norms[node] = infNorm(row)
 	}
 	s.sRows = make(map[int32][]float64)
-	s.front.Reset()
 }
 
 // demote releases the dense tier, carrying any still-dirty rows back into
@@ -521,28 +473,21 @@ func (s *State) demote() {
 		if norm > s.opts.Tol {
 			row := append([]float64(nil), s.r.Row(i)...)
 			s.sRows[int32(i)] = row
-			s.front.Add(int32(i), norm)
 		} else if norm > 0 {
 			dropped += norm
 		}
 	}
 	s.addDropped(dropped)
-	s.r, s.norms, s.pull = nil, nil, nil
-}
-
-// sweepToTol runs the shared dense-sweep loop over the state's dense tier.
-func (s *State) sweepToTol() Stats {
-	return sweepToTol(s.run, s.w, s.hScaled, s.x, s.f, s.r, s.norms,
-		s.opts.Tol*sweepSlack, s.opts.MaxSweeps)
+	s.r, s.norms = nil, nil
 }
 
 // sweepToTol repeatedly applies one dense Jacobi step f ← f + r followed by
 // a residual recomputation r ← x + A·f − f, until the largest per-node
 // residual ∞-norm is at or below target (or maxSweeps is hit). The
 // recompute-then-absorb order keeps the (f, r) pair consistent at every
-// loop exit. State fallbacks and Patch fallbacks share it (a Patch passes
-// its private clones); the scratch matrices are transient, so a quiescent
-// state retains nothing from its last sweep.
+// loop exit. Init and Patch fallbacks share it (a Patch passes its private
+// clones); the scratch matrices are transient, so a quiescent state retains
+// nothing from its last sweep.
 func sweepToTol(run exec.Runner, w exec.RowIterator, hScaled, x, f, r *dense.Matrix, norms []float64, target float64, maxSweeps int) Stats {
 	k := hScaled.Rows
 	n := w.Dim()
@@ -600,127 +545,6 @@ func sweepToTol(run exec.Runner, w exec.RowIterator, hScaled, x, f, r *dense.Mat
 	}
 }
 
-// sRow returns node's sparse residual row, creating it zeroed.
-func (s *State) sRow(node int32) []float64 {
-	row, ok := s.sRows[node]
-	if !ok {
-		row = make([]float64, s.k)
-		s.sRows[node] = row
-	}
-	return row
-}
-
-// AddDelta adds a sparse explicit-belief change to node's residual (and to
-// the retained X̃): delta is newXRow − oldXRow in the uncentered space —
-// centering is a constant shift, so deltas are identical either way. Call
-// Flush afterwards to propagate; beliefs read between AddDelta and Flush
-// simply predate the patch.
-func (s *State) AddDelta(node int, delta []float64) {
-	xRow := s.x.Row(node)
-	for j, d := range delta {
-		xRow[j] += d
-	}
-	if s.r != nil {
-		// Dense tier resident (a bounded flush stopped mid-drain): land the
-		// delta directly; the next flush rebuilds its frontier from norms.
-		rRow := s.r.Row(node)
-		for j, d := range delta {
-			rRow[j] += d
-		}
-		s.norms[node] = infNorm(rRow)
-		return
-	}
-	rRow := s.sRow(int32(node))
-	for j, d := range delta {
-		rRow[j] += d
-	}
-	s.front.Add(int32(node), infNorm(rRow))
-}
-
-// Flush pushes queued residual rows until every node is at or below the
-// tolerance. Small frontiers drain largest-first through the sequential
-// priority queue; saturated ones promote to the dense tier and drain with
-// parallel pull rounds. Past EdgeBudgetFactor·nnz edge traversals Flush
-// finishes with dense sweeps instead (cheaper at that point) and reports
-// FellBack.
-//
-// On clean completion MaxResidual is left 0: the drain itself guarantees
-// every node is at or below Tol, and scanning all n norms to report the
-// exact value would make the o(Δ) path Ω(n). It is populated only when
-// dense sweeps ran (they track it for free); call the MaxResidual method
-// for an on-demand exact scan.
-func (s *State) Flush() Stats {
-	st, _ := s.flush(true)
-	recordStats(st)
-	return st
-}
-
-// FlushBounded is Flush without the dense-sweep fallback: once the edge
-// budget is exhausted it stops and returns converged=false, leaving the
-// residual invariant exactly intact (F + (I−A)⁻¹R is unchanged, R just
-// isn't drained — the dense tier stays resident to retain the
-// sub-tolerance rows). Callers that must bound a flush's work — historical
-// engine builds flushed patches under their write lock — use this; the
-// current engine instead flushes on a Patch outside its locks.
-func (s *State) FlushBounded() (Stats, bool) {
-	st, converged := s.flush(false)
-	recordStats(st)
-	return st, converged
-}
-
-func (s *State) flush(sweepFallback bool) (Stats, bool) {
-	var st Stats
-	if s.r == nil {
-		pushed, edges, outcome := exec.Drain(s.front, stateKernel{s}, s.edgeBudget)
-		st.Pushed += pushed
-		st.Edges += edges
-		switch outcome {
-		case exec.Drained:
-			s.compact()
-			return st, true
-		case exec.BudgetExceeded:
-			st.FellBack = true
-			if !sweepFallback {
-				// Keep the queue (and the residual invariant) intact in the
-				// sparse tier; the caller decides what to do with the state.
-				return st, false
-			}
-			s.promoteForSweep()
-			sw := s.sweepToTol()
-			st.Sweeps, st.MaxResidual = sw.Sweeps, sw.MaxResidual
-			s.demote()
-			return st, true
-		case exec.Saturated:
-			s.promote()
-		}
-	}
-	// Dense tier: rebuild the frontier from the norm table and drain it
-	// with parallel pull rounds.
-	active := activeFromNorms(s.norms, s.opts.Tol)
-	budget := s.edgeBudget - st.Edges
-	if budget < 1 {
-		budget = 1 // spent at promotion: the first round decides the fallback
-	}
-	pushed, edges, rounds, remaining := s.pull.Drain(active, budget)
-	st.Pushed += pushed
-	st.Edges += edges
-	st.Rounds += rounds
-	if remaining == nil {
-		s.demote()
-		return st, true
-	}
-	st.FellBack = true
-	if !sweepFallback {
-		// Stay promoted: the dense tier holds the exact residual for the
-		// caller's follow-up flush.
-		return st, false
-	}
-	sw := s.sweepToTol()
-	st.Sweeps, st.MaxResidual = sw.Sweeps, sw.MaxResidual
-	s.demote()
-	return st, true
-}
-
 // compact bounds the sparse tier after a drain: if retained sub-tolerance
 // rows have accumulated past the promotion threshold they are discarded
 // (the same Tol-bounded error as a demotion) so the map can never creep
@@ -774,46 +598,6 @@ func activeFromNorms(norms []float64, tol float64) []int32 {
 	return active
 }
 
-// stateKernel is the resident state's push step over the sparse tier.
-type stateKernel struct{ s *State }
-
-func (k stateKernel) Norm(node int32) float64 {
-	return infNorm(k.s.sRows[node])
-}
-
-func (k stateKernel) Push(node int32, dirtied func(int32, float64)) int {
-	s := k.s
-	rRow := s.sRows[node]
-	fRow := s.f.Row(int(node))
-	for j := 0; j < s.k; j++ {
-		fRow[j] += rRow[j]
-	}
-	copy(s.rowBuf, rRow)
-	delete(s.sRows, node)
-	mulRowH(s.rhBuf, s.rowBuf, s.hScaled.Data, s.k)
-	cols, wts := s.w.Row(int(node))
-	for p, v := range cols {
-		wv := 1.0
-		if wts != nil {
-			wv = wts[p]
-		}
-		nRow := s.sRow(v)
-		norm := 0.0
-		for j := 0; j < s.k; j++ {
-			nRow[j] += wv * s.rhBuf[j]
-			a := nRow[j]
-			if a < 0 {
-				a = -a
-			}
-			if a > norm {
-				norm = a
-			}
-		}
-		dirtied(v, norm)
-	}
-	return len(cols)
-}
-
 // mulRowH computes dst = row · H̃ for a k×k row-major H̃.
 func mulRowH(dst, row, hs []float64, k int) {
 	for j := 0; j < k; j++ {
@@ -845,21 +629,17 @@ func (s *State) maxNorm() float64 {
 }
 
 // Beliefs returns the live belief matrix. It aliases internal storage:
-// callers must hold whatever lock serializes AddDelta/Flush/Patch.Apply,
-// and must clone rows that need to outlive that lock.
+// callers must hold whatever lock serializes Patch.Apply, and must clone
+// rows that need to outlive that lock.
 func (s *State) Beliefs() *dense.Matrix { return s.f }
 
 // Row returns node's live belief row (aliasing; see Beliefs).
 func (s *State) Row(node int) []float64 { return s.f.Row(node) }
 
-// XRow returns node's retained explicit-belief row in centered space
-// (aliasing; see Beliefs). Overlays use it to turn "set this seed" into a
-// delta against the current X.
+// XRow returns node's retained explicit-belief row (aliasing; see Beliefs),
+// centered unless CenterOff. What-if sessions take "set this seed" as a
+// delta against it — the X̃ their base actually holds.
 func (s *State) XRow(node int) []float64 { return s.x.Row(node) }
-
-// Centered reports whether the state works in centered coordinates (and
-// therefore what space XRow rows live in).
-func (s *State) Centered() bool { return !s.opts.CenterOff }
 
 // MaxResidual returns the largest pending per-node residual ∞-norm — the
 // quality bound on the current beliefs.
@@ -882,8 +662,8 @@ func (s *State) DirtyRows() int {
 }
 
 // DenseTier reports whether the dense residual tier is currently resident
-// (it is only between a bounded non-converged flush and the flush that
-// drains it; an idle state is always sparse).
+// (it is only between a Rescale and the Apply of the session that drains
+// it; an idle state is always sparse).
 func (s *State) DenseTier() bool { return s.r != nil }
 
 // mapRowBytes approximates the per-entry cost of a sparse residual row:
@@ -893,15 +673,14 @@ func (s *State) mapRowBytes() int64 { return int64(8*s.k) + 64 }
 // MemoryBytes estimates the state's resident bytes in its CURRENT tier:
 // the two permanent n×k matrices (X̃ and F), the sparse rows actually
 // materialized, and — only while promoted — the dense residual array with
-// its norm/scheduling scratch. The serving engine's MemoryFootprint sums
-// this into what /v1/admin/registry reports.
+// its norm table. The serving engine's MemoryFootprint sums this into what
+// /v1/admin/registry reports.
 func (s *State) MemoryBytes() int64 {
 	n, k := int64(s.n), int64(s.k)
 	b := 2 * 8 * n * k // X̃ + F
 	b += int64(len(s.sRows)) * s.mapRowBytes()
 	if s.r != nil {
 		b += 8*n*k + 8*n // r + norms
-		b += 8 * n       // PullPass activeIdx + mark
 	}
 	return b
 }

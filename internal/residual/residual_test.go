@@ -53,7 +53,13 @@ func randX(n, k int, f float64, rng *rand.Rand) *dense.Matrix {
 // fixedPoint runs the dense LinBP iteration far past convergence.
 func fixedPoint(t *testing.T, w *sparse.CSR, h, x *dense.Matrix) *dense.Matrix {
 	t.Helper()
-	st, err := propagation.NewState(w, h, propagation.LinBPOptions{S: 0.5, Iterations: 120, Center: true})
+	return fixedPointS(t, w, h, x, 0.5)
+}
+
+// fixedPointS is fixedPoint at convergence parameter s.
+func fixedPointS(t *testing.T, w *sparse.CSR, h, x *dense.Matrix, s float64) *dense.Matrix {
+	t.Helper()
+	st, err := propagation.NewState(w, h, propagation.LinBPOptions{S: s, Iterations: 120, Center: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +68,16 @@ func fixedPoint(t *testing.T, w *sparse.CSR, h, x *dense.Matrix) *dense.Matrix {
 		t.Fatal(err)
 	}
 	return f.Clone()
+}
+
+// applyPatch drains a change the way the engine serves one: a session on s
+// takes the deltas queue adds, flushes, and is applied.
+func applyPatch(s *State, queue func(p *Patch)) Stats {
+	p := s.BeginPatch()
+	queue(p)
+	st := p.Flush()
+	p.Apply()
+	return st
 }
 
 func maxAbsDiff(a, b *dense.Matrix) float64 {
@@ -126,22 +142,23 @@ func TestPatchParityRandomSequence(t *testing.T) {
 		var totalPushed int
 		for patch := 0; patch < 25; patch++ {
 			// Random patch: set, change or clear 1-4 seeds.
-			for c := 0; c < 1+rng.Intn(4); c++ {
-				node := rng.Intn(n)
-				row := x.Row(node)
-				delta := make([]float64, k)
-				for j := range delta {
-					delta[j] = -row[j]
-					row[j] = 0
+			st := applyPatch(s, func(p *Patch) {
+				for c := 0; c < 1+rng.Intn(4); c++ {
+					node := rng.Intn(n)
+					row := x.Row(node)
+					delta := make([]float64, k)
+					for j := range delta {
+						delta[j] = -row[j]
+						row[j] = 0
+					}
+					if rng.Float64() < 0.8 { // 20% of patches clear the seed
+						c := rng.Intn(k)
+						delta[c] += 1
+						row[c] = 1
+					}
+					p.AddDelta(node, delta)
 				}
-				if rng.Float64() < 0.8 { // 20% of patches clear the seed
-					c := rng.Intn(k)
-					delta[c] += 1
-					row[c] = 1
-				}
-				s.AddDelta(node, delta)
-			}
-			st := s.Flush()
+			})
 			totalPushed += st.Pushed
 		}
 		if totalPushed == 0 {
@@ -190,8 +207,7 @@ func TestPatchIsLocal(t *testing.T) {
 	}
 	before := s.Beliefs().Clone()
 
-	s.AddDelta(7, []float64{1, 0, 0})
-	st := s.Flush()
+	st := applyPatch(s, func(p *Patch) { p.AddDelta(7, []float64{1, 0, 0}) })
 	if st.Pushed == 0 {
 		t.Fatal("patch pushed nothing")
 	}
@@ -224,19 +240,20 @@ func TestFlushFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip every node's seed: the frontier is the whole graph.
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		delta := make([]float64, k)
-		for j := range delta {
-			delta[j] = -row[j]
-			row[j] = 0
+	st := applyPatch(s, func(p *Patch) {
+		for i := 0; i < n; i++ {
+			row := x.Row(i)
+			delta := make([]float64, k)
+			for j := range delta {
+				delta[j] = -row[j]
+				row[j] = 0
+			}
+			c := (i + 1) % k
+			delta[c] += 1
+			row[c] = 1
+			p.AddDelta(i, delta)
 		}
-		c := (i + 1) % k
-		delta[c] += 1
-		row[c] = 1
-		s.AddDelta(i, delta)
-	}
-	st := s.Flush()
+	})
 	if !st.FellBack {
 		t.Error("whole-graph patch did not fall back to dense sweeps")
 	}
@@ -246,51 +263,6 @@ func TestFlushFallback(t *testing.T) {
 	want := fixedPoint(t, w, h, x)
 	if d := maxAbsDiff(s.Beliefs(), want); d > 1e-6 {
 		t.Errorf("post-fallback beliefs differ from full propagation by %g", d)
-	}
-}
-
-// TestFlushBounded: the no-sweep variant stops at the edge budget with
-// converged=false and never runs a dense sweep; a later unbounded Flush on
-// the same state still converges (the invariant survived).
-func TestFlushBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n, k := 300, 3
-	w := randGraph(t, n, 8, 13)
-	h := testH(k, 0.5)
-	x := randX(n, k, 0.1, rng)
-	s, err := NewState(w, h, Options{EdgeBudgetFactor: 1, Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Init(x); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		delta := make([]float64, k)
-		for j := range delta {
-			delta[j] = -row[j]
-			row[j] = 0
-		}
-		c := (i + 1) % k
-		delta[c] += 1
-		row[c] = 1
-		s.AddDelta(i, delta)
-	}
-	st, converged := s.FlushBounded()
-	if converged {
-		t.Fatal("whole-graph patch reported converged under a tight budget")
-	}
-	if !st.FellBack || st.Sweeps != 0 {
-		t.Errorf("bounded flush: %+v, want FellBack with zero sweeps", st)
-	}
-	// The state is still usable: a full Flush drains it to the tolerance.
-	if st := s.Flush(); !st.FellBack && s.MaxResidual() > 1e-10 {
-		t.Errorf("follow-up flush left residual %g", s.MaxResidual())
-	}
-	want := fixedPoint(t, w, h, x)
-	if d := maxAbsDiff(s.Beliefs(), want); d > 1e-6 {
-		t.Errorf("post-bounded-flush beliefs differ from full propagation by %g", d)
 	}
 }
 

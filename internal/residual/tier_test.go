@@ -9,8 +9,9 @@ import (
 	"factorgraph/internal/dense"
 )
 
-// widePatch flips a fraction of all seeds so the flush frontier saturates.
-func widePatch(s *State, x *dense.Matrix, n, k int, frac float64, rng *rand.Rand) {
+// widePatch queues a flip of a fraction of all seeds on p, so the flush
+// frontier saturates.
+func widePatch(p *Patch, x *dense.Matrix, n, k int, frac float64, rng *rand.Rand) {
 	for i := 0; i < n; i++ {
 		if rng.Float64() >= frac {
 			continue
@@ -24,7 +25,7 @@ func widePatch(s *State, x *dense.Matrix, n, k int, frac float64, rng *rand.Rand
 		c := rng.Intn(k)
 		delta[c] += 1
 		row[c] = 1
-		s.AddDelta(i, delta)
+		p.AddDelta(i, delta)
 	}
 }
 
@@ -52,11 +53,7 @@ func TestWidePatchParallelParity(t *testing.T) {
 		if _, err := s.Init(x); err != nil {
 			t.Fatal(err)
 		}
-		widePatch(s, x, n, k, 0.4, rng)
-		if s.DenseTier() {
-			t.Fatal("dense tier resident before flush")
-		}
-		st := s.Flush()
+		st := applyPatch(s, func(p *Patch) { widePatch(p, x, n, k, 0.4, rng) })
 		if st.Rounds == 0 {
 			t.Errorf("workers=%d: wide patch never promoted to pull rounds (pushed=%d)", opt.Workers, st.Pushed)
 		}
@@ -64,7 +61,7 @@ func TestWidePatchParallelParity(t *testing.T) {
 			t.Errorf("workers=%d: wide patch fell back to sweeps under a 64× budget", opt.Workers)
 		}
 		if s.DenseTier() {
-			t.Errorf("workers=%d: dense tier still resident after a drained flush", opt.Workers)
+			t.Errorf("workers=%d: dense tier resident after applying a promoted session", opt.Workers)
 		}
 		want := fixedPoint(t, w, h, x)
 		if d := maxAbsDiff(s.Beliefs(), want); d > 1e-6 {
@@ -99,8 +96,7 @@ func TestSaturatedRoundScheduling(t *testing.T) {
 	// rounds, no sweeps. (A unit-mass patch on an expander legitimately
 	// saturates: its above-tolerance ball is thousands of nodes, which is
 	// exactly what the promotion threshold is for.)
-	s.AddDelta(17, []float64{1e-5, 0, 0})
-	st := s.Flush()
+	st := applyPatch(s, func(p *Patch) { p.AddDelta(17, []float64{1e-5, 0, 0}) })
 	if st.Rounds != 0 || st.Sweeps != 0 {
 		t.Errorf("narrow patch used rounds=%d sweeps=%d, want pure sparse-tier drain", st.Rounds, st.Sweeps)
 	}
@@ -112,8 +108,7 @@ func TestSaturatedRoundScheduling(t *testing.T) {
 	}
 
 	// Wide patch: saturates past promoteThreshold, drains in rounds.
-	widePatch(s, x, n, k, 0.2, rng)
-	st = s.Flush()
+	st = applyPatch(s, func(p *Patch) { widePatch(p, x, n, k, 0.2, rng) })
 	if st.Rounds < 2 {
 		t.Errorf("wide patch ran %d rounds, want level-synchronous drain (≥2)", st.Rounds)
 	}
@@ -131,9 +126,10 @@ func TestSaturatedRoundScheduling(t *testing.T) {
 	}
 }
 
-// TestMemoryTier: an idle state is sparse and small; a bounded flush that
-// stops mid-drain keeps the dense tier (and the exact invariant) resident,
-// and the next full flush demotes it again.
+// TestMemoryTier: an idle state is sparse and small; a Rescale leaves the
+// dense tier (and the exact invariant) resident, a session opened on it
+// starts promoted and carries that residual, and applying it demotes the
+// state again — at the rescaled fixed point.
 func TestMemoryTier(t *testing.T) {
 	n, k := 3000, 3
 	w := randGraph(t, n, 6, 13)
@@ -153,25 +149,27 @@ func TestMemoryTier(t *testing.T) {
 		t.Errorf("idle MemoryBytes = %d, want ≈ %d (X̃+F only)", idle, permanent)
 	}
 
-	widePatch(s, x, n, k, 0.9, rng)
-	if _, converged := s.FlushBounded(); converged {
-		t.Fatal("whole-graph patch converged under a 1× budget")
-	}
+	const c = 0.8 // ε_new/ε_old: the fixed point moves to s = 0.5·c
+	s.Rescale(c)
 	if !s.DenseTier() {
-		t.Fatal("bounded non-converged flush did not retain the dense tier")
+		t.Fatal("Rescale did not leave the dense tier resident")
 	}
 	if grown := s.MemoryBytes(); grown <= idle+int64(8*n*k) {
 		t.Errorf("dense tier not accounted: %d ≤ %d", grown, idle)
 	}
-	st := s.Flush()
+	// Whole-graph patch on top of the rescale under a 1× budget: the
+	// session drains both and finishes with sweeps.
+	st := applyPatch(s, func(p *Patch) { widePatch(p, x, n, k, 0.9, rng) })
+	if !st.FellBack {
+		t.Error("whole-graph patch converged by pushes under a 1× budget")
+	}
 	if s.DenseTier() {
-		t.Error("dense tier resident after completing flush")
+		t.Error("dense tier resident after applying the session")
 	}
 	if after := s.MemoryBytes(); after > idle+int64(promoteThreshold(n))*s.mapRowBytes() {
-		t.Errorf("post-flush MemoryBytes = %d, did not shrink back toward %d", after, idle)
+		t.Errorf("post-apply MemoryBytes = %d, did not shrink back toward %d", after, idle)
 	}
-	_ = st
-	want := fixedPoint(t, w, h, x)
+	want := fixedPointS(t, w, h, x, 0.5*c)
 	if d := maxAbsDiff(s.Beliefs(), want); d > 1e-6 {
 		t.Errorf("beliefs differ from converged propagation by %g after tier round-trip", d)
 	}
@@ -203,9 +201,11 @@ func TestWidePatchParallelSpeedup(t *testing.T) {
 		if _, err := s.Init(x); err != nil {
 			t.Fatal(err)
 		}
-		widePatch(s, x, n, k, 0.05, rng)
+		p := s.BeginPatch()
+		widePatch(p, x, n, k, 0.05, rng)
 		start := time.Now()
-		st := s.Flush()
+		st := p.Flush()
+		p.Apply()
 		return time.Since(start), st, s
 	}
 

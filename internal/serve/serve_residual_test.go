@@ -74,40 +74,69 @@ func TestIncrementalPatchOverHTTP(t *testing.T) {
 	}
 }
 
-// TestIncrementalWhatIfOverHTTP: extra_seeds queries on an incremental
-// graph report overlay push/clone counts and do not leak into the graph.
+// TestIncrementalWhatIfOverHTTP: extra_seeds queries report their session's
+// push/clone counts — within the edge budget and flooding past it alike —
+// bill that work to the tenant, are never counted as full propagations and
+// do not leak into the graph.
 func TestIncrementalWhatIfOverHTTP(t *testing.T) {
-	srv := newMultiServer(0, Options{})
-	if rec, _ := doJSON(t, srv, "POST", "/v1/graphs", incrementalBody("inc", 500, 2500)); rec.Code != 201 {
-		t.Fatalf("create: status %d", rec.Code)
-	}
-	rec, _ := doJSON(t, srv, "POST", "/v1/graphs/inc/classify",
-		`{"nodes":[10],"top_k":2,"extra_seeds":{"10":1}}`)
-	if rec.Code != 200 {
-		t.Fatalf("what-if: status %d: %s", rec.Code, rec.Body.String())
-	}
-	var cr ClassifyResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil {
-		t.Fatal(err)
-	}
-	if !cr.Residual {
-		t.Errorf("what-if did not use the residual overlay: %s", rec.Body.String())
-	}
-	if cr.PushedNodes == 0 || cr.ClonedRows == 0 {
-		t.Errorf("overlay reported no work: %+v", cr)
-	}
-	if cr.Results[0].Label != 1 {
-		t.Errorf("overlaid node label %d, want 1", cr.Results[0].Label)
-	}
-	// Engine state untouched: the same node answers its base label and the
-	// response carries no overlay counters.
-	rec, _ = doJSON(t, srv, "POST", "/v1/graphs/inc/classify", `{"nodes":[10]}`)
-	var base ClassifyResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &base); err != nil {
-		t.Fatal(err)
-	}
-	if base.PushedNodes != 0 || base.ClonedRows != 0 {
-		t.Errorf("plain query reports overlay counters: %+v", base)
+	for _, tc := range []struct {
+		name, body string
+		flood      bool
+	}{
+		{"inc", incrementalBody("inc", 500, 2500), false},
+		// The default budget: a what-if floods it on a graph this small.
+		{"flood", synthBody("flood", 500, 2500), true},
+	} {
+		srv := newMultiServer(0, Options{})
+		if rec, _ := doJSON(t, srv, "POST", "/v1/graphs", tc.body); rec.Code != 201 {
+			t.Fatalf("%s: create: status %d", tc.name, rec.Code)
+		}
+		classify := "/v1/graphs/" + tc.name + "/classify"
+		// Warm: the first classify pays the graph's one full solve.
+		if rec, _ := doJSON(t, srv, "POST", classify, `{"nodes":[0]}`); rec.Code != 200 {
+			t.Fatalf("%s: warm classify: status %d: %s", tc.name, rec.Code, rec.Body.String())
+		}
+		before := scrape(t, srv)
+		rec, _ := doJSON(t, srv, "POST", classify, `{"nodes":[10],"top_k":2,"extra_seeds":{"10":1}}`)
+		if rec.Code != 200 {
+			t.Fatalf("%s: what-if: status %d: %s", tc.name, rec.Code, rec.Body.String())
+		}
+		var cr ClassifyResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil {
+			t.Fatal(err)
+		}
+		if !cr.Residual || cr.FellBack != tc.flood {
+			t.Errorf("%s: what-if residual=%v fell_back=%v, want true/%v: %s",
+				tc.name, cr.Residual, cr.FellBack, tc.flood, rec.Body.String())
+		}
+		if cr.PushedNodes == 0 || cr.TouchedEdges == 0 || cr.ClonedRows == 0 {
+			t.Errorf("%s: what-if reported no work: %+v", tc.name, cr)
+		}
+		if cr.Results[0].Label != 1 {
+			t.Errorf("%s: overlaid node label %d, want 1", tc.name, cr.Results[0].Label)
+		}
+		after := scrape(t, srv)
+		if d := after["fg_engine_propagations_total"] - before["fg_engine_propagations_total"]; d != 0 {
+			t.Errorf("%s: what-if counted as %v full propagations", tc.name, d)
+		}
+		for series, want := range map[string]int{
+			"fg_graph_cost_pushes_total":          cr.PushedNodes,
+			"fg_graph_cost_edges_traversed_total": cr.TouchedEdges,
+		} {
+			if d := after[series] - before[series]; d != float64(want) {
+				t.Errorf("%s: %s rose by %v, the reply reports %d", tc.name, series, d, want)
+			}
+		}
+		// Engine state untouched: the same node answers its base label and
+		// the response carries no what-if counters.
+		rec, _ = doJSON(t, srv, "POST", classify, `{"nodes":[10]}`)
+		var base ClassifyResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &base); err != nil {
+			t.Fatal(err)
+		}
+		if base.PushedNodes != 0 || base.ClonedRows != 0 {
+			t.Errorf("%s: plain query reports what-if counters: %+v", tc.name, base)
+		}
 	}
 }
 

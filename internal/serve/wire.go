@@ -168,23 +168,28 @@ func (r *ClassifyRequest) Query() (factorgraph.Query, error) {
 }
 
 // ClassifyResponse is the non-streaming response of POST /v1/classify. The
-// residual fields are present when the query was answered by the
-// residual subsystem; pushed/cloned counts are non-zero for what-if (extra_seeds) queries and
-// report the size of the perturbed frontier.
+// residual fields are present when the query was answered by the residual
+// subsystem; pushed/cloned counts are non-zero for what-if (extra_seeds)
+// queries and report the size of the perturbed frontier.
 type ClassifyResponse struct {
 	Count   int                      `json:"count"`
 	Results []factorgraph.NodeResult `json:"results"`
 	// Residual is true when the answer came from the residual subsystem
-	// (live fixed-point beliefs or a copy-on-write overlay).
+	// (live fixed-point beliefs or a what-if's copy-on-write session).
 	Residual bool `json:"residual,omitempty"`
-	// PushedNodes / TouchedEdges is the push work the overlay performed.
+	// PushedNodes / TouchedEdges is the push work the what-if performed.
 	PushedNodes  int `json:"pushed_nodes,omitempty"`
 	TouchedEdges int `json:"touched_edges,omitempty"`
-	// ClonedRows is how many copy-on-write belief rows the overlay
-	// materialized.
+	// ClonedRows is how many belief rows the what-if's session held
+	// privately: its frontier, or every row once it promoted to a dense
+	// view.
 	ClonedRows int `json:"cloned_rows,omitempty"`
+	// FellBack reports that the what-if spread past the edge budget and
+	// finished with dense sweeps on its private clone, exactly as a label
+	// patch's fell_back does.
+	FellBack bool `json:"fell_back,omitempty"`
 	// Cached is true when the what-if was answered from the engine's
-	// memoized overlay-frontier cache: an identical extra_seeds set was
+	// memoized what-if cache: an identical extra_seeds set was
 	// flushed earlier at the current label generation, so this response
 	// cost no pushing at all. The push/clone counts then describe the
 	// cached flush.
@@ -192,8 +197,8 @@ type ClassifyResponse struct {
 	// Stages is the per-stage time breakdown of how this query was served,
 	// present when the request asked for it with ?debug=1 (non-streaming
 	// only). Stage names name the engine path taken: overlay_cached /
-	// overlay_flush / overlay_reroute for what-if queries, residual_direct
-	// for live fixed-point reads, resolve for snapshot resolution (a full
+	// overlay_flush for what-if queries, residual_direct for live
+	// fixed-point reads, resolve for snapshot resolution (a full
 	// propagation when cold), emit for result formatting.
 	Stages []StageTiming `json:"stages,omitempty"`
 }

@@ -13,7 +13,7 @@ var (
 	engQueries = telemetry.Default().Counter("fg_engine_queries_total",
 		"Classification queries answered.")
 	engPropagations = telemetry.Default().Counter("fg_engine_propagations_total",
-		"Full LinBP solves (residual Inits, what-if fallbacks).")
+		"Full LinBP solves (cold residual initializations; what-ifs never add one).")
 	engEstimations = telemetry.Default().Counter("fg_engine_estimations_total",
 		"Compatibility estimations run.")
 	engLabelPatches = telemetry.Default().Counter("fg_engine_label_patches_total",
