@@ -33,33 +33,36 @@ func FromFree(h []float64, k int) (*dense.Matrix, error) {
 		return nil, fmt.Errorf("core: %d free parameters for k=%d, want %d", len(h), k, NumFree(k))
 	}
 	m := dense.New(k, k)
+	fillFromFree(m, h)
+	return m, nil
+}
+
+// fillFromFree overwrites the k×k matrix m with the H of FromFree; h must
+// hold NumFree(k) parameters.
+func fillFromFree(m *dense.Matrix, h []float64) {
+	k := m.Rows
 	last := k - 1
 	// Free block: rows/cols 0..k−2.
 	for i := 0; i < last; i++ {
 		for j := 0; j <= i; j++ {
 			v := h[freeIndex(i, j)]
-			m.Set(i, j, v)
-			m.Set(j, i, v)
+			m.Data[i*k+j] = v
+			m.Data[j*k+i] = v
 		}
 	}
-	// Last column and row from row-stochasticity, H[i][k−1] = 1 − Σ_{ℓ<k−1} H[i][ℓ].
+	// Last column and row from row-stochasticity, H[i][k−1] = 1 − Σ_{ℓ<k−1} H[i][ℓ];
+	// bottom-right corner, H[k−1][k−1] = 2 − k + Σ_{ℓ,r<k−1} H[ℓ][r].
+	total := 0.0
 	for i := 0; i < last; i++ {
 		s := 0.0
-		for j := 0; j < last; j++ {
-			s += m.At(i, j)
+		for _, v := range m.Data[i*k : i*k+last] {
+			s += v
+			total += v
 		}
-		m.Set(i, last, 1-s)
-		m.Set(last, i, 1-s)
+		m.Data[i*k+last] = 1 - s
+		m.Data[last*k+i] = 1 - s
 	}
-	// Bottom-right corner, H[k−1][k−1] = 2 − k + Σ_{ℓ,r<k−1} H[ℓ][r].
-	s := 0.0
-	for i := 0; i < last; i++ {
-		for j := 0; j < last; j++ {
-			s += m.At(i, j)
-		}
-	}
-	m.Set(last, last, 2-float64(k)+s)
-	return m, nil
+	m.Data[last*k+last] = 2 - float64(k) + total
 }
 
 // ToFree extracts the k* free parameters from a symmetric doubly-stochastic
@@ -100,20 +103,24 @@ func Uniform(k int) *dense.Matrix {
 // treated as independent) through the structure matrix S of Proposition 4.7,
 // yielding the gradient with respect to the k* free parameters.
 func ProjectGradient(g *dense.Matrix) []float64 {
+	return projectGradientInto(make([]float64, NumFree(g.Rows)), g)
+}
+
+// projectGradientInto is ProjectGradient into out, which must hold
+// NumFree(k) entries.
+func projectGradientInto(out []float64, g *dense.Matrix) []float64 {
 	k := g.Rows
 	last := k - 1
-	out := make([]float64, NumFree(k))
+	d := g.Data
+	corner := d[last*k+last]
 	for i := 0; i < last; i++ {
-		for j := 0; j <= i; j++ {
-			if i == j {
-				out[freeIndex(i, j)] = g.At(i, i) - g.At(i, last) - g.At(last, i) + g.At(last, last)
-			} else {
-				out[freeIndex(i, j)] = g.At(i, j) + g.At(j, i) -
-					g.At(i, last) - g.At(last, j) -
-					g.At(j, last) - g.At(last, i) +
-					2*g.At(last, last)
-			}
+		for j := 0; j < i; j++ {
+			out[freeIndex(i, j)] = d[i*k+j] + d[j*k+i] -
+				d[i*k+last] - d[last*k+j] -
+				d[j*k+last] - d[last*k+i] +
+				2*corner
 		}
+		out[freeIndex(i, i)] = d[i*k+i] - d[i*k+last] - d[last*k+i] + corner
 	}
 	return out
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"factorgraph/internal/dense"
 	"factorgraph/internal/optimize"
@@ -21,9 +24,13 @@ type DCEOptions struct {
 	// Seed drives the restart-point sampling.
 	Seed uint64
 	// Solver selects the inner optimizer. The default (SolverLBFGS)
-	// mirrors the paper's quasi-Newton SLSQP; plain gradient descent is
-	// kept for the optimizer ablation — it stalls far from the optimum on
-	// the k* ≥ 20 dimensional energies of k ≥ 7 classes.
+	// mirrors the paper's quasi-Newton SLSQP: L-BFGS with a weak-Wolfe line
+	// search and, unless LBFGS.Memory says otherwise, a correction pair per
+	// free parameter, which converges every restart of a k ≤ 5 energy in
+	// 20–130 iterations. Plain gradient descent is kept for the optimizer
+	// ablation — it stalls far from the optimum on the k* ≥ 20 dimensional
+	// energies of k ≥ 7 classes. Both stop at the floating-point floor of
+	// the energy rather than iterate on steps that no longer change it.
 	Solver Solver
 	// GD configures the gradient-descent solver (SolverGD).
 	GD optimize.GDOptions
@@ -79,7 +86,9 @@ func PathWeights(lambda float64, lmax int) []float64 {
 //
 // over the free parameters of H, with the explicit gradient of
 // Proposition 4.7. The objective runs entirely on the k×k sketches — its
-// cost is independent of the graph size.
+// cost is independent of the graph size. It is immutable once built and may
+// be shared between goroutines; evaluation happens on a DCEEvaluator's
+// scratch.
 type DCEObjective struct {
 	Phats   []*dense.Matrix // P̂⁽ℓ⁾, ℓ = 1..ℓmax
 	Weights []float64       // w_ℓ
@@ -90,8 +99,8 @@ type DCEObjective struct {
 
 // NewDCEObjective builds the objective from summaries and path weights.
 func NewDCEObjective(s *Summaries, weights []float64) (*DCEObjective, error) {
-	if len(weights) > s.LMax {
-		return nil, fmt.Errorf("core: %d weights but only %d summaries", len(weights), s.LMax)
+	if len(weights) == 0 || len(weights) > s.LMax {
+		return nil, fmt.Errorf("core: %d weights for %d summaries", len(weights), s.LMax)
 	}
 	o := &DCEObjective{Phats: s.P[:len(weights)], Weights: weights, K: s.K}
 	o.sym = make([]*dense.Matrix, len(o.Phats))
@@ -101,99 +110,177 @@ func NewDCEObjective(s *Summaries, weights []float64) (*DCEObjective, error) {
 	return o, nil
 }
 
-// Value implements optimize.Objective.
-func (o *DCEObjective) Value(h []float64) float64 {
-	H, err := FromFree(h, o.K)
-	if err != nil {
-		panic(err) // parameter-length mismatch is a programming error
+// Value implements optimize.Objective for one-off evaluations; an optimizer
+// should run on an Evaluator.
+func (o *DCEObjective) Value(h []float64) float64 { return o.Evaluator().Value(h) }
+
+// Grad implements optimize.Objective; see Value.
+func (o *DCEObjective) Grad(h []float64) []float64 { return o.Evaluator().Grad(h) }
+
+// DCEEvaluator evaluates a DCEObjective on fixed scratch: after the first
+// call neither Value nor Grad allocates. It remembers the point of its last
+// evaluation, so the Grad a solver asks for right after the Value of the
+// step it accepted reuses that step's powers of H. An evaluator belongs to
+// one goroutine; Grad returns scratch that the next Grad overwrites.
+type DCEEvaluator struct {
+	o    *DCEObjective
+	at   []float64       // the point pow holds; empty before the first evaluation
+	pow  []*dense.Matrix // pow[ℓ−1] = H^ℓ at the point at
+	adj  *dense.Matrix   // Ȳ_ℓ, the adjoint of H^ℓ
+	prod *dense.Matrix   // destination of the next product
+	full *dense.Matrix   // G = ∂E/∂H, entries treated as independent
+	grad []float64
+}
+
+// Evaluator returns a new evaluator of o.
+func (o *DCEObjective) Evaluator() *DCEEvaluator {
+	e := &DCEEvaluator{
+		o:    o,
+		at:   make([]float64, 0, NumFree(o.K)),
+		pow:  make([]*dense.Matrix, len(o.Weights)),
+		adj:  dense.New(o.K, o.K),
+		prod: dense.New(o.K, o.K),
+		full: dense.New(o.K, o.K),
+		grad: make([]float64, NumFree(o.K)),
 	}
-	powers := dense.Powers(H, len(o.Weights))
-	e := 0.0
-	for l, w := range o.Weights {
-		d := dense.FrobeniusDist(powers[l], o.Phats[l])
-		e += w * d * d
+	for l := range e.pow {
+		e.pow[l] = dense.New(o.K, o.K)
 	}
 	return e
 }
 
-// Grad implements optimize.Objective. The full-matrix gradient
-//
-//	G = Σ_ℓ w_ℓ (2ℓ·H^{2ℓ−1} − Σ_{r=0}^{ℓ−1} H^r (P̂+P̂ᵀ) H^{ℓ−1−r})
-//
-// (Proposition 4.7, exact for arbitrary P̂ via symmetrization) is contracted
-// through the structure matrix S by ProjectGradient.
-func (o *DCEObjective) Grad(h []float64) []float64 {
-	H, err := FromFree(h, o.K)
-	if err != nil {
-		panic(err)
+// powers leaves H¹..H^ℓmax at h in e.pow: ℓmax−1 multiplies, or none when h
+// is the point of the previous evaluation.
+func (e *DCEEvaluator) powers(h []float64) {
+	if len(h) != len(e.grad) {
+		// parameter-length mismatch is a programming error
+		panic(fmt.Sprintf("core: %d free parameters for k=%d, want %d", len(h), e.o.K, len(e.grad)))
 	}
-	lmax := len(o.Weights)
-	// H⁰..H^{2ℓmax−1}
-	powers := make([]*dense.Matrix, 2*lmax)
-	powers[0] = dense.Identity(o.K)
-	for p := 1; p < 2*lmax; p++ {
-		powers[p] = dense.Mul(powers[p-1], H)
+	if slices.Equal(e.at, h) {
+		return
 	}
-	g := dense.New(o.K, o.K)
-	for l1, w := range o.Weights {
-		l := l1 + 1
-		term := dense.Scale(powers[2*l-1], 2*float64(l))
-		for r := 0; r < l; r++ {
-			mid := dense.Mul(dense.Mul(powers[r], o.sym[l1]), powers[l-1-r])
-			dense.AddInPlace(term, dense.Scale(mid, -2))
+	fillFromFree(e.pow[0], h)
+	for l := 1; l < len(e.pow); l++ {
+		dense.MulInto(e.pow[l], e.pow[l-1], e.pow[0])
+	}
+	e.at = append(e.at[:0], h...)
+}
+
+// Value implements optimize.Objective.
+func (e *DCEEvaluator) Value(h []float64) float64 {
+	e.powers(h)
+	v := 0.0
+	for l, w := range e.o.Weights {
+		d := dense.FrobeniusDist(e.pow[l], e.o.Phats[l])
+		v += w * d * d
+	}
+	return v
+}
+
+// Grad implements optimize.Objective. The full-matrix gradient of
+// Proposition 4.7 (exact for arbitrary P̂ via the symmetrized S_ℓ),
+//
+//	G = Σ_ℓ w_ℓ (2ℓ·H^{2ℓ−1} − 2·Σ_{r=0}^{ℓ−1} H^r S_ℓ H^{ℓ−1−r}) = Σ_ℓ Σ_r H^r R_ℓ H^{ℓ−1−r},
+//
+// with R_ℓ = 2w_ℓ(H^ℓ − S_ℓ) the derivative of the ℓ-th term in H^ℓ, is
+// accumulated backwards through the chain H^ℓ = H^{ℓ−1}·H that Value walks
+// forwards:
+//
+//	Ȳ_ℓmax = R_ℓmax,  Ȳ_{ℓ−1} = R_{ℓ−1} + Ȳ_ℓ·H,  G = Ȳ_1 + Σ_{ℓ≥2} H^{ℓ−1}·Ȳ_ℓ
+//
+// — 2(ℓmax−1) multiplies on top of the powers — and contracted through the
+// structure matrix S by ProjectGradient.
+func (e *DCEEvaluator) Grad(h []float64) []float64 {
+	e.powers(h)
+	o := e.o
+	for i := range e.full.Data {
+		e.full.Data[i], e.adj.Data[i] = 0, 0
+	}
+	for l := len(o.Weights); l >= 1; l-- {
+		w2, p, s := 2*o.Weights[l-1], e.pow[l-1].Data, o.sym[l-1].Data
+		for i := range e.adj.Data {
+			e.adj.Data[i] += w2 * (p[i] - s[i])
 		}
-		dense.AddInPlace(g, dense.Scale(term, w))
+		if l == 1 {
+			dense.AddInPlace(e.full, e.adj)
+			break
+		}
+		dense.MulInto(e.prod, e.pow[l-2], e.adj)
+		dense.AddInPlace(e.full, e.prod)
+		dense.MulInto(e.prod, e.adj, e.pow[0])
+		e.adj, e.prod = e.prod, e.adj
 	}
-	return ProjectGradient(g)
+	return projectGradientInto(e.grad, e.full)
+}
+
+// minimizeRestarts minimizes obj from every start, each restart on its own
+// and all of them on min(GOMAXPROCS, len(starts)) workers — the calling
+// goroutine alone when that is one — with one evaluator per worker. The
+// results come back in start order, so nothing depends on scheduling.
+func minimizeRestarts(obj *DCEObjective, starts [][]float64, opts DCEOptions) ([]optimize.Result, error) {
+	results := make([]optimize.Result, len(starts))
+	errs := make([]error, len(starts))
+	var next atomic.Int64
+	work := func() {
+		ev := obj.Evaluator()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(starts) {
+				return
+			}
+			switch opts.Solver {
+			case SolverGD:
+				results[i], errs[i] = optimize.GradientDescent(ev, starts[i], opts.GD)
+			default:
+				results[i], errs[i] = optimize.LBFGS(ev, starts[i], opts.LBFGS)
+			}
+		}
+	}
+	if workers := min(runtime.GOMAXPROCS(0), len(starts)); workers > 1 {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	} else {
+		work()
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: DCE restart %d: %w", i, err)
+		}
+	}
+	return results, nil
 }
 
 // EstimateDCE minimizes the DCE energy from the uniform start (plain DCE)
 // or from multiple hyper-quadrant restarts (DCEr), returning the estimated
-// compatibility matrix with the lowest final energy.
+// compatibility matrix with the lowest final energy (the earliest restart
+// among equals).
 func EstimateDCE(s *Summaries, opts DCEOptions) (*dense.Matrix, error) {
 	opts.defaults()
 	if opts.Lambda < 0 {
 		return nil, fmt.Errorf("core: negative lambda %v", opts.Lambda)
 	}
-	weights := PathWeights(opts.Lambda, s.LMax)
-	obj, err := NewDCEObjective(s, weights)
+	obj, err := NewDCEObjective(s, PathWeights(opts.Lambda, s.LMax))
 	if err != nil {
 		return nil, err
 	}
-	starts := restartPoints(s.K, opts.Restarts, opts.Seed)
-	// Restarts are independent; run them concurrently. The winner is
-	// chosen by (energy, restart index), so results are deterministic
-	// regardless of scheduling.
-	type outcome struct {
-		res optimize.Result
-		err error
+	results, err := minimizeRestarts(obj, restartPoints(s.K, opts.Restarts, opts.Seed), opts)
+	if err != nil {
+		return nil, err
 	}
-	outcomes := make([]outcome, len(starts))
-	var wg sync.WaitGroup
-	for i, x0 := range starts {
-		wg.Add(1)
-		go func(i int, x0 []float64) {
-			defer wg.Done()
-			switch opts.Solver {
-			case SolverGD:
-				outcomes[i].res, outcomes[i].err = optimize.GradientDescent(obj, x0, opts.GD)
-			default:
-				outcomes[i].res, outcomes[i].err = optimize.LBFGS(obj, x0, opts.LBFGS)
-			}
-		}(i, x0)
-	}
-	wg.Wait()
-	bestVal := 0.0
-	var bestX []float64
-	for i, o := range outcomes {
-		if o.err != nil {
-			return nil, fmt.Errorf("core: DCE restart %d: %w", i, o.err)
-		}
-		if bestX == nil || o.res.Value < bestVal {
-			bestVal, bestX = o.res.Value, o.res.X
+	best := results[0]
+	for _, r := range results[1:] {
+		if r.Value < best.Value {
+			best = r
 		}
 	}
-	return FromFree(bestX, s.K)
+	return FromFree(best.X, s.K)
 }
 
 // restartPoints returns r starting vectors in the k*-dimensional parameter

@@ -99,12 +99,6 @@ type Topology interface {
 	Degrees() []float64
 }
 
-func mulDense(w Topology, x *dense.Matrix) *dense.Matrix {
-	out := dense.New(w.Dim(), x.Cols)
-	w.MulDenseInto(out, x)
-	return out
-}
-
 // Summarize computes the graph summaries of Algorithm 4.4 over a CSR; see
 // SummarizeOn for the algorithm.
 func Summarize(w *sparse.CSR, seed []int, k int, opts SummaryOptions) (*Summaries, error) {
@@ -147,14 +141,19 @@ func SummarizeOn(w Topology, seed []int, k int, opts SummaryOptions) (*Summaries
 	if opts.KeepN {
 		s.N = make([]*dense.Matrix, opts.LMax)
 	}
-	var prev, cur *dense.Matrix // N⁽ℓ⁻²⁾, N⁽ℓ⁻¹⁾
+	// N⁽ℓ⁾ needs only N⁽ℓ⁻¹⁾ and N⁽ℓ⁻²⁾ (N⁽⁰⁾ = X), and MulDenseInto
+	// overwrites its output: unless the caller keeps the N⁽ℓ⁾, each one is
+	// written over the matrix that just fell out of the recurrence, X
+	// included, so three n×k matrices serve any ℓmax.
+	var prev, spare *dense.Matrix // N⁽ℓ⁻²⁾; a matrix the recurrence is done with
+	cur := x                      // N⁽ℓ⁻¹⁾
 	for l := 1; l <= opts.LMax; l++ {
-		var next *dense.Matrix
-		switch {
-		case l == 1:
-			next = mulDense(w, x)
-		case l == 2 && opts.NonBacktracking:
-			next = mulDense(w, cur)
+		next := spare
+		if next == nil {
+			next = dense.New(n, k)
+		}
+		w.MulDenseInto(next, cur)
+		if opts.NonBacktracking && l == 2 {
 			// Subtract DX: row i scaled by degree of i.
 			for i := 0; i < n; i++ {
 				if seed[i] == labels.Unlabeled {
@@ -162,8 +161,7 @@ func SummarizeOn(w Topology, seed []int, k int, opts SummaryOptions) (*Summaries
 				}
 				next.Data[i*k+seed[i]] -= deg[i]
 			}
-		case opts.NonBacktracking:
-			next = mulDense(w, cur)
+		} else if opts.NonBacktracking && l > 2 {
 			// Subtract (D−I)·N⁽ℓ⁻²⁾.
 			for i := 0; i < n; i++ {
 				c := deg[i] - 1
@@ -176,13 +174,13 @@ func SummarizeOn(w Topology, seed []int, k int, opts SummaryOptions) (*Summaries
 					nrow[j] -= c * prow[j]
 				}
 			}
-		default:
-			next = mulDense(w, cur)
 		}
-		prev, cur = cur, next
 		if opts.KeepN {
 			s.N[l-1] = next
+		} else {
+			spare = prev
 		}
+		prev, cur = cur, next
 
 		// M⁽ℓ⁾ = XᵀN⁽ℓ⁾: only labeled rows of X contribute.
 		m := dense.New(k, k)

@@ -400,7 +400,7 @@ func Fig6h(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			resOpt, err := optimize.GradientDescent(obj, start, optimize.GDOptions{})
+			resOpt, err := optimize.GradientDescent(obj.Evaluator(), start, optimize.GDOptions{})
 			if err != nil {
 				return nil, err
 			}

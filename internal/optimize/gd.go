@@ -10,7 +10,10 @@ import (
 	"math"
 )
 
-// Objective is a differentiable scalar function of a parameter vector.
+// Objective is a differentiable scalar function of a parameter vector. The
+// slice Grad returns need only stay valid until the next Grad call, so an
+// objective may hand out its own scratch; solvers copy what they keep
+// longer.
 type Objective interface {
 	Value(x []float64) float64
 	Grad(x []float64) []float64
@@ -48,12 +51,19 @@ type Result struct {
 	X          []float64
 	Value      float64
 	Iterations int
-	Converged  bool
+	// Evaluations counts the objective values computed, line-search trials
+	// included: the solver's work in a unit that does not depend on the
+	// clock.
+	Evaluations int
+	Converged   bool
 }
 
 // GradientDescent minimizes obj starting from x0 using steepest descent with
 // Armijo backtracking line search. It is robust on the small (k*≤66
 // dimensional) problems of this codebase and needs no constraint handling.
+// Like LBFGS it stops at the floating-point floor: when the decrease the
+// line search asks for is no longer representable next to f(x), it has
+// converged, whatever GradTol says.
 func GradientDescent(obj Objective, x0 []float64, opts GDOptions) (Result, error) {
 	if len(x0) == 0 {
 		return Result{}, errors.New("optimize: empty starting point")
@@ -61,6 +71,7 @@ func GradientDescent(obj Objective, x0 []float64, opts GDOptions) (Result, error
 	opts.defaults()
 	x := append([]float64(nil), x0...)
 	fx := obj.Value(x)
+	evals := 1
 	if math.IsNaN(fx) || math.IsInf(fx, 0) {
 		return Result{}, errors.New("optimize: objective not finite at start")
 	}
@@ -76,17 +87,24 @@ func GradientDescent(obj Objective, x0 []float64, opts GDOptions) (Result, error
 			gSq += v * v
 		}
 		if gInf < opts.GradTol {
-			return Result{X: x, Value: fx, Iterations: it, Converged: true}, nil
+			return Result{X: x, Value: fx, Iterations: it, Evaluations: evals, Converged: true}, nil
 		}
 		// Backtracking line search along −g.
 		step := opts.StepInit
 		improved := false
 		for ls := 0; ls < 60; ls++ {
+			// Once the sufficient-decrease term underflows against fx, no
+			// step this short can show a representable decrease.
+			need := fx - opts.Armijo*step*gSq
+			if !(need < fx) {
+				break
+			}
 			for i := range x {
 				trial[i] = x[i] - step*g[i]
 			}
 			ft := obj.Value(trial)
-			if ft <= fx-opts.Armijo*step*gSq && !math.IsNaN(ft) {
+			evals++
+			if ft <= need {
 				copy(x, trial)
 				fx = ft
 				improved = true
@@ -97,10 +115,10 @@ func GradientDescent(obj Objective, x0 []float64, opts GDOptions) (Result, error
 		if !improved {
 			// Line search failed: gradient direction yields no decrease at
 			// machine precision — treat as converged.
-			return Result{X: x, Value: fx, Iterations: it, Converged: true}, nil
+			return Result{X: x, Value: fx, Iterations: it, Evaluations: evals, Converged: true}, nil
 		}
 	}
-	return Result{X: x, Value: fx, Iterations: opts.MaxIter, Converged: false}, nil
+	return Result{X: x, Value: fx, Iterations: opts.MaxIter, Evaluations: evals, Converged: false}, nil
 }
 
 // FiniteDiffGrad computes a central-difference gradient of f at x with step

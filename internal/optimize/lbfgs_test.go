@@ -69,6 +69,26 @@ func TestLBFGSQuadraticProperty(t *testing.T) {
 	}
 }
 
+// Along a slope that never flattens no step satisfies the curvature
+// condition; the line search must still move (by the longest step it found
+// decreasing) and the run must end at MaxIter, not report convergence.
+func TestLBFGSUnboundedNonConverged(t *testing.T) {
+	slope := FuncObjective{
+		F: func(x []float64) float64 { return x[0] },
+		G: func(x []float64) []float64 { return []float64{1} },
+	}
+	res, err := LBFGS(slope, []float64{0}, LBFGSOptions{MaxIter: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged || res.Iterations != 3 {
+		t.Errorf("unbounded problem: converged=%v after %d iterations", res.Converged, res.Iterations)
+	}
+	if !(res.Value < -1) || res.Value != res.X[0] {
+		t.Errorf("unbounded problem stopped at f(%v) = %v", res.X, res.Value)
+	}
+}
+
 func TestLBFGSErrors(t *testing.T) {
 	if _, err := LBFGS(quadratic{a: []float64{1}, c: []float64{0}}, nil, LBFGSOptions{}); err == nil {
 		t.Error("expected empty-start error")

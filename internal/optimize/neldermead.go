@@ -59,7 +59,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) (Result
 		sort.Slice(simplex, func(a, b int) bool { return simplex[a].v < simplex[b].v })
 		best, worst := simplex[0], simplex[dim]
 		if math.Abs(worst.v-best.v) < opts.Tol {
-			return Result{X: best.x, Value: best.v, Iterations: it, Converged: true}, nil
+			return Result{X: best.x, Value: best.v, Iterations: it, Evaluations: evals, Converged: true}, nil
 		}
 		// Centroid of all but the worst vertex.
 		for j := range centroid {
@@ -126,5 +126,5 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) (Result
 		}
 	}
 	sort.Slice(simplex, func(a, b int) bool { return simplex[a].v < simplex[b].v })
-	return Result{X: simplex[0].x, Value: simplex[0].v, Iterations: opts.MaxIter, Converged: false}, nil
+	return Result{X: simplex[0].x, Value: simplex[0].v, Iterations: opts.MaxIter, Evaluations: evals, Converged: false}, nil
 }

@@ -172,3 +172,48 @@ func TestNelderMeadMaxIterNonConverged(t *testing.T) {
 		t.Error("unbounded problem reported converged")
 	}
 }
+
+// Regression: next to a minimum value of about 5.6 a decrease below 1e-15
+// is not representable, so descent bottoms out at a gradient near 1e-8 and
+// GradTol = 1e-13 is never met. Both solvers used to "accept" steps that
+// changed nothing there — the sufficient-decrease term underflows against
+// f(x) — and repeat them until MaxIter. Reaching the floor is convergence.
+func TestSolversStopAtFloatingPointFloor(t *testing.T) {
+	obj := FuncObjective{
+		F: func(x []float64) float64 {
+			return 1 + math.Cosh(x[0]-1) + 3*math.Cosh(x[1]+2) + 0.5*math.Cosh(x[0]+x[1])
+		},
+		G: func(x []float64) []float64 {
+			both := 0.5 * math.Sinh(x[0]+x[1])
+			return []float64{math.Sinh(x[0]-1) + both, 3*math.Sinh(x[1]+2) + both}
+		},
+	}
+	x0 := []float64{0, 0}
+	solvers := map[string]func() (Result, error){
+		"GradientDescent": func() (Result, error) {
+			return GradientDescent(obj, x0, GDOptions{MaxIter: 5000, GradTol: 1e-13})
+		},
+		"LBFGS": func() (Result, error) {
+			return LBFGS(obj, x0, LBFGSOptions{MaxIter: 5000, GradTol: 1e-13})
+		},
+	}
+	want := []float64{1.30706563726, -1.89621510382}
+	for name, solve := range solvers {
+		res, err := solve()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Converged || res.Iterations > 500 {
+			t.Errorf("%s: converged=%v after %d iterations, want convergence at the floor", name, res.Converged, res.Iterations)
+		}
+		// The floor costs one line search, not one per remaining iteration.
+		if res.Evaluations <= res.Iterations || res.Evaluations > 4*res.Iterations+60 {
+			t.Errorf("%s: %d evaluations for %d iterations", name, res.Evaluations, res.Iterations)
+		}
+		for i := range want {
+			if math.Abs(res.X[i]-want[i]) > 1e-5 {
+				t.Errorf("%s: x[%d] = %v, want %v", name, i, res.X[i], want[i])
+			}
+		}
+	}
+}
