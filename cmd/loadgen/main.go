@@ -58,7 +58,6 @@ type workload struct {
 	TopK        int     `json:"top_k"`
 	Stream      bool    `json:"stream"`
 	Gzip        bool    `json:"gzip"`
-	Reorder     string  `json:"reorder,omitempty"`
 	PatchFrac   float64 `json:"patch_frac,omitempty"`
 	PatchBatch  int     `json:"patch_batch,omitempty"`
 	MutateFrac  float64 `json:"mutate_frac,omitempty"`
@@ -255,7 +254,6 @@ type params struct {
 	graphsEdges             int
 	keepGraphs              bool
 	graphsAsyncCompact      bool
-	reorder                 string
 	conc, batch, topK       int
 	duration, warmup        time.Duration
 	requests                int64
@@ -290,7 +288,6 @@ func run() error {
 	flag.IntVar(&p.graphsEdges, "graphs-edges", 0, "mixed-tenant: edges per registered graph (0 = 5× nodes)")
 	flag.BoolVar(&p.graphsAsyncCompact, "async-compact", false, "mixed-tenant: register graphs with background topology compaction (epoch swap off the mutation path)")
 	flag.BoolVar(&p.keepGraphs, "keep-graphs", false, "mixed-tenant: leave the registered graphs in place after the run")
-	flag.StringVar(&p.reorder, "reorder", "", "mixed-tenant: locality reordering pass for registered graphs (degree, rcm)")
 	flag.IntVar(&p.conc, "c", 8, "concurrent closed-loop workers")
 	flag.DurationVar(&p.duration, "duration", 10*time.Second, "run length (ignored when -requests > 0)")
 	flag.Int64Var(&p.requests, "requests", 0, "per-run request budget (0 = duration-bound)")
@@ -347,7 +344,7 @@ func execute(ctx context.Context, p params) error {
 		if edges == 0 {
 			edges = 5 * p.graphsNodes
 		}
-		names, err := registerGraphs(ctx, base, p.graphs, p.graphsNodes, edges, p.graphsAsyncCompact, p.reorder, uint64(p.seed))
+		names, err := registerGraphs(ctx, base, p.graphs, p.graphsNodes, edges, p.graphsAsyncCompact, uint64(p.seed))
 		// The cleanup is registered BEFORE the error check: a partial
 		// registration (or a signal mid-burst) must still delete whatever
 		// was admitted. deleteGraphs is idempotent and detached from ctx —
@@ -439,7 +436,7 @@ func execute(ctx context.Context, p params) error {
 
 	wl := workload{
 		Concurrency: p.conc, Batch: p.batch, TopK: p.topK,
-		Stream: p.stream, Gzip: p.gz, Reorder: p.reorder,
+		Stream: p.stream, Gzip: p.gz,
 		PatchFrac: p.patchFrac, PatchBatch: p.patchBatch,
 		MutateFrac: p.mutateFrac, MutateBatch: p.mutateBatch,
 		Repeat:    p.repeat,
@@ -634,7 +631,7 @@ func runOnce(ctx context.Context, cfg config, run int64) (runResult, error) {
 // excludes build cost) and returns the names admitted so far — on error or
 // cancellation the partial list is returned alongside, so the caller's
 // deferred cleanup can release them.
-func registerGraphs(ctx context.Context, base string, count, nodes, edges int, asyncCompact bool, reorder string, seed uint64) ([]string, error) {
+func registerGraphs(ctx context.Context, base string, count, nodes, edges int, asyncCompact bool, seed uint64) ([]string, error) {
 	names := make([]string, 0, count)
 	for i := 0; i < count; i++ {
 		if err := ctx.Err(); err != nil {
@@ -644,7 +641,6 @@ func registerGraphs(ctx context.Context, base string, count, nodes, edges int, a
 		body, err := json.Marshal(map[string]any{
 			"name":          name,
 			"async_compact": asyncCompact,
-			"reorder":       reorder,
 			"warm":          true,
 			"synthetic": map[string]any{
 				"n": nodes, "m": edges, "f": 0.1, "seed": seed + uint64(i),

@@ -16,10 +16,8 @@ import (
 	"factorgraph/internal/delta"
 	"factorgraph/internal/dense"
 	"factorgraph/internal/exec"
-	"factorgraph/internal/graph"
 	"factorgraph/internal/labels"
 	"factorgraph/internal/residual"
-	"factorgraph/internal/sparse"
 	"factorgraph/internal/telemetry"
 )
 
@@ -91,15 +89,6 @@ type Engine struct {
 	topo *delta.Graph
 	rhoW float64
 
-	// perm maps external (wire) node ids to internal CSR rows when the
-	// locality-aware reordering pass is active (EngineOptions.Reorder).
-	// Everything the engine stores — g, seeds, topo, res, snapshots — is
-	// in internal order; external ids are translated exactly once at the
-	// boundaries (query nodes, extra seeds, label patches, edge mutations,
-	// emitted results). nil means identity (no reordering). Guarded by mu:
-	// synchronous compactions swap it together with everything indexed by it.
-	perm *sparse.Perm
-
 	// compacting marks a background compactor building the next epoch
 	// (AsyncCompact engines only); mutations keep landing in fresh
 	// overlays stacked on the frozen epoch meanwhile. Guarded by mu;
@@ -163,14 +152,10 @@ type Engine struct {
 }
 
 // snapshot is an immutable (beliefs, labels) pair; readers that hold a
-// pointer to one can format responses without any lock. perm is the id
-// mapping the rows are ordered by — carried along so a formatter racing a
-// compaction-time reorder still translates with the mapping its rows were
-// built under.
+// pointer to one can format responses without any lock.
 type snapshot struct {
 	beliefs *dense.Matrix
 	labels  []int
-	perm    *sparse.Perm
 }
 
 // EngineOptions configures an Engine. The zero value estimates H with DCEr
@@ -221,15 +206,6 @@ type EngineOptions struct {
 	// build is ready. The contraction guard still compacts synchronously —
 	// convergence is never left to a pending build.
 	AsyncCompact bool
-	// Reorder selects a locality-aware node-reordering pass applied to the
-	// CSR at build time and again at every synchronous compaction: "degree"
-	// sorts rows by descending degree (hub rows become contiguous), "rcm"
-	// runs reverse Cuthill–McKee (bandwidth reduction). "" or "none"
-	// disables. Reordering is invisible on the wire: the engine keeps an
-	// external↔internal id map and every query, patch, mutation and emitted
-	// result uses external ids. Async compactions keep the previous epoch's
-	// ordering (the overlay rebase reuses frozen rows by id).
-	Reorder string
 }
 
 // EngineStats counts the expensive operations an Engine has performed;
@@ -333,10 +309,6 @@ func (o EngineOptions) Validate() error {
 			return fmt.Errorf("factorgraph: %s = %v outside [0,%v) (0 selects the default)", c.name, c.v, c.max)
 		}
 	}
-	if !sparse.KnownReorder(o.Reorder) {
-		return fmt.Errorf("factorgraph: unknown reorder mode %q (want \"\", %q, %q or %q)",
-			o.Reorder, sparse.ReorderNone, sparse.ReorderDegree, sparse.ReorderRCM)
-	}
 	return nil
 }
 
@@ -387,21 +359,7 @@ func newEngine(g *Graph, seeds []int, k int, h *Matrix, method string, opts []En
 	if g.N == 0 {
 		return nil, fmt.Errorf("factorgraph: empty graph")
 	}
-	seedsUse := append([]int(nil), seeds...)
-	var perm *sparse.Perm
-	if newID := sparse.OrderBy(g.Adj, o.Reorder); newID != nil {
-		// Locality pass: permute the CSR — and everything row-indexed by
-		// it — into internal order before any preprocessing touches it.
-		// The caller's graph is left untouched.
-		g = graph.FromCSR(g.Adj.Permute(newID))
-		perm = sparse.NewPerm(newID)
-		ps := make([]int, len(seedsUse))
-		for ext, lab := range seedsUse {
-			ps[newID[ext]] = lab
-		}
-		seedsUse = ps
-	}
-	e := &Engine{g: g, k: k, seeds: seedsUse, perm: perm, eopts: o}
+	e := &Engine{g: g, k: k, seeds: append([]int(nil), seeds...), eopts: o}
 	e.compactCond = sync.NewCond(&e.mu)
 	e.nLabeled = labels.NumLabeled(e.seeds)
 	for node, c := range seeds {
@@ -628,20 +586,11 @@ func (e *Engine) Estimate() *Estimate {
 	return e.est
 }
 
-// Seeds returns a copy of the current seed labels, indexed by external
-// node id (the internal storage order is translated back when the
-// locality reordering pass is active).
+// Seeds returns a copy of the current seed labels, indexed by node id.
 func (e *Engine) Seeds() []int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.perm == nil {
-		return append([]int(nil), e.seeds...)
-	}
-	out := make([]int, len(e.seeds))
-	for ext := range out {
-		out[ext] = e.seeds[e.perm.ToInternal(ext)]
-	}
-	return out
+	return append([]int(nil), e.seeds...)
 }
 
 // LabeledCount returns the number of labeled seeds without copying the
@@ -888,9 +837,8 @@ func (e *Engine) currentSnapshot(tr *telemetry.Trace) (*snapshot, error) {
 			// under the read lock so no patch can mutate rows mid-copy.
 			b := e.res.Beliefs().Clone()
 			gen := e.gen
-			perm := e.perm
 			e.mu.RUnlock()
-			snap := &snapshot{beliefs: b, labels: dense.ArgmaxRows(b), perm: perm}
+			snap := &snapshot{beliefs: b, labels: dense.ArgmaxRows(b)}
 			e.mu.Lock()
 			if e.gen == gen && !e.closed {
 				e.snap = snap
@@ -1040,7 +988,7 @@ func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResu
 		return QueryMeta{}, err
 	}
 	doneEmit := tr.Start("emit")
-	err = e.formatEach(q, snap.beliefs, snap.labels, snap.perm, fn)
+	err = e.formatEach(q, snap.beliefs, snap.labels, fn)
 	doneEmit()
 	return QueryMeta{}, err
 }
@@ -1078,12 +1026,11 @@ func (e *Engine) residualDirect(q Query, tr *telemetry.Trace, fn func(NodeResult
 		return QueryMeta{}, false, nil
 	}
 	// Copy the queried rows out under the lock; formatting (and fn, which
-	// may write to a network) runs outside it. Node ids translate to
-	// internal rows under the same lock that freezes the mapping.
+	// may write to a network) runs outside it.
 	rows := make([][]float64, len(q.Nodes))
 	labs := make([]int, len(q.Nodes))
 	for i, node := range q.Nodes {
-		row := e.res.Row(e.perm.ToInternal(node))
+		row := e.res.Row(node)
 		labs[i] = argmaxRow(row)
 		if topk > 0 {
 			rows[i] = append([]float64(nil), row...)
@@ -1173,9 +1120,8 @@ func (e *Engine) overlayResidual(q Query, tr *telemetry.Trace, fn func(NodeResul
 			// The delta is taken against the X̃ the base holds, not e.seeds:
 			// between a label patch's seed install and its Apply the seeds
 			// are one patch ahead of the beliefs this session reads.
-			in := e.perm.ToInternal(node)
-			if d := seedDelta(e.k, seedOf(res.XRow(in)), c); d != nil {
-				session.AddDelta(in, d)
+			if d := seedDelta(e.k, seedOf(res.XRow(node)), c); d != nil {
+				session.AddDelta(node, d)
 			}
 		}
 		st := e.flushSession(session)
@@ -1196,8 +1142,7 @@ func (e *Engine) overlayResidual(q Query, tr *telemetry.Trace, fn func(NodeResul
 		}
 	}
 	// Materialize the answer under the read lock (session rows alias the
-	// base, and the id mapping is frozen while we hold it), then emit
-	// outside it. Session rows and the cache are keyed by internal ids.
+	// base), then emit outside it.
 	n := len(q.Nodes)
 	if q.Nodes == nil {
 		n = liveN
@@ -1209,7 +1154,7 @@ func (e *Engine) overlayResidual(q Query, tr *telemetry.Trace, fn func(NodeResul
 		if q.Nodes != nil {
 			node = q.Nodes[i]
 		}
-		row := sessionRow(e.perm.ToInternal(node))
+		row := sessionRow(node)
 		labs[i] = argmaxRow(row)
 		if topk > 0 {
 			rows[i] = append([]float64(nil), row...)
@@ -1273,9 +1218,7 @@ func argmaxRow(row []float64) int {
 // formatEach renders the query response record by record. All queried
 // nodes are range-checked before the first fn call so callers streaming
 // over a network never emit a partial response for an invalid request.
-// perm is the row ordering of beliefs/lab (nil = identity): emitted node
-// ids stay external, belief rows are looked up by internal id.
-func (e *Engine) formatEach(q Query, beliefs *dense.Matrix, lab []int, perm *sparse.Perm, fn func(NodeResult) error) error {
+func (e *Engine) formatEach(q Query, beliefs *dense.Matrix, lab []int, fn func(NodeResult) error) error {
 	// Bound by the belief matrix actually answering the query: a node
 	// added after the snapshot was cut is out of range for THIS response.
 	for _, node := range q.Nodes {
@@ -1296,12 +1239,11 @@ func (e *Engine) formatEach(q Query, beliefs *dense.Matrix, lab []int, perm *spa
 		if q.Nodes != nil {
 			node = q.Nodes[i]
 		}
-		in := perm.ToInternal(node)
 		var row []float64
 		if topk > 0 {
-			row = beliefs.Row(in)
+			row = beliefs.Row(node)
 		}
-		if err := e.emitResult(node, row, lab[in], topk, fn); err != nil {
+		if err := e.emitResult(node, row, lab[node], topk, fn); err != nil {
 			return err
 		}
 	}
@@ -1456,14 +1398,11 @@ func (e *Engine) updateLabelsMeta(set map[int]int, remove []int, tr *telemetry.T
 		patch = res.BeginPatch()
 		patch.Trace = tr
 	}
-	// External ids translate to internal rows under the write lock that
-	// freezes the mapping; seeds and the residual state are both in
-	// internal order.
 	for node, c := range set {
-		e.setSeedLocked(e.perm.ToInternal(node), c, patch)
+		e.setSeedLocked(node, c, patch)
 	}
 	for _, node := range remove {
-		e.setSeedLocked(e.perm.ToInternal(node), Unlabeled, patch)
+		e.setSeedLocked(node, Unlabeled, patch)
 	}
 	e.snap = nil
 	e.gen++
@@ -1529,8 +1468,7 @@ func (e *Engine) commitSession(res *residual.State, p *residual.Patch) {
 	}
 }
 
-// setSeedLocked installs seed class c on a node given by INTERNAL row id
-// (callers translate external ids first).
+// setSeedLocked installs seed class c on node.
 func (e *Engine) setSeedLocked(node, c int, patch *residual.Patch) {
 	old := e.seeds[node]
 	if old == Unlabeled && c != Unlabeled {

@@ -13,7 +13,7 @@ import (
 
 // denseReference is the tests' cold reference: the one-shot dense
 // propagation.LinBP over g with the given seeds and H, as belief rows by
-// (external) node id. 60 iterations at s = 0.5 put it ~1e-18 from the fixed
+// node id. 60 iterations at s = 0.5 put it ~1e-18 from the fixed
 // point the Engine serves, far inside the 1e-6 agreement budget. It shares
 // no code with the Engine's residual path — an independent reference, not
 // a second Engine.
@@ -63,7 +63,7 @@ func whatIfBeliefs(t *testing.T, e *Engine, extra map[int]int) (map[int][]float6
 }
 
 // TestEngineOptionMatrix: no option rejects another, and every combination
-// serves the same beliefs. Each of the 12 engines must construct, then
+// serves the same beliefs. Each of the 4 engines must construct, then
 // survive label patch → edge mutation (with a node addition) → forced
 // compaction → what-if → ReleaseTransient → classify, with the what-if and
 // the final beliefs within 1e-6 of the dense reference on the test's own
@@ -76,112 +76,110 @@ func TestEngineOptionMatrix(t *testing.T) {
 	}
 	h := est.H
 	for _, async := range []bool{false, true} {
-		for _, reorder := range []string{"", "degree", "rcm"} {
-			for _, frac := range []float64{0, 0.05} {
-				opts := EngineOptions{AsyncCompact: async, Reorder: reorder, CompactFraction: frac}
-				t.Run(fmt.Sprintf("async=%v/reorder=%q/frac=%v", async, reorder, frac), func(t *testing.T) {
-					g, seeds, _ := engineFixture(t, 600, 3000, 0.1)
-					eng, err := NewEngineWithH(g, seeds, 3, h, "pinned", opts)
-					if err != nil {
-						t.Fatalf("options %+v rejected: %v", opts, err)
-					}
-					if _, err := eng.Classify(Query{Nodes: []int{0}}); err != nil {
-						t.Fatal(err) // warm: the one full solve
-					}
-					rng := rand.New(rand.NewSource(41))
-					model := append([]int(nil), seeds...)
-					edges := edgeSetOf(g)
-					n := g.N
+		for _, frac := range []float64{0, 0.05} {
+			opts := EngineOptions{AsyncCompact: async, CompactFraction: frac}
+			t.Run(fmt.Sprintf("async=%v/frac=%v", async, frac), func(t *testing.T) {
+				g, seeds, _ := engineFixture(t, 600, 3000, 0.1)
+				eng, err := NewEngineWithH(g, seeds, 3, h, "pinned", opts)
+				if err != nil {
+					t.Fatalf("options %+v rejected: %v", opts, err)
+				}
+				if _, err := eng.Classify(Query{Nodes: []int{0}}); err != nil {
+					t.Fatal(err) // warm: the one full solve
+				}
+				rng := rand.New(rand.NewSource(41))
+				model := append([]int(nil), seeds...)
+				edges := edgeSetOf(g)
+				n := g.N
 
-					// Label patch: two sets, one removal of a labeled seed.
-					labeled := -1
-					for i, c := range model {
-						if c != Unlabeled {
-							labeled = i
-							break
-						}
+				// Label patch: two sets, one removal of a labeled seed.
+				labeled := -1
+				for i, c := range model {
+					if c != Unlabeled {
+						labeled = i
+						break
 					}
-					set := map[int]int{17: 1, 301: 2}
-					if err := eng.UpdateLabels(set, []int{labeled}); err != nil {
-						t.Fatal(err)
-					}
-					for node, c := range set {
-						model[node] = c
-					}
-					model[labeled] = Unlabeled
+				}
+				set := map[int]int{17: 1, 301: 2}
+				if err := eng.UpdateLabels(set, []int{labeled}); err != nil {
+					t.Fatal(err)
+				}
+				for node, c := range set {
+					model[node] = c
+				}
+				model[labeled] = Unlabeled
 
-					// Edge mutation: one new node wired in, ~150 fresh edges
-					// (past frac=0.05's trigger, short of the default's) and
-					// 20 removals.
-					muts := []EdgeMutation{{U: n, V: 5}}
-					edges[[2]int32{5, int32(n)}] = true
-					n++
-					model = append(model, Unlabeled)
-					for i := 0; i < 150; i++ {
-						u, v := rng.Intn(n), rng.Intn(n)
-						a, b := int32(u), int32(v)
-						if a > b {
-							a, b = b, a
-						}
-						if u == v || edges[[2]int32{a, b}] {
-							continue
-						}
-						muts = append(muts, EdgeMutation{U: u, V: v})
-						edges[[2]int32{a, b}] = true
+				// Edge mutation: one new node wired in, ~150 fresh edges
+				// (past frac=0.05's trigger, short of the default's) and
+				// 20 removals.
+				muts := []EdgeMutation{{U: n, V: 5}}
+				edges[[2]int32{5, int32(n)}] = true
+				n++
+				model = append(model, Unlabeled)
+				for i := 0; i < 150; i++ {
+					u, v := rng.Intn(n), rng.Intn(n)
+					a, b := int32(u), int32(v)
+					if a > b {
+						a, b = b, a
 					}
-					for i := 0; i < 20; i++ {
-						u := rng.Intn(g.N)
-						cols, _ := g.Adj.Row(u)
-						if len(cols) == 0 {
-							continue
-						}
-						e := [2]int32{int32(u), cols[0]}
-						if e[0] > e[1] {
-							e[0], e[1] = e[1], e[0]
-						}
-						if !edges[e] {
-							continue // already removed from the other endpoint
-						}
-						muts = append(muts, EdgeMutation{U: u, V: int(cols[0]), Remove: true})
-						delete(edges, e)
+					if u == v || edges[[2]int32{a, b}] {
+						continue
 					}
-					if _, err := eng.MutateTopology(1, muts); err != nil {
-						t.Fatal(err)
+					muts = append(muts, EdgeMutation{U: u, V: v})
+					edges[[2]int32{a, b}] = true
+				}
+				for i := 0; i < 20; i++ {
+					u := rng.Intn(g.N)
+					cols, _ := g.Adj.Row(u)
+					if len(cols) == 0 {
+						continue
 					}
+					e := [2]int32{int32(u), cols[0]}
+					if e[0] > e[1] {
+						e[0], e[1] = e[1], e[0]
+					}
+					if !edges[e] {
+						continue // already removed from the other endpoint
+					}
+					muts = append(muts, EdgeMutation{U: u, V: int(cols[0]), Remove: true})
+					delete(edges, e)
+				}
+				if _, err := eng.MutateTopology(1, muts); err != nil {
+					t.Fatal(err)
+				}
 
-					// Forced compaction, after draining any background build
-					// the batch started.
-					eng.WaitCompaction()
-					if _, err := eng.CompactTopology(); err != nil {
-						t.Fatal(err)
-					}
-					eng.WaitCompaction()
-					if ts := eng.TopoStats(); ts.OverlayFraction != 0 || ts.Nodes != n || ts.Edges != len(edges) {
-						t.Fatalf("after compaction: %+v, want clean overlay over (%d, %d)", ts, n, len(edges))
-					}
+				// Forced compaction, after draining any background build
+				// the batch started.
+				eng.WaitCompaction()
+				if _, err := eng.CompactTopology(); err != nil {
+					t.Fatal(err)
+				}
+				eng.WaitCompaction()
+				if ts := eng.TopoStats(); ts.OverlayFraction != 0 || ts.Nodes != n || ts.Edges != len(edges) {
+					t.Fatalf("after compaction: %+v, want clean overlay over (%d, %d)", ts, n, len(edges))
+				}
 
-					gf, err := graph.New(n, edgeList(edges), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					extra := map[int]int{n - 1: 1, 17: Unlabeled}
-					got, _ := whatIfBeliefs(t, eng, extra)
-					if d := maxBeliefDiff(got, denseReference(t, gf, withExtraSeeds(model, extra), h)); d > 1e-6 {
-						t.Errorf("what-if beliefs differ from the dense reference by %g", d)
-					}
+				gf, err := graph.New(n, edgeList(edges), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				extra := map[int]int{n - 1: 1, 17: Unlabeled}
+				got, _ := whatIfBeliefs(t, eng, extra)
+				if d := maxBeliefDiff(got, denseReference(t, gf, withExtraSeeds(model, extra), h)); d > 1e-6 {
+					t.Errorf("what-if beliefs differ from the dense reference by %g", d)
+				}
 
-					eng.ReleaseTransient()
-					if d := maxBeliefDiff(beliefsOf(t, eng), denseReference(t, gf, model, h)); d > 1e-6 {
-						t.Errorf("beliefs after release differ from the dense reference by %g", d)
+				eng.ReleaseTransient()
+				if d := maxBeliefDiff(beliefsOf(t, eng), denseReference(t, gf, model, h)); d > 1e-6 {
+					t.Errorf("beliefs after release differ from the dense reference by %g", d)
+				}
+				gotSeeds := eng.Seeds()
+				for i, want := range model {
+					if gotSeeds[i] != want {
+						t.Fatalf("Seeds()[%d] = %d, want %d", i, gotSeeds[i], want)
 					}
-					gotSeeds := eng.Seeds()
-					for i, want := range model {
-						if gotSeeds[i] != want {
-							t.Fatalf("Seeds()[%d] = %d, want %d", i, gotSeeds[i], want)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -210,7 +208,6 @@ func TestEngineOptionsValidation(t *testing.T) {
 		"CompactFraction -Inf":    {CompactFraction: -inf},
 		"CompactFraction ≥ 1":     {CompactFraction: 1.5},
 		"CompactFraction < 0":     {CompactFraction: -0.1},
-		"unknown reorder":         {Reorder: "zorder"},
 	}
 	for name, o := range bad {
 		if _, err := NewEngine(g, seeds, 3, o); err == nil {

@@ -160,7 +160,7 @@ func (e *Engine) mutateTopology(addNodes int, muts []EdgeMutation, tr *telemetry
 			if w == 0 {
 				w = 1
 			}
-			if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			if !graph.ValidWeight(w) {
 				e.mu.Unlock()
 				return MutateMeta{}, fmt.Errorf("factorgraph: invalid edge weight %v on (%d,%d)", m.W, m.U, m.V)
 			}
@@ -169,20 +169,12 @@ func (e *Engine) mutateTopology(addNodes int, muts []EdgeMutation, tr *telemetry
 	next := e.topo.Clone()
 	if addNodes > 0 {
 		next.AddNodes(addNodes)
-		e.growLocked(n)
-		meta.AddedNodes = addNodes
-	}
-	if e.perm != nil {
-		// Translate endpoints to internal rows once, after the grown perm
-		// identity-extends over the added nodes. The caller's slice is not
-		// mutated.
-		tmuts := make([]EdgeMutation, len(muts))
-		copy(tmuts, muts)
-		for i := range tmuts {
-			tmuts[i].U = e.perm.ToInternal(tmuts[i].U)
-			tmuts[i].V = e.perm.ToInternal(tmuts[i].V)
+		// Appended ids start Unlabeled; the residual state grows below,
+		// ordered against SetAdj.
+		for len(e.seeds) < n {
+			e.seeds = append(e.seeds, Unlabeled)
 		}
-		muts = tmuts
+		meta.AddedNodes = addNodes
 	}
 	res := e.res
 	var patch *residual.Patch
@@ -372,19 +364,6 @@ func (e *Engine) contractionGuardTrippedLocked(t *delta.Graph) bool {
 	return e.eopts.S*(1+bound/e.rhoW) > contractionGuard
 }
 
-// growLocked extends the engine's per-node state to n nodes (appended ids,
-// Unlabeled). Callers hold e.mu; the residual state grows separately (the
-// caller orders it against SetAdj).
-func (e *Engine) growLocked(n int) {
-	for len(e.seeds) < n {
-		e.seeds = append(e.seeds, Unlabeled)
-	}
-	if e.perm != nil {
-		// Added nodes map identically until the next reordering compaction.
-		e.perm = e.perm.Grown(n)
-	}
-}
-
 // fillTopoDims stamps the live dimensions and overlay fraction on meta.
 func (e *Engine) fillTopoDims(meta *MutateMeta) {
 	ts := e.TopoStats()
@@ -449,13 +428,9 @@ func (e *Engine) compactNow() (compacted, rescaled bool, err error) {
 		return false, false, nil
 	}
 	start := telemetry.Now()
-	// Only the synchronous path reorders: the compaction is built from the
-	// live (frozen-by-patchMu) overlay, so the install below composes the
-	// id map atomically with the epoch swap. Async builds keep the previous
-	// ordering (Rebase reuses frozen rows keyed by node id).
-	csr, order := topo.CompactOrdered(e.eopts.Reorder)
+	csr := topo.Compact()
 	rhoNew := csr.SpectralRadiusCached(spectralIters)
-	installed, rescaled := e.installEpoch(topo, csr, rhoNew, order)
+	installed, rescaled := e.installEpoch(topo, csr, rhoNew)
 	if !installed {
 		// patchMu (held by the caller) excludes every other epoch producer,
 		// so a refused install means the engine closed mid-build.
@@ -479,14 +454,7 @@ func (e *Engine) compactNow() (compacted, rescaled bool, err error) {
 // an empty overlay. Returns installed=false when the engine closed or a
 // competing compaction already replaced the base epoch (the caller's
 // build is stale and simply discarded). The caller must hold patchMu.
-//
-// order, when non-nil, is the reordering the caller already applied to csr
-// (newID[old] = new, over the pre-compaction internal space): the id map,
-// the seed vector and the residual state are permuted to match under the
-// same write lock, so readers never observe mixed orderings.
-// Only synchronous compactions pass it — the rebase of an async build
-// reuses frozen rows keyed by node id, which a renumbering would break.
-func (e *Engine) installEpoch(frozen *delta.Graph, csr *sparse.CSR, rhoNew float64, order []int32) (installed, rescaled bool) {
+func (e *Engine) installEpoch(frozen *delta.Graph, csr *sparse.CSR, rhoNew float64) (installed, rescaled bool) {
 	newGraph := graph.FromCSR(csr)
 	e.mu.Lock()
 	if e.closed || e.topo == nil || e.topo.Base() != frozen.Base() {
@@ -506,19 +474,6 @@ func (e *Engine) installEpoch(frozen *delta.Graph, csr *sparse.CSR, rhoNew float
 	e.gen++
 	e.nCompactions.Add(1)
 	res := e.res
-	if order != nil {
-		e.perm = e.perm.ComposedWith(order)
-		ns := make([]int, len(e.seeds))
-		for old, lab := range e.seeds {
-			ns[order[old]] = lab
-		}
-		e.seeds = ns
-		if res != nil {
-			// Carry the resident fixed point across the renumbering instead
-			// of dropping it; SetAdj below swaps in the permuted epoch.
-			res.Permute(order)
-		}
-	}
 	if res != nil {
 		switch {
 		case rhoNew == rhoOld:
@@ -583,9 +538,8 @@ func (e *Engine) runAsyncCompact(frozen *delta.Graph) {
 	start := telemetry.Now()
 	csr := frozen.Compact()
 	rhoNew := csr.SpectralRadiusCached(spectralIters)
-	// No reordering off-thread: the rebase needs stable node ids.
 	e.patchMu.Lock()
-	installed, _ := e.installEpoch(frozen, csr, rhoNew, nil)
+	installed, _ := e.installEpoch(frozen, csr, rhoNew)
 	e.patchMu.Unlock()
 	if installed {
 		e.nAsyncCompactions.Add(1)

@@ -282,8 +282,10 @@ func TestEngineMutateValidation(t *testing.T) {
 	if _, err := inc.MutateTopology(0, []EdgeMutation{{U: 0, V: 1, W: -2}}); err == nil {
 		t.Error("negative weight accepted")
 	}
-	if _, err := inc.MutateTopology(0, []EdgeMutation{{U: 0, V: 1, W: math.NaN()}}); err == nil {
-		t.Error("NaN weight accepted")
+	for _, w := range []float64{math.NaN(), math.Inf(1), 10 * graph.MaxWeight} {
+		if _, err := inc.MutateTopology(0, []EdgeMutation{{U: 0, V: 1, W: w}}); err == nil {
+			t.Errorf("weight %v accepted", w)
+		}
 	}
 	// Removing an absent edge is a replayable no-op, not an error.
 	meta, err := inc.MutateTopology(0, []EdgeMutation{{U: 0, V: 1, Remove: true}, {U: 0, V: 1, Remove: true}})
@@ -302,7 +304,10 @@ func TestEngineMutateValidation(t *testing.T) {
 // TestEngineMutateConcurrent hammers an incremental engine with parallel
 // classify/what-if readers, label patches and topology mutations — and a
 // Graph() reader, which races the epoch swap of every compaction. Run with
-// -race: this is the mutation subsystem's race-cleanliness test.
+// -race: this is the mutation subsystem's race-cleanliness test. Every
+// result must carry the node id it was asked for, and after quiescence
+// Seeds() and the beliefs must match the test's own model of the final
+// state (≤1e-6 of a cold build of the final edge set).
 func TestEngineMutateConcurrent(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 1000, 8000, 0.1)
 	eng, err := NewEngine(g, seeds, 3, EngineOptions{CompactFraction: 0.02})
@@ -324,15 +329,28 @@ func TestEngineMutateConcurrent(t *testing.T) {
 				if i%5 == 0 {
 					q.ExtraSeeds = map[int]int{(r + i) % g.N: i % 3}
 				}
-				if _, err := eng.Classify(q); err != nil {
+				res, err := eng.Classify(q)
+				if err != nil {
 					errc <- err
 					return
+				}
+				if len(res) != 1 || res[0].Node != q.Nodes[0] {
+					t.Errorf("query for node %d answered %+v", q.Nodes[0], res)
+					return
+				}
+				for _, cs := range res[0].Top {
+					if math.IsNaN(cs.Score) || math.IsInf(cs.Score, 0) {
+						t.Errorf("node %d: non-finite score %v", res[0].Node, cs.Score)
+						return
+					}
 				}
 			}
 		}(r)
 	}
 	// Topology mutator: adds + removes, crossing the tiny compaction
-	// threshold repeatedly so swaps run under live read traffic.
+	// threshold repeatedly so swaps run under live read traffic, plus a
+	// forced compaction every tenth batch.
+	edges := edgeSetOf(g)
 	mutated := make(chan struct{})
 	wg.Add(1)
 	go func() {
@@ -344,12 +362,24 @@ func TestEngineMutateConcurrent(t *testing.T) {
 			if u == v {
 				v = (v + 1) % g.N
 			}
+			key := [2]int32{int32(u), int32(v)}
+			if u > v {
+				key = [2]int32{int32(v), int32(u)}
+			}
 			if _, err := eng.MutateTopology(0, []EdgeMutation{{U: u, V: v}}); err != nil {
 				errc <- err
 				return
 			}
+			edges[key] = true
 			if i%4 == 0 {
 				if _, err := eng.MutateTopology(0, []EdgeMutation{{U: u, V: v, Remove: true}}); err != nil {
+					errc <- err
+					return
+				}
+				delete(edges, key)
+			}
+			if i%10 == 9 {
+				if _, err := eng.CompactTopology(); err != nil {
 					errc <- err
 					return
 				}
@@ -357,6 +387,7 @@ func TestEngineMutateConcurrent(t *testing.T) {
 		}
 	}()
 	// Label mutator.
+	model := append([]int(nil), seeds...)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -366,6 +397,7 @@ func TestEngineMutateConcurrent(t *testing.T) {
 				errc <- err
 				return
 			}
+			model[node] = i % 3
 		}
 	}()
 	// Footprint/stat readers (registry release path).
@@ -401,6 +433,25 @@ func TestEngineMutateConcurrent(t *testing.T) {
 	}
 	if st := eng.Stats(); st.EdgeMutations == 0 {
 		t.Error("no edge mutations recorded")
+	}
+	if t.Failed() {
+		return
+	}
+	if _, err := eng.CompactTopology(); err != nil {
+		t.Fatal(err)
+	}
+	got := eng.Seeds()
+	for i, want := range model {
+		if got[i] != want {
+			t.Fatalf("Seeds()[%d] = %d, want %d", i, got[i], want)
+		}
+	}
+	gf, err := graph.New(g.N, edgeList(edges), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := maxBeliefDiff(beliefsOf(t, eng), denseReference(t, gf, model, eng.Estimate().H)); d > 1e-6 {
+		t.Errorf("post-churn beliefs differ from a cold build of the final state by %g", d)
 	}
 }
 

@@ -394,30 +394,6 @@ func (g *Graph) Compact() *sparse.CSR {
 	return out
 }
 
-// CompactOrdered is Compact followed by the locality-aware node-reordering
-// pass: the merged CSR is relabeled by mode ("degree" or "rcm", see
-// sparse.OrderBy) so that hot rows and near neighbors share cache lines in
-// every subsequent kernel scan. It returns the permuted canonical CSR and
-// the scatter map newID (newID[old] = new row), or (Compact(), nil) when
-// the mode is the identity. The permuted matrix is bit-identical to a cold
-// ordered build of the same edge set; the caller owns translating ids at
-// its boundaries (the engine composes newID into its sparse.Perm) and must
-// renumber any node-indexed state it carries across the epoch swap.
-//
-// Only the synchronous compaction path reorders: Rebase's row reuse is
-// keyed by node id and pointer equality against the frozen epoch, which a
-// renumbering would break — an asynchronously compacted epoch therefore
-// keeps the ordering of its predecessor (established at build or at the
-// last synchronous compaction).
-func (g *Graph) CompactOrdered(mode string) (*sparse.CSR, []int32) {
-	csr := g.Compact()
-	newID := sparse.OrderBy(csr, mode)
-	if newID == nil {
-		return csr, nil
-	}
-	return csr.Permute(newID), newID
-}
-
 // Compacted returns the successor epoch of a compaction: a fresh Graph
 // over base (normally the CSR Compact just produced) with an empty
 // overlay, carrying the cumulative mutation counters. The receiver is not

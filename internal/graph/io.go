@@ -63,12 +63,34 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
+// MaxWeight is the largest edge weight any loader or mutation accepts. With
+// at most 2³¹ stored entries it keeps (Σw)⁵·n below MaxFloat64, so neither
+// the norm behind ρ(W) nor a path sketch of length ≤ 5 can overflow.
+const MaxWeight = 1e30
+
+// ValidWeight is the one rule for an edge weight arriving from outside the
+// program: finite, non-negative and at most MaxWeight. Written so NaN fails
+// too: every comparison against NaN is false.
+func ValidWeight(w float64) bool { return w >= 0 && w <= MaxWeight }
+
 // ReadEdgeList parses a TSV/whitespace edge list. Lines starting with '#'
-// and blank lines are skipped. Node ids must be non-negative; n is inferred
-// as max id + 1 unless minN is larger.
+// and blank lines are skipped. Node ids must be non-negative and weights
+// must satisfy ValidWeight; n is inferred as max id + 1 unless minN is
+// larger.
 func ReadEdgeList(r io.Reader, minN int) (*Graph, error) {
-	var edges [][2]int32
-	var weights []float64
+	edges, weights, n, err := scanEdgeList(r)
+	if err != nil {
+		return nil, err
+	}
+	if minN > n {
+		n = minN
+	}
+	return New(n, edges, weights)
+}
+
+// scanEdgeList parses an edge list into New's arguments without building
+// anything n-sized: n is max id + 1, weights is nil for an unweighted list.
+func scanEdgeList(r io.Reader) (edges [][2]int32, weights []float64, n int, err error) {
 	weighted := false
 	maxID := int32(-1)
 	sc := bufio.NewScanner(r)
@@ -82,24 +104,27 @@ func ReadEdgeList(r io.Reader, minN int) (*Graph, error) {
 		}
 		fields := strings.Fields(line)
 		if len(fields) < 2 || len(fields) > 3 {
-			return nil, fmt.Errorf("graph: line %d: want 2 or 3 fields, got %d", lineNo, len(fields))
+			return nil, nil, 0, fmt.Errorf("graph: line %d: want 2 or 3 fields, got %d", lineNo, len(fields))
 		}
 		u, err := strconv.ParseInt(fields[0], 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad node id %q: %w", lineNo, fields[0], err)
+			return nil, nil, 0, fmt.Errorf("graph: line %d: bad node id %q: %w", lineNo, fields[0], err)
 		}
 		v, err := strconv.ParseInt(fields[1], 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad node id %q: %w", lineNo, fields[1], err)
+			return nil, nil, 0, fmt.Errorf("graph: line %d: bad node id %q: %w", lineNo, fields[1], err)
 		}
 		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative node id", lineNo)
+			return nil, nil, 0, fmt.Errorf("graph: line %d: negative node id", lineNo)
 		}
 		wt := 1.0
 		if len(fields) == 3 {
 			wt, err = strconv.ParseFloat(fields[2], 64)
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad weight %q: %w", lineNo, fields[2], err)
+				return nil, nil, 0, fmt.Errorf("graph: line %d: bad weight %q: %w", lineNo, fields[2], err)
+			}
+			if !ValidWeight(wt) {
+				return nil, nil, 0, fmt.Errorf("graph: line %d: invalid edge weight %v (want a finite value in [0, %g])", lineNo, wt, MaxWeight)
 			}
 			weighted = true
 		}
@@ -113,16 +138,12 @@ func ReadEdgeList(r io.Reader, minN int) (*Graph, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: reading edge list: %w", err)
-	}
-	n := int(maxID) + 1
-	if minN > n {
-		n = minN
+		return nil, nil, 0, fmt.Errorf("graph: reading edge list: %w", err)
 	}
 	if !weighted {
 		weights = nil
 	}
-	return New(n, edges, weights)
+	return edges, weights, int(maxID) + 1, nil
 }
 
 // WriteLabels writes node labels as "node\tlabel" lines, skipping

@@ -276,45 +276,6 @@ func (s *State) SetAdj(w exec.RowIterator) {
 	s.resetEdgeBudget()
 }
 
-// Permute renumbers every node-indexed structure of the state by
-// newID[old] = new — the locality-aware compaction path re-orders the
-// graph at an epoch swap and carries the resident solver state across
-// instead of discarding the o(Δ) machinery. The caller must follow with
-// SetAdj (the permuted epoch) — the same contract Grow has. Beliefs,
-// residuals and the fixed point are unchanged up to row order.
-func (s *State) Permute(newID []int32) {
-	if len(newID) != s.n {
-		panic(fmt.Sprintf("residual: Permute map length %d, want %d", len(newID), s.n))
-	}
-	s.x = permuteMatrix(s.x, newID)
-	s.f = permuteMatrix(s.f, newID)
-	if s.r != nil {
-		s.r = permuteMatrix(s.r, newID)
-		norms := make([]float64, s.n)
-		for old, nn := range newID {
-			norms[nn] = s.norms[old]
-		}
-		s.norms = norms
-	}
-	if len(s.sRows) > 0 {
-		rows := make(map[int32][]float64, len(s.sRows))
-		for node, row := range s.sRows {
-			rows[newID[node]] = row
-		}
-		s.sRows = rows
-	}
-}
-
-// permuteMatrix returns m with row i moved to newID[i].
-func permuteMatrix(m *dense.Matrix, newID []int32) *dense.Matrix {
-	out := dense.New(m.Rows, m.Cols)
-	k := m.Cols
-	for old := 0; old < m.Rows; old++ {
-		copy(out.Data[int(newID[old])*k:(int(newID[old])+1)*k], m.Data[old*k:(old+1)*k])
-	}
-	return out
-}
-
 // Grow extends the state to n nodes (appended ids, no edges yet — the
 // caller wires them afterwards through its delta overlay + AddEdgeDelta).
 // New rows start at the fixed point of an isolated node: X̃ row (centered

@@ -142,7 +142,8 @@ func TestIncrementalWhatIfOverHTTP(t *testing.T) {
 
 // TestValidationOfResidualSpec: out-of-range residual knobs are rejected at
 // registration, not at first build — and the fields that used to select
-// the second engine are unknown fields, not silently ignored.
+// the second engine or a node reordering are unknown fields, not silently
+// ignored.
 func TestValidationOfResidualSpec(t *testing.T) {
 	srv := newMultiServer(0, Options{})
 	rec, _ := doJSON(t, srv, "POST", "/v1/graphs",
@@ -155,7 +156,7 @@ func TestValidationOfResidualSpec(t *testing.T) {
 	if rec.Code != 400 {
 		t.Errorf("negative residual_tol: status %d, want 400", rec.Code)
 	}
-	for _, field := range []string{`"incremental":false`, `"incremental":true`, `"f32_beliefs":true`} {
+	for _, field := range []string{`"incremental":false`, `"incremental":true`, `"f32_beliefs":true`, `"reorder":""`, `"reorder":"degree"`} {
 		rec, _ = doJSON(t, srv, "POST", "/v1/graphs",
 			`{"name":"gone","synthetic":{"n":100,"m":500},`+field+`}`)
 		if rec.Code != 400 || !strings.Contains(rec.Body.String(), "unknown field") {

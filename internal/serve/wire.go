@@ -40,12 +40,6 @@ type CreateGraphRequest struct {
 	// while the merged CSR and ρ(W) are built off the request path, and
 	// mutations keep landing in a fresh overlay meanwhile.
 	AsyncCompact bool `json:"async_compact"`
-	// Reorder selects the locality-aware node-reordering pass applied at
-	// build and at synchronous compactions: "degree" (descending-degree),
-	// "rcm" (reverse Cuthill–McKee), or ""/"none" (off). Invisible on the
-	// wire — node ids in every request and response stay the external ids
-	// the graph was loaded with.
-	Reorder string `json:"reorder"`
 	// Synthetic plants a partition graph with the paper's generator.
 	Synthetic *SyntheticGraphSpec `json:"synthetic"`
 	// Files loads TSV files from the server's filesystem.
@@ -94,7 +88,6 @@ func (r *CreateGraphRequest) Spec() registry.Spec {
 			ResidualEdgeBudget: r.ResidualEdgeBudget,
 			CompactFraction:    r.CompactFraction,
 			AsyncCompact:       r.AsyncCompact,
-			Reorder:            r.Reorder,
 		},
 	}
 	if r.Synthetic != nil {

@@ -66,7 +66,12 @@ func NewFromCoords(n int, coords []Coord) (*CSR, error) {
 		if coords[i].Row != coords[j].Row {
 			return coords[i].Row < coords[j].Row
 		}
-		return coords[i].Col < coords[j].Col
+		if coords[i].Col != coords[j].Col {
+			return coords[i].Col < coords[j].Col
+		}
+		// sort.Slice is unstable: ordering duplicates by weight makes them
+		// sum in one order on both sides of a symmetric matrix's diagonal.
+		return coords[i].W < coords[j].W
 	})
 	indptr := make([]int, n+1)
 	indices := make([]int32, 0, len(coords))

@@ -13,12 +13,8 @@ func (c *CSR) SpectralRadius(iters int) float64 {
 	}
 	v := make([]float64, n)
 	for i := range v {
-		// All-ones start: deterministic, not orthogonal to the (nonnegative)
-		// lead eigenvector in practice, and — unlike any index-dependent
-		// start — invariant under node reordering, so a permuted graph
-		// derives the same ρ(W) as its unordered twin up to float
-		// reassociation noise. Belief parity across reorderings relies on ε
-		// matching this tightly.
+		// All-ones start: deterministic and not orthogonal to the
+		// (nonnegative) lead eigenvector in practice.
 		v[i] = 1
 	}
 	normalize(v)
