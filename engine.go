@@ -47,11 +47,11 @@ var ErrEngineClosed = errors.New("engine closed")
 // the LinBP fixed point: the first query per (graph, H) pair pays one full
 // solve, after which every perturbation of it — a label patch, an edge
 // mutation, a what-if — is the same copy-on-write session (residual.Patch):
-// o(Δ) pushes around the perturbed neighborhood, warm dense sweeps on the
-// session's private clone if it floods. A committed change applies its
-// session; a what-if reads its answer and drops it. The topology is a
-// frozen CSR plus a copy-on-write delta overlay (internal/delta) that
-// compactions fold into the next epoch.
+// o(Δ) pushes around the perturbed neighborhood, then rounds on the
+// session's private clone, priced one by one, if it floods. A committed
+// change applies its session; a what-if reads its answer and drops it. The
+// topology is a frozen CSR plus a copy-on-write delta overlay
+// (internal/delta) that compactions fold into the next epoch.
 //
 // Concurrency model: queries take a read lock and serve from an immutable
 // belief snapshot (a clone of the residual beliefs); label updates,
@@ -164,10 +164,10 @@ type snapshot struct {
 // Served beliefs are the LinBP fixed point to ResidualTol: convergence is
 // tolerance-driven, and a full propagation runs only on the first query per
 // (graph, H) pair and after SetH/Reestimate. A perturbation that spreads so
-// far that dense sweeps are cheaper than pushing finishes with warm sweeps
-// from the current beliefs (counted in Stats().ResidualFallbacks), never a
-// cold solve. The one-shot facade (Classify, Propagate) instead runs the
-// paper's 10 iterations.
+// far that a round over every row is cheaper than tracking its frontier runs
+// whole-matrix rounds from the current beliefs for as long as that holds
+// (counted in Stats().ResidualFallbacks), never a cold solve. The one-shot
+// facade (Classify, Propagate) instead runs the paper's 10 iterations.
 type EngineOptions struct {
 	// Estimator selects the compatibility estimator: "dcer" (default),
 	// "dce", "mce", "lce" or "holdout".
@@ -186,11 +186,11 @@ type EngineOptions struct {
 	// ResidualTol is the per-node residual ∞-norm tolerance; 0 means
 	// residual.DefaultTol (1e-8).
 	ResidualTol float64
-	// ResidualEdgeBudget bounds a single push pass at
-	// ResidualEdgeBudget × nnz(W) edge traversals before the session —
-	// patch, mutation or what-if — finishes with dense sweeps on its
-	// private clone; 0 means the residual package default (4). Raise it on
-	// small or dense graphs where frontiers saturate quickly.
+	// ResidualEdgeBudget bounds the sparse-tier push pass of a session —
+	// patch, mutation or what-if — at ResidualEdgeBudget × nnz(W) edge
+	// traversals; past it the session promotes to its private clone, as it
+	// does when its frontier saturates, and every round there is priced on
+	// its own. 0 means the residual package default (4).
 	ResidualEdgeBudget float64
 	// CompactFraction is the share of stored adjacency entries allowed to
 	// live in the streaming-mutation delta overlay before a mutation batch
@@ -233,8 +233,8 @@ type EngineStats struct {
 	// residual subsystem, across patches and what-if sessions.
 	ResidualPushes int64
 	// ResidualFallbacks counts sessions (patch, mutation or what-if) that
-	// spread past the edge budget and finished as warm dense sweeps, plus
-	// the mutations whose ε jump dropped the residual state instead.
+	// ran at least one whole-matrix round, plus the mutations whose ε jump
+	// dropped the residual state instead.
 	ResidualFallbacks int64
 	// OverlayCacheHits counts what-if queries answered from the what-if
 	// cache without any pushing.
@@ -922,8 +922,9 @@ type QueryMeta struct {
 	// the copy-on-write rows of its frontier, or every row once the
 	// session promoted to a private dense view.
 	ClonedRows int
-	// FellBack reports that the what-if spread past the edge budget and
-	// the session finished with warm dense sweeps on its private clone.
+	// FellBack reports that the what-if spread until its active rows owned
+	// over half the stored entries and the session ran whole-matrix rounds
+	// on its private clone: a routing decision, not a failure.
 	FellBack bool
 	// CacheHit is true when the session's rows came from the engine's
 	// what-if cache: the query's extra-seed set was flushed before at the
@@ -1050,12 +1051,12 @@ func (e *Engine) residualDirect(q Query, tr *telemetry.Trace, fn func(NodeResult
 // overlayResidual answers a what-if query as a label patch that is never
 // applied: the extra seeds queue on a copy-on-write residual.Patch over the
 // live state, the session converges — o(Δ) pushes around the perturbed
-// frontier, pull rounds and warm dense sweeps on its private clone if it
+// frontier, tracked and whole-matrix rounds on its private clone if it
 // floods — the answer is read through it, and it is aborted.
 //
 // The session flush and row materialization run under the read lock (they
 // read live base rows a concurrent Apply would swap). A flooding what-if
-// therefore holds it through its warm sweeps: a patch's row swap arriving
+// therefore holds it through its rounds: a patch's row swap arriving
 // meanwhile waits for it, and so do the readers queued behind that writer.
 func (e *Engine) overlayResidual(q Query, tr *telemetry.Trace, fn func(NodeResult) error) (QueryMeta, error) {
 	liveN := e.liveN()
@@ -1307,10 +1308,11 @@ type PatchMeta struct {
 	// PushedNodes / TouchedEdges is the push work the flush performed.
 	PushedNodes  int
 	TouchedEdges int
-	// FellBack reports that the perturbation spread past the edge budget
-	// and the patch session finished with dense sweeps on its private
-	// cloned view — still outside the engine's locks, so readers were
-	// never stalled and the residual state survives the flood.
+	// FellBack reports that the perturbation spread until its active rows
+	// owned over half the stored entries and the patch session ran
+	// whole-matrix rounds on its private cloned view — a routing decision,
+	// taken outside the engine's locks, so readers were never stalled and
+	// the residual state survives the flood.
 	FellBack bool
 	// LockWaitSeconds / FlushSeconds attribute the update's time to its two
 	// expensive phases — waiting behind the patch/write locks and the
@@ -1413,9 +1415,9 @@ func (e *Engine) updateLabelsMeta(set map[int]int, remove []int, tr *telemetry.T
 	if patch == nil {
 		return PatchMeta{LockWaitSeconds: lockWaitSec}, nil
 	}
-	// Flush OUTSIDE the engine locks: a wide patch promotes to parallel
-	// pull rounds (and dense sweeps past the edge budget) without stalling
-	// a single reader. The deltas queued by setSeedLocked coalesce into one
+	// Flush OUTSIDE the engine locks: a wide patch promotes to tracked and
+	// whole-matrix rounds on its private clone without stalling a single
+	// reader. The deltas queued by setSeedLocked coalesce into one
 	// flush per batch.
 	flushStart := telemetry.Now()
 	st := e.flushSession(patch)
@@ -1513,10 +1515,16 @@ func (e *Engine) Reestimate() (*Estimate, error) {
 
 // SetH installs an externally supplied compatibility matrix (e.g. a gold
 // standard or an estimate produced with different options) and invalidates
-// the belief snapshot.
+// the belief snapshot. A non-finite entry is rejected: it would make ε, and
+// with it every belief served afterwards, NaN.
 func (e *Engine) SetH(h *Matrix, method string) error {
 	if h.Rows != e.k || h.Cols != e.k {
 		return fmt.Errorf("factorgraph: H is %d×%d, engine has k=%d", h.Rows, h.Cols, e.k)
+	}
+	for i, v := range h.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("factorgraph: H[%d][%d] = %v is not finite", i/e.k, i%e.k, v)
+		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -226,3 +226,48 @@ func TestEngineOptionsValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineSetHValidation: SetH rejects a matrix of the wrong shape or with
+// a non-finite entry (a NaN H yields a NaN ε and NaN beliefs served as
+// answers) and leaves the serving H in place; a finite k×k matrix installs.
+func TestEngineSetHValidation(t *testing.T) {
+	g, seeds, _ := engineFixture(t, 100, 500, 0.5)
+	eng, err := NewEngine(g, seeds, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Estimate().H.Clone()
+	with := func(i int, v float64) *Matrix {
+		h := SkewedH(3, 8)
+		h.Data[i] = v
+		return h
+	}
+	for name, h := range map[string]*Matrix{
+		"2×2":         SkewedH(2, 8),
+		"NaN":         with(4, math.NaN()),
+		"+Inf":        with(0, math.Inf(1)),
+		"-Inf":        with(8, math.Inf(-1)),
+		"NaN off-dia": with(1, math.NaN()),
+	} {
+		if err := eng.SetH(h, "test"); err == nil {
+			t.Errorf("%s H accepted", name)
+		}
+	}
+	for i, v := range eng.Estimate().H.Data {
+		if v != before.Data[i] {
+			t.Fatalf("a rejected SetH changed the serving H: %v vs %v", eng.Estimate().H.Data, before.Data)
+		}
+	}
+	if err := eng.SetH(SkewedH(3, 8), "test"); err != nil {
+		t.Errorf("finite H rejected: %v", err)
+	}
+	res, err := eng.Classify(Query{Nodes: []int{0}, TopK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range res[0].Top {
+		if math.IsNaN(sc.Score) {
+			t.Fatalf("NaN belief served after SetH: %+v", res[0])
+		}
+	}
+}

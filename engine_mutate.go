@@ -39,8 +39,9 @@ type MutateMeta struct {
 	// PushedNodes / TouchedEdges is the push work of the residual flush.
 	PushedNodes  int
 	TouchedEdges int
-	// FellBack reports the flush spread past the edge budget and finished
-	// as dense sweeps on the patch session's private clone.
+	// FellBack reports the flush ran a whole-matrix round on the patch
+	// session's private clone (its active rows owned over half the stored
+	// entries): a routing decision, not a failure.
 	FellBack bool
 	// Compacted reports that this batch ended in a compaction: the delta
 	// overlay was merged into a fresh canonical CSR, swapped in under the

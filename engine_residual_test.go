@@ -108,11 +108,13 @@ func TestEngineIncrementalPatchParity(t *testing.T) {
 }
 
 // TestEngineIncrementalOverlayParity compares what-if sessions against a
-// converged full propagation of the overlaid seeds — within the edge budget
-// (pushes and pull rounds) and past it (the default budget floods on this
-// fixture and the session finishes with warm sweeps) — and checks that
-// either way the what-if reports its work and leaves the engine exactly as
-// it found it.
+// converged full propagation of the overlaid seeds, under a 256× heap-tier
+// budget and under the default one. The budget only bounds the heap pushes:
+// on this dense fixture the frontier saturates long before either, the
+// promoted session's active rows come to own over half the stored entries
+// and it runs whole-matrix rounds, so both report FellBack — the decision
+// "a whole-matrix round ran", not a failure. Either way the what-if reports
+// its work and leaves the engine exactly as it found it.
 func TestEngineIncrementalOverlayParity(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 2000, 16000, 0.05)
 	unlabeled, labeled := -1, -1
@@ -135,7 +137,7 @@ func TestEngineIncrementalOverlayParity(t *testing.T) {
 		budget float64
 		flood  bool
 	}{
-		{"within budget", 256, false},
+		{"within budget", 256, true},
 		{"flooding", 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

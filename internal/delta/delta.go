@@ -159,8 +159,11 @@ func (g *Graph) Row(u int) ([]int32, []float64) {
 	return g.base.Row(u)
 }
 
-// MulDenseInto computes out = W × X row-parallel on the shared worker
-// pool, merged rows included (RowIterator contract).
+// MulDenseInto computes out = W × X (RowIterator contract): the base CSR
+// kernel writes rows [0, base.N), then only the patched and added rows are
+// recomputed from their merged rows. Every output row is the ordered flat
+// scan of its own row either way, so a clean overlay, a dirty one and a cold
+// CSR of the same edge set agree bit for bit.
 func (g *Graph) MulDenseInto(out, x *dense.Matrix) {
 	if x.Rows != g.n {
 		panic(fmt.Sprintf("delta: MulDense shape mismatch: W is %d×%d, X has %d rows", g.n, g.n, x.Rows))
@@ -168,32 +171,28 @@ func (g *Graph) MulDenseInto(out, x *dense.Matrix) {
 	if out.Rows != g.n || out.Cols != x.Cols {
 		panic(fmt.Sprintf("delta: MulDenseInto bad out shape %d×%d, want %d×%d", out.Rows, out.Cols, g.n, x.Cols))
 	}
+	g.base.MulDenseRowsInto(out, x)
 	k := x.Cols
-	sparse.ParallelRows(g.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.Data[i*k : (i+1)*k]
-			for j := range orow {
-				orow[j] = 0
+	added := out.Data[g.base.N*k:]
+	for j := range added {
+		added[j] = 0 // an added node without edges has no patch row
+	}
+	for node, r := range g.rows {
+		orow := out.Data[int(node)*k : int(node+1)*k]
+		for j := range orow {
+			orow[j] = 0
+		}
+		for p, col := range r.cols {
+			wv := 1.0
+			if r.wts != nil {
+				wv = r.wts[p]
 			}
-			cols, wts := g.Row(i)
-			if wts == nil {
-				for _, col := range cols {
-					xrow := x.Data[int(col)*k : int(col+1)*k]
-					for j, v := range xrow {
-						orow[j] += v
-					}
-				}
-			} else {
-				for p, col := range cols {
-					wv := wts[p]
-					xrow := x.Data[int(col)*k : int(col+1)*k]
-					for j, v := range xrow {
-						orow[j] += wv * v
-					}
-				}
+			xrow := x.Data[int(col)*k : int(col+1)*k]
+			for j, v := range xrow {
+				orow[j] += wv * v
 			}
 		}
-	})
+	}
 }
 
 // Clone returns a mutable copy sharing every row copy-on-write. The

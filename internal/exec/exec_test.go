@@ -88,6 +88,29 @@ func pullFixture(t *testing.T, n, k int, dirtyFrac float64, seed int64) (w *spar
 	return w, hs, f, r, norms, active
 }
 
+// exactX supplies the X̃ under which a pass's (F, R) pair is exact,
+// X̃ = R + F − εW·F·H̃. Tracked rounds preserve the pair, so deriving it at
+// the first whole-matrix round — when Drain asks — is as good as up front.
+func exactX(p *PullPass) func() *dense.Matrix {
+	return func() *dense.Matrix {
+		fh := dense.New(p.n, p.k)
+		MulRowsH(fh.Data, p.f.Data, p.hs, p.k)
+		x := dense.New(p.n, p.k)
+		p.w.MulDenseInto(x, fh)
+		for i := range x.Data {
+			x.Data[i] = p.r.Data[i] + p.f.Data[i] - x.Data[i]
+		}
+		return x
+	}
+}
+
+// drainAll is an uncapped Drain in the (pushed, edges, rounds, remaining)
+// shape the schedule tests read.
+func drainAll(p *PullPass, active []int32) (pushed, edges, rounds int, remaining []int32) {
+	pushed, edges, rounds, _, remaining = p.Drain(active, exactX(p), 0)
+	return pushed, edges, rounds, remaining
+}
+
 // applyA computes out = W · (m · H̃), the contraction the drain applies.
 func applyA(w *sparse.CSR, hs, m *dense.Matrix) *dense.Matrix {
 	mh := dense.Mul(m, hs)
@@ -117,15 +140,12 @@ func TestPullPassConvergesToInvariant(t *testing.T) {
 			}
 		}
 
-		drains := map[string]func(p *PullPass, active []int32) (int, int, int, []int32){
-			"pull":        func(p *PullPass, a []int32) (int, int, int, []int32) { return p.drainPull(a, 0) },
-			"pull-seq":    func(p *PullPass, a []int32) (int, int, int, []int32) { return p.drainPull(a, 0) },
-			"scatter":     func(p *PullPass, a []int32) (int, int, int, []int32) { return p.drainScatter(a, 0) },
-			"auto-select": func(p *PullPass, a []int32) (int, int, int, []int32) { return p.Drain(a, 0) },
-		}
+		// MinPullWorkers forces a schedule whatever the machine offers: 1
+		// always pulls, an unreachable count always scatters.
+		minPull := map[string]int{"pull": 1, "pull-seq": 1, "scatter": 1 << 20, "auto-select": minPullWorkers}
 		workersFor := map[string]int{"pull": 0, "pull-seq": 1, "scatter": 0, "auto-select": 0}
 		results := map[string]*dense.Matrix{}
-		for name, drain := range drains {
+		for name := range minPull {
 			f := f0.Clone()
 			r := r0.Clone()
 			norms := make([]float64, n)
@@ -137,7 +157,8 @@ func TestPullPassConvergesToInvariant(t *testing.T) {
 				}
 			}
 			p := NewPullPass(w, hs, f, r, norms, tol, Runner{Workers: workersFor[name]})
-			pushed, edges, rounds, remaining := drain(p, active)
+			p.sched.MinPullWorkers = minPull[name]
+			pushed, edges, rounds, remaining := drainAll(p, active)
 			if remaining != nil {
 				t.Fatalf("%s frac=%v: unbounded drain returned remaining frontier", name, dirtyFrac)
 			}
@@ -172,15 +193,17 @@ func TestPullPassConvergesToInvariant(t *testing.T) {
 	}
 }
 
-// TestPullPassBudget: a tight edge budget stops the drain between rounds
-// with an exact remaining frontier the caller can resume.
+// TestPullPassBudget: the one budget a promoted drain keeps — a cap on its
+// whole-matrix rounds — stops it between rounds with an exact remaining
+// frontier the caller can resume. The frontier starts tracked (under half
+// the stored entries), floods, and a one-round cap stops the flood.
 func TestPullPassBudget(t *testing.T) {
 	const n, k, tol = 600, 3, 1e-12
-	w, hs, f, r, norms, active := pullFixture(t, n, k, 0.8, 11)
+	w, hs, f, r, norms, active := pullFixture(t, n, k, 0.4, 11)
 	p := NewPullPass(w, hs, f, r, norms, tol, Runner{})
-	pushed, edges, _, remaining := p.Drain(active, 1) // one round's worth at most
-	if remaining == nil {
-		t.Fatal("tight budget drained cleanly")
+	pushed, edges, _, sweeps, remaining := p.Drain(active, exactX(p), 1)
+	if remaining == nil || sweeps != 1 {
+		t.Fatalf("tight budget drained cleanly (sweeps=%d)", sweeps)
 	}
 	if edges <= 1 || pushed == 0 {
 		t.Fatalf("no work before budget stop: pushed=%d edges=%d", pushed, edges)
@@ -191,7 +214,7 @@ func TestPullPassBudget(t *testing.T) {
 		}
 	}
 	// Resuming with no budget finishes the job.
-	if _, _, _, rem2 := p.Drain(remaining, 0); rem2 != nil {
+	if _, _, _, rem2 := drainAll(p, remaining); rem2 != nil {
 		t.Fatal("resumed drain did not finish")
 	}
 	for i, v := range norms {

@@ -24,8 +24,8 @@ const (
 	// caller must move its residual rows to dense storage and drain with
 	// round-synchronous passes (PullPass).
 	Saturated
-	// BudgetExceeded: edge traversals passed edgeBudget; the queue (and
-	// the kernel's invariant) are intact for the caller's fallback.
+	// BudgetExceeded: edge traversals passed edgeBudget; the kernel's
+	// invariant is intact and the caller promotes, exactly as on Saturated.
 	BudgetExceeded
 )
 

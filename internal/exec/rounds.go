@@ -6,28 +6,30 @@ import (
 	"factorgraph/internal/dense"
 )
 
-// minPullWorkers is the parallelism below which the level-synchronous
-// drain runs its sequential scatter schedule instead of the parallel pull
-// one. Pull pays a discovery pass plus a full row re-scan at every gather
-// in exchange for race freedom; the scatter schedule is the only one a
-// single worker can run.
+// minPullWorkers is the parallelism below which a tracked round runs the
+// sequential scatter schedule instead of the parallel pull one. Pull pays a
+// discovery pass plus a full row re-scan at every gather in exchange for
+// race freedom; the scatter schedule is the only one a single worker can
+// run.
 const minPullWorkers = 2
 
-// deltaDivisor: once the active set exceeds n/deltaDivisor, a parallel
-// round stops tracking candidates and runs a whole-matrix delta sweep
-// instead — F += R; R ← A·R. By linearity that is exactly one Jacobi round
-// over every row at once, and it runs on the branch-free CSR multiply
-// kernel at a fraction of the per-edge cost of a tracked gather; at this
-// density nearly everything neighbors the frontier anyway.
+// deltaDivisor prices a round: while the active rows own at most
+// nnz(W)/deltaDivisor stored entries the round tracks them, past that it is
+// one whole-matrix round (ExactRound) on the branch-free CSR multiply
+// kernel — a fraction of a tracked round's per-edge cost, and at that
+// density nearly every row neighbors the frontier anyway. 2, not the ~5 the
+// per-edge cost ratio alone suggests: Gauss–Seidel scatter converges in
+// fewer rounds than Jacobi sweeps, and an edge-mutation batch's ~0.4·nnz
+// middle round must stay tracked.
 const deltaDivisor = 2
 
 // PullPass drains a saturated frontier with level-synchronous rounds over
-// dense residual storage, picking its schedule by available parallelism.
+// dense residual storage, pricing every round before it runs (see Drain).
 // The adjacency is accessed through the RowIterator abstraction, so the
 // same pass drains a frozen CSR matrix and a mutable delta overlay alike.
 //
-// With ≥minPullWorkers workers each round is a race-free parallel pull
-// pass. For moderate frontiers it is three phases:
+// With ≥minPullWorkers workers a tracked round is a race-free parallel pull
+// pass in three phases:
 //
 //  1. absorb (parallel over the active list): every active node folds its
 //     residual row into its belief row, precomputes its outgoing message
@@ -41,18 +43,13 @@ const deltaDivisor = 2
 //     one worker, so no synchronization touches the data;
 //  3. the survivors (norm > tol) become the next round's active list.
 //
-// Past n/deltaDivisor active nodes the round degenerates to a delta sweep
-// — F += R, R ← εW·R·H̃ (exactly the same Jacobi round applied to every
-// row at once, by linearity) — which runs on the branch-free CSR multiply
-// kernel. Parallel rounds are a Jacobi schedule: mass absorbed in a round
-// is forwarded strictly in the next one, so the result is independent of
-// worker count.
-//
-// Below minPullWorkers the drain is the classic sequential Gauss–Seidel
-// scatter scan: each active node pushes directly into its neighbors' rows,
-// with mass forwarded within the round. All schedules contract at ~s per
-// round and drain to the same tolerance; final beliefs differ only inside
-// it.
+// Pull rounds are a Jacobi schedule: mass absorbed in a round is forwarded
+// strictly in the next one, so the result is independent of worker count.
+// Below minPullWorkers a tracked round is the classic sequential
+// Gauss–Seidel scatter scan: each active node pushes directly into its
+// neighbors' rows, with mass forwarded within the round. All schedules
+// contract at ~s per round and drain to the same tolerance; final beliefs
+// differ only inside it.
 type PullPass struct {
 	w   RowIterator
 	n   int
@@ -76,11 +73,12 @@ type PullPass struct {
 	candBuf   []int32
 	buckets   [][]int32 // sticky gather: candidates bucketed by node range
 
-	fh, wfh *dense.Matrix // delta-sweep scratch, allocated on first use
+	fh, wfh *dense.Matrix // whole-matrix round scratch, allocated on first use
 
 	// trackedRounds / deltaRounds / scatterRounds count which schedule each
-	// round of this pass actually ran; the scheduling-boundary tests pin the
-	// n/deltaDivisor and minPullWorkers heuristics on them.
+	// round of this pass actually ran (delta = whole-matrix); the
+	// scheduling-boundary tests pin the nnz/deltaDivisor and minPullWorkers
+	// thresholds on them.
 	trackedRounds, deltaRounds, scatterRounds int
 }
 
@@ -105,40 +103,67 @@ func NewPullPass(w RowIterator, hScaled, f, r *dense.Matrix, norms []float64, to
 	return p
 }
 
-// Drain runs rounds until the frontier empties or edge traversals exceed
-// edgeBudget (<= 0 = unbounded). It returns the push work performed, the
-// number of rounds run and, when the budget was exceeded, the still-dirty
-// frontier (norms are exact for it); remaining is nil on a clean drain.
-// The schedule — parallel pull vs sequential scatter — is chosen by the
-// available worker count; both produce a frontier drained to tolerance.
-func (p *PullPass) Drain(active []int32, edgeBudget int) (pushed, edges, rounds int, remaining []int32) {
-	if p.run.MaxChunks() >= p.sched.MinPullWorkers {
-		return p.drainPull(active, edgeBudget)
-	}
-	return p.drainScatter(active, edgeBudget)
-}
-
-func (p *PullPass) drainPull(active []int32, edgeBudget int) (pushed, edges, rounds int, remaining []int32) {
-	for len(active) > 0 {
-		rounds++
-		pushed += len(active)
-		if len(active) > p.n/p.sched.DeltaDivisor {
+// Drain runs rounds until the frontier empties, pricing each one by the
+// stored entries its active rows own: at most nnz(W)/DeltaDivisor and the
+// round is tracked (pull at ≥ MinPullWorkers chunks, scatter below), past
+// that it is one whole-matrix ExactRound. x supplies X̃ and is called at
+// most once, before the first whole-matrix round; maxSweeps > 0 caps those
+// rounds so a drain terminates even where contraction is lost, returning
+// the still-dirty frontier (norms exact for it). remaining is nil on a
+// clean drain. pushed counts the above-tolerance rows every round absorbed;
+// edges counts the entries tracked rounds traversed one at a time — each of
+// the sweeps whole-matrix rounds reads all nnz(W) on the multiply kernel
+// instead. The pass owns active afterwards.
+func (p *PullPass) Drain(active []int32, x func() *dense.Matrix, maxSweeps int) (pushed, edges, rounds, sweeps int, remaining []int32) {
+	pull := p.run.MaxChunks() >= p.sched.MinPullWorkers
+	var xm *dense.Matrix
+	for ; len(active) > 0; rounds++ {
+		switch {
+		case !p.tracked(active):
+			if maxSweeps > 0 && sweeps == maxSweeps {
+				return pushed, edges, rounds, sweeps, active
+			}
+			if xm == nil {
+				xm = x()
+			}
+			sweeps++
 			p.deltaRounds++
 			mRoundsDelta.Inc()
-			active, edges = p.deltaRound(active, edges)
-		} else {
+			pushed += len(active)
+			p.ExactRound(xm)
+			active = p.survivors(active[:0])
+		case pull:
 			p.trackedRounds++
 			mRoundsTracked.Inc()
+			pushed += len(active)
 			active, edges = p.pullRound(active, edges)
-		}
-		if edgeBudget > 0 && edges > edgeBudget {
-			if len(active) == 0 {
-				return pushed, edges, rounds, nil
-			}
-			return pushed, edges, rounds, active
+		default:
+			active, pushed, edges = p.scatterRound(active, pushed, edges)
 		}
 	}
-	return pushed, edges, rounds, nil
+	return pushed, edges, rounds, sweeps, nil
+}
+
+// tracked prices the next round: it reports whether the active rows own at
+// most nnz(W)/DeltaDivisor stored entries.
+func (p *PullPass) tracked(active []int32) bool {
+	limit := p.w.NNZ() / p.sched.DeltaDivisor
+	owned := 0
+	for _, u := range active {
+		cols, _ := p.w.Row(int(u))
+		if owned += len(cols); owned > limit {
+			return false
+		}
+	}
+	return true
+}
+
+// survivors appends the per-chunk survivor lists of the round just run.
+func (p *PullPass) survivors(into []int32) []int32 {
+	for c := range p.next {
+		into = append(into, p.next[c]...)
+	}
+	return into
 }
 
 // pullRound is one candidate-tracked Jacobi round: absorb + discover in
@@ -167,14 +192,7 @@ func (p *PullPass) pullRound(active []int32, edges int) ([]int32, int) {
 			u := int(active[idx])
 			rRow := p.r.Data[u*k : (u+1)*k]
 			fRow := p.f.Data[u*k : (u+1)*k]
-			out := rh[idx*k : (idx+1)*k]
-			for j := 0; j < k; j++ {
-				acc := 0.0
-				for c := 0; c < k; c++ {
-					acc += rRow[c] * p.hs[c*k+j]
-				}
-				out[j] = acc
-			}
+			MulRowsH(rh[idx*k:(idx+1)*k], rRow, p.hs, k)
 			for j := 0; j < k; j++ {
 				fRow[j] += rRow[j]
 				rRow[j] = 0
@@ -244,11 +262,7 @@ func (p *PullPass) pullRound(active []int32, edges int) ([]int32, int) {
 			p.activeIdx[active[i]] = -1
 		}
 	})
-	nextActive := active[:0] // reuse; phase 1/2 no longer read it
-	for c := range p.next {
-		nextActive = append(nextActive, p.next[c]...)
-	}
-	return nextActive, edges
+	return p.survivors(active[:0]), edges // reuse; phase 1/2 no longer read it
 }
 
 // gatherOne folds the active neighbors' messages into candidate v's
@@ -289,52 +303,41 @@ func (p *PullPass) gatherOne(v int, rh []float64, next []int32) []int32 {
 	return next
 }
 
-// deltaRound is one whole-matrix Jacobi round: F += R, then R ← εW·R·H̃
-// (the forwarded mass of every row at once — linearity makes it identical
-// to absorbing and scattering each row individually, sub-tolerance rows
-// included). It runs entirely on flat parallel passes and the CSR multiply
-// kernel, with no per-edge bookkeeping; edge accounting still charges the
-// active degrees so the budget semantics match the tracked rounds.
-func (p *PullPass) deltaRound(active []int32, edges int) ([]int32, int) {
+// ExactRound is one whole-matrix Jacobi round on the pass's storage:
+// F ← F + R, then the residual is recomputed from its definition,
+// R ← X̃ + εW·F·H̃ − F, with norms and the survivor lists fused into the
+// last pass; it returns the largest norm. Recomputing (instead of
+// forwarding R ← εW·R·H̃) keeps the pair exact: sub-tolerance mass earlier
+// rounds left behind is carried, not lost, so the result does not depend on
+// the drain's history. Init's solve is this round repeated from F = X̃,
+// R = 0. Three flat parallel passes and the CSR multiply kernel, no
+// per-edge bookkeeping.
+func (p *PullPass) ExactRound(x *dense.Matrix) float64 {
+	mDenseRounds.Inc()
 	n, k := p.n, p.k
 	if p.fh == nil {
 		p.fh = dense.New(n, k)
 		p.wfh = dense.New(n, k)
 	}
-	for _, u := range active {
-		cols, _ := p.w.Row(int(u))
-		edges += len(cols)
-	}
-	// Phase 1: fh ← R·H̃ and F ← F + R, row-parallel.
 	p.run.Rows(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rRow := p.r.Data[i*k : (i+1)*k]
-			fRow := p.f.Data[i*k : (i+1)*k]
-			out := p.fh.Data[i*k : (i+1)*k]
-			for j := 0; j < k; j++ {
-				acc := 0.0
-				for c := 0; c < k; c++ {
-					acc += rRow[c] * p.hs[c*k+j]
-				}
-				out[j] = acc
-			}
-			for j := 0; j < k; j++ {
-				fRow[j] += rRow[j]
-			}
+		f := p.f.Data[lo*k : hi*k]
+		for i, v := range p.r.Data[lo*k : hi*k] {
+			f[i] += v
 		}
+		MulRowsH(p.fh.Data[lo*k:hi*k], f, p.hs, k)
 	})
-	// Phase 2: wfh ← W·(R·H̃) on the shared multiply kernel.
 	p.w.MulDenseInto(p.wfh, p.fh)
-	// Phase 3: R ← wfh, re-norm, collect survivors.
+	chunkMax := make([]float64, len(p.next))
+	for c := range p.next {
+		p.next[c] = p.next[c][:0] // chunks past n rows do not run
+	}
 	p.run.RowsIndexed(n, func(chunk, lo, hi int) {
-		next := p.next[chunk][:0]
+		next, maxNorm := p.next[chunk], 0.0
 		for i := lo; i < hi; i++ {
-			rRow := p.r.Data[i*k : (i+1)*k]
-			wRow := p.wfh.Data[i*k : (i+1)*k]
 			norm := 0.0
-			for j := 0; j < k; j++ {
-				v := wRow[j]
-				rRow[j] = v
+			for j := i * k; j < (i+1)*k; j++ {
+				v := x.Data[j] + p.wfh.Data[j] - p.f.Data[j]
+				p.r.Data[j] = v
 				if v < 0 {
 					v = -v
 				}
@@ -346,121 +349,142 @@ func (p *PullPass) deltaRound(active []int32, edges int) ([]int32, int) {
 			if norm > p.tol {
 				next = append(next, int32(i))
 			}
+			if norm > maxNorm {
+				maxNorm = norm
+			}
 		}
-		p.next[chunk] = next
+		p.next[chunk], chunkMax[chunk] = next, maxNorm
 	})
-	nextActive := active[:0]
-	for c := range p.next {
-		nextActive = append(nextActive, p.next[c]...)
+	maxNorm := 0.0
+	for _, v := range chunkMax {
+		if v > maxNorm {
+			maxNorm = v
+		}
 	}
-	return nextActive, edges
+	return maxNorm
 }
 
-// drainScatter is the single-worker schedule: a Gauss–Seidel scan of the
-// active list pushing straight into neighbor rows. mark doubles as the
-// in-next-queue flag (no atomics — the scan is sequential by design).
-func (p *PullPass) drainScatter(active []int32, edgeBudget int) (pushed, edges, rounds int, remaining []int32) {
+// scatterRound is one round of the single-worker schedule: a Gauss–Seidel
+// scan of the active list pushing straight into neighbor rows. mark doubles
+// as the pending-or-queued flag (no atomics — the scan is sequential by
+// design) and is left clean for whichever schedule runs next.
+func (p *PullPass) scatterRound(active []int32, pushed, edges int) ([]int32, int, int) {
 	k := p.k
 	if cap(p.rh) < k {
 		p.rh = make([]float64, k)
 	}
 	rh := p.rh[:k]
+	p.scatterRounds++
+	mRoundsScatter.Inc()
 	for _, v := range active {
 		p.mark[v] = 1
 	}
-	next := make([]int32, 0, len(active))
-	for len(active) > 0 {
-		rounds++
-		p.scatterRounds++
-		mRoundsScatter.Inc()
-		next = next[:0]
-		for _, u32 := range active {
-			u := int(u32)
-			p.mark[u] = 0
-			if p.nrm[u] <= p.tol {
-				continue // absorbed earlier this round
-			}
-			rRow := p.r.Data[u*k : (u+1)*k]
-			fRow := p.f.Data[u*k : (u+1)*k]
-			for j := 0; j < k; j++ {
-				acc := 0.0
-				for c := 0; c < k; c++ {
-					acc += rRow[c] * p.hs[c*k+j]
-				}
-				rh[j] = acc
-			}
-			for j := 0; j < k; j++ {
-				fRow[j] += rRow[j]
-				rRow[j] = 0
-			}
-			p.nrm[u] = 0
-			pushed++
-			cols, wts := p.w.Row(u)
-			edges += len(cols)
-			for q, v32 := range cols {
-				v := int(v32)
-				wv := 1.0
-				if wts != nil {
-					wv = wts[q]
-				}
-				nRow := p.r.Data[v*k : (v+1)*k]
-				norm := 0.0
-				for j := 0; j < k; j++ {
-					nRow[j] += wv * rh[j]
-					a := nRow[j]
-					if a < 0 {
-						a = -a
-					}
-					if a > norm {
-						norm = a
-					}
-				}
-				p.nrm[v] = norm
-				// Re-queue only nodes not still pending this round (their
-				// later scan absorbs the fresh mass — that is the
-				// Gauss–Seidel advantage) and not already queued for next.
-				if norm > p.tol && p.mark[v] == 0 {
-					p.mark[v] = 1
-					next = append(next, int32(v))
-				}
-			}
+	next := p.candBuf[:0]
+	for _, u32 := range active {
+		u := int(u32)
+		p.mark[u] = 0
+		if p.nrm[u] <= p.tol {
+			continue // absorbed earlier this round
 		}
-		active, next = next, active
-		if edgeBudget > 0 && edges > edgeBudget {
-			for _, v := range active {
-				p.mark[v] = 0 // leave the marks clean for a later drain
+		rRow := p.r.Data[u*k : (u+1)*k]
+		fRow := p.f.Data[u*k : (u+1)*k]
+		MulRowsH(rh, rRow, p.hs, k)
+		for j := 0; j < k; j++ {
+			fRow[j] += rRow[j]
+			rRow[j] = 0
+		}
+		p.nrm[u] = 0
+		pushed++
+		cols, wts := p.w.Row(u)
+		edges += len(cols)
+		for q, v32 := range cols {
+			v := int(v32)
+			wv := 1.0
+			if wts != nil {
+				wv = wts[q]
 			}
-			if len(active) == 0 {
-				return pushed, edges, rounds, nil
+			nRow := p.r.Data[v*k : (v+1)*k]
+			norm := 0.0
+			for j := 0; j < k; j++ {
+				nRow[j] += wv * rh[j]
+				a := nRow[j]
+				if a < 0 {
+					a = -a
+				}
+				if a > norm {
+					norm = a
+				}
 			}
-			return pushed, edges, rounds, active
+			p.nrm[v] = norm
+			// Re-queue only nodes not still pending this round (their
+			// later scan absorbs the fresh mass — that is the
+			// Gauss–Seidel advantage) and not already queued for next.
+			if norm > p.tol && p.mark[v] == 0 {
+				p.mark[v] = 1
+				next = append(next, int32(v))
+			}
 		}
 	}
-	return pushed, edges, rounds, nil
+	for _, v := range next {
+		p.mark[v] = 0
+	}
+	p.candBuf = active
+	return next, pushed, edges
 }
 
-// DenseRound computes wfh = W·(f·hScaled) — the dense matrix core both
-// solvers iterate — and then invokes finish over row chunks in parallel.
-// fh and wfh are caller scratch (n×k); finish typically fuses the solver's
-// per-row update (belief update, residual recomputation) so each round is
-// exactly three parallel passes over the data. The sparse multiply always
-// runs on the full shared pool; the Runner's worker cap applies to the
-// dense passes.
-func (r Runner) DenseRound(w RowIterator, f, hScaled, fh, wfh *dense.Matrix, finish func(chunk, lo, hi int)) {
-	mDenseRounds.Inc()
-	k := hScaled.Cols
-	r.Rows(f.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fRow := f.Data[i*k : (i+1)*k]
-			out := fh.Data[i*k : (i+1)*k]
-			for j := 0; j < k; j++ {
+// MulRowsH computes dst = src·H̃ for k-wide rows stored back to back (one
+// row or a block of them) against a k×k row-major H̃ — the one copy of the
+// product every schedule and solver runs. For k ≤ 4 H̃ is hoisted into
+// locals, out of the row loop; each lane sums in column order whatever k
+// is. dst must not alias src.
+func MulRowsH(dst, src, hs []float64, k int) {
+	switch k {
+	case 2:
+		h00, h01, h10, h11 := hs[0], hs[1], hs[2], hs[3]
+		for i := 0; i+2 <= len(src); i += 2 {
+			a, b := src[i], src[i+1]
+			dst[i], dst[i+1] = a*h00+b*h10, a*h01+b*h11
+		}
+	case 3:
+		h00, h01, h02 := hs[0], hs[1], hs[2]
+		h10, h11, h12 := hs[3], hs[4], hs[5]
+		h20, h21, h22 := hs[6], hs[7], hs[8]
+		for i := 0; i+3 <= len(src); i += 3 {
+			a, b, c := src[i], src[i+1], src[i+2]
+			dst[i], dst[i+1], dst[i+2] = a*h00+b*h10+c*h20, a*h01+b*h11+c*h21, a*h02+b*h12+c*h22
+		}
+	case 4:
+		h := (*[16]float64)(hs)
+		for i := 0; i+4 <= len(src); i += 4 {
+			a, b, c, d := src[i], src[i+1], src[i+2], src[i+3]
+			dst[i], dst[i+1] = a*h[0]+b*h[4]+c*h[8]+d*h[12], a*h[1]+b*h[5]+c*h[9]+d*h[13]
+			dst[i+2], dst[i+3] = a*h[2]+b*h[6]+c*h[10]+d*h[14], a*h[3]+b*h[7]+c*h[11]+d*h[15]
+		}
+	default:
+		for i := 0; i+k <= len(src); i += k {
+			row, out := src[i:i+k], dst[i:i+k]
+			for j := range out {
 				acc := 0.0
-				for c := 0; c < k; c++ {
-					acc += fRow[c] * hScaled.Data[c*k+j]
+				for c, v := range row {
+					acc += v * hs[c*k+j]
 				}
 				out[j] = acc
 			}
 		}
+	}
+}
+
+// DenseRound computes wfh = W·(f·hScaled) — the dense matrix core the
+// propagation solver iterates — and then invokes finish over row chunks in
+// parallel. fh and wfh are caller scratch (n×k); finish fuses the solver's
+// per-row update so each round is exactly three parallel passes over the
+// data. The sparse multiply always runs on the full shared pool; the
+// Runner's worker cap applies to the dense passes.
+func (r Runner) DenseRound(w RowIterator, f, hScaled, fh, wfh *dense.Matrix, finish func(chunk, lo, hi int)) {
+	mDenseRounds.Inc()
+	k := hScaled.Cols
+	r.Rows(f.Rows, func(lo, hi int) {
+		MulRowsH(fh.Data[lo*k:hi*k], f.Data[lo*k:hi*k], hScaled.Data, k)
 	})
 	w.MulDenseInto(wfh, fh)
 	r.RowsIndexed(w.Dim(), finish)

@@ -57,7 +57,7 @@ func schedulePass(t *testing.T, n, active, workers int) (*PullPass, []int32) {
 func TestPullPassScheduleByWorkers(t *testing.T) {
 	for workers := 1; workers <= 8; workers++ {
 		p, active := schedulePass(t, 80, 4, workers)
-		pushed, _, rounds, remaining := p.Drain(active, 0)
+		pushed, _, rounds, remaining := drainAll(p, active)
 		if remaining != nil || pushed != 4 || rounds != 1 {
 			t.Fatalf("workers=%d: drain = pushed %d rounds %d remaining %v", workers, pushed, rounds, remaining)
 		}
@@ -75,51 +75,53 @@ func TestPullPassScheduleByWorkers(t *testing.T) {
 		t.Skipf("GOMAXPROCS %d < %d: pull side of the boundary not expressible", runtime.GOMAXPROCS(0), minPullWorkers)
 	}
 	p3, a3 := schedulePass(t, 80, 4, minPullWorkers-1)
-	p3.Drain(a3, 0)
+	drainAll(p3, a3)
 	if p3.scatterRounds != 1 || p3.trackedRounds+p3.deltaRounds != 0 {
 		t.Errorf("workers=%d: want exactly one scatter round, got scatter=%d tracked=%d delta=%d",
 			minPullWorkers-1, p3.scatterRounds, p3.trackedRounds, p3.deltaRounds)
 	}
 	p4, a4 := schedulePass(t, 80, 4, minPullWorkers)
-	p4.Drain(a4, 0)
+	drainAll(p4, a4)
 	if p4.scatterRounds != 0 || p4.trackedRounds != 1 {
 		t.Errorf("workers=%d: want exactly one tracked pull round, got scatter=%d tracked=%d delta=%d",
 			minPullWorkers, p4.scatterRounds, p4.trackedRounds, p4.deltaRounds)
 	}
 }
 
-// TestPullPassFullScanThreshold pins the n/deltaDivisor promotion edge of
-// the parallel schedule: an active set of exactly n/deltaDivisor runs the
-// candidate-tracked gather, one more node degenerates to the whole-matrix
-// delta sweep.
+// TestPullPassFullScanThreshold pins the pricing edge of a round. The
+// threshold is stored entries, not nodes: a round is tracked while its
+// active rows own at most nnz(W)/deltaDivisor of them and one whole-matrix
+// round past that. On the ring every row owns 2 of the 2n entries, so the
+// edge sits at n/deltaDivisor active rows.
 func TestPullPassFullScanThreshold(t *testing.T) {
 	if (Runner{}).MaxChunks() < minPullWorkers {
 		t.Skipf("machine parallelism %d < %d: parallel schedule unavailable", (Runner{}).MaxChunks(), minPullWorkers)
 	}
 	const n = 80
+	atLimit := ringCSR(t, n).NNZ() / deltaDivisor / 2 // rows owning exactly nnz/deltaDivisor entries
 	cases := []struct {
 		active      int
 		wantTracked int
 		wantDelta   int
 	}{
-		{n/deltaDivisor - 1, 1, 0}, // below: tracked gather
-		{n / deltaDivisor, 1, 0},   // exactly at the threshold: still tracked (strict >)
-		{n/deltaDivisor + 1, 0, 1}, // one past: whole-matrix delta sweep
+		{atLimit - 1, 1, 0}, // below: tracked gather
+		{atLimit, 1, 0},     // exactly nnz/deltaDivisor entries: still tracked (strict >)
+		{atLimit + 1, 0, 1}, // one row past: whole-matrix round
 	}
 	for _, c := range cases {
 		p, active := schedulePass(t, n, c.active, 0)
-		pushed, _, rounds, remaining := p.Drain(active, 0)
+		pushed, _, rounds, remaining := drainAll(p, active)
 		if remaining != nil || pushed != c.active || rounds != 1 {
 			t.Fatalf("active=%d: drain = pushed %d rounds %d remaining %v", c.active, pushed, rounds, remaining)
 		}
 		if p.trackedRounds != c.wantTracked || p.deltaRounds != c.wantDelta {
-			t.Errorf("active=%d (threshold %d): tracked=%d delta=%d, want tracked=%d delta=%d",
-				c.active, n/deltaDivisor, p.trackedRounds, p.deltaRounds, c.wantTracked, c.wantDelta)
+			t.Errorf("active=%d (threshold %d entries): tracked=%d delta=%d, want tracked=%d delta=%d",
+				c.active, ringCSR(t, n).NNZ()/deltaDivisor, p.trackedRounds, p.deltaRounds, c.wantTracked, c.wantDelta)
 		}
 	}
 }
 
-// TestPullPassSchedulesAgree: both schedules (and the delta sweep) drain
+// TestPullPassSchedulesAgree: both schedules (and the whole-matrix round) drain
 // to the same beliefs on the same input — the boundary is a performance
 // decision, never a correctness one. Uses a real H̃ so multiple rounds run.
 func TestPullPassSchedulesAgree(t *testing.T) {
@@ -142,7 +144,7 @@ func TestPullPassSchedulesAgree(t *testing.T) {
 	// Sequential scatter reference vs parallel pull (small frontier →
 	// tracked).
 	pSeq, fSeq, aSeq := build(1, 12)
-	pSeq.Drain(aSeq, 0)
+	drainAll(pSeq, aSeq)
 	if pSeq.scatterRounds == 0 {
 		t.Fatal("sequential reference did not run the scatter schedule")
 	}
@@ -150,7 +152,7 @@ func TestPullPassSchedulesAgree(t *testing.T) {
 		t.Skipf("machine parallelism %d < %d: parallel schedules unavailable", (Runner{}).MaxChunks(), minPullWorkers)
 	}
 	pPar, fPar, aPar := build(0, 12)
-	pPar.Drain(aPar, 0)
+	drainAll(pPar, aPar)
 	if pPar.trackedRounds == 0 {
 		t.Fatal("parallel drain did not run tracked rounds")
 	}
@@ -185,7 +187,7 @@ func TestTunedSchedulesConverge(t *testing.T) {
 	}
 	// Sequential reference: one worker forces the scatter schedule.
 	pSeq, fSeq, aSeq := build(1, 24)
-	pSeq.Drain(aSeq, 0)
+	drainAll(pSeq, aSeq)
 	if pSeq.scatterRounds == 0 {
 		t.Fatal("sequential reference did not run the scatter schedule")
 	}
@@ -196,7 +198,7 @@ func TestTunedSchedulesConverge(t *testing.T) {
 				sched := Schedule{DeltaDivisor: dd, MinPullWorkers: mpw, Sticky: sticky}
 				p, f, active := build(0, 24)
 				p.sched = sched
-				pushed, _, _, remaining := p.Drain(active, 0)
+				pushed, _, _, remaining := drainAll(p, active)
 				if remaining != nil || pushed == 0 {
 					t.Fatalf("sched %+v: drain = pushed %d remaining %v", sched, pushed, remaining)
 				}
@@ -235,8 +237,8 @@ func TestPullRoundDropsStaleChunkLists(t *testing.T) {
 		}
 		return nodes
 	}
-	p.Drain(seed(0, 10), 0) // chunk 0 claims {63, 1}, chunk 1 claims {9, 11}
-	p.Drain(seed(10), 0)    // chunk 0 claims {9, 11}; chunk 1 does not run
+	drainAll(p, seed(0, 10)) // chunk 0 claims {63, 1}, chunk 1 claims {9, 11}
+	drainAll(p, seed(10))    // chunk 0 claims {9, 11}; chunk 1 does not run
 	if p.trackedRounds != 2 {
 		t.Fatalf("tracked rounds = %d, want 2", p.trackedRounds)
 	}

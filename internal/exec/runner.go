@@ -14,17 +14,21 @@
 //   - Drain: the sequential largest-first push loop for heap-tier
 //     frontiers, generic over a PushKernel so the solver's copy-on-write
 //     patch sessions own the storage and this package the scheduling;
-//   - PullPass: the level-synchronous parallel drain for saturated
-//     frontiers — per round, every active node's residual is absorbed in
-//     parallel, then the dirtied neighborhood *pulls* its incoming mass in
-//     parallel (gather, not scatter, so rows are written by exactly one
-//     worker and the pass is race-free without atomics on the data);
-//   - DenseRound: the one dense iteration W·(F·H̃) both solvers share, with
-//     a parallel per-row-chunk finish hook (propagation fuses its belief
-//     update into it, residual its residual recomputation).
+//   - PullPass: the level-synchronous drain for saturated frontiers, every
+//     round priced before it runs — tracked while the active rows own at
+//     most half the stored entries (per round, every active node's
+//     residual is absorbed in parallel, then the dirtied neighborhood
+//     *pulls* its incoming mass in parallel: gather, not scatter, so rows
+//     are written by exactly one worker and the pass is race-free without
+//     atomics on the data), one exact whole-matrix round (ExactRound, also
+//     the round the residual solver's Init repeats) past that;
+//   - DenseRound: the dense iteration W·(F·H̃) of the propagation solver,
+//     with a parallel per-row-chunk finish hook it fuses its belief update
+//     into; MulRowsH is the row·H̃ product every round of both shares.
 //
-// The package deliberately contains no solver mathematics beyond the pull
-// gather: tolerances, scaling and storage tiers stay with the solvers.
+// The package deliberately contains no solver mathematics beyond the
+// rounds themselves: tolerances, scaling and storage tiers stay with the
+// solvers.
 package exec
 
 import (

@@ -2,11 +2,12 @@ package exec
 
 // Schedule holds the drain-schedule thresholds a PullPass runs under.
 type Schedule struct {
-	// DeltaDivisor: a tracked round degenerates to a whole-matrix delta
-	// sweep once the active set exceeds n/DeltaDivisor.
+	// DeltaDivisor: a round is tracked while its active rows own at most
+	// nnz(W)/DeltaDivisor stored entries, and one whole-matrix ExactRound
+	// past that.
 	DeltaDivisor int
-	// MinPullWorkers: below this many chunks the drain runs the sequential
-	// Gauss–Seidel scatter schedule instead of parallel pull rounds.
+	// MinPullWorkers: below this many chunks a tracked round runs the
+	// sequential Gauss–Seidel scatter schedule instead of the parallel pull.
 	MinPullWorkers int
 	// Sticky routes gather candidates to workers by node range, so chunk c
 	// touches the same belief/residual range every round (cache-warm

@@ -17,14 +17,16 @@ import (
 // ending: it reads its answer through Row and Aborts, so nothing it
 // computed ever reaches the base.
 //
-// A small patch stays in the sparse tier: residual rows copy-on-write from
-// the base's sparse map, belief rows clone on first touch, and the drain is
-// the sequential exec.Drain loop. A wide patch — one whose frontier
-// saturates or whose pushes exhaust the edge budget — promotes to a private
-// dense view: the base beliefs are cloned wholesale (O(n·k), far below a
-// propagation's O(m·k·T)) and the drain becomes exec.PullPass parallel
-// rounds, with warm dense sweeps as the final fallback. Either way Flush
-// converges; FellBack merely reports that sweeps finished the job.
+// A session has two tiers. A small patch stays in the sparse one: residual
+// rows copy-on-write from the base's sparse map, belief rows clone on first
+// touch, and the drain is the sequential exec.Drain heap loop. A patch whose
+// frontier saturates, or whose pushes pass the edge budget, promotes to a
+// private dense view: the base beliefs are cloned wholesale (O(n·k), far
+// below a propagation's O(m·k·T)) and exec.PullPass runs rounds until the
+// frontier is empty, pricing each one — tracked while the active rows own
+// at most half of nnz(W), one exact whole-matrix round otherwise. Either
+// way Flush converges; FellBack reports the decision "a whole-matrix round
+// ran", not a failure.
 //
 // A Patch never mutates its base before Apply, so sessions that end in
 // Abort may run concurrently with each other and with one that will be
@@ -48,7 +50,7 @@ type Patch struct {
 
 	// private dense tier; non-nil once promoted
 	df, dr *dense.Matrix
-	dx     *dense.Matrix // cloned X̃ with deltas applied; built only for sweeps
+	dx     *dense.Matrix // cloned X̃ with deltas applied; built at the first whole-matrix round
 	norms  []float64
 	pull   *exec.PullPass
 
@@ -161,7 +163,7 @@ func (p *Patch) AddResidual(node int, delta []float64) {
 func (p *Patch) AddEdgeDelta(u, v int, dw float64) {
 	s := p.base
 	buf := make([]float64, s.k)
-	mulRowH(buf, s.f.Row(v), s.hScaled.Data, s.k)
+	exec.MulRowsH(buf, s.f.Row(v), s.hScaled.Data, s.k)
 	for j := range buf {
 		buf[j] *= dw
 	}
@@ -169,7 +171,7 @@ func (p *Patch) AddEdgeDelta(u, v int, dw float64) {
 	if u == v {
 		return
 	}
-	mulRowH(buf, s.f.Row(u), s.hScaled.Data, s.k)
+	exec.MulRowsH(buf, s.f.Row(u), s.hScaled.Data, s.k)
 	for j := range buf {
 		buf[j] *= dw
 	}
@@ -180,23 +182,6 @@ func (p *Patch) AddEdgeDelta(u, v int, dw float64) {
 // cloned wholesale, base and patch residual rows fold into a dense array,
 // and the sparse session storage is dropped.
 func (p *Patch) promote() {
-	if p.df != nil {
-		return
-	}
-	p.promoteForSweep()
-	s := p.base
-	p.pull = exec.NewPullPass(s.w, s.hScaled, p.df, p.dr, p.norms, s.opts.Tol, s.run)
-}
-
-// promoteForSweep is promote without the PullPass scratch: a session that
-// goes straight to dense sweeps never drains node-at-a-time, and the
-// sweep's first recomputation regenerates the residual from (X̃+Δ, F)
-// anyway — the exact invariant makes the folded rows a consistency nicety,
-// not an input.
-func (p *Patch) promoteForSweep() {
-	if p.df != nil {
-		return
-	}
 	mPromotions.Inc()
 	s := p.base
 	p.df = s.f.Clone()
@@ -215,9 +200,12 @@ func (p *Patch) promoteForSweep() {
 	}
 	p.rows, p.res = nil, nil
 	p.front = nil
+	p.pull = exec.NewPullPass(s.w, s.hScaled, p.df, p.dr, p.norms, s.opts.Tol, s.run)
 }
 
-// ensureDX materializes the patched explicit-belief matrix for sweeps.
+// ensureDX materializes the patched explicit-belief matrix a whole-matrix
+// round recomputes the residual from. The drain asks for it at the first
+// such round, so a session that never runs one allocates nothing here.
 func (p *Patch) ensureDX() *dense.Matrix {
 	if p.dx == nil {
 		p.dx = p.base.x.Clone()
@@ -231,11 +219,14 @@ func (p *Patch) ensureDX() *dense.Matrix {
 	return p.dx
 }
 
-// Flush drains the queued deltas to the base's tolerance. It always
-// converges: a frontier past the promotion threshold switches to parallel
-// pull rounds on the private dense view, and one past the edge budget
-// finishes with dense sweeps there (FellBack reports it). Safe to call
-// with concurrent readers on the base.
+// Flush drains the queued deltas to the base's tolerance in two tiers. The
+// sparse-tier heap drain runs until it drains, saturates or passes the edge
+// budget; the last two both promote. The promoted tier then runs rounds
+// until the frontier is empty, under no edge budget, each priced by the
+// stored entries its active rows own (exec.PullPass.Drain).
+// Stats.Sweeps counts the whole-matrix rounds, FellBack reports that one
+// ran, and only Options.MaxSweeps of them can leave MaxResidual above the
+// tolerance. Safe to call with concurrent readers on the base.
 func (p *Patch) Flush() Stats {
 	s := p.base
 	var st Stats
@@ -243,41 +234,24 @@ func (p *Patch) Flush() Stats {
 	doneFlush := p.Trace.Start("residual.flush")
 	defer doneFlush()
 	if p.df == nil {
-		pushed, edges, outcome := exec.DrainTraced(p.Trace, p.front, patchKernel{p}, s.edgeBudget)
-		st.Pushed += pushed
-		st.Edges += edges
-		switch outcome {
-		case exec.Drained:
+		var outcome exec.DrainOutcome
+		st.Pushed, st.Edges, outcome = exec.DrainTraced(p.Trace, p.front, patchKernel{p}, s.edgeBudget)
+		if outcome == exec.Drained {
 			return st
-		case exec.BudgetExceeded:
-			st.FellBack = true
-			p.promoteForSweep()
-			p.ensureDX()
-			sw := sweepToTol(s.run, s.w, s.hScaled, p.dx, p.df, p.dr, p.norms,
-				s.opts.Tol*sweepSlack, s.opts.MaxSweeps)
-			st.Sweeps, st.MaxResidual = sw.Sweeps, sw.MaxResidual
-			return st
-		case exec.Saturated:
-			p.promote()
 		}
-	}
-	active := activeFromNorms(p.norms, s.opts.Tol)
-	budget := s.edgeBudget - st.Edges
-	if budget < 1 {
-		budget = 1
+		p.promote()
 	}
 	donePull := p.Trace.Start("exec.pull")
-	pushed, edges, rounds, remaining := p.pull.Drain(active, budget)
+	pushed, edges, rounds, sweeps, remaining := p.pull.Drain(
+		activeFromNorms(p.norms, s.opts.Tol), p.ensureDX, s.opts.MaxSweeps)
 	donePull()
 	st.Pushed += pushed
 	st.Edges += edges
-	st.Rounds += rounds
-	if remaining != nil {
-		st.FellBack = true
-		p.ensureDX()
-		sw := sweepToTol(s.run, s.w, s.hScaled, p.dx, p.df, p.dr, p.norms,
-			s.opts.Tol*sweepSlack, s.opts.MaxSweeps)
-		st.Sweeps, st.MaxResidual = sw.Sweeps, sw.MaxResidual
+	st.Rounds, st.Sweeps, st.FellBack = rounds, sweeps, sweeps > 0
+	for _, v := range remaining {
+		if p.norms[v] > st.MaxResidual {
+			st.MaxResidual = p.norms[v]
+		}
 	}
 	return st
 }
@@ -297,7 +271,7 @@ func (p *Patch) Apply() {
 	if p.df != nil {
 		s.f = p.df
 		// The private dense residual supersedes whatever tier the base
-		// held; carry still-dirty rows (post-sweep there normally are none)
+		// held; carry still-dirty rows (after a clean drain there are none)
 		// into a fresh sparse tier and drop the rest — the same
 		// Tol-bounded discard as a demotion.
 		s.r, s.norms = nil, nil
@@ -402,7 +376,7 @@ func (k patchKernel) Push(node int32, dirtied func(int32, float64)) int {
 	for j := 0; j < kk; j++ {
 		rRow[j] = 0
 	}
-	mulRowH(p.rhBuf, p.rowBuf, base.hScaled.Data, kk)
+	exec.MulRowsH(p.rhBuf, p.rowBuf, base.hScaled.Data, kk)
 	cols, wts := base.w.Row(int(node))
 	for q, v := range cols {
 		wv := 1.0

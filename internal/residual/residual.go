@@ -18,15 +18,20 @@
 // Because ε is chosen so that ρ(A) = s < 1 (Eq. 2 of the paper), pushed
 // mass contracts geometrically from any start and the loop terminates.
 //
-// Scheduling lives in internal/exec and is tiered. A small frontier drains
-// through exec.Drain — the sequential priority-queue push loop — over a
-// compact sparse residual map holding only the dirty rows. Past a
-// load-factor threshold the frontier saturates: the session promotes to
-// private dense arrays and exec.PullPass drains it with level-synchronous
-// PARALLEL pull rounds on the shared worker pool, and past the edge budget
-// warm dense sweeps finish the job. The dense tier lives and dies with the
-// session, so an idle State holds two n×k matrices (X̃ and F), not five —
-// the sparse tier is what keeps a quiescent engine's footprint small.
+// Scheduling lives in internal/exec and has two tiers. A small frontier
+// drains through exec.Drain — the sequential priority-queue push loop — over
+// a compact sparse residual map holding only the dirty rows. Once the
+// frontier saturates (a load-factor threshold) or the pushes pass the edge
+// budget, the session promotes to private dense arrays and exec.PullPass
+// runs level-synchronous rounds until the frontier is empty, pricing every
+// round by the stored entries its active rows own: a tracked round (parallel
+// pull, or sequential scatter on one worker) while that is at most half of
+// nnz(W), otherwise one exact whole-matrix round F ← F + R,
+// R ← X̃ + εW·F·H̃ − F on the CSR multiply kernel. A flush therefore costs
+// what its perturbation touches, round by round, instead of a budget burnt
+// before looking. The dense tier lives and dies with the session, so an
+// idle State holds two n×k matrices (X̃ and F), not five — the sparse tier
+// is what keeps a quiescent engine's footprint small.
 //
 // Applying a session discards residual mass at or below the tolerance
 // (retaining it would keep a dense array alive). Each discard perturbs the
@@ -69,11 +74,11 @@ import (
 // agreement budget the parity tests enforce.
 const DefaultTol = 1e-8
 
-// sweepSlack tightens the dense-sweep convergence target below the push
-// tolerance: sweeps run until the residual is at or below Tol·sweepSlack.
-// Sweeps end in a demotion that discards the leftover sub-threshold mass,
-// so the tighter target shrinks what a fallback discards to a quarter of a
-// push drain's — two extra sweeps at s = 0.5.
+// sweepSlack tightens Init's convergence target below the push tolerance:
+// its sweeps run until the residual is at or below Tol·sweepSlack. Init ends
+// in a demotion that discards the leftover sub-threshold mass, so the
+// tighter target shrinks that discard to a quarter of a push drain's — two
+// extra sweeps at s = 0.5.
 const sweepSlack = 0.25
 
 // Options configures a State. The zero value matches the serving engine's
@@ -90,16 +95,17 @@ type Options struct {
 	// Tol is the per-node residual ∞-norm threshold; rows at or below it
 	// are not pushed. 0 means DefaultTol.
 	Tol float64
-	// MaxSweeps bounds the dense Jacobi sweeps of Init and of the push
-	// fallback; default 100 (with s = 0.5 the residual contracts by ~s per
-	// sweep, so 100 is far past any realistic tolerance).
+	// MaxSweeps bounds the whole-matrix rounds of Init and of one Flush, so
+	// both terminate even where contraction is lost; default 100 (with
+	// s = 0.5 the residual contracts by ~s per round, so 100 is far past any
+	// realistic tolerance).
 	MaxSweeps int
 	// SpectralIters bounds the power iterations for ρ(W); default 50.
 	SpectralIters int
-	// EdgeBudgetFactor bounds a single Flush: once a push pass has touched
-	// more than EdgeBudgetFactor·nnz(W) edges it abandons the queue and
-	// finishes with dense sweeps (at that point a sweep is cheaper than
-	// continuing node-at-a-time). Default 4.
+	// EdgeBudgetFactor bounds the sparse-tier push pass of a Flush: past
+	// EdgeBudgetFactor·nnz(W) edges the session promotes, exactly as it does
+	// when its frontier saturates, and the promoted tier prices every round
+	// from there. Default 4.
 	EdgeBudgetFactor float64
 	// Workers caps the parallelism of saturated-round drains and dense
 	// sweeps (0 = all available workers, 1 = sequential). Benchmarks use 1
@@ -137,19 +143,23 @@ func (o *Options) defaults() {
 // responses.
 type Stats struct {
 	// Pushed is the number of node pushes (a node may be pushed more than
-	// once as returning mass re-raises its residual).
+	// once as returning mass re-raises its residual); a whole-matrix round
+	// counts the rows it found above tolerance.
 	Pushed int
-	// Edges is the number of edge traversals performed by pushes.
+	// Edges is the number of edge traversals performed one node at a time,
+	// by heap pushes and tracked rounds; whole-matrix rounds are in Sweeps.
 	Edges int
-	// Sweeps is the number of dense full-graph sweeps (Init always sweeps;
-	// Flush sweeps only after exhausting its edge budget).
+	// Sweeps is the number of whole-matrix rounds, each reading all nnz(W)
+	// stored entries: every sweep of Init, and the rounds of a Flush whose
+	// active rows owned over half of them.
 	Sweeps int
-	// Rounds is the number of parallel pull rounds run by a saturated
-	// drain (0 when the frontier never outgrew the priority queue).
+	// Rounds is the number of rounds a promoted drain ran, tracked and
+	// whole-matrix alike (0 when the frontier never outgrew the priority
+	// queue).
 	Rounds int
-	// FellBack reports that Flush abandoned the push queue for dense
-	// sweeps (the perturbation had spread past the point where push-based
-	// propagation is cheaper).
+	// FellBack reports the decision that Flush ran a whole-matrix round
+	// (Sweeps > 0): the perturbation had spread to where a round over every
+	// row is cheaper than tracking the frontier. It is not a failure.
 	FellBack bool
 	// MaxResidual is the largest per-node residual ∞-norm left behind.
 	MaxResidual float64
@@ -254,7 +264,7 @@ func NewStateOn(w exec.RowIterator, h *dense.Matrix, opts Options, rhoW float64)
 	return s, nil
 }
 
-// resetEdgeBudget re-derives the flush edge budget from the CURRENT
+// resetEdgeBudget re-derives the push-pass edge budget from the CURRENT
 // stored-entry count; SetAdj calls it so the budget tracks a mutating
 // topology.
 func (s *State) resetEdgeBudget() {
@@ -394,9 +404,19 @@ func (s *State) Init(x *dense.Matrix) (Stats, error) {
 	}
 	s.f.CopyFrom(s.x)
 	s.sRows = make(map[int32][]float64)
+	s.r, s.norms = nil, nil // a pending Rescale's residual is void too
 	s.promoteForSweep()
-	st := sweepToTol(s.run, s.w, s.hScaled, s.x, s.f, s.r, s.norms,
-		s.opts.Tol*sweepSlack, s.opts.MaxSweeps)
+	// F = X̃ with R = 0: each whole-matrix round is one Jacobi sweep
+	// F ← X̃ + εWFH̃ that leaves the (F, R) pair exact.
+	pass := exec.NewPullPass(s.w, s.hScaled, s.f, s.r, s.norms, s.opts.Tol, s.run)
+	var st Stats
+	for st.Sweeps < s.opts.MaxSweeps {
+		st.MaxResidual = pass.ExactRound(s.x)
+		st.Sweeps++
+		if st.MaxResidual <= s.opts.Tol*sweepSlack {
+			break
+		}
+	}
 	s.demote()
 	mSweeps.Add(int64(st.Sweeps))
 	return st, nil
@@ -404,8 +424,7 @@ func (s *State) Init(x *dense.Matrix) (Stats, error) {
 
 // promoteForSweep moves the residual into the dense tier: the n×k array and
 // the norm table, with the sparse rows folded in (Rescale transforms them;
-// Init's sweeps regenerate the residual from (X̃, F) anyway). No PullPass is
-// built: the State never drains node-at-a-time, its patch sessions do.
+// Init starts from none).
 func (s *State) promoteForSweep() {
 	if s.r != nil {
 		return
@@ -440,70 +459,6 @@ func (s *State) demote() {
 	}
 	s.addDropped(dropped)
 	s.r, s.norms = nil, nil
-}
-
-// sweepToTol repeatedly applies one dense Jacobi step f ← f + r followed by
-// a residual recomputation r ← x + A·f − f, until the largest per-node
-// residual ∞-norm is at or below target (or maxSweeps is hit). The
-// recompute-then-absorb order keeps the (f, r) pair consistent at every
-// loop exit. Init and Patch fallbacks share it (a Patch passes its private
-// clones); the scratch matrices are transient, so a quiescent state retains
-// nothing from its last sweep.
-func sweepToTol(run exec.Runner, w exec.RowIterator, hScaled, x, f, r *dense.Matrix, norms []float64, target float64, maxSweeps int) Stats {
-	k := hScaled.Rows
-	n := w.Dim()
-	fh := dense.New(n, k)
-	wfh := dense.New(n, k)
-	var st Stats
-	chunkMax := make([]float64, run.MaxChunks())
-	for {
-		for c := range chunkMax {
-			chunkMax[c] = 0
-		}
-		// r ← x̃ + εW f H̃ − f, fused with the norm scan.
-		run.DenseRound(w, f, hScaled, fh, wfh, func(chunk, lo, hi int) {
-			maxNorm := chunkMax[chunk]
-			for i := lo; i < hi; i++ {
-				rRow := r.Data[i*k : (i+1)*k]
-				fRow := f.Data[i*k : (i+1)*k]
-				xRow := x.Data[i*k : (i+1)*k]
-				wRow := wfh.Data[i*k : (i+1)*k]
-				norm := 0.0
-				for j := 0; j < k; j++ {
-					v := xRow[j] + wRow[j] - fRow[j]
-					rRow[j] = v
-					if v < 0 {
-						v = -v
-					}
-					if v > norm {
-						norm = v
-					}
-				}
-				norms[i] = norm
-				if norm > maxNorm {
-					maxNorm = norm
-				}
-			}
-			chunkMax[chunk] = maxNorm
-		})
-		maxNorm := 0.0
-		for _, v := range chunkMax {
-			if v > maxNorm {
-				maxNorm = v
-			}
-		}
-		st.Sweeps++
-		st.MaxResidual = maxNorm
-		if maxNorm <= target || st.Sweeps >= maxSweeps {
-			return st
-		}
-		// f ← f + r (absorb the whole residual at once: a dense push).
-		run.Rows(n, func(lo, hi int) {
-			for i := lo * k; i < hi*k; i++ {
-				f.Data[i] += r.Data[i]
-			}
-		})
-	}
 }
 
 // compact bounds the sparse tier after a drain: if retained sub-tolerance
@@ -557,17 +512,6 @@ func activeFromNorms(norms []float64, tol float64) []int32 {
 		}
 	}
 	return active
-}
-
-// mulRowH computes dst = row · H̃ for a k×k row-major H̃.
-func mulRowH(dst, row, hs []float64, k int) {
-	for j := 0; j < k; j++ {
-		acc := 0.0
-		for c := 0; c < k; c++ {
-			acc += row[c] * hs[c*k+j]
-		}
-		dst[j] = acc
-	}
 }
 
 func (s *State) maxNorm() float64 {

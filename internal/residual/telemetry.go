@@ -13,9 +13,9 @@ var (
 	mEdges = telemetry.Default().Counter("fg_residual_edges_traversed_total",
 		"Edge traversals performed by residual drains.")
 	mSweeps = telemetry.Default().Counter("fg_residual_sweeps_total",
-		"Dense full-graph Jacobi sweeps (Init and fallbacks).")
+		"Whole-matrix Jacobi rounds (Init sweeps and the rounds of flushes whose active rows owned over half of nnz).")
 	mFallbacks = telemetry.Default().Counter("fg_residual_fallback_sweeps_total",
-		"Flushes that abandoned the push queue for dense sweeps.")
+		"Flushes that ran at least one whole-matrix round.")
 	mPromotions = telemetry.Default().Counter("fg_residual_tier_promotions_total",
 		"Sparse-to-dense residual tier promotions (state and patch sessions).")
 	mDemotions = telemetry.Default().Counter("fg_residual_tier_demotions_total",

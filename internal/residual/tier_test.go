@@ -31,7 +31,7 @@ func widePatch(p *Patch, x *dense.Matrix, n, k int, frac float64, rng *rand.Rand
 
 // TestWidePatchParallelParity is the parallel-pushes-vs-sequential parity
 // property: a patch wide enough to saturate the frontier (promoting to
-// parallel pull rounds) must land on the same fixed point as (a) the
+// priced rounds: tracked, then whole-matrix) must land on the same fixed point as (a) the
 // worker-pinned sequential drain of the identical state and (b) a
 // from-scratch converged propagation, all within 1e-6. Run under -race in
 // CI: the saturated drain is the only concurrently-mutating kernel in the
@@ -57,8 +57,13 @@ func TestWidePatchParallelParity(t *testing.T) {
 		if st.Rounds == 0 {
 			t.Errorf("workers=%d: wide patch never promoted to pull rounds (pushed=%d)", opt.Workers, st.Pushed)
 		}
-		if st.FellBack {
-			t.Errorf("workers=%d: wide patch fell back to sweeps under a 64× budget", opt.Workers)
+		// FellBack is a decision, not a failure: flipping 40 % of the seeds
+		// spreads until the active rows own over half the stored entries,
+		// and from there a whole-matrix round is the cheaper one whatever
+		// the budget (which only bounds the heap tier).
+		if !st.FellBack || st.Sweeps == 0 {
+			t.Errorf("workers=%d: wide patch ran no whole-matrix round (FellBack=%v sweeps=%d rounds=%d)",
+				opt.Workers, st.FellBack, st.Sweeps, st.Rounds)
 		}
 		if s.DenseTier() {
 			t.Errorf("workers=%d: dense tier resident after applying a promoted session", opt.Workers)

@@ -27,9 +27,9 @@ type CreateGraphRequest struct {
 	// ResidualTol is the per-node residual tolerance beliefs are served
 	// to (0 = the engine default, 1e-8).
 	ResidualTol float64 `json:"residual_tol"`
-	// ResidualEdgeBudget bounds one push pass at this multiple of the
-	// graph's stored edges before falling back to dense propagation
-	// (0 = the engine default, 4).
+	// ResidualEdgeBudget bounds the sparse-tier push pass at this multiple
+	// of the graph's stored edges; past it the session promotes and prices
+	// every round on its own (0 = the engine default, 4).
 	ResidualEdgeBudget float64 `json:"residual_edge_budget"`
 	// CompactFraction is the share of adjacency entries allowed in the
 	// streaming-mutation delta overlay before a PATCH /edges batch
@@ -177,9 +177,8 @@ type ClassifyResponse struct {
 	// privately: its frontier, or every row once it promoted to a dense
 	// view.
 	ClonedRows int `json:"cloned_rows,omitempty"`
-	// FellBack reports that the what-if spread past the edge budget and
-	// finished with dense sweeps on its private clone, exactly as a label
-	// patch's fell_back does.
+	// FellBack reports that the what-if ran a whole-matrix round on its
+	// private clone, exactly as a label patch's fell_back does.
 	FellBack bool `json:"fell_back,omitempty"`
 	// Cached is true when the what-if was answered from the engine's
 	// memoized what-if cache: an identical extra_seeds set was
@@ -309,13 +308,13 @@ type LabelsPatchResponse struct {
 	// PushedNodes / TouchedEdges is the push work of a residual patch.
 	PushedNodes  int `json:"pushed_nodes,omitempty"`
 	TouchedEdges int `json:"touched_edges,omitempty"`
-	// FellBack reports that the perturbation spread past the edge budget
-	// and the patch finished with dense sweeps on its private cloned view
-	// instead of pushes. The beliefs are already updated when the response
+	// FellBack reports that the perturbation spread until its active rows
+	// owned over half the graph's stored edges and the patch ran
+	// whole-matrix rounds on its private cloned view instead of tracking
+	// the frontier. The beliefs are already updated when the response
 	// arrives — no later query pays for it — so the flag is purely
-	// diagnostic: persistent fell_back means the workload's patches are
-	// wider than push economics and the edge budget (or the batch size)
-	// deserves a look.
+	// diagnostic: it names the cheaper schedule for this patch on this
+	// graph, not a failure.
 	FellBack bool `json:"fell_back,omitempty"`
 }
 

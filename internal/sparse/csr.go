@@ -193,13 +193,29 @@ func (c *CSR) MulDense(x *dense.Matrix) *dense.Matrix {
 // — where X is cache-resident anyway — takes the simple row scan.
 func (c *CSR) MulDenseInto(out, x *dense.Matrix) {
 	c.checkMulDenseShapes(out, x)
+	c.mulDense(out, x)
+}
+
+// MulDenseRowsInto is MulDenseInto for an x and out that carry rows past N:
+// it computes rows [0, N) of out and leaves the rest alone (no column of W
+// reaches them in x). A delta overlay grown by AddNodes multiplies its base
+// this way, on the same kernels and bit-identical to them.
+func (c *CSR) MulDenseRowsInto(out, x *dense.Matrix) {
+	if x.Rows < c.N || out.Rows < c.N || out.Cols != x.Cols {
+		panic(fmt.Sprintf("sparse: MulDenseRowsInto shapes: W is %d×%d, X %d×%d, out %d×%d",
+			c.N, c.N, x.Rows, x.Cols, out.Rows, out.Cols))
+	}
+	c.mulDense(out, x)
+}
+
+func (c *CSR) mulDense(out, x *dense.Matrix) {
 	switch {
 	case x.Cols >= 2 && x.Cols <= spmmRegMaxCols:
 		c.mulDenseReg(out, x)
 	case c.N*x.Cols*8 > spmmTiledMinXBytes && c.NNZ() >= spmmTiledMinNNZ:
 		c.mulDenseTiled(out, x)
 	default:
-		c.MulDenseIntoSimple(out, x)
+		c.mulDenseSimple(out, x)
 	}
 }
 

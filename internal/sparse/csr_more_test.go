@@ -48,6 +48,36 @@ func TestMulDenseIntoBadOutPanics(t *testing.T) {
 	w.MulDenseInto(dense.New(2, 2), dense.New(3, 2))
 }
 
+// TestMulDenseRowsInto: with operands that carry rows past N, rows [0, N)
+// match MulDenseInto bit for bit and the extra rows of out are untouched;
+// an operand shorter than N panics.
+func TestMulDenseRowsInto(t *testing.T) {
+	w := triangle(t)
+	x := dense.New(5, 2)
+	for i := range x.Data {
+		x.Data[i] = float64(i) + 0.5
+	}
+	out := dense.Constant(5, 2, -7)
+	w.MulDenseRowsInto(out, x)
+	want := w.MulDense(&dense.Matrix{Rows: 3, Cols: 2, Data: x.Data[:6]})
+	for i, v := range want.Data {
+		if out.Data[i] != v {
+			t.Fatalf("out[%d] = %v, want %v", i, out.Data[i], v)
+		}
+	}
+	for _, v := range out.Data[6:] {
+		if v != -7 {
+			t.Fatalf("rows past N were written: %v", out.Data[6:])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on an X shorter than N")
+		}
+	}()
+	w.MulDenseRowsInto(dense.New(5, 2), dense.New(2, 2))
+}
+
 func TestWeightedSparseMul(t *testing.T) {
 	a, err := NewFromCoords(2, []Coord{{0, 1, 2}, {1, 0, 3}})
 	if err != nil {

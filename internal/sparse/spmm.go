@@ -38,6 +38,10 @@ const (
 // path (MulDenseInto dispatches here when X fits in cache).
 func (c *CSR) MulDenseIntoSimple(out, x *dense.Matrix) {
 	c.checkMulDenseShapes(out, x)
+	c.mulDenseSimple(out, x)
+}
+
+func (c *CSR) mulDenseSimple(out, x *dense.Matrix) {
 	k := x.Cols
 	defaultPool.parallelRows(c.N, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -83,7 +87,7 @@ func (c *CSR) mulDenseReg(out, x *dense.Matrix) {
 	case 4:
 		defaultPool.parallelRows(c.N, func(lo, hi int) { c.regRows4(out, x, lo, hi) })
 	default:
-		c.MulDenseIntoSimple(out, x)
+		c.mulDenseSimple(out, x)
 	}
 }
 
