@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +12,6 @@ import (
 
 	"factorgraph/internal/core"
 	"factorgraph/internal/delta"
-	"factorgraph/internal/dense"
 	"factorgraph/internal/exec"
 	"factorgraph/internal/labels"
 	"factorgraph/internal/residual"
@@ -53,21 +50,26 @@ var ErrEngineClosed = errors.New("engine closed")
 // topology is a frozen CSR plus a copy-on-write delta overlay
 // (internal/delta) that compactions fold into the next epoch.
 //
-// Concurrency model: queries take a read lock and serve from an immutable
-// belief snapshot (a clone of the residual beliefs); label updates,
-// mutations and re-estimation take the write lock to change the seed state
-// and invalidate the snapshot, which the next query rebuilds. The write
-// lock is narrow: a patch's residual flush runs on a cloned copy-on-write
-// view (residual.Patch) with NO engine lock held — concurrent readers keep
-// serving the untouched pre-patch beliefs — and only the final
-// belief/residual row swap (Patch.Apply) takes the write lock. patchMu
-// serializes patch sessions against each other, never against readers.
-// What-if queries (Query.ExtraSeeds) flush their never-applied session
-// under the read lock — they read live base rows a concurrent Apply would
-// swap — concurrently with each other and with a patch's flush. All
-// execution — dense rounds and saturated residual drains alike — runs on
-// the shared parallel core in internal/exec over internal/sparse's worker
-// pool.
+// Concurrency model, in two sentences: readers share mu and copy out what
+// they report under one read-lock hold; every transition of the fixed point,
+// the first solve included, is serialised by one writer mutex (patchMu).
+// The writers are UpdateLabels, MutateTopology, CompactTopology (and the
+// background compactor's epoch install), SetH, Reestimate's install — the
+// estimation itself runs outside every lock — and the cold solve a query on
+// a cold engine pays (ensureWarm). A writer holds mu only briefly, to
+// install seeds or swap a flushed session's rows in (Patch.Apply): the flush
+// and the cold solve run with no engine lock held, so concurrent readers
+// keep serving the untouched fixed point and /healthz and Stats stay live.
+// What-if queries (Query.ExtraSeeds) flush their never-applied session under
+// the read lock — they read live base rows a concurrent Apply would swap —
+// concurrently with each other and with a writer's flush. ReleaseTransient
+// and Close are NOT writers: they take mu only, because the registry calls
+// them under its own lock on unpinned engines while an async compactor may
+// hold the writer mutex through a rescale flush; a session that finds its
+// state dropped when it comes to commit is discarded (commitSession). Lock
+// order is patchMu → mu. All execution — dense rounds and saturated residual
+// drains alike — runs on the shared parallel core in internal/exec over
+// internal/sparse's worker pool.
 type Engine struct {
 	mu sync.RWMutex
 
@@ -77,8 +79,7 @@ type Engine struct {
 	nLabeled int       // labeled-seed count, maintained incrementally
 	est      *Estimate // current compatibility estimate
 
-	snap   *snapshot // cached propagation result; nil ⇒ stale
-	gen    int64     // bumped under mu on every seed/H/topology change
+	gen    int64 // bumped under mu on every seed/H/topology change
 	eopts  EngineOptions
 	closed bool // set by Close; all expensive operations refuse afterwards
 
@@ -102,12 +103,14 @@ type Engine struct {
 
 	// res is the live residual-propagation state: beliefs converged to the
 	// current (seeds, H) pair, updated in place by o(Δ) pushes on label
-	// patches. nil ⇒ cold or invalidated by an H change; the next snapshot
-	// rebuild re-initializes it with one full propagation.
+	// patches. nil ⇒ cold, released or invalidated by an H change; the next
+	// query re-initializes it with one full propagation (ensureWarm).
 	res *residual.State
 
-	rebuildMu sync.Mutex // serializes snapshot rebuilds (never held with mu)
-	patchMu   sync.Mutex // serializes residual patch sessions (acquired before mu)
+	// patchMu is the writer mutex: it serializes every transition of the
+	// fixed point — patch sessions, epoch installs, H installs and the cold
+	// solve — against each other, never against readers. Acquired before mu.
+	patchMu sync.Mutex
 
 	// ovCache memoizes what-if sessions' private rows keyed by the canonical
 	// extra-seed set, so repeated interactive what-ifs skip the re-push
@@ -149,13 +152,6 @@ type Engine struct {
 	nRescales          atomic.Int64
 	nAsyncCompactions  atomic.Int64
 	nSketchUpdates     atomic.Int64
-}
-
-// snapshot is an immutable (beliefs, labels) pair; readers that hold a
-// pointer to one can format responses without any lock.
-type snapshot struct {
-	beliefs *dense.Matrix
-	labels  []int
 }
 
 // EngineOptions configures an Engine. The zero value estimates H with DCEr
@@ -215,8 +211,10 @@ type EngineStats struct {
 	// sketch + optimization pass).
 	Estimations int64
 	// Propagations is the number of full LinBP solves: the residual
-	// state's cold initializations (first query per (graph, H) pair, after
-	// an H change or a transient release). What-if queries never add one.
+	// state's cold initializations, one per cold start — the first query per
+	// (graph, H) pair, and the first after an H change or a transient
+	// release — however many writes land beside it. A what-if adds one only
+	// when it is that first query.
 	Propagations int64
 	// Queries is the number of Classify calls answered.
 	Queries int64
@@ -724,16 +722,16 @@ func (e *Engine) NumericHealth() NumericHealth {
 // EstimateEngineBytes estimates the resident memory of an Engine serving an
 // n-node, m-edge, k-class graph: the CSR adjacency matrix (IndPtr int64,
 // Indices int32 over 2m stored entries, Data float64 when weighted), the
-// seed and label vectors, and the n×k float64 working set at its peak —
-// the residual state's X̃ and F, the belief snapshot, and one promoted
-// session in flight (its belief, residual and explicit-belief clones plus
-// the two sweep scratch matrices): eight matrices. The registry uses this
-// as the admission weight for its memory budget; it deliberately
-// overcounts an idle engine rather than undercount a busy one.
+// seed vector, and the n×k float64 working set at its peak — the residual
+// state's X̃ and F plus one promoted session in flight (its belief, residual
+// and explicit-belief clones and the two sweep scratch matrices): seven
+// matrices. The registry uses this as the admission weight for its memory
+// budget; it deliberately overcounts an idle engine rather than undercount a
+// busy one.
 func EstimateEngineBytes(n, m, k int, weighted bool) int64 {
-	vectors := 2 * 8 * int64(n)                       // seeds + snapshot labels
-	matrices := (2 + 1 + 5) * 8 * int64(n) * int64(k) // X̃+F, snapshot beliefs, one promoted session
-	return csrBytes(n, m, weighted) + vectors + matrices
+	seeds := 8 * int64(n)
+	matrices := (2 + 5) * 8 * int64(n) * int64(k) // X̃+F, one promoted session
+	return csrBytes(n, m, weighted) + seeds + matrices
 }
 
 // csrBytes is the CSR adjacency share of an engine's footprint.
@@ -746,26 +744,21 @@ func csrBytes(n, m int, weighted bool) int64 {
 }
 
 // MemoryFootprint estimates this engine's resident bytes from the tier
-// actually in use: the CSR matrix and its delta overlay, the seed/label
-// vectors, the snapshot if one is resident, and the residual state's
-// MemoryBytes — two n×k matrices plus only the residual rows currently
-// materialized. An idle engine with an empty frontier therefore reports a
-// fraction of the EstimateEngineBytes admission estimate; the dense
-// residual tier and the session clones are transient and never
-// idle-resident. The registry re-reads this per access, so
+// actually in use: the CSR matrix and its delta overlay, the seed vector and
+// the residual state's MemoryBytes — two n×k matrices plus only the residual
+// rows currently materialized. An idle engine with an empty frontier
+// therefore reports a fraction of the EstimateEngineBytes admission
+// estimate; the dense residual tier and the session clones are transient and
+// never idle-resident. The registry re-reads this per access, so
 // /v1/admin/registry tracks tier changes live.
 func (e *Engine) MemoryFootprint() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	nn, kk := int64(e.liveN()), int64(e.k)
 	b := csrBytes(e.g.N, e.g.M, e.g.Adj.Data != nil)
 	if e.topo != nil { // nil once closed
 		b += e.topo.MemoryBytes() // delta-overlay patch rows
 	}
-	b += 2 * 8 * nn // seeds + snapshot labels
-	if e.snap != nil {
-		b += 8*nn*kk + 8*nn // snapshot beliefs + labels
-	}
+	b += 8 * int64(e.liveN()) // seeds
 	if e.res != nil {
 		b += e.res.MemoryBytes()
 	}
@@ -783,15 +776,14 @@ func (e *Engine) Mutated() bool {
 	return e.gen != 0
 }
 
-// Close releases the engine's large buffers — the belief snapshot, the
-// residual state and the cached summaries — and marks the engine
+// Close releases the engine's large buffers — the residual state, the
+// cached summaries and the what-if cache — and marks the engine
 // closed; subsequent queries and updates fail with ErrEngineClosed. The
 // graph itself is NOT owned by the engine and is left untouched. Close is
 // idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
-	e.snap = nil
 	e.res = nil
 	e.topo = nil
 	e.mu.Unlock()
@@ -801,95 +793,78 @@ func (e *Engine) Close() {
 	e.ovCache.purge()
 }
 
-// currentSnapshot returns the cached belief snapshot, rebuilding it when a
-// label update, mutation or re-estimation invalidated it. With a warm
-// residual state the rebuild is a clone + argmax; a cold one (first query,
-// H change, ReleaseTransient) first pays one full solve, which runs OUTSIDE
-// the engine lock (a multi-second operation on large graphs must not block
-// /healthz readers behind a pending writer) on inputs captured under a
-// short read lock, and is installed only if no write landed in between —
-// otherwise it retries on the fresher state. rebuildMu keeps concurrent
-// cold queries from duplicating the propagation.
-func (e *Engine) currentSnapshot(tr *telemetry.Trace) (*snapshot, error) {
+// ensureWarm pays the one full solve a cold engine owes — first query,
+// after an H change, after ReleaseTransient — as a writer: it holds the
+// writer mutex for the solve, so patches, mutations and epoch installs queue
+// behind it and then run as o(Δ) sessions on the warm state, concurrent cold
+// readers share one solve, and nothing can change the seeds, H or topology it
+// reads. No engine lock is held while it runs (a multi-second operation on
+// large graphs must not block /healthz readers behind a pending writer).
+func (e *Engine) ensureWarm(tr *telemetry.Trace) error {
+	e.patchMu.Lock()
+	defer e.patchMu.Unlock()
 	e.mu.RLock()
-	s := e.snap
+	closed, warm := e.closed, e.res != nil
+	// Safe to read after unlock: every writer of these holds patchMu.
+	seeds, h, topo, rhoW := e.seeds, e.est.H, e.topo, e.rhoW
 	e.mu.RUnlock()
-	if s != nil {
-		return s, nil
+	if closed {
+		return ErrEngineClosed
 	}
-	e.rebuildMu.Lock()
-	defer e.rebuildMu.Unlock()
-	for {
-		e.mu.RLock()
-		if e.closed {
-			e.mu.RUnlock()
-			return nil, ErrEngineClosed
-		}
-		if e.snap != nil {
-			s := e.snap
-			e.mu.RUnlock()
-			return s, nil
-		}
-		if e.res != nil {
-			// The residual state already holds the converged beliefs for
-			// the current seeds (label patches were flushed in place): the
-			// snapshot is a clone + argmax, no propagation. The clone runs
-			// under the read lock so no patch can mutate rows mid-copy.
-			b := e.res.Beliefs().Clone()
-			gen := e.gen
-			e.mu.RUnlock()
-			snap := &snapshot{beliefs: b, labels: dense.ArgmaxRows(b)}
-			e.mu.Lock()
-			if e.gen == gen && !e.closed {
-				e.snap = snap
-				e.mu.Unlock()
-				return snap, nil
-			}
-			e.mu.Unlock()
-			continue
-		}
-		seeds := append([]int(nil), e.seeds...)
-		h := e.est.H
-		gen := e.gen
-		topo := e.topo
-		rhoW := e.rhoW
-		e.mu.RUnlock()
-
-		// Cold (or invalidated by an H change): one full solve seeds the
-		// residual state, after which patches are o(Δ). The state is built
-		// over the live topology epoch with the pinned ρ(W), so a
-		// mutated-then-evicted working set re-solves against the mutated
-		// graph, not the construction one.
-		rs, err := residual.NewStateOn(topo, h, e.residualOptions(), rhoW)
-		if err != nil {
-			return nil, fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
-		}
-		x, err := labels.Matrix(seeds, e.k)
-		if err != nil {
-			return nil, fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
-		}
-		e.nPropagations.Add(1)
-		engPropagations.Inc()
-		start := telemetry.Now()
-		doneInit := tr.Start("residual.init")
-		_, err = rs.Init(x)
-		doneInit()
-		if err != nil {
-			return nil, fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
-		}
-		hPropagation.ObserveSince(start)
-		e.mu.Lock()
-		if e.gen == gen && !e.closed {
-			e.res = rs
-		}
-		e.mu.Unlock()
-		// Loop: the res branch above builds (or retries) the snapshot.
+	if warm {
+		return nil // a cold reader ahead of us on the writer mutex solved
 	}
+	// The state is built over the live topology epoch with the pinned ρ(W),
+	// so a mutated-then-released working set re-solves against the mutated
+	// graph, not the construction one.
+	rs, err := residual.NewStateOn(topo, h, e.residualOptions(), rhoW)
+	if err != nil {
+		return fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
+	}
+	x, err := labels.Matrix(seeds, e.k)
+	if err != nil {
+		return fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
+	}
+	e.nPropagations.Add(1)
+	engPropagations.Inc()
+	start := telemetry.Now()
+	doneInit := tr.Start("residual.init")
+	_, err = rs.Init(x)
+	doneInit()
+	if err != nil {
+		return fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
+	}
+	hPropagation.ObserveSince(start)
+	e.mu.Lock()
+	if !e.closed {
+		e.res = rs
+	}
+	e.mu.Unlock()
+	return nil
 }
 
-// Classify answers one query. With no ExtraSeeds the response is served
-// from the cached belief snapshot — O(len result), no propagation; with
-// ExtraSeeds it converges a copy-on-write what-if session and drops it.
+// rlockWarm takes the read lock and returns the live residual state, paying
+// the cold solve first when there is none. On error no lock is held.
+func (e *Engine) rlockWarm(tr *telemetry.Trace) (*residual.State, error) {
+	e.mu.RLock()
+	for e.res == nil && !e.closed {
+		// Cold, or a ReleaseTransient landed between the solve and this hold.
+		e.mu.RUnlock()
+		if err := e.ensureWarm(tr); err != nil {
+			return nil, err
+		}
+		e.mu.RLock()
+	}
+	if e.closed {
+		e.mu.RUnlock()
+		return nil, ErrEngineClosed
+	}
+	return e.res, nil
+}
+
+// Classify answers one query from the live fixed point — O(len result), no
+// propagation once the engine is warm; with ExtraSeeds it first converges a
+// copy-on-write what-if session and drops it.
 func (e *Engine) Classify(q Query) ([]NodeResult, error) {
 	var out []NodeResult
 	if q.Nodes != nil {
@@ -910,9 +885,9 @@ func (e *Engine) Classify(q Query) ([]NodeResult, error) {
 // QueryMeta describes how a query was answered; the HTTP layer reports it
 // so clients (and benchmarks) can see the residual subsystem at work.
 type QueryMeta struct {
-	// Residual is true when the residual subsystem answered the query —
-	// either directly from live beliefs (small node lists after a patch)
-	// or through a what-if session.
+	// Residual is true on every answered query: all of them read the
+	// residual subsystem's live fixed point, directly or through a what-if
+	// session.
 	Residual bool
 	// PushedNodes / TouchedEdges is the push work a what-if session
 	// performed (zero for other queries).
@@ -937,18 +912,16 @@ type QueryMeta struct {
 // invoked once per node in order. Queried nodes are validated before the
 // first invocation, so fn never sees a partial error-bound iteration; an
 // error from fn aborts and is returned. This is what the HTTP layer's
-// NDJSON streaming uses — memory stays O(k) per record even when
-// classifying every node of a huge graph.
+// NDJSON streaming uses: fn runs with no engine lock held, on labels and
+// scores copied out when the query started, so a response is one consistent
+// state however slowly the client drains it.
 func (e *Engine) ClassifyEach(q Query, fn func(NodeResult) error) error {
 	_, err := e.ClassifyEachMeta(q, fn)
 	return err
 }
 
 // ClassifyEachMeta is ClassifyEach plus metadata about how the query was
-// served. What-if queries run on a copy-on-write session over the live
-// residual state that is never applied, and small node-list queries hitting
-// a stale snapshot are answered straight from the live belief rows without
-// rebuilding it.
+// served.
 func (e *Engine) ClassifyEachMeta(q Query, fn func(NodeResult) error) (QueryMeta, error) {
 	e.nQueries.Add(1)
 	engQueries.Inc()
@@ -960,112 +933,29 @@ func (e *Engine) ClassifyEachMeta(q Query, fn func(NodeResult) error) (QueryMeta
 	return meta, err
 }
 
-// classifyEachMeta is the body of ClassifyEachMeta under its
-// "engine.classify" span: the residual fast paths record themselves as
-// deferred-name child spans (the stage only learns what it was — cached or
-// flushed — after the fact), and the snapshot path nests resolve and emit
-// under the same parent.
-func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResult) error) (QueryMeta, error) {
-	end := tr.StartSpan()
-	if len(q.ExtraSeeds) > 0 {
-		meta, err := e.overlayResidual(q, tr, fn)
-		name := "overlay_flush"
-		if meta.CacheHit {
-			name = "overlay_cached"
-		}
-		end(name)
-		return meta, err
-	}
-	meta, handled, err := e.residualDirect(q, tr, fn)
-	if handled || err != nil {
-		end("residual_direct")
-		return meta, err
-	}
-	end("") // declined without doing work: no span
-	doneResolve := tr.Start("resolve")
-	snap, err := e.currentSnapshot(tr)
-	doneResolve()
-	if err != nil {
-		return QueryMeta{}, err
-	}
-	doneEmit := tr.Start("emit")
-	err = e.formatEach(q, snap.beliefs, snap.labels, fn)
-	doneEmit()
-	return QueryMeta{}, err
-}
-
-// residualDirectMax bounds the node-list size served straight from the live
-// residual rows; anything larger rebuilds the snapshot (a clone + argmax),
-// which amortizes better across records.
-const residualDirectMax = 1024
-
-// residualDirect answers a small node-list query from the live residual
-// beliefs under the read lock — no snapshot rebuild, no propagation. It
-// declines (handled=false) when a fresh snapshot already exists (serving
-// from it is zero-copy) or the residual state is cold.
-func (e *Engine) residualDirect(q Query, tr *telemetry.Trace, fn func(NodeResult) error) (QueryMeta, bool, error) {
-	if q.Nodes == nil || len(q.Nodes) == 0 || len(q.Nodes) > residualDirectMax {
-		return QueryMeta{}, false, nil
-	}
-	n := e.liveN()
-	for _, node := range q.Nodes {
-		if node < 0 || node >= n {
-			return QueryMeta{}, true, fmt.Errorf("factorgraph: query node %d out of range n=%d", node, n)
-		}
-	}
-	topk := q.TopK
-	if topk > e.k {
-		topk = e.k
-	}
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return QueryMeta{}, true, ErrEngineClosed
-	}
-	if e.snap != nil || e.res == nil {
-		e.mu.RUnlock()
-		return QueryMeta{}, false, nil
-	}
-	// Copy the queried rows out under the lock; formatting (and fn, which
-	// may write to a network) runs outside it.
-	rows := make([][]float64, len(q.Nodes))
-	labs := make([]int, len(q.Nodes))
-	for i, node := range q.Nodes {
-		row := e.res.Row(node)
-		labs[i] = argmaxRow(row)
-		if topk > 0 {
-			rows[i] = append([]float64(nil), row...)
-		}
-	}
-	e.mu.RUnlock()
-	doneEmit := tr.Start("emit")
-	defer doneEmit()
-	for i, node := range q.Nodes {
-		if err := e.emitResult(node, rows[i], labs[i], topk, fn); err != nil {
-			return QueryMeta{Residual: true}, true, err
-		}
-	}
-	return QueryMeta{Residual: true}, true, nil
-}
-
-// overlayResidual answers a what-if query as a label patch that is never
-// applied: the extra seeds queue on a copy-on-write residual.Patch over the
-// live state, the session converges — o(Δ) pushes around the perturbed
-// frontier, tracked and whole-matrix rounds on its private clone if it
-// floods — the answer is read through it, and it is aborted.
+// classifyEachMeta is the one read path, the body of ClassifyEachMeta under
+// its "engine.classify" span. A plain read reads res.Row; a what-if is a
+// label patch that is never applied: its extra seeds queue on a
+// copy-on-write residual.Patch over the live state, the session converges —
+// o(Δ) pushes around the perturbed frontier, tracked and whole-matrix rounds
+// on its private clone if it floods — the answer is read through it, and it
+// is aborted. Either way the labels and scores the response reports are
+// copied out under one read-lock hold and emitted outside it. The stage
+// records itself as a deferred-name child span (it only learns what it was —
+// direct, cached or flushed — after the fact) with emit nested under it.
 //
-// The session flush and row materialization run under the read lock (they
-// read live base rows a concurrent Apply would swap). A flooding what-if
-// therefore holds it through its rounds: a patch's row swap arriving
-// meanwhile waits for it, and so do the readers queued behind that writer.
-func (e *Engine) overlayResidual(q Query, tr *telemetry.Trace, fn func(NodeResult) error) (QueryMeta, error) {
-	liveN := e.liveN()
+// A what-if's flush runs under the read lock (it reads live base rows a
+// concurrent Apply would swap). A flooding what-if therefore holds it
+// through its rounds: a patch's row swap arriving meanwhile waits for it,
+// and so do the readers queued behind that writer.
+func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResult) error) (QueryMeta, error) {
+	liveN, k := e.liveN(), e.k
 	for node, c := range q.ExtraSeeds {
 		if node < 0 || node >= liveN {
 			return QueryMeta{}, fmt.Errorf("factorgraph: extra seed node %d out of range n=%d", node, liveN)
 		}
-		if c != Unlabeled && (c < 0 || c >= e.k) {
-			return QueryMeta{}, fmt.Errorf("factorgraph: extra seed class %d outside [0,%d)", c, e.k)
+		if c != Unlabeled && (c < 0 || c >= k) {
+			return QueryMeta{}, fmt.Errorf("factorgraph: extra seed class %d outside [0,%d)", c, k)
 		}
 	}
 	for _, node := range q.Nodes {
@@ -1073,110 +963,115 @@ func (e *Engine) overlayResidual(q Query, tr *telemetry.Trace, fn func(NodeResul
 			return QueryMeta{}, fmt.Errorf("factorgraph: query node %d out of range n=%d", node, liveN)
 		}
 	}
-	topk := q.TopK
-	if topk > e.k {
-		topk = e.k
+	topk := min(q.TopK, k)
+	stage := "residual_direct"
+	end := tr.StartSpan()
+	defer func() { end(stage) }()
+
+	res, err := e.rlockWarm(tr)
+	if err != nil {
+		return QueryMeta{}, err
 	}
-	key := overlayCacheKey(q.ExtraSeeds)
-	e.mu.RLock()
-	for e.res == nil && !e.closed {
-		// Cold, or raced an H change: the first query per (graph, H) pays
-		// the one full solve, then the what-if runs on the fresh state.
-		e.mu.RUnlock()
-		if _, err := e.currentSnapshot(tr); err != nil {
-			return QueryMeta{}, err
-		}
-		e.mu.RLock()
-	}
-	if e.closed {
-		e.mu.RUnlock()
-		return QueryMeta{}, ErrEngineClosed
-	}
-	res := e.res
-	var meta QueryMeta
-	var sessionRow func(node int) []float64
+	meta, row := QueryMeta{Residual: true}, res.Row
 	var session *residual.Patch
-	if cached := e.ovCache.get(key, e.gen); cached != nil {
-		// This exact what-if was flushed at the current generation: its
-		// session rows are still the fixed point, so serving is a pure
-		// read — no pushing, no cloning.
-		meta = QueryMeta{
-			Residual: true, CacheHit: true,
-			PushedNodes: cached.pushed, TouchedEdges: cached.edges,
-			ClonedRows: len(cached.rows),
-		}
-		sessionRow = func(node int) []float64 {
-			if row, ok := cached.rows[int32(node)]; ok {
-				return row
-			}
-			return res.Row(node)
-		}
-		e.nOverlayCacheHits.Add(1)
-		engWhatifHits.Inc()
-	} else {
-		engWhatifMisses.Inc()
-		session = res.BeginPatch()
-		session.Trace = tr
-		for node, c := range q.ExtraSeeds {
-			// The delta is taken against the X̃ the base holds, not e.seeds:
-			// between a label patch's seed install and its Apply the seeds
-			// are one patch ahead of the beliefs this session reads.
-			if d := seedDelta(e.k, seedOf(res.XRow(node)), c); d != nil {
-				session.AddDelta(node, d)
-			}
-		}
-		st := e.flushSession(session)
-		rows, owned := session.OwnedRows(overlayCacheMaxRows)
-		meta = QueryMeta{
-			Residual: true, PushedNodes: st.Pushed, TouchedEdges: st.Edges,
-			ClonedRows: owned, FellBack: st.FellBack,
-		}
-		sessionRow = session.Row
-		if rows != nil {
-			// Memoize the session's rows for the next identical what-if.
-			// gen cannot move while we hold the read lock, so the entry is
-			// pinned to exactly the base state the flush read; any later
-			// patch or H change bumps gen and invalidates it lazily.
-			e.ovCache.put(&overlayCacheEntry{
-				key: key, gen: e.gen, rows: rows, pushed: st.Pushed, edges: st.Edges,
-			})
+	if len(q.ExtraSeeds) > 0 {
+		meta, row, session = e.whatIfRows(res, q.ExtraSeeds, tr)
+		stage = "overlay_flush"
+		if meta.CacheHit {
+			stage = "overlay_cached"
 		}
 	}
-	// Materialize the answer under the read lock (session rows alias the
-	// base), then emit outside it.
 	n := len(q.Nodes)
 	if q.Nodes == nil {
-		n = liveN
+		n = res.N()
 	}
-	rows := make([][]float64, n)
-	labs := make([]int, n)
-	for i := 0; i < n; i++ {
-		node := i
+	nodeAt := func(i int) int {
 		if q.Nodes != nil {
-			node = q.Nodes[i]
+			return q.Nodes[i]
 		}
-		row := sessionRow(node)
-		labs[i] = argmaxRow(row)
+		return i
+	}
+	labs := make([]int, n)
+	var scores []float64
+	if topk > 0 {
+		scores = make([]float64, n*k)
+	}
+	for i := range labs {
+		r := row(nodeAt(i))
+		labs[i] = argmaxRow(r)
 		if topk > 0 {
-			rows[i] = append([]float64(nil), row...)
+			copy(scores[i*k:], r)
 		}
 	}
 	if session != nil {
 		session.Abort() // a what-if never reaches the base
 	}
 	e.mu.RUnlock()
+	// fn may write to a network: it never runs with mu held.
 	doneEmit := tr.Start("emit")
 	defer doneEmit()
-	for i := 0; i < n; i++ {
-		node := i
-		if q.Nodes != nil {
-			node = q.Nodes[i]
+	for i, lab := range labs {
+		var r []float64
+		if topk > 0 {
+			r = scores[i*k : (i+1)*k]
 		}
-		if err := e.emitResult(node, rows[i], labs[i], topk, fn); err != nil {
+		if err := e.emitResult(nodeAt(i), r, lab, topk, fn); err != nil {
 			return meta, err
 		}
 	}
 	return meta, nil
+}
+
+// whatIfRows opens the row view of a what-if over res: the memoized rows of
+// an identical what-if flushed at the current generation, or a fresh session
+// flushed here (which the caller aborts once it has read its answer). The
+// caller holds the read lock.
+func (e *Engine) whatIfRows(res *residual.State, extra map[int]int, tr *telemetry.Trace) (QueryMeta, func(int) []float64, *residual.Patch) {
+	key := overlayCacheKey(extra)
+	if cached := e.ovCache.get(key, e.gen); cached != nil {
+		// Its session rows are still the fixed point, so serving is a pure
+		// read — no pushing, no cloning.
+		e.nOverlayCacheHits.Add(1)
+		engWhatifHits.Inc()
+		meta := QueryMeta{
+			Residual: true, CacheHit: true,
+			PushedNodes: cached.pushed, TouchedEdges: cached.edges,
+			ClonedRows: len(cached.rows),
+		}
+		row := func(node int) []float64 {
+			if row, ok := cached.rows[int32(node)]; ok {
+				return row
+			}
+			return res.Row(node)
+		}
+		return meta, row, nil
+	}
+	engWhatifMisses.Inc()
+	session := res.BeginPatch()
+	session.Trace = tr
+	for node, c := range extra {
+		// The delta is taken against the X̃ the base holds, not e.seeds:
+		// between a label patch's seed install and its Apply the seeds are
+		// one patch ahead of the beliefs this session reads.
+		if d := seedDelta(e.k, seedOf(res.XRow(node)), c); d != nil {
+			session.AddDelta(node, d)
+		}
+	}
+	st := e.flushSession(session)
+	rows, owned := session.OwnedRows(overlayCacheMaxRows)
+	if rows != nil {
+		// Memoize the session's rows for the next identical what-if. gen
+		// cannot move while the caller holds the read lock, so the entry is
+		// pinned to exactly the base state the flush read; any later patch or
+		// H change bumps gen and invalidates it lazily.
+		e.ovCache.put(&overlayCacheEntry{
+			key: key, gen: e.gen, rows: rows, pushed: st.Pushed, edges: st.Edges,
+		})
+	}
+	return QueryMeta{
+		Residual: true, PushedNodes: st.Pushed, TouchedEdges: st.Edges,
+		ClonedRows: owned, FellBack: st.FellBack,
+	}, session.Row, session
 }
 
 // seedOf reads a node's seed class back from its explicit-belief row — the
@@ -1216,94 +1111,33 @@ func argmaxRow(row []float64) int {
 	return best
 }
 
-// formatEach renders the query response record by record. All queried
-// nodes are range-checked before the first fn call so callers streaming
-// over a network never emit a partial response for an invalid request.
-func (e *Engine) formatEach(q Query, beliefs *dense.Matrix, lab []int, fn func(NodeResult) error) error {
-	// Bound by the belief matrix actually answering the query: a node
-	// added after the snapshot was cut is out of range for THIS response.
-	for _, node := range q.Nodes {
-		if node < 0 || node >= beliefs.Rows {
-			return fmt.Errorf("factorgraph: query node %d out of range n=%d", node, beliefs.Rows)
-		}
-	}
-	n := len(q.Nodes)
-	if q.Nodes == nil {
-		n = beliefs.Rows
-	}
-	topk := q.TopK
-	if topk > e.k {
-		topk = e.k
-	}
-	for i := 0; i < n; i++ {
-		node := i
-		if q.Nodes != nil {
-			node = q.Nodes[i]
-		}
-		var row []float64
-		if topk > 0 {
-			row = beliefs.Row(node)
-		}
-		if err := e.emitResult(node, row, lab[node], topk, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // emitResult renders one NodeResult and hands it to fn. row is only read
 // when topk > 0.
 func (e *Engine) emitResult(node int, row []float64, lab, topk int, fn func(NodeResult) error) error {
 	r := NodeResult{Node: node, Label: lab}
 	if topk > 0 {
+		// Insertion sort by descending score over the ascending-class fill:
+		// the strict > keeps tied scores in ascending class order.
 		scores := make([]ClassScore, e.k)
-		for c := 0; c < e.k; c++ {
-			scores[c] = ClassScore{Class: c, Score: row[c]}
-		}
-		sort.Slice(scores, func(a, b int) bool {
-			if scores[a].Score != scores[b].Score {
-				return scores[a].Score > scores[b].Score
+		for c, v := range row[:e.k] {
+			j := c
+			for ; j > 0 && v > scores[j-1].Score; j-- {
+				scores[j] = scores[j-1]
 			}
-			return scores[a].Class < scores[b].Class
-		})
+			scores[j] = ClassScore{Class: c, Score: v}
+		}
 		r.Top = scores[:topk]
 	}
 	return fn(r)
-}
-
-// ClassifyBatch answers many queries concurrently (bounded by GOMAXPROCS).
-// Queries without ExtraSeeds share one snapshot rebuild; what-if queries
-// each converge their own copy-on-write session. Results align with qs;
-// the first error is returned, with successful entries preserved.
-func (e *Engine) ClassifyBatch(qs []Query) ([][]NodeResult, error) {
-	out := make([][]NodeResult, len(qs))
-	errs := make([]error, len(qs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range qs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i], errs[i] = e.Classify(qs[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }
 
 // PatchMeta describes how a label update was applied; the HTTP layer
 // reports it in PATCH /labels responses.
 type PatchMeta struct {
 	// Residual is true when the update was propagated in place by o(Δ)
-	// residual pushes; false means the residual state was still cold and
-	// the next query pays the full propagation.
+	// residual pushes; false means the residual state was cold (never
+	// queried, released, or voided by an H change): only the seeds were
+	// installed, and the next query's one full solve starts from them.
 	Residual bool
 	// PushedNodes / TouchedEdges is the push work the flush performed.
 	PushedNodes  int
@@ -1406,7 +1240,6 @@ func (e *Engine) updateLabelsMeta(set map[int]int, remove []int, tr *telemetry.T
 	for _, node := range remove {
 		e.setSeedLocked(node, Unlabeled, patch)
 	}
-	e.snap = nil
 	e.gen++
 	e.labelGen++ // seeds changed ⇒ cached summaries are stale
 	e.nLabelUpdates.Add(1)
@@ -1461,7 +1294,6 @@ func (e *Engine) commitSession(res *residual.State, p *residual.Patch) {
 	applied := e.res == res && !e.closed
 	if applied {
 		p.Apply()
-		e.snap = nil
 		e.gen++
 	}
 	e.mu.Unlock()
@@ -1490,32 +1322,45 @@ func (e *Engine) setSeedLocked(node, c int, patch *residual.Patch) {
 	}
 }
 
-// Reestimate re-runs the configured estimator on the current seeds,
-// replaces H and invalidates the belief snapshot. ρ(W) and the CSR matrix
-// are reused via the caches, so this costs one sketch+optimization pass —
-// which runs OUTSIDE the lock (like EstimateWith), so queries keep serving
-// from the old snapshot while it computes. If seeds change concurrently,
-// last-writer-wins: the installed H reflects the seeds captured at entry.
+// Reestimate re-runs the configured estimator on the current seeds and
+// installs the result. ρ(W) and the CSR matrix are reused via the caches, so
+// this costs one sketch+optimization pass — which runs OUTSIDE every lock
+// (like EstimateWith), so queries and patches keep running on the old fixed
+// point while it computes; only the install is a writer. If seeds change
+// concurrently, last-writer-wins: the installed H reflects the seeds captured
+// at entry.
 func (e *Engine) Reestimate() (*Estimate, error) {
 	est, err := e.EstimateWith(e.eopts.Estimator, e.eopts.Estimate)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, ErrEngineClosed
+	if err := e.installH(est); err != nil {
+		return nil, err
 	}
-	e.est = est
-	e.snap = nil
-	e.res = nil // H changed: the residual fixed point is void
-	e.gen++
 	return est, nil
 }
 
+// installH replaces the compatibility estimate as a writer — behind any
+// session or cold solve in flight, so none of them commits a fixed point of
+// the old H afterwards — and voids the residual state: the next query
+// re-solves.
+func (e *Engine) installH(est *Estimate) error {
+	e.patchMu.Lock()
+	defer e.patchMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return ErrEngineClosed
+	}
+	e.est = est
+	e.res = nil
+	e.gen++
+	return nil
+}
+
 // SetH installs an externally supplied compatibility matrix (e.g. a gold
-// standard or an estimate produced with different options) and invalidates
-// the belief snapshot. A non-finite entry is rejected: it would make ε, and
+// standard or an estimate produced with different options); the next query
+// re-solves under it. A non-finite entry is rejected: it would make ε, and
 // with it every belief served afterwards, NaN.
 func (e *Engine) SetH(h *Matrix, method string) error {
 	if h.Rows != e.k || h.Cols != e.k {
@@ -1526,14 +1371,5 @@ func (e *Engine) SetH(h *Matrix, method string) error {
 			return fmt.Errorf("factorgraph: H[%d][%d] = %v is not finite", i/e.k, i%e.k, v)
 		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrEngineClosed
-	}
-	e.est = &Estimate{H: h.Clone(), Method: method}
-	e.snap = nil
-	e.res = nil // H changed: the residual fixed point is void
-	e.gen++
-	return nil
+	return e.installH(&Estimate{H: h.Clone(), Method: method})
 }

@@ -155,7 +155,7 @@ func TestEngineIncrementalMemoryFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm: one full solve seeds the residual state; the frontier is then
-	// empty and the snapshot resident — the steady serving state.
+	// empty — the steady serving state.
 	if _, err := eng.Classify(Query{Nodes: []int{0}}); err != nil {
 		t.Fatal(err)
 	}

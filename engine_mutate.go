@@ -45,7 +45,7 @@ type MutateMeta struct {
 	FellBack bool
 	// Compacted reports that this batch ended in a compaction: the delta
 	// overlay was merged into a fresh canonical CSR, swapped in under the
-	// snapshot lock, and ρ(W)/ε were re-derived from it.
+	// write lock, and ρ(W)/ε were re-derived from it.
 	Compacted bool
 	// CompactPending reports that this batch tripped the overlay-fraction
 	// threshold on an AsyncCompact engine: a background compactor is
@@ -139,6 +139,12 @@ func (e *Engine) mutateTopology(addNodes int, muts []EdgeMutation, tr *telemetry
 		e.mu.Unlock()
 		return MutateMeta{}, ErrEngineClosed
 	}
+	// Refuse growth before anything n-sized is touched: the CSR's column ids
+	// are int32. Written as a subtraction so the sum cannot overflow int.
+	if cur := e.topo.Dim(); addNodes > math.MaxInt32-cur {
+		e.mu.Unlock()
+		return MutateMeta{}, fmt.Errorf("factorgraph: adding %d nodes to %d exceeds the %d-node limit", addNodes, cur, math.MaxInt32)
+	}
 	n := e.topo.Dim() + addNodes
 	for _, m := range muts {
 		if m.U < 0 || m.U >= n || m.V < 0 || m.V >= n {
@@ -216,7 +222,6 @@ func (e *Engine) mutateTopology(addNodes int, muts []EdgeMutation, tr *telemetry
 		}
 	}
 	e.topo = next
-	e.snap = nil
 	e.gen++
 	oldLabelGen := e.labelGen
 	e.labelGen++ // the summaries sketch the topology; it changed
@@ -391,7 +396,7 @@ func (e *Engine) compactForEstimate() error {
 
 // CompactTopology forces a compaction of the delta overlay regardless of
 // the overlay-fraction trigger: the merged CSR is swapped in under the
-// snapshot lock, ρ(W)/ε are re-derived canonically, and the residual state
+// write lock, ρ(W)/ε are re-derived canonically, and the residual state
 // is rescaled and re-converged. A no-op (Compacted=false) when the overlay
 // is clean.
 func (e *Engine) CompactTopology() (MutateMeta, error) {
@@ -471,7 +476,6 @@ func (e *Engine) installEpoch(frozen *delta.Graph, csr *sparse.CSR, rhoNew float
 	e.g = newGraph
 	e.rhoW = rhoNew
 	e.epochAt = time.Now()
-	e.snap = nil
 	e.gen++
 	e.nCompactions.Add(1)
 	res := e.res
@@ -614,20 +618,21 @@ func (e *Engine) Dims() (n, m int) {
 }
 
 // ReleaseTransient drops the engine's rebuildable working state — the
-// belief snapshot, the residual solver state, the cached summaries and the
-// what-if cache — while keeping everything whose loss would force a cold
-// rebuild: the graph (CSR plus delta overlay), the seed labels and the H
-// estimate. The next query re-solves with ONE propagation — o(build), not
-// o(parse+estimate+build) — and no acknowledged mutation (labels, H,
-// topology) is lost, so the registry may partially release ANY engine,
-// mutated or not. Returns the post-release footprint.
+// residual solver state, the cached summaries and the what-if cache — while
+// keeping everything whose loss would force a cold rebuild: the graph (CSR
+// plus delta overlay), the seed labels and the H estimate. The next query
+// re-solves with ONE propagation — o(build), not o(parse+estimate+build) —
+// and no acknowledged mutation (labels, H, topology) is lost, so the
+// registry may partially release ANY engine, mutated or not. It takes mu
+// only, never the writer mutex (the registry calls it under its own lock):
+// a session in flight finds its state gone at commit and is discarded.
+// Returns the post-release footprint.
 func (e *Engine) ReleaseTransient() int64 {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return 0
 	}
-	e.snap = nil
 	e.res = nil
 	e.mu.Unlock()
 	e.sumMu.Lock()

@@ -224,8 +224,7 @@ func TestEngineWhatIfBesidePatchOnSameNode(t *testing.T) {
 }
 
 // TestEngineIncrementalDirectPath: after a patch, a small node-list query
-// is served from live residual rows without rebuilding the snapshot or
-// re-propagating.
+// is served from live residual rows without re-propagating.
 func TestEngineIncrementalDirectPath(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 2000, 16000, 0.05)
 	// Generous budget: the dense 2k fixture floods the default one, which
@@ -251,18 +250,17 @@ func TestEngineIncrementalDirectPath(t *testing.T) {
 	if st := eng.Stats(); st.Propagations != 1 {
 		t.Errorf("direct path ran %d propagations, want 1", st.Propagations)
 	}
-	// A full-graph query now rebuilds the snapshot by cloning — still no
-	// propagation.
+	// A full-graph query copies every live row out — still no propagation.
 	if _, err := eng.Classify(Query{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.Stats(); st.Propagations != 1 {
-		t.Errorf("snapshot rebuild after patch ran %d propagations, want 1 (clone only)", st.Propagations)
+		t.Errorf("full-graph read after patch ran %d propagations, want 1 (copy only)", st.Propagations)
 	}
 }
 
 // TestEngineIncrementalConcurrent hammers an incremental engine with
-// parallel snapshot queries, what-ifs (point ones and full-graph ones that
+// parallel plain queries, what-ifs (point ones and full-graph ones that
 // flood the default budget and sweep on private clones), patches and
 // re-estimations. Run with -race: this is the session-isolation-under-
 // concurrency test at the engine level.
@@ -383,7 +381,7 @@ func TestEngineIncrementalPatchFallback(t *testing.T) {
 		t.Errorf("fallbacks = %d, want 1", st.ResidualFallbacks)
 	}
 	// The sweeps ran on the patch's cloned view and the swap kept the
-	// residual state: the next query is a snapshot clone, not a re-solve.
+	// residual state: the next query is a row read, not a re-solve.
 	res, err := inc.Classify(Query{Nodes: []int{node}})
 	if err != nil {
 		t.Fatal(err)

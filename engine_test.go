@@ -113,7 +113,7 @@ func TestEngineParityWithOneShot(t *testing.T) {
 
 // TestEngineIncrementalLabels checks that UpdateLabels changes predictions
 // without re-estimating H, and that removing the update restores the
-// original snapshot behavior.
+// original behavior.
 func TestEngineIncrementalLabels(t *testing.T) {
 	g, seeds, truth := engineFixture(t, 3000, 36000, 0.05)
 	eng, err := NewEngine(g, seeds, 3)
@@ -149,10 +149,10 @@ func TestEngineIncrementalLabels(t *testing.T) {
 	if st.LabelUpdates != 1 {
 		t.Errorf("label update counter = %d, want 1", st.LabelUpdates)
 	}
-	// Each update invalidates the snapshot: expect exactly one more
-	// propagation for the post-update query.
+	// The update landed on a cold engine (seeds only): the post-update
+	// query pays the one cold solve.
 	if st.Propagations != 1 {
-		t.Errorf("propagations = %d, want 1 (snapshot rebuild)", st.Propagations)
+		t.Errorf("propagations = %d, want 1 (the cold solve)", st.Propagations)
 	}
 
 	// The incremental labeled count must track set/remove transitions.
@@ -232,34 +232,6 @@ func TestEngineExtraSeeds(t *testing.T) {
 	}
 	if _, err := eng.Classify(Query{ExtraSeeds: map[int]int{0: 7}}); err == nil {
 		t.Error("out-of-range extra class accepted")
-	}
-}
-
-// TestEngineBatch runs a mixed batch of snapshot and what-if queries.
-func TestEngineBatch(t *testing.T) {
-	g, seeds, _ := engineFixture(t, 3000, 36000, 0.05)
-	eng, err := NewEngine(g, seeds, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := make([]Query, 32)
-	for i := range qs {
-		qs[i] = Query{Nodes: []int{i % g.N}, TopK: 1}
-		if i%4 == 0 {
-			qs[i].ExtraSeeds = map[int]int{(i * 13) % g.N: i % 3}
-		}
-	}
-	res, err := eng.ClassifyBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(qs) {
-		t.Fatalf("batch returned %d results, want %d", len(res), len(qs))
-	}
-	for i, r := range res {
-		if len(r) != 1 || r[0].Node != i%g.N {
-			t.Errorf("batch entry %d malformed: %+v", i, r)
-		}
 	}
 }
 

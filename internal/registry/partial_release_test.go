@@ -11,8 +11,22 @@ import (
 // instead of evicting — the engine stays resident, the next access rebuilds
 // NOTHING but the solve (no parse, no CSR build, no estimation).
 func TestPartialReleaseTier(t *testing.T) {
-	// Between one shed footprint and one full footprint.
-	r := New(Options{MemoryBudget: testEngineBytes() / 2})
+	// Between one shed footprint and one warm footprint, both read off a
+	// probe engine built from the same spec.
+	probe, err := buildEngine(testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := probe.Classify(factorgraph.Query{Nodes: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	warm := probe.MemoryFootprint()
+	shed := probe.ReleaseTransient()
+	probe.Close()
+	if shed >= warm {
+		t.Fatalf("shed footprint %d not below the warm one %d", shed, warm)
+	}
+	r := New(Options{MemoryBudget: (shed + warm) / 2})
 	builds := countBuilds(r)
 	if _, err := r.Register("g", testSpec(1)); err != nil {
 		t.Fatal(err)

@@ -126,7 +126,7 @@ type entry struct {
 	lastHMethod string
 
 	// shed marks an engine partially released under memory pressure
-	// (snapshot + solver dropped, CSR and delta overlay kept); cleared on
+	// (residual solver state dropped, CSR and delta overlay kept); cleared on
 	// the next acquisition. partials counts them.
 	shed     bool
 	partials int64
@@ -390,10 +390,10 @@ func (r *Registry) touchLocked(e *entry) {
 
 // applyMemLocked folds a footprint measurement (taken OUTSIDE r.mu — see
 // releaseFunc) into the registry's resident total, provided the entry
-// still holds the engine it was measured on. Engine
-// footprints move at runtime — the residual tier promotes and demotes, the
-// snapshot comes and goes — and the budget (plus /v1/admin/registry) must
-// see the tier actually in use, not the build-time estimate.
+// still holds the engine it was measured on. Engine footprints move at
+// runtime — the residual tier promotes and demotes, the solver state is
+// released and re-solved — and the budget (plus /v1/admin/registry) must see
+// the tier actually in use, not the build-time estimate.
 func (r *Registry) applyMemLocked(e *entry, eng *factorgraph.Engine, m int64) {
 	if e.engine != eng || e.engine == nil || e.deleted {
 		return
@@ -408,10 +408,11 @@ func (r *Registry) applyMemLocked(e *entry, eng *factorgraph.Engine, m int64) {
 // fits the budget.
 //
 // Tier 1 — partial release: the LRU engine's transient working state
-// (belief snapshot, residual solver, caches) is dropped while the CSR
-// (plus delta overlay), seeds and H stay resident. No acknowledged state is lost, so EVERY cold engine
-// qualifies — mutated and non-rebuildable ones included — and the next
-// access re-solves with one propagation: o(build), not o(parse+build).
+// (residual solver state, caches) is dropped while the CSR (plus delta
+// overlay), seeds and H stay resident. No acknowledged state is lost, so
+// EVERY cold engine qualifies — mutated and non-rebuildable ones included —
+// and the next access re-solves with one propagation: o(build), not
+// o(parse+build).
 //
 // Tier 2 — full eviction: least-recently-used cold engines are closed
 // outright. Pinned (refs > 0), non-rebuildable and mutated engines are

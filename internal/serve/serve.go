@@ -72,6 +72,12 @@ const maxBodyBytes = 8 << 20
 // inline edge list.
 const maxUploadBytes = 64 << 20
 
+// maxAddNodes bounds the nodes one PATCH …/edges request may append (its
+// add_nodes, or the sum of its NDJSON add_nodes counts): growth allocates
+// n-sized state before any edge is looked at, so a 24-byte body must not be
+// able to ask for gigabytes. Larger graphs grow over several requests.
+const maxAddNodes = 1 << 20
+
 // defaultFlushEvery is how many NDJSON records are written between explicit
 // flushes when Options.FlushEvery is unset, so large streaming responses
 // reach slow clients incrementally.
@@ -532,7 +538,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, eng *fac
 	gzipOK := acceptsGzip(r)
 	if !req.Stream {
 		// The middleware's stage trace threads through the query: the
-		// engine records where the time went (overlay vs resolve vs emit),
+		// engine records where the time went (overlay vs direct read vs emit),
 		// the slow-query log captures it when the request lands beyond the
 		// adaptive threshold, and debug=1 additionally returns the
 		// breakdown in the response.
@@ -679,8 +685,9 @@ func (s *Server) handleEdgesPatch(w http.ResponseWriter, r *http.Request, eng *f
 			case "remove":
 				muts = append(muts, factorgraph.EdgeMutation{U: op.U, V: op.V, Remove: true})
 			case "add_nodes":
-				if op.Count < 0 {
-					writeError(w, http.StatusBadRequest, "add_nodes count %d is negative", op.Count)
+				// Compared against the room left, so the sum cannot overflow.
+				if op.Count < 0 || op.Count > maxAddNodes-addNodes {
+					writeError(w, http.StatusBadRequest, "add_nodes count %d outside [0,%d] for the whole request", op.Count, maxAddNodes)
 					return
 				}
 				addNodes += op.Count
@@ -696,8 +703,8 @@ func (s *Server) handleEdgesPatch(w http.ResponseWriter, r *http.Request, eng *f
 		if !decodeBody(w, r, &req, maxUploadBytes) {
 			return
 		}
-		if req.AddNodes < 0 {
-			writeError(w, http.StatusBadRequest, "add_nodes %d is negative", req.AddNodes)
+		if req.AddNodes < 0 || req.AddNodes > maxAddNodes {
+			writeError(w, http.StatusBadRequest, "add_nodes %d outside [0,%d]", req.AddNodes, maxAddNodes)
 			return
 		}
 		addNodes = req.AddNodes

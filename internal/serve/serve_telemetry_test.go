@@ -145,9 +145,14 @@ func TestClassifyDebugTrace(t *testing.T) {
 		}
 		seen[st.Stage] = true
 	}
-	// A cold engine resolves a snapshot and formats it.
-	if !seen["resolve"] || !seen["emit"] {
-		t.Errorf("stages %v, want resolve and emit present", seen)
+	// A cold engine pays its one solve under the read that asked for it.
+	for _, stage := range []string{"engine.classify", "residual.init", "residual_direct", "emit"} {
+		if !seen[stage] {
+			t.Errorf("stages %v, want %s present", seen, stage)
+		}
+	}
+	if seen["resolve"] {
+		t.Errorf("stages %v: there is no resolve stage", seen)
 	}
 
 	rec, _ = doJSON(t, srv, "POST", "/v1/classify", `{"nodes":[1]}`)

@@ -167,8 +167,9 @@ func (r *ClassifyRequest) Query() (factorgraph.Query, error) {
 type ClassifyResponse struct {
 	Count   int                      `json:"count"`
 	Results []factorgraph.NodeResult `json:"results"`
-	// Residual is true when the answer came from the residual subsystem
-	// (live fixed-point beliefs or a what-if's copy-on-write session).
+	// Residual is true on every answer: all of them read the residual
+	// subsystem (live fixed-point beliefs or a what-if's copy-on-write
+	// session).
 	Residual bool `json:"residual,omitempty"`
 	// PushedNodes / TouchedEdges is the push work the what-if performed.
 	PushedNodes  int `json:"pushed_nodes,omitempty"`
@@ -189,9 +190,10 @@ type ClassifyResponse struct {
 	// Stages is the per-stage time breakdown of how this query was served,
 	// present when the request asked for it with ?debug=1 (non-streaming
 	// only). Stage names name the engine path taken: overlay_cached /
-	// overlay_flush for what-if queries, residual_direct for live
-	// fixed-point reads, resolve for snapshot resolution (a full
-	// propagation when cold), emit for result formatting.
+	// overlay_flush for what-if queries, residual_direct for plain reads
+	// of the live fixed point, residual.init under either when the engine
+	// was cold and the query paid the full solve, emit for result
+	// formatting.
 	Stages []StageTiming `json:"stages,omitempty"`
 }
 
@@ -233,7 +235,8 @@ type LabelsResponse struct {
 // streaming topology mutation. Set entries are [u, v] or [u, v, w]
 // (weight defaults to 1); Remove entries are [u, v]. AddNodes appends
 // isolated nodes first (ids n..n+add_nodes-1), so Set may wire them in the
-// same batch. Compact forces a delta-overlay compaction after the batch.
+// same batch; one request may add at most 1<<20 nodes (400 past that, in
+// either body format, before anything is allocated). Compact forces a delta-overlay compaction after the batch.
 // The same endpoint also accepts Content-Type application/x-ndjson with
 // one EdgeOp per line for streamed mutation feeds.
 type EdgesPatch struct {

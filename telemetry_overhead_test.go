@@ -8,7 +8,7 @@ import (
 )
 
 // newOverheadEngine builds a small warm engine and a query that stays on
-// the hot serving path (snapshot resolved, no propagation per query).
+// the hot serving path (engine warm, no propagation per query).
 func newOverheadEngine(tb testing.TB) (*Engine, Query) {
 	tb.Helper()
 	h := SkewedH(3, 8)
@@ -29,7 +29,7 @@ func newOverheadEngine(tb testing.TB) (*Engine, Query) {
 		nodes[i] = i * 7 % 2000
 	}
 	q := Query{Nodes: nodes, TopK: 2}
-	// Warm: resolve the snapshot so the measured loop is pure serving.
+	// Warm: pay the cold solve so the measured loop is pure serving.
 	if err := eng.ClassifyEach(q, func(NodeResult) error { return nil }); err != nil {
 		tb.Fatal(err)
 	}
