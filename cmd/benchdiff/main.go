@@ -1,7 +1,7 @@
 // Command benchdiff compares benchmark artifacts between two runs and
 // fails when the new one regresses: CI runs it against the previous
 // commit's artifacts so a performance regression breaks the build instead
-// of sliding by unnoticed. Two artifact pairs are understood:
+// of sliding by unnoticed. Four artifact pairs are understood:
 //
 //   - loadgen serve reports (BENCH_serve.json): the gate is the classify
 //     p95 (and the patch p95 when both reports carry one) — new_p95 must
@@ -20,13 +20,6 @@
 //     new_p95 must not exceed old_p95 × (1 + max-regress) — so a
 //     regression in the streaming-mutation hot path (delta overlay,
 //     residual repropagation, compaction) breaks the build.
-//
-//   - kernel reports (BENCH_kernel.json, emitted by
-//     TestKernelThroughputArtifact under BENCH_KERNEL_OUT): the gates are
-//     the blocked-SpMM effective GB/s (must not drop by more than max-regress
-//     vs the baseline) and the full-propagation seconds (must not grow by
-//     more than max-regress) — the two numbers the locality/tiling/
-//     auto-tune work optimizes.
 //
 //   - re-estimation reports (BENCH_reestimate.json, emitted by
 //     TestReestimateSpeedArtifact under BENCH_REESTIMATE_OUT): the gate is
@@ -81,19 +74,6 @@ type reestimateReport struct {
 	Speedup              float64 `json:"speedup"`
 }
 
-// kernelReport is the subset of the kernel-throughput artifact the diff
-// reads: the blocked SpMM's effective bandwidth and the end-to-end
-// propagation seconds, plus context fields.
-type kernelReport struct {
-	Nodes              int     `json:"nodes"`
-	Edges              int     `json:"edges"`
-	SpmmSimpleGBps     float64 `json:"spmm_simple_gbps"`
-	SpmmBlockedGBps    float64 `json:"spmm_blocked_gbps"`
-	SpmmF32GBps        float64 `json:"spmm_f32_gbps"`
-	SpmmSpeedup        float64 `json:"spmm_speedup"`
-	PropagationSeconds float64 `json:"propagation_seconds"`
-}
-
 // mutateReport is the subset of the mutation-workload artifact the diff
 // reads: the loadgen report's mutation latency percentiles.
 type mutateReport struct {
@@ -120,8 +100,6 @@ func run() error {
 	newMutate := flag.String("new-mutate", "", "fresh mutation-workload report")
 	oldReest := flag.String("old-reestimate", "", "baseline re-estimation report (BENCH_reestimate.json); context only")
 	newReest := flag.String("new-reestimate", "", "fresh re-estimation report")
-	oldKernel := flag.String("old-kernel", "", "baseline kernel-throughput report (BENCH_kernel.json)")
-	newKernel := flag.String("new-kernel", "", "fresh kernel-throughput report")
 	maxRegress := flag.Float64("max-regress", 0.25, "maximum tolerated p95/work-ratio growth (0.25 = +25%)")
 	allowMissing := flag.Bool("allow-missing-old", false, "exit 0 for comparisons whose baseline file does not exist (first run)")
 	flag.Parse()
@@ -185,26 +163,6 @@ func run() error {
 			return err
 		}
 	}
-	if *newKernel != "" {
-		if *oldKernel == "" {
-			return errors.New("-new-kernel requires -old-kernel")
-		}
-		oldKer, err := load[kernelReport](*oldKernel)
-		switch {
-		case err == nil:
-			newKer, err := load[kernelReport](*newKernel)
-			if err != nil {
-				return err
-			}
-			if err := compareKernel(oldKer, newKer, *maxRegress, os.Stdout); err != nil {
-				failures = append(failures, err)
-			}
-		case *allowMissing && errors.Is(err, os.ErrNotExist):
-			fmt.Printf("benchdiff: no kernel baseline at %s; nothing to compare\n", *oldKernel)
-		default:
-			return err
-		}
-	}
 	if *newReest != "" {
 		newRep, err := load[reestimateReport](*newReest)
 		if err != nil {
@@ -258,39 +216,6 @@ func compareReestimate(oldRep, newRep *reestimateReport, w *os.File) error {
 		return errors.New("reestimate applied no sketch updates despite mutations: the incremental path never ran")
 	}
 	fmt.Fprintln(w, "benchdiff: o(Δ) re-estimation structure intact")
-	return nil
-}
-
-// compareKernel gates the SpMM effective bandwidth (warns on shrink past
-// the budget) and the end-to-end propagation seconds (warns on growth past
-// it); the float32 tier and the blocked-over-simple speedup are printed for
-// context. Different graph dimensions between the reports make the numbers
-// incomparable and fail loudly rather than gating noise.
-func compareKernel(oldKer, newKer *kernelReport, maxRegress float64, w *os.File) error {
-	if oldKer.Nodes != newKer.Nodes || oldKer.Edges != newKer.Edges {
-		return fmt.Errorf("kernel reports measure different graphs (%d nodes/%d edges vs %d/%d); refusing to gate",
-			oldKer.Nodes, oldKer.Edges, newKer.Nodes, newKer.Edges)
-	}
-	fmt.Fprintf(w, "spmm blocked: %.2f GB/s → %.2f GB/s (%+.1f%%, limit -%.0f%%; simple %.2f → %.2f, f32 %.2f → %.2f, speedup %.2fx → %.2fx)\n",
-		oldKer.SpmmBlockedGBps, newKer.SpmmBlockedGBps, pct(oldKer.SpmmBlockedGBps, newKer.SpmmBlockedGBps), maxRegress*100,
-		oldKer.SpmmSimpleGBps, newKer.SpmmSimpleGBps, oldKer.SpmmF32GBps, newKer.SpmmF32GBps,
-		oldKer.SpmmSpeedup, newKer.SpmmSpeedup)
-	var failures []string
-	if oldKer.SpmmBlockedGBps > 0 && newKer.SpmmBlockedGBps < oldKer.SpmmBlockedGBps*(1-maxRegress) {
-		failures = append(failures, fmt.Sprintf("blocked SpMM throughput regressed %.2f → %.2f GB/s (>%.0f%%)",
-			oldKer.SpmmBlockedGBps, newKer.SpmmBlockedGBps, maxRegress*100))
-	}
-	fmt.Fprintf(w, "propagation: %.3fs → %.3fs (%+.1f%%, limit +%.0f%%)\n",
-		oldKer.PropagationSeconds, newKer.PropagationSeconds,
-		pct(oldKer.PropagationSeconds, newKer.PropagationSeconds), maxRegress*100)
-	if oldKer.PropagationSeconds > 0 && newKer.PropagationSeconds > oldKer.PropagationSeconds*(1+maxRegress) {
-		failures = append(failures, fmt.Sprintf("propagation regressed %.3fs → %.3fs (>%.0f%%)",
-			oldKer.PropagationSeconds, newKer.PropagationSeconds, maxRegress*100))
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("%d kernel regression(s): %v", len(failures), failures)
-	}
-	fmt.Fprintln(w, "benchdiff: kernel within budget")
 	return nil
 }
 

@@ -265,8 +265,9 @@ func flatMulDense(g *Graph, out, x *dense.Matrix) {
 // only the patched and added rows is bit-identical to the flat per-row scan
 // — on a clean overlay, a dirty one (upserts, removals, weight changes) and
 // one grown with AddNodes (x has more rows than the base), over unweighted
-// and weighted bases, for k = 2..5 (the register-blocked widths and the flat
-// scan past them).
+// and weighted bases, for k = 2..5, 7 and 11 (the base's constant-stride
+// kernels, one strided panel, two panels): the patched rows' flat scan and
+// the base kernel's rows meet in one matrix and must not differ.
 func TestDeltaMulDenseBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n = 300
@@ -297,7 +298,7 @@ func TestDeltaMulDenseBitIdentity(t *testing.T) {
 		grown.SetEdge(first, 3, 1)
 		grown.SetEdge(first+2, first+3, 0.5) // first+1 and first+4 stay isolated
 		for name, g := range map[string]*Graph{"clean": clean, "dirty": dirty, "grown": grown} {
-			for k := 2; k <= 5; k++ {
+			for _, k := range []int{2, 3, 4, 5, 7, 11} {
 				x := dense.New(g.Dim(), k)
 				for i := range x.Data {
 					x.Data[i] = rng.NormFloat64()

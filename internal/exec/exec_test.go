@@ -225,28 +225,68 @@ func TestPullPassBudget(t *testing.T) {
 }
 
 // TestDenseRoundMatchesNaive: the fused dense round equals the naive
-// two-multiply composition.
+// two-multiply composition, at a class count on each of MulRowsH's and the
+// SpMM's kernel arms.
 func TestDenseRoundMatchesNaive(t *testing.T) {
-	const n, k = 200, 4
+	const n = 200
 	rng := rand.New(rand.NewSource(3))
 	w := ring(t, n)
-	h := dense.New(k, k)
-	f := dense.New(n, k)
-	for i := range h.Data {
-		h.Data[i] = rng.Float64() - 0.5
+	for _, k := range []int{4, 5, 6, 7, 8, 11} {
+		h := dense.New(k, k)
+		f := dense.New(n, k)
+		for i := range h.Data {
+			h.Data[i] = rng.Float64() - 0.5
+		}
+		for i := range f.Data {
+			f.Data[i] = rng.Float64()
+		}
+		want := w.MulDense(dense.Mul(f, h))
+		fh, wfh := dense.New(n, k), dense.New(n, k)
+		got := dense.New(n, k)
+		Runner{}.DenseRound(w, f, h, fh, wfh, func(_, lo, hi int) {
+			copy(got.Data[lo*k:hi*k], wfh.Data[lo*k:hi*k])
+		})
+		for i := range want.Data {
+			if math.Abs(want.Data[i]-got.Data[i]) > 1e-12 {
+				t.Fatalf("k=%d: dense round diverges at %d: %g vs %g", k, i, got.Data[i], want.Data[i])
+			}
+		}
 	}
-	for i := range f.Data {
-		f.Data[i] = rng.Float64()
-	}
-	want := w.MulDense(dense.Mul(f, h))
-	fh, wfh := dense.New(n, k), dense.New(n, k)
-	got := dense.New(n, k)
-	Runner{}.DenseRound(w, f, h, fh, wfh, func(_, lo, hi int) {
-		copy(got.Data[lo*k:hi*k], wfh.Data[lo*k:hi*k])
-	})
-	for i := range want.Data {
-		if math.Abs(want.Data[i]-got.Data[i]) > 1e-12 {
-			t.Fatalf("dense round diverges at %d: %g vs %g", i, got.Data[i], want.Data[i])
+}
+
+// TestMulRowsHMatchesTripleLoop: every width MulRowsH specialises — locals
+// at k ≤ 8, four-lane accumulators with a scalar remainder past it — equals
+// the plain triple loop entry for entry, on a single row and on a block of
+// rows.
+func TestMulRowsHMatchesTripleLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for k := 1; k <= 12; k++ {
+		hs := make([]float64, k*k)
+		for i := range hs {
+			hs[i] = rng.Float64() - 0.5
+		}
+		for _, rows := range []int{1, 257} {
+			src := make([]float64, rows*k)
+			for i := range src {
+				src[i] = rng.NormFloat64()
+			}
+			want := make([]float64, rows*k)
+			for r := 0; r < rows; r++ {
+				for j := 0; j < k; j++ {
+					acc := 0.0
+					for c := 0; c < k; c++ {
+						acc += src[r*k+c] * hs[c*k+j]
+					}
+					want[r*k+j] = acc
+				}
+			}
+			got := make([]float64, rows*k)
+			MulRowsH(got, src, hs, k)
+			for i, v := range want {
+				if got[i] != v {
+					t.Fatalf("k=%d rows=%d: entry %d is %v, triple loop %v", k, rows, i, got[i], v)
+				}
+			}
 		}
 	}
 }

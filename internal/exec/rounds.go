@@ -434,9 +434,12 @@ func (p *PullPass) scatterRound(active []int32, pushed, edges int) ([]int32, int
 
 // MulRowsH computes dst = src·H̃ for k-wide rows stored back to back (one
 // row or a block of them) against a k×k row-major H̃ — the one copy of the
-// product every schedule and solver runs. For k ≤ 4 H̃ is hoisted into
-// locals, out of the row loop; each lane sums in column order whatever k
-// is. dst must not alias src.
+// product every schedule and solver runs. Up to k = 8 the row is loaded once
+// into locals and H̃ read through a fixed-size array (no bounds checks in
+// the lane loop); wider rows take four lanes at a time in register
+// accumulators. Each lane sums in column order whatever k is, so every
+// width agrees with the plain triple loop entry for entry. dst must not
+// alias src.
 func MulRowsH(dst, src, hs []float64, k int) {
 	switch k {
 	case 2:
@@ -460,10 +463,61 @@ func MulRowsH(dst, src, hs []float64, k int) {
 			dst[i], dst[i+1] = a*h[0]+b*h[4]+c*h[8]+d*h[12], a*h[1]+b*h[5]+c*h[9]+d*h[13]
 			dst[i+2], dst[i+3] = a*h[2]+b*h[6]+c*h[10]+d*h[14], a*h[3]+b*h[7]+c*h[11]+d*h[15]
 		}
+	case 5:
+		h := (*[25]float64)(hs)
+		for i := 0; i+5 <= len(src); i += 5 {
+			s, d := (*[5]float64)(src[i:]), (*[5]float64)(dst[i:])
+			s0, s1, s2, s3, s4 := s[0], s[1], s[2], s[3], s[4]
+			for j := 0; j < 5; j++ {
+				d[j] = s0*h[j] + s1*h[5+j] + s2*h[10+j] + s3*h[15+j] + s4*h[20+j]
+			}
+		}
+	case 6:
+		h := (*[36]float64)(hs)
+		for i := 0; i+6 <= len(src); i += 6 {
+			s, d := (*[6]float64)(src[i:]), (*[6]float64)(dst[i:])
+			s0, s1, s2, s3, s4, s5 := s[0], s[1], s[2], s[3], s[4], s[5]
+			for j := 0; j < 6; j++ {
+				d[j] = s0*h[j] + s1*h[6+j] + s2*h[12+j] + s3*h[18+j] + s4*h[24+j] + s5*h[30+j]
+			}
+		}
+	case 7:
+		h := (*[49]float64)(hs)
+		for i := 0; i+7 <= len(src); i += 7 {
+			s, d := (*[7]float64)(src[i:]), (*[7]float64)(dst[i:])
+			s0, s1, s2, s3, s4, s5, s6 := s[0], s[1], s[2], s[3], s[4], s[5], s[6]
+			for j := 0; j < 7; j++ {
+				d[j] = s0*h[j] + s1*h[7+j] + s2*h[14+j] + s3*h[21+j] + s4*h[28+j] + s5*h[35+j] + s6*h[42+j]
+			}
+		}
+	case 8:
+		h := (*[64]float64)(hs)
+		for i := 0; i+8 <= len(src); i += 8 {
+			s, d := (*[8]float64)(src[i:]), (*[8]float64)(dst[i:])
+			s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+			for j := 0; j < 8; j++ {
+				d[j] = s0*h[j] + s1*h[8+j] + s2*h[16+j] + s3*h[24+j] + s4*h[32+j] + s5*h[40+j] + s6*h[48+j] + s7*h[56+j]
+			}
+		}
 	default:
 		for i := 0; i+k <= len(src); i += k {
 			row, out := src[i:i+k], dst[i:i+k]
-			for j := range out {
+			j := 0
+			for ; j+4 <= k; j += 4 {
+				var a0, a1, a2, a3 float64
+				b := j
+				for _, v := range row {
+					h := hs[b : b+4 : b+4]
+					a0 += v * h[0]
+					a1 += v * h[1]
+					a2 += v * h[2]
+					a3 += v * h[3]
+					b += k
+				}
+				o := out[j : j+4 : j+4]
+				o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+			}
+			for ; j < k; j++ {
 				acc := 0.0
 				for c, v := range row {
 					acc += v * hs[c*k+j]

@@ -170,15 +170,11 @@ func (s *State) Run(x *dense.Matrix) (*dense.Matrix, error) {
 			// −DF̃H̃²: each node subtracts the degree-weighted reflection of
 			// its own belief.
 			s.run.Rows(s.n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					fRow := s.f.Data[i*k : (i+1)*k]
-					eRow := s.echo.Data[i*k : (i+1)*k]
-					for j := 0; j < k; j++ {
-						acc := 0.0
-						for c := 0; c < k; c++ {
-							acc += fRow[c] * s.h2.Data[c*k+j]
-						}
-						eRow[j] = acc * s.deg[i]
+				echo := s.echo.Data[lo*k : hi*k]
+				exec.MulRowsH(echo, s.f.Data[lo*k:hi*k], s.h2.Data, k)
+				for i, d := range s.deg[lo:hi] {
+					for j := i * k; j < (i+1)*k; j++ {
+						echo[j] *= d
 					}
 				}
 			})

@@ -186,11 +186,10 @@ func (c *CSR) MulDense(x *dense.Matrix) *dense.Matrix {
 	return out
 }
 
-// MulDenseInto computes out = W × X. out must not alias x. The dispatch is
-// by shape, every path bit-identical to the flat scan: narrow X (k ≤ 4, the
-// LinBP class counts) runs the register-blocked kernel (mulDenseReg); wide
-// X that outgrows L2 runs the column-tiled kernel (mulDenseTiled); the rest
-// — where X is cache-resident anyway — takes the simple row scan.
+// MulDenseInto computes out = W × X; out must not share storage with x (it
+// panics if it does). The dispatch is by k alone, every path bit-identical
+// to the flat scan (MulDenseIntoSimple): k ≥ 2 runs the register kernels,
+// k = 1 the flat scan itself (mulDense).
 func (c *CSR) MulDenseInto(out, x *dense.Matrix) {
 	c.checkMulDenseShapes(out, x)
 	c.mulDense(out, x)
@@ -205,18 +204,8 @@ func (c *CSR) MulDenseRowsInto(out, x *dense.Matrix) {
 		panic(fmt.Sprintf("sparse: MulDenseRowsInto shapes: W is %d×%d, X %d×%d, out %d×%d",
 			c.N, c.N, x.Rows, x.Cols, out.Rows, out.Cols))
 	}
+	checkNoAlias(out, x)
 	c.mulDense(out, x)
-}
-
-func (c *CSR) mulDense(out, x *dense.Matrix) {
-	switch {
-	case x.Cols >= 2 && x.Cols <= spmmRegMaxCols:
-		c.mulDenseReg(out, x)
-	case c.N*x.Cols*8 > spmmTiledMinXBytes && c.NNZ() >= spmmTiledMinNNZ:
-		c.mulDenseTiled(out, x)
-	default:
-		c.mulDenseSimple(out, x)
-	}
 }
 
 // MulVec returns W × v for a length-n vector. Rows are independent sums, so

@@ -48,6 +48,29 @@ func TestMulDenseIntoBadOutPanics(t *testing.T) {
 	w.MulDenseInto(dense.New(2, 2), dense.New(3, 2))
 }
 
+// TestMulDenseAliasPanics: a product into its own operand would read rows
+// it has already overwritten; every entry point refuses it instead.
+func TestMulDenseAliasPanics(t *testing.T) {
+	w := triangle(t)
+	x := dense.Constant(3, 2, 1)
+	sameData := &dense.Matrix{Rows: 3, Cols: 2, Data: x.Data}
+	for name, mul := range map[string]func(){
+		"MulDenseInto":       func() { w.MulDenseInto(x, x) },
+		"MulDenseInto/view":  func() { w.MulDenseInto(sameData, x) },
+		"MulDenseIntoSimple": func() { w.MulDenseIntoSimple(x, x) },
+		"MulDenseRowsInto":   func() { w.MulDenseRowsInto(x, x) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic on out aliasing x", name)
+				}
+			}()
+			mul()
+		}()
+	}
+}
+
 // TestMulDenseRowsInto: with operands that carry rows past N, rows [0, N)
 // match MulDenseInto bit for bit and the extra rows of out are untouched;
 // an operand shorter than N panics.

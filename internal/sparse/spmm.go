@@ -6,36 +6,26 @@ import (
 	"factorgraph/internal/dense"
 )
 
-// Tiling parameters for the blocked SpMM. The column tile is sized so the
-// slice of x-rows a tile can touch fits comfortably in L2 (256 KiB of
-// float64 payload); row blocks bound the per-worker cursor state and keep
-// out-rows register/L1 resident across a tile sweep.
 const (
-	spmmTileBytes = 1 << 18 // x-row bytes addressable per column tile
-	spmmRowBlock  = 128     // rows processed per cursor block
-
-	// Below these, the whole x matrix fits in cache anyway (or the nnz is
-	// too small to amortize cursor bookkeeping) and the simple row-scan
-	// kernel wins.
-	spmmTiledMinXBytes = 1 << 19
-	spmmTiledMinNNZ    = 1 << 15
-
 	// MulVec goes row-parallel past this nnz; under it the fan-out
 	// overhead dominates a single sequential scan.
 	mulVecParallelNNZ = 1 << 14
 
-	// Widest X for the register-blocked kernel: per-row accumulators live
-	// in named scalars (the compiler keeps them in FP registers), so each
-	// width needs its own specialization. LinBP class counts are small —
-	// 2..4 covers the serving workloads; wider matrices go to the tiled or
-	// flat-scan kernels.
-	spmmRegMaxCols = 4
+	// Widest column panel (panelRows4..8): eight accumulators, the weight
+	// and a gathered x value fit the 15 usable FP registers; more spill.
+	spmmPanelMaxCols = 8
+
+	// Rows a worker takes through every panel before moving on: short
+	// enough that the indices and the x-rows one panel gathered are still
+	// in L1/L2 for the next (64 read 5–15 % faster than 1024 on a 200k-node
+	// graph at k = 9..16 and the same on a 20k-node one).
+	spmmPanelRowBlock = 64
 )
 
 // MulDenseIntoSimple computes out = W × X with the seed-era kernel: one
-// flat scan per row, parallelized over row chunks. It remains exported as
-// the benchmark baseline for the tiled kernel and as the small-input fast
-// path (MulDenseInto dispatches here when X fits in cache).
+// flat scan per row, parallelized over row chunks. It is the reference the
+// register kernels are bit-identical to (the tests compare against it), the
+// benchmark's baseline row, and what MulDenseInto runs at k = 1.
 func (c *CSR) MulDenseIntoSimple(out, x *dense.Matrix) {
 	c.checkMulDenseShapes(out, x)
 	c.mulDenseSimple(out, x)
@@ -70,184 +60,63 @@ func (c *CSR) mulDenseSimple(out, x *dense.Matrix) {
 	})
 }
 
-// mulDenseReg is the register-blocked kernel for narrow X (k ≤
-// spmmRegMaxCols), the LinBP serving regime. The flat scan accumulates
-// through out's memory rows — every entry pays a store-to-load forward and
-// two bounds checks — while this kernel keeps the row's k partial sums in
-// named scalars that live in FP registers for the whole row scan, storing
-// once per row. The accumulation order per lane is exactly the flat scan's,
-// so the result is bit-identical to MulDenseIntoSimple; measured ~2.4×
-// on a 200k-node degree-10 graph at k=3..4.
-func (c *CSR) mulDenseReg(out, x *dense.Matrix) {
-	switch x.Cols {
-	case 2:
-		defaultPool.parallelRows(c.N, func(lo, hi int) { c.regRows2(out, x, lo, hi) })
-	case 3:
-		defaultPool.parallelRows(c.N, func(lo, hi int) { c.regRows3(out, x, lo, hi) })
-	case 4:
-		defaultPool.parallelRows(c.N, func(lo, hi int) { c.regRows4(out, x, lo, hi) })
-	default:
+// mulDense is the one dispatch behind MulDenseInto and MulDenseRowsInto, by
+// k alone whatever the graph's size: k = 1 is the flat scan; k = 2..5 — the
+// class counts the serving and benchmark workloads run — the constant-stride
+// register kernel of that width (spmm_kernels.go); wider X is ⌈k/8⌉ column
+// panels of near-equal width (6..8 are one panel, 11 is 6+5, 17 is 6+6+5 —
+// never under 4). A worker takes spmmPanelRowBlock rows through every panel
+// before moving on. Panels write disjoint columns and each lane still adds
+// in stored-entry order, so the split changes nothing in the result.
+func (c *CSR) mulDense(out, x *dense.Matrix) {
+	var rows func(lo, hi int)
+	switch k := x.Cols; k {
+	case 0, 1:
 		c.mulDenseSimple(out, x)
-	}
-}
-
-func (c *CSR) regRows2(out, x *dense.Matrix, lo, hi int) {
-	xd, od := x.Data, out.Data
-	for i := lo; i < hi; i++ {
-		var a0, a1 float64
-		start, end := c.IndPtr[i], c.IndPtr[i+1]
-		if c.Data == nil {
-			for _, col := range c.Indices[start:end] {
-				b := int(col) * 2
-				xr := xd[b : b+2 : b+2]
-				a0 += xr[0]
-				a1 += xr[1]
-			}
-		} else {
-			for p := start; p < end; p++ {
-				wv := c.Data[p]
-				b := int(c.Indices[p]) * 2
-				xr := xd[b : b+2 : b+2]
-				a0 += wv * xr[0]
-				a1 += wv * xr[1]
-			}
-		}
-		or := od[i*2 : i*2+2 : i*2+2]
-		or[0], or[1] = a0, a1
-	}
-}
-
-func (c *CSR) regRows3(out, x *dense.Matrix, lo, hi int) {
-	xd, od := x.Data, out.Data
-	for i := lo; i < hi; i++ {
-		var a0, a1, a2 float64
-		start, end := c.IndPtr[i], c.IndPtr[i+1]
-		if c.Data == nil {
-			for _, col := range c.Indices[start:end] {
-				b := int(col) * 3
-				xr := xd[b : b+3 : b+3]
-				a0 += xr[0]
-				a1 += xr[1]
-				a2 += xr[2]
-			}
-		} else {
-			for p := start; p < end; p++ {
-				wv := c.Data[p]
-				b := int(c.Indices[p]) * 3
-				xr := xd[b : b+3 : b+3]
-				a0 += wv * xr[0]
-				a1 += wv * xr[1]
-				a2 += wv * xr[2]
-			}
-		}
-		or := od[i*3 : i*3+3 : i*3+3]
-		or[0], or[1], or[2] = a0, a1, a2
-	}
-}
-
-func (c *CSR) regRows4(out, x *dense.Matrix, lo, hi int) {
-	xd, od := x.Data, out.Data
-	for i := lo; i < hi; i++ {
-		var a0, a1, a2, a3 float64
-		start, end := c.IndPtr[i], c.IndPtr[i+1]
-		if c.Data == nil {
-			for _, col := range c.Indices[start:end] {
-				b := int(col) * 4
-				xr := xd[b : b+4 : b+4]
-				a0 += xr[0]
-				a1 += xr[1]
-				a2 += xr[2]
-				a3 += xr[3]
-			}
-		} else {
-			for p := start; p < end; p++ {
-				wv := c.Data[p]
-				b := int(c.Indices[p]) * 4
-				xr := xd[b : b+4 : b+4]
-				a0 += wv * xr[0]
-				a1 += wv * xr[1]
-				a2 += wv * xr[2]
-				a3 += wv * xr[3]
-			}
-		}
-		or := od[i*4 : i*4+4 : i*4+4]
-		or[0], or[1], or[2], or[3] = a0, a1, a2, a3
-	}
-}
-
-// mulDenseTiled is the blocked kernel: each worker walks its rows in blocks
-// of spmmRowBlock, sweeping column tiles sized so the x-rows a tile can
-// reference stay L2-resident while every row of the block drains its
-// entries falling inside the tile. Because column indices are sorted within
-// a row, visiting tiles in ascending order accumulates each row's terms in
-// exactly the flat-scan order — the result is bit-identical to
-// MulDenseIntoSimple, only the memory access pattern changes.
-func (c *CSR) mulDenseTiled(out, x *dense.Matrix) {
-	k := x.Cols
-	tileCols := spmmTileBytes / (8 * k)
-	if tileCols < 1024 {
-		tileCols = 1024
-	}
-	defaultPool.parallelRows(c.N, func(lo, hi int) {
-		var cur [spmmRowBlock]int
-		for blo := lo; blo < hi; blo += spmmRowBlock {
-			bhi := blo + spmmRowBlock
-			if bhi > hi {
-				bhi = hi
-			}
-			// Zero the block's out-rows and latch cursors; track the
-			// block's column span so empty tiles are skipped outright.
-			minCol, maxCol := c.N, 0
-			for i := blo; i < bhi; i++ {
-				orow := out.Data[i*k : (i+1)*k]
-				for j := range orow {
-					orow[j] = 0
-				}
-				s, e := c.IndPtr[i], c.IndPtr[i+1]
-				cur[i-blo] = s
-				if s < e {
-					if fc := int(c.Indices[s]); fc < minCol {
-						minCol = fc
+		return
+	case 2:
+		rows = func(lo, hi int) { c.regRows2(out, x, lo, hi) }
+	case 3:
+		rows = func(lo, hi int) { c.regRows3(out, x, lo, hi) }
+	case 4:
+		rows = func(lo, hi int) { c.regRows4(out, x, lo, hi) }
+	case 5:
+		rows = func(lo, hi int) { c.regRows5(out, x, lo, hi) }
+	default:
+		panels := (k + spmmPanelMaxCols - 1) / spmmPanelMaxCols
+		rows = func(lo, hi int) {
+			for blo := lo; blo < hi; blo += spmmPanelRowBlock {
+				bhi := min(blo+spmmPanelRowBlock, hi)
+				for p, off := 0, 0; p < panels; p++ {
+					w := k / panels
+					if p < k%panels {
+						w++
 					}
-					if lc := int(c.Indices[e-1]); lc > maxCol {
-						maxCol = lc
-					}
-				}
-			}
-			if minCol > maxCol {
-				continue
-			}
-			for tile := (minCol / tileCols) * tileCols; tile <= maxCol; tile += tileCols {
-				tileEnd := int32(tile + tileCols)
-				for i := blo; i < bhi; i++ {
-					p, end := cur[i-blo], c.IndPtr[i+1]
-					if p >= end || c.Indices[p] >= tileEnd {
-						continue
-					}
-					orow := out.Data[i*k : (i+1)*k]
-					if c.Data == nil {
-						for p < end && c.Indices[p] < tileEnd {
-							xrow := x.Data[int(c.Indices[p])*k : int(c.Indices[p]+1)*k]
-							for j, v := range xrow {
-								orow[j] += v
-							}
-							p++
-						}
-					} else {
-						for p < end && c.Indices[p] < tileEnd {
-							wv := c.Data[p]
-							xrow := x.Data[int(c.Indices[p])*k : int(c.Indices[p]+1)*k]
-							for j, v := range xrow {
-								orow[j] += wv * v
-							}
-							p++
-						}
-					}
-					cur[i-blo] = p
+					c.panelRows(out, x, blo, bhi, off, w)
+					off += w
 				}
 			}
 		}
-	})
+	}
+	defaultPool.parallelRows(c.N, rows)
+}
+
+// panelRows computes columns [off, off+w) of rows [lo, hi), 4 ≤ w ≤ 8.
+func (c *CSR) panelRows(out, x *dense.Matrix, lo, hi, off, w int) {
+	switch w {
+	case 4:
+		c.panelRows4(out, x, lo, hi, off)
+	case 5:
+		c.panelRows5(out, x, lo, hi, off)
+	case 6:
+		c.panelRows6(out, x, lo, hi, off)
+	case 7:
+		c.panelRows7(out, x, lo, hi, off)
+	case 8:
+		c.panelRows8(out, x, lo, hi, off)
+	default:
+		panic(fmt.Sprintf("sparse: no panel kernel of width %d", w))
+	}
 }
 
 // MulDenseInto32 computes out = W × X in float32. Halving the element width
@@ -395,5 +264,15 @@ func (c *CSR) checkMulDenseShapes(out, x *dense.Matrix) {
 	}
 	if out.Rows != c.N || out.Cols != x.Cols {
 		panic(fmt.Sprintf("sparse: MulDenseInto bad out shape %d×%d, want %d×%d", out.Rows, out.Cols, c.N, x.Cols))
+	}
+	checkNoAlias(out, x)
+}
+
+// checkNoAlias panics when out and x start at the same element: every
+// kernel reads x-rows after it has written out-rows, so a product into its
+// own operand would be garbage, silently.
+func checkNoAlias(out, x *dense.Matrix) {
+	if len(out.Data) > 0 && len(x.Data) > 0 && &out.Data[0] == &x.Data[0] {
+		panic(fmt.Sprintf("sparse: MulDense out aliases X (%d×%d): the product needs its own storage", x.Rows, x.Cols))
 	}
 }

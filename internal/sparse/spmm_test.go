@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"factorgraph/internal/dense"
@@ -52,33 +53,89 @@ func randX(n, k int, seed int64) *dense.Matrix {
 	return x
 }
 
-// TestMulDenseKernelsBitIdentical pins the dispatch contract: every kernel
-// MulDenseInto can route to — register-blocked (k ≤ 4), column-tiled, flat
-// scan — produces bit-identical output, because they all accumulate each
-// row's terms in the same flat-scan order. Weighted and unweighted.
+// kernelSweepCSR plants what the register kernels' loops must get right: a
+// hub row longer than a panel row block, empty rows (every 97th node and the
+// last ten), and an N that is no multiple of the block.
+func kernelSweepCSR(t *testing.T, weighted bool) *CSR {
+	t.Helper()
+	const n = 16*spmmPanelRowBlock + 13
+	rng := rand.New(rand.NewSource(5))
+	empty := func(u int) bool { return u%97 == 5 || u >= n-10 }
+	set := map[[2]int32]bool{}
+	var edges [][2]int32
+	add := func(u, v int) {
+		if u == v || empty(u) || empty(v) {
+			return
+		}
+		if u > v {
+			u, v = v, u
+		}
+		e := [2]int32{int32(u), int32(v)}
+		if !set[e] {
+			set[e] = true
+			edges = append(edges, e)
+		}
+	}
+	for len(edges) < 5*n {
+		add(rng.Intn(n), rng.Intn(n))
+	}
+	const hub = 3*spmmPanelRowBlock + 1
+	for v := 0; v < 3*spmmPanelRowBlock; v++ {
+		add(hub, 2*v)
+	}
+	var weights []float64
+	if weighted {
+		weights = make([]float64, len(edges))
+		for i := range weights {
+			weights[i] = 0.1 + rng.Float64()
+		}
+	}
+	c, err := NewSymmetricFromEdges(n, edges, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deg := c.IndPtr[hub+1] - c.IndPtr[hub]; deg <= spmmPanelRowBlock {
+		t.Fatalf("hub row has %d entries, want more than a row block (%d)", deg, spmmPanelRowBlock)
+	}
+	if c.IndPtr[6] != c.IndPtr[5] || c.IndPtr[n] != c.IndPtr[n-10] {
+		t.Fatal("fixture lost its empty rows")
+	}
+	return c
+}
+
+// TestMulDenseKernelsBitIdentical pins the dispatch contract for every class
+// count: whatever kernel MulDenseInto and MulDenseRowsInto route k to — the
+// flat scan at k = 1, a constant-stride kernel at 2..5, one strided panel at
+// 6..8, two at 9..16 — every entry equals the flat scan's, because each lane
+// adds its row's terms in the same order. Weighted and unweighted, on one
+// worker and on several; MulDenseRowsInto must also leave rows past N alone.
 func TestMulDenseKernelsBitIdentical(t *testing.T) {
-	for _, weighted := range []bool{false, true} {
-		c := randSpmmCSR(t, 3000, 15000, weighted, 5)
-		for k := 1; k <= 6; k++ {
-			x := randX(c.N, k, int64(k))
-			want := dense.New(c.N, k)
-			c.MulDenseIntoSimple(want, x)
+	const extra, sentinel = 3, -7.5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, weighted := range []bool{false, true} {
+			c := kernelSweepCSR(t, weighted)
+			for k := 1; k <= 16; k++ {
+				tall := randX(c.N+extra, k, int64(k))
+				x := &dense.Matrix{Rows: c.N, Cols: k, Data: tall.Data[:c.N*k]}
+				want := dense.New(c.N, k)
+				c.MulDenseIntoSimple(want, x)
 
-			got := dense.New(c.N, k)
-			c.MulDenseInto(got, x) // k ≤ 4 → register-blocked
-			for i := range want.Data {
-				if want.Data[i] != got.Data[i] {
-					t.Fatalf("weighted=%v k=%d: MulDenseInto differs from flat scan at %d: %v vs %v",
-						weighted, k, i, got.Data[i], want.Data[i])
+				got := dense.Constant(c.N, k, sentinel)
+				c.MulDenseInto(got, x)
+				gotRows := dense.Constant(c.N+extra, k, sentinel)
+				c.MulDenseRowsInto(gotRows, tall)
+				for i, v := range want.Data {
+					if got.Data[i] != v || gotRows.Data[i] != v {
+						t.Fatalf("procs=%d weighted=%v k=%d: entry %d is %v (MulDenseInto) / %v (MulDenseRowsInto), flat scan %v",
+							procs, weighted, k, i, got.Data[i], gotRows.Data[i], v)
+					}
 				}
-			}
-
-			tiled := dense.New(c.N, k)
-			c.mulDenseTiled(tiled, x) // forced, below the dispatch thresholds
-			for i := range want.Data {
-				if want.Data[i] != tiled.Data[i] {
-					t.Fatalf("weighted=%v k=%d: tiled differs from flat scan at %d: %v vs %v",
-						weighted, k, i, tiled.Data[i], want.Data[i])
+				for i, v := range gotRows.Data[c.N*k:] {
+					if v != sentinel {
+						t.Fatalf("procs=%d weighted=%v k=%d: MulDenseRowsInto wrote %v past row N (entry %d)", procs, weighted, k, v, i)
+					}
 				}
 			}
 		}
