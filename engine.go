@@ -279,7 +279,10 @@ type ClassScore struct {
 	Score float64 `json:"score"`
 }
 
-// NodeResult is the classification of a single node.
+// NodeResult is the classification of a single node. A query's records
+// take their Top from one per-query slab: each is its own k-capacity
+// sub-slice of it, so records never share memory, but a record kept keeps
+// the slab alive.
 type NodeResult struct {
 	Node  int          `json:"node"`
 	Label int          `json:"label"`
@@ -914,7 +917,9 @@ type QueryMeta struct {
 // error from fn aborts and is returned. This is what the HTTP layer's
 // NDJSON streaming uses: fn runs with no engine lock held, on labels and
 // scores copied out when the query started, so a response is one consistent
-// state however slowly the client drains it.
+// state however slowly the client drains it. Each record's Top is a
+// distinct sub-slice of one slab allocated per query (see NodeResult), so
+// fn may keep records without copying them.
 func (e *Engine) ClassifyEach(q Query, fn func(NodeResult) error) error {
 	_, err := e.ClassifyEachMeta(q, fn)
 	return err
@@ -993,8 +998,10 @@ func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResu
 	}
 	labs := make([]int, n)
 	var scores []float64
+	var slab []ClassScore // every record's Top, k apiece
 	if topk > 0 {
 		scores = make([]float64, n*k)
+		slab = make([]ClassScore, n*k)
 	}
 	for i := range labs {
 		r := row(nodeAt(i))
@@ -1012,10 +1019,12 @@ func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResu
 	defer doneEmit()
 	for i, lab := range labs {
 		var r []float64
+		var top []ClassScore
 		if topk > 0 {
 			r = scores[i*k : (i+1)*k]
+			top = slab[i*k : (i+1)*k : (i+1)*k]
 		}
-		if err := e.emitResult(nodeAt(i), r, lab, topk, fn); err != nil {
+		if err := e.emitResult(nodeAt(i), r, lab, topk, top, fn); err != nil {
 			return meta, err
 		}
 	}
@@ -1111,14 +1120,13 @@ func argmaxRow(row []float64) int {
 	return best
 }
 
-// emitResult renders one NodeResult and hands it to fn. row is only read
-// when topk > 0.
-func (e *Engine) emitResult(node int, row []float64, lab, topk int, fn func(NodeResult) error) error {
+// emitResult renders one NodeResult and hands it to fn. row and scores are
+// only read when topk > 0; scores (k long) becomes the record's Top.
+func (e *Engine) emitResult(node int, row []float64, lab, topk int, scores []ClassScore, fn func(NodeResult) error) error {
 	r := NodeResult{Node: node, Label: lab}
 	if topk > 0 {
 		// Insertion sort by descending score over the ascending-class fill:
 		// the strict > keeps tied scores in ascending class order.
-		scores := make([]ClassScore, e.k)
 		for c, v := range row[:e.k] {
 			j := c
 			for ; j > 0 && v > scores[j-1].Score; j-- {

@@ -124,7 +124,7 @@ func TestTopKTiesOrderByClass(t *testing.T) {
 		{[]float64{0.2, 0.1, 0.2, 0.1}, 3, []int{0, 2, 1}},
 	} {
 		var got []int
-		err := eng.emitResult(7, tc.row, 0, tc.topk, func(r NodeResult) error {
+		err := eng.emitResult(7, tc.row, 0, tc.topk, make([]ClassScore, 4), func(r NodeResult) error {
 			for _, cs := range r.Top {
 				if cs.Score != tc.row[cs.Class] {
 					t.Errorf("row %v: class %d reported with score %v", tc.row, cs.Class, cs.Score)
@@ -139,6 +139,27 @@ func TestTopKTiesOrderByClass(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("row %v top-%d: classes %v, want %v", tc.row, tc.topk, got, tc.want)
 		}
+	}
+}
+
+// TestFullGraphReadAllocs: a warm full-graph top-2 ClassifyEach allocates a
+// constant handful — labels, scores and the one Top slab — not a slice per
+// record.
+func TestFullGraphReadAllocs(t *testing.T) {
+	g, seeds, _ := engineFixture(t, 2000, 12000, 0.05)
+	eng, err := NewEngine(g, seeds, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := func(NodeResult) error { return nil }
+	read := func() {
+		if err := eng.ClassifyEach(Query{TopK: 2}, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // the cold solve
+	if a := testing.AllocsPerRun(10, read); a > 10 {
+		t.Errorf("a full-graph top-2 read allocates %.0f times, want ≤ 10", a)
 	}
 }
 

@@ -41,6 +41,7 @@
 package serve
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -325,18 +326,32 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeJSONNegotiated is writeJSON with gzip content negotiation: the body
-// is compressed when the client advertised Accept-Encoding: gzip.
+// writeJSONNegotiated is writeJSON with gzip content negotiation (see
+// writeBody). The body is rendered before the header is written, so a value
+// encoding/json refuses is a 500, not a 200 with an empty body.
 func writeJSONNegotiated(w http.ResponseWriter, r *http.Request, status int, v any) {
-	if !acceptsGzip(r) {
-		writeJSON(w, status, v)
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, "rendering reply: %v", err)
 		return
 	}
+	writeBody(w, status, acceptsGzip(r), body.Bytes())
+}
+
+// writeBody writes a rendered JSON reply, gzip-compressed when gzipOK (the
+// client advertised Accept-Encoding: gzip). Write errors mean the client
+// went away; there is no one left to report them to.
+func writeBody(w http.ResponseWriter, status int, gzipOK bool, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	if !gzipOK {
+		w.WriteHeader(status)
+		_, _ = w.Write(body)
+		return
+	}
 	w.Header().Set("Content-Encoding", "gzip")
 	w.WriteHeader(status)
 	gz := gzip.NewWriter(w)
-	_ = json.NewEncoder(gz).Encode(v)
+	_, _ = gz.Write(body)
 	_ = gz.Close()
 }
 
@@ -504,13 +519,15 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, eng *fac
 	})
 }
 
-// acceptsGzip reports whether the client advertised gzip support. A
-// qvalue of 0 ("gzip;q=0") means gzip is explicitly NOT acceptable
-// (RFC 9110 §12.4.2).
+// acceptsGzip reports whether the client advertised gzip support. Content
+// codings are case-insensitive and x-gzip is gzip (RFC 9110 §8.4.1,
+// §8.4.1.3); a qvalue of 0 ("gzip;q=0") means gzip is explicitly NOT
+// acceptable (§12.4.2).
 func acceptsGzip(r *http.Request) bool {
 	for _, enc := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
 		parts := strings.Split(enc, ";")
-		if strings.TrimSpace(parts[0]) != "gzip" {
+		coding := strings.TrimSpace(parts[0])
+		if !strings.EqualFold(coding, "gzip") && !strings.EqualFold(coding, "x-gzip") {
 			continue
 		}
 		for _, param := range parts[1:] {
@@ -571,18 +588,30 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, eng *fac
 				})
 			}
 		}
-		writeJSONNegotiated(w, r, http.StatusOK, resp)
+		// Rendered whole before the header: a score encoding/json would
+		// refuse (NaN, ±Inf) is a 500 with an error body.
+		buf := getBuf()
+		defer putBuf(buf)
+		body, err := appendClassifyResponse(*buf, &resp)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "rendering classify reply: %v", err)
+			return
+		}
+		*buf = append(body, '\n')
+		writeBody(w, http.StatusOK, gzipOK, *buf)
 		return
 	}
-	// NDJSON streaming: records are produced and written one at a time via
-	// ClassifyEach (node validation happens before the first record), so a
-	// classify-everything request over a huge graph never materializes the
-	// full result set server-side. Flushed every flushEvery records so the
-	// response reaches slow clients incrementally; with gzip the compressor
-	// is flushed on the same cadence, trading a little ratio for latency.
+	// NDJSON streaming: records are produced one at a time via ClassifyEach
+	// (node validation happens before the first record) and appended to a
+	// pooled buffer, so a classify-everything request over a huge graph never
+	// materializes the full result set server-side. Every interval records
+	// the batch is written and flushed so the response reaches slow clients
+	// incrementally; with gzip the compressor is flushed on the same cadence,
+	// trading a little ratio for latency. A batch past streamChunk bytes is
+	// written early, unflushed, so the buffer stays poolable.
 	headerSent := false
 	var gz *gzip.Writer
-	var enc *json.Encoder
+	var out io.Writer = w
 	sendHeader := func() {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		if gzipOK {
@@ -591,11 +620,19 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, eng *fac
 		w.WriteHeader(http.StatusOK)
 		if gzipOK {
 			gz = gzip.NewWriter(w)
-			enc = json.NewEncoder(gz)
-		} else {
-			enc = json.NewEncoder(w)
+			out = gz
 		}
 		headerSent = true
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	writeBatch := func() error {
+		if len(*buf) == 0 {
+			return nil
+		}
+		_, err := out.Write(*buf)
+		*buf = (*buf)[:0]
+		return err // an error means the client went away
 	}
 	flusher, _ := w.(http.Flusher)
 	interval := s.flushEvery
@@ -604,31 +641,42 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, eng *fac
 		if !headerSent {
 			sendHeader()
 		}
-		if err := enc.Encode(&res); err != nil {
-			return err // client went away
+		b, err := appendNodeResult(*buf, &res)
+		if err != nil {
+			return err
 		}
+		*buf = append(b, '\n')
 		sinceFlush++
-		if sinceFlush >= interval {
-			mNDJSONRecords.Add(int64(sinceFlush))
-			sinceFlush = 0
-			start := time.Now()
-			if gz != nil {
-				_ = gz.Flush()
+		if sinceFlush < interval {
+			if len(*buf) >= streamChunk {
+				return writeBatch()
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			flushDur := time.Since(start)
-			mNDJSONFlushes.Inc()
-			hNDJSONFlush.Observe(flushDur.Seconds())
-			if flushDur > slowFlushLatency {
-				mNDJSONSlowFlushes.Inc()
-			}
-			// Backpressure-aware chunk sizing: scale the interval by the
-			// observed write latency instead of flushing a slow client on
-			// the static cadence.
-			interval = nextFlushInterval(interval, s.flushEvery, flushDur)
+			return nil
 		}
+		mNDJSONRecords.Add(int64(sinceFlush))
+		sinceFlush = 0
+		// The timed region is where a slow client blocks: the batch's
+		// write, then the flushes.
+		start := time.Now()
+		if err := writeBatch(); err != nil {
+			return err
+		}
+		if gz != nil {
+			_ = gz.Flush()
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		flushDur := time.Since(start)
+		mNDJSONFlushes.Inc()
+		hNDJSONFlush.Observe(flushDur.Seconds())
+		if flushDur > slowFlushLatency {
+			mNDJSONSlowFlushes.Inc()
+		}
+		// Backpressure-aware chunk sizing: scale the interval by the
+		// observed write latency instead of flushing a slow client on the
+		// static cadence.
+		interval = nextFlushInterval(interval, s.flushEvery, flushDur)
 		return nil
 	})
 	if sinceFlush > 0 {
@@ -641,6 +689,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, eng *fac
 	if err == nil && !headerSent {
 		sendHeader() // valid zero-record stream, e.g. "nodes":[]
 	}
+	// The trailing partial batch; after an error, the complete records
+	// rendered before it.
+	_ = writeBatch()
 	if gz != nil {
 		_ = gz.Close()
 	}

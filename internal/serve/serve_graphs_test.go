@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -337,55 +338,76 @@ func TestEvictionTransparentOverHTTP(t *testing.T) {
 	}
 }
 
+// TestClassifyGzip: content-coding negotiation on point replies and streams
+// alike. Codings are case-insensitive, x-gzip is gzip, q=0 refuses it.
 func TestClassifyGzip(t *testing.T) {
 	srv, _ := newTestServer(t, 500, 3000)
-	for _, stream := range []bool{false, true} {
-		body := fmt.Sprintf(`{"top_k":2,"stream":%v}`, stream)
-		req := httptest.NewRequest("POST", "/v1/classify", strings.NewReader(body))
-		req.Header.Set("Accept-Encoding", "gzip")
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("stream=%v: status %d: %s", stream, rec.Code, rec.Body.String())
-		}
-		if enc := rec.Header().Get("Content-Encoding"); enc != "gzip" {
-			t.Fatalf("stream=%v: Content-Encoding %q, want gzip", stream, enc)
-		}
-		gz, err := gzip.NewReader(rec.Body)
-		if err != nil {
-			t.Fatalf("stream=%v: %v", stream, err)
-		}
-		if stream {
-			sc := bufio.NewScanner(gz)
-			sc.Buffer(make([]byte, 1<<20), 1<<20)
-			lines := 0
-			for sc.Scan() {
-				var r factorgraph.NodeResult
-				if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-					t.Fatalf("line %d: %v", lines, err)
+	for _, tc := range []struct {
+		accept string
+		gzip   bool
+	}{
+		{"gzip", true},
+		{"GZIP", true},
+		{"x-gzip", true},
+		{"br, gzip;q=0.5", true},
+		{"gzip;q=0", false},
+		{"gzip;q=0.0", false},
+		{"identity", false},
+		{"", false},
+	} {
+		for _, stream := range []bool{false, true} {
+			body := fmt.Sprintf(`{"top_k":2,"stream":%v}`, stream)
+			req := httptest.NewRequest("POST", "/v1/classify", strings.NewReader(body))
+			if tc.accept != "" {
+				req.Header.Set("Accept-Encoding", tc.accept)
+			}
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%q stream=%v: status %d: %s", tc.accept, stream, rec.Code, rec.Body.String())
+			}
+			want := ""
+			if tc.gzip {
+				want = "gzip"
+			}
+			if enc := rec.Header().Get("Content-Encoding"); enc != want {
+				t.Fatalf("%q stream=%v: Content-Encoding %q, want %q", tc.accept, stream, enc, want)
+			}
+			var rd io.Reader = rec.Body
+			if tc.gzip {
+				gz, err := gzip.NewReader(rec.Body)
+				if err != nil {
+					t.Fatalf("%q stream=%v: %v", tc.accept, stream, err)
 				}
-				lines++
+				rd = gz
 			}
-			if err := sc.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if lines != 500 {
-				t.Errorf("gzip stream: %d lines, want 500", lines)
-			}
-		} else {
-			var cr ClassifyResponse
-			if err := json.NewDecoder(gz).Decode(&cr); err != nil {
-				t.Fatal(err)
-			}
-			if cr.Count != 500 {
-				t.Errorf("gzip response: count %d, want 500", cr.Count)
+			if stream {
+				sc := bufio.NewScanner(rd)
+				sc.Buffer(make([]byte, 1<<20), 1<<20)
+				lines := 0
+				for sc.Scan() {
+					var r factorgraph.NodeResult
+					if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+						t.Fatalf("line %d: %v", lines, err)
+					}
+					lines++
+				}
+				if err := sc.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if lines != 500 {
+					t.Errorf("%q stream: %d lines, want 500", tc.accept, lines)
+				}
+			} else {
+				var cr ClassifyResponse
+				if err := json.NewDecoder(rd).Decode(&cr); err != nil {
+					t.Fatal(err)
+				}
+				if cr.Count != 500 {
+					t.Errorf("%q response: count %d, want 500", tc.accept, cr.Count)
+				}
 			}
 		}
-	}
-	// Clients that do not advertise gzip get identity responses.
-	rec, _ := doJSON(t, srv, "POST", "/v1/classify", `{"stream":true}`)
-	if enc := rec.Header().Get("Content-Encoding"); enc != "" {
-		t.Errorf("unsolicited Content-Encoding %q", enc)
 	}
 	// Errors on gzip-accepting requests stay identity-encoded JSON.
 	req := httptest.NewRequest("POST", "/v1/classify", strings.NewReader(`{"nodes":[99999],"stream":true}`))

@@ -17,6 +17,13 @@ import (
 // newTestServer plants a graph, builds an engine and wraps it in a Server.
 func newTestServer(t *testing.T, n, m int) (*Server, *factorgraph.Engine) {
 	t.Helper()
+	eng := newTestEngine(t, n, m)
+	return New(eng), eng
+}
+
+// newTestEngine plants an n-node, m-edge 3-class graph and builds its engine.
+func newTestEngine(t *testing.T, n, m int) *factorgraph.Engine {
+	t.Helper()
 	h := factorgraph.SkewedH(3, 8)
 	g, truth, err := factorgraph.Generate(factorgraph.GenerateConfig{
 		N: n, M: m, K: 3, H: h, Seed: 11,
@@ -32,7 +39,7 @@ func newTestServer(t *testing.T, n, m int) (*Server, *factorgraph.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(eng), eng
+	return eng
 }
 
 func doJSON(t *testing.T, srv *Server, method, path, body string) (*httptest.ResponseRecorder, map[string]json.RawMessage) {

@@ -26,7 +26,7 @@ var (
 	mNDJSONSlowFlushes = telemetry.Default().Counter("fg_http_ndjson_slow_flushes_total",
 		"Flushes slower than the backpressure threshold (the adaptive interval doubled).")
 	hNDJSONFlush = telemetry.Default().Histogram("fg_http_ndjson_flush_seconds",
-		"Streaming flush duration (gzip flush + ResponseWriter flush).", telemetry.MicroBuckets)
+		"Streaming flush duration (write of the buffered batch + gzip flush + ResponseWriter flush): where a slow client blocks the stream.", telemetry.MicroBuckets)
 )
 
 // routeMetrics bundles the per-route handles; one bundle per route name,
