@@ -6,11 +6,12 @@
 // and cold engines are evicted LRU under a configurable memory budget and
 // rebuilt transparently on the next access.
 //
-// The single-graph flags pre-register a graph named "default", so the PR 1
-// endpoints (POST /v1/classify etc.) keep working unchanged:
+// The single-graph flags pre-register a graph named "default", served at
+// /v1/graphs/default/...:
 //
 //	serve -edges graph.tsv -labels seeds.tsv -k 3 -addr :8080
 //	serve -synthetic -n 20000 -m 100000 -k 3 -f 0.05 -addr :8080
+//	curl -X POST localhost:8080/v1/graphs/default/classify -d '{"nodes":[1,2]}'
 //
 // Or start empty and admit graphs over HTTP:
 //
@@ -22,8 +23,7 @@
 // GET /v1/admin/health, GET /v1/admin/traces, GET /v1/admin/tenants,
 // POST|GET /v1/graphs, GET|DELETE /v1/graphs/{name},
 // POST /v1/graphs/{name}/estimate|classify, GET|PATCH
-// /v1/graphs/{name}/labels|edges, plus the legacy default-graph aliases.
-// See internal/serve for the wire format.
+// /v1/graphs/{name}/labels|edges. See internal/serve for the wire format.
 //
 // Observability: Prometheus-text metrics at /metrics (on -addr, or on a
 // separate -metrics-addr admin listener, which also mounts /debug/pprof;
@@ -72,7 +72,7 @@ func run() error {
 	edgesPath := flag.String("edges", "", "default graph: edge-list path (TSV: u\\tv[\\tw])")
 	labelsPath := flag.String("labels", "", "default graph: seed labels path (TSV: node\\tlabel)")
 	k := flag.Int("k", 0, "default graph: number of classes (default: inferred from labels)")
-	estimator := flag.String("estimator", "dcer", "compatibility estimator: dcer, dce, mce, lce, holdout")
+	estimator := flag.String("estimator", "dcer", "default graph: sketch estimator, dcer, dce or mce")
 	synthetic := flag.Bool("synthetic", false, "serve a synthetic planted graph as the default graph")
 	n := flag.Int("n", 20000, "synthetic: number of nodes")
 	m := flag.Int("m", 100000, "synthetic: number of edges")
@@ -136,13 +136,13 @@ func run() error {
 	if spec, ok, err := defaultSpec(*synthetic, *edgesPath, *labelsPath, *k, *n, *m, *skew, *f, *seed, *estimator, *residualTol, *compactFrac, *asyncCompact); err != nil {
 		return err
 	} else if ok {
-		if _, err := reg.Register(serve.DefaultGraph, spec); err != nil {
+		if _, err := reg.Register(defaultGraph, spec); err != nil {
 			return err
 		}
 		// Warm the default graph eagerly so the first query is fast and a
 		// broken flag combination fails at boot, not at first request.
 		start := time.Now()
-		eng, release, err := reg.Acquire(serve.DefaultGraph)
+		eng, release, err := reg.Acquire(defaultGraph)
 		if err != nil {
 			return err
 		}
@@ -239,6 +239,9 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	}
 	return nil, fmt.Errorf("-log-format %q: want text or json", format)
 }
+
+// defaultGraph is the name the flag-built graph registers under.
+const defaultGraph = "default"
 
 // defaultSpec translates the single-graph flags into a registry spec for
 // the "default" graph; ok is false when no default graph was requested.

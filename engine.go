@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,11 +16,6 @@ import (
 	"factorgraph/internal/residual"
 	"factorgraph/internal/telemetry"
 )
-
-// ErrUnknownEstimator is wrapped by estimation entry points when the
-// estimator name does not exist; callers (the HTTP layer) use it to
-// distinguish a caller mistake from an estimation failure.
-var ErrUnknownEstimator = errors.New("unknown estimator")
 
 // ErrEngineInternal is wrapped by engine failures that are NOT the fault of
 // the request (e.g. a propagation state that cannot be built); the HTTP
@@ -165,11 +159,11 @@ type Engine struct {
 // (counted in Stats().ResidualFallbacks), never a cold solve. The one-shot
 // facade (Classify, Propagate) instead runs the paper's 10 iterations.
 type EngineOptions struct {
-	// Estimator selects the compatibility estimator: "dcer" (default),
-	// "dce", "mce", "lce" or "holdout".
+	// Estimator selects the sketch estimator the engine runs with the paper
+	// defaults: "dcer" (default), "dce" or "mce". LCE and holdout read the
+	// whole graph and are served by EstimateBy only; per-call tuning goes
+	// through EstimateWith.
 	Estimator string
-	// Estimate tunes the DCE/DCEr estimators (ℓmax, λ, restarts, seed).
-	Estimate EstimateOptions
 	// S is the LinBP convergence parameter s ∈ (0,1); default 0.5. Values
 	// outside (0,1) are rejected: the serving engine must never iterate a
 	// non-contracting update (the library-level LinBPOptions stays
@@ -293,8 +287,8 @@ type NodeResult struct {
 // another — so admission layers (the registry) can refuse a bad spec at
 // registration instead of on the first, expensive, engine build.
 func (o EngineOptions) Validate() error {
-	if !KnownEstimator(o.Estimator) {
-		return fmt.Errorf("factorgraph: %w %q (want dcer, dce, mce, lce or holdout)", ErrUnknownEstimator, o.Estimator)
+	if _, _, err := sketchEstimatorFor(o.Estimator, EstimateOptions{}); err != nil {
+		return err
 	}
 	for _, c := range []struct {
 		name   string
@@ -379,7 +373,7 @@ func newEngine(g *Graph, seeds []int, k int, h *Matrix, method string, opts []En
 		est.H = h.Clone()
 	} else {
 		var err error
-		if est, err = e.runEstimator(); err != nil {
+		if est, err = e.EstimateWith(o.Estimator, EstimateOptions{}); err != nil {
 			return nil, err
 		}
 	}
@@ -400,66 +394,27 @@ func (e *Engine) residualOptions() residual.Options {
 	}
 }
 
-// KnownEstimator reports whether EstimateBy would accept the name (""
-// means the DCEr default; names are case-insensitive). Admission layers
-// use it to reject a misspelled estimator at registration instead of on
-// the first — expensive — engine build.
-func KnownEstimator(method string) bool {
-	switch strings.ToLower(method) {
-	case "", "dcer", "dce", "mce", "lce", "holdout":
-		return true
-	}
-	return false
-}
-
-// EstimateBy dispatches to the named estimator ("" means DCEr; names are
-// case-insensitive). It is the single source of truth for estimator names —
-// the Engine, the HTTP layer and the CLI all route through it. Unknown
-// names wrap ErrUnknownEstimator. The opts only apply to DCE/DCEr;
-// passing non-zero options to the other estimators is an error rather than
-// a silent no-op, so hyperparameter sweeps cannot misreport.
-func EstimateBy(method string, g *Graph, seeds []int, k int, opts EstimateOptions) (*Estimate, error) {
-	method = strings.ToLower(method)
-	switch method {
-	case "", "dcer":
-		return EstimateDCEr(g, seeds, k, opts)
-	case "dce":
-		return EstimateDCE(g, seeds, k, opts)
-	case "mce", "lce", "holdout":
-		if opts != (EstimateOptions{}) {
-			return nil, fmt.Errorf("factorgraph: estimator %q takes no options (lmax/lambda/restarts/seed tune DCE and DCEr only)", method)
-		}
-	}
-	switch method {
-	case "mce":
-		return EstimateMCE(g, seeds, k)
-	case "lce":
-		return EstimateLCE(g, seeds, k)
-	case "holdout":
-		return EstimateHoldout(g, seeds, k, 1)
-	default:
-		return nil, fmt.Errorf("factorgraph: %w %q (want dcer, dce, mce, lce or holdout)", ErrUnknownEstimator, method)
-	}
-}
-
-// runEstimator runs the configured estimator on the current seeds. Callers
-// must NOT hold e.mu: the cached-summaries path takes read locks
-// internally, and RWMutex is not reentrant.
-func (e *Engine) runEstimator() (*Estimate, error) {
-	e.nEstimations.Add(1)
-	engEstimations.Inc()
-	return e.estimateCached(e.eopts.Estimator, e.eopts.Estimate)
-}
-
-// EstimateWith runs the named estimator over the engine's graph and current
-// seeds without installing the result (use SetH to apply it). The run is
-// counted in Stats().Estimations. Sketch-based estimators (DCEr, DCE, MCE)
-// reuse the engine's cached summaries, so switching estimators costs only
-// the k×k optimization, not a fresh O(mkℓ) pass over the graph.
+// EstimateWith runs the named sketch estimator — dcer, dce or mce — over
+// the engine's live topology and current seeds without installing the
+// result (use SetH to apply it). The name and options are checked first:
+// an unknown name wraps ErrUnknownEstimator and options that do not fit
+// wrap ErrEstimateOptions, and neither counts nor touches anything. A valid
+// run is counted in Stats().Estimations and reuses the engine's cached
+// summaries, so switching estimators costs only the k×k optimization, not
+// a fresh O(mkℓ) pass over the graph.
 func (e *Engine) EstimateWith(method string, opts EstimateOptions) (*Estimate, error) {
+	se, lmax, err := sketchEstimatorFor(method, opts)
+	if err != nil {
+		return nil, err
+	}
 	e.nEstimations.Add(1)
 	engEstimations.Inc()
-	return e.estimateCached(method, opts)
+	start := time.Now()
+	s, err := e.summariesFor(lmax)
+	if err != nil {
+		return nil, err
+	}
+	return se.finish(s, lmax, opts, start)
 }
 
 // summariesFor returns factorized summaries of depth ≥ lmax for the current
@@ -468,9 +423,6 @@ func (e *Engine) EstimateWith(method string, opts EstimateOptions) (*Estimate, e
 // (M⁽ℓ⁾ of an ℓmax=5 summary equals M⁽ℓ⁾ of an ℓmax=1 summary); a deeper
 // request replaces the cache.
 func (e *Engine) summariesFor(lmax int) (*core.Summaries, error) {
-	if lmax <= 0 {
-		lmax = 5
-	}
 	e.sumMu.Lock()
 	defer e.sumMu.Unlock()
 	e.mu.RLock()
@@ -506,63 +458,6 @@ func (e *Engine) summariesFor(lmax int) (*core.Summaries, error) {
 	e.sums, e.sumGen = s, gen
 	e.sumDrift = 0
 	return s, nil
-}
-
-// truncateSummaries views the first lmax sketches of s without copying.
-func truncateSummaries(s *core.Summaries, lmax int) *core.Summaries {
-	if s.LMax == lmax {
-		return s
-	}
-	return &core.Summaries{K: s.K, LMax: lmax, M: s.M[:lmax], P: s.P[:lmax]}
-}
-
-// estimateCached is EstimateBy routed through the engine's summary cache.
-// Estimators that do not run on sketches (LCE, holdout), unknown names and
-// invalid options all fall back to EstimateBy so error behavior stays
-// identical across entry points.
-func (e *Engine) estimateCached(method string, opts EstimateOptions) (*Estimate, error) {
-	start := time.Now()
-	switch m := strings.ToLower(method); m {
-	case "", "dcer", "dce":
-		if opts.LMax < 0 {
-			break // EstimateBy produces the proper validation error
-		}
-		lmax := opts.LMax
-		if lmax == 0 {
-			lmax = 5
-		}
-		s, err := e.summariesFor(lmax)
-		if err != nil {
-			return nil, err
-		}
-		defRestarts, name := dceDefRestarts(m)
-		return finishDCE(name, truncateSummaries(s, lmax), opts, defRestarts, start)
-	case "mce":
-		if opts != (EstimateOptions{}) {
-			break // EstimateBy rejects options on option-less estimators
-		}
-		s, err := e.summariesFor(1)
-		if err != nil {
-			return nil, err
-		}
-		return finishMCE(truncateSummaries(s, 1), start)
-	}
-	// Non-sketch estimators (LCE, holdout) and unknown names fall through
-	// to EstimateBy, which runs on the canonical *Graph: merge any pending
-	// delta overlay first so they see the mutated topology. The sketch
-	// estimators above never need this — summaries read the live overlay.
-	if err := e.compactForEstimate(); err != nil {
-		return nil, err
-	}
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return nil, ErrEngineClosed
-	}
-	seeds := append([]int(nil), e.seeds...)
-	g := e.g // compaction swaps e.g under mu
-	e.mu.RUnlock()
-	return EstimateBy(method, g, seeds, e.k, opts)
 }
 
 // K returns the class count.
@@ -1338,7 +1233,7 @@ func (e *Engine) setSeedLocked(node, c int, patch *residual.Patch) {
 // concurrently, last-writer-wins: the installed H reflects the seeds captured
 // at entry.
 func (e *Engine) Reestimate() (*Estimate, error) {
-	est, err := e.EstimateWith(e.eopts.Estimator, e.eopts.Estimate)
+	est, err := e.EstimateWith(e.eopts.Estimator, EstimateOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -376,24 +376,6 @@ func (e *Engine) fillTopoDims(meta *MutateMeta) {
 	meta.Nodes, meta.Edges, meta.OverlayFraction = ts.Nodes, ts.Edges, ts.OverlayFraction
 }
 
-// compactForEstimate merges any pending overlay before a NON-sketch
-// estimator (LCE, holdout) runs: those read the canonical *Graph, and
-// estimating on the frozen base while serving a mutated topology would
-// silently fit H to a stale graph. The sketch estimators (DCEr, DCE, MCE)
-// never call this — their summaries read the live overlay directly and
-// are maintained under mutations by applySketchDeltas, so Reestimate on a
-// dirty engine is o(Δ). No-op on clean overlays.
-func (e *Engine) compactForEstimate() error {
-	e.mu.RLock()
-	dirty := e.topo != nil && e.topo.Dirty()
-	e.mu.RUnlock()
-	if !dirty {
-		return nil
-	}
-	_, err := e.CompactTopology()
-	return err
-}
-
 // CompactTopology forces a compaction of the delta overlay regardless of
 // the overlay-fraction trigger: the merged CSR is swapped in under the
 // write lock, ρ(W)/ε are re-derived canonically, and the residual state

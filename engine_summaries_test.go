@@ -131,15 +131,52 @@ func TestEngineCachedEstimateParity(t *testing.T) {
 			}
 		}
 	}
-	// Error behavior parity with EstimateBy.
-	if _, err := eng.EstimateWith("nope", EstimateOptions{}); !errors.Is(err, ErrUnknownEstimator) {
-		t.Errorf("unknown estimator: err=%v", err)
+}
+
+// TestEstimateRejectsBeforeWork: an estimate the engine cannot serve — an
+// unknown name, a graph-reading baseline, options that do not fit — is
+// refused before it is counted or does any work, even on a dirty overlay:
+// Stats() and the overlay fraction do not move. EstimateBy, which does
+// serve LCE, refuses the same options with the same sentinels.
+func TestEstimateRejectsBeforeWork(t *testing.T) {
+	g, seeds, _ := engineFixture(t, 1000, 6000, 0.1)
+	eng, err := NewEngine(g, seeds, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := eng.EstimateWith("mce", EstimateOptions{Lambda: 2}); err == nil {
-		t.Error("mce with options must be rejected")
+	// One new node wired in by one new edge: the overlay is dirty.
+	if _, err := eng.MutateTopology(1, []EdgeMutation{{U: g.N, V: 0}}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := eng.EstimateWith("dcer", EstimateOptions{LMax: -1}); err == nil {
-		t.Error("negative lmax must be rejected")
+	before, frac := eng.Stats(), eng.TopoStats().OverlayFraction
+	if frac == 0 {
+		t.Fatal("mutation left the overlay clean")
+	}
+	for _, tc := range []struct {
+		method string
+		opts   EstimateOptions
+		want   error
+	}{
+		{"nope", EstimateOptions{}, ErrUnknownEstimator},
+		{"lce", EstimateOptions{}, ErrUnknownEstimator},
+		{"holdout", EstimateOptions{}, ErrUnknownEstimator},
+		{"mce", EstimateOptions{Lambda: 2}, ErrEstimateOptions},
+		{"dcer", EstimateOptions{LMax: -1}, ErrEstimateOptions},
+	} {
+		if _, err := eng.EstimateWith(tc.method, tc.opts); !errors.Is(err, tc.want) {
+			t.Errorf("EstimateWith(%q, %+v): err=%v, want %v", tc.method, tc.opts, err, tc.want)
+		}
+		if tc.want == ErrEstimateOptions {
+			if _, err := EstimateBy(tc.method, g, seeds, 3, tc.opts); !errors.Is(err, tc.want) {
+				t.Errorf("EstimateBy(%q, %+v): err=%v, want %v", tc.method, tc.opts, err, tc.want)
+			}
+		}
+	}
+	if after := eng.Stats(); after != before {
+		t.Errorf("refused estimates moved the counters:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if got := eng.TopoStats().OverlayFraction; got != frac {
+		t.Errorf("refused estimates moved the overlay fraction %v -> %v", frac, got)
 	}
 }
 

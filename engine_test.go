@@ -1,6 +1,7 @@
 package factorgraph
 
 import (
+	"errors"
 	"sync"
 	"testing"
 )
@@ -327,11 +328,16 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := NewEngine(g, seeds, 3, EngineOptions{S: 2}); err == nil {
 		t.Error("non-contracting s >= 1 accepted")
 	}
-	if _, err := NewEngine(g, seeds, 3, EngineOptions{Estimate: EstimateOptions{LMax: -1}}); err == nil {
-		t.Error("negative lmax accepted (would panic in Summarize)")
+	for _, name := range []string{"lce", "holdout"} {
+		if _, err := NewEngine(g, seeds, 3, EngineOptions{Estimator: name}); !errors.Is(err, ErrUnknownEstimator) {
+			t.Errorf("engine estimator %q: err=%v, want ErrUnknownEstimator (the engine serves sketch estimators only)", name, err)
+		}
 	}
-	if _, err := EstimateBy("mce", g, seeds, 3, EstimateOptions{Lambda: 2}); err == nil {
-		t.Error("options silently ignored for mce")
+	if _, err := EstimateBy("mce", g, seeds, 3, EstimateOptions{Lambda: 2}); !errors.Is(err, ErrEstimateOptions) {
+		t.Errorf("options on mce: err=%v, want ErrEstimateOptions", err)
+	}
+	if _, err := EstimateBy("lce", g, seeds, 3, EstimateOptions{Lambda: 2}); !errors.Is(err, ErrEstimateOptions) {
+		t.Errorf("options on lce: err=%v, want ErrEstimateOptions", err)
 	}
 	if _, err := EstimateBy("DCEr", g, seeds, 3, EstimateOptions{}); err != nil {
 		t.Errorf("mixed-case estimator name rejected: %v", err)

@@ -27,7 +27,9 @@
 package factorgraph
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"factorgraph/internal/core"
@@ -98,20 +100,86 @@ func summarize(g *Graph, seeds []int, k, lmax int) (*core.Summaries, error) {
 	})
 }
 
-// EstimateDCEr learns H with distant compatibility estimation with
-// restarts — the paper's recommended method: robust down to ~1 labeled
-// node in 10,000.
-func EstimateDCEr(g *Graph, seeds []int, k int, opts ...EstimateOptions) (*Estimate, error) {
-	return estimateDCE("DCEr", g, seeds, k, 10, opts...)
+// ErrUnknownEstimator is wrapped by estimation entry points when the
+// estimator name does not exist; callers (the HTTP layer) use it to
+// distinguish a caller mistake from an estimation failure.
+var ErrUnknownEstimator = errors.New("unknown estimator")
+
+// ErrEstimateOptions is wrapped when EstimateOptions do not fit the named
+// estimator: options on MCE, LCE or holdout, or a negative ℓmax. Like
+// ErrUnknownEstimator it is the caller's mistake, caught before any work.
+var ErrEstimateOptions = errors.New("invalid estimator options")
+
+// sketchEstimator is one estimator that runs on the factorized sketches.
+type sketchEstimator struct {
+	name     string // canonical Estimate.Method
+	lmax     int    // default sketch depth
+	restarts int    // default restarts; 0 marks MCE, which takes no options
 }
 
-// EstimateDCE learns H with single-start distant compatibility estimation
-// (sufficient when labels are not extremely sparse).
-func EstimateDCE(g *Graph, seeds []int, k int, opts ...EstimateOptions) (*Estimate, error) {
-	return estimateDCE("DCE", g, seeds, k, 1, opts...)
+// sketchEstimators is the one name table of the sketch estimators — the
+// only ones the Engine serves. EstimateBy adds LCE and holdout beside it.
+var sketchEstimators = map[string]sketchEstimator{
+	"":     {name: "DCEr", lmax: 5, restarts: 10},
+	"dcer": {name: "DCEr", lmax: 5, restarts: 10},
+	"dce":  {name: "DCE", lmax: 5, restarts: 1},
+	"mce":  {name: "MCE", lmax: 1},
 }
 
-func estimateDCE(method string, g *Graph, seeds []int, k, defRestarts int, opts ...EstimateOptions) (*Estimate, error) {
+// sketchEstimatorFor resolves a case-insensitive sketch-estimator name and
+// checks opts against it, before anything is counted or computed. It
+// returns the estimator and the sketch depth the run needs.
+func sketchEstimatorFor(method string, opts EstimateOptions) (sketchEstimator, int, error) {
+	se, ok := sketchEstimators[strings.ToLower(method)]
+	switch {
+	case !ok:
+		return se, 0, fmt.Errorf("factorgraph: %w %q (want dcer, dce or mce)", ErrUnknownEstimator, method)
+	case se.restarts == 0 && opts != (EstimateOptions{}):
+		return se, 0, fmt.Errorf("factorgraph: %w: estimator %q takes none (lmax/lambda/restarts/seed tune DCE and DCEr only)", ErrEstimateOptions, method)
+	case opts.LMax < 0:
+		return se, 0, fmt.Errorf("factorgraph: %w: negative path length lmax=%d", ErrEstimateOptions, opts.LMax)
+	case opts.LMax > 0:
+		return se, opts.LMax, nil
+	}
+	return se, se.lmax, nil
+}
+
+// finish turns summaries of depth ≥ lmax into the estimate. It is the
+// single source of the DCE option defaults (λ=10, restarts per method):
+// the one-shot estimators and the Engine's cached summaries both finish
+// here, so they cannot drift apart.
+func (se sketchEstimator) finish(s *core.Summaries, lmax int, o EstimateOptions, start time.Time) (*Estimate, error) {
+	s = truncateSummaries(s, lmax)
+	var h *Matrix
+	var err error
+	if se.restarts == 0 {
+		h, err = core.EstimateMCE(s, core.MCEOptions{})
+	} else {
+		restarts, lambda := o.Restarts, o.Lambda
+		if restarts == 0 {
+			restarts = se.restarts
+		}
+		if lambda == 0 {
+			lambda = 10
+		}
+		h, err = core.EstimateDCE(s, core.DCEOptions{Lambda: lambda, Restarts: restarts, Seed: o.Seed})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Estimate{H: h, Runtime: time.Since(start), Method: se.name}, nil
+}
+
+// truncateSummaries views the first lmax sketches of s without copying.
+func truncateSummaries(s *core.Summaries, lmax int) *core.Summaries {
+	if s.LMax == lmax {
+		return s
+	}
+	return &core.Summaries{K: s.K, LMax: lmax, M: s.M[:lmax], P: s.P[:lmax]}
+}
+
+// estimateSketch runs a sketch estimator one-shot over g.
+func estimateSketch(method string, g *Graph, seeds []int, k int, opts ...EstimateOptions) (*Estimate, error) {
 	var o EstimateOptions
 	if len(opts) > 1 {
 		return nil, fmt.Errorf("factorgraph: at most one EstimateOptions")
@@ -119,41 +187,53 @@ func estimateDCE(method string, g *Graph, seeds []int, k, defRestarts int, opts 
 	if len(opts) == 1 {
 		o = opts[0]
 	}
+	se, lmax, err := sketchEstimatorFor(method, o)
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
-	s, err := summarize(g, seeds, k, o.LMax)
+	s, err := summarize(g, seeds, k, lmax)
 	if err != nil {
 		return nil, err
 	}
-	return finishDCE(method, s, o, defRestarts, start)
+	return se.finish(s, lmax, o, start)
 }
 
-// finishDCE turns precomputed summaries into a DCE/DCEr estimate. It is the
-// single source of the DCE option defaults (λ=10, restarts per method) —
-// both the one-shot estimators above and the Engine's cached-summaries path
-// finish through here, so they cannot drift apart.
-func finishDCE(method string, s *core.Summaries, o EstimateOptions, defRestarts int, start time.Time) (*Estimate, error) {
-	restarts := o.Restarts
-	if restarts == 0 {
-		restarts = defRestarts
+// EstimateBy dispatches to the named estimator ("" means DCEr; names are
+// case-insensitive): the sketch estimators of sketchEstimators plus the
+// graph-reading baselines LCE and holdout, which only this library
+// dispatcher serves. Unknown names wrap ErrUnknownEstimator. The opts only
+// apply to DCE/DCEr; passing non-zero options to the other estimators
+// wraps ErrEstimateOptions rather than being a silent no-op, so
+// hyperparameter sweeps cannot misreport.
+func EstimateBy(method string, g *Graph, seeds []int, k int, opts EstimateOptions) (*Estimate, error) {
+	m := strings.ToLower(method)
+	if _, ok := sketchEstimators[m]; ok {
+		return estimateSketch(m, g, seeds, k, opts)
 	}
-	lambda := o.Lambda
-	if lambda == 0 {
-		lambda = 10
+	if m != "lce" && m != "holdout" {
+		return nil, fmt.Errorf("factorgraph: %w %q (want dcer, dce, mce, lce or holdout)", ErrUnknownEstimator, method)
 	}
-	h, err := core.EstimateDCE(s, core.DCEOptions{Lambda: lambda, Restarts: restarts, Seed: o.Seed})
-	if err != nil {
-		return nil, err
+	if opts != (EstimateOptions{}) {
+		return nil, fmt.Errorf("factorgraph: %w: estimator %q takes none (lmax/lambda/restarts/seed tune DCE and DCEr only)", ErrEstimateOptions, method)
 	}
-	return &Estimate{H: h, Runtime: time.Since(start), Method: method}, nil
+	if m == "lce" {
+		return EstimateLCE(g, seeds, k)
+	}
+	return EstimateHoldout(g, seeds, k, 1)
 }
 
-// dceDefRestarts maps a (lower-cased) DCE-family method name to its
-// default restart count and canonical name.
-func dceDefRestarts(method string) (restarts int, name string) {
-	if method == "dce" {
-		return 1, "DCE"
-	}
-	return 10, "DCEr"
+// EstimateDCEr learns H with distant compatibility estimation with
+// restarts — the paper's recommended method: robust down to ~1 labeled
+// node in 10,000.
+func EstimateDCEr(g *Graph, seeds []int, k int, opts ...EstimateOptions) (*Estimate, error) {
+	return estimateSketch("dcer", g, seeds, k, opts...)
+}
+
+// EstimateDCE learns H with single-start distant compatibility estimation
+// (sufficient when labels are not extremely sparse).
+func EstimateDCE(g *Graph, seeds []int, k int, opts ...EstimateOptions) (*Estimate, error) {
+	return estimateSketch("dce", g, seeds, k, opts...)
 }
 
 // EstimateDCErAuto is DCEr with automatic selection of the λ
@@ -172,21 +252,7 @@ func EstimateDCErAuto(g *Graph, seeds []int, k int) (*Estimate, float64, error) 
 // compatibility estimation) — fastest, but needs enough labeled neighbor
 // pairs.
 func EstimateMCE(g *Graph, seeds []int, k int) (*Estimate, error) {
-	start := time.Now()
-	s, err := summarize(g, seeds, k, 1)
-	if err != nil {
-		return nil, err
-	}
-	return finishMCE(s, start)
-}
-
-// finishMCE is the shared MCE tail; see finishDCE.
-func finishMCE(s *core.Summaries, start time.Time) (*Estimate, error) {
-	h, err := core.EstimateMCE(s, core.MCEOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return &Estimate{H: h, Runtime: time.Since(start), Method: "MCE"}, nil
+	return estimateSketch("mce", g, seeds, k)
 }
 
 // EstimateLCE learns H by minimizing the LinBP energy with the seed labels

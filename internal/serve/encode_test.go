@@ -238,7 +238,7 @@ func TestClassifyRepliesMatchEncodingJSON(t *testing.T) {
 			body = `{"top_k":3,"stream":true}`
 		}
 		for _, gzipped := range []bool{false, true} {
-			req := httptest.NewRequest("POST", "/v1/classify", strings.NewReader(body))
+			req := httptest.NewRequest("POST", testPath("classify"), strings.NewReader(body))
 			if gzipped {
 				req.Header.Set("Accept-Encoding", "gzip")
 			}
@@ -300,14 +300,14 @@ func TestStreamAllocsDoNotGrowWithRecords(t *testing.T) {
 	const runs = 5
 	allocs := func(n int) float64 {
 		reg := registry.New(registry.Options{})
-		if err := reg.RegisterEngine(DefaultGraph, newTestEngine(t, n, 6*n)); err != nil {
+		if err := reg.RegisterEngine(testGraph, newTestEngine(t, n, 6*n)); err != nil {
 			t.Fatal(err)
 		}
 		srv := NewMulti(reg, Options{TraceSampleRate: -1}) // no sampled trace to store
 		defer srv.Close()
 		w := &discardWriter{header: http.Header{}}
 		stream := func() {
-			srv.ServeHTTP(w, httptest.NewRequest("POST", "/v1/classify", strings.NewReader(`{"top_k":2,"stream":true}`)))
+			srv.ServeHTTP(w, httptest.NewRequest("POST", testPath("classify"), strings.NewReader(`{"top_k":2,"stream":true}`)))
 		}
 		stream() // the cold solve
 		a := testing.AllocsPerRun(runs, stream)
@@ -327,7 +327,7 @@ func TestStreamAllocsDoNotGrowWithRecords(t *testing.T) {
 // header goes out, so the client gets a 500 with an error body.
 func TestRenderErrorIs500(t *testing.T) {
 	for _, accept := range []string{"", "gzip"} {
-		req := httptest.NewRequest("POST", "/v1/estimate", nil)
+		req := httptest.NewRequest("POST", testPath("estimate"), nil)
 		req.Header.Set("Accept-Encoding", accept)
 		rec := httptest.NewRecorder()
 		writeJSONNegotiated(rec, req, http.StatusOK, EstimateResponse{RuntimeMS: math.NaN()})

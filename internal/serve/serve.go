@@ -14,7 +14,7 @@
 // Per-graph serving (engines are built lazily on first use, evicted LRU
 // under the registry's memory budget, and rebuilt transparently):
 //
-//	POST  /v1/graphs/{name}/estimate  run a compatibility estimator
+//	POST  /v1/graphs/{name}/estimate  run a sketch estimator (dcer, dce, mce)
 //	POST  /v1/graphs/{name}/classify  classify nodes; NDJSON streaming and
 //	                                  gzip (Accept-Encoding) for large results
 //	GET   /v1/graphs/{name}/labels    current seed labels
@@ -23,13 +23,11 @@
 //	                                  add/remove, node additions; JSON
 //	                                  batch or NDJSON stream)
 //
-// The single-graph endpoints of PR 1 (POST /v1/estimate, POST /v1/classify,
-// GET|PATCH /v1/labels, GET /healthz) remain as aliases for the graph named
-// "default", which cmd/serve pre-registers from its -synthetic/-edges
-// flags, so existing clients keep working unchanged.
+// Every engine-backed request names its graph in the path.
 //
 // Observability:
 //
+//	GET /healthz            liveness: registry totals, Go version, uptime
 //	GET /metrics            Prometheus text exposition of the whole stack
 //	GET /v1/admin/build     the serving binary: module, VCS, Go, GOMAXPROCS
 //	/debug/pprof/*          with Options.Pprof (cmd/serve -pprof)
@@ -60,10 +58,6 @@ import (
 	"factorgraph/internal/registry"
 	"factorgraph/internal/telemetry"
 )
-
-// DefaultGraph is the graph name the legacy single-graph endpoints resolve
-// to; cmd/serve pre-registers it from its flags.
-const DefaultGraph = "default"
 
 // maxBodyBytes bounds ordinary request bodies; a classify request listing
 // every node of a 10M-node graph is ~80MB, far above any sane request.
@@ -170,20 +164,6 @@ type Server struct {
 	rec        *recorder
 }
 
-// New builds a single-graph Server around an initialized engine: the engine
-// is registered as the pinned "default" graph of a fresh registry. This is
-// the PR 1 constructor, kept so embedders (and the original tests) work
-// unchanged.
-func New(eng *factorgraph.Engine) *Server {
-	reg := registry.New(registry.Options{})
-	if err := reg.RegisterEngine(DefaultGraph, eng); err != nil {
-		// A fresh registry cannot collide on "default"; a failure here is
-		// a programming error, not a runtime condition.
-		panic(err)
-	}
-	return NewMulti(reg, Options{})
-}
-
 // NewMulti builds a multi-tenant Server over an existing registry.
 func NewMulti(reg *registry.Registry, o Options) *Server {
 	if o.FlushEvery <= 0 {
@@ -223,13 +203,6 @@ func NewMulti(reg *registry.Registry, o Options) *Server {
 	s.route("PATCH /v1/graphs/{name}/labels", "labels_patch", s.withEngine("labels_patch", s.handleLabelsPatch))
 	s.route("PATCH /v1/graphs/{name}/edges", "edges_patch", s.withEngine("edges_patch", s.handleEdgesPatch))
 
-	// Legacy single-graph aliases resolving to the default graph. They share
-	// the canonical route's metric series.
-	s.route("POST /v1/estimate", "estimate", s.withEngine("estimate", s.handleEstimate))
-	s.route("POST /v1/classify", "classify", s.withEngine("classify", s.handleClassify))
-	s.route("GET /v1/labels", "labels_get", s.withEngine("labels_get", s.handleLabelsGet))
-	s.route("PATCH /v1/labels", "labels_patch", s.withEngine("labels_patch", s.handleLabelsPatch))
-
 	if o.Pprof {
 		// Unwrapped: profile downloads run for -seconds and would distort
 		// the request latency series.
@@ -242,8 +215,8 @@ func NewMulti(reg *registry.Registry, o Options) *Server {
 	return s
 }
 
-// Registry exposes the backing registry (cmd/serve registers the default
-// graph through it before listening).
+// Registry exposes the backing registry (cmd/serve registers its
+// flag-built graph through it before listening).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
 // Close stops the flight recorder's background sampler. The Server holds
@@ -255,11 +228,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// withEngine resolves the request's graph (the {name} path component, or
-// "default" on the legacy routes) through the registry — building the
-// engine if it is cold or was evicted — and pins it for the duration of the
-// handler via the registry refcount, so eviction can never close an engine
-// mid-request. It is also the tracing boundary and the flight recorder's
+// withEngine resolves the request's graph (the {name} path component)
+// through the registry — building the engine if it is cold or was
+// evicted — and pins it for the duration of the handler via the registry
+// refcount, so eviction can never close an engine mid-request. It is also the tracing boundary and the flight recorder's
 // capture point: the inbound W3C traceparent (when present) is extracted
 // into the request trace that rides the context (handlers thread it into
 // engine queries), the response carries a traceparent naming this request's
@@ -272,9 +244,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) withEngine(kind string, fn func(http.ResponseWriter, *http.Request, *factorgraph.Engine)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
-		if name == "" {
-			name = DefaultGraph
-		}
 		eng, release, err := s.reg.Acquire(name)
 		if err != nil {
 			writeRegistryError(w, err)
@@ -377,27 +346,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) bool
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	rs := s.reg.Stats()
-	h := Health{
+	writeJSON(w, http.StatusOK, Health{
 		Status:        "ok",
 		Graphs:        rs.Graphs,
 		GraphsBuilt:   rs.Built,
 		ResidentBytes: rs.ResidentBytes,
 		GoVersion:     runtime.Version(),
 		UptimeMS:      float64(time.Since(s.start)) / float64(time.Millisecond),
-	}
-	// The default graph's engine details are reported when resident, for
-	// compatibility with single-graph deployments. AcquireIfBuilt never
-	// triggers a build: a liveness probe must stay O(1).
-	if eng, release, ok := s.reg.AcquireIfBuilt(DefaultGraph); ok {
-		defer release()
-		st := eng.Stats()
-		// Live dimensions: streaming mutations move them between builds.
-		h.Nodes, h.Edges = eng.Dims()
-		h.Classes = eng.K()
-		h.Labeled = eng.LabeledCount()
-		h.Estimations, h.Propagations, h.Queries = st.Estimations, st.Propagations, st.Queries
-	}
-	writeJSON(w, http.StatusOK, h)
+	})
 }
 
 func (s *Server) handleAdmin(w http.ResponseWriter, r *http.Request) {
@@ -493,7 +449,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, eng *fac
 	est, err := eng.EstimateWith(req.Method, factorgraph.EstimateOptions{
 		LMax: req.LMax, Lambda: req.Lambda, Restarts: req.Restarts, Seed: req.Seed,
 	})
-	if errors.Is(err, factorgraph.ErrUnknownEstimator) {
+	if errors.Is(err, factorgraph.ErrUnknownEstimator) || errors.Is(err, factorgraph.ErrEstimateOptions) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

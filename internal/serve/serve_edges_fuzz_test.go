@@ -48,7 +48,7 @@ func TestEdgesPatchAddNodesLimit(t *testing.T) {
 		{"NDJSON sum overflowing int", lines("9223372036854775807", "9223372036854775807"), true},
 		{"NDJSON sum overflowing int below the per-op limit", lines(maxAddNodes, "9223372036854775807"), true},
 	} {
-		rec := patchEdgesRaw(srv, DefaultGraph, tc.body, tc.ndjson)
+		rec := patchEdgesRaw(srv, testGraph, tc.body, tc.ndjson)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", tc.why, rec.Code, rec.Body.String())
 		}
@@ -57,7 +57,7 @@ func TestEdgesPatchAddNodesLimit(t *testing.T) {
 		}
 	}
 	// At the limit is allowed in principle; a small batch certainly is.
-	if rec := patchEdgesRaw(srv, DefaultGraph, lines(1, 2), true); rec.Code != http.StatusOK {
+	if rec := patchEdgesRaw(srv, testGraph, lines(1, 2), true); rec.Code != http.StatusOK {
 		t.Fatalf("ordinary NDJSON growth: %d: %s", rec.Code, rec.Body.String())
 	}
 	if n, _ := eng.Dims(); n != n0+3 {

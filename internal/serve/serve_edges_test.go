@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"factorgraph"
 )
 
 // incSynthBody registers a warm synthetic graph.
@@ -172,6 +174,70 @@ func TestEdgesPatchErrors(t *testing.T) {
 	}
 }
 
+// TestCompactionTriggers counts what compacts a graph. Only three things
+// may: the overlay-fraction trigger, compact:true (CompactTopology) and the
+// contraction guard. Estimation never does — dcer, dce, mce and Reestimate
+// all read the live overlay — and an estimator request the engine cannot
+// serve is a 400, naming the three it does, that neither compacts nor
+// counts as an estimation.
+func TestCompactionTriggers(t *testing.T) {
+	srv, eng := newTestServer(t, 500, 3000)
+	// One new node wired in by one new edge: a dirty overlay far below the
+	// fraction trigger and the contraction guard.
+	if rec, resp := patchEdges(t, srv, testGraph, `{"add_nodes":1,"set":[[500,0]]}`); rec.Code != http.StatusOK || resp.Compacted {
+		t.Fatalf("dirtying patch: %d %+v", rec.Code, resp)
+	}
+	compactions := func() (int64, float64) {
+		return eng.Stats().TopoCompactions, scrape(t, srv)["fg_engine_compactions_total"]
+	}
+	engBefore, metBefore := compactions()
+	for _, method := range []string{"dcer", "dce", "mce"} {
+		if _, err := eng.EstimateWith(method, factorgraph.EstimateOptions{}); err != nil {
+			t.Fatalf("EstimateWith(%s): %v", method, err)
+		}
+	}
+	if _, err := eng.Reestimate(); err != nil {
+		t.Fatal(err)
+	}
+	estimations := eng.Stats().Estimations
+	for _, tc := range []struct{ path, body string }{
+		{testPath("estimate"), `{"method":"holdout"}`},
+		{testPath("estimate"), `{"method":"lce"}`},
+		{testPath("estimate"), `{"method":"nope"}`},
+		{testPath("estimate"), `{"method":"mce","lambda":2}`},
+		{testPath("estimate"), `{"method":"dcer","lmax":-1}`},
+		{"/v1/graphs", `{"name":"baseline","estimator":"lce","synthetic":{"n":100,"m":500}}`},
+	} {
+		rec, out := doJSON(t, srv, "POST", tc.path, tc.body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want 400 (%s)", tc.path, tc.body, rec.Code, rec.Body.String())
+			continue
+		}
+		if strings.Contains(tc.body, "lmax") || strings.Contains(tc.body, "lambda") {
+			continue // an options error, not a name error
+		}
+		if msg := string(out["error"]); !strings.Contains(msg, "dcer, dce or mce") {
+			t.Errorf("POST %s %s: error %s does not name dcer, dce and mce", tc.path, tc.body, msg)
+		}
+	}
+	if e, m := compactions(); e != engBefore || m != metBefore {
+		t.Errorf("estimation compacted: engine %d -> %d, fg_engine_compactions_total %v -> %v", engBefore, e, metBefore, m)
+	}
+	if got := eng.Stats().Estimations; got != estimations {
+		t.Errorf("refused estimates counted: %d -> %d estimations", estimations, got)
+	}
+	if eng.TopoStats().OverlayFraction == 0 {
+		t.Error("overlay no longer dirty without a compaction")
+	}
+	// compact:true is a trigger.
+	if rec, resp := patchEdges(t, srv, testGraph, `{"compact":true}`); rec.Code != http.StatusOK || !resp.Compacted {
+		t.Fatalf("compact:true: %d %+v", rec.Code, resp)
+	}
+	if e, _ := compactions(); e != engBefore+1 {
+		t.Errorf("compact:true: %d compactions, want %d", e, engBefore+1)
+	}
+}
+
 // TestNextFlushInterval pins the backpressure controller's boundaries:
 // slow flushes double the interval up to the cap, fast ones halve it back
 // to the floor, mid-range latencies leave it alone.
@@ -205,7 +271,7 @@ func TestNextFlushInterval(t *testing.T) {
 // cadence, never correctness).
 func TestStreamingAdaptiveFlush(t *testing.T) {
 	srv, _ := newTestServer(t, 500, 3000)
-	req := httptest.NewRequest("POST", "/v1/classify", strings.NewReader(`{"stream":true}`))
+	req := httptest.NewRequest("POST", testPath("classify"), strings.NewReader(`{"stream":true}`))
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {

@@ -357,7 +357,7 @@ func TestClassifyGzip(t *testing.T) {
 	} {
 		for _, stream := range []bool{false, true} {
 			body := fmt.Sprintf(`{"top_k":2,"stream":%v}`, stream)
-			req := httptest.NewRequest("POST", "/v1/classify", strings.NewReader(body))
+			req := httptest.NewRequest("POST", testPath("classify"), strings.NewReader(body))
 			if tc.accept != "" {
 				req.Header.Set("Accept-Encoding", tc.accept)
 			}
@@ -410,7 +410,7 @@ func TestClassifyGzip(t *testing.T) {
 		}
 	}
 	// Errors on gzip-accepting requests stay identity-encoded JSON.
-	req := httptest.NewRequest("POST", "/v1/classify", strings.NewReader(`{"nodes":[99999],"stream":true}`))
+	req := httptest.NewRequest("POST", testPath("classify"), strings.NewReader(`{"nodes":[99999],"stream":true}`))
 	req.Header.Set("Accept-Encoding", "gzip")
 	rec2 := httptest.NewRecorder()
 	srv.ServeHTTP(rec2, req)
@@ -444,43 +444,35 @@ func TestFlushEveryConfigurable(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesHitDefaultGraph confirms the PR 1 endpoints are aliases
-// of /v1/graphs/default/...: a label patched through the legacy route is
-// visible through the named route and vice versa.
-func TestLegacyRoutesHitDefaultGraph(t *testing.T) {
-	srv, eng := newTestServer(t, 300, 1500)
-	node := -1
-	for i, c := range eng.Seeds() {
-		if c == factorgraph.Unlabeled {
-			node = i
-			break
-		}
-	}
-	rec, _ := doJSON(t, srv, "PATCH", "/v1/labels", fmt.Sprintf(`{"set":{"%d":1}}`, node))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("legacy patch: status %d", rec.Code)
-	}
-	rec, _ = doJSON(t, srv, "GET", "/v1/graphs/default/labels", "")
-	var lr LabelsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &lr); err != nil {
+// TestUnprefixedRoutesGone: every engine-backed request names its graph.
+// The single-graph paths POST /v1/estimate, POST /v1/classify and
+// GET|PATCH /v1/labels answer 404 even with a graph named "default"
+// registered, and never reach its engine: its query, patch and estimation
+// counters do not move.
+func TestUnprefixedRoutesGone(t *testing.T) {
+	eng := newTestEngine(t, 300, 1500)
+	reg := registry.New(registry.Options{})
+	if err := reg.RegisterEngine("default", eng); err != nil {
 		t.Fatal(err)
 	}
-	if lr.Labels[fmt.Sprint(node)] != 1 {
-		t.Errorf("label set via legacy route not visible on named route: %+v", lr.Labels[fmt.Sprint(node)])
+	srv := NewMulti(reg, Options{})
+	before := eng.Stats()
+	for _, probe := range []struct{ method, route, body string }{
+		{"POST", "estimate", `{"method":"mce","apply":true}`},
+		{"POST", "classify", `{"nodes":[0]}`},
+		{"GET", "labels", ""},
+		{"PATCH", "labels", `{"set":{"0":1}}`},
+	} {
+		path := "/v1/" + probe.route // the route without a graph name
+		if rec, _ := doJSON(t, srv, probe.method, path, probe.body); rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", probe.method, path, rec.Code)
+		}
 	}
-	rec, _ = doJSON(t, srv, "POST", "/v1/graphs/default/classify", `{"nodes":[0]}`)
-	if rec.Code != http.StatusOK {
-		t.Errorf("named classify on default graph: status %d", rec.Code)
+	after := eng.Stats()
+	if after.Queries != before.Queries || after.LabelUpdates != before.LabelUpdates || after.Estimations != before.Estimations {
+		t.Errorf("unprefixed routes reached the engine: %+v -> %+v", before, after)
 	}
-	// The default engine is pre-built (not spec-backed), so deleting it is
-	// allowed but classify then 404s — the legacy routes degrade loudly,
-	// not silently.
-	rec, _ = doJSON(t, srv, "DELETE", "/v1/graphs/default", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("delete default: status %d", rec.Code)
-	}
-	rec, _ = doJSON(t, srv, "POST", "/v1/classify", `{"nodes":[0]}`)
-	if rec.Code != http.StatusNotFound {
-		t.Errorf("legacy classify after default delete: status %d, want 404", rec.Code)
+	if rec, _ := doJSON(t, srv, "POST", "/v1/graphs/default/classify", `{"nodes":[0]}`); rec.Code != http.StatusOK {
+		t.Errorf("named classify on the default graph: status %d", rec.Code)
 	}
 }

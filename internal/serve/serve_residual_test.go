@@ -165,10 +165,10 @@ func TestValidationOfResidualSpec(t *testing.T) {
 	}
 }
 
-// TestEstimateGzip: /v1/estimate honors Accept-Encoding: gzip.
+// TestEstimateGzip: POST …/estimate honors Accept-Encoding: gzip.
 func TestEstimateGzip(t *testing.T) {
 	srv, _ := newTestServer(t, 500, 3000)
-	req := httptest.NewRequest("POST", "/v1/estimate", strings.NewReader(`{"method":"mce"}`))
+	req := httptest.NewRequest("POST", testPath("estimate"), strings.NewReader(`{"method":"mce"}`))
 	req.Header.Set("Accept-Encoding", "gzip")
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
@@ -194,7 +194,7 @@ func TestEstimateGzip(t *testing.T) {
 		t.Errorf("estimate response: %+v", er)
 	}
 	// Without the header the body stays uncompressed.
-	req = httptest.NewRequest("POST", "/v1/estimate", strings.NewReader(`{"method":"mce"}`))
+	req = httptest.NewRequest("POST", testPath("estimate"), strings.NewReader(`{"method":"mce"}`))
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
 	if enc := rec.Header().Get("Content-Encoding"); enc != "" {

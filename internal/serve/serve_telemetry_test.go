@@ -88,7 +88,7 @@ func TestMetricsAllLayers(t *testing.T) {
 // TestMetricsExpositionFormat pins the HELP/TYPE framing on the wire.
 func TestMetricsExpositionFormat(t *testing.T) {
 	srv, _ := newTestServer(t, 100, 500)
-	if rec, _ := doJSON(t, srv, "POST", "/v1/classify", `{"nodes":[0]}`); rec.Code != 200 {
+	if rec, _ := doJSON(t, srv, "POST", testPath("classify"), `{"nodes":[0]}`); rec.Code != 200 {
 		t.Fatalf("classify: status %d", rec.Code)
 	}
 	req := httptest.NewRequest("GET", "/metrics", nil)
@@ -127,7 +127,7 @@ func TestAdminBuild(t *testing.T) {
 // non-streaming classify; without it no stages appear.
 func TestClassifyDebugTrace(t *testing.T) {
 	srv, _ := newTestServer(t, 300, 1500)
-	rec, _ := doJSON(t, srv, "POST", "/v1/classify?debug=1", `{"nodes":[1,2,3],"top_k":2}`)
+	rec, _ := doJSON(t, srv, "POST", testPath("classify")+"?debug=1", `{"nodes":[1,2,3],"top_k":2}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -155,7 +155,7 @@ func TestClassifyDebugTrace(t *testing.T) {
 		t.Errorf("stages %v: there is no resolve stage", seen)
 	}
 
-	rec, _ = doJSON(t, srv, "POST", "/v1/classify", `{"nodes":[1]}`)
+	rec, _ = doJSON(t, srv, "POST", testPath("classify"), `{"nodes":[1]}`)
 	resp = ClassifyResponse{}
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)

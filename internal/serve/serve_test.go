@@ -12,13 +12,25 @@ import (
 	"testing"
 
 	"factorgraph"
+	"factorgraph/internal/registry"
 )
 
-// newTestServer plants a graph, builds an engine and wraps it in a Server.
+// testGraph is the name newTestServer registers its engine under.
+const testGraph = "test"
+
+// testPath is the path of one of testGraph's routes, e.g. "classify".
+func testPath(route string) string { return "/v1/graphs/" + testGraph + "/" + route }
+
+// newTestServer plants a graph, builds an engine and registers it as
+// testGraph of a fresh multi-tenant Server.
 func newTestServer(t *testing.T, n, m int) (*Server, *factorgraph.Engine) {
 	t.Helper()
 	eng := newTestEngine(t, n, m)
-	return New(eng), eng
+	reg := registry.New(registry.Options{})
+	if err := reg.RegisterEngine(testGraph, eng); err != nil {
+		t.Fatal(err)
+	}
+	return NewMulti(reg, Options{}), eng
 }
 
 // newTestEngine plants an n-node, m-edge 3-class graph and builds its engine.
@@ -62,8 +74,11 @@ func doJSON(t *testing.T, srv *Server, method, path, body string) (*httptest.Res
 	return rec, out
 }
 
+// TestHealthz: the liveness probe reports registry totals and never touches
+// an engine.
 func TestHealthz(t *testing.T) {
 	srv, eng := newTestServer(t, 500, 3000)
+	before := eng.Stats()
 	rec, _ := doJSON(t, srv, "GET", "/healthz", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
@@ -72,24 +87,23 @@ func TestHealthz(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}
-	g := eng.Graph()
-	if h.Status != "ok" || h.Nodes != g.N || h.Edges != g.M || h.Classes != 3 {
+	if h.Status != "ok" || h.Graphs != 1 || h.GraphsBuilt != 1 || h.ResidentBytes <= 0 || h.GoVersion == "" {
 		t.Errorf("bad health: %+v", h)
 	}
-	if h.Estimations != 1 {
-		t.Errorf("health reports %d estimations, want 1", h.Estimations)
+	if after := eng.Stats(); after != before {
+		t.Errorf("liveness probe moved engine counters: %+v -> %+v", before, after)
 	}
 }
 
 // TestClassify1000SequentialRequests is the HTTP half of the serving
-// acceptance criterion: 1000 sequential /v1/classify requests against a
+// acceptance criterion: 1000 sequential classify requests against a
 // cached 100k-edge planted graph, with estimation run exactly once and
 // propagation exactly once.
 func TestClassify1000SequentialRequests(t *testing.T) {
 	srv, eng := newTestServer(t, 20000, 100000)
 	for i := 0; i < 1000; i++ {
 		node := (i * 41) % eng.Graph().N
-		rec, _ := doJSON(t, srv, "POST", "/v1/classify",
+		rec, _ := doJSON(t, srv, "POST", testPath("classify"),
 			fmt.Sprintf(`{"nodes":[%d],"top_k":2}`, node))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body.String())
@@ -113,7 +127,7 @@ func TestClassify1000SequentialRequests(t *testing.T) {
 
 func TestClassifyStreamNDJSON(t *testing.T) {
 	srv, eng := newTestServer(t, 2000, 12000)
-	rec, _ := doJSON(t, srv, "POST", "/v1/classify", `{"top_k":3,"stream":true}`)
+	rec, _ := doJSON(t, srv, "POST", testPath("classify"), `{"top_k":3,"stream":true}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -141,7 +155,7 @@ func TestClassifyStreamNDJSON(t *testing.T) {
 	}
 
 	// A valid zero-record stream still gets the NDJSON content type.
-	rec, _ = doJSON(t, srv, "POST", "/v1/classify", `{"nodes":[],"stream":true}`)
+	rec, _ = doJSON(t, srv, "POST", testPath("classify"), `{"nodes":[],"stream":true}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("empty stream status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -168,7 +182,7 @@ func TestClassifyValidation(t *testing.T) {
 		{`{"nodes":[99999],"stream":true}`, http.StatusBadRequest}, // validated before first record
 		{``, http.StatusOK},                                        // empty body = classify everything
 	} {
-		rec, out := doJSON(t, srv, "POST", "/v1/classify", tc.body)
+		rec, out := doJSON(t, srv, "POST", testPath("classify"), tc.body)
 		if rec.Code != tc.code {
 			t.Errorf("body %q: status %d, want %d (%s)", tc.body, rec.Code, tc.code, rec.Body.String())
 		}
@@ -189,7 +203,7 @@ func TestClassifyExtraSeedsOverHTTP(t *testing.T) {
 			break
 		}
 	}
-	rec, _ := doJSON(t, srv, "POST", "/v1/classify",
+	rec, _ := doJSON(t, srv, "POST", testPath("classify"),
 		fmt.Sprintf(`{"nodes":[%d],"extra_seeds":{"%d":2}}`, node, node))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
@@ -208,7 +222,7 @@ func TestClassifyExtraSeedsOverHTTP(t *testing.T) {
 
 func TestEstimateEndpoint(t *testing.T) {
 	srv, eng := newTestServer(t, 500, 3000)
-	rec, _ := doJSON(t, srv, "POST", "/v1/estimate", `{"method":"mce"}`)
+	rec, _ := doJSON(t, srv, "POST", testPath("estimate"), `{"method":"mce"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -226,7 +240,7 @@ func TestEstimateEndpoint(t *testing.T) {
 		t.Error("non-apply estimate mutated the engine")
 	}
 
-	rec, _ = doJSON(t, srv, "POST", "/v1/estimate", `{"method":"mce","apply":true}`)
+	rec, _ = doJSON(t, srv, "POST", testPath("estimate"), `{"method":"mce","apply":true}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("apply status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -234,33 +248,33 @@ func TestEstimateEndpoint(t *testing.T) {
 		t.Errorf("apply did not install H: method %q", eng.Estimate().Method)
 	}
 
-	rec, _ = doJSON(t, srv, "POST", "/v1/estimate", `{"method":"nope"}`)
+	rec, _ = doJSON(t, srv, "POST", testPath("estimate"), `{"method":"nope"}`)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("unknown method: status %d", rec.Code)
 	}
 
 	// Estimator names are case-insensitive across all entry points.
-	rec, _ = doJSON(t, srv, "POST", "/v1/estimate", `{"method":"DCEr"}`)
+	rec, _ = doJSON(t, srv, "POST", testPath("estimate"), `{"method":"DCEr"}`)
 	if rec.Code != http.StatusOK {
 		t.Errorf("mixed-case method: status %d: %s", rec.Code, rec.Body.String())
 	}
 
-	// A negative lmax must be a clean error, not a handler panic.
-	rec, _ = doJSON(t, srv, "POST", "/v1/estimate", `{"lmax":-1}`)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Errorf("negative lmax: status %d, want 422 (%s)", rec.Code, rec.Body.String())
+	// A negative lmax is the caller's mistake, not a handler panic.
+	rec, _ = doJSON(t, srv, "POST", testPath("estimate"), `{"lmax":-1}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("negative lmax: status %d, want 400 (%s)", rec.Code, rec.Body.String())
 	}
 
 	// Options on estimators that take none are rejected, not ignored.
-	rec, _ = doJSON(t, srv, "POST", "/v1/estimate", `{"method":"mce","lambda":2}`)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Errorf("mce with options: status %d, want 422 (%s)", rec.Code, rec.Body.String())
+	rec, _ = doJSON(t, srv, "POST", testPath("estimate"), `{"method":"mce","lambda":2}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("mce with options: status %d, want 400 (%s)", rec.Code, rec.Body.String())
 	}
 }
 
 func TestLabelsGetAndPatch(t *testing.T) {
 	srv, eng := newTestServer(t, 500, 3000)
-	rec, _ := doJSON(t, srv, "GET", "/v1/labels", "")
+	rec, _ := doJSON(t, srv, "GET", testPath("labels"), "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -279,7 +293,7 @@ func TestLabelsGetAndPatch(t *testing.T) {
 			break
 		}
 	}
-	rec, _ = doJSON(t, srv, "PATCH", "/v1/labels",
+	rec, _ = doJSON(t, srv, "PATCH", testPath("labels"),
 		fmt.Sprintf(`{"set":{"%d":1}}`, node))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("patch status %d: %s", rec.Code, rec.Body.String())
@@ -295,7 +309,7 @@ func TestLabelsGetAndPatch(t *testing.T) {
 		t.Error("patch did not apply")
 	}
 
-	rec, _ = doJSON(t, srv, "PATCH", "/v1/labels",
+	rec, _ = doJSON(t, srv, "PATCH", testPath("labels"),
 		fmt.Sprintf(`{"remove":[%d]}`, node))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("remove status %d: %s", rec.Code, rec.Body.String())
@@ -308,7 +322,7 @@ func TestLabelsGetAndPatch(t *testing.T) {
 	for _, body := range []string{
 		`{}`, `{"set":{"abc":1}}`, `{"set":{"0":9}}`, `{"remove":[-4]}`,
 	} {
-		rec, _ = doJSON(t, srv, "PATCH", "/v1/labels", body)
+		rec, _ = doJSON(t, srv, "PATCH", testPath("labels"), body)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("patch %q: status %d, want 400", body, rec.Code)
 		}
@@ -316,7 +330,7 @@ func TestLabelsGetAndPatch(t *testing.T) {
 
 	// Reestimate after updates.
 	before := eng.Stats().Estimations
-	rec, _ = doJSON(t, srv, "PATCH", "/v1/labels",
+	rec, _ = doJSON(t, srv, "PATCH", testPath("labels"),
 		fmt.Sprintf(`{"set":{"%d":1},"reestimate":true}`, node))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("reestimate status %d: %s", rec.Code, rec.Body.String())
@@ -328,9 +342,9 @@ func TestLabelsGetAndPatch(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	srv, _ := newTestServer(t, 200, 1000)
-	rec, _ := doJSON(t, srv, "DELETE", "/v1/classify", "")
+	rec, _ := doJSON(t, srv, "DELETE", testPath("classify"), "")
 	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("DELETE /v1/classify: status %d, want 405", rec.Code)
+		t.Errorf("DELETE classify: status %d, want 405", rec.Code)
 	}
 	rec, _ = doJSON(t, srv, "GET", "/nope", "")
 	if rec.Code != http.StatusNotFound {
@@ -354,7 +368,7 @@ func TestConcurrentHTTP(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				body := fmt.Sprintf(`{"nodes":[%d],"top_k":2}`, (g*100+i)%1000)
-				resp, err := http.Post(ts.URL+"/v1/classify", "application/json", strings.NewReader(body))
+				resp, err := http.Post(ts.URL+testPath("classify"), "application/json", strings.NewReader(body))
 				if err != nil {
 					errc <- err
 					return
@@ -373,7 +387,7 @@ func TestConcurrentHTTP(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				node := (g*50 + i) % 1000
 				body := fmt.Sprintf(`{"set":{"%d":%d}}`, node, i%3)
-				req, err := http.NewRequest("PATCH", ts.URL+"/v1/labels", strings.NewReader(body))
+				req, err := http.NewRequest("PATCH", ts.URL+testPath("labels"), strings.NewReader(body))
 				if err != nil {
 					errc <- err
 					return

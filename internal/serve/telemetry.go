@@ -11,10 +11,7 @@ import (
 // HTTP-layer metric handles. Every route is wrapped by (*Server).route,
 // which owns the request counter, latency histogram and error counters for
 // that route; the handles live in a routeMetrics bundle created once at
-// registration (the hot path never touches the registry map). Legacy
-// single-graph aliases share the canonical route's series — the registry
-// dedups identical (name, labels) registrations — so fg_http_requests_total
-// {route="classify"} counts both /v1/classify and /v1/graphs/{name}/classify.
+// registration (the hot path never touches the registry map).
 var (
 	httpInFlight = telemetry.Default().Gauge("fg_http_in_flight",
 		"Requests currently being served.")

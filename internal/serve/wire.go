@@ -21,8 +21,8 @@ type CreateGraphRequest struct {
 	// K is the class count; 0 infers it from the labels (files/inline) or
 	// uses the 3-class demo default (synthetic).
 	K int `json:"k"`
-	// Estimator selects the engine's compatibility estimator: dcer
-	// (default), dce, mce, lce, holdout.
+	// Estimator selects the engine's sketch estimator: dcer (default), dce
+	// or mce; any other name is a 400.
 	Estimator string `json:"estimator"`
 	// ResidualTol is the per-node residual tolerance beliefs are served
 	// to (0 = the engine default, 1e-8).
@@ -127,7 +127,7 @@ type AdminResponse struct {
 	Graphs []registry.GraphInfo `json:"graphs"`
 }
 
-// ClassifyRequest is the body of POST /v1/classify.
+// ClassifyRequest is the body of POST /v1/graphs/{name}/classify.
 type ClassifyRequest struct {
 	// Nodes restricts the response; null/absent means all nodes.
 	Nodes []int `json:"nodes"`
@@ -160,7 +160,8 @@ func (r *ClassifyRequest) Query() (factorgraph.Query, error) {
 	return q, nil
 }
 
-// ClassifyResponse is the non-streaming response of POST /v1/classify. The
+// ClassifyResponse is the non-streaming response of POST
+// /v1/graphs/{name}/classify. The
 // residual fields are present when the query was answered by the residual
 // subsystem; pushed/cloned counts are non-zero for what-if (extra_seeds)
 // queries and report the size of the perturbed frontier.
@@ -203,12 +204,14 @@ type StageTiming struct {
 	Us    float64 `json:"us"`
 }
 
-// EstimateRequest is the body of POST /v1/estimate.
+// EstimateRequest is the body of POST /v1/graphs/{name}/estimate.
 type EstimateRequest struct {
-	// Method selects the estimator: dcer (default), dce, mce, lce, holdout.
+	// Method selects the sketch estimator: dcer (default), dce or mce; any
+	// other name is a 400.
 	Method string `json:"method"`
 	// LMax, Lambda, Restarts, Seed tune DCE/DCEr; zero values mean the
-	// paper defaults (ℓmax=5, λ=10, 1/10 restarts).
+	// paper defaults (ℓmax=5, λ=10, 1/10 restarts). Options on mce, or a
+	// negative lmax, are a 400.
 	LMax     int     `json:"lmax"`
 	Lambda   float64 `json:"lambda"`
 	Restarts int     `json:"restarts"`
@@ -225,7 +228,7 @@ type EstimateResponse struct {
 	Applied   bool        `json:"applied"`
 }
 
-// LabelsResponse is the body of GET /v1/labels.
+// LabelsResponse is the body of GET /v1/graphs/{name}/labels.
 type LabelsResponse struct {
 	Count  int            `json:"count"`
 	Labels map[string]int `json:"labels"`
@@ -290,7 +293,8 @@ type EdgesPatchResponse struct {
 	OverlayFraction float64 `json:"overlay_fraction"`
 }
 
-// LabelsPatch is the body of PATCH /v1/labels: an incremental seed update.
+// LabelsPatch is the body of PATCH /v1/graphs/{name}/labels: an
+// incremental seed update.
 type LabelsPatch struct {
 	Set    map[string]int `json:"set"`
 	Remove []int          `json:"remove"`
@@ -321,22 +325,14 @@ type LabelsPatchResponse struct {
 	FellBack bool `json:"fell_back,omitempty"`
 }
 
-// Health is the body of GET /healthz. The per-graph fields (Nodes, Edges,
-// Classes, Labeled and the engine counters) describe the "default" graph
-// when its engine is resident and are zero otherwise; multi-tenant
-// deployments read GET /v1/admin/registry instead.
+// Health is the body of GET /healthz, the liveness probe: registry totals
+// only, never an engine build. Per-graph numbers are at GET
+// /v1/graphs/{name} and GET /v1/admin/registry.
 type Health struct {
 	Status        string  `json:"status"`
 	Graphs        int     `json:"graphs"`
 	GraphsBuilt   int     `json:"graphs_built"`
 	ResidentBytes int64   `json:"resident_bytes"`
-	Nodes         int     `json:"nodes"`
-	Edges         int     `json:"edges"`
-	Classes       int     `json:"classes"`
-	Labeled       int     `json:"labeled"`
-	Estimations   int64   `json:"estimations"`
-	Propagations  int64   `json:"propagations"`
-	Queries       int64   `json:"queries"`
 	GoVersion     string  `json:"go_version"`
 	UptimeMS      float64 `json:"uptime_ms"`
 }

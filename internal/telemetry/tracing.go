@@ -84,14 +84,19 @@ func Traceparent(tid TraceID, sid SpanID, sampled bool) string {
 
 // ParseTraceparent parses a version-00 W3C traceparent header
 // (00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>). ok is false for
-// anything malformed, unknown versions included — a bad header means "start
-// a fresh trace", never an error.
+// anything malformed, unknown versions and uppercase hex included — a bad
+// header means "start a fresh trace", never an error.
 func ParseTraceparent(h string) (tid TraceID, parent SpanID, sampled, ok bool) {
 	if len(h) != 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return TraceID{}, SpanID{}, false, false
 	}
 	if h[0] != '0' || h[1] != '0' { // only version 00 is understood
 		return TraceID{}, SpanID{}, false, false
+	}
+	for i := 3; i < len(h); i++ {
+		if c := h[i]; 'A' <= c && c <= 'F' { // the spec allows lowercase hex only
+			return TraceID{}, SpanID{}, false, false
+		}
 	}
 	tid, tok := ParseTraceID(h[3:35])
 	parent, pok := ParseSpanID(h[36:52])

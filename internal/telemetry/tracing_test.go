@@ -40,12 +40,41 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 		valid[:36] + strings.Repeat("0", 16) + valid[52:], // all-zero parent id
 		valid[:3] + "g" + valid[4:],                       // non-hex trace id
 		valid[:53] + "gg",                                 // non-hex flags
+		// Uppercase hex anywhere: W3C Trace Context allows lowercase only.
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A",
 	}
 	for _, h := range bad {
 		if _, _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted malformed input", h)
 		}
 	}
+}
+
+// FuzzTraceparent: parsing never panics, and whatever it accepts renders
+// back byte for byte up to the flags, which re-render as 00 or 01.
+func FuzzTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-ff",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, parent, sampled, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if got := Traceparent(tid, parent, sampled); got[:53] != h[:53] {
+			t.Fatalf("ParseTraceparent(%q) re-renders as %q", h, got)
+		}
+	})
 }
 
 func TestSamplerDeterministicAndBounded(t *testing.T) {
