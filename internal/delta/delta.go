@@ -74,21 +74,8 @@ func New(base *sparse.CSR) *Graph {
 		n:    base.N,
 		rows: make(map[int32]*row),
 		nnz:  base.NNZ(),
-		diag: countDiag(base),
+		diag: base.DiagCount(),
 	}
-}
-
-func countDiag(c *sparse.CSR) int {
-	d := 0
-	for i := 0; i < c.N; i++ {
-		lo, hi := c.IndPtr[i], c.IndPtr[i+1]
-		r := c.Indices[lo:hi]
-		p := sort.Search(len(r), func(p int) bool { return r[p] >= int32(i) })
-		if p < len(r) && r[p] == int32(i) {
-			d++
-		}
-	}
-	return d
 }
 
 // Dim returns the current node count (base nodes plus added nodes).
@@ -480,7 +467,7 @@ func (g *Graph) ResetBase(base *sparse.CSR) {
 	g.rows = make(map[int32]*row)
 	g.nnz = base.NNZ()
 	g.patched = 0
-	g.diag = countDiag(base)
+	g.diag = base.DiagCount()
 	g.maxAbsDelta = 0
 	g.compactions++
 	// The previous epoch's patched share is gone; without this the global

@@ -13,35 +13,30 @@ import (
 // adjacency matrix W.
 type Graph struct {
 	N   int
-	M   int // number of undirected edges
+	M   int // number of distinct undirected edges, self-loops included
 	Adj *sparse.CSR
 
 	degrees []float64 // lazily computed weighted degrees
 }
 
 // New builds a graph from an undirected edge list. Edges must reference
-// nodes in [0, n); duplicate edges are merged by weight summation in the
-// adjacency matrix but still counted once in M per input occurrence, so
-// callers should pass deduplicated lists (the generator and loaders do).
+// nodes in [0, n). A pair listed more than once, in either direction, is
+// one edge whose weight is the sum of its listings, and M counts it once:
+// New and FromCSR of the same adjacency agree.
 func New(n int, edges [][2]int32, weights []float64) (*Graph, error) {
 	adj, err := sparse.NewSymmetricFromEdges(n, edges, weights)
 	if err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
-	return &Graph{N: n, M: len(edges), Adj: adj}, nil
+	return FromCSR(adj), nil
 }
 
-// FromCSR wraps an existing symmetric CSR adjacency matrix.
+// FromCSR wraps an existing symmetric CSR adjacency matrix. Off-diagonal
+// entries appear twice and stored diagonal ones once, so M is
+// (nnz − diag)/2 + diag.
 func FromCSR(adj *sparse.CSR) *Graph {
-	m := adj.NNZ()
-	// Off-diagonal entries appear twice; count diagonal entries once.
-	diag := 0
-	for i := 0; i < adj.N; i++ {
-		if adj.At(i, i) != 0 {
-			diag++
-		}
-	}
-	return &Graph{N: adj.N, M: (m-diag)/2 + diag, Adj: adj}
+	diag := adj.DiagCount()
+	return &Graph{N: adj.N, M: (adj.NNZ()-diag)/2 + diag, Adj: adj}
 }
 
 // Degrees returns the weighted degree of every node (cached).

@@ -68,6 +68,32 @@ func TestFromCSR(t *testing.T) {
 	}
 }
 
+// TestEdgeCountDistinctPairs: M counts each unordered pair once however
+// often and in whichever direction the input lists it, self-loops included
+// (a zero-weight one too), and agrees with FromCSR of the same adjacency —
+// the count a compaction installs.
+func TestEdgeCountDistinctPairs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		upload string
+		want   int
+	}{
+		{"reversed", "0 1\n1 0\n0 1\n1 2\n", 2},
+		{"duplicated", "0 1\n0 1\n0 1\n", 1},
+		{"weighted duplicate", "0 1 0.5\n1 0 2\n1 2 3\n", 2},
+		{"self-loops", "0 0\n0 0\n0 1\n2 2 0\n", 3},
+		{"dupWeighted", dupWeighted, 6},
+	} {
+		g, _, _, err := ParseUpload([]byte(tc.upload), []byte("0 0\n"))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if back := FromCSR(g.Adj); g.M != tc.want || back.M != tc.want {
+			t.Errorf("%s: New M = %d, FromCSR M = %d, want %d", tc.name, g.M, back.M, tc.want)
+		}
+	}
+}
+
 func TestValidateCatchesNegativeWeight(t *testing.T) {
 	g, err := New(2, [][2]int32{{0, 1}}, []float64{-1})
 	if err != nil {

@@ -9,6 +9,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -50,81 +51,199 @@ type Coord struct {
 	W        float64
 }
 
-// NewFromCoords builds a CSR matrix from coordinate triples. Duplicate
-// coordinates are summed. Weights equal to 1 everywhere collapse to the
-// implicit-ones representation.
+// NewFromCoords builds a CSR matrix from coordinate triples; coords is not
+// modified. Duplicate coordinates are summed in ascending-weight order, so a
+// symmetric input stays bit-for-bit symmetric whatever order its duplicates
+// arrive in. Weights equal to 1 everywhere collapse to the implicit-ones
+// representation.
 func NewFromCoords(n int, coords []Coord) (*CSR, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("sparse: negative dimension %d", n)
 	}
+	indptr := make([]int, n+1)
 	for _, c := range coords {
 		if c.Row < 0 || int(c.Row) >= n || c.Col < 0 || int(c.Col) >= n {
 			return nil, fmt.Errorf("sparse: coordinate (%d,%d) out of range for n=%d", c.Row, c.Col, n)
 		}
+		indptr[c.Row+1]++
 	}
-	sort.Slice(coords, func(i, j int) bool {
-		if coords[i].Row != coords[j].Row {
-			return coords[i].Row < coords[j].Row
-		}
-		if coords[i].Col != coords[j].Col {
-			return coords[i].Col < coords[j].Col
-		}
-		// sort.Slice is unstable: ordering duplicates by weight makes them
-		// sum in one order on both sides of a symmetric matrix's diagonal.
-		return coords[i].W < coords[j].W
-	})
-	indptr := make([]int, n+1)
-	indices := make([]int32, 0, len(coords))
-	data := make([]float64, 0, len(coords))
-	for i := 0; i < len(coords); {
-		j := i
-		w := 0.0
-		for j < len(coords) && coords[j].Row == coords[i].Row && coords[j].Col == coords[i].Col {
-			w += coords[j].W
-			j++
-		}
-		indices = append(indices, coords[i].Col)
-		data = append(data, w)
-		indptr[coords[i].Row+1]++
-		i = j
+	rowStarts(indptr)
+	cols := make([]int32, len(coords))
+	w := make([]float64, len(coords))
+	for _, c := range coords {
+		p := indptr[c.Row]
+		cols[p], w[p] = c.Col, c.W
+		indptr[c.Row]++
 	}
-	for i := 0; i < n; i++ {
-		indptr[i+1] += indptr[i]
-	}
-	allOnes := true
-	for _, w := range data {
-		if w != 1 {
-			allOnes = false
-			break
-		}
-	}
-	c := &CSR{N: n, IndPtr: indptr, Indices: indices}
-	if !allOnes {
-		c.Data = data
-	}
-	return c, nil
+	return finishRows(n, indptr, cols, w), nil
 }
 
 // NewSymmetricFromEdges builds the symmetric adjacency matrix of an
 // undirected graph: each edge (u,v) contributes entries (u,v) and (v,u).
 // Self-loops contribute a single diagonal entry. weights may be nil for an
-// unweighted graph.
+// unweighted graph. The result is the CSR NewFromCoords builds from those
+// entries, without materializing them.
 func NewSymmetricFromEdges(n int, edges [][2]int32, weights []float64) (*CSR, error) {
 	if weights != nil && len(weights) != len(edges) {
 		return nil, fmt.Errorf("sparse: %d weights for %d edges", len(weights), len(edges))
 	}
-	coords := make([]Coord, 0, 2*len(edges))
-	for i, e := range edges {
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
+	if n < 0 {
+		return nil, fmt.Errorf("sparse: negative dimension %d", n)
+	}
+	indptr := make([]int, n+1)
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+			return nil, fmt.Errorf("sparse: coordinate (%d,%d) out of range for n=%d", u, v, n)
 		}
-		coords = append(coords, Coord{e[0], e[1], w})
-		if e[0] != e[1] {
-			coords = append(coords, Coord{e[1], e[0], w})
+		indptr[u+1]++
+		if u != v {
+			indptr[v+1]++
 		}
 	}
-	return NewFromCoords(n, coords)
+	rowStarts(indptr)
+	cols := make([]int32, indptr[n])
+	var w []float64
+	if weights != nil {
+		w = make([]float64, indptr[n])
+	}
+	for i, e := range edges {
+		u, v := e[0], e[1]
+		p := indptr[u]
+		cols[p] = v
+		indptr[u]++
+		if w != nil {
+			w[p] = weights[i]
+		}
+		if u != v {
+			p = indptr[v]
+			cols[p] = u
+			indptr[v]++
+			if w != nil {
+				w[p] = weights[i]
+			}
+		}
+	}
+	return finishRows(n, indptr, cols, w), nil
+}
+
+// rowStarts turns per-row counts held at indptr[r+1] into row starts.
+func rowStarts(indptr []int) {
+	for i := 1; i < len(indptr); i++ {
+		indptr[i] += indptr[i-1]
+	}
+}
+
+// finishRows is the one finalizer of the counting-sort build. It takes rows
+// scattered in input order — indptr[r] is the END of row r, the start cursor
+// having been advanced past every entry the scatter wrote — and returns the
+// canonical CSR: columns ascending, duplicates summed into one entry in
+// ascending-weight order, all-ones weights collapsed to Data == nil. w nil
+// means every weight is 1; unit duplicates then materialize Data holding
+// their multiplicity. A row is sorted only when the scatter left it out of
+// (col, w) order, which never happens to an edge list sorted by (u, v)
+// with u ≤ v and no repeated pair, such as one read back out of a CSR.
+// Merging runs in place over cols and w.
+func finishRows(n int, indptr []int, cols []int32, w []float64) *CSR {
+	copy(indptr[1:], indptr[:n])
+	indptr[0] = 0
+	data := w
+	var sorter *rowSorter
+	q, lo := 0, 0
+	for r := 0; r < n; r++ {
+		hi := indptr[r+1]
+		if w == nil {
+			if !rowInOrder(cols[lo:hi], nil) {
+				slices.Sort(cols[lo:hi])
+			}
+		} else if !rowInOrder(cols[lo:hi], w[lo:hi]) {
+			if sorter == nil {
+				sorter = new(rowSorter)
+			}
+			sorter.cols, sorter.w = cols[lo:hi], w[lo:hi]
+			sort.Sort(sorter)
+		}
+		for p := lo; p < hi; {
+			c, end := cols[p], p+1
+			for end < hi && cols[end] == c {
+				end++
+			}
+			cols[q] = c
+			switch {
+			case w != nil:
+				s := 0.0
+				for _, x := range w[p:end] {
+					s += x
+				}
+				data[q] = s
+			case data != nil:
+				data[q] = float64(end - p)
+			case end-p > 1:
+				data = make([]float64, len(cols))
+				for i := range data[:q] {
+					data[i] = 1
+				}
+				data[q] = float64(end - p)
+			}
+			q++
+			p = end
+		}
+		indptr[r+1] = q
+		lo = hi
+	}
+	c := &CSR{N: n, IndPtr: indptr, Indices: cols[:q]}
+	if data != nil {
+		for _, x := range data[:q] {
+			if x != 1 {
+				c.Data = data[:q]
+				break
+			}
+		}
+	}
+	return c
+}
+
+// rowInOrder reports whether a scattered row is in (col, w) order; w nil
+// means unit weights.
+func rowInOrder(cols []int32, w []float64) bool {
+	for p := 1; p < len(cols); p++ {
+		if cols[p] < cols[p-1] || (cols[p] == cols[p-1] && w != nil && w[p] < w[p-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// rowSorter orders one weighted row by (col, w).
+type rowSorter struct {
+	cols []int32
+	w    []float64
+}
+
+func (s *rowSorter) Len() int { return len(s.cols) }
+func (s *rowSorter) Less(i, j int) bool {
+	if s.cols[i] != s.cols[j] {
+		return s.cols[i] < s.cols[j]
+	}
+	return s.w[i] < s.w[j]
+}
+func (s *rowSorter) Swap(i, j int) {
+	s.cols[i], s.cols[j] = s.cols[j], s.cols[i]
+	s.w[i], s.w[j] = s.w[j], s.w[i]
+}
+
+// DiagCount returns the number of rows holding a stored diagonal entry
+// (whatever its value). For a symmetric adjacency matrix the undirected
+// edge count is (NNZ − DiagCount)/2 + DiagCount.
+func (c *CSR) DiagCount() int {
+	d := 0
+	for i := 0; i < c.N; i++ {
+		row := c.Indices[c.IndPtr[i]:c.IndPtr[i+1]]
+		if _, ok := slices.BinarySearch(row, int32(i)); ok {
+			d++
+		}
+	}
+	return d
 }
 
 // At returns the (i, j) entry (zero if absent). O(log row-degree).
@@ -210,35 +329,48 @@ func (c *CSR) MulDenseRowsInto(out, x *dense.Matrix) {
 
 // MulVec returns W × v for a length-n vector. Rows are independent sums, so
 // past a size cutoff the scan runs row-parallel on the shared pool with
-// bit-identical results — the ρ(W) power iteration calls this on every
-// compaction, which sits on the async-compact critical path.
+// bit-identical results — the ρ(W) power iteration runs this product on
+// every compaction, which sits on the async-compact critical path.
 func (c *CSR) MulVec(v []float64) []float64 {
 	if len(v) != c.N {
 		panic(fmt.Sprintf("sparse: MulVec length %d, want %d", len(v), c.N))
 	}
 	out := make([]float64, c.N)
-	rows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s float64
-			start, end := c.IndPtr[i], c.IndPtr[i+1]
-			if c.Data == nil {
-				for _, col := range c.Indices[start:end] {
-					s += v[col]
-				}
-			} else {
-				for p := start; p < end; p++ {
-					s += c.Data[p] * v[c.Indices[p]]
-				}
-			}
-			out[i] = s
-		}
-	}
+	c.runVecRows(func(lo, hi int) { c.mulVecRows(out, v, lo, hi) })
+	return out
+}
+
+// runVecRows runs a matrix–vector row kernel over every row, row-parallel
+// on the shared pool past mulVecParallelNNZ.
+func (c *CSR) runVecRows(rows func(lo, hi int)) {
 	if c.NNZ() >= mulVecParallelNNZ {
 		defaultPool.parallelRows(c.N, rows)
 	} else {
 		rows(0, c.N)
 	}
-	return out
+}
+
+// mulVecRows computes rows [lo, hi) of out = W × v, one flat scan per row.
+// Interleaving four rows in independent accumulators, so their additions
+// overlap, measured 5–13 % slower than this scan on 20k- and 200k-node
+// graphs (one core of a 2.1 GHz Xeon): with rows of random length each
+// extra lane adds a loop exit the branch predictor misses.
+func (c *CSR) mulVecRows(out, v []float64, lo, hi int) {
+	ip, ind, data := c.IndPtr, c.Indices, c.Data
+	for i := lo; i < hi; i++ {
+		var s float64
+		start, end := ip[i], ip[i+1]
+		if data == nil {
+			for _, col := range ind[start:end] {
+				s += v[col]
+			}
+		} else {
+			for p := start; p < end; p++ {
+				s += data[p] * v[ind[p]]
+			}
+		}
+		out[i] = s
+	}
 }
 
 // Mul returns the sparse product a × b. Used only by the explicit-Wℓ
@@ -274,7 +406,7 @@ func Mul(a, b *CSR) (*CSR, error) {
 				acc[j] += aw * bw
 			}
 		}
-		sort.Slice(touched, func(x, y int) bool { return touched[x] < touched[y] })
+		slices.Sort(touched)
 		for _, j := range touched {
 			if acc[j] != 0 {
 				indices = append(indices, j)

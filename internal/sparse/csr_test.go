@@ -40,13 +40,51 @@ func TestNewSymmetricFromEdges(t *testing.T) {
 	}
 }
 
+// TestNewFromCoordsDuplicatesSum: duplicates become one entry holding their
+// sum, added in ascending-weight order whatever order they arrive in —
+// 0.3, 0.2, 0.1 sum to (0.1+0.2)+0.3 = 0.6000000000000001, not 0.6, on both
+// sides of the diagonal — and the sum decides whether Data stays: unit
+// duplicates materialize it, sums of exactly 1 collapse it.
 func TestNewFromCoordsDuplicatesSum(t *testing.T) {
-	c, err := NewFromCoords(2, []Coord{{0, 1, 2}, {0, 1, 3}})
-	if err != nil {
-		t.Fatal(err)
+	w1, w2, w3 := 0.1, 0.2, 0.3 // float64 variables: constants would add exactly
+	ascending := (w1 + w2) + w3
+	if ascending == (w3+w2)+w1 {
+		t.Fatal("fixture weights sum alike in either order")
 	}
-	if got := c.At(0, 1); got != 5 {
-		t.Errorf("duplicate coords not summed: %v", got)
+	edges := func(n int, e [][2]int32, w []float64) func() (*CSR, error) {
+		return func() (*CSR, error) { return NewSymmetricFromEdges(n, e, w) }
+	}
+	coords := func(n int, c ...Coord) func() (*CSR, error) {
+		return func() (*CSR, error) { return NewFromCoords(n, c) }
+	}
+	for _, tc := range []struct {
+		name    string
+		build   func() (*CSR, error)
+		want    [][]float64
+		nilData bool
+		wantNNZ int
+	}{
+		{"summed", coords(2, Coord{0, 1, 2}, Coord{0, 1, 3}), [][]float64{{0, 5}, {0, 0}}, false, 1},
+		{"ascending order", coords(2, Coord{0, 1, 0.3}, Coord{0, 1, 0.2}, Coord{0, 1, 0.1}), [][]float64{{0, ascending}, {0, 0}}, false, 1},
+		{"ascending order, symmetric", edges(2, [][2]int32{{0, 1}, {1, 0}, {0, 1}}, []float64{0.3, 0.2, 0.1}), [][]float64{{0, ascending}, {ascending, 0}}, false, 2},
+		{"unit duplicates materialize Data", edges(3, [][2]int32{{0, 1}, {1, 2}, {1, 0}}, nil), [][]float64{{0, 2, 0}, {2, 0, 1}, {0, 1, 0}}, false, 4},
+		{"unit self-loop repeated", edges(2, [][2]int32{{1, 1}, {0, 1}, {1, 1}}, nil), [][]float64{{0, 1}, {1, 2}}, false, 3},
+		{"sums of one collapse Data", coords(2, Coord{1, 0, 0.5}, Coord{0, 1, 1}, Coord{1, 0, 0.5}), [][]float64{{0, 1}, {1, 0}}, true, 2},
+	} {
+		c, err := tc.build()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if c.NNZ() != tc.wantNNZ || (c.Data == nil) != tc.nilData {
+			t.Errorf("%s: nnz %d, Data %v; want nnz %d, Data nil %v", tc.name, c.NNZ(), c.Data, tc.wantNNZ, tc.nilData)
+		}
+		for i, row := range tc.want {
+			for j, want := range row {
+				if got := c.At(i, j); got != want {
+					t.Errorf("%s: (%d,%d) = %v, want %v", tc.name, i, j, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -5,22 +5,27 @@ import "math"
 // SpectralRadius estimates ρ(W) by power iteration. W is symmetric in every
 // use in this codebase (undirected adjacency), so its spectral radius equals
 // its 2-norm and power iteration converges to it. This replaces the paper's
-// PyAMG approximate eigensolver.
+// PyAMG approximate eigensolver. The iterate and the product swap between
+// two buffers allocated once, so the allocations do not grow with iters.
 func (c *CSR) SpectralRadius(iters int) float64 {
 	n := c.N
 	if n == 0 || c.NNZ() == 0 {
 		return 0
 	}
-	v := make([]float64, n)
+	buf := make([]float64, 2*n)
+	vw := [2][]float64{buf[:n:n], buf[n:]} // the iterate v and the product Wv
+	v := vw[0]
 	for i := range v {
 		// All-ones start: deterministic and not orthogonal to the
 		// (nonnegative) lead eigenvector in practice.
 		v[i] = 1
 	}
 	normalize(v)
+	rows := func(lo, hi int) { c.mulVecRows(vw[1], vw[0], lo, hi) }
 	var lambda float64
 	for it := 0; it < iters; it++ {
-		w := c.MulVec(v)
+		c.runVecRows(rows)
+		w := vw[1]
 		l := norm(w)
 		if l == 0 {
 			return 0
@@ -28,7 +33,7 @@ func (c *CSR) SpectralRadius(iters int) float64 {
 		for i := range w {
 			w[i] /= l
 		}
-		copy(v, w)
+		vw[0], vw[1] = w, vw[0]
 		lambda = l
 	}
 	return lambda

@@ -9,41 +9,6 @@ import (
 	"factorgraph/internal/dense"
 )
 
-// randSpmmCSR plants a random symmetric graph; weighted draws uniform edge
-// weights so the c.Data != nil kernel paths are exercised too.
-func randSpmmCSR(t *testing.T, n, m int, weighted bool, seed int64) *CSR {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	set := make(map[[2]int32]bool, m)
-	edges := make([][2]int32, 0, m)
-	for len(edges) < m {
-		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		if set[[2]int32{u, v}] {
-			continue
-		}
-		set[[2]int32{u, v}] = true
-		edges = append(edges, [2]int32{u, v})
-	}
-	var weights []float64
-	if weighted {
-		weights = make([]float64, len(edges))
-		for i := range weights {
-			weights[i] = 0.1 + rng.Float64()
-		}
-	}
-	c, err := NewSymmetricFromEdges(n, edges, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func randX(n, k int, seed int64) *dense.Matrix {
 	rng := rand.New(rand.NewSource(seed))
 	x := dense.New(n, k)
@@ -148,7 +113,7 @@ func TestMulDenseKernelsBitIdentical(t *testing.T) {
 // f32 scans, weighted and unweighted.
 func TestMulDenseInto32Accuracy(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
-		c := randSpmmCSR(t, 3000, 15000, weighted, 7)
+		c := randSpmmCSR(t, 3000, 15000, false, weighted, func(int) bool { return false }, 7)
 		for k := 2; k <= 6; k++ {
 			x := randX(c.N, k, int64(10+k))
 			want := dense.New(c.N, k)
@@ -168,37 +133,144 @@ func TestMulDenseInto32Accuracy(t *testing.T) {
 	}
 }
 
-// TestMulVecParallelBitIdentical crosses the mulVecParallelNNZ cutoff and
-// checks the row-parallel scan against a test-local sequential reference —
-// rows are independent sums, so parallelism must be invisible bit-for-bit.
+// flatMulVec is the sequential one-row-at-a-time scan MulVec must match
+// bit for bit.
+func flatMulVec(c *CSR, v []float64) []float64 {
+	out := make([]float64, c.N)
+	for i := 0; i < c.N; i++ {
+		var s float64
+		for p := c.IndPtr[i]; p < c.IndPtr[i+1]; p++ {
+			w := 1.0
+			if c.Data != nil {
+				w = c.Data[p]
+			}
+			s += w * v[c.Indices[p]]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// randSpmmCSR plants a random symmetric graph of n nodes and m distinct
+// edges. powerLaw draws endpoints as n·x³ for uniform x, so low ids are
+// hubs; empty(u) rows get no edges; weighted draws uniform edge weights so
+// the c.Data != nil kernel paths are exercised too.
+func randSpmmCSR(t *testing.T, n, m int, powerLaw, weighted bool, empty func(u int) bool, seed int64) *CSR {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	node := func() int {
+		if powerLaw {
+			x := rng.Float64()
+			return int(float64(n) * x * x * x)
+		}
+		return rng.Intn(n)
+	}
+	set := make(map[[2]int32]bool, m)
+	edges := make([][2]int32, 0, m)
+	for len(edges) < m {
+		u, v := node(), node()
+		if u == v || empty(u) || empty(v) {
+			continue
+		}
+		e := [2]int32{int32(min(u, v)), int32(max(u, v))}
+		if !set[e] {
+			set[e] = true
+			edges = append(edges, e)
+		}
+	}
+	var weights []float64
+	if weighted {
+		weights = make([]float64, len(edges))
+		for i := range weights {
+			weights[i] = 0.1 + rng.Float64()
+		}
+	}
+	c, err := NewSymmetricFromEdges(n, edges, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestMulVecParallelBitIdentical checks MulVec — row-parallel past
+// mulVecParallelNNZ — against the flat sequential scan, entry for entry:
+// weighted and unweighted, uniform and with hubs, with empty rows (every
+// 13th and the last three), nnz on both sides of the cutoff, on one worker
+// and on several. Rows are independent sums, so parallelism must be
+// invisible.
 func TestMulVecParallelBitIdentical(t *testing.T) {
-	for _, weighted := range []bool{false, true} {
-		c := randSpmmCSR(t, 6000, 12000, weighted, 9) // 24k nnz ≥ 1<<14
-		if c.NNZ() < mulVecParallelNNZ {
-			t.Fatalf("fixture nnz %d below the parallel cutoff %d", c.NNZ(), mulVecParallelNNZ)
-		}
-		rng := rand.New(rand.NewSource(3))
-		v := make([]float64, c.N)
-		for i := range v {
-			v[i] = rng.Float64() - 0.5
-		}
-		want := make([]float64, c.N)
-		for i := 0; i < c.N; i++ {
-			var s float64
-			for p := c.IndPtr[i]; p < c.IndPtr[i+1]; p++ {
-				w := 1.0
-				if c.Data != nil {
-					w = c.Data[p]
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, weighted := range []bool{false, true} {
+			for i, size := range [][2]int{{1201, 3000}, {1202, 3000}, {6001, 12000}, {6002, 12000}} {
+				n, m := size[0], size[1]
+				empty := func(u int) bool { return u%13 == 3 || u >= n-3 }
+				c := randSpmmCSR(t, n, m, i%2 == 1, weighted, empty, int64(9+i))
+				if parallel := c.NNZ() >= mulVecParallelNNZ; parallel != (m == 12000) {
+					t.Fatalf("fixture nnz %d on the wrong side of the parallel cutoff %d", c.NNZ(), mulVecParallelNNZ)
 				}
-				s += w * v[c.Indices[p]]
+				rng := rand.New(rand.NewSource(3))
+				v := make([]float64, c.N)
+				for i := range v {
+					v[i] = rng.Float64() - 0.5
+				}
+				want, got := flatMulVec(c, v), c.MulVec(v)
+				for i := range want {
+					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+						t.Fatalf("procs=%d weighted=%v n=%d: MulVec differs at row %d: %v vs %v", procs, weighted, n, i, got[i], want[i])
+					}
+				}
 			}
-			want[i] = s
 		}
-		got := c.MulVec(v)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("weighted=%v: MulVec differs at row %d: %v vs %v", weighted, i, got[i], want[i])
-			}
+	}
+}
+
+// refSpectralRadius is the power iteration written plainly — a fresh
+// flat-scan product per iteration, normalized and copied back — which
+// SpectralRadius, swapping two buffers, must match bit for bit.
+func refSpectralRadius(c *CSR, iters int) float64 {
+	if c.N == 0 || c.NNZ() == 0 {
+		return 0
+	}
+	v := make([]float64, c.N)
+	for i := range v {
+		v[i] = 1
+	}
+	normalize(v)
+	var lambda float64
+	for it := 0; it < iters; it++ {
+		w := flatMulVec(c, v)
+		l := norm(w)
+		if l == 0 {
+			return 0
+		}
+		for i := range w {
+			w[i] /= l
+		}
+		copy(v, w)
+		lambda = l
+	}
+	return lambda
+}
+
+// TestSpectralRadiusBitIdentical: ρ(W) after 50 iterations is the reference
+// loop's bit for bit on graphs shaped like the benchmark's U20k, P10k and
+// P20k, and the iteration allocates its buffers once, not once per product.
+func TestSpectralRadiusBitIdentical(t *testing.T) {
+	none := func(int) bool { return false }
+	for _, g := range []struct {
+		name     string
+		n, m     int
+		powerLaw bool
+	}{{"U20k", 20000, 100000, false}, {"P10k", 10000, 50000, true}, {"P20k", 20000, 100000, true}} {
+		c := randSpmmCSR(t, g.n, g.m, g.powerLaw, false, none, 20)
+		got, want := c.SpectralRadius(50), refSpectralRadius(c, 50)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: ρ = %v, reference %v", g.name, got, want)
+		}
+		if allocs := testing.AllocsPerRun(2, func() { c.SpectralRadius(50) }); allocs > 3 {
+			t.Errorf("%s: SpectralRadius(50) made %v allocations, want ≤ 3", g.name, allocs)
 		}
 	}
 }
