@@ -118,8 +118,11 @@ type Engine struct {
 	// All sketch-based estimators (DCEr, DCE, MCE) share one summarization.
 	labelGen int64 // bumped under mu on seed changes only
 	sumMu    sync.Mutex
-	sums     *core.Summaries
-	sumGen   int64 // labelGen the cached summaries were computed at
+	sums     *core.Summaries // set only through setSumsLocked
+	sumGen   int64           // labelGen the cached summaries were computed at
+	// sumBytes publishes sums.MemoryBytes() for MemoryFootprint, which
+	// holds mu and so cannot take sumMu (summariesFor takes sumMu first).
+	sumBytes atomic.Int64
 	// sumDrift is the cumulative |Δw| folded into the cached sketches by
 	// incremental edge-delta updates since their last full summarization;
 	// past sketchDriftFraction of the live edge count the cache is dropped
@@ -448,16 +451,23 @@ func (e *Engine) summariesFor(lmax int) (*core.Summaries, error) {
 	// retained so streaming edge mutations can update the sketches in place
 	// (applySketchDeltas) instead of invalidating them.
 	e.nSummarizations.Add(1)
-	s, err := core.SummarizeOn(w, seeds, e.k, core.SummaryOptions{
-		LMax: lmax, NonBacktracking: true, Variant: core.Variant1,
-		KeepN: true,
-	})
+	opts := sketchOptions(lmax)
+	opts.KeepN = true
+	s, err := core.SummarizeOn(w, seeds, e.k, opts)
 	if err != nil {
 		return nil, err
 	}
-	e.sums, e.sumGen = s, gen
-	e.sumDrift = 0
+	e.setSumsLocked(s)
+	e.sumGen = gen
 	return s, nil
+}
+
+// setSumsLocked installs s (nil drops the cache) with a zero drift account
+// and publishes its retained walks' bytes to MemoryFootprint. The caller
+// holds sumMu.
+func (e *Engine) setSumsLocked(s *core.Summaries) {
+	e.sums, e.sumDrift = s, 0
+	e.sumBytes.Store(s.MemoryBytes())
 }
 
 // K returns the class count.
@@ -621,14 +631,14 @@ func (e *Engine) NumericHealth() NumericHealth {
 // n-node, m-edge, k-class graph: the CSR adjacency matrix (IndPtr int64,
 // Indices int32 over 2m stored entries, Data float64 when weighted), the
 // seed vector, and the n×k float64 working set at its peak — the residual
-// state's X̃ and F plus one promoted session in flight (its belief, residual
-// and explicit-belief clones and the two sweep scratch matrices): seven
-// matrices. The registry uses this as the admission weight for its memory
-// budget; it deliberately overcounts an idle engine rather than undercount a
-// busy one.
+// state's X̃ and F, one promoted session in flight (its belief, residual
+// and explicit-belief clones and the two sweep scratch matrices) and the
+// default DCEr sketch's ℓmax − 1 = 4 retained walks: eleven matrices. The
+// registry uses this as the admission weight for its memory budget; it
+// deliberately overcounts an idle engine rather than undercount a busy one.
 func EstimateEngineBytes(n, m, k int, weighted bool) int64 {
 	seeds := 8 * int64(n)
-	matrices := (2 + 5) * 8 * int64(n) * int64(k) // X̃+F, one promoted session
+	matrices := (2 + 5 + 4) * 8 * int64(n) * int64(k) // X̃+F, one promoted session, the sketch's walks
 	return csrBytes(n, m, weighted) + seeds + matrices
 }
 
@@ -642,8 +652,9 @@ func csrBytes(n, m int, weighted bool) int64 {
 }
 
 // MemoryFootprint estimates this engine's resident bytes from the tier
-// actually in use: the CSR matrix and its delta overlay, the seed vector and
-// the residual state's MemoryBytes — two n×k matrices plus only the residual
+// actually in use: the CSR matrix and its delta overlay, the seed vector,
+// the cached sketch's retained walks (core.Summaries.MemoryBytes) and the
+// residual state's MemoryBytes — two n×k matrices plus only the residual
 // rows currently materialized. An idle engine with an empty frontier
 // therefore reports a fraction of the EstimateEngineBytes admission
 // estimate; the dense residual tier and the session clones are transient and
@@ -657,6 +668,7 @@ func (e *Engine) MemoryFootprint() int64 {
 		b += e.topo.MemoryBytes() // delta-overlay patch rows
 	}
 	b += 8 * int64(e.liveN()) // seeds
+	b += e.sumBytes.Load()
 	if e.res != nil {
 		b += e.res.MemoryBytes()
 	}
@@ -686,7 +698,7 @@ func (e *Engine) Close() {
 	e.topo = nil
 	e.mu.Unlock()
 	e.sumMu.Lock()
-	e.sums = nil
+	e.setSumsLocked(nil)
 	e.sumMu.Unlock()
 	e.ovCache.purge()
 }

@@ -330,14 +330,12 @@ func (e *Engine) applySketchDeltas(oldGen, newGen int64, seeds []int, liveEdges 
 		drift += math.Abs(d.dw)
 	}
 	if e.sumDrift+drift > sketchDriftFraction*float64(liveEdges) {
-		e.sums = nil
-		e.sumDrift = 0
+		e.setSumsLocked(nil)
 		return
 	}
 	for _, d := range deltas {
 		if err := e.sums.ApplyEdgeDelta(seeds, d.u, d.v, d.dw); err != nil {
-			e.sums = nil
-			e.sumDrift = 0
+			e.setSumsLocked(nil)
 			return
 		}
 	}
@@ -618,7 +616,7 @@ func (e *Engine) ReleaseTransient() int64 {
 	e.res = nil
 	e.mu.Unlock()
 	e.sumMu.Lock()
-	e.sums = nil
+	e.setSumsLocked(nil)
 	e.sumMu.Unlock()
 	e.ovCache.purge()
 	return e.MemoryFootprint()

@@ -180,6 +180,66 @@ func TestEstimateRejectsBeforeWork(t *testing.T) {
 	}
 }
 
+// TestEngineFootprintCountsSketch: an estimated engine's footprint counts
+// its cached sketch's retained walks, (ℓmax − 1)·8·n·k bytes, and falls by
+// exactly that when ReleaseTransient or the drift limit drops the cache.
+func TestEngineFootprintCountsSketch(t *testing.T) {
+	const n, m, k = 1000, 6000, 3
+	g, seeds, _ := engineFixture(t, n, m, 0.1)
+	eng, err := NewEngine(g, seeds, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = (5 - 1) * 8 * n * k
+	if got := eng.sums.MemoryBytes(); got != want {
+		t.Fatalf("DCEr sketch retains %d bytes, want %d", got, want)
+	}
+	// The engine is cold (no query yet), so the sketch is all ReleaseTransient
+	// frees.
+	if before, after := eng.MemoryFootprint(), eng.ReleaseTransient(); before-after != want {
+		t.Errorf("ReleaseTransient freed %d bytes, want the sketch's %d", before-after, want)
+	}
+
+	// The drift limit: a batch whose |Δw| passes sketchDriftFraction of the
+	// edges drops the cache. The batch also patches the overlay (and may
+	// compact), so compare the footprint against its other terms.
+	eng, err = NewEngine(g, seeds, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest := func() int64 {
+		eng.mu.RLock()
+		defer eng.mu.RUnlock()
+		b := csrBytes(eng.g.N, eng.g.M, eng.g.Adj.Data != nil) + eng.topo.MemoryBytes() + 8*int64(eng.liveN())
+		if eng.res != nil {
+			b += eng.res.MemoryBytes()
+		}
+		return b
+	}
+	if got := eng.MemoryFootprint() - rest(); got != want {
+		t.Fatalf("footprint holds %d sketch bytes, want %d", got, want)
+	}
+	var muts []EdgeMutation
+	for u := 0; u < n && len(muts) < sketchDriftFraction*m+10; u++ {
+		cols, _ := g.Adj.Row(u)
+		for _, v := range cols {
+			if int(v) > u {
+				muts = append(muts, EdgeMutation{U: u, V: int(v), Remove: true})
+				break
+			}
+		}
+	}
+	if _, err := eng.MutateTopology(0, muts); err != nil {
+		t.Fatal(err)
+	}
+	if eng.sums != nil {
+		t.Fatalf("%d removals left the sketch cached past the drift limit", len(muts))
+	}
+	if got := eng.MemoryFootprint() - rest(); got != 0 {
+		t.Errorf("footprint still holds %d sketch bytes after the drift limit dropped it", got)
+	}
+}
+
 func TestEngineClose(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 500, 3000, 0.1)
 	eng, err := NewEngine(g, seeds, 3)

@@ -91,13 +91,14 @@ type EstimateOptions struct {
 	Seed uint64
 }
 
+// sketchOptions is the sketch every estimator and the Engine build:
+// non-backtracking, normalization variant 1, ℓmax = lmax (0 means 5).
+func sketchOptions(lmax int) core.SummaryOptions {
+	return core.SummaryOptions{LMax: lmax, NonBacktracking: true, Variant: core.Variant1}
+}
+
 func summarize(g *Graph, seeds []int, k, lmax int) (*core.Summaries, error) {
-	if lmax == 0 {
-		lmax = 5
-	}
-	return core.Summarize(g.Adj, seeds, k, core.SummaryOptions{
-		LMax: lmax, NonBacktracking: true, Variant: core.Variant1,
-	})
+	return core.Summarize(g.Adj, seeds, k, sketchOptions(lmax))
 }
 
 // ErrUnknownEstimator is wrapped by estimation entry points when the
@@ -319,17 +320,50 @@ func PropagateBeliefs(g *Graph, seeds []int, k int, h *Matrix) (*Matrix, error) 
 
 // Classify is the end-to-end pipeline of the paper: estimate H with DCEr,
 // then propagate — automatic node classification with no prior knowledge
-// of class compatibilities.
+// of class compatibilities. It returns what EstimateDCEr and Propagate
+// return (the same H; beliefs equal to rounding), but shares their Krylov
+// sequence WʲX: the sketch walks ⌈ℓmax/2⌉ = 3 of it, and LinBP's first
+// three rounds are WʲX̃H̃ʲ, so propagation starts at round 3 from the
+// sketch's own walks (propagation.State.RunFrom) and multiplies only the
+// remaining seven times. That shortcut needs 𝟙ᵀH̃ = 0, which holds because
+// DCEr's H comes from core.FromFree, whose rows and columns sum to one by
+// construction.
 func Classify(g *Graph, seeds []int, k int) ([]int, *Estimate, error) {
-	est, err := EstimateDCEr(g, seeds, k)
+	f, est, err := classifyBeliefs(g, seeds, k)
 	if err != nil {
 		return nil, nil, err
 	}
-	pred, err := Propagate(g, seeds, k, est.H)
+	return dense.ArgmaxRows(f), est, nil
+}
+
+// classifyBeliefs is Classify up to the belief matrix.
+func classifyBeliefs(g *Graph, seeds []int, k int) (*Matrix, *Estimate, error) {
+	se, lmax, err := sketchEstimatorFor("dcer", EstimateOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
-	return pred, est, nil
+	start := time.Now()
+	s, walks, err := core.SummarizeWalks(g.Adj, seeds, k, sketchOptions(lmax), core.MaxPlainWalks)
+	if err != nil {
+		return nil, nil, err
+	}
+	est, err := se.finish(s, lmax, EstimateOptions{}, start)
+	if err != nil {
+		return nil, nil, err
+	}
+	x, err := labels.Matrix(seeds, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := propagation.NewState(g.Adj, est.H, propagation.DefaultLinBPOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := st.RunFrom(x, walks)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, est, nil
 }
 
 // Accuracy scores predictions on the nodes that are labeled in truth but

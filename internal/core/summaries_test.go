@@ -117,61 +117,185 @@ func TestNBRecurrenceMatchesBruteForceProperty(t *testing.T) {
 }
 
 // Property (Algorithm 4.4): the factorized summaries equal the explicit
-// ones, M⁽ℓ⁾ = Xᵀ·W⁽ℓ⁾NB·X, on random graphs with random partial labels.
+// ones, M⁽ℓ⁾ = Xᵀ·W⁽ℓ⁾·X, on random graphs with isolated nodes and random
+// partial labels, for ℓmax = 1..8, NB and full paths, with and without
+// KeepN. SummarizeOn walks only half of ℓmax and gets the rest from the
+// product identity, so this is the identity's test: on unit weights every
+// quantity is an integer and the sketches must match the explicit powers
+// exactly (==); with random weights, to 1e-12 relative. KeepN retains
+// exactly ℓmax − 1 walks, N⁽ℓ⁾ = W⁽ℓ⁾X.
 func TestFactorizedEqualsExplicitProperty(t *testing.T) {
 	r := rand.New(rand.NewPCG(33, 34))
 	f := func() bool {
-		n := 4 + r.IntN(8)
+		n := 4 + r.IntN(10)
 		k := 2 + r.IntN(3)
+		wired := n - r.IntN(3) // nodes past wired are isolated
 		var edges [][2]int32
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
+		var weights []float64
+		for i := 0; i < wired; i++ {
+			for j := i + 1; j < wired; j++ {
 				if r.Float64() < 0.5 {
 					edges = append(edges, [2]int32{int32(i), int32(j)})
+					weights = append(weights, 0.5+1.5*r.Float64())
 				}
 			}
 		}
 		if len(edges) == 0 {
 			return true
 		}
-		w, err := sparse.NewSymmetricFromEdges(n, edges, nil)
-		if err != nil {
-			return false
-		}
 		seed := make([]int, n)
-		labeled := 0
 		for i := range seed {
+			seed[i] = labels.Unlabeled
 			if r.Float64() < 0.6 {
 				seed[i] = r.IntN(k)
-				labeled++
-			} else {
-				seed[i] = labels.Unlabeled
 			}
 		}
-		if labeled == 0 {
-			seed[0] = 0
-		}
-		const lmax = 4
-		sums, err := Summarize(w, seed, k, SummaryOptions{LMax: lmax, NonBacktracking: true})
-		if err != nil {
-			return false
-		}
+		seed[0] = 0
 		x, _ := labels.Matrix(seed, k)
 		xt := dense.Transpose(x)
-		powers, err := ExplicitNBPowers(w, lmax)
-		if err != nil {
-			return false
-		}
-		for l := 1; l <= lmax; l++ {
-			want := dense.Mul(xt, powers[l-1].MulDense(x))
-			if !dense.Equal(sums.M[l-1], want, 1e-7) {
+		const maxL = 8
+		for _, weighted := range []bool{false, true} {
+			var wts []float64
+			if weighted {
+				wts = weights
+			}
+			w, err := sparse.NewSymmetricFromEdges(n, edges, wts)
+			if err != nil {
+				t.Log(err)
 				return false
+			}
+			powers, err := ExplicitNBPowers(w, maxL)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			for _, nb := range []bool{true, false} {
+				// want[ℓ−1] = W⁽ℓ⁾X: NB powers, or plain powers WˡX.
+				want := make([]*dense.Matrix, maxL)
+				plain := x
+				for l := 1; l <= maxL; l++ {
+					plain = w.MulDense(plain)
+					want[l-1] = plain
+					if nb {
+						want[l-1] = powers[l-1].MulDense(x)
+					}
+				}
+				for lmax := 1; lmax <= maxL; lmax++ {
+					for _, keep := range []bool{false, true} {
+						sums, err := Summarize(w, seed, k, SummaryOptions{LMax: lmax, NonBacktracking: nb, KeepN: keep})
+						if err != nil {
+							t.Log(err)
+							return false
+						}
+						for l := 1; l <= lmax; l++ {
+							if !sameUpTo(sums.M[l-1], dense.Mul(xt, want[l-1]), weighted) {
+								t.Logf("weighted=%v nb=%v lmax=%d keepN=%v: M⁽%d⁾ = %v, want %v", weighted, nb, lmax, keep, l, sums.M[l-1], dense.Mul(xt, want[l-1]))
+								return false
+							}
+						}
+						if !keep {
+							continue
+						}
+						if len(sums.N) != lmax-1 || sums.N == nil {
+							t.Logf("lmax=%d: KeepN retained %d walks, want %d", lmax, len(sums.N), lmax-1)
+							return false
+						}
+						for l, nm := range sums.N {
+							if !sameUpTo(nm, want[l], weighted) {
+								t.Logf("weighted=%v nb=%v lmax=%d: N⁽%d⁾ = %v, want %v", weighted, nb, lmax, l+1, nm, want[l])
+								return false
+							}
+						}
+					}
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sameUpTo compares exactly, or to 1e-12 relative to b's largest entry
+// when approx is set.
+func sameUpTo(a, b *dense.Matrix, approx bool) bool {
+	if !approx {
+		return dense.Equal(a, b, 0)
+	}
+	return dense.Equal(a, b, 1e-12*math.Max(1, dense.MaxAbs(b)))
+}
+
+// countingTopology counts the dense products a summarization asks for.
+type countingTopology struct {
+	*sparse.CSR
+	products int
+}
+
+func (c *countingTopology) MulDenseInto(out, x *dense.Matrix) {
+	c.products++
+	c.CSR.MulDenseInto(out, x)
+}
+
+// TestSummarizeProductCount: the sketch walks half its depth. At ℓmax = 5
+// it forms N⁽¹⁾ by a scatter and N⁽²⁾, N⁽³⁾ by two products; KeepN walks one
+// more for ApplyEdgeDelta's N⁽⁴⁾. Asking for three plain walks adds none.
+func TestSummarizeProductCount(t *testing.T) {
+	res, err := gen.Generate(gen.Config{N: 500, M: 2500, Alpha: gen.Balanced(3), H: HFromSkew(3), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := append([]int(nil), res.Labels...)
+	for i := range seed {
+		if i%10 != 0 {
+			seed[i] = labels.Unlabeled
+		}
+	}
+	for _, tc := range []struct {
+		keepN bool
+		plain int
+		want  int
+	}{{false, 0, 2}, {true, 0, 3}, {false, MaxPlainWalks, 2}} {
+		topo := &countingTopology{CSR: res.Graph.Adj}
+		if _, _, err := SummarizeWalks(topo, seed, 3, SummaryOptions{LMax: 5, NonBacktracking: true, KeepN: tc.keepN}, tc.plain); err != nil {
+			t.Fatal(err)
+		}
+		if topo.products != tc.want {
+			t.Errorf("keepN=%v plain=%d: %d products, want %d", tc.keepN, tc.plain, topo.products, tc.want)
+		}
+	}
+}
+
+// TestSummarizeWalksArePlainPowers: the plain walks SummarizeWalks derives
+// from the NB recurrence equal WʲX, exactly on unit weights.
+func TestSummarizeWalksArePlainPowers(t *testing.T) {
+	res, err := gen.Generate(gen.Config{N: 400, M: 2000, Alpha: gen.Balanced(3), H: HFromSkew(3), Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := res.Graph.Adj
+	seed := append([]int(nil), res.Labels...)
+	for i := range seed {
+		if i%7 != 0 {
+			seed[i] = labels.Unlabeled
+		}
+	}
+	x, _ := labels.Matrix(seed, 3)
+	for _, keep := range []bool{false, true} {
+		_, walks, err := SummarizeWalks(w, seed, 3, SummaryOptions{LMax: 5, NonBacktracking: true, KeepN: keep}, MaxPlainWalks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := x
+		for j, got := range walks {
+			p = w.MulDense(p)
+			if !dense.Equal(got, p, 0) {
+				t.Errorf("keepN=%v: walk %d ≠ W^%dX", keep, j+1, j+1)
+			}
+		}
+	}
+	if _, _, err := SummarizeWalks(w, seed, 3, SummaryOptions{}, MaxPlainWalks+1); err == nil {
+		t.Error("expected an error for too many plain walks")
 	}
 }
 

@@ -2,6 +2,7 @@ package propagation
 
 import (
 	"fmt"
+	"math"
 
 	"factorgraph/internal/dense"
 	"factorgraph/internal/exec"
@@ -150,8 +151,28 @@ func (s *State) K() int { return s.k }
 // products and the fused per-row belief update are row-parallel on the same
 // worker pool the residual solver's saturated drains use.
 func (s *State) Run(x *dense.Matrix) (*dense.Matrix, error) {
+	return s.RunFrom(x, nil)
+}
+
+// RunFrom is Run entered at round J = len(walks), given the plain walks
+// walks[j−1] = WʲX (core.SummarizeWalks derives them from the sketch's
+// own). Round t of the loop leaves F⁽ᵗ⁾ = Σ_{j≤t} WʲX̃H̃ʲ, and X̃H̃ = XH̃
+// once 𝟙ᵀH̃ = 0, so the first J rounds multiply out as
+//
+//	F⁽ᴶ⁾ = X̃ + ((…(P_J·H̃ + P_{J−1})·H̃ + …) + P₁)·H̃,  P_j = WʲX,
+//
+// O(nk²·J) flat work in place of J products; the loop then runs the
+// remaining Iterations − J rounds (label stability counts from there).
+// With no walks this is Run. Centering needs H̃'s columns to sum to zero,
+// which holds for any doubly stochastic H (core.FromFree builds every
+// estimate that way); an H whose columns do not sum to one is refused, as
+// is echo cancellation, whose rounds do not multiply out this way.
+func (s *State) RunFrom(x *dense.Matrix, walks []*dense.Matrix) (*dense.Matrix, error) {
 	if x.Rows != s.n || x.Cols != s.k {
 		return nil, fmt.Errorf("propagation: X is %d×%d, state wants %d×%d", x.Rows, x.Cols, s.n, s.k)
+	}
+	if err := s.checkWalks(walks); err != nil {
+		return nil, err
 	}
 	xUse := x
 	if s.opts.Center {
@@ -161,11 +182,32 @@ func (s *State) Run(x *dense.Matrix) (*dense.Matrix, error) {
 		}
 		xUse = s.x
 	}
-	s.f.CopyFrom(xUse)
 	k := s.k
+	if len(walks) == 0 {
+		s.f.CopyFrom(xUse)
+	} else {
+		s.run.Rows(s.n, func(lo, hi int) {
+			bufs := [2][]float64{s.fh.Data[lo*k : hi*k], s.wfh.Data[lo*k : hi*k]}
+			t := walks[len(walks)-1].Data[lo*k : hi*k]
+			for j := len(walks) - 1; j >= 0; j-- {
+				dst := bufs[j&1]
+				exec.MulRowsH(dst, t, s.hScaled.Data, k)
+				if j > 0 {
+					for i, v := range walks[j-1].Data[lo*k : hi*k] {
+						dst[i] += v
+					}
+				}
+				t = dst
+			}
+			f := s.f.Data[lo*k : hi*k]
+			for i, v := range xUse.Data[lo*k : hi*k] {
+				f[i] = v + t[i]
+			}
+		})
+	}
 	stable := 0
 	havePrev := false
-	for it := 0; it < s.opts.Iterations; it++ {
+	for it := len(walks); it < s.opts.Iterations; it++ {
 		if s.opts.EchoCancellation {
 			// −DF̃H̃²: each node subtracts the degree-weighted reflection of
 			// its own belief.
@@ -207,6 +249,35 @@ func (s *State) Run(x *dense.Matrix) (*dense.Matrix, error) {
 		}
 	}
 	return s.f, nil
+}
+
+// checkWalks refuses walks RunFrom cannot start from: more than the
+// iteration count, the wrong shape, echo cancellation, or (centered) an H̃
+// whose columns do not sum to zero.
+func (s *State) checkWalks(walks []*dense.Matrix) error {
+	if len(walks) == 0 {
+		return nil
+	}
+	if len(walks) > s.opts.Iterations {
+		return fmt.Errorf("propagation: %d walks for %d iterations", len(walks), s.opts.Iterations)
+	}
+	if s.opts.EchoCancellation {
+		return fmt.Errorf("propagation: cannot start from walks with echo cancellation")
+	}
+	for _, p := range walks {
+		if p.Rows != s.n || p.Cols != s.k {
+			return fmt.Errorf("propagation: walk is %d×%d, state wants %d×%d", p.Rows, p.Cols, s.n, s.k)
+		}
+	}
+	if s.opts.Center {
+		scale := dense.MaxAbs(s.hScaled)
+		for _, c := range dense.ColSums(s.hScaled) {
+			if math.Abs(c) > 1e-9*scale {
+				return fmt.Errorf("propagation: H's columns do not sum to one; cannot start from walks")
+			}
+		}
+	}
+	return nil
 }
 
 // RunLabels is Run followed by the row-argmax label(·) operator.

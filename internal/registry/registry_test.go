@@ -123,7 +123,7 @@ func TestAcquireSingleflight(t *testing.T) {
 func TestEvictionPinnedSurvives(t *testing.T) {
 	// Budget below a shed engine's footprint, so the tier-1 partial
 	// release never satisfies it and the full-eviction ladder runs.
-	r := New(Options{MemoryBudget: testEngineBytes() / 2})
+	r := New(Options{MemoryBudget: testEngineBytes() / 4})
 	builds := countBuilds(r)
 	for _, name := range []string{"a", "b"} {
 		if _, err := r.Register(name, testSpec(1)); err != nil {
@@ -335,7 +335,7 @@ func TestRegisterEngineNotEvictable(t *testing.T) {
 func TestMutatedEngineNotEvicted(t *testing.T) {
 	// Budget below a shed footprint: pressure escalates past the partial
 	// release to full eviction, which must still skip the mutated engine.
-	r := New(Options{MemoryBudget: testEngineBytes() / 2})
+	r := New(Options{MemoryBudget: testEngineBytes() / 4})
 	for _, name := range []string{"patched", "other"} {
 		if _, err := r.Register(name, testSpec(1)); err != nil {
 			t.Fatal(err)

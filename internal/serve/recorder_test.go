@@ -83,7 +83,7 @@ func TestPerGraphSeriesLifecycle(t *testing.T) {
 // them.
 func TestPerGraphSeriesEviction(t *testing.T) {
 	// Budget below a single shed footprint: every release fully evicts.
-	budget := factorgraph.EstimateEngineBytes(300, 1500, 3, false) / 4
+	budget := factorgraph.EstimateEngineBytes(300, 1500, 3, false) / 6
 	srv := newMultiServer(budget, Options{})
 	rec, _ := doJSON(t, srv, "POST", "/v1/graphs", synthBody("recevict", 300, 1500))
 	if rec.Code != http.StatusCreated {

@@ -321,7 +321,7 @@ func TestEvictionTransparentOverHTTP(t *testing.T) {
 
 	// Tier 2: budget below a shed footprint — full evictions, transparent
 	// rebuilds.
-	budget = factorgraph.EstimateEngineBytes(300, 1500, 3, false) / 4
+	budget = factorgraph.EstimateEngineBytes(300, 1500, 3, false) / 6
 	srv = newMultiServer(budget, Options{})
 	for _, name := range []string{"hot", "cold"} {
 		rec, _ := doJSON(t, srv, "POST", "/v1/graphs", synthBody(name, 300, 1500))
