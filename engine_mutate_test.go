@@ -198,6 +198,45 @@ func TestEngineMutateDeletionsOnly(t *testing.T) {
 	}
 }
 
+// TestEngineMutateNoOpsStayClean: a batch that only replays a removal of
+// an absent edge and re-upserts an edge at its weight changes nothing, so
+// it must leave the overlay clean — a later explicit compaction of an
+// otherwise clean engine is a no-op, not a CSR rebuild and a ρ(W) rerun.
+func TestEngineMutateNoOpsStayClean(t *testing.T) {
+	g, seeds, _ := engineFixture(t, 1000, 5000, 0.1)
+	eng, err := NewEngine(g, seeds, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Classify(Query{Nodes: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	edges := edgeSetOf(g)
+	present := edgeList(edges)[0]
+	absent := [2]int{0, 1}
+	for edges[[2]int32{int32(absent[0]), int32(absent[1])}] {
+		absent[1]++
+	}
+	meta, err := eng.MutateTopology(0, []EdgeMutation{
+		{U: absent[0], V: absent[1], Remove: true},
+		{U: int(present[0]), V: int(present[1]), W: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.MissingRemoves != 1 || meta.SetEdges != 1 || meta.OverlayFraction != 0 || meta.Compacted {
+		t.Fatalf("no-op batch meta %+v, want one missing remove, one set edge and a clean overlay", meta)
+	}
+	before := eng.TopoStats().Compactions
+	cm, err := eng.CompactTopology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cm.Compacted || eng.TopoStats().Compactions != before {
+		t.Fatalf("explicit compaction after a no-op batch rebuilt the CSR: %+v", cm)
+	}
+}
+
 // TestEngineMutateColdAndLabels: mutations on a cold engine (no residual
 // state yet) simply re-target the first solve; label patches and edge
 // mutations interleave safely.

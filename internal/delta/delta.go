@@ -3,19 +3,22 @@
 // engine can accept online edge insertions, deletions and node additions
 // without rebuilding the graph.
 //
-// The representation is a base CSR plus a sparse map of fully-merged
-// per-node patch rows: the first mutation touching a node copies its base
-// row once, and every later mutation of that node edits the copy in place.
-// Unpatched rows read straight through to the base, so the overlay
-// implements the execution layer's RowIterator contract (internal/exec)
-// with the same slice-scan inner loops as a plain CSR — kernels cannot
-// tell a mutated graph from a frozen one.
+// The representation is a base CSR plus a table of fully-merged per-node
+// patch rows, held in fixed chunks of row pointers: the first mutation
+// that changes a node's row copies its base row once, and every later one
+// in the same epoch edits the copy in place. Row is two loads (chunk, row)
+// and no hash; unpatched rows read straight through to the base, so the
+// overlay implements the execution layer's RowIterator contract
+// (internal/exec) with the same slice-scan inner loops as a plain CSR —
+// kernels cannot tell a mutated graph from a frozen one.
 //
 // Publication is epoch-based: a published *Graph is immutable. A mutator
-// calls Clone (O(patched rows) — shallow row sharing with copy-on-write),
-// applies its batch to the clone, and swaps the clone in under whatever
-// lock serializes readers (the serving engine's write lock). Concurrent
-// readers therefore always see a consistent topology, and in-flight
+// calls Clone (O(n/256): it copies the chunk pointers and takes a fresh
+// epoch stamp), applies its batch to the clone, and swaps the clone in
+// under whatever lock serializes readers (the serving engine's write
+// lock). Every chunk and row carries the stamp of the epoch that wrote it,
+// and a write to one stamped by any other epoch copies it first, so
+// concurrent readers always see a consistent topology, and in-flight
 // iterations over the previous epoch stay valid because the rows they
 // alias are never edited.
 //
@@ -28,7 +31,9 @@ package delta
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
+	"unsafe"
 
 	"factorgraph/internal/dense"
 	"factorgraph/internal/sparse"
@@ -36,8 +41,8 @@ import (
 
 // row is one merged patched adjacency row: the base row with every
 // mutation applied, sorted by column. wts nil means all stored entries
-// are 1 (same convention as the CSR). shared marks a row still owned by
-// an older published epoch; it is copied before the first write.
+// are 1 (same convention as the CSR). epoch is the Graph epoch that owns
+// the row; any other epoch copies it before its first write.
 type row struct {
 	cols []int32
 	wts  []float64
@@ -46,20 +51,55 @@ type row struct {
 	// matrix ΔW, so ρ(ΔW) ≤ max absDelta and the owner can bound spectral
 	// drift without a power iteration.
 	absDelta float64
-	shared   bool
+	epoch    uint64
 }
+
+// The row table is a slice of fixed chunks of row pointers: node u's
+// patched row is chunks[u>>chunkBits].rows[u&chunkMask], nil when u reads
+// through to the base. 256 pointers (2 KiB) per chunk: Clone copies n/256
+// chunk pointers, and the first write to a chunk in an epoch copies 2 KiB.
+const (
+	chunkBits = 8
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
+// chunk is one block of the row table. epoch is the Graph epoch that owns
+// it; any other epoch copies it before its first write. count is its
+// number of non-nil rows.
+type chunk struct {
+	rows  [chunkSize]*row
+	epoch uint64
+	count int
+}
+
+// rowBytes and chunkBytes are MemoryBytes' per-row and per-chunk overheads.
+const (
+	rowBytes   = int64(unsafe.Sizeof(row{}))
+	chunkBytes = int64(unsafe.Sizeof(chunk{}))
+)
+
+// bytes is the row's MemoryBytes share: its payloads and its header.
+func (r *row) bytes() int64 { return 4*int64(cap(r.cols)) + 8*int64(cap(r.wts)) + rowBytes }
+
+// epochs gives every Graph epoch a process-unique owner stamp, so a chunk
+// or row stamped by any other epoch — older or a sibling clone — is shared.
+var epochs atomic.Uint64
 
 // Graph is a mutable adjacency matrix: base CSR + copy-on-write patch
 // rows. The zero value is not usable; call New. A published Graph is
 // immutable — mutate a Clone and swap it in (see the package comment).
 type Graph struct {
-	base *sparse.CSR
-	n    int
-	rows map[int32]*row
+	base   *sparse.CSR
+	n      int
+	chunks []*chunk // the row table, ⌈n/chunkSize⌉ entries; nil chunks hold no rows
+	epoch  uint64   // owner stamp of the chunks and rows this Graph may write in place
 
-	nnz     int // current stored entries across base + patches
-	patched int // stored entries living in patched rows
-	diag    int // stored diagonal entries (for the undirected edge count)
+	rows    int   // patched rows
+	memory  int64 // MemoryBytes, kept as rows and chunks are copied or resized
+	nnz     int   // current stored entries across base + patches
+	patched int   // stored entries living in patched rows
+	diag    int   // stored diagonal entries (for the undirected edge count)
 
 	maxAbsDelta float64 // max row absDelta since the last compaction
 
@@ -69,14 +109,13 @@ type Graph struct {
 
 // New wraps a frozen base CSR with an empty overlay.
 func New(base *sparse.CSR) *Graph {
-	return &Graph{
-		base: base,
-		n:    base.N,
-		rows: make(map[int32]*row),
-		nnz:  base.NNZ(),
-		diag: base.DiagCount(),
-	}
+	g := &Graph{}
+	g.reset(base)
+	return g
 }
+
+// chunksFor returns how many row-table chunks n nodes need.
+func chunksFor(n int) int { return (n + chunkMask) >> chunkBits }
 
 // Dim returns the current node count (base nodes plus added nodes).
 func (g *Graph) Dim() int { return g.n }
@@ -89,7 +128,7 @@ func (g *Graph) Base() *sparse.CSR { return g.base }
 
 // Dirty reports whether the overlay diverges from its base (patched rows
 // or added nodes).
-func (g *Graph) Dirty() bool { return len(g.rows) > 0 || g.n != g.base.N }
+func (g *Graph) Dirty() bool { return g.rows > 0 || g.n != g.base.N }
 
 // PatchedEntries returns how many stored entries live in patch rows.
 func (g *Graph) PatchedEntries() int { return g.patched }
@@ -134,11 +173,16 @@ func (g *Graph) Stats() Stats {
 	}
 }
 
-// Row returns node u's merged adjacency row (RowIterator contract). The
-// slices alias overlay or base storage and must be treated as frozen.
+// Row returns node u's merged adjacency row (RowIterator contract): its
+// patch row if the table holds one (two loads, no hash), else the base's.
+// The slices alias overlay or base storage and must be treated as frozen.
 func (g *Graph) Row(u int) ([]int32, []float64) {
-	if r, ok := g.rows[int32(u)]; ok {
-		return r.cols, r.wts
+	if c := u >> chunkBits; c < len(g.chunks) {
+		if ch := g.chunks[c]; ch != nil {
+			if r := ch.rows[u&chunkMask]; r != nil {
+				return r.cols, r.wts
+			}
+		}
 	}
 	if u >= g.base.N {
 		return nil, nil // added node with no edges yet
@@ -164,34 +208,41 @@ func (g *Graph) MulDenseInto(out, x *dense.Matrix) {
 	for j := range added {
 		added[j] = 0 // an added node without edges has no patch row
 	}
-	for node, r := range g.rows {
-		orow := out.Data[int(node)*k : int(node+1)*k]
-		for j := range orow {
-			orow[j] = 0
+	for c, ch := range g.chunks {
+		if ch == nil {
+			continue
 		}
-		for p, col := range r.cols {
-			wv := 1.0
-			if r.wts != nil {
-				wv = r.wts[p]
+		for s, r := range &ch.rows {
+			if r == nil {
+				continue
 			}
-			xrow := x.Data[int(col)*k : int(col+1)*k]
-			for j, v := range xrow {
-				orow[j] += wv * v
+			node := c<<chunkBits | s
+			orow := out.Data[node*k : (node+1)*k]
+			for j := range orow {
+				orow[j] = 0
+			}
+			for p, col := range r.cols {
+				wv := 1.0
+				if r.wts != nil {
+					wv = r.wts[p]
+				}
+				xrow := x.Data[int(col)*k : int(col+1)*k]
+				for j, v := range xrow {
+					orow[j] += wv * v
+				}
 			}
 		}
 	}
 }
 
-// Clone returns a mutable copy sharing every row copy-on-write. The
-// receiver must be treated as frozen afterwards (publish-then-clone is the
-// mutation protocol; see the package comment).
+// Clone returns a mutable copy sharing every chunk and row copy-on-write:
+// O(n/chunkSize), the chunk pointers alone. The receiver must be treated
+// as frozen afterwards (publish-then-clone is the mutation protocol; see
+// the package comment).
 func (g *Graph) Clone() *Graph {
 	out := *g
-	out.rows = make(map[int32]*row, len(g.rows))
-	for node, r := range g.rows {
-		r.shared = true // benign on the frozen original: never written again
-		out.rows[node] = r
-	}
+	out.chunks = slices.Clone(g.chunks)
+	out.epoch = epochs.Add(1)
 	mEpochs.Inc()
 	mOverlayFraction.Set(g.PatchedFraction())
 	return &out
@@ -202,64 +253,96 @@ func (g *Graph) Clone() *Graph {
 func (g *Graph) AddNodes(count int) int {
 	g.n += count
 	g.addedNodes += int64(count)
+	if need := chunksFor(g.n); need > len(g.chunks) {
+		g.chunks = append(g.chunks, make([]*chunk, need-len(g.chunks))...)
+	}
 	return g.n
 }
 
+// writableChunk returns the chunk holding node's row, owned by this epoch:
+// allocated on first use, copied on the first write of the epoch.
+func (g *Graph) writableChunk(node int) *chunk {
+	c := node >> chunkBits
+	ch := g.chunks[c]
+	switch {
+	case ch == nil:
+		ch = &chunk{epoch: g.epoch}
+		g.memory += chunkBytes
+	case ch.epoch != g.epoch:
+		cp := *ch
+		cp.epoch = g.epoch
+		ch = &cp
+	default:
+		return ch
+	}
+	g.chunks[c] = ch
+	return ch
+}
+
 // patchRow returns the writable merged row for node, materializing it from
-// the base (or copying a shared clone) on first write.
+// the base (or copying another epoch's row) on first write.
 func (g *Graph) patchRow(node int32) *row {
-	r, ok := g.rows[node]
-	if ok {
-		if r.shared {
-			cp := &row{
-				cols:     append([]int32(nil), r.cols...),
-				absDelta: r.absDelta,
+	ch := g.writableChunk(int(node))
+	slot := &ch.rows[int(node)&chunkMask]
+	r := *slot
+	switch {
+	case r == nil:
+		r = &row{epoch: g.epoch}
+		if int(node) < g.base.N {
+			cols, wts := g.base.Row(int(node))
+			r.cols = append([]int32(nil), cols...)
+			if wts != nil {
+				r.wts = append([]float64(nil), wts...)
 			}
-			if r.wts != nil {
-				cp.wts = append([]float64(nil), r.wts...)
-			}
-			g.rows[node] = cp
-			return cp
+			g.patched += len(r.cols)
 		}
+		ch.count++
+		g.rows++
+	case r.epoch != g.epoch:
+		cp := &row{
+			cols:     append([]int32(nil), r.cols...),
+			absDelta: r.absDelta,
+			epoch:    g.epoch,
+		}
+		if r.wts != nil {
+			cp.wts = append([]float64(nil), r.wts...)
+		}
+		g.memory -= r.bytes()
+		r = cp
+	default:
 		return r
 	}
-	r = &row{}
-	if int(node) < g.base.N {
-		cols, wts := g.base.Row(int(node))
-		r.cols = append([]int32(nil), cols...)
-		if wts != nil {
-			r.wts = append([]float64(nil), wts...)
-		}
-		g.patched += len(r.cols)
-	}
-	g.rows[node] = r
+	g.memory += r.bytes()
+	*slot = r
 	return r
 }
 
 // set upserts the directed entry (u → v) and returns its previous weight
-// (0 when absent).
+// (0 when absent). An upsert of the weight already stored changes nothing,
+// and copies nothing into the overlay.
 func (g *Graph) set(u, v int32, w float64) (old float64) {
-	r := g.patchRow(u)
-	p := sort.Search(len(r.cols), func(i int) bool { return r.cols[i] >= v })
-	if p < len(r.cols) && r.cols[p] == v {
+	cols, wts := g.Row(int(u))
+	p, found := slices.BinarySearch(cols, v)
+	if found {
 		old = 1
-		if r.wts != nil {
-			old = r.wts[p]
+		if wts != nil {
+			old = wts[p]
 		}
-		if w != old && r.wts == nil {
+		if w == old {
+			return old
+		}
+	}
+	r := g.patchRow(u) // the same entries as (cols, wts): p still holds
+	before := r.bytes()
+	if found {
+		if r.wts == nil {
 			r.materializeWts()
 		}
-		if r.wts != nil {
-			r.wts[p] = w
-		}
+		r.wts[p] = w
 	} else {
-		r.cols = append(r.cols, 0)
-		copy(r.cols[p+1:], r.cols[p:])
-		r.cols[p] = v
+		r.cols = slices.Insert(r.cols, p, v)
 		if r.wts != nil {
-			r.wts = append(r.wts, 0)
-			copy(r.wts[p+1:], r.wts[p:])
-			r.wts[p] = w
+			r.wts = slices.Insert(r.wts, p, w)
 		} else if w != 1 {
 			r.materializeWts()
 			r.wts[p] = w
@@ -270,6 +353,7 @@ func (g *Graph) set(u, v int32, w float64) (old float64) {
 			g.diag++
 		}
 	}
+	g.memory += r.bytes() - before
 	r.absDelta += abs(w - old)
 	if r.absDelta > g.maxAbsDelta {
 		g.maxAbsDelta = r.absDelta
@@ -278,18 +362,21 @@ func (g *Graph) set(u, v int32, w float64) (old float64) {
 }
 
 // remove deletes the directed entry (u → v), reporting its previous weight.
+// Removing an absent entry changes nothing, and copies nothing into the
+// overlay.
 func (g *Graph) remove(u, v int32) (old float64, existed bool) {
-	r := g.patchRow(u)
-	p := sort.Search(len(r.cols), func(i int) bool { return r.cols[i] >= v })
-	if p >= len(r.cols) || r.cols[p] != v {
+	cols, _ := g.Row(int(u))
+	p, found := slices.BinarySearch(cols, v)
+	if !found {
 		return 0, false
 	}
+	r := g.patchRow(u)
 	old = 1
 	if r.wts != nil {
 		old = r.wts[p]
-		r.wts = append(r.wts[:p], r.wts[p+1:]...)
+		r.wts = slices.Delete(r.wts, p, p+1)
 	}
-	r.cols = append(r.cols[:p], r.cols[p+1:]...)
+	r.cols = slices.Delete(r.cols, p, p+1)
 	g.nnz--
 	g.patched--
 	if u == v {
@@ -398,37 +485,59 @@ func (g *Graph) Compacted(base *sparse.CSR) *Graph {
 // capture and is fully covered by base, while a diverged or new row holds
 // the post-capture mutations merged over content base already includes, so
 // carrying it as a patch row over the new base reproduces the live
-// topology bit-for-bit. Kept rows mark shared (they are still aliased by
-// the receiver, which stays published until the owner swaps the result
-// in). nnz/diag carry over (the live edge set is unchanged); absDelta on
+// topology bit-for-bit. A chunk whose pointer still equals the frozen
+// epoch's was not written at all and is skipped whole. Kept rows stay
+// stamped with the receiver's epoch, so the result copies them before its
+// first write (the receiver stays published until the owner swaps the
+// result in). nnz/diag carry over (the live edge set is unchanged); absDelta on
 // kept rows accumulates since the OLD base, so the carried drift bound
 // stays a conservative upper bound on ρ(ΔW) versus the new base. The
-// receiver is not modified beyond the shared marks; when the receiver IS
-// the frozen epoch the result degenerates to Compacted(base).
+// receiver is not modified; when the receiver IS the frozen epoch the
+// result degenerates to Compacted(base).
 func (g *Graph) Rebase(frozen *Graph, base *sparse.CSR) *Graph {
 	out := &Graph{
-		base: base,
-		n:    g.n,
-		rows: make(map[int32]*row),
-		nnz:  g.nnz,
-		diag: g.diag,
+		base:   base,
+		n:      g.n,
+		chunks: make([]*chunk, len(g.chunks)),
+		epoch:  epochs.Add(1),
+		nnz:    g.nnz,
+		diag:   g.diag,
 
 		setEdges: g.setEdges, removedEdges: g.removedEdges,
 		addedNodes:  g.addedNodes,
 		compactions: g.compactions + 1,
 	}
 	reused, carried := int64(0), int64(0)
-	for node, r := range g.rows {
-		if fr, ok := frozen.rows[node]; ok && fr == r {
-			reused++
-			continue // untouched since the capture: base covers it
+	for c, ch := range g.chunks {
+		if ch == nil {
+			continue
 		}
-		carried++
-		r.shared = true
-		out.rows[node] = r
-		out.patched += len(r.cols)
-		if r.absDelta > out.maxAbsDelta {
-			out.maxAbsDelta = r.absDelta
+		var fch *chunk
+		if c < len(frozen.chunks) {
+			fch = frozen.chunks[c]
+		}
+		if fch == ch {
+			reused += int64(ch.count) // no write since the capture: base covers it
+			continue
+		}
+		for s, r := range &ch.rows {
+			if r == nil {
+				continue
+			}
+			if fch != nil && fch.rows[s] == r {
+				reused++
+				continue // untouched since the capture: base covers it
+			}
+			carried++
+			oc := out.writableChunk(c<<chunkBits | s)
+			oc.rows[s] = r
+			oc.count++
+			out.rows++
+			out.memory += r.bytes()
+			out.patched += len(r.cols)
+			if r.absDelta > out.maxAbsDelta {
+				out.maxAbsDelta = r.absDelta
+			}
 		}
 	}
 	mRebaseReused.Add(reused)
@@ -462,29 +571,27 @@ func (g *Graph) Degrees() []float64 {
 // produced): the overlay empties, the spectral drift bound resets, and the
 // cumulative mutation counters carry over.
 func (g *Graph) ResetBase(base *sparse.CSR) {
-	g.base = base
-	g.n = base.N
-	g.rows = make(map[int32]*row)
-	g.nnz = base.NNZ()
-	g.patched = 0
-	g.diag = base.DiagCount()
-	g.maxAbsDelta = 0
+	g.reset(base)
 	g.compactions++
 	// The previous epoch's patched share is gone; without this the global
 	// overlay gauge reads stale until the next Clone.
 	mOverlayFraction.Set(0)
 }
 
-// MemoryBytes estimates the overlay's resident bytes beyond the base CSR:
-// patch-row payloads plus map and slice overhead.
-func (g *Graph) MemoryBytes() int64 {
-	var b int64
-	for _, r := range g.rows {
-		b += 4 * int64(cap(r.cols))
-		if r.wts != nil {
-			b += 8 * int64(cap(r.wts))
-		}
-		b += 96 // row struct + two slice headers + map bucket share
-	}
-	return b
+// reset empties the overlay over base under a fresh epoch stamp.
+func (g *Graph) reset(base *sparse.CSR) {
+	g.base = base
+	g.n = base.N
+	g.chunks = make([]*chunk, chunksFor(base.N))
+	g.epoch = epochs.Add(1)
+	g.rows, g.memory = 0, 0
+	g.nnz = base.NNZ()
+	g.patched = 0
+	g.diag = base.DiagCount()
+	g.maxAbsDelta = 0
 }
+
+// MemoryBytes estimates the overlay's resident bytes beyond the base CSR:
+// patch-row payloads and headers plus the row-table chunks. O(1): the count
+// is kept as rows and chunks are copied, created or resized.
+func (g *Graph) MemoryBytes() int64 { return g.memory }

@@ -273,27 +273,14 @@ func (p *PullPass) gatherOne(v int, rh []float64, next []int32) []int32 {
 	p.mark[v] = 0
 	rRow := p.r.Data[v*k : (v+1)*k]
 	cols, wts := p.w.Row(v)
+	wts = RowWeights(cols, wts)
+	// Every candidate neighbours an active node (W is symmetric), so the
+	// loop adds at least once; the norm starts from the row's own, which
+	// the pass keeps exact (zero for an active row, absorbed in phase 1).
+	norm := p.nrm[v]
 	for q, u := range cols {
-		idx := p.activeIdx[u]
-		if idx < 0 {
-			continue
-		}
-		wv := 1.0
-		if wts != nil {
-			wv = wts[q]
-		}
-		msg := rh[int(idx)*k : (int(idx)+1)*k]
-		for j := 0; j < k; j++ {
-			rRow[j] += wv * msg[j]
-		}
-	}
-	norm := 0.0
-	for _, a := range rRow {
-		if a < 0 {
-			a = -a
-		}
-		if a > norm {
-			norm = a
+		if idx := int(p.activeIdx[u]); idx >= 0 {
+			norm = AddRowNorm(rRow, rh[idx*k:(idx+1)*k], wts[q])
 		}
 	}
 	p.nrm[v] = norm
@@ -376,52 +363,36 @@ func (p *PullPass) scatterRound(active []int32, pushed, edges int) ([]int32, int
 	rh := p.rh[:k]
 	p.scatterRounds++
 	mRoundsScatter.Inc()
+	r, f, nrm, mark, tol := p.r.Data, p.f.Data, p.nrm, p.mark, p.tol
 	for _, v := range active {
-		p.mark[v] = 1
+		mark[v] = 1
 	}
 	next := p.candBuf[:0]
 	for _, u32 := range active {
 		u := int(u32)
-		p.mark[u] = 0
-		if p.nrm[u] <= p.tol {
+		mark[u] = 0
+		if nrm[u] <= tol {
 			continue // absorbed earlier this round
 		}
-		rRow := p.r.Data[u*k : (u+1)*k]
-		fRow := p.f.Data[u*k : (u+1)*k]
+		rRow := r[u*k : (u+1)*k]
+		fRow := f[u*k : (u+1)*k]
 		MulRowsH(rh, rRow, p.hs, k)
 		for j := 0; j < k; j++ {
 			fRow[j] += rRow[j]
 			rRow[j] = 0
 		}
-		p.nrm[u] = 0
+		nrm[u] = 0
 		pushed++
 		cols, wts := p.w.Row(u)
 		edges += len(cols)
-		for q, v32 := range cols {
-			v := int(v32)
-			wv := 1.0
-			if wts != nil {
-				wv = wts[q]
-			}
-			nRow := p.r.Data[v*k : (v+1)*k]
-			norm := 0.0
-			for j := 0; j < k; j++ {
-				nRow[j] += wv * rh[j]
-				a := nRow[j]
-				if a < 0 {
-					a = -a
-				}
-				if a > norm {
-					norm = a
-				}
-			}
-			p.nrm[v] = norm
+		scatterRow(r, nrm, k, cols, RowWeights(cols, wts), rh)
+		for _, v := range cols {
 			// Re-queue only nodes not still pending this round (their
 			// later scan absorbs the fresh mass — that is the
 			// Gauss–Seidel advantage) and not already queued for next.
-			if norm > p.tol && p.mark[v] == 0 {
-				p.mark[v] = 1
-				next = append(next, int32(v))
+			if nrm[v] > tol && mark[v] == 0 {
+				mark[v] = 1
+				next = append(next, v)
 			}
 		}
 	}

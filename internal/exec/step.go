@@ -1,0 +1,89 @@
+package exec
+
+import (
+	"math"
+	"sync/atomic"
+)
+
+// absMask clears a float64's sign bit.
+const absMask = 1<<63 - 1
+
+// AddRowNorm adds w·msg into dst entry by entry and returns dst's ∞-norm
+// afterwards: the "forward a message, re-norm the row" step of every
+// tracked schedule (the scatter round, the pull gather and the residual
+// package's heap push). Each entry becomes dst[j] + w·msg[j], the same
+// expression in the same order as the per-schedule loops it replaced, so
+// rows and norms are bit-identical to them. The norm is the largest
+// sign-masked bit pattern — non-negative float64s order as their bits do —
+// so no branch depends on the data. (A NaN entry would win that max where
+// the old compare-and-branch skipped it; no finite input produces one.)
+// It is small enough to inline into the edge loops. dst and msg must have
+// the same length.
+func AddRowNorm(dst, msg []float64, w float64) float64 {
+	msg = msg[:len(dst)]
+	var bits uint64
+	for j, v := range dst {
+		v += w * msg[j]
+		dst[j] = v
+		bits = max(bits, math.Float64bits(v)&absMask)
+	}
+	return math.Float64frombits(bits)
+}
+
+// scatterRow forwards one message along a row: for every neighbor v in
+// cols it adds wts[q]·msg into v's k-wide row of r (AddRowNorm) and stores
+// the row's new ∞-norm in nrm[v]. As in MulRowsH, k = 3 has a fixed-width
+// arm (AddRowNorm unrolled in the loop: about a third less time per edge
+// than the generic step on a 2.1 GHz Xeon) and every other width runs the
+// generic step; both compute the same entries and norms. cols holds distinct nodes (a CSR
+// row), so each nrm[v] is the norm after the row's only update.
+func scatterRow(r, nrm []float64, k int, cols []int32, wts, msg []float64) {
+	wts = wts[:len(cols)]
+	if k != 3 {
+		for q, v := range cols {
+			nrm[v] = AddRowNorm(r[int(v)*k:(int(v)+1)*k], msg, wts[q])
+		}
+		return
+	}
+	m := (*[3]float64)(msg)
+	m0, m1, m2 := m[0], m[1], m[2]
+	for q, v := range cols {
+		d, w := (*[3]float64)(r[int(v)*3:]), wts[q]
+		a, b, c := d[0]+w*m0, d[1]+w*m1, d[2]+w*m2
+		d[0], d[1], d[2] = a, b, c
+		nrm[v] = math.Float64frombits(max(math.Float64bits(a)&absMask, math.Float64bits(b)&absMask, math.Float64bits(c)&absMask))
+	}
+}
+
+// unitWeights holds a read-only slice of ones, replaced by a longer one
+// whenever a row outgrows it.
+var unitWeights atomic.Pointer[[]float64]
+
+// RowWeights returns a row's weights with the unit case made explicit: wts
+// itself, or len(cols) ones when wts is nil (RowIterator's all-ones row).
+// An edge loop then reads w[q] unconditionally — the weight test runs once
+// per row, not once per edge — and 1·x is exactly x, so the products match
+// the unit-row arithmetic bit for bit. Safe for concurrent use.
+func RowWeights(cols []int32, wts []float64) []float64 {
+	if wts == nil {
+		wts = unitRow(len(cols))
+	}
+	return wts[:len(cols)]
+}
+
+// unitRow returns n ones.
+func unitRow(n int) []float64 {
+	size := max(n, 64)
+	if cur := unitWeights.Load(); cur != nil {
+		if len(*cur) >= n {
+			return (*cur)[:n]
+		}
+		size = max(size, 2*len(*cur))
+	}
+	ones := make([]float64, size)
+	for i := range ones {
+		ones[i] = 1
+	}
+	unitWeights.Store(&ones)
+	return ones[:n]
+}

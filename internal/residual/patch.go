@@ -378,24 +378,9 @@ func (k patchKernel) Push(node int32, dirtied func(int32, float64)) int {
 	}
 	exec.MulRowsH(p.rhBuf, p.rowBuf, base.hScaled.Data, kk)
 	cols, wts := base.w.Row(int(node))
+	wts = exec.RowWeights(cols, wts)
 	for q, v := range cols {
-		wv := 1.0
-		if wts != nil {
-			wv = wts[q]
-		}
-		nRow := p.resRow(v)
-		norm := 0.0
-		for j := 0; j < kk; j++ {
-			nRow[j] += wv * p.rhBuf[j]
-			a := nRow[j]
-			if a < 0 {
-				a = -a
-			}
-			if a > norm {
-				norm = a
-			}
-		}
-		dirtied(v, norm)
+		dirtied(v, exec.AddRowNorm(p.resRow(v), p.rhBuf, wts[q]))
 	}
 	return len(cols)
 }
