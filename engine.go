@@ -632,13 +632,13 @@ func (e *Engine) NumericHealth() NumericHealth {
 // Indices int32 over 2m stored entries, Data float64 when weighted), the
 // seed vector, and the n×k float64 working set at its peak — the residual
 // state's X̃ and F, one promoted session in flight (its belief, residual
-// and explicit-belief clones and the two sweep scratch matrices) and the
-// default DCEr sketch's ℓmax − 1 = 4 retained walks: eleven matrices. The
+// and explicit-belief clones and the whole-matrix round's F·H̃ scratch) and
+// the default DCEr sketch's ℓmax − 1 = 4 retained walks: ten matrices. The
 // registry uses this as the admission weight for its memory budget; it
 // deliberately overcounts an idle engine rather than undercount a busy one.
 func EstimateEngineBytes(n, m, k int, weighted bool) int64 {
 	seeds := 8 * int64(n)
-	matrices := (2 + 5 + 4) * 8 * int64(n) * int64(k) // X̃+F, one promoted session, the sketch's walks
+	matrices := (2 + 4 + 4) * 8 * int64(n) * int64(k) // X̃+F, one promoted session, the sketch's walks
 	return csrBytes(n, m, weighted) + seeds + matrices
 }
 
@@ -965,7 +965,8 @@ func (e *Engine) whatIfRows(res *residual.State, extra map[int]int, tr *telemetr
 	engWhatifMisses.Inc()
 	session := res.BeginPatch()
 	session.Trace = tr
-	for node, c := range extra {
+	for _, node := range sortedNodes(extra) {
+		c := extra[node]
 		// The delta is taken against the X̃ the base holds, not e.seeds:
 		// between a label patch's seed install and its Apply the seeds are
 		// one patch ahead of the beliefs this session reads.
@@ -1149,8 +1150,8 @@ func (e *Engine) updateLabelsMeta(set map[int]int, remove []int, tr *telemetry.T
 		patch = res.BeginPatch()
 		patch.Trace = tr
 	}
-	for node, c := range set {
-		e.setSeedLocked(node, c, patch)
+	for _, node := range sortedNodes(set) {
+		e.setSeedLocked(node, set[node], patch)
 	}
 	for _, node := range remove {
 		e.setSeedLocked(node, Unlabeled, patch)

@@ -104,17 +104,24 @@ func (c *overlayCache) len() int {
 // pairs, so map iteration order cannot split identical what-ifs across
 // cache entries.
 func overlayCacheKey(extra map[int]int) string {
-	nodes := make([]int, 0, len(extra))
-	for node := range extra {
-		nodes = append(nodes, node)
-	}
-	sort.Ints(nodes)
 	var b strings.Builder
-	for _, node := range nodes {
+	for _, node := range sortedNodes(extra) {
 		b.WriteString(strconv.Itoa(node))
 		b.WriteByte(':')
 		b.WriteString(strconv.Itoa(extra[node]))
 		b.WriteByte(';')
 	}
 	return b.String()
+}
+
+// sortedNodes returns a node → class map's nodes in ascending order, the
+// order seed deltas are queued in: equal-norm deltas then enter the push
+// heap alike on every run, so one request sequence gives one set of beliefs.
+func sortedNodes(m map[int]int) []int {
+	nodes := make([]int, 0, len(m))
+	for node := range m {
+		nodes = append(nodes, node)
+	}
+	sort.Ints(nodes)
+	return nodes
 }

@@ -12,6 +12,7 @@ import (
 	"factorgraph/internal/dense"
 	"factorgraph/internal/labels"
 	"factorgraph/internal/propagation"
+	"factorgraph/internal/residual"
 )
 
 // warmParityEngine builds a warm engine whose beliefs are comparable to the
@@ -590,6 +591,101 @@ func TestResidualPatchQuerySpeedup(t *testing.T) {
 			if d := math.Abs(cs.Score - full.At(r.Node, cs.Class)); d > 1e-6 {
 				t.Errorf("node %d: residual and full beliefs differ by %g", r.Node, d)
 			}
+		}
+	}
+}
+
+// TestEngineReplayIsBitIdentical: one request sequence gives one set of
+// beliefs. Two fresh engines replay the same label patches (six nodes each,
+// every seed delta of norm 1) and what-ifs (three extra seeds each); every
+// what-if answer and every final belief must agree bit for bit. Seed
+// deltas queued in map order entered the push heap in a different order
+// on every run, and beliefs differed within Tol.
+func TestEngineReplayIsBitIdentical(t *testing.T) {
+	g, seeds, _ := engineFixture(t, 2000, 8000, 0.05)
+	replay := func() []uint64 {
+		e := warmEngine(t, g, seeds, 0)
+		var bits []uint64
+		for round := 0; round < 12; round++ {
+			set := map[int]int{}
+			for i := 0; i < 6; i++ {
+				node := (round*977 + i*131) % g.N
+				set[node] = (node + round) % 3
+			}
+			if err := e.UpdateLabels(set, nil); err != nil {
+				t.Fatal(err)
+			}
+			if round%3 == 2 {
+				extra := map[int]int{round: 0, round + 500: 1, round + 1000: 2}
+				rows, _ := whatIfBeliefs(t, e, extra)
+				for node := 0; node < g.N; node++ {
+					for _, v := range rows[node] {
+						bits = append(bits, math.Float64bits(v))
+					}
+				}
+			}
+		}
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		for _, v := range e.res.Beliefs().Data {
+			bits = append(bits, math.Float64bits(v))
+		}
+		return bits
+	}
+	a, b := replay(), replay()
+	if len(a) != len(b) {
+		t.Fatalf("replays read %d and %d values", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("replays differ at value %d: %v vs %v", i, math.Float64frombits(a[i]), math.Float64frombits(b[i]))
+		}
+	}
+}
+
+// TestInitSweepsOnBenchmarkShapes pins the cold solve's round count on the
+// benchmark's three graph shapes (planted with SkewedH(k, 8), seed 1, the
+// DCEr H the engine estimates): Init runs 19 / 21 / 26 whole-matrix rounds
+// to its Tol·¼ target on U20k / P10k / P20k. A change to the round's
+// arithmetic that moved any bit of the residual would show here first.
+func TestInitSweepsOnBenchmarkShapes(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		n, m, k    int
+		powerLaw   bool
+		f          float64
+		wantSweeps int
+	}{
+		{"U20k", 20000, 100000, 3, false, 0.05, 19},
+		{"P10k", 10000, 50000, 3, true, 0.01, 21},
+		{"P20k", 20000, 100000, 5, true, 0.05, 26},
+	} {
+		g, truth, err := Generate(GenerateConfig{N: c.n, M: c.m, K: c.k, H: SkewedH(c.k, 8), PowerLaw: c.powerLaw, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds, err := SampleSeeds(truth, c.k, c.f, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(g, seeds, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := residual.NewStateOn(e.topo, e.Estimate().H, e.residualOptions(), e.rhoW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := labels.Matrix(seeds, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := rs.Init(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Sweeps != c.wantSweeps {
+			t.Errorf("%s: Init ran %d sweeps, want %d", c.name, st.Sweeps, c.wantSweeps)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"factorgraph/internal/dense"
@@ -65,15 +67,25 @@ type PullPass struct {
 	// dimensions; tests sweep others).
 	sched Schedule
 
-	activeIdx []int32  // node → slot in rh, -1 when inactive (pull)
-	mark      []uint32 // candidate-claim words (pull) / in-queue flags (scatter)
-	rh        []float64
-	cand      [][]int32
-	next      [][]int32
-	candBuf   []int32
-	buckets   [][]int32 // sticky gather: candidates bucketed by node range
+	mark    []uint32 // candidate-claim words (pull) / in-queue flags (scatter)
+	rh      []float64
+	cand    [][]int32
+	next    [][]int32
+	candBuf []int32
+	buckets [][]int32 // sticky gather: candidates bucketed by node range
 
-	fh, wfh *dense.Matrix // whole-matrix round scratch, allocated on first use
+	activeIdx []int32 // pull only: node → slot in rh, -1 when inactive
+	edgeCh    []int   // pull only: per-chunk edge counts
+	rowLen    []int32 // pricing: stored entries per row, 0 = not read yet
+
+	// Whole-matrix round scratch: F·H̃, per-chunk max norm bits, the
+	// round's X̃, and the two flat passes bound once (a closure per round
+	// would be an allocation per round).
+	fh       *dense.Matrix
+	chunkMax []uint64
+	x        *dense.Matrix
+	fold     func(lo, hi int)
+	residual func(chunk, lo, hi int)
 
 	// trackedRounds / deltaRounds / scatterRounds count which schedule each
 	// round of this pass actually ran (delta = whole-matrix); the
@@ -82,25 +94,21 @@ type PullPass struct {
 	trackedRounds, deltaRounds, scatterRounds int
 }
 
-// NewPullPass builds a pass over dense (f, r, norms) storage. The two
-// n-length scratch arrays (slot map and mark words) are allocated here and
-// freed with the pass — callers demoting their dense tier drop the whole
-// pass. norms must reflect r (∞-norm per row); the pass maintains it.
+// NewPullPass builds a pass over dense (f, r, norms) storage. Its n-length
+// scratch (mark words here; the slot map, row-length table and F·H̃ on
+// first use) is freed with the pass — callers demoting their dense tier
+// drop the whole pass. norms must reflect r (∞-norm per row); the pass
+// maintains it.
 func NewPullPass(w RowIterator, hScaled, f, r *dense.Matrix, norms []float64, tol float64, run Runner) *PullPass {
 	n := w.Dim()
-	p := &PullPass{
+	return &PullPass{
 		w: w, n: n, hs: hScaled.Data, k: hScaled.Rows,
 		f: f, r: r, nrm: norms, tol: tol, run: run,
-		sched:     DefaultSchedule(n, hScaled.Rows),
-		activeIdx: make([]int32, n),
-		mark:      make([]uint32, n),
-		cand:      make([][]int32, run.MaxChunks()),
-		next:      make([][]int32, run.MaxChunks()),
+		sched: DefaultSchedule(n, hScaled.Rows),
+		mark:  make([]uint32, n),
+		cand:  make([][]int32, run.MaxChunks()),
+		next:  make([][]int32, run.MaxChunks()),
 	}
-	for i := range p.activeIdx {
-		p.activeIdx[i] = -1
-	}
-	return p
 }
 
 // Drain runs rounds until the frontier empties, pricing each one by the
@@ -145,13 +153,22 @@ func (p *PullPass) Drain(active []int32, x func() *dense.Matrix, maxSweeps int) 
 }
 
 // tracked prices the next round: it reports whether the active rows own at
-// most nnz(W)/DeltaDivisor stored entries.
+// most nnz(W)/DeltaDivisor stored entries. A row's count comes from Row
+// once per pass, from rowLen after that (an empty row is asked again).
 func (p *PullPass) tracked(active []int32) bool {
+	if p.rowLen == nil {
+		p.rowLen = make([]int32, p.n)
+	}
 	limit := p.w.NNZ() / p.sched.DeltaDivisor
 	owned := 0
 	for _, u := range active {
-		cols, _ := p.w.Row(int(u))
-		if owned += len(cols); owned > limit {
+		l := p.rowLen[u]
+		if l == 0 {
+			cols, _ := p.w.Row(int(u))
+			l = int32(len(cols))
+			p.rowLen[u] = l
+		}
+		if owned += int(l); owned > limit {
 			return false
 		}
 	}
@@ -175,13 +192,22 @@ func (p *PullPass) pullRound(active []int32, edges int) ([]int32, int) {
 		p.rh = make([]float64, len(active)*k)
 	}
 	rh := p.rh[:len(active)*k]
-	edgeCh := make([]int, p.run.MaxChunks())
+	if p.activeIdx == nil { // a single-worker pass never holds these
+		p.activeIdx = make([]int32, p.n)
+		for i := range p.activeIdx {
+			p.activeIdx[i] = -1
+		}
+		p.edgeCh = make([]int, len(p.cand))
+	}
+	edgeCh := p.edgeCh
 	// A phase over fewer items than chunks leaves the higher chunks unrun:
 	// empty every per-chunk list first, or they would carry the previous
-	// round's entries into this one (rows gathered twice, by two workers).
+	// round's entries into this one (rows gathered twice, by two workers)
+	// and its edge counts.
 	for c := range p.cand {
 		p.cand[c] = p.cand[c][:0]
 		p.next[c] = p.next[c][:0]
+		edgeCh[c] = 0
 	}
 
 	// Phase 1: absorb active rows, precompute messages, claim candidates.
@@ -297,58 +323,33 @@ func (p *PullPass) gatherOne(v int, rh []float64, next []int32) []int32 {
 // forwarding R ← εW·R·H̃) keeps the pair exact: sub-tolerance mass earlier
 // rounds left behind is carried, not lost, so the result does not depend on
 // the drain's history. Init's solve is this round repeated from F = X̃,
-// R = 0. Three flat parallel passes and the CSR multiply kernel, no
-// per-edge bookkeeping.
+// R = 0. One SpMM between two branch-free flat parallel passes, no
+// per-edge bookkeeping: the first pass folds R into F and forms F·H̃, which
+// frees R to receive the product W·(F·H̃); the second turns it into
+// X̃ + W·F·H̃ − F in place (foldRows, residualRows).
 func (p *PullPass) ExactRound(x *dense.Matrix) float64 {
 	mDenseRounds.Inc()
-	n, k := p.n, p.k
 	if p.fh == nil {
-		p.fh = dense.New(n, k)
-		p.wfh = dense.New(n, k)
-	}
-	p.run.Rows(n, func(lo, hi int) {
-		f := p.f.Data[lo*k : hi*k]
-		for i, v := range p.r.Data[lo*k : hi*k] {
-			f[i] += v
+		k := p.k
+		p.fh = dense.New(p.n, k)
+		p.chunkMax = make([]uint64, len(p.next))
+		p.fold = func(lo, hi int) {
+			foldRows(p.fh.Data[lo*k:hi*k], p.f.Data[lo*k:hi*k], p.r.Data[lo*k:hi*k], p.hs, k)
 		}
-		MulRowsH(p.fh.Data[lo*k:hi*k], f, p.hs, k)
-	})
-	p.w.MulDenseInto(p.wfh, p.fh)
-	chunkMax := make([]float64, len(p.next))
+		p.residual = func(c, lo, hi int) {
+			p.next[c], p.chunkMax[c] = residualRows(p.r.Data[lo*k:hi*k], p.x.Data[lo*k:hi*k],
+				p.f.Data[lo*k:hi*k], p.nrm[lo:hi], k, int32(lo), p.tol, p.next[c])
+		}
+	}
+	p.x = x
+	p.run.Rows(p.n, p.fold)
+	p.w.MulDenseInto(p.r, p.fh)
 	for c := range p.next {
 		p.next[c] = p.next[c][:0] // chunks past n rows do not run
+		p.chunkMax[c] = 0
 	}
-	p.run.RowsIndexed(n, func(chunk, lo, hi int) {
-		next, maxNorm := p.next[chunk], 0.0
-		for i := lo; i < hi; i++ {
-			norm := 0.0
-			for j := i * k; j < (i+1)*k; j++ {
-				v := x.Data[j] + p.wfh.Data[j] - p.f.Data[j]
-				p.r.Data[j] = v
-				if v < 0 {
-					v = -v
-				}
-				if v > norm {
-					norm = v
-				}
-			}
-			p.nrm[i] = norm
-			if norm > p.tol {
-				next = append(next, int32(i))
-			}
-			if norm > maxNorm {
-				maxNorm = norm
-			}
-		}
-		p.next[chunk], chunkMax[chunk] = next, maxNorm
-	})
-	maxNorm := 0.0
-	for _, v := range chunkMax {
-		if v > maxNorm {
-			maxNorm = v
-		}
-	}
-	return maxNorm
+	p.run.RowsIndexed(p.n, p.residual)
+	return math.Float64frombits(slices.Max(p.chunkMax))
 }
 
 // scatterRound is one round of the single-worker schedule: a Gauss–Seidel

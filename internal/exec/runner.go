@@ -68,6 +68,10 @@ func (r Runner) RowsIndexed(n int, fn func(chunk, lo, hi int)) {
 	if chunks > n {
 		chunks = n
 	}
+	if chunks == 1 {
+		fn(0, 0, n) // inline, and without the wrapper closure's allocation
+		return
+	}
 	size := (n + chunks - 1) / chunks
 	sparse.ParallelRowsLimit(chunks, r.Workers, func(clo, chi int) {
 		for c := clo; c < chi; c++ {

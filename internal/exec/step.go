@@ -30,6 +30,80 @@ func AddRowNorm(dst, msg []float64, w float64) float64 {
 	return math.Float64frombits(bits)
 }
 
+// RowNorm returns row's ∞-norm the way AddRowNorm computes it: the largest
+// sign-masked bit pattern, with no branch on the data. It is the one row
+// norm of the solver stack.
+func RowNorm(row []float64) float64 {
+	var bits uint64
+	for _, v := range row {
+		bits = max(bits, math.Float64bits(v)&absMask)
+	}
+	return math.Float64frombits(bits)
+}
+
+// foldRows is the first flat pass of a whole-matrix round over k-wide rows
+// stored back to back: f += r, then fh = f·H̃ with MulRowsH's arithmetic.
+// k = 3 has a fixed-width arm doing both in one sweep; every other width
+// adds, then runs MulRowsH. Both leave the same bits. fh must not alias f.
+func foldRows(fh, f, r, hs []float64, k int) {
+	f = f[:len(r)]
+	if k != 3 {
+		for i, v := range r {
+			f[i] += v
+		}
+		MulRowsH(fh, f, hs, k)
+		return
+	}
+	fh = fh[:len(r)]
+	h := (*[9]float64)(hs)
+	for j := 0; j+3 <= len(r); j += 3 {
+		a, b, c := f[j]+r[j], f[j+1]+r[j+1], f[j+2]+r[j+2]
+		f[j], f[j+1], f[j+2] = a, b, c
+		fh[j], fh[j+1], fh[j+2] = a*h[0]+b*h[3]+c*h[6], a*h[1]+b*h[4]+c*h[7], a*h[2]+b*h[5]+c*h[8]
+	}
+}
+
+// residualRows is the last flat pass of a whole-matrix round over k-wide
+// rows whose r holds W·F·H̃: each entry becomes x + r − f, in that order,
+// nrm gets each row's RowNorm, rows above tol are appended to next as
+// base+i, and it returns the largest norm's bits. k = 3 has a fixed-width
+// arm; both arms leave the same bits.
+func residualRows(r, x, f, nrm []float64, k int, base int32, tol float64, next []int32) ([]int32, uint64) {
+	x, f, nrm = x[:len(r)], f[:len(r)], nrm[:len(r)/k]
+	var top uint64
+	if k == 3 {
+		for i, j := 0, 0; i < len(nrm); i, j = i+1, j+3 {
+			a, b, c := x[j]+r[j]-f[j], x[j+1]+r[j+1]-f[j+1], x[j+2]+r[j+2]-f[j+2]
+			r[j], r[j+1], r[j+2] = a, b, c
+			bits := max(math.Float64bits(a)&absMask, math.Float64bits(b)&absMask, math.Float64bits(c)&absMask)
+			norm := math.Float64frombits(bits)
+			nrm[i] = norm
+			if norm > tol {
+				next = append(next, base+int32(i))
+			}
+			top = max(top, bits)
+		}
+		return next, top
+	}
+	for i := range nrm {
+		row := r[i*k : (i+1)*k]
+		xs, fs := x[i*k : (i+1)*k][:len(row)], f[i*k : (i+1)*k][:len(row)]
+		var bits uint64
+		for j, v := range row {
+			v = xs[j] + v - fs[j]
+			row[j] = v
+			bits = max(bits, math.Float64bits(v)&absMask)
+		}
+		norm := math.Float64frombits(bits)
+		nrm[i] = norm
+		if norm > tol {
+			next = append(next, base+int32(i))
+		}
+		top = max(top, bits)
+	}
+	return next, top
+}
+
 // scatterRow forwards one message along a row: for every neighbor v in
 // cols it adds wts[q]·msg into v's k-wide row of r (AddRowNorm) and stores
 // the row's new ∞-norm in nrm[v]. As in MulRowsH, k = 3 has a fixed-width

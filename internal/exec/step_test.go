@@ -112,6 +112,12 @@ func refPullRound(p *PullPass, active []int32, edges int) ([]int32, int) {
 	k := p.k
 	rh := make([]float64, len(active)*k)
 	edgeCh := make([]int, p.run.MaxChunks())
+	if p.activeIdx == nil {
+		p.activeIdx = make([]int32, p.n)
+		for i := range p.activeIdx {
+			p.activeIdx[i] = -1
+		}
+	}
 	for c := range p.cand {
 		p.cand[c] = p.cand[c][:0]
 		p.next[c] = p.next[c][:0]
@@ -325,7 +331,8 @@ func TestRowWeights(t *testing.T) {
 }
 
 // TestAddRowNormSignsAndZeros: the sign-masked bit max is the ∞-norm for
-// rows of mixed signs, ±0 and infinities, at the unrolled width and others.
+// rows of mixed signs, ±0 and infinities, at the unrolled width and others,
+// in AddRowNorm and in RowNorm alike.
 func TestAddRowNormSignsAndZeros(t *testing.T) {
 	rows := [][]float64{
 		{math.Copysign(0, -1), 0, math.Copysign(0, -1)},
@@ -344,6 +351,9 @@ func TestAddRowNormSignsAndZeros(t *testing.T) {
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("row %v: norm %v, want %v", row, got, want)
+		}
+		if got := RowNorm(row); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("row %v: RowNorm %v, want %v", row, got, want)
 		}
 	}
 }

@@ -123,14 +123,14 @@ func (p *Patch) AddDelta(node int, delta []float64) {
 		for j, v := range delta {
 			rRow[j] += v
 		}
-		p.norms[node] = infNorm(rRow)
+		p.norms[node] = exec.RowNorm(rRow)
 		return
 	}
 	row := p.resRow(int32(node))
 	for j, v := range delta {
 		row[j] += v
 	}
-	p.front.Add(int32(node), infNorm(row))
+	p.front.Add(int32(node), exec.RowNorm(row))
 }
 
 // AddResidual queues a raw residual delta for node — no explicit-belief
@@ -142,14 +142,14 @@ func (p *Patch) AddResidual(node int, delta []float64) {
 		for j, v := range delta {
 			rRow[j] += v
 		}
-		p.norms[node] = infNorm(rRow)
+		p.norms[node] = exec.RowNorm(rRow)
 		return
 	}
 	row := p.resRow(int32(node))
 	for j, v := range delta {
 		row[j] += v
 	}
-	p.front.Add(int32(node), infNorm(row))
+	p.front.Add(int32(node), exec.RowNorm(row))
 }
 
 // AddEdgeDelta seeds the residual perturbation of an edge-weight change on
@@ -189,11 +189,11 @@ func (p *Patch) promote() {
 	p.norms = make([]float64, s.n)
 	for node, row := range s.sRows {
 		copy(p.dr.Row(int(node)), row)
-		p.norms[node] = infNorm(row)
+		p.norms[node] = exec.RowNorm(row)
 	}
 	for node, row := range p.res { // patch rows already include base content
 		copy(p.dr.Row(int(node)), row)
-		p.norms[node] = infNorm(row)
+		p.norms[node] = exec.RowNorm(row)
 	}
 	for node, row := range p.rows {
 		copy(p.df.Row(int(node)), row)
@@ -291,7 +291,7 @@ func (p *Patch) Apply() {
 		copy(s.f.Row(int(node)), row)
 	}
 	for node, row := range p.res {
-		if infNorm(row) > 0 {
+		if exec.RowNorm(row) > 0 {
 			s.sRows[node] = row
 		} else {
 			delete(s.sRows, node)
@@ -358,9 +358,9 @@ type patchKernel struct{ p *Patch }
 
 func (k patchKernel) Norm(node int32) float64 {
 	if row, ok := k.p.res[node]; ok {
-		return infNorm(row)
+		return exec.RowNorm(row)
 	}
-	return infNorm(k.p.base.sRows[node])
+	return exec.RowNorm(k.p.base.sRows[node])
 }
 
 func (k patchKernel) Push(node int32, dirtied func(int32, float64)) int {

@@ -343,18 +343,10 @@ func (s *State) Rescale(c float64) {
 			rRow := s.r.Data[i*k : (i+1)*k]
 			xRow := s.x.Data[i*k : (i+1)*k]
 			fRow := s.f.Data[i*k : (i+1)*k]
-			norm := 0.0
 			for j := 0; j < k; j++ {
-				v := rRow[j] + (c-1)*(rRow[j]-xRow[j]+fRow[j])
-				rRow[j] = v
-				if v < 0 {
-					v = -v
-				}
-				if v > norm {
-					norm = v
-				}
+				rRow[j] += (c - 1) * (rRow[j] - xRow[j] + fRow[j])
 			}
-			s.norms[i] = norm
+			s.norms[i] = exec.RowNorm(rRow)
 		}
 	})
 	for i := range s.hScaled.Data {
@@ -434,7 +426,7 @@ func (s *State) promoteForSweep() {
 	s.norms = make([]float64, s.n)
 	for node, row := range s.sRows {
 		copy(s.r.Row(int(node)), row)
-		s.norms[node] = infNorm(row)
+		s.norms[node] = exec.RowNorm(row)
 	}
 	s.sRows = make(map[int32][]float64)
 }
@@ -471,7 +463,7 @@ func (s *State) compact() {
 	}
 	dropped := 0.0
 	for node, row := range s.sRows {
-		if norm := infNorm(row); norm <= s.opts.Tol {
+		if norm := exec.RowNorm(row); norm <= s.opts.Tol {
 			dropped += norm
 			delete(s.sRows, node)
 		}
@@ -526,7 +518,7 @@ func (s *State) maxNorm() float64 {
 	}
 	m := 0.0
 	for _, row := range s.sRows {
-		if v := infNorm(row); v > m {
+		if v := exec.RowNorm(row); v > m {
 			m = v
 		}
 	}
@@ -588,17 +580,4 @@ func (s *State) MemoryBytes() int64 {
 		b += 8*n*k + 8*n // r + norms
 	}
 	return b
-}
-
-func infNorm(row []float64) float64 {
-	m := 0.0
-	for _, v := range row {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
