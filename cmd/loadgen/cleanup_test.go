@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,11 +14,13 @@ import (
 )
 
 // fakeServe emulates the serving API surface loadgen touches and records
-// graph registrations and deletions.
+// graph registrations and deletions. Like the real server it echoes an
+// inbound traceparent unless noEcho is set.
 type fakeServe struct {
 	mu         sync.Mutex
 	registered []string
 	deleted    []string
+	noEcho     bool
 }
 
 func (f *fakeServe) handler() http.Handler {
@@ -50,7 +54,12 @@ func (f *fakeServe) handler() http.Handler {
 	mux.HandleFunc("PATCH /v1/graphs/{name}/edges", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte(`{}`))
 	})
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if tp := r.Header.Get("traceparent"); tp != "" && !f.noEcho {
+			w.Header().Set("traceparent", tp)
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
 func (f *fakeServe) snapshot() (reg, del []string) {
@@ -65,7 +74,7 @@ func testParams(addr string) params {
 		graphs: 2, graphsNodes: 100, graphsEdges: 500,
 		conc: 2, batch: 4, topK: 1,
 		duration: 200 * time.Millisecond, warmup: 0,
-		out: "", mutateOut: "", seed: 1, repeat: 1,
+		seed: 1, repeat: 1,
 		patchFrac: 0.1, patchBatch: 1, mutateFrac: 0.1, mutateBatch: 1,
 	}
 }
@@ -98,6 +107,70 @@ func TestMixedTenantCleanupOnAbort(t *testing.T) {
 	}
 	if len(del) != 2 {
 		t.Fatalf("aborted run leaked graphs: registered %v, deleted %v", reg, del)
+	}
+}
+
+// TestMixedTenantCleanupOnStalledServer: an abort while requests are in
+// flight to a server that never answers them cancels those requests, so
+// execute returns promptly — not after the client timeout — and still
+// deletes every graph it registered.
+func TestMixedTenantCleanupOnStalledServer(t *testing.T) {
+	f := &fakeServe{}
+	base := f.handler()
+	release := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		// The measured classifies (they ask for top_k) stall until the
+		// client gives up; the warm-up classify and everything else answer.
+		if r.Method == "POST" && strings.HasSuffix(r.URL.Path, "/classify") {
+			body, _ := io.ReadAll(r.Body)
+			if strings.Contains(string(body), "top_k") {
+				select {
+				case <-r.Context().Done():
+				case <-release:
+				}
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		base.ServeHTTP(w, r)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	defer close(release) // before Close, which waits for stalled handlers
+
+	p := testParams(srv.URL)
+	p.duration = 30 * time.Second
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- execute(ctx, p) }()
+	time.Sleep(300 * time.Millisecond) // both workers reach a stalled classify
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("aborted run still waiting on stalled requests 2s after cancel")
+	}
+	reg, del := f.snapshot()
+	if len(reg) != 2 || len(del) != 2 {
+		t.Fatalf("registered %v, deleted %v, want both graphs registered and deleted", reg, del)
+	}
+}
+
+// TestNoTraceparentEchoFailsTheRun: a server that drops trace context on
+// every request fails the run, after the report is printed and the graphs
+// are deleted.
+func TestNoTraceparentEchoFailsTheRun(t *testing.T) {
+	f := &fakeServe{noEcho: true}
+	srv := httptest.NewServer(f.handler())
+	defer srv.Close()
+
+	err := execute(context.Background(), testParams(srv.URL))
+	if err == nil || !strings.Contains(err.Error(), "traceparent") {
+		t.Fatalf("execute = %v, want a traceparent echo failure", err)
+	}
+	if _, del := f.snapshot(); len(del) != 2 {
+		t.Fatalf("failed run deleted %v, want both graphs", del)
 	}
 }
 

@@ -19,10 +19,9 @@
 // registered graphs are cleaned up before exit, so an aborted burst cannot
 // leak tenants into a long-lived server.
 //
-// Results are written as JSON — BENCH_serve.json by convention — to seed
-// the serving-performance trajectory tracked in CI; a mutation workload
-// additionally writes BENCH_mutate.json, whose mutation p95 cmd/benchdiff
-// gates.
+// The report is printed as JSON on stdout. Every request carries a
+// synthetic W3C traceparent; a run in which none came back echoed exits
+// non-zero, since the server then dropped trace context on every request.
 //
 //	loadgen -addr http://localhost:8080 -graph default -c 8 -duration 10s
 //	loadgen -addr http://localhost:8080 -graph demo -requests 5000 -batch 32 -stream
@@ -82,30 +81,16 @@ type graphLatencies struct {
 type report struct {
 	Workload workload `json:"workload"`
 	QPS      float64  `json:"qps"`
-	// LatencyMS summarizes classify (read) requests only — across every
-	// graph of a mixed-tenant run — so benchdiff gates one stable number;
-	// patch and mutation (write) requests are reported separately so a
-	// mixed workload cannot hide write latency inside read percentiles.
+	// LatencyMS summarizes classify (read) requests only, across every
+	// graph of a mixed-tenant run; patch and mutation (write) requests are
+	// reported separately so a mixed workload cannot hide write latency
+	// inside read percentiles.
 	LatencyMS       latencies  `json:"latency_ms"`
 	PatchLatencyMS  *latencies `json:"patch_latency_ms,omitempty"`
 	MutateLatencyMS *latencies `json:"mutate_latency_ms,omitempty"`
 	// PerGraph breaks the same populations down by tenant (present only
 	// with -graphs > 0 or as a single entry for the named graph).
 	PerGraph map[string]graphLatencies `json:"per_graph,omitempty"`
-	// ServerMetrics embeds server-side counter deltas over the whole burst,
-	// scraped from GET /metrics before and after (label dimensions summed
-	// away). Client latencies say how the run felt; these say what the
-	// server DID for it — propagations, patch flushes, compactions,
-	// evictions, fallback sweeps. Absent when the server has no /metrics
-	// (older builds) or the scrape failed — ServerMetricsError then says
-	// why, so a missing section is diagnosable from the report alone.
-	ServerMetrics      map[string]float64 `json:"server_metrics,omitempty"`
-	ServerMetricsError string             `json:"server_metrics_error,omitempty"`
-	// ServerTimeline is the tail of the server's flight-recorder timeline
-	// (GET /v1/admin/timeline) captured after the burst: the last few
-	// sampled points per series, enough for benchdiff to see trends
-	// (ramping RSS, growing overlay) without an external Prometheus.
-	ServerTimeline []timelineSeriesTail `json:"server_timeline,omitempty"`
 	// TraceparentSent / TraceparentEchoed count the synthetic traceparent
 	// headers injected on measured requests and the responses that carried
 	// the same trace id back; echoed == sent means every request's trace
@@ -113,115 +98,6 @@ type report struct {
 	TraceparentSent   int64  `json:"traceparent_sent,omitempty"`
 	TraceparentEchoed int64  `json:"traceparent_echoed,omitempty"`
 	Timestamp         string `json:"timestamp"`
-}
-
-// scrapeKeys is the subset of server series worth embedding in the report.
-var scrapeKeys = []string{
-	"fg_http_requests_total",
-	"fg_http_ndjson_flushes_total",
-	"fg_engine_queries_total",
-	"fg_engine_propagations_total",
-	"fg_engine_label_patches_total",
-	"fg_engine_edge_mutations_total",
-	"fg_engine_compactions_total",
-	"fg_engine_whatif_cache_total",
-	"fg_residual_flushes_total",
-	"fg_residual_pushes_total",
-	"fg_residual_edges_traversed_total",
-	"fg_residual_fallback_sweeps_total",
-	"fg_graph_cost_pushes_total",
-	"fg_graph_cost_edges_traversed_total",
-	"fg_graph_cost_rows_cloned_total",
-	"fg_exec_rounds_total",
-	"fg_delta_epochs_published_total",
-	"fg_registry_builds_total",
-	"fg_registry_evictions_total",
-}
-
-// scrapeMetrics fetches base/metrics and sums each family's series into one
-// total per metric name. A nil map with a non-nil error means the endpoint
-// was missing or unreadable — the report omits server metrics and records
-// the reason instead of silently dropping the section.
-func scrapeMetrics(base string) (map[string]float64, error) {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return nil, fmt.Errorf("GET /metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
-	}
-	totals, err := telemetry.ParseTextTotals(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("parse /metrics exposition: %w", err)
-	}
-	return totals, nil
-}
-
-// timelineSeriesTail is one embedded flight-recorder series, trimmed to
-// its most recent points.
-type timelineSeriesTail struct {
-	Graph  string                    `json:"graph,omitempty"`
-	Name   string                    `json:"name"`
-	Points []telemetry.TimelinePoint `json:"points"`
-}
-
-// timelineTailPoints bounds how much history rides along per series.
-const timelineTailPoints = 12
-
-// timelineTail fetches the server's rolling timeline and keeps the last
-// timelineTailPoints points of every series. nil when the server predates
-// the endpoint or the fetch fails — the section is optional color, unlike
-// server_metrics it carries no gating numbers.
-func timelineTail(base string) []timelineSeriesTail {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(base + "/v1/admin/timeline")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var body struct {
-		Series []timelineSeriesTail `json:"series"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil
-	}
-	out := body.Series
-	for i := range out {
-		if n := len(out[i].Points); n > timelineTailPoints {
-			out[i].Points = out[i].Points[n-timelineTailPoints:]
-		}
-	}
-	return out
-}
-
-// metricsDelta selects the scrapeKeys deltas between two scrapes. Counters
-// only move forward, so a negative delta means the server restarted
-// mid-burst; the post-restart absolute value is the best remaining answer.
-func metricsDelta(before, after map[string]float64) map[string]float64 {
-	if after == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(scrapeKeys))
-	for _, key := range scrapeKeys {
-		v, ok := after[key]
-		if !ok {
-			continue
-		}
-		d := v - before[key]
-		if d < 0 {
-			d = v
-		}
-		out[key] = d
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // target is one graph a worker can direct a request at.
@@ -258,18 +134,19 @@ type params struct {
 	duration, warmup        time.Duration
 	requests                int64
 	stream, gz              bool
-	out, mutateOut          string
 	seed                    int64
 	repeat                  int
 	patchFrac, mutateFrac   float64
 	patchBatch, mutateBatch int
 }
 
-// runResult is one run's raw measurements, indexed by target.
+// runResult is one run's raw measurements, indexed by target, plus its
+// traceparent round-trip counts.
 type runResult struct {
 	queries, patches, mutates [][]time.Duration
 	errs                      int64
 	elapsed                   time.Duration
+	tracesSent, tracesEchoed  int64
 }
 
 func main() {
@@ -296,14 +173,12 @@ func run() error {
 	flag.BoolVar(&p.stream, "stream", false, "request NDJSON streaming responses")
 	flag.BoolVar(&p.gz, "gzip", false, "advertise Accept-Encoding: gzip")
 	flag.DurationVar(&p.warmup, "warmup", 500*time.Millisecond, "measurement excluded warm-up period")
-	flag.StringVar(&p.out, "out", "BENCH_serve.json", "output JSON path ('' = stdout only)")
 	flag.Int64Var(&p.seed, "seed", 1, "node-sampling RNG seed")
 	flag.IntVar(&p.repeat, "repeat", 1, "number of measured runs; percentiles aggregate across all of them")
 	flag.Float64Var(&p.patchFrac, "patch-frac", 0, "fraction of requests that are PATCH /labels writes (mixed patch+query workload)")
 	flag.IntVar(&p.patchBatch, "patch-batch", 1, "seed labels set per patch request")
 	flag.Float64Var(&p.mutateFrac, "mutate-frac", 0, "fraction of requests that are PATCH /edges topology mutations (mixed edge-mutation workload)")
 	flag.IntVar(&p.mutateBatch, "mutate-batch", 1, "edge mutations per PATCH /edges request")
-	flag.StringVar(&p.mutateOut, "mutate-out", "BENCH_mutate.json", "mutation-workload report path, written when -mutate-frac > 0 ('' disables)")
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the context: workers stop, the run returns,
@@ -394,8 +269,7 @@ func execute(ctx context.Context, p params) error {
 	queries := make([][]time.Duration, len(targets))
 	patches := make([][]time.Duration, len(targets))
 	mutates := make([][]time.Duration, len(targets))
-	metricsBefore, scrapeErr := scrapeMetrics(base)
-	var nErrs int64
+	var nErrs, tracesSent, tracesEchoed int64
 	var elapsed time.Duration
 	for r := 0; r < p.repeat; r++ {
 		res, err := runOnce(ctx, cfg, int64(r))
@@ -409,6 +283,8 @@ func execute(ctx context.Context, p params) error {
 		}
 		nErrs += res.errs
 		elapsed += res.elapsed
+		tracesSent += res.tracesSent
+		tracesEchoed += res.tracesEchoed
 		if ctx.Err() != nil {
 			break // aborted: report what was measured, then clean up
 		}
@@ -450,26 +326,14 @@ func execute(ctx context.Context, p params) error {
 	} else {
 		wl.Graph = targets[0].name
 	}
-	metricsAfter, afterErr := scrapeMetrics(base)
-	if scrapeErr == nil {
-		scrapeErr = afterErr
-	}
 	rep := report{
-		Workload:       wl,
-		QPS:            float64(wl.Requests) / elapsed.Seconds(),
-		LatencyMS:      summarize(allQ),
-		PerGraph:       perGraph,
-		ServerMetrics:  metricsDelta(metricsBefore, metricsAfter),
-		ServerTimeline: timelineTail(base),
-		Timestamp:      time.Now().UTC().Format(time.RFC3339),
-	}
-	rep.TraceparentSent = tracesSent.Load()
-	rep.TraceparentEchoed = tracesEchoed.Load()
-	if rep.TraceparentSent > 0 && rep.TraceparentEchoed == 0 {
-		fmt.Fprintln(os.Stderr, "loadgen: no response echoed a traceparent (server predates tracing, or telemetry is disabled)")
-	}
-	if scrapeErr != nil {
-		rep.ServerMetricsError = scrapeErr.Error()
+		Workload:          wl,
+		QPS:               float64(wl.Requests) / elapsed.Seconds(),
+		LatencyMS:         summarize(allQ),
+		PerGraph:          perGraph,
+		TraceparentSent:   tracesSent,
+		TraceparentEchoed: tracesEchoed,
+		Timestamp:         time.Now().UTC().Format(time.RFC3339),
 	}
 	if len(allP) > 0 {
 		pl := summarize(allP)
@@ -484,19 +348,8 @@ func execute(ctx context.Context, p params) error {
 		return err
 	}
 	fmt.Println(string(blob))
-	if p.out != "" {
-		if err := os.WriteFile(p.out, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", p.out)
-	}
-	if p.mutateFrac > 0 && p.mutateOut != "" {
-		// The mutation workload's dedicated artifact: benchdiff gates its
-		// mutate_latency_ms p95 (-old-mutate/-new-mutate).
-		if err := os.WriteFile(p.mutateOut, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", p.mutateOut)
+	if tracesSent > 0 && tracesEchoed == 0 {
+		return fmt.Errorf("none of %d responses echoed a traceparent (server predates tracing, or telemetry is disabled)", tracesSent)
 	}
 	return nil
 }
@@ -504,7 +357,7 @@ func execute(ctx context.Context, p params) error {
 // runOnce executes one closed-loop measurement run across cfg.targets.
 // Cancelling ctx stops the workers early (signal-initiated shutdown).
 func runOnce(ctx context.Context, cfg config, run int64) (runResult, error) {
-	client := &http.Client{Timeout: 60 * time.Second}
+	rq := &requester{ctx: ctx, client: &http.Client{Timeout: 60 * time.Second}}
 
 	var (
 		wg       sync.WaitGroup
@@ -596,11 +449,11 @@ func runOnce(ctx context.Context, cfg config, run int64) (runResult, error) {
 				}
 				switch kind {
 				case 1:
-					lat, err = onePatch(client, tgt.patchURL, rng, tgt.n, tgt.k, cfg.patchBatch)
+					lat, err = onePatch(rq, tgt.patchURL, rng, tgt.n, tgt.k, cfg.patchBatch)
 				case 2:
-					lat, err = oneMutate(client, tgt.edgesURL, rng, tgt.n, cfg.mutateBatch, &addedEdges[ti])
+					lat, err = oneMutate(rq, tgt.edgesURL, rng, tgt.n, cfg.mutateBatch, &addedEdges[ti])
 				default:
-					lat, err = oneRequest(client, tgt.classifyURL, rng, tgt.n, cfg.batch, cfg.topK, cfg.stream, cfg.gz)
+					lat, err = oneRequest(rq, tgt.classifyURL, rng, tgt.n, cfg.batch, cfg.topK, cfg.stream, cfg.gz)
 				}
 				if err != nil {
 					atomic.AddInt64(&nErrs, 1)
@@ -624,7 +477,11 @@ func runOnce(ctx context.Context, cfg config, run int64) (runResult, error) {
 	if elapsed <= 0 {
 		elapsed = time.Since(started)
 	}
-	return runResult{queries: qAll, patches: pAll, mutates: mAll, errs: atomic.LoadInt64(&nErrs), elapsed: elapsed}, nil
+	return runResult{
+		queries: qAll, patches: pAll, mutates: mAll,
+		errs: atomic.LoadInt64(&nErrs), elapsed: elapsed,
+		tracesSent: rq.sent.Load(), tracesEchoed: rq.echoed.Load(),
+	}, nil
 }
 
 // registerGraphs admits count synthetic graphs (warm, so the benchmark
@@ -745,7 +602,7 @@ func graphDims(base, graph string) (n, m, k int, err error) {
 }
 
 // oneRequest issues a single classify call and returns its latency.
-func oneRequest(client *http.Client, url string, rng *rand.Rand, n, batch, topK int, stream, gz bool) (time.Duration, error) {
+func oneRequest(rq *requester, url string, rng *rand.Rand, n, batch, topK int, stream, gz bool) (time.Duration, error) {
 	nodes := make([]int, batch)
 	for i := range nodes {
 		nodes[i] = rng.Intn(n)
@@ -756,12 +613,12 @@ func oneRequest(client *http.Client, url string, rng *rand.Rand, n, batch, topK 
 	if err != nil {
 		return 0, err
 	}
-	return timedDo(client, "POST", url, body, gz)
+	return rq.timedDo("POST", url, body, gz)
 }
 
 // onePatch issues a single PATCH /labels call setting patchBatch random
 // nodes to random classes.
-func onePatch(client *http.Client, url string, rng *rand.Rand, n, k, patchBatch int) (time.Duration, error) {
+func onePatch(rq *requester, url string, rng *rand.Rand, n, k, patchBatch int) (time.Duration, error) {
 	set := make(map[string]int, patchBatch)
 	for i := 0; i < patchBatch; i++ {
 		set[strconv.Itoa(rng.Intn(n))] = rng.Intn(k)
@@ -770,14 +627,14 @@ func onePatch(client *http.Client, url string, rng *rand.Rand, n, k, patchBatch 
 	if err != nil {
 		return 0, err
 	}
-	return timedDo(client, "PATCH", url, body, false)
+	return rq.timedDo("PATCH", url, body, false)
 }
 
 // oneMutate issues a single PATCH /edges topology mutation: each op either
 // adds a random edge (recorded in added) or removes a previously added one,
 // so the graph churns without drifting unboundedly and removals always
 // target existing edges.
-func oneMutate(client *http.Client, url string, rng *rand.Rand, n, mutateBatch int, added *[][2]int) (time.Duration, error) {
+func oneMutate(rq *requester, url string, rng *rand.Rand, n, mutateBatch int, added *[][2]int) (time.Duration, error) {
 	var set, remove [][2]int
 	for i := 0; i < mutateBatch; i++ {
 		if len(*added) > 0 && rng.Intn(2) == 0 {
@@ -804,16 +661,22 @@ func oneMutate(client *http.Client, url string, rng *rand.Rand, n, mutateBatch i
 	if err != nil {
 		return 0, err
 	}
-	return timedDo(client, "PATCH", url, body, false)
+	return rq.timedDo("PATCH", url, body, false)
 }
 
-// traceparent round-trip accounting: timedDo injects a synthetic W3C
-// traceparent on every measured request and counts the responses that echo
-// the same trace id back, proving trace-context propagation end to end.
-var tracesSent, tracesEchoed atomic.Int64
+// requester issues one run's requests. Each carries the run's context, so an
+// abort cancels the requests in flight instead of waiting out the client
+// timeout on a stalled server. Each also carries a synthetic W3C traceparent;
+// sent / echoed count those and the responses that returned the same trace
+// id, proving trace-context propagation end to end.
+type requester struct {
+	ctx          context.Context
+	client       *http.Client
+	sent, echoed atomic.Int64
+}
 
-func timedDo(client *http.Client, method, url string, body []byte, gz bool) (time.Duration, error) {
-	req, err := http.NewRequestWithContext(context.Background(), method, url, bytes.NewReader(body))
+func (rq *requester) timedDo(method, url string, body []byte, gz bool) (time.Duration, error) {
+	req, err := http.NewRequestWithContext(rq.ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
@@ -827,14 +690,14 @@ func timedDo(client *http.Client, method, url string, body []byte, gz bool) (tim
 	// forcing every request into the trace store.
 	tid := telemetry.NewTraceID()
 	req.Header.Set("traceparent", telemetry.Traceparent(tid, telemetry.NewSpanID(), false))
-	tracesSent.Add(1)
+	rq.sent.Add(1)
 	start := time.Now()
-	resp, err := client.Do(req)
+	resp, err := rq.client.Do(req)
 	if err != nil {
 		return 0, err
 	}
 	if rtid, _, _, ok := telemetry.ParseTraceparent(resp.Header.Get("traceparent")); ok && rtid == tid {
-		tracesEchoed.Add(1)
+		rq.echoed.Add(1)
 	}
 	_, copyErr := io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,12 +57,13 @@ var ErrEngineClosed = errors.New("engine closed")
 // keep serving the untouched fixed point and /healthz and Stats stay live.
 // What-if queries (Query.ExtraSeeds) flush their never-applied session under
 // the read lock — they read live base rows a concurrent Apply would swap —
-// concurrently with each other and with a writer's flush. ReleaseTransient
-// and Close are NOT writers: they take mu only, because the registry calls
-// them under its own lock on unpinned engines while an async compactor may
-// hold the writer mutex through a rescale flush; a session that finds its
-// state dropped when it comes to commit is discarded (commitSession). Lock
-// order is patchMu → mu. All execution — dense rounds and saturated residual
+// concurrently with each other and with a writer's flush, and abort it once
+// read, so no what-if leaves memory behind. ReleaseTransient and Close are
+// NOT writers: they take mu only, because the registry calls them under its
+// own lock on unpinned engines while an async compactor may hold the writer
+// mutex through a rescale flush; a session that finds its state dropped when
+// it comes to commit is discarded (commitSession). Lock order is
+// patchMu → mu. All execution — dense rounds and saturated residual
 // drains alike — runs on the shared parallel core in internal/exec over
 // internal/sparse's worker pool.
 type Engine struct {
@@ -106,12 +108,6 @@ type Engine struct {
 	// solve — against each other, never against readers. Acquired before mu.
 	patchMu sync.Mutex
 
-	// ovCache memoizes what-if sessions' private rows keyed by the canonical
-	// extra-seed set, so repeated interactive what-ifs skip the re-push
-	// entirely. Entries are validated against gen: any seed or H change
-	// invalidates them lazily.
-	ovCache overlayCache
-
 	// Cached factorized summaries (the M⁽ℓ⁾/P̂⁽ℓ⁾ sketches). They depend
 	// only on the graph and the seed labels — not on H — so they are keyed
 	// by labelGen, which UpdateLabels bumps but SetH/Reestimate do not.
@@ -143,7 +139,6 @@ type Engine struct {
 	nResidualPatches   atomic.Int64
 	nResidualPushes    atomic.Int64
 	nResidualFallbacks atomic.Int64
-	nOverlayCacheHits  atomic.Int64
 	nEdgeMutations     atomic.Int64
 	nCompactions       atomic.Int64
 	nRescales          atomic.Int64
@@ -231,8 +226,9 @@ type EngineStats struct {
 	// ran at least one whole-matrix round, plus the mutations whose ε jump
 	// dropped the residual state instead.
 	ResidualFallbacks int64
-	// OverlayCacheHits counts what-if queries answered from the what-if
-	// cache without any pushing.
+	// OverlayCacheHits is always zero: every what-if flushes its own
+	// session, there is no what-if cache. The field stays for callers that
+	// still read it.
 	OverlayCacheHits int64
 	// EdgeMutations counts applied streaming edge mutations
 	// (MutateTopology upserts + removals).
@@ -518,7 +514,6 @@ func (e *Engine) Stats() EngineStats {
 		ResidualPatches:   e.nResidualPatches.Load(),
 		ResidualPushes:    e.nResidualPushes.Load(),
 		ResidualFallbacks: e.nResidualFallbacks.Load(),
-		OverlayCacheHits:  e.nOverlayCacheHits.Load(),
 		EdgeMutations:     e.nEdgeMutations.Load(),
 		TopoCompactions:   e.nCompactions.Load(),
 		TopoRescales:      e.nRescales.Load(),
@@ -686,11 +681,10 @@ func (e *Engine) Mutated() bool {
 	return e.gen != 0
 }
 
-// Close releases the engine's large buffers — the residual state, the
-// cached summaries and the what-if cache — and marks the engine
-// closed; subsequent queries and updates fail with ErrEngineClosed. The
-// graph itself is NOT owned by the engine and is left untouched. Close is
-// idempotent.
+// Close releases the engine's large buffers — the residual state and the
+// cached summaries — and marks the engine closed; subsequent queries and
+// updates fail with ErrEngineClosed. The graph itself is NOT owned by the
+// engine and is left untouched. Close is idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
@@ -700,7 +694,6 @@ func (e *Engine) Close() {
 	e.sumMu.Lock()
 	e.setSumsLocked(nil)
 	e.sumMu.Unlock()
-	e.ovCache.purge()
 }
 
 // ensureWarm pays the one full solve a cold engine owes — first query,
@@ -811,10 +804,9 @@ type QueryMeta struct {
 	// over half the stored entries and the session ran whole-matrix rounds
 	// on its private clone: a routing decision, not a failure.
 	FellBack bool
-	// CacheHit is true when the session's rows came from the engine's
-	// what-if cache: the query's extra-seed set was flushed before at the
-	// current label generation, so no pushing ran at all. The push/clone
-	// counts then describe the cached flush.
+	// CacheHit is always false: every what-if flushes its own session,
+	// there is no what-if cache. The field stays for callers that still
+	// read it.
 	CacheHit bool
 }
 
@@ -853,8 +845,8 @@ func (e *Engine) ClassifyEachMeta(q Query, fn func(NodeResult) error) (QueryMeta
 // on its private clone if it floods — the answer is read through it, and it
 // is aborted. Either way the labels and scores the response reports are
 // copied out under one read-lock hold and emitted outside it. The stage
-// records itself as a deferred-name child span (it only learns what it was —
-// direct, cached or flushed — after the fact) with emit nested under it.
+// records itself as a deferred-name child span (residual_direct, or
+// overlay_flush for a what-if) with emit nested under it.
 //
 // A what-if's flush runs under the read lock (it reads live base rows a
 // concurrent Apply would swap). A flooding what-if therefore holds it
@@ -887,11 +879,8 @@ func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResu
 	meta, row := QueryMeta{Residual: true}, res.Row
 	var session *residual.Patch
 	if len(q.ExtraSeeds) > 0 {
-		meta, row, session = e.whatIfRows(res, q.ExtraSeeds, tr)
-		stage = "overlay_flush"
-		if meta.CacheHit {
-			stage = "overlay_cached"
-		}
+		meta, session = e.whatIfSession(res, q.ExtraSeeds, tr)
+		row, stage = session.Row, "overlay_flush"
 	}
 	n := len(q.Nodes)
 	if q.Nodes == nil {
@@ -938,31 +927,9 @@ func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResu
 	return meta, nil
 }
 
-// whatIfRows opens the row view of a what-if over res: the memoized rows of
-// an identical what-if flushed at the current generation, or a fresh session
-// flushed here (which the caller aborts once it has read its answer). The
-// caller holds the read lock.
-func (e *Engine) whatIfRows(res *residual.State, extra map[int]int, tr *telemetry.Trace) (QueryMeta, func(int) []float64, *residual.Patch) {
-	key := overlayCacheKey(extra)
-	if cached := e.ovCache.get(key, e.gen); cached != nil {
-		// Its session rows are still the fixed point, so serving is a pure
-		// read — no pushing, no cloning.
-		e.nOverlayCacheHits.Add(1)
-		engWhatifHits.Inc()
-		meta := QueryMeta{
-			Residual: true, CacheHit: true,
-			PushedNodes: cached.pushed, TouchedEdges: cached.edges,
-			ClonedRows: len(cached.rows),
-		}
-		row := func(node int) []float64 {
-			if row, ok := cached.rows[int32(node)]; ok {
-				return row
-			}
-			return res.Row(node)
-		}
-		return meta, row, nil
-	}
-	engWhatifMisses.Inc()
+// whatIfSession opens a what-if session over res and flushes it; the caller
+// holds the read lock, reads its answer through the session and aborts it.
+func (e *Engine) whatIfSession(res *residual.State, extra map[int]int, tr *telemetry.Trace) (QueryMeta, *residual.Patch) {
 	session := res.BeginPatch()
 	session.Trace = tr
 	for _, node := range sortedNodes(extra) {
@@ -975,20 +942,22 @@ func (e *Engine) whatIfRows(res *residual.State, extra map[int]int, tr *telemetr
 		}
 	}
 	st := e.flushSession(session)
-	rows, owned := session.OwnedRows(overlayCacheMaxRows)
-	if rows != nil {
-		// Memoize the session's rows for the next identical what-if. gen
-		// cannot move while the caller holds the read lock, so the entry is
-		// pinned to exactly the base state the flush read; any later patch or
-		// H change bumps gen and invalidates it lazily.
-		e.ovCache.put(&overlayCacheEntry{
-			key: key, gen: e.gen, rows: rows, pushed: st.Pushed, edges: st.Edges,
-		})
-	}
 	return QueryMeta{
 		Residual: true, PushedNodes: st.Pushed, TouchedEdges: st.Edges,
-		ClonedRows: owned, FellBack: st.FellBack,
-	}, session.Row, session
+		ClonedRows: session.OwnedRows(), FellBack: st.FellBack,
+	}, session
+}
+
+// sortedNodes returns a node → class map's nodes in ascending order, the
+// order seed deltas are queued in: equal-norm deltas then enter the push
+// heap alike on every run, so one request sequence gives one set of beliefs.
+func sortedNodes(m map[int]int) []int {
+	nodes := make([]int, 0, len(m))
+	for node := range m {
+		nodes = append(nodes, node)
+	}
+	sort.Ints(nodes)
+	return nodes
 }
 
 // seedOf reads a node's seed class back from its explicit-belief row — the

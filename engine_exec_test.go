@@ -1,13 +1,14 @@
 package factorgraph
 
 import (
+	"runtime"
 	"testing"
 )
 
-// TestEngineOverlayCache: an identical what-if repeated at the same label
-// generation is served from the memoized frontier (no pushes), and any
-// label patch invalidates it.
-func TestEngineOverlayCache(t *testing.T) {
+// whatIfFixture is a warm 2 000-node engine and an unlabeled node to put
+// what-if seeds on.
+func whatIfFixture(t *testing.T) (*Engine, []int, int) {
+	t.Helper()
 	g, seeds, _ := engineFixture(t, 2000, 16000, 0.05)
 	eng, err := NewEngine(g, seeds, 3, EngineOptions{ResidualEdgeBudget: 256})
 	if err != nil {
@@ -20,9 +21,16 @@ func TestEngineOverlayCache(t *testing.T) {
 			break
 		}
 	}
-	q := Query{Nodes: []int{node, (node + 3) % g.N}, TopK: 3,
-		ExtraSeeds: map[int]int{node: 2}}
+	return eng, seeds, node
+}
 
+// TestWhatIfRepeatIsBitIdentical: an identical what-if asked twice at one
+// generation flushes twice to bit-identical labels and scores, with the same
+// push and clone work.
+func TestWhatIfRepeatIsBitIdentical(t *testing.T) {
+	eng, _, node := whatIfFixture(t)
+	q := Query{Nodes: []int{node, (node + 3) % 2000}, TopK: 3,
+		ExtraSeeds: map[int]int{node: 2}}
 	collect := func() ([]NodeResult, QueryMeta) {
 		var out []NodeResult
 		meta, err := eng.ClassifyEachMeta(q, func(r NodeResult) error {
@@ -36,98 +44,63 @@ func TestEngineOverlayCache(t *testing.T) {
 	}
 
 	first, m1 := collect()
-	if !m1.Residual || m1.CacheHit {
-		t.Fatalf("first what-if meta = %+v, want residual miss", m1)
-	}
-	if m1.PushedNodes == 0 || m1.ClonedRows == 0 {
+	if !m1.Residual || m1.PushedNodes == 0 || m1.ClonedRows == 0 {
 		t.Fatalf("first what-if did no push work: %+v", m1)
 	}
 	second, m2 := collect()
-	if !m2.CacheHit {
-		t.Fatalf("repeated what-if meta = %+v, want cache hit", m2)
-	}
-	if m2.ClonedRows != m1.ClonedRows || m2.PushedNodes != m1.PushedNodes {
-		t.Errorf("cache hit reports different work: %+v vs %+v", m2, m1)
+	if m2 != m1 {
+		t.Errorf("repeated what-if meta = %+v, want %+v", m2, m1)
 	}
 	for i := range first {
 		if first[i].Label != second[i].Label {
-			t.Fatalf("cached label differs at node %d: %d vs %d", first[i].Node, second[i].Label, first[i].Label)
+			t.Fatalf("label differs at node %d: %d vs %d", first[i].Node, second[i].Label, first[i].Label)
 		}
 		for j := range first[i].Top {
 			if first[i].Top[j] != second[i].Top[j] {
-				t.Fatalf("cached scores differ at node %d", first[i].Node)
+				t.Fatalf("scores differ at node %d: %v vs %v", first[i].Node, second[i].Top, first[i].Top)
 			}
 		}
 	}
-	if st := eng.Stats(); st.OverlayCacheHits != 1 {
-		t.Errorf("OverlayCacheHits = %d, want 1", st.OverlayCacheHits)
-	}
-
-	// A different extra-seed set is its own entry, not a hit.
-	q2 := q
-	q2.ExtraSeeds = map[int]int{node: 1}
-	if meta, err := eng.ClassifyEachMeta(q2, func(NodeResult) error { return nil }); err != nil {
-		t.Fatal(err)
-	} else if meta.CacheHit {
-		t.Error("different seed set hit the cache")
-	}
-
-	// A label patch bumps the generation: the cached frontier is stale.
-	if err := eng.UpdateLabels(map[int]int{(node + 5) % g.N: 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	_, m3 := collect()
-	if m3.CacheHit {
-		t.Error("what-if after a patch served a stale cached frontier")
-	}
-	if st := eng.Stats(); st.OverlayCacheHits != 1 {
-		t.Errorf("OverlayCacheHits after invalidation = %d, want 1", st.OverlayCacheHits)
-	}
-	// And the refreshed entry hits again.
-	if _, m4 := collect(); !m4.CacheHit {
-		t.Error("refreshed what-if entry did not hit")
+	if st := eng.Stats(); st.OverlayCacheHits != 0 {
+		t.Errorf("OverlayCacheHits = %d, want 0", st.OverlayCacheHits)
 	}
 }
 
-// TestOverlayCacheKeyCanonical: map iteration order must not split
-// identical seed sets across entries.
-func TestOverlayCacheKeyCanonical(t *testing.T) {
-	a := map[int]int{5: 1, 17: 2, 3: 0}
-	for i := 0; i < 20; i++ {
-		b := map[int]int{17: 2, 3: 0, 5: 1}
-		if overlayCacheKey(a) != overlayCacheKey(b) {
-			t.Fatal("identical seed sets produced different keys")
+// TestWhatIfsRetainNoHeap: a what-if's session is dropped once it is read,
+// so sixty-four distinct one-seed what-ifs leave the engine's GC'd heap
+// where it was — nothing the registry's footprint budget cannot see.
+func TestWhatIfsRetainNoHeap(t *testing.T) {
+	eng, seeds, _ := whatIfFixture(t)
+	var unlabeled []int
+	for i, c := range seeds {
+		if c == Unlabeled {
+			unlabeled = append(unlabeled, i)
 		}
 	}
-	if overlayCacheKey(map[int]int{5: 1}) == overlayCacheKey(map[int]int{5: 2}) {
-		t.Fatal("different classes share a key")
+	whatIf := func(node int) {
+		q := Query{Nodes: []int{node}, ExtraSeeds: map[int]int{node: 1}}
+		if _, err := eng.ClassifyEachMeta(q, func(NodeResult) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
-
-// TestOverlayCacheLRU: capacity bounds entries; eviction drops the oldest.
-func TestOverlayCacheLRU(t *testing.T) {
-	var c overlayCache
-	for i := 0; i < overlayCacheCap+10; i++ {
-		c.put(&overlayCacheEntry{key: overlayCacheKey(map[int]int{i: 1}), gen: 1,
-			rows: map[int32][]float64{}})
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	if c.len() != overlayCacheCap {
-		t.Fatalf("cache len = %d, want cap %d", c.len(), overlayCacheCap)
+	whatIf(unlabeled[0]) // warm: the cold solve and any lazily sized scratch
+	before := heap()
+	for _, node := range unlabeled[1:65] {
+		whatIf(node)
 	}
-	if c.get(overlayCacheKey(map[int]int{0: 1}), 1) != nil {
-		t.Error("oldest entry survived eviction")
-	}
-	if c.get(overlayCacheKey(map[int]int{overlayCacheCap + 9: 1}), 1) == nil {
-		t.Error("newest entry evicted")
-	}
-	// Oversized frontiers are not cached at all.
-	big := make(map[int32][]float64, overlayCacheMaxRows+1)
-	for i := int32(0); i <= overlayCacheMaxRows; i++ {
-		big[i] = nil
-	}
-	c.put(&overlayCacheEntry{key: "big", gen: 1, rows: big})
-	if c.get("big", 1) != nil {
-		t.Error("oversized frontier was cached")
+	after := heap()
+	runtime.KeepAlive(eng)
+	const limit = 2 << 20
+	if after > before && after-before >= limit {
+		t.Errorf("64 what-ifs grew HeapAlloc by %.1f MB, want < %.0f MB",
+			float64(after-before)/(1<<20), float64(limit)/(1<<20))
 	}
 }
 

@@ -598,15 +598,15 @@ func (e *Engine) Dims() (n, m int) {
 }
 
 // ReleaseTransient drops the engine's rebuildable working state — the
-// residual solver state, the cached summaries and the what-if cache — while
-// keeping everything whose loss would force a cold rebuild: the graph (CSR
-// plus delta overlay), the seed labels and the H estimate. The next query
-// re-solves with ONE propagation — o(build), not o(parse+estimate+build) —
-// and no acknowledged mutation (labels, H, topology) is lost, so the
-// registry may partially release ANY engine, mutated or not. It takes mu
-// only, never the writer mutex (the registry calls it under its own lock):
-// a session in flight finds its state gone at commit and is discarded.
-// Returns the post-release footprint.
+// residual solver state and the cached summaries — while keeping everything
+// whose loss would force a cold rebuild: the graph (CSR plus delta overlay),
+// the seed labels and the H estimate. The next query re-solves with ONE
+// propagation — o(build), not o(parse+estimate+build) — and no acknowledged
+// mutation (labels, H, topology) is lost, so the registry may partially
+// release ANY engine, mutated or not. It takes mu only, never the writer
+// mutex (the registry calls it under its own lock): a session in flight
+// finds its state gone at commit and is discarded. Returns the post-release
+// footprint.
 func (e *Engine) ReleaseTransient() int64 {
 	e.mu.Lock()
 	if e.closed {
@@ -618,6 +618,5 @@ func (e *Engine) ReleaseTransient() int64 {
 	e.sumMu.Lock()
 	e.setSumsLocked(nil)
 	e.sumMu.Unlock()
-	e.ovCache.purge()
 	return e.MemoryFootprint()
 }

@@ -1,7 +1,6 @@
 package factorgraph
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"os"
@@ -601,26 +600,5 @@ func TestMutateQuerySpeedup(t *testing.T) {
 		} else {
 			t.Errorf("mutate path %v not ≥10× faster than rebuild %v", mutDur, rebDur)
 		}
-	}
-	if out := os.Getenv("BENCH_MUTATE_OUT"); out != "" {
-		blob, err := json.MarshalIndent(map[string]any{
-			"nodes":         n,
-			"edges":         m,
-			"pushed_nodes":  mutMeta.PushedNodes,
-			"touched_edges": mutMeta.TouchedEdges,
-			"rebuild_edges": rebuildWork,
-			"work_ratio":    float64(mutMeta.TouchedEdges) / float64(rebuildWork),
-			"speedup":       speedup,
-			"mutate_ms":     float64(mutDur) / float64(time.Millisecond),
-			"rebuild_ms":    float64(rebDur) / float64(time.Millisecond),
-			"timestamp":     time.Now().UTC().Format(time.RFC3339),
-		}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-			t.Fatalf("writing %s: %v", out, err)
-		}
-		t.Logf("wrote mutation bench artifact to %s", out)
 	}
 }

@@ -1,10 +1,8 @@
 package factorgraph
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -462,7 +460,7 @@ func TestNewEngineWithH(t *testing.T) {
 // re-propagation (propagation.LinBP at fullIters), without falling back,
 // with matching beliefs. The gate is the deterministic work ratio — edges
 // touched vs. edges a full propagation scans; the wall-clock ratio is
-// logged (and emitted in the artifact) as context only, since at this size
+// logged as context only, since at this size
 // it sits near 10× and a shared runner moves it either way. Skipped in
 // -short; the full suite runs it.
 func TestResidualPatchQuerySpeedup(t *testing.T) {
@@ -555,30 +553,6 @@ func TestResidualPatchQuerySpeedup(t *testing.T) {
 	t.Logf("patch+query: residual %v (pushed %d nodes, %d edges) vs full %v — %.1f× speedup",
 		incDur, incMeta.PushedNodes, incMeta.TouchedEdges, fullDur,
 		float64(fullDur)/float64(incDur))
-	// CI trends the residual path: when BENCH_RESIDUAL_OUT names a file,
-	// emit the work ratio (deterministic — the regression gate) and the
-	// wall-clock speedup (context) as a JSON artifact for cmd/benchdiff.
-	if out := os.Getenv("BENCH_RESIDUAL_OUT"); out != "" {
-		blob, err := json.MarshalIndent(map[string]any{
-			"nodes":         n,
-			"edges":         m,
-			"pushed_nodes":  incMeta.PushedNodes,
-			"touched_edges": incMeta.TouchedEdges,
-			"full_edges":    fullWork,
-			"work_ratio":    float64(incMeta.TouchedEdges) / float64(fullWork),
-			"speedup":       float64(fullDur) / float64(incDur),
-			"residual_ms":   float64(incDur) / float64(time.Millisecond),
-			"full_ms":       float64(fullDur) / float64(time.Millisecond),
-			"timestamp":     time.Now().UTC().Format(time.RFC3339),
-		}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-			t.Fatalf("writing %s: %v", out, err)
-		}
-		t.Logf("wrote residual bench artifact to %s", out)
-	}
 
 	// Belief parity on the patched state: both paths saw the same final
 	// patch (class 2), same H.

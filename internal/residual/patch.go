@@ -314,28 +314,14 @@ func (p *Patch) Row(node int) []float64 {
 	return p.base.f.Row(node)
 }
 
-// OwnedRows reports the belief rows the session holds privately: a sparse
-// session's copy-on-write clones, or every row of a promoted session's
-// matrix. size is their count; rows (node → row) is nil when size exceeds
-// max, so a promoted session on a large graph never materializes an
-// n-entry map. The rows stay valid after Abort — the engine's what-if
-// cache retains them.
-func (p *Patch) OwnedRows(max int) (rows map[int32][]float64, size int) {
-	size = len(p.rows)
+// OwnedRows reports how many belief rows the session holds privately: a
+// sparse session's copy-on-write clones, or every row of a promoted
+// session's matrix.
+func (p *Patch) OwnedRows() int {
 	if p.df != nil {
-		size = p.df.Rows
+		return p.df.Rows
 	}
-	if size > max {
-		return nil, size
-	}
-	if p.df == nil {
-		return p.rows, size
-	}
-	rows = make(map[int32][]float64, size)
-	for i := 0; i < size; i++ {
-		rows[int32(i)] = p.df.Row(i)
-	}
-	return rows, size
+	return len(p.rows)
 }
 
 // Abort ends the session without merging anything into the base: every

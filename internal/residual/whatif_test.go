@@ -68,7 +68,7 @@ func TestUnappliedSessionMatchesFixedPoint(t *testing.T) {
 	if st.FellBack {
 		t.Fatal("small what-if fell back")
 	}
-	_, owned := p.OwnedRows(n)
+	owned := p.OwnedRows()
 	if st.Pushed == 0 || owned == 0 {
 		t.Fatalf("session did no work: %+v, owned=%d", st, owned)
 	}
@@ -182,8 +182,8 @@ func TestUnappliedSessionFloodConverges(t *testing.T) {
 	if !st.FellBack || st.Sweeps == 0 {
 		t.Errorf("graph-wide what-if: %+v, want FellBack with sweeps", st)
 	}
-	if rows, owned := p.OwnedRows(n - 1); rows != nil || owned != n {
-		t.Errorf("promoted session owns %d rows (map %v), want all %d and no map past the limit", owned, rows != nil, n)
+	if owned := p.OwnedRows(); owned != n {
+		t.Errorf("promoted session owns %d rows, want all %d", owned, n)
 	}
 	if d := maxRowDiff(p, fixedPoint(t, w, h, x2)); d > 1e-6 {
 		t.Errorf("flooding what-if beliefs differ from full propagation by %g", d)

@@ -119,9 +119,6 @@ func appendClassifyResponse(b []byte, resp *ClassifyResponse) ([]byte, error) {
 	if resp.FellBack {
 		b = append(b, `,"fell_back":true`...)
 	}
-	if resp.Cached {
-		b = append(b, `,"cached":true`...)
-	}
 	if len(resp.Stages) > 0 {
 		b = append(b, `,"stages":[`...)
 		for i, st := range resp.Stages {

@@ -90,7 +90,6 @@ func randClassifyResponse(rng *rand.Rand) ClassifyResponse {
 		Count:    randInt(rng),
 		Residual: rng.IntN(2) == 0,
 		FellBack: rng.IntN(2) == 0,
-		Cached:   rng.IntN(2) == 0,
 	}
 	switch rng.IntN(3) {
 	case 1:
@@ -166,7 +165,6 @@ func FuzzClassifyEncode(f *testing.F) {
 			Count:        r.Label,
 			Residual:     flags&1 != 0,
 			FellBack:     flags&2 != 0,
-			Cached:       flags&4 != 0,
 			PushedNodes:  int(int16(flags >> 16)),
 			TouchedEdges: int(int16(flags >> 32)),
 			ClonedRows:   int(int8(flags >> 48)),

@@ -534,7 +534,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, eng *fac
 			Count: len(results), Results: results,
 			Residual: meta.Residual, PushedNodes: meta.PushedNodes,
 			TouchedEdges: meta.TouchedEdges, ClonedRows: meta.ClonedRows,
-			FellBack: meta.FellBack, Cached: meta.CacheHit,
+			FellBack: meta.FellBack,
 		}
 		if debug && tr != nil {
 			for _, sp := range tr.Spans() {

@@ -86,7 +86,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Errorf("span names %v missing serve/engine layers", names)
 	}
 	lower := false
-	for _, n := range []string{"residual_direct", "overlay_flush", "overlay_cached", "emit"} {
+	for _, n := range []string{"residual_direct", "overlay_flush", "emit"} {
 		lower = lower || names[n]
 	}
 	if !lower {

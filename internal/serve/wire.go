@@ -182,19 +182,12 @@ type ClassifyResponse struct {
 	// FellBack reports that the what-if ran a whole-matrix round on its
 	// private clone, exactly as a label patch's fell_back does.
 	FellBack bool `json:"fell_back,omitempty"`
-	// Cached is true when the what-if was answered from the engine's
-	// memoized what-if cache: an identical extra_seeds set was
-	// flushed earlier at the current label generation, so this response
-	// cost no pushing at all. The push/clone counts then describe the
-	// cached flush.
-	Cached bool `json:"cached,omitempty"`
 	// Stages is the per-stage time breakdown of how this query was served,
 	// present when the request asked for it with ?debug=1 (non-streaming
-	// only). Stage names name the engine path taken: overlay_cached /
-	// overlay_flush for what-if queries, residual_direct for plain reads
-	// of the live fixed point, residual.init under either when the engine
-	// was cold and the query paid the full solve, emit for result
-	// formatting.
+	// only). Stage names name the engine path taken: overlay_flush for
+	// what-if queries, residual_direct for plain reads of the live fixed
+	// point, residual.init under either when the engine was cold and the
+	// query paid the full solve, emit for result formatting.
 	Stages []StageTiming `json:"stages,omitempty"`
 }
 

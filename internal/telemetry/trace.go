@@ -147,9 +147,9 @@ func (t *Trace) Start(name string) func() {
 }
 
 // StartSpan opens a span whose name is decided at close time — for stages
-// that only learn what they were after the fact (overlay_flush vs
-// overlay_cached). Closing with an empty name discards the span (the
-// cursor pops, nothing is recorded): the stage turned out not to happen.
+// whose name depends on what happens inside them. Closing with an empty
+// name discards the span (the cursor pops, nothing is recorded): the stage
+// turned out not to happen.
 // Safe on a nil trace.
 func (t *Trace) StartSpan() func(name string) {
 	if t == nil {

@@ -23,11 +23,6 @@ var (
 	engSketchApplies = telemetry.Default().Counter("fg_engine_sketch_delta_applies_total",
 		"Edge mutations folded incrementally into the cached DCEr sketches.")
 
-	engWhatifHits = telemetry.Default().Counter("fg_engine_whatif_cache_total",
-		"What-if overlay cache lookups.", telemetry.Labels{"result": "hit"})
-	engWhatifMisses = telemetry.Default().Counter("fg_engine_whatif_cache_total",
-		"What-if overlay cache lookups.", telemetry.Labels{"result": "miss"})
-
 	hPropagation = telemetry.Default().Histogram("fg_engine_propagation_seconds",
 		"Full LinBP solve duration.", nil)
 

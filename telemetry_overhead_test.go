@@ -249,32 +249,21 @@ func TestDebugTraceConsistency(t *testing.T) {
 		}
 	}
 
-	// A what-if query routes through the overlay; meta + stages must agree
-	// on cache behavior.
+	// A what-if query routes through the overlay; meta + stages must agree.
+	// Asked twice, it flushes twice: there is no what-if cache.
 	q := Query{Nodes: []int{1}, ExtraSeeds: map[int]int{4: 1}}
-	q.Trace = telemetry.NewTrace()
-	meta, err = eng.ClassifyEachMeta(q, func(NodeResult) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for _, sp := range q.Trace.Spans() {
-		names[sp.Name] = true
-	}
-	if meta.Residual && !meta.CacheHit && !names["overlay_flush"] {
-		t.Errorf("overlay miss, stages %v missing overlay_flush", names)
-	}
-
-	q.Trace = telemetry.NewTrace()
-	meta, err = eng.ClassifyEachMeta(q, func(NodeResult) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	names = map[string]bool{}
-	for _, sp := range q.Trace.Spans() {
-		names[sp.Name] = true
-	}
-	if meta.CacheHit && !names["overlay_cached"] {
-		t.Errorf("cache hit, stages %v missing overlay_cached", names)
+	for i := 0; i < 2; i++ {
+		q.Trace = telemetry.NewTrace()
+		meta, err = eng.ClassifyEachMeta(q, func(NodeResult) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := map[string]bool{}
+		for _, sp := range q.Trace.Spans() {
+			names[sp.Name] = true
+		}
+		if !meta.Residual || meta.CacheHit || !names["overlay_flush"] {
+			t.Errorf("what-if %d: meta %+v, stages %v, want a residual overlay_flush", i, meta, names)
+		}
 	}
 }
