@@ -188,7 +188,7 @@ type EngineOptions struct {
 	// AsyncCompact moves overlay-fraction compactions off the mutation
 	// path: the triggering MutateTopology batch returns immediately
 	// (MutateMeta.CompactPending) while a background compactor merges the
-	// frozen epoch and runs the ρ(W) power iteration; mutations keep
+	// frozen epoch and runs the ρ(W) Lanczos bracket; mutations keep
 	// landing in a fresh overlay stacked on top, and only the swap + the
 	// closed-form residual rescale run under the write lock once the
 	// build is ready. The contraction guard still compacts synchronously —
@@ -308,7 +308,7 @@ func (o EngineOptions) Validate() error {
 
 // NewEngine builds a serving engine over g with the given seed labels
 // (length g.N, Unlabeled for unknown) and k classes. It performs all
-// preprocessing eagerly: ρ(W) by cached power iteration and the H estimate
+// preprocessing eagerly: ρ(W) by cached Lanczos and the H estimate
 // with the configured estimator. The engine keeps its own copy of seeds;
 // the graph must not be mutated afterwards.
 func NewEngine(g *Graph, seeds []int, k int, opts ...EngineOptions) (*Engine, error) {
@@ -365,7 +365,7 @@ func newEngine(g *Graph, seeds []int, k int, h *Matrix, method string, opts []En
 	e.epochAt = time.Now()
 	// Warm the spectral-radius cache before any query arrives; this
 	// canonical ρ(W) stays pinned until the next topology compaction.
-	e.rhoW = g.Adj.SpectralRadiusCached(spectralIters)
+	e.rhoW = g.Adj.SpectralRadiusCached()
 	e.topo = delta.New(g.Adj)
 	est := &Estimate{H: nil, Method: method}
 	if h != nil {
@@ -380,16 +380,11 @@ func newEngine(g *Graph, seeds []int, k int, h *Matrix, method string, opts []En
 	return e, nil
 }
 
-// spectralIters bounds the power iteration behind every ρ(W) the engine
-// derives, at construction and at each compaction.
-const spectralIters = 50
-
 // residualOptions derives the residual subsystem's settings from the
 // engine's options (zero values select the residual package defaults).
 func (e *Engine) residualOptions() residual.Options {
 	return residual.Options{
-		S: e.eopts.S, Tol: e.eopts.ResidualTol, SpectralIters: spectralIters,
-		EdgeBudgetFactor: e.eopts.ResidualEdgeBudget,
+		S: e.eopts.S, Tol: e.eopts.ResidualTol, EdgeBudgetFactor: e.eopts.ResidualEdgeBudget,
 	}
 }
 
@@ -545,6 +540,12 @@ type NumericHealth struct {
 	ContractionMargin float64
 	ContractionGuard  float64
 
+	// RhoW ≤ ρ(W) ≤ RhoWUpper is the spectral-radius bracket of the pinned
+	// epoch's base CSR: RhoW is the Lanczos value ε is derived from,
+	// RhoWUpper its Collatz–Wielandt upper bound.
+	RhoW      float64
+	RhoWUpper float64
+
 	// OverlayFraction is the delta overlay's patched share of the base
 	// rows; CompactTrigger is the fraction that triggers compaction.
 	OverlayFraction float64
@@ -599,6 +600,8 @@ func (e *Engine) NumericHealth() NumericHealth {
 			h.ContractionSEff = s
 		}
 		h.ContractionMargin = contractionGuard - h.ContractionSEff
+		// A load: every epoch's base was memoized before it was installed.
+		h.RhoW, h.RhoWUpper = e.topo.Base().SpectralBracketCached()
 		h.OverlayFraction = e.topo.PatchedFraction()
 		h.CompactTrigger = e.compactFraction()
 		h.SketchDriftLimit = sketchDriftFraction * float64(e.topo.UndirectedEdges())

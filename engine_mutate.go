@@ -398,7 +398,7 @@ func (e *Engine) CompactTopology() (MutateMeta, error) {
 const maxRescale = 0.5
 
 // compactNow merges the overlay into a fresh canonical CSR and installs it
-// as the new epoch, synchronously: the merge and the ρ(W) power iteration
+// as the new epoch, synchronously: the merge and the ρ(W) Lanczos bracket
 // run outside the engine locks (the overlay epoch is immutable and
 // patchMu — held by the caller — excludes other mutators), then
 // installEpoch swaps the result in.
@@ -415,7 +415,7 @@ func (e *Engine) compactNow() (compacted, rescaled bool, err error) {
 	}
 	start := telemetry.Now()
 	csr := topo.Compact()
-	rhoNew := csr.SpectralRadiusCached(spectralIters)
+	rhoNew := csr.SpectralRadiusCached()
 	installed, rescaled := e.installEpoch(topo, csr, rhoNew)
 	if !installed {
 		// patchMu (held by the caller) excludes every other epoch producer,
@@ -513,7 +513,7 @@ func (e *Engine) startAsyncCompact() bool {
 }
 
 // runAsyncCompact is the background compactor: it merges the frozen epoch
-// and runs the ρ(W) power iteration entirely lock-free (the epoch is
+// and runs the ρ(W) Lanczos bracket entirely lock-free (the epoch is
 // immutable — mutations land in fresh overlays stacked on top meanwhile),
 // then takes patchMu like any mutator and swaps the build in. A stale
 // build (the engine closed, or the contraction guard forced a synchronous
@@ -522,7 +522,7 @@ func (e *Engine) startAsyncCompact() bool {
 func (e *Engine) runAsyncCompact(frozen *delta.Graph) {
 	start := telemetry.Now()
 	csr := frozen.Compact()
-	rhoNew := csr.SpectralRadiusCached(spectralIters)
+	rhoNew := csr.SpectralRadiusCached()
 	e.patchMu.Lock()
 	installed, _ := e.installEpoch(frozen, csr, rhoNew)
 	e.patchMu.Unlock()

@@ -53,7 +53,7 @@ func Fig10(cfg Config) (*Table, error) {
 	hTilde := dense.AddScalar(h, -1.0/float64(k))
 	// s chosen so the centered run converges (s=0.95 < 1) — the same ε
 	// makes the uncentered spectral radius exceed 1 (s≈1.18 in the paper).
-	eps, err := propagation.ScalingFactor(w, hTilde, 0.95, 100)
+	eps, err := propagation.ScalingFactor(w, hTilde, 0.95)
 	if err != nil {
 		return nil, err
 	}

@@ -103,9 +103,3 @@ func (h *Matrix) NBPathCounts(n, lmax int) ([]*dense.Matrix, error) {
 	}
 	return out, nil
 }
-
-// SpectralRadius estimates ρ(B), which governs the detectability threshold
-// in NB-walk community detection (Krzakala et al., reference [30]).
-func (h *Matrix) SpectralRadius(iters int) float64 {
-	return h.B.SpectralRadius(iters)
-}

@@ -1,7 +1,6 @@
 package hashimoto
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -137,37 +136,6 @@ func TestNBPathCountsErrors(t *testing.T) {
 	}
 	if _, err := h.NBPathCounts(3, 0); err == nil {
 		t.Error("expected lmax error")
-	}
-}
-
-func TestSpectralRadiusRegularGraph(t *testing.T) {
-	// On a d-regular graph ρ(B) = d−1 (Hashimoto's theorem); a triangle is
-	// 2-regular so ρ(B) = 1.
-	w := triangle(t)
-	h, err := New(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.SpectralRadius(400); math.Abs(got-1) > 1e-6 {
-		t.Errorf("ρ(B) = %v, want 1 on a 2-regular graph", got)
-	}
-	// Complete graph K4 is 3-regular: ρ(B) = 2.
-	var edges [][2]int32
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			edges = append(edges, [2]int32{int32(i), int32(j)})
-		}
-	}
-	w4, err := sparse.NewSymmetricFromEdges(4, edges, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h4, err := New(w4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h4.SpectralRadius(400); math.Abs(got-2) > 1e-6 {
-		t.Errorf("ρ(B) = %v, want 2 on K4", got)
 	}
 }
 

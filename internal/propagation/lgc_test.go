@@ -145,7 +145,7 @@ func TestEchoCancellationExactOnPair(t *testing.T) {
 	// Independent reference with the same ε.
 	k := 2
 	hTilde := dense.AddScalar(h, -1.0/float64(k))
-	eps, err := ScalingFactor(w, hTilde, 0.5, 50)
+	eps, err := ScalingFactor(w, hTilde, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,6 @@ type LinBPOptions struct {
 	// the convergence threshold); it is kept here for the ablation
 	// experiment. Default false.
 	EchoCancellation bool
-	// SpectralIters bounds the power iterations for ρ(W). Default 50.
-	SpectralIters int
 }
 
 func (o *LinBPOptions) defaults() {
@@ -45,9 +43,6 @@ func (o *LinBPOptions) defaults() {
 	}
 	if o.Iterations == 0 {
 		o.Iterations = 10
-	}
-	if o.SpectralIters == 0 {
-		o.SpectralIters = 50
 	}
 }
 
@@ -97,17 +92,14 @@ func LinBPLabels(w *sparse.CSR, x *dense.Matrix, h *dense.Matrix, opts LinBPOpti
 // ScalingFactor returns ε = s/(ρ(W)·ρ(H)), the scaling that guarantees
 // convergence of LinBP for s < 1 (Eq. 2). H is the (centered) compatibility
 // matrix actually used in the update.
-func ScalingFactor(w *sparse.CSR, h *dense.Matrix, s float64, spectralIters int) (float64, error) {
-	if spectralIters <= 0 {
-		spectralIters = 50
-	}
-	return ScalingFactorWithRho(w.SpectralRadiusCached(spectralIters), h, s)
+func ScalingFactor(w *sparse.CSR, h *dense.Matrix, s float64) (float64, error) {
+	return ScalingFactorWithRho(w.SpectralRadiusCached(), h, s)
 }
 
 // ScalingFactorWithRho is ScalingFactor with ρ(W) supplied by the caller.
 // The mutable-topology engine pins ρ(W) per compaction epoch (re-deriving
 // it canonically from the compacted CSR), so the scaling of a mutated
-// graph is computed from the pinned value, not a fresh power iteration.
+// graph is computed from the pinned value, not a fresh Lanczos run.
 func ScalingFactorWithRho(rhoW float64, h *dense.Matrix, s float64) (float64, error) {
 	if s <= 0 {
 		return 0, fmt.Errorf("propagation: convergence parameter s=%v must be positive", s)

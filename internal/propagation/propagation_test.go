@@ -140,7 +140,7 @@ func TestCenteringInvarianceProperty(t *testing.T) {
 		// the same ρ as used in the first run, so pass Center=false with
 		// pre-centered X only — i.e. H uncentered, X uncentered.
 		hTilde := dense.AddScalar(h, -1.0/float64(k))
-		eps, err := ScalingFactor(w, hTilde, 0.5, 50)
+		eps, err := ScalingFactor(w, hTilde, 0.5)
 		if err != nil {
 			return false
 		}
@@ -177,7 +177,7 @@ func TestEnergyZeroAtFixedPoint(t *testing.T) {
 	x, _ := labels.Matrix(seed, 2)
 	k := 2
 	hTilde := dense.AddScalar(heteroH(), -1.0/float64(k))
-	eps, err := ScalingFactor(w, hTilde, 0.5, 100)
+	eps, err := ScalingFactor(w, hTilde, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestScalingFactorConvergence(t *testing.T) {
 		s        float64
 		converge bool
 	}{{0.5, true}, {3.0, false}} {
-		eps, err := ScalingFactor(w, h, tc.s, 100)
+		eps, err := ScalingFactor(w, h, tc.s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestLinBPShapeErrors(t *testing.T) {
 	if _, err := LinBP(w, dense.New(6, 2), dense.New(2, 3), LinBPOptions{}); err == nil {
 		t.Error("expected square-H error")
 	}
-	if _, err := ScalingFactor(w, heteroH(), -1, 10); err == nil {
+	if _, err := ScalingFactor(w, heteroH(), -1); err == nil {
 		t.Error("expected bad-s error")
 	}
 }
@@ -358,7 +358,7 @@ func TestDefaultLinBPOptions(t *testing.T) {
 func TestScalingFactorDegenerate(t *testing.T) {
 	// Empty graph: ε defaults to 1.
 	e, _ := sparse.NewFromCoords(3, nil)
-	eps, err := ScalingFactor(e, heteroH(), 0.5, 10)
+	eps, err := ScalingFactor(e, heteroH(), 0.5)
 	if err != nil || eps != 1 {
 		t.Errorf("degenerate ε = %v, err %v", eps, err)
 	}

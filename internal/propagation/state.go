@@ -42,20 +42,16 @@ type State struct {
 // NewState validates shapes, computes ε = s/(ρ(W)·ρ(H̃)) once, and
 // allocates the iteration buffers for an n×k propagation.
 func NewState(w *sparse.CSR, h *dense.Matrix, opts LinBPOptions) (*State, error) {
-	iters := opts.SpectralIters
-	if iters <= 0 {
-		iters = 50
-	}
 	if w.N == 0 {
 		return nil, fmt.Errorf("propagation: empty graph")
 	}
-	return NewStateOn(w, h, opts, w.SpectralRadiusCached(iters))
+	return NewStateOn(w, h, opts, w.SpectralRadiusCached())
 }
 
 // NewStateOn is NewState over an arbitrary RowIterator adjacency with a
 // caller-supplied ρ(W) — a delta overlay with the ρ pinned at its last
 // compaction scales like the serving engine's residual solver instead of
-// re-running a power iteration over a moving graph.
+// re-running the ρ(W) eigensolve over a moving graph.
 func NewStateOn(w exec.RowIterator, h *dense.Matrix, opts LinBPOptions, rhoW float64) (*State, error) {
 	if h.Rows != h.Cols {
 		return nil, fmt.Errorf("propagation: H is %d×%d, want square", h.Rows, h.Cols)
@@ -112,7 +108,7 @@ func rowDegrees(w exec.RowIterator) []float64 {
 
 // setH (re)computes the centered, ε-scaled compatibility matrix. ρ(W) is
 // the state's pinned value (cached on the CSR for frozen graphs), so
-// swapping H on a live engine never re-runs the power iteration over the
+// swapping H on a live engine never re-runs the ρ(W) eigensolve over the
 // graph.
 func (s *State) setH(h *dense.Matrix) error {
 	hUse := h.Clone()

@@ -100,8 +100,6 @@ type Options struct {
 	// s = 0.5 the residual contracts by ~s per round, so 100 is far past any
 	// realistic tolerance).
 	MaxSweeps int
-	// SpectralIters bounds the power iterations for ρ(W); default 50.
-	SpectralIters int
 	// EdgeBudgetFactor bounds the sparse-tier push pass of a Flush: past
 	// EdgeBudgetFactor·nnz(W) edges the session promotes, exactly as it does
 	// when its frontier saturates, and the promoted tier prices every round
@@ -129,9 +127,6 @@ func (o *Options) defaults() {
 		if o.MaxSweeps < 100 {
 			o.MaxSweeps = 100
 		}
-	}
-	if o.SpectralIters == 0 {
-		o.SpectralIters = 50
 	}
 	if o.EdgeBudgetFactor == 0 {
 		o.EdgeBudgetFactor = 4
@@ -212,11 +207,7 @@ func NewState(w *sparse.CSR, h *dense.Matrix, opts Options) (*State, error) {
 	if w.N == 0 {
 		return nil, fmt.Errorf("residual: empty graph")
 	}
-	iters := opts.SpectralIters
-	if iters <= 0 {
-		iters = 50
-	}
-	return NewStateOn(w, h, opts, w.SpectralRadiusCached(iters))
+	return NewStateOn(w, h, opts, w.SpectralRadiusCached())
 }
 
 // NewStateOn is NewState over an arbitrary RowIterator adjacency with a

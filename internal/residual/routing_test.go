@@ -39,7 +39,7 @@ func TestFlushPricesEveryRound(t *testing.T) {
 	h := testH(k, 0.5)
 	for _, workers := range []int{1, 0} {
 		x := x0.Clone()
-		rho := w.SpectralRadiusCached(50)
+		rho := w.SpectralRadiusCached()
 		s, err := NewStateOn(delta.New(w), h, Options{Workers: workers}, rho)
 		if err != nil {
 			t.Fatal(err)

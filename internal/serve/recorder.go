@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -322,6 +323,10 @@ const (
 	// mass exceeds this many multiples of the per-node tolerance — the
 	// discards are no longer individually negligible in aggregate.
 	healthDroppedTolMultiple = 1e4
+	// healthRhoBracketWarn: warn when the ρ(W) bracket's relative width
+	// (ρ̄ − ρ)/ρ passes this — ε rests on a ρ that is no longer certified
+	// to three digits.
+	healthRhoBracketWarn = 1e-3
 	// healthEpochAgeWarn: warn when an epoch older than this still has an
 	// overlay past the warn share of its compaction trigger — the
 	// compaction that should have swapped a fresh epoch in never landed.
@@ -361,6 +366,7 @@ func numericChecks(h factorgraph.NumericHealth) []HealthCheck {
 			Status: statusAbove(h.OverlayFraction, healthTriggerShare*h.CompactTrigger),
 			Detail: "patched share of stored entries vs the compaction trigger",
 		},
+		rhoBracketCheck(h),
 		{
 			Name:   "epoch_age_seconds",
 			Value:  h.EpochAgeSeconds,
@@ -380,6 +386,26 @@ func numericChecks(h factorgraph.NumericHealth) []HealthCheck {
 		})
 	}
 	return checks
+}
+
+// rhoBracketCheck reports the relative width (ρ̄ − ρ)/ρ of the pinned
+// ρ(W) bracket; a bound that is not finite reads as the largest float and
+// warns.
+func rhoBracketCheck(h factorgraph.NumericHealth) HealthCheck {
+	var width float64
+	switch {
+	case math.IsNaN(h.RhoWUpper) || math.IsInf(h.RhoWUpper, 0):
+		width = math.MaxFloat64
+	case h.RhoW > 0:
+		width = (h.RhoWUpper - h.RhoW) / h.RhoW
+	}
+	return HealthCheck{
+		Name:   "rho_w_bracket",
+		Value:  width,
+		WarnAt: healthRhoBracketWarn,
+		Status: statusAbove(width, healthRhoBracketWarn),
+		Detail: "relative width of the certified ρ(W) bracket the pinned ε rests on",
+	}
 }
 
 func statusAbove(v, warnAt float64) string {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -242,7 +243,7 @@ func TestSlowLogEndToEnd(t *testing.T) {
 
 // TestNumericHealthEndpoint: resident graphs report their checks, cold
 // graphs are listed without being built, and a resident graph carries the
-// contraction/overlay/sketch checks.
+// contraction/overlay/sketch checks and a certified ρ(W) bracket.
 func TestNumericHealthEndpoint(t *testing.T) {
 	srv := newMultiServer(0, Options{})
 	body := `{"name":"rechealth","synthetic":{"n":200,"m":1000,"f":0.1,"seed":7}}`
@@ -274,8 +275,11 @@ func TestNumericHealthEndpoint(t *testing.T) {
 	if gh == nil {
 		t.Fatalf("no health entry for rechealth: %+v", resp)
 	}
-	want := map[string]bool{"residual_dropped_mass": false, "contraction_margin": false, "overlay_fraction": false, "epoch_age_seconds": false}
+	want := map[string]bool{"residual_dropped_mass": false, "contraction_margin": false, "overlay_fraction": false, "epoch_age_seconds": false, "rho_w_bracket": false}
 	for _, c := range gh.Checks {
+		if c.Name == "rho_w_bracket" && (c.Status != "ok" || !(c.Value >= 0 && c.Value <= 1e-3)) {
+			t.Errorf("rho_w_bracket = %+v, want ok with a relative width in [0, 1e-3]", c)
+		}
 		if _, ok := want[c.Name]; ok {
 			want[c.Name] = true
 		}
@@ -314,6 +318,8 @@ func TestNumericChecksThresholds(t *testing.T) {
 		EpochAgeSeconds:     7200,
 		SketchDrift:         9,
 		SketchDriftLimit:    10,
+		RhoW:                10,
+		RhoWUpper:           10.1,
 	}
 	status := map[string]string{}
 	for _, c := range numericChecks(h) {
@@ -325,10 +331,16 @@ func TestNumericChecksThresholds(t *testing.T) {
 		"overlay_fraction":      "warn", // 0.24 ≥ 0.8 × 0.25
 		"epoch_age_seconds":     "warn", // 2h old with a live overlay
 		"sketch_drift_fraction": "warn", // 0.9 ≥ 0.8
+		"rho_w_bracket":         "warn", // 0.01 > 1e-3
 	} {
 		if status[name] != wantStatus {
 			t.Errorf("check %s = %q, want %q", name, status[name], wantStatus)
 		}
+	}
+	// An upper bound that is not finite warns with a value JSON can carry.
+	h.RhoWUpper = math.Inf(1)
+	if c := rhoBracketCheck(h); c.Status != "warn" || c.Value != math.MaxFloat64 {
+		t.Errorf("infinite ρ̄: %+v, want warn at the largest float", c)
 	}
 
 	// The healthy side of every threshold.
@@ -341,6 +353,8 @@ func TestNumericChecksThresholds(t *testing.T) {
 		EpochAgeSeconds:     7200, // old but with an empty overlay: fine
 		SketchDrift:         1,
 		SketchDriftLimit:    10,
+		RhoW:                10,
+		RhoWUpper:           10.001,
 	}
 	for _, c := range numericChecks(h) {
 		if c.Status != "ok" {

@@ -25,7 +25,7 @@ type CSR struct {
 	Indices []int32   // column indices, sorted within each row
 	Data    []float64 // nil ⇒ implicit all-ones
 
-	rho atomic.Pointer[rhoMemo] // memoized spectral radius; see SpectralRadiusCached
+	rho atomic.Pointer[rhoMemo] // memoized ρ(W) bracket; see SpectralBracketCached
 }
 
 // NNZ returns the number of stored entries.
@@ -329,7 +329,7 @@ func (c *CSR) MulDenseRowsInto(out, x *dense.Matrix) {
 
 // MulVec returns W × v for a length-n vector. Rows are independent sums, so
 // past a size cutoff the scan runs row-parallel on the shared pool with
-// bit-identical results — the ρ(W) power iteration runs this product on
+// bit-identical results — the ρ(W) Lanczos run takes this product on
 // every compaction, which sits on the async-compact critical path.
 func (c *CSR) MulVec(v []float64) []float64 {
 	if len(v) != c.N {

@@ -225,52 +225,3 @@ func TestMulVecParallelBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// refSpectralRadius is the power iteration written plainly — a fresh
-// flat-scan product per iteration, normalized and copied back — which
-// SpectralRadius, swapping two buffers, must match bit for bit.
-func refSpectralRadius(c *CSR, iters int) float64 {
-	if c.N == 0 || c.NNZ() == 0 {
-		return 0
-	}
-	v := make([]float64, c.N)
-	for i := range v {
-		v[i] = 1
-	}
-	normalize(v)
-	var lambda float64
-	for it := 0; it < iters; it++ {
-		w := flatMulVec(c, v)
-		l := norm(w)
-		if l == 0 {
-			return 0
-		}
-		for i := range w {
-			w[i] /= l
-		}
-		copy(v, w)
-		lambda = l
-	}
-	return lambda
-}
-
-// TestSpectralRadiusBitIdentical: ρ(W) after 50 iterations is the reference
-// loop's bit for bit on graphs shaped like the benchmark's U20k, P10k and
-// P20k, and the iteration allocates its buffers once, not once per product.
-func TestSpectralRadiusBitIdentical(t *testing.T) {
-	none := func(int) bool { return false }
-	for _, g := range []struct {
-		name     string
-		n, m     int
-		powerLaw bool
-	}{{"U20k", 20000, 100000, false}, {"P10k", 10000, 50000, true}, {"P20k", 20000, 100000, true}} {
-		c := randSpmmCSR(t, g.n, g.m, g.powerLaw, false, none, 20)
-		got, want := c.SpectralRadius(50), refSpectralRadius(c, 50)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: ρ = %v, reference %v", g.name, got, want)
-		}
-		if allocs := testing.AllocsPerRun(2, func() { c.SpectralRadius(50) }); allocs > 3 {
-			t.Errorf("%s: SpectralRadius(50) made %v allocations, want ≤ 3", g.name, allocs)
-		}
-	}
-}
