@@ -375,3 +375,88 @@ func FuzzExactRound(f *testing.F) {
 		}
 	})
 }
+
+// refFoldRound is FoldRound unfused, as the propagation solver's round ran
+// before the fold: F = (x − c) + G into a matrix of its own, F·H̃ by
+// MulRowsH, then W·(F·H̃) into G.
+func refFoldRound(w RowIterator, x, g, hs *dense.Matrix, c float64) {
+	f, fh := dense.New(g.Rows, g.Cols), dense.New(g.Rows, g.Cols)
+	for i, v := range x.Data {
+		f.Data[i] = (v - c) + g.Data[i]
+	}
+	MulRowsH(fh.Data, f.Data, hs.Data, hs.Cols)
+	w.MulDenseInto(g, fh)
+}
+
+// FuzzFoldRound builds a small graph, a delta overlay of it, k, H̃, X, G
+// and the centring shift c ∈ {0, 1/k} from the fuzz bytes — every entry a
+// small dyadic rational, so no NaN arises — and runs FoldRound and
+// refFoldRound side by side for a few rounds on the CSR and on the overlay,
+// on 1 to 4 workers. G must agree bit for bit after every round.
+func FuzzFoldRound(f *testing.F) {
+	f.Add([]byte{7, 1, 1, 1, 12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 0, 6, 2, 2, 8})
+	f.Add([]byte{20, 3, 0, 0, 40, 9, 1, 17, 3, 5, 3, 11, 12, 200, 3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add([]byte{23, 7, 1, 1, 30, 0, 0, 1, 1, 2, 2, 0, 3, 5, 1, 0, 1, 255, 128, 64, 32, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		val := func() float64 { return float64(int8(next())) / 16 }
+		weight := func() float64 { return []float64{0.5, 1, 2, 3}[next()%4] }
+		n, k, weighted, centred := 1+next()%24, 2+next()%8, next()%2 == 1, next()%2 == 1
+		var edges [][2]int32
+		var wts []float64
+		for e := next() % 64; e > 0; e-- {
+			edges = append(edges, [2]int32{int32(next() % n), int32(next() % n)})
+			wts = append(wts, weight())
+		}
+		if !weighted {
+			wts = nil
+		}
+		csr, err := sparse.NewSymmetricFromEdges(n, edges, wts)
+		if err != nil {
+			t.Skip(err)
+		}
+		ov := delta.New(csr)
+		dim := ov.AddNodes(next() % 4)
+		for op := next() % 16; op > 0; op-- {
+			u, v := next()%dim, next()%dim
+			if next()%2 == 0 {
+				ov.SetEdge(u, v, weight())
+			} else {
+				ov.RemoveEdge(u, v)
+			}
+		}
+		hs := dense.New(k, k)
+		for i := range hs.Data {
+			hs.Data[i] = val() / 8
+		}
+		c := 0.0
+		if centred {
+			c = 1 / float64(k)
+		}
+		rounds, run := 1+next()%3, Runner{Workers: 1 + next()%4}
+		for _, w := range []RowIterator{csr, ov} {
+			rows := w.Dim()
+			x, want := dense.New(rows, k), dense.New(rows, k)
+			for i := range x.Data {
+				x.Data[i], want.Data[i] = val(), val()
+			}
+			got, fh := want.Clone(), dense.New(rows, k)
+			for round := 0; round < rounds; round++ {
+				run.FoldRound(w, x, got, fh, hs, c)
+				refFoldRound(w, x, want, hs, c)
+				for i, v := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+						t.Fatalf("n=%d k=%d round %d: G[%d] is %v, reference %v", rows, k, round, i, got.Data[i], v)
+					}
+				}
+			}
+		}
+	})
+}

@@ -224,36 +224,6 @@ func TestPullPassBudget(t *testing.T) {
 	}
 }
 
-// TestDenseRoundMatchesNaive: the fused dense round equals the naive
-// two-multiply composition, at a class count on each of MulRowsH's and the
-// SpMM's kernel arms.
-func TestDenseRoundMatchesNaive(t *testing.T) {
-	const n = 200
-	rng := rand.New(rand.NewSource(3))
-	w := ring(t, n)
-	for _, k := range []int{4, 5, 6, 7, 8, 11} {
-		h := dense.New(k, k)
-		f := dense.New(n, k)
-		for i := range h.Data {
-			h.Data[i] = rng.Float64() - 0.5
-		}
-		for i := range f.Data {
-			f.Data[i] = rng.Float64()
-		}
-		want := w.MulDense(dense.Mul(f, h))
-		fh, wfh := dense.New(n, k), dense.New(n, k)
-		got := dense.New(n, k)
-		Runner{}.DenseRound(w, f, h, fh, wfh, func(_, lo, hi int) {
-			copy(got.Data[lo*k:hi*k], wfh.Data[lo*k:hi*k])
-		})
-		for i := range want.Data {
-			if math.Abs(want.Data[i]-got.Data[i]) > 1e-12 {
-				t.Fatalf("k=%d: dense round diverges at %d: %g vs %g", k, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
 // TestMulRowsHMatchesTripleLoop: every width MulRowsH specialises — locals
 // at k ≤ 8, four-lane accumulators with a scalar remainder past it — equals
 // the plain triple loop entry for entry, on a single row and on a block of

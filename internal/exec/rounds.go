@@ -500,18 +500,58 @@ func MulRowsH(dst, src, hs []float64, k int) {
 	}
 }
 
-// DenseRound computes wfh = W·(f·hScaled) — the dense matrix core the
-// propagation solver iterates — and then invokes finish over row chunks in
-// parallel. fh and wfh are caller scratch (n×k); finish fuses the solver's
-// per-row update so each round is exactly three parallel passes over the
-// data. The sparse multiply always runs on the full shared pool; the
-// Runner's worker cap applies to the dense passes.
-func (r Runner) DenseRound(w RowIterator, f, hScaled, fh, wfh *dense.Matrix, finish func(chunk, lo, hi int)) {
+// FoldRound is one round of the propagation solver, which keeps
+// G = F − X̃ instead of F (X̃ = x − c, c = 1/k when centred and 0
+// otherwise): one flat pass forms fh = ((x − c) + g)·H̃, the F·H̃ of
+// F = X̃ + G, then the SpMM writes W·fh straight into g. The caller adds
+// X̃ once after its last round. The sparse multiply always runs on the
+// full shared pool; the Runner's worker cap applies to the flat pass.
+func (r Runner) FoldRound(w RowIterator, x, g, fh, hScaled *dense.Matrix, c float64) {
 	mDenseRounds.Inc()
 	k := hScaled.Cols
-	r.Rows(f.Rows, func(lo, hi int) {
-		MulRowsH(fh.Data[lo*k:hi*k], f.Data[lo*k:hi*k], hScaled.Data, k)
+	r.Rows(g.Rows, func(lo, hi int) {
+		foldXRows(fh.Data[lo*k:hi*k], x.Data[lo*k:hi*k], g.Data[lo*k:hi*k], hScaled.Data, c, k)
 	})
-	w.MulDenseInto(wfh, fh)
-	r.RowsIndexed(w.Dim(), finish)
+	w.MulDenseInto(g, fh)
+}
+
+// foldXRows is FoldRound's flat pass over k-wide rows stored back to back:
+// fh = ((x − c) + g)·H̃ with MulRowsH's arithmetic, g and x unchanged.
+// k = 3 and k = 5 have fixed-width arms doing both in one sweep; every
+// other width forms a block of rows on the stack, then runs MulRowsH on
+// it. All leave the same bits. fh must not alias x or g.
+func foldXRows(fh, x, g, hs []float64, c float64, k int) {
+	x, fh = x[:len(g)], fh[:len(g)]
+	switch k {
+	case 3:
+		h := (*[9]float64)(hs)
+		for j := 0; j+3 <= len(g); j += 3 {
+			a, b, d := (x[j]-c)+g[j], (x[j+1]-c)+g[j+1], (x[j+2]-c)+g[j+2]
+			fh[j], fh[j+1], fh[j+2] = a*h[0]+b*h[3]+d*h[6], a*h[1]+b*h[4]+d*h[7], a*h[2]+b*h[5]+d*h[8]
+		}
+	case 5:
+		h := (*[25]float64)(hs)
+		for j := 0; j+5 <= len(g); j += 5 {
+			xs, gs, d := (*[5]float64)(x[j:]), (*[5]float64)(g[j:]), (*[5]float64)(fh[j:])
+			s0, s1, s2, s3, s4 := (xs[0]-c)+gs[0], (xs[1]-c)+gs[1], (xs[2]-c)+gs[2], (xs[3]-c)+gs[3], (xs[4]-c)+gs[4]
+			for i := 0; i < 5; i++ {
+				d[i] = s0*h[i] + s1*h[5+i] + s2*h[10+i] + s3*h[15+i] + s4*h[20+i]
+			}
+		}
+	default:
+		var stack [128]float64
+		blk := stack[:]
+		if k > len(stack) {
+			blk = make([]float64, k)
+		}
+		blk = blk[:len(blk)/k*k]
+		for lo := 0; lo < len(g); lo += len(blk) {
+			hi := min(lo+len(blk), len(g))
+			f := blk[:hi-lo]
+			for i := range f {
+				f[i] = (x[lo+i] - c) + g[lo+i]
+			}
+			MulRowsH(fh[lo:hi], f, hs, k)
+		}
+	}
 }

@@ -22,9 +22,10 @@
 //     are written by exactly one worker and the pass is race-free without
 //     atomics on the data), one exact whole-matrix round (ExactRound, also
 //     the round the residual solver's Init repeats) past that;
-//   - DenseRound: the dense iteration W·(F·H̃) of the propagation solver,
-//     with a parallel per-row-chunk finish hook it fuses its belief update
-//     into; MulRowsH is the row·H̃ product every round of both shares.
+//   - FoldRound: one round of the propagation solver, which iterates
+//     G = F − X̃: a flat pass forms (X̃ + G)·H̃, and the SpMM writes W
+//     times it straight into G; MulRowsH is the row·H̃ product every
+//     round of both solvers shares.
 //
 // The package deliberately contains no solver mathematics beyond the
 // rounds themselves: tolerances, scaling and storage tiers stay with the

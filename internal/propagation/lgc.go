@@ -88,7 +88,7 @@ type ZooBPOptions struct {
 // LinBP to constant row-sum symmetric potentials: the update
 // F ← X̃ + (ε_h/k)WFH̃ is exactly LinBP's with a fixed scaling instead of
 // the spectral-radius-derived ε. Requires a symmetric doubly-stochastic H
-// (constant row sums).
+// (constant row sums). It runs on the same rounds as LinBP's State.
 func ZooBP(w *sparse.CSR, x *dense.Matrix, h *dense.Matrix, opts ZooBPOptions) (*dense.Matrix, error) {
 	if err := checkShapes(w, x, h); err != nil {
 		return nil, err
@@ -113,17 +113,15 @@ func ZooBP(w *sparse.CSR, x *dense.Matrix, h *dense.Matrix, opts ZooBPOptions) (
 			return nil, fmt.Errorf("propagation: ZooBP requires constant row sums; row %d sums to %v", i, s)
 		}
 	}
-	hTilde := dense.AddScalar(h, -1.0/float64(k))
-	hs := dense.Scale(hTilde, opts.EpsH/float64(k))
-	xt := dense.AddScalar(x, -1.0/float64(k))
-	f := xt.Clone()
-	fh := dense.New(x.Rows, k)
-	wfh := dense.New(x.Rows, k)
-	for it := 0; it < opts.Iterations; it++ {
-		dense.MulInto(fh, f, hs)
-		w.MulDenseInto(wfh, fh)
-		f.CopyFrom(xt)
-		dense.AddInPlace(f, wfh)
+	// A centred State with ε_h/k in place of the spectral-radius scaling.
+	st := &State{
+		w:       w,
+		n:       w.N,
+		k:       k,
+		opts:    LinBPOptions{Iterations: opts.Iterations, Center: true},
+		hScaled: dense.Scale(dense.AddScalar(h, -1.0/float64(k)), opts.EpsH/float64(k)),
+		f:       dense.New(w.N, k),
+		fh:      dense.New(w.N, k),
 	}
-	return f, nil
+	return st.Run(x)
 }

@@ -1,6 +1,7 @@
 package propagation
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"factorgraph/internal/dense"
@@ -98,6 +99,41 @@ func TestZooBPMatchesLinBPUpdate(t *testing.T) {
 	}
 }
 
+// TestZooBPMatchesOldLoop: ZooBP on the shared State rounds gives the
+// beliefs its own three-pass loop gave (kept here as the reference), entry
+// for entry under ==, unweighted and weighted, k = 2..5. Signed zeros may
+// differ: dense.MulInto skips zero entries.
+func TestZooBPMatchesOldLoop(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	for k := 2; k <= 5; k++ {
+		for _, weighted := range []bool{false, true} {
+			const n = 40
+			w, x := randomProblem(t, rng, n, k, weighted)
+			h := circulantH(rng, k)
+			got, err := ZooBP(w, x, h, ZooBPOptions{EpsH: 0.7, Iterations: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The loop ZooBP ran before it shared the State's rounds.
+			hs := dense.Scale(dense.AddScalar(h, -1.0/float64(k)), 0.7/float64(k))
+			xt := dense.AddScalar(x, -1.0/float64(k))
+			want := xt.Clone()
+			fh, wfh := dense.New(n, k), dense.New(n, k)
+			for it := 0; it < 9; it++ {
+				dense.MulInto(fh, want, hs)
+				w.MulDenseInto(wfh, fh)
+				want.CopyFrom(xt)
+				dense.AddInPlace(want, wfh)
+			}
+			for i, v := range want.Data {
+				if got.Data[i] != v {
+					t.Fatalf("k=%d weighted=%v: entry %d is %v, old loop %v", k, weighted, i, got.Data[i], v)
+				}
+			}
+		}
+	}
+}
+
 func TestZooBPHeterophilyRing(t *testing.T) {
 	const n = 20
 	w := ring(t, n)
@@ -124,93 +160,5 @@ func TestZooBPErrors(t *testing.T) {
 	nonConstant := dense.FromRows([][]float64{{0.5, 0.4}, {0.4, 0.5}})
 	if _, err := ZooBP(w, x, nonConstant, ZooBPOptions{}); err == nil {
 		t.Error("expected constant-row-sum error")
-	}
-}
-
-// TestEchoCancellationExactOnPair verifies the EC term against an
-// independent dense computation of F ← X̃ + WF̃H̃ − DF̃H̃² on a small graph.
-func TestEchoCancellationExactOnPair(t *testing.T) {
-	w, err := sparse.NewSymmetricFromEdges(3, [][2]int32{{0, 1}, {1, 2}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := seedVector(3, map[int]int{0: 0})
-	x, _ := labels.Matrix(seed, 2)
-	h := heteroH()
-	const iters = 6
-	got, err := LinBP(w, x, h, LinBPOptions{Iterations: iters, EchoCancellation: true, Center: true, S: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Independent reference with the same ε.
-	k := 2
-	hTilde := dense.AddScalar(h, -1.0/float64(k))
-	eps, err := ScalingFactor(w, hTilde, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := dense.Scale(hTilde, eps)
-	h2 := dense.Mul(hs, hs)
-	xt := dense.AddScalar(x, -1.0/float64(k))
-	deg := w.Degrees()
-	f := xt.Clone()
-	for it := 0; it < iters; it++ {
-		echo := dense.Mul(f, h2)
-		for i := 0; i < 3; i++ {
-			row := echo.Row(i)
-			for j := range row {
-				row[j] *= deg[i]
-			}
-		}
-		f = dense.Sub(dense.Add(xt, w.MulDense(dense.Mul(f, hs))), echo)
-	}
-	if !dense.Equal(got, f, 1e-12) {
-		t.Errorf("EC LinBP deviates from reference:\n%v vs\n%v", got, f)
-	}
-}
-
-// TestEchoCancellationRemovesEcho: on a star, after 2 hops the center's
-// belief without EC contains its own label reflected back; EC removes it.
-func TestEchoCancellationRemovesEcho(t *testing.T) {
-	// Star: center 0 with 4 leaves; only the center is labeled.
-	edges := [][2]int32{{0, 1}, {0, 2}, {0, 3}, {0, 4}}
-	w, err := sparse.NewSymmetricFromEdges(5, edges, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := seedVector(5, map[int]int{0: 0})
-	x, _ := labels.Matrix(seed, 2)
-	h := heteroH()
-	noEC, err := LinBP(w, x, h, LinBPOptions{Iterations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withEC, err := LinBP(w, x, h, LinBPOptions{Iterations: 2, EchoCancellation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Without EC the center's class-0 belief is depressed by its own
-	// reflected heterophilous signal (W² echo via H̃² has positive
-	// class-0... sign depends); the point is the two must differ at the
-	// center but agree at the leaves after 2 iterations (leaves' echo
-	// paths need 3 hops).
-	cDiff := noEC.At(0, 0) - withEC.At(0, 0)
-	if cDiff == 0 {
-		t.Error("EC changed nothing at the echo-prone center")
-	}
-	for leaf := 1; leaf <= 4; leaf++ {
-		for c := 0; c < 2; c++ {
-			a, b := noEC.At(leaf, c), withEC.At(leaf, c)
-			if d := a - b; d > 1e-12 || d < -1e-12 {
-				// Leaves have degree 1: their echo term D·F·H̃² is active
-				// too once their own belief is nonzero (after iteration 1),
-				// so a difference IS expected at iteration 2. Just assert
-				// finiteness here.
-				_ = d
-			}
-			if a != a || b != b {
-				t.Fatal("NaN belief")
-			}
-		}
 	}
 }

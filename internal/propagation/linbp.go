@@ -7,6 +7,7 @@ package propagation
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"factorgraph/internal/dense"
 	"factorgraph/internal/sparse"
@@ -16,25 +17,17 @@ import (
 type LinBPOptions struct {
 	// S is the convergence parameter s ∈ (0,1): the compatibility matrix is
 	// scaled by ε = S / (ρ(W)·ρ(H̃)) so that the update contracts (Eq. 2).
-	// The paper uses s = 0.5 following [18]. Default 0.5.
+	// The paper uses s = 0.5 following [18]. Default 0.5; NaN, ±Inf and
+	// negative values are refused.
 	S float64
-	// Iterations of the update F ← X + εWFH̃. Default 10 (as in §5.3).
+	// Iterations of the update F ← X̃ + εWFH̃, a fixed count. Default 10
+	// (as in §5.3).
 	Iterations int
 	// Center, when true, centers X and H around 1/k before propagating.
 	// Theorem 3.1 proves the resulting labels are identical either way;
-	// centering keeps the iterates bounded (Example C.1). Default true.
+	// centering keeps the iterates bounded (Example C.1). The zero value is
+	// false; DefaultLinBPOptions sets it.
 	Center bool
-	// StopWhenStable, when positive, stops early once the argmax labels
-	// have not changed for that many consecutive iterations — the labels
-	// (not the beliefs) are what the classification uses, and they
-	// typically stabilize well before belief convergence. 0 disables.
-	StopWhenStable int
-	// EchoCancellation enables the EC term of the original LinBP
-	// linearization [18]: F ← X̃ + WF̃H̃ − DF̃H̃². The paper drops it (§2.3:
-	// no parameter regime where it consistently helps, and it complicates
-	// the convergence threshold); it is kept here for the ablation
-	// experiment. Default false.
-	EchoCancellation bool
 }
 
 func (o *LinBPOptions) defaults() {
@@ -52,7 +45,7 @@ func DefaultLinBPOptions() LinBPOptions {
 	return LinBPOptions{S: 0.5, Iterations: 10, Center: true}
 }
 
-// LinBP iterates F ← X + εWFH̃ and returns the final belief matrix F
+// LinBP iterates F ← X̃ + εWFH̃ and returns the final belief matrix F
 // (n×k). W must be the symmetric adjacency matrix, X the explicit-belief
 // matrix and H a k×k compatibility matrix (doubly stochastic or already
 // centered — Theorem 3.1 makes the choice irrelevant for labels).
@@ -65,18 +58,6 @@ func LinBP(w *sparse.CSR, x *dense.Matrix, h *dense.Matrix, opts LinBPOptions) (
 		return nil, err
 	}
 	return st.Run(x)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // LinBPLabels runs LinBP and returns the predicted class per node
@@ -101,8 +82,8 @@ func ScalingFactor(w *sparse.CSR, h *dense.Matrix, s float64) (float64, error) {
 // it canonically from the compacted CSR), so the scaling of a mutated
 // graph is computed from the pinned value, not a fresh Lanczos run.
 func ScalingFactorWithRho(rhoW float64, h *dense.Matrix, s float64) (float64, error) {
-	if s <= 0 {
-		return 0, fmt.Errorf("propagation: convergence parameter s=%v must be positive", s)
+	if !(s > 0) || math.IsInf(s, 1) {
+		return 0, fmt.Errorf("propagation: convergence parameter s=%v must be finite and positive", s)
 	}
 	rhoH := dense.SpectralRadiusSym(dense.Symmetrize(h), 200)
 	if rhoW == 0 || rhoH == 0 {

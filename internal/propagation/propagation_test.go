@@ -364,23 +364,17 @@ func TestScalingFactorDegenerate(t *testing.T) {
 	}
 }
 
-func TestLinBPStopWhenStable(t *testing.T) {
-	// With early stopping the labels must match the full run.
-	const n = 24
-	w := ring(t, n)
-	seed := seedVector(n, map[int]int{0: 0, 11: 1})
-	x, _ := labels.Matrix(seed, 2)
-	full, err := LinBPLabels(w, x, heteroH(), LinBPOptions{Iterations: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	early, err := LinBPLabels(w, x, heteroH(), LinBPOptions{Iterations: 200, StopWhenStable: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range full {
-		if full[i] != early[i] {
-			t.Fatalf("early-stopped labels differ at node %d", i)
+// TestNonFiniteSRefused: NaN and ±Inf convergence parameters are errors,
+// not all-NaN beliefs.
+func TestNonFiniteSRefused(t *testing.T) {
+	w := ring(t, 8)
+	x, _ := labels.Matrix(seedVector(8, map[int]int{0: 0}), 2)
+	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := LinBP(w, x, heteroH(), LinBPOptions{S: s}); err == nil {
+			t.Errorf("LinBP accepted s=%v", s)
+		}
+		if _, err := ScalingFactorWithRho(2, heteroH(), s); err == nil {
+			t.Errorf("ScalingFactorWithRho accepted s=%v", s)
 		}
 	}
 }

@@ -29,8 +29,6 @@ func TestStateMatchesLinBP(t *testing.T) {
 	for _, opts := range []LinBPOptions{
 		DefaultLinBPOptions(),
 		{S: 0.3, Iterations: 7, Center: false},
-		{S: 0.5, Iterations: 20, Center: true, StopWhenStable: 2},
-		{S: 0.5, Iterations: 10, Center: true, EchoCancellation: true},
 	} {
 		want, err := LinBP(w, x, h, opts)
 		if err != nil {

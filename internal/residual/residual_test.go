@@ -279,6 +279,11 @@ func TestStateValidation(t *testing.T) {
 	if _, err := NewState(w, h, Options{Tol: -1}); err == nil {
 		t.Error("negative tolerance accepted")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewState(w, h, Options{S: bad}); err == nil {
+			t.Errorf("s=%v accepted", bad)
+		}
+	}
 	s, err := NewState(w, h, Options{})
 	if err != nil {
 		t.Fatal(err)
