@@ -566,11 +566,12 @@ type NumericHealth struct {
 	SketchDrift      float64
 	SketchDriftLimit float64
 
-	// TunedDeltaDivisor and TunedMinPullWorkers are the exec drain-schedule
-	// thresholds in force (exec.DefaultSchedule: constants since the
-	// measured tuner was removed); ScheduleTuned is always false.
-	// Benchmark-only leftovers (cmd/bench prints them), to be dropped with
-	// the next benchmark change.
+	// TunedDeltaDivisor is the promoted drain's pricing divisor
+	// (exec.DeltaDivisor). TunedMinPullWorkers is always 0: no parallel
+	// pull schedule exists, every tracked round is the sequential scatter
+	// at every worker count. ScheduleTuned is always false. Benchmark-only
+	// leftovers (cmd/bench prints them), to be dropped with the next
+	// benchmark change.
 	TunedDeltaDivisor   int
 	TunedMinPullWorkers int
 	ScheduleTuned       bool
@@ -619,9 +620,7 @@ func (e *Engine) NumericHealth() NumericHealth {
 	e.sumMu.Lock()
 	h.SketchDrift = e.sumDrift
 	e.sumMu.Unlock()
-	sched := exec.DefaultSchedule(e.liveN(), e.k)
-	h.TunedDeltaDivisor = sched.DeltaDivisor
-	h.TunedMinPullWorkers = sched.MinPullWorkers
+	h.TunedDeltaDivisor = exec.DeltaDivisor
 	return h
 }
 

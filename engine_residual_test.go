@@ -3,6 +3,7 @@ package factorgraph
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -570,11 +571,13 @@ func TestResidualPatchQuerySpeedup(t *testing.T) {
 }
 
 // TestEngineReplayIsBitIdentical: one request sequence gives one set of
-// beliefs. Two fresh engines replay the same label patches (six nodes each,
-// every seed delta of norm 1) and what-ifs (three extra seeds each); every
-// what-if answer and every final belief must agree bit for bit. Seed
+// beliefs, on any host. Fresh engines replay the same label patches (six
+// nodes each, every seed delta of norm 1) and what-ifs (three extra seeds
+// each) twice at GOMAXPROCS 1, then at 2 and 4; every what-if answer and
+// every final belief must agree bit for bit with the first run. Seed
 // deltas queued in map order entered the push heap in a different order
-// on every run, and beliefs differed within Tol.
+// on every run, and a parallel tracked round's survivor order followed the
+// worker count; both moved beliefs within Tol.
 func TestEngineReplayIsBitIdentical(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 2000, 8000, 0.05)
 	replay := func() []uint64 {
@@ -606,13 +609,19 @@ func TestEngineReplayIsBitIdentical(t *testing.T) {
 		}
 		return bits
 	}
-	a, b := replay(), replay()
-	if len(a) != len(b) {
-		t.Fatalf("replays read %d and %d values", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("replays differ at value %d: %v vs %v", i, math.Float64frombits(a[i]), math.Float64frombits(b[i]))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a := replay()
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		b := replay()
+		if len(a) != len(b) {
+			t.Fatalf("GOMAXPROCS %d: replays read %d and %d values", procs, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("GOMAXPROCS %d: replay differs from GOMAXPROCS 1 at value %d: %v vs %v",
+					procs, i, math.Float64frombits(b[i]), math.Float64frombits(a[i]))
+			}
 		}
 	}
 }

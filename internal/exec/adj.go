@@ -3,7 +3,7 @@ package exec
 import "factorgraph/internal/dense"
 
 // RowIterator is the adjacency access every execution kernel needs: row
-// iteration for the push/pull schedules and the dense multiply for sweeps.
+// iteration for the push and scatter loops and the dense multiply for sweeps.
 // *sparse.CSR is the canonical frozen implementation; internal/delta's
 // copy-on-write overlay is the mutable one, so a kernel written against
 // this interface serves streaming topology mutations transparently.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 // residual re-computed in a per-entry loop with a compare-and-branch
 // ∞-norm, and per-round chunk maxima. It is kept as the reference the
 // round must match bit for bit.
-func refExactRound(p *PullPass, x *dense.Matrix) float64 {
+func refExactRound(p *Pass, x *dense.Matrix) float64 {
 	n, k := p.n, p.k
 	fh, wfh := dense.New(n, k), dense.New(n, k)
 	p.run.Rows(n, func(lo, hi int) {
@@ -28,11 +29,15 @@ func refExactRound(p *PullPass, x *dense.Matrix) float64 {
 		MulRowsH(fh.Data[lo*k:hi*k], f, p.hs, k)
 	})
 	p.w.MulDenseInto(wfh, fh)
+	chunks := p.run.MaxChunks()
+	if len(p.next) < chunks {
+		p.next = append(p.next, make([][]int32, chunks-len(p.next))...)
+	}
 	chunkMax := make([]float64, len(p.next))
 	for c := range p.next {
 		p.next[c] = p.next[c][:0]
 	}
-	p.run.RowsIndexed(n, func(chunk, lo, hi int) {
+	p.run.RowsIndexed(n, chunks, func(chunk, lo, hi int) {
 		next, maxNorm := p.next[chunk], 0.0
 		for i := lo; i < hi; i++ {
 			norm := 0.0
@@ -67,8 +72,8 @@ func refExactRound(p *PullPass, x *dense.Matrix) float64 {
 
 // refTracked is the pricing walk as it was written before the row-length
 // table: one Row call per active row, every round.
-func refTracked(p *PullPass, active []int32) bool {
-	limit := p.w.NNZ() / p.sched.DeltaDivisor
+func refTracked(p *Pass, active []int32) bool {
+	limit := p.w.NNZ() / p.divisor
 	owned := 0
 	for _, u := range active {
 		cols, _ := p.w.Row(int(u))
@@ -164,8 +169,8 @@ func TestExactRoundMatchesReference(t *testing.T) {
 						tag := fmt.Sprintf("k=%d weighted=%v dyadic=%v overlay=%v workers=%d", k, weighted, dyadic, overlay, workers)
 						w, hs, f, r, x, norms, tol := exactFixture(t, k, weighted, dyadic, overlay, int64(31*k+5))
 						run := Runner{Workers: workers}
-						got := NewPullPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, run)
-						want := NewPullPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, run)
+						got := NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, run)
+						want := NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, run)
 						for round := 0; round < 5; round++ {
 							gotMax, wantMax := got.ExactRound(x), refExactRound(want, x)
 							if what, i, ok := samePass(got, want); !ok {
@@ -193,6 +198,60 @@ func TestExactRoundMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPassSurvivesGOMAXPROCSRise: a pass built while GOMAXPROCS is 1 and
+// run after it rises must widen its per-chunk scratch, not index past it
+// on a pool worker, where nothing recovers and the process dies. Three
+// whole-matrix rounds, and a drain from the dirty frontier, each on a pass
+// built at one worker and run at the restored width, must leave the same
+// bits as the same work done at GOMAXPROCS 1 throughout.
+func TestPassSurvivesGOMAXPROCSRise(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	if chunks := (Runner{}).MaxChunks(); chunks < 2 {
+		t.Skipf("the worker pool runs %d chunk: GOMAXPROCS cannot rise past it", chunks)
+	}
+	defer runtime.GOMAXPROCS(procs)
+	w, hs, f, r, x, norms, tol := exactFixture(t, 3, true, false, false, 17)
+	var active []int32
+	for i, nv := range norms {
+		if nv > tol {
+			active = append(active, int32(i))
+		}
+	}
+	build := func() *Pass {
+		return NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, Runner{})
+	}
+	xf := func() *dense.Matrix { return x }
+
+	runtime.GOMAXPROCS(1)
+	want, got := build(), build()
+	wantDrain, gotDrain := build(), build() // drains capped at 4 whole-matrix rounds
+	var wantMax [3]float64
+	for round := range wantMax {
+		wantMax[round] = want.ExactRound(x)
+	}
+	wantPushed, _, _, wantSweeps, wantRem := wantDrain.Drain(slices.Clone(active), xf, 4)
+
+	runtime.GOMAXPROCS(procs)
+	for round, m := range wantMax {
+		if gotMax := got.ExactRound(x); math.Float64bits(gotMax) != math.Float64bits(m) {
+			t.Fatalf("round %d: max norm %v at GOMAXPROCS %d, %v at 1", round, gotMax, procs, m)
+		}
+	}
+	if what, i, ok := samePass(got, want); !ok {
+		t.Fatalf("whole-matrix rounds: %s[%d] differs between GOMAXPROCS %d and 1", what, i, procs)
+	}
+	if g, w := got.survivors(nil), want.survivors(nil); !slices.Equal(g, w) {
+		t.Fatalf("survivors %v at GOMAXPROCS %d, %v at 1", g, procs, w)
+	}
+	gotPushed, _, _, gotSweeps, gotRem := gotDrain.Drain(slices.Clone(active), xf, 4)
+	if gotSweeps == 0 || gotPushed != wantPushed || gotSweeps != wantSweeps || !slices.Equal(gotRem, wantRem) {
+		t.Fatalf("drain: pushed/sweeps %d/%d at GOMAXPROCS %d, %d/%d at 1", gotPushed, gotSweeps, procs, wantPushed, wantSweeps)
+	}
+	if what, i, ok := samePass(gotDrain, wantDrain); !ok {
+		t.Fatalf("drain: %s[%d] differs between GOMAXPROCS %d and 1", what, i, procs)
+	}
+}
+
 // TestPricingMatchesReference: the row-length table prices every round as
 // the Row walk did. Fresh passes over the CSR and then over a delta overlay
 // of it (whose patched hubs own many more entries than their base rows)
@@ -205,10 +264,10 @@ func TestPricingMatchesReference(t *testing.T) {
 		ov := overlayOf(csr, weighted, 78)
 		for _, w := range []RowIterator{csr, ov} {
 			n := w.Dim()
-			p := NewPullPass(w, hs, growRows(f, n, func() float64 { return 0 }),
+			p := NewPass(w, hs, growRows(f, n, func() float64 { return 0 }),
 				growRows(r, n, func() float64 { return 0 }), append(slices.Clone(norms), make([]float64, n-len(norms))...), tol, Runner{Workers: 1})
 			rng := rand.New(rand.NewSource(int64(n)))
-			limit := w.NNZ() / p.sched.DeltaDivisor
+			limit := w.NNZ() / p.divisor
 			decisions := map[bool]int{}
 			for trial := 0; trial < 300; trial++ {
 				order := make([]int32, n)
@@ -262,9 +321,8 @@ func (a loopAdj) MulDenseInto(out, x *dense.Matrix) {
 
 // TestRoundsAllocateNothing: after the first round of a pass has sized its
 // scratch, a whole-matrix round and a priced scatter round allocate
-// nothing (testing.AllocsPerRun runs at GOMAXPROCS 1, the single-worker
-// schedule). Each run restores the same dirty state first, so every run
-// does the same work.
+// nothing (testing.AllocsPerRun runs at GOMAXPROCS 1). Each run restores
+// the same dirty state first, so every run does the same work.
 func TestRoundsAllocateNothing(t *testing.T) {
 	for _, k := range []int{3, 5} {
 		csr, hs, f, r, norms, active, tol := stepFixture(t, k, true, false, 5)
@@ -275,7 +333,7 @@ func TestRoundsAllocateNothing(t *testing.T) {
 			copy(r.Data, r0)
 			copy(norms, n0)
 		}
-		p := NewPullPass(loopAdj{csr}, hs, f, r, norms, tol, Runner{Workers: 1})
+		p := NewPass(loopAdj{csr}, hs, f, r, norms, tol, Runner{Workers: 1})
 		if a := testing.AllocsPerRun(10, func() {
 			reset()
 			p.ExactRound(x)
@@ -358,8 +416,8 @@ func FuzzExactRound(f *testing.F) {
 			for i := range norms {
 				norms[i] = RowNorm(r.Row(i))
 			}
-			got := NewPullPass(w, hs, fm.Clone(), r.Clone(), slices.Clone(norms), tol, run)
-			want := NewPullPass(w, hs, fm, r, norms, tol, run)
+			got := NewPass(w, hs, fm.Clone(), r.Clone(), slices.Clone(norms), tol, run)
+			want := NewPass(w, hs, fm, r, norms, tol, run)
 			for round := 0; round < rounds; round++ {
 				gotMax, wantMax := got.ExactRound(x), refExactRound(want, x)
 				if what, i, ok := samePass(got, want); !ok {

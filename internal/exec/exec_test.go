@@ -11,16 +11,17 @@ import (
 )
 
 // TestRunnerRowsIndexed: every index in [0, n) is visited exactly once,
-// chunk ids stay below MaxChunks, and a chunk id is never shared by two
-// concurrent ranges (per-chunk scratch would race otherwise).
+// chunk ids stay below the count asked for, and a chunk id is never shared
+// by two concurrent ranges (per-chunk scratch would race otherwise).
 func TestRunnerRowsIndexed(t *testing.T) {
 	for _, workers := range []int{0, 1, 3} {
 		r := Runner{Workers: workers}
+		chunks := r.MaxChunks()
 		for _, n := range []int{0, 1, 7, 1000} {
 			seen := make([]int32, n)
-			r.RowsIndexed(n, func(chunk, lo, hi int) {
-				if chunk < 0 || chunk >= r.MaxChunks() {
-					t.Errorf("workers=%d n=%d: chunk %d outside [0,%d)", workers, n, chunk, r.MaxChunks())
+			r.RowsIndexed(n, chunks, func(chunk, lo, hi int) {
+				if chunk < 0 || chunk >= chunks {
+					t.Errorf("workers=%d n=%d: chunk %d outside [0,%d)", workers, n, chunk, chunks)
 				}
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&seen[i], 1)
@@ -53,9 +54,9 @@ func ring(t *testing.T, n int) *sparse.CSR {
 	return w
 }
 
-// pullFixture builds a (W, H̃, F, R) quadruple with a dirty frontier. The
+// passFixture builds a (W, H̃, F, R) quadruple with a dirty frontier. The
 // scaled H̃ has spectral norm well below 1 so drains contract.
-func pullFixture(t *testing.T, n, k int, dirtyFrac float64, seed int64) (w *sparse.CSR, hs, f, r *dense.Matrix, norms []float64, active []int32) {
+func passFixture(t *testing.T, n, k int, dirtyFrac float64, seed int64) (w *sparse.CSR, hs, f, r *dense.Matrix, norms []float64, active []int32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	w = ring(t, n)
@@ -91,7 +92,7 @@ func pullFixture(t *testing.T, n, k int, dirtyFrac float64, seed int64) (w *spar
 // exactX supplies the X̃ under which a pass's (F, R) pair is exact,
 // X̃ = R + F − εW·F·H̃. Tracked rounds preserve the pair, so deriving it at
 // the first whole-matrix round — when Drain asks — is as good as up front.
-func exactX(p *PullPass) func() *dense.Matrix {
+func exactX(p *Pass) func() *dense.Matrix {
 	return func() *dense.Matrix {
 		fh := dense.New(p.n, p.k)
 		MulRowsH(fh.Data, p.f.Data, p.hs, p.k)
@@ -105,8 +106,8 @@ func exactX(p *PullPass) func() *dense.Matrix {
 }
 
 // drainAll is an uncapped Drain in the (pushed, edges, rounds, remaining)
-// shape the schedule tests read.
-func drainAll(p *PullPass, active []int32) (pushed, edges, rounds int, remaining []int32) {
+// shape the pricing tests read.
+func drainAll(p *Pass, active []int32) (pushed, edges, rounds int, remaining []int32) {
 	pushed, edges, rounds, _, remaining = p.Drain(active, exactX(p), 0)
 	return pushed, edges, rounds, remaining
 }
@@ -119,15 +120,13 @@ func applyA(w *sparse.CSR, hs, m *dense.Matrix) *dense.Matrix {
 
 // TestPullPassConvergesToInvariant: after a drain, F must equal the exact
 // solution F0 + (I − A)⁻¹ R0 within the tolerance bound, and every norm
-// must be at or below tolerance — for every schedule: the parallel pull
-// rounds (both candidate-discovery and full-scan flavors), the pinned
-// single-worker execution of the same pull schedule (which must agree
-// bitwise — Jacobi is schedule-deterministic), and the sequential
-// Gauss–Seidel scatter.
+// must be at or below tolerance — on every worker the machine has and on
+// one, which must agree bit for bit: tracked rounds are one sequential
+// scan, and a whole-matrix round computes every row on its own.
 func TestPullPassConvergesToInvariant(t *testing.T) {
 	const n, k, tol = 600, 3, 1e-10
-	for _, dirtyFrac := range []float64{0.05, 0.5} { // below and above the full-scan density
-		w, hs, f0, r0, _, _ := pullFixture(t, n, k, dirtyFrac, 7)
+	for _, dirtyFrac := range []float64{0.05, 0.5} { // below and above the whole-matrix density
+		w, hs, f0, r0, _, _ := passFixture(t, n, k, dirtyFrac, 7)
 
 		// Reference: F* = F0 + Σ_{i≥0} A^i R0, summed until exhaustion.
 		want := f0.Clone()
@@ -140,12 +139,8 @@ func TestPullPassConvergesToInvariant(t *testing.T) {
 			}
 		}
 
-		// MinPullWorkers forces a schedule whatever the machine offers: 1
-		// always pulls, an unreachable count always scatters.
-		minPull := map[string]int{"pull": 1, "pull-seq": 1, "scatter": 1 << 20, "auto-select": minPullWorkers}
-		workersFor := map[string]int{"pull": 0, "pull-seq": 1, "scatter": 0, "auto-select": 0}
-		results := map[string]*dense.Matrix{}
-		for name := range minPull {
+		var results []*dense.Matrix
+		for _, run := range []Runner{{}, {Workers: 1}} {
 			f := f0.Clone()
 			r := r0.Clone()
 			norms := make([]float64, n)
@@ -156,18 +151,17 @@ func TestPullPassConvergesToInvariant(t *testing.T) {
 					active = append(active, int32(i))
 				}
 			}
-			p := NewPullPass(w, hs, f, r, norms, tol, Runner{Workers: workersFor[name]})
-			p.sched.MinPullWorkers = minPull[name]
+			p := NewPass(w, hs, f, r, norms, tol, run)
 			pushed, edges, rounds, remaining := drainAll(p, active)
 			if remaining != nil {
-				t.Fatalf("%s frac=%v: unbounded drain returned remaining frontier", name, dirtyFrac)
+				t.Fatalf("workers=%d frac=%v: unbounded drain returned remaining frontier", run.Workers, dirtyFrac)
 			}
 			if pushed == 0 || edges == 0 || rounds == 0 {
-				t.Fatalf("%s frac=%v: drain did no work: pushed=%d edges=%d rounds=%d", name, dirtyFrac, pushed, edges, rounds)
+				t.Fatalf("workers=%d frac=%v: drain did no work: pushed=%d edges=%d rounds=%d", run.Workers, dirtyFrac, pushed, edges, rounds)
 			}
 			for i := range norms {
 				if norms[i] > tol {
-					t.Fatalf("%s frac=%v: node %d left at norm %g > tol", name, dirtyFrac, i, norms[i])
+					t.Fatalf("workers=%d frac=%v: node %d left at norm %g > tol", run.Workers, dirtyFrac, i, norms[i])
 				}
 			}
 			// F + (I−A)⁻¹ R must still be the invariant: with R ≤ tol the
@@ -179,15 +173,13 @@ func TestPullPassConvergesToInvariant(t *testing.T) {
 				}
 			}
 			if worst > 1e-8 {
-				t.Errorf("%s frac=%v: drained beliefs off the exact solution by %g", name, dirtyFrac, worst)
+				t.Errorf("workers=%d frac=%v: drained beliefs off the exact solution by %g", run.Workers, dirtyFrac, worst)
 			}
-			results[name] = f
+			results = append(results, f)
 		}
-		// The Jacobi pull schedule is worker-count-deterministic: the same
-		// arithmetic runs, only on different goroutines.
-		for i := range results["pull"].Data {
-			if d := math.Abs(results["pull"].Data[i] - results["pull-seq"].Data[i]); d > 1e-12 {
-				t.Fatalf("frac=%v: pull diverges across worker counts by %g at %d", dirtyFrac, d, i)
+		for i, v := range results[1].Data {
+			if results[0].Data[i] != v {
+				t.Fatalf("frac=%v: beliefs differ across worker counts at %d: %v vs %v", dirtyFrac, i, results[0].Data[i], v)
 			}
 		}
 	}
@@ -199,8 +191,8 @@ func TestPullPassConvergesToInvariant(t *testing.T) {
 // the stored entries), floods, and a one-round cap stops the flood.
 func TestPullPassBudget(t *testing.T) {
 	const n, k, tol = 600, 3, 1e-12
-	w, hs, f, r, norms, active := pullFixture(t, n, k, 0.4, 11)
-	p := NewPullPass(w, hs, f, r, norms, tol, Runner{})
+	w, hs, f, r, norms, active := passFixture(t, n, k, 0.4, 11)
+	p := NewPass(w, hs, f, r, norms, tol, Runner{})
 	pushed, edges, _, sweeps, remaining := p.Drain(active, exactX(p), 1)
 	if remaining == nil || sweeps != 1 {
 		t.Fatalf("tight budget drained cleanly (sweeps=%d)", sweeps)

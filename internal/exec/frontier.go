@@ -11,9 +11,9 @@ import "container/heap"
 // The frontier deliberately has no saturated tier of its own: once it
 // grows past PromoteAt the strict ordering stops paying for its per-edge
 // overhead and ShouldPromote tells the caller to switch to
-// round-synchronous drains, whose active arrays and mark bitmaps live in
-// PullPass (they are scheduling scratch of the dense storage tier, and
-// they are rebuilt from the caller's norm table, not carried over). After
+// round-synchronous drains, whose active list and mark flags live in Pass
+// (they are scheduling scratch of the dense storage tier, and they are
+// rebuilt from the caller's norm table, not carried over). After
 // a promoted drain completes the caller Resets the frontier, which is then
 // empty and tiny again.
 //

@@ -22,7 +22,7 @@ const (
 	Drained DrainOutcome = iota
 	// Saturated: the frontier grew past its promotion threshold; the
 	// caller must move its residual rows to dense storage and drain with
-	// round-synchronous passes (PullPass).
+	// round-synchronous passes (Pass).
 	Saturated
 	// BudgetExceeded: edge traversals passed edgeBudget; the kernel's
 	// invariant is intact and the caller promotes, exactly as on Saturated.

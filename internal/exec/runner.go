@@ -10,18 +10,17 @@
 //   - Frontier: the small-tier dirty-node set of the push solver — a
 //     Gauss–Southwell priority heap over a sparse membership map, with a
 //     promotion signal once the set saturates (the saturated tier's
-//     active arrays and mark bitmaps belong to PullPass);
+//     active list and mark flags belong to Pass);
 //   - Drain: the sequential largest-first push loop for heap-tier
 //     frontiers, generic over a PushKernel so the solver's copy-on-write
 //     patch sessions own the storage and this package the scheduling;
-//   - PullPass: the level-synchronous drain for saturated frontiers, every
-//     round priced before it runs — tracked while the active rows own at
-//     most half the stored entries (per round, every active node's
-//     residual is absorbed in parallel, then the dirtied neighborhood
-//     *pulls* its incoming mass in parallel: gather, not scatter, so rows
-//     are written by exactly one worker and the pass is race-free without
-//     atomics on the data), one exact whole-matrix round (ExactRound, also
-//     the round the residual solver's Init repeats) past that;
+//   - Pass: the level-synchronous drain for saturated frontiers, every
+//     round priced before it runs — a sequential Gauss–Seidel scatter
+//     while the active rows own at most half the stored entries, one exact
+//     whole-matrix round (ExactRound, also the round the residual solver's
+//     Init repeats) past that; only the whole-matrix round runs in
+//     parallel, and row by row, so beliefs do not depend on the worker
+//     count;
 //   - FoldRound: one round of the propagation solver, which iterates
 //     G = F − X̃: a flat pass forms (X̃ + G)·H̃, and the SpMM writes W
 //     times it straight into G; MulRowsH is the row·H̃ product every
@@ -38,8 +37,8 @@ import (
 
 // Runner executes row-chunked work on the shared sparse worker pool.
 // The zero value uses every available worker; Workers=1 is a strictly
-// sequential executor running the same code path (speedup baselines and
-// deterministic debugging use it).
+// sequential executor running the same code path (tests use other caps to
+// move chunk boundaries).
 type Runner struct {
 	// Workers caps the parallelism (0 = GOMAXPROCS, bounded by the pool).
 	Workers int
@@ -50,26 +49,27 @@ func (r Runner) Rows(n int, fn func(lo, hi int)) {
 	sparse.ParallelRowsLimit(n, r.Workers, fn)
 }
 
-// MaxChunks reports an upper bound on the chunk indices RowsIndexed will
-// produce; callers allocate per-chunk scratch (partial reductions,
-// worker-local lists) with it.
+// MaxChunks reports how many chunks the pool would run right now: the
+// current GOMAXPROCS capped at the pool size and at Workers. It re-reads
+// GOMAXPROCS on every call, so a caller sizing per-chunk scratch reads it
+// once and hands the same count to RowsIndexed.
 func (r Runner) MaxChunks() int {
 	return sparse.MaxParallelWorkers(r.Workers)
 }
 
 // RowsIndexed is Rows with a stable chunk index: [0, n) is split into
-// exactly MaxChunks() contiguous ranges (empty ranges are skipped) and fn
-// receives the index of the range it is running. Per-chunk scratch indexed
-// by chunk is therefore written by exactly one worker at a time.
-func (r Runner) RowsIndexed(n int, fn func(chunk, lo, hi int)) {
+// min(chunks, n) contiguous ranges (empty ranges are skipped) and fn
+// receives the index of the range it is running, always below chunks.
+// Per-chunk scratch indexed by chunk is therefore written by exactly one
+// worker at a time.
+func (r Runner) RowsIndexed(n, chunks int, fn func(chunk, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	chunks := r.MaxChunks()
 	if chunks > n {
 		chunks = n
 	}
-	if chunks == 1 {
+	if chunks <= 1 {
 		fn(0, 0, n) // inline, and without the wrapper closure's allocation
 		return
 	}

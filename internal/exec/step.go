@@ -9,11 +9,11 @@ import (
 const absMask = 1<<63 - 1
 
 // AddRowNorm adds w·msg into dst entry by entry and returns dst's ∞-norm
-// afterwards: the "forward a message, re-norm the row" step of every
-// tracked schedule (the scatter round, the pull gather and the residual
-// package's heap push). Each entry becomes dst[j] + w·msg[j], the same
-// expression in the same order as the per-schedule loops it replaced, so
-// rows and norms are bit-identical to them. The norm is the largest
+// afterwards: the "forward a message, re-norm the row" step of both
+// tracked loops (the scatter round and the residual package's heap push).
+// Each entry becomes dst[j] + w·msg[j], the same expression in the same
+// order as the per-loop code it replaced, so rows and norms are
+// bit-identical to it. The norm is the largest
 // sign-masked bit pattern — non-negative float64s order as their bits do —
 // so no branch depends on the data. (A NaN entry would win that max where
 // the old compare-and-branch skipped it; no finite input produces one.)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"factorgraph/internal/dense"
@@ -16,16 +15,16 @@ import (
 // tracked rounds shared one step (AddRowNorm): a per-edge weight test and
 // a compare-and-branch ∞-norm. It is kept as the reference the rewritten
 // round must match bit for bit.
-func refScatterRound(p *PullPass, active []int32, pushed, edges int) ([]int32, int, int) {
+func refScatterRound(p *Pass, active []int32, pushed, edges int) ([]int32, int, int) {
 	k := p.k
 	rh := make([]float64, k)
 	for _, v := range active {
-		p.mark[v] = 1
+		p.mark[v] = true
 	}
 	var next []int32
 	for _, u32 := range active {
 		u := int(u32)
-		p.mark[u] = 0
+		p.mark[u] = false
 		if p.nrm[u] <= p.tol {
 			continue
 		}
@@ -59,112 +58,16 @@ func refScatterRound(p *PullPass, active []int32, pushed, edges int) ([]int32, i
 				}
 			}
 			p.nrm[v] = norm
-			if norm > p.tol && p.mark[v] == 0 {
-				p.mark[v] = 1
+			if norm > p.tol && !p.mark[v] {
+				p.mark[v] = true
 				next = append(next, int32(v))
 			}
 		}
 	}
 	for _, v := range next {
-		p.mark[v] = 0
+		p.mark[v] = false
 	}
 	return next, pushed, edges
-}
-
-// refGatherOne is the pull gather as it was written before AddRowNorm.
-func refGatherOne(p *PullPass, v int, rh []float64, next []int32) []int32 {
-	k := p.k
-	p.mark[v] = 0
-	rRow := p.r.Data[v*k : (v+1)*k]
-	cols, wts := p.w.Row(v)
-	for q, u := range cols {
-		idx := p.activeIdx[u]
-		if idx < 0 {
-			continue
-		}
-		wv := 1.0
-		if wts != nil {
-			wv = wts[q]
-		}
-		msg := rh[int(idx)*k : (int(idx)+1)*k]
-		for j := 0; j < k; j++ {
-			rRow[j] += wv * msg[j]
-		}
-	}
-	norm := 0.0
-	for _, a := range rRow {
-		if a < 0 {
-			a = -a
-		}
-		if a > norm {
-			norm = a
-		}
-	}
-	p.nrm[v] = norm
-	if norm > p.tol {
-		next = append(next, int32(v))
-	}
-	return next
-}
-
-// refPullRound is pullRound over refGatherOne (the non-sticky layout).
-func refPullRound(p *PullPass, active []int32, edges int) ([]int32, int) {
-	k := p.k
-	rh := make([]float64, len(active)*k)
-	edgeCh := make([]int, p.run.MaxChunks())
-	if p.activeIdx == nil {
-		p.activeIdx = make([]int32, p.n)
-		for i := range p.activeIdx {
-			p.activeIdx[i] = -1
-		}
-	}
-	for c := range p.cand {
-		p.cand[c] = p.cand[c][:0]
-		p.next[c] = p.next[c][:0]
-	}
-	p.run.RowsIndexed(len(active), func(chunk, lo, hi int) {
-		cand := p.cand[chunk][:0]
-		edgeN := 0
-		for idx := lo; idx < hi; idx++ {
-			u := int(active[idx])
-			rRow := p.r.Data[u*k : (u+1)*k]
-			fRow := p.f.Data[u*k : (u+1)*k]
-			MulRowsH(rh[idx*k:(idx+1)*k], rRow, p.hs, k)
-			for j := 0; j < k; j++ {
-				fRow[j] += rRow[j]
-				rRow[j] = 0
-			}
-			p.nrm[u] = 0
-			p.activeIdx[u] = int32(idx)
-			cols, _ := p.w.Row(u)
-			edgeN += len(cols)
-			for _, v := range cols {
-				if atomic.CompareAndSwapUint32(&p.mark[v], 0, 1) {
-					cand = append(cand, v)
-				}
-			}
-		}
-		p.cand[chunk] = cand
-		edgeCh[chunk] = edgeN
-	})
-	for c := range edgeCh {
-		edges += edgeCh[c]
-	}
-	var candBuf []int32
-	for c := range p.cand {
-		candBuf = append(candBuf, p.cand[c]...)
-	}
-	p.run.RowsIndexed(len(candBuf), func(chunk, lo, hi int) {
-		next := p.next[chunk][:0]
-		for i := lo; i < hi; i++ {
-			next = refGatherOne(p, int(candBuf[i]), rh, next)
-		}
-		p.next[chunk] = next
-	})
-	for _, u := range active {
-		p.activeIdx[u] = -1
-	}
-	return p.survivors(nil), edges
 }
 
 // stepFixture builds a random graph (unit or weighted rows, one self-loop)
@@ -234,7 +137,7 @@ func stepFixture(t *testing.T, k int, weighted, dyadic bool, seed int64) (w *spa
 
 // samePass reports the first bit-level difference between two passes'
 // beliefs, residuals and norms.
-func samePass(a, b *PullPass) (string, int, bool) {
+func samePass(a, b *Pass) (string, int, bool) {
 	for i := range a.f.Data {
 		if math.Float64bits(a.f.Data[i]) != math.Float64bits(b.f.Data[i]) {
 			return "F", i, false
@@ -252,51 +155,38 @@ func samePass(a, b *PullPass) (string, int, bool) {
 }
 
 // TestTrackedRoundsMatchReference pins the shared step to the loops it
-// replaced: the scatter round on one worker and the pull round on four must
-// leave F, R and the norms bit-identical, and return the same next frontier
-// (in the same order, for the sequential scatter), round after round — for k = 2..9, unit and weighted
-// rows, entries of both signs, and norms landing exactly on tol.
+// replaced: the scatter round must leave F, R and the norms bit-identical,
+// and return the same next frontier in the same order, round after round —
+// for k = 2..9, unit and weighted rows, entries of both signs, and norms
+// landing exactly on tol.
 func TestTrackedRoundsMatchReference(t *testing.T) {
 	atTol := 0
 	for k := 2; k <= 9; k++ {
 		for _, weighted := range []bool{false, true} {
 			for _, dyadic := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					w, hs, f, r, norms, active, tol := stepFixture(t, k, weighted, dyadic, int64(100*k+7))
-					got := NewPullPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, Runner{Workers: workers})
-					want := NewPullPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, Runner{Workers: workers})
-					gotActive, wantActive := slices.Clone(active), slices.Clone(active)
-					for round := 0; round < 4 && len(wantActive) > 0; round++ {
-						var gotPushed, gotEdges, wantPushed, wantEdges int
-						if workers == 1 {
-							gotActive, gotPushed, gotEdges = got.scatterRound(gotActive, 0, 0)
-							wantActive, wantPushed, wantEdges = refScatterRound(want, wantActive, 0, 0)
-						} else {
-							gotActive, gotEdges = got.pullRound(gotActive, 0)
-							wantActive, wantEdges = refPullRound(want, wantActive, 0)
-						}
-						tag := func() string {
-							return fmt.Sprintf("k=%d weighted=%v dyadic=%v workers=%d round=%d", k, weighted, dyadic, workers, round)
-						}
-						if what, i, ok := samePass(got, want); !ok {
-							t.Fatalf("%s: %s[%d] differs from the reference", tag(), what, i)
-						}
-						if workers > 1 {
-							// Parallel claims make a pull round's survivor
-							// order racy in either version; its set is not.
-							slices.Sort(gotActive)
-							slices.Sort(wantActive)
-						}
-						if !slices.Equal(gotActive, wantActive) {
-							t.Fatalf("%s: next frontier %v, reference %v", tag(), gotActive, wantActive)
-						}
-						if gotPushed != wantPushed || gotEdges != wantEdges {
-							t.Fatalf("%s: pushed/edges %d/%d, reference %d/%d", tag(), gotPushed, gotEdges, wantPushed, wantEdges)
-						}
-						for _, nv := range want.nrm {
-							if nv == tol {
-								atTol++
-							}
+				w, hs, f, r, norms, active, tol := stepFixture(t, k, weighted, dyadic, int64(100*k+7))
+				got := NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, Runner{Workers: 1})
+				want := NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, Runner{Workers: 1})
+				gotActive, wantActive := slices.Clone(active), slices.Clone(active)
+				for round := 0; round < 4 && len(wantActive) > 0; round++ {
+					var gotPushed, gotEdges, wantPushed, wantEdges int
+					gotActive, gotPushed, gotEdges = got.scatterRound(gotActive, 0, 0)
+					wantActive, wantPushed, wantEdges = refScatterRound(want, wantActive, 0, 0)
+					tag := func() string {
+						return fmt.Sprintf("k=%d weighted=%v dyadic=%v round=%d", k, weighted, dyadic, round)
+					}
+					if what, i, ok := samePass(got, want); !ok {
+						t.Fatalf("%s: %s[%d] differs from the reference", tag(), what, i)
+					}
+					if !slices.Equal(gotActive, wantActive) {
+						t.Fatalf("%s: next frontier %v, reference %v", tag(), gotActive, wantActive)
+					}
+					if gotPushed != wantPushed || gotEdges != wantEdges {
+						t.Fatalf("%s: pushed/edges %d/%d, reference %d/%d", tag(), gotPushed, gotEdges, wantPushed, wantEdges)
+					}
+					for _, nv := range want.nrm {
+						if nv == tol {
+							atTol++
 						}
 					}
 				}

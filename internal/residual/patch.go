@@ -22,11 +22,11 @@ import (
 // touch, and the drain is the sequential exec.Drain heap loop. A patch whose
 // frontier saturates, or whose pushes pass the edge budget, promotes to a
 // private dense view: the base beliefs are cloned wholesale (O(n·k), far
-// below a propagation's O(m·k·T)) and exec.PullPass runs rounds until the
-// frontier is empty, pricing each one — tracked while the active rows own
-// at most half of nnz(W), one exact whole-matrix round otherwise. Either
-// way Flush converges; FellBack reports the decision "a whole-matrix round
-// ran", not a failure.
+// below a propagation's O(m·k·T)) and exec.Pass runs rounds until the
+// frontier is empty, pricing each one — a sequential scatter while the
+// active rows own at most half of nnz(W), one exact whole-matrix round
+// otherwise. Either way Flush converges; FellBack reports the decision "a
+// whole-matrix round ran", not a failure.
 //
 // A Patch never mutates its base before Apply, so sessions that end in
 // Abort may run concurrently with each other and with one that will be
@@ -52,10 +52,10 @@ type Patch struct {
 	df, dr *dense.Matrix
 	dx     *dense.Matrix // cloned X̃ with deltas applied; built at the first whole-matrix round
 	norms  []float64
-	pull   *exec.PullPass
+	pass   *exec.Pass
 
 	// Trace, when set by the mutation path, records the flush tiers as
-	// "residual.flush" / "exec.drain" / "exec.pull" spans.
+	// "residual.flush" / "exec.drain" / "exec.rounds" spans.
 	Trace *telemetry.Trace
 }
 
@@ -73,7 +73,7 @@ func (s *State) BeginPatch() *Patch {
 		p.df = s.f.Clone()
 		p.dr = s.r.Clone()
 		p.norms = append([]float64(nil), s.norms...)
-		p.pull = exec.NewPullPass(s.w, s.hScaled, p.df, p.dr, p.norms, s.opts.Tol, s.run)
+		p.pass = exec.NewPass(s.w, s.hScaled, p.df, p.dr, p.norms, s.opts.Tol, exec.Runner{})
 		return p
 	}
 	p.rows = make(map[int32][]float64)
@@ -200,7 +200,7 @@ func (p *Patch) promote() {
 	}
 	p.rows, p.res = nil, nil
 	p.front = nil
-	p.pull = exec.NewPullPass(s.w, s.hScaled, p.df, p.dr, p.norms, s.opts.Tol, s.run)
+	p.pass = exec.NewPass(s.w, s.hScaled, p.df, p.dr, p.norms, s.opts.Tol, exec.Runner{})
 }
 
 // ensureDX materializes the patched explicit-belief matrix a whole-matrix
@@ -223,7 +223,7 @@ func (p *Patch) ensureDX() *dense.Matrix {
 // sparse-tier heap drain runs until it drains, saturates or passes the edge
 // budget; the last two both promote. The promoted tier then runs rounds
 // until the frontier is empty, under no edge budget, each priced by the
-// stored entries its active rows own (exec.PullPass.Drain).
+// stored entries its active rows own (exec.Pass.Drain).
 // Stats.Sweeps counts the whole-matrix rounds, FellBack reports that one
 // ran, and only Options.MaxSweeps of them can leave MaxResidual above the
 // tolerance. Safe to call with concurrent readers on the base.
@@ -241,10 +241,10 @@ func (p *Patch) Flush() Stats {
 		}
 		p.promote()
 	}
-	donePull := p.Trace.Start("exec.pull")
-	pushed, edges, rounds, sweeps, remaining := p.pull.Drain(
+	doneRounds := p.Trace.Start("exec.rounds")
+	pushed, edges, rounds, sweeps, remaining := p.pass.Drain(
 		activeFromNorms(p.norms, s.opts.Tol), p.ensureDX, s.opts.MaxSweeps)
-	donePull()
+	doneRounds()
 	st.Pushed += pushed
 	st.Edges += edges
 	st.Rounds, st.Sweeps, st.FellBack = rounds, sweeps, sweeps > 0
@@ -336,7 +336,7 @@ func (p *Patch) Abort() {
 	p.rows, p.res, p.front = nil, nil, nil
 	p.rowBuf, p.rhBuf = nil, nil
 	p.df, p.dr, p.dx = nil, nil, nil
-	p.norms, p.pull = nil, nil
+	p.norms, p.pass = nil, nil
 }
 
 // patchKernel is the copy-on-write push step of a sparse-tier patch.

@@ -22,12 +22,13 @@
 // drains through exec.Drain — the sequential priority-queue push loop — over
 // a compact sparse residual map holding only the dirty rows. Once the
 // frontier saturates (a load-factor threshold) or the pushes pass the edge
-// budget, the session promotes to private dense arrays and exec.PullPass
-// runs level-synchronous rounds until the frontier is empty, pricing every
-// round by the stored entries its active rows own: a tracked round (parallel
-// pull, or sequential scatter on one worker) while that is at most half of
-// nnz(W), otherwise one exact whole-matrix round F ← F + R,
-// R ← X̃ + εW·F·H̃ − F on the CSR multiply kernel. A flush therefore costs
+// budget, the session promotes to private dense arrays and exec.Pass runs
+// level-synchronous rounds until the frontier is empty, pricing every round
+// by the stored entries its active rows own: a sequential Gauss–Seidel
+// scatter while that is at most half of nnz(W), otherwise one exact
+// whole-matrix round F ← F + R, R ← X̃ + εW·F·H̃ − F on the CSR multiply
+// kernel. Neither kind of round depends on the worker count, so a replayed
+// request sequence gives the same bits on any host. A flush therefore costs
 // what its perturbation touches, round by round, instead of a budget burnt
 // before looking. The dense tier lives and dies with the session, so an
 // idle State holds two n×k matrices (X̃ and F), not five — the sparse tier
@@ -105,10 +106,6 @@ type Options struct {
 	// when its frontier saturates, and the promoted tier prices every round
 	// from there. Default 4.
 	EdgeBudgetFactor float64
-	// Workers caps the parallelism of saturated-round drains and dense
-	// sweeps (0 = all available workers, 1 = sequential). Benchmarks use 1
-	// as the like-for-like sequential baseline.
-	Workers int
 }
 
 func (o *Options) defaults() {
@@ -176,7 +173,6 @@ type State struct {
 	x *dense.Matrix // centered explicit beliefs, kept in sync by Patch.Apply
 	f *dense.Matrix // current belief estimate
 
-	run       exec.Runner
 	promoteAt int
 
 	// Sparse residual tier: the only residual storage while the frontier
@@ -247,7 +243,6 @@ func NewStateOn(w exec.RowIterator, h *dense.Matrix, opts Options, rhoW float64)
 		hScaled:   dense.Scale(hUse, eps),
 		x:         dense.New(n, k),
 		f:         dense.New(n, k),
-		run:       exec.Runner{Workers: opts.Workers},
 		promoteAt: promoteThreshold(n),
 		sRows:     make(map[int32][]float64),
 	}
@@ -329,7 +324,7 @@ func (s *State) Rescale(c float64) {
 	}
 	s.promoteForSweep()
 	k := s.k
-	s.run.Rows(s.n, func(lo, hi int) {
+	exec.Runner{}.Rows(s.n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			rRow := s.r.Data[i*k : (i+1)*k]
 			xRow := s.x.Data[i*k : (i+1)*k]
@@ -350,8 +345,8 @@ func (s *State) Rescale(c float64) {
 // of nodes (it pushes the largest residuals first and often converges
 // without ever growing the frontier), but once the dirty set is a
 // noticeable fraction of the graph the heap's per-edge overhead dwarfs the
-// ordering benefit — promoted drains run parallel level-synchronous rounds
-// over dense arrays at sweep-like speed while still skipping clean nodes.
+// ordering benefit — promoted drains run level-synchronous rounds over
+// dense arrays at sweep-like speed while still skipping clean nodes.
 func promoteThreshold(n int) int {
 	t := n / 32
 	if t < 1024 {
@@ -391,7 +386,7 @@ func (s *State) Init(x *dense.Matrix) (Stats, error) {
 	s.promoteForSweep()
 	// F = X̃ with R = 0: each whole-matrix round is one Jacobi sweep
 	// F ← X̃ + εWFH̃ that leaves the (F, R) pair exact.
-	pass := exec.NewPullPass(s.w, s.hScaled, s.f, s.r, s.norms, s.opts.Tol, s.run)
+	pass := exec.NewPass(s.w, s.hScaled, s.f, s.r, s.norms, s.opts.Tol, exec.Runner{})
 	var st Stats
 	for st.Sweeps < s.opts.MaxSweeps {
 		st.MaxResidual = pass.ExactRound(s.x)
