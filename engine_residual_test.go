@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -573,17 +574,26 @@ func TestResidualPatchQuerySpeedup(t *testing.T) {
 // TestEngineReplayIsBitIdentical: one request sequence gives one set of
 // beliefs, on any host. Fresh engines replay the same label patches (six
 // nodes each, every seed delta of norm 1) and what-ifs (three extra seeds
-// each) twice at GOMAXPROCS 1, then at 2 and 4; every what-if answer and
-// every final belief must agree bit for bit with the first run. Seed
-// deltas queued in map order entered the push heap in a different order
-// on every run, and a parallel tracked round's survivor order followed the
-// worker count; both moved beliefs within Tol.
+// each) twice at GOMAXPROCS 1, then at 2 and 4, and once more at 1 with two
+// collections before every op — they empty the session pool, so each
+// session runs on freshly allocated scratch instead of recycled buffers.
+// Every what-if answer and every final belief must agree bit for bit with
+// the first run. Seed deltas queued in map order entered the push heap in
+// a different order on every run, and a parallel tracked round's survivor
+// order followed the worker count; both moved beliefs within Tol.
 func TestEngineReplayIsBitIdentical(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 2000, 8000, 0.05)
-	replay := func() []uint64 {
+	replay := func(collect bool) []uint64 {
 		e := warmEngine(t, g, seeds, 0)
 		var bits []uint64
+		gc := func() {
+			if collect {
+				runtime.GC()
+				runtime.GC()
+			}
+		}
 		for round := 0; round < 12; round++ {
+			gc()
 			set := map[int]int{}
 			for i := 0; i < 6; i++ {
 				node := (round*977 + i*131) % g.N
@@ -594,6 +604,7 @@ func TestEngineReplayIsBitIdentical(t *testing.T) {
 			}
 			if round%3 == 2 {
 				extra := map[int]int{round: 0, round + 500: 1, round + 1000: 2}
+				gc()
 				rows, _ := whatIfBeliefs(t, e, extra)
 				for node := 0; node < g.N; node++ {
 					for _, v := range rows[node] {
@@ -610,18 +621,133 @@ func TestEngineReplayIsBitIdentical(t *testing.T) {
 		return bits
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	a := replay()
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		b := replay()
+	a := replay(false)
+	for _, arm := range []struct {
+		procs   int
+		collect bool
+	}{{1, false}, {2, false}, {4, false}, {1, true}} {
+		runtime.GOMAXPROCS(arm.procs)
+		b := replay(arm.collect)
 		if len(a) != len(b) {
-			t.Fatalf("GOMAXPROCS %d: replays read %d and %d values", procs, len(a), len(b))
+			t.Fatalf("GOMAXPROCS %d, collect %v: replays read %d and %d values", arm.procs, arm.collect, len(a), len(b))
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("GOMAXPROCS %d: replay differs from GOMAXPROCS 1 at value %d: %v vs %v",
-					procs, i, math.Float64frombits(b[i]), math.Float64frombits(a[i]))
+				t.Fatalf("GOMAXPROCS %d, collect %v: replay differs from GOMAXPROCS 1 at value %d: %v vs %v",
+					arm.procs, arm.collect, i, math.Float64frombits(b[i]), math.Float64frombits(a[i]))
 			}
+		}
+	}
+}
+
+// TestSessionPoolSharedConcurrently: what-ifs, label patches and an edge
+// batch that adds nodes (growing the residual state, which replaces its
+// session pool) run at once on one engine and share its pool. A writer
+// replays a fixed sequence of label patches with the edge batch in the
+// middle while four readers issue flooding what-ifs beside it; what-ifs
+// never reach the base, so the final beliefs must equal, bit for bit, the
+// same writes replayed alone with two collections before each — every
+// session of that replay runs on fresh scratch. A buffer handed out
+// unclean, or shared by two live sessions, shows as a differing bit (and,
+// under -race, as a race).
+func TestSessionPoolSharedConcurrently(t *testing.T) {
+	g, seeds, _ := engineFixture(t, 2000, 8000, 0.05)
+	n := g.N
+	writes := func(e *Engine, before func()) {
+		for round := 0; round < 8; round++ {
+			set := map[int]int{}
+			for i := 0; i < 4; i++ {
+				node := (round*613 + i*257) % n
+				set[node] = (node + round) % 3
+			}
+			before()
+			if err := e.UpdateLabels(set, nil); err != nil {
+				t.Error(err)
+				return
+			}
+			if round == 3 {
+				muts := []EdgeMutation{{U: n, V: 5, W: 1}, {U: n + 1, V: n, W: 1}, {U: n + 2, V: 700, W: 2},
+					{U: 10, V: 1200, W: 1}, {U: 40, V: 41, W: 1}}
+				before()
+				if _, err := e.MutateTopology(3, muts); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}
+	finalBits := func(e *Engine) []uint64 {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		bits := make([]uint64, 0, len(e.res.Beliefs().Data))
+		for _, v := range e.res.Beliefs().Data {
+			bits = append(bits, math.Float64bits(v))
+		}
+		return bits
+	}
+
+	ref := warmEngine(t, g, seeds, 0)
+	writes(ref, func() { runtime.GC(); runtime.GC() })
+	want := finalBits(ref)
+
+	e := warmEngine(t, g, seeds, 0)
+	done := make(chan struct{})
+	var wg, started sync.WaitGroup
+	var whatIfs atomic.Int64
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		started.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			running := false
+			defer func() {
+				if !running {
+					started.Done()
+				}
+			}()
+			for i := 0; ; i++ {
+				if i == 1 { // the writer starts once every reader has answered once
+					running = true
+					started.Done()
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+				extra := map[int]int{(r*389 + i*71) % n: i % 3, (r*131 + i*997) % n: (i + 1) % 3}
+				res, err := e.Classify(Query{Nodes: []int{0, 1, n - 1}, TopK: 3, ExtraSeeds: extra})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, nr := range res {
+					for _, cs := range nr.Top {
+						if math.IsNaN(cs.Score) || math.IsInf(cs.Score, 0) {
+							t.Errorf("what-if read a non-finite score %v at node %d", cs.Score, nr.Node)
+							return
+						}
+					}
+				}
+				whatIfs.Add(1)
+			}
+		}(r)
+	}
+	started.Wait()
+	before := whatIfs.Load()
+	writes(e, func() {})
+	during := whatIfs.Load() - before
+	close(done)
+	wg.Wait()
+	t.Logf("%d what-ifs completed while the writes ran", during)
+	got := finalBits(e)
+	if len(got) != len(want) {
+		t.Fatalf("final beliefs hold %d values, the replay alone %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("final belief %d is %v beside concurrent what-ifs, %v replayed alone",
+				i, math.Float64frombits(got[i]), math.Float64frombits(want[i]))
 		}
 	}
 }

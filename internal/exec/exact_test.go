@@ -30,15 +30,15 @@ func refExactRound(p *Pass, x *dense.Matrix) float64 {
 	})
 	p.w.MulDenseInto(wfh, fh)
 	chunks := p.run.MaxChunks()
-	if len(p.next) < chunks {
-		p.next = append(p.next, make([][]int32, chunks-len(p.next))...)
+	if len(p.sc.next) < chunks {
+		p.sc.next = append(p.sc.next, make([][]int32, chunks-len(p.sc.next))...)
 	}
-	chunkMax := make([]float64, len(p.next))
-	for c := range p.next {
-		p.next[c] = p.next[c][:0]
+	chunkMax := make([]float64, len(p.sc.next))
+	for c := range p.sc.next {
+		p.sc.next[c] = p.sc.next[c][:0]
 	}
 	p.run.RowsIndexed(n, chunks, func(chunk, lo, hi int) {
-		next, maxNorm := p.next[chunk], 0.0
+		next, maxNorm := p.sc.next[chunk], 0.0
 		for i := lo; i < hi; i++ {
 			norm := 0.0
 			for j := i * k; j < (i+1)*k; j++ {
@@ -59,7 +59,7 @@ func refExactRound(p *Pass, x *dense.Matrix) float64 {
 				maxNorm = norm
 			}
 		}
-		p.next[chunk], chunkMax[chunk] = next, maxNorm
+		p.sc.next[chunk], chunkMax[chunk] = next, maxNorm
 	})
 	maxNorm := 0.0
 	for _, v := range chunkMax {
@@ -169,8 +169,8 @@ func TestExactRoundMatchesReference(t *testing.T) {
 						tag := fmt.Sprintf("k=%d weighted=%v dyadic=%v overlay=%v workers=%d", k, weighted, dyadic, overlay, workers)
 						w, hs, f, r, x, norms, tol := exactFixture(t, k, weighted, dyadic, overlay, int64(31*k+5))
 						run := Runner{Workers: workers}
-						got := NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, run)
-						want := NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, run)
+						got := NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, run, nil)
+						want := NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, run, nil)
 						for round := 0; round < 5; round++ {
 							gotMax, wantMax := got.ExactRound(x), refExactRound(want, x)
 							if what, i, ok := samePass(got, want); !ok {
@@ -218,7 +218,7 @@ func TestPassSurvivesGOMAXPROCSRise(t *testing.T) {
 		}
 	}
 	build := func() *Pass {
-		return NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, Runner{})
+		return NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, Runner{}, nil)
 	}
 	xf := func() *dense.Matrix { return x }
 
@@ -265,7 +265,7 @@ func TestPricingMatchesReference(t *testing.T) {
 		for _, w := range []RowIterator{csr, ov} {
 			n := w.Dim()
 			p := NewPass(w, hs, growRows(f, n, func() float64 { return 0 }),
-				growRows(r, n, func() float64 { return 0 }), append(slices.Clone(norms), make([]float64, n-len(norms))...), tol, Runner{Workers: 1})
+				growRows(r, n, func() float64 { return 0 }), append(slices.Clone(norms), make([]float64, n-len(norms))...), tol, Runner{Workers: 1}, nil)
 			rng := rand.New(rand.NewSource(int64(n)))
 			limit := w.NNZ() / p.divisor
 			decisions := map[bool]int{}
@@ -333,7 +333,7 @@ func TestRoundsAllocateNothing(t *testing.T) {
 			copy(r.Data, r0)
 			copy(norms, n0)
 		}
-		p := NewPass(loopAdj{csr}, hs, f, r, norms, tol, Runner{Workers: 1})
+		p := NewPass(loopAdj{csr}, hs, f, r, norms, tol, Runner{Workers: 1}, nil)
 		if a := testing.AllocsPerRun(10, func() {
 			reset()
 			p.ExactRound(x)
@@ -416,8 +416,8 @@ func FuzzExactRound(f *testing.F) {
 			for i := range norms {
 				norms[i] = RowNorm(r.Row(i))
 			}
-			got := NewPass(w, hs, fm.Clone(), r.Clone(), slices.Clone(norms), tol, run)
-			want := NewPass(w, hs, fm, r, norms, tol, run)
+			got := NewPass(w, hs, fm.Clone(), r.Clone(), slices.Clone(norms), tol, run, nil)
+			want := NewPass(w, hs, fm, r, norms, tol, run, nil)
 			for round := 0; round < rounds; round++ {
 				gotMax, wantMax := got.ExactRound(x), refExactRound(want, x)
 				if what, i, ok := samePass(got, want); !ok {

@@ -151,7 +151,7 @@ func TestPullPassConvergesToInvariant(t *testing.T) {
 					active = append(active, int32(i))
 				}
 			}
-			p := NewPass(w, hs, f, r, norms, tol, run)
+			p := NewPass(w, hs, f, r, norms, tol, run, nil)
 			pushed, edges, rounds, remaining := drainAll(p, active)
 			if remaining != nil {
 				t.Fatalf("workers=%d frac=%v: unbounded drain returned remaining frontier", run.Workers, dirtyFrac)
@@ -192,7 +192,7 @@ func TestPullPassConvergesToInvariant(t *testing.T) {
 func TestPullPassBudget(t *testing.T) {
 	const n, k, tol = 600, 3, 1e-12
 	w, hs, f, r, norms, active := passFixture(t, n, k, 0.4, 11)
-	p := NewPass(w, hs, f, r, norms, tol, Runner{})
+	p := NewPass(w, hs, f, r, norms, tol, Runner{}, nil)
 	pushed, edges, _, sweeps, remaining := p.Drain(active, exactX(p), 1)
 	if remaining == nil || sweeps != 1 {
 		t.Fatalf("tight budget drained cleanly (sweeps=%d)", sweeps)

@@ -1,8 +1,8 @@
 package exec
 
 // PushKernel is one node-at-a-time push step of a Gauss–Southwell drain.
-// The kernel owns the actual storage (dense rows, a sparse map, or a
-// copy-on-write view over another kernel's state); Drain owns scheduling.
+// The kernel owns the actual storage (dense rows, or a patch session's
+// slot-indexed copy-on-write rows over its base); Drain owns scheduling.
 type PushKernel interface {
 	// Norm returns node's current residual ∞-norm. Drain re-checks it on
 	// every pop, so stale heap priorities never cause a wrong push.
@@ -33,11 +33,16 @@ const (
 // small-tier frontier until it empties, saturates, or exhausts the edge
 // budget (edgeBudget <= 0 means unbounded). It is the single push loop of
 // the residual solver's patch sessions; the budget check runs after each
-// push so a kernel's invariant is never left mid-node.
+// push so a kernel's invariant is never left mid-node. The frontier is
+// empty on every outcome: a promoting drain drops the nodes still queued
+// (the caller rebuilds its active set from its norm table), so the
+// frontier can serve the caller's next drain as it is.
 func Drain(f *Frontier, k PushKernel, edgeBudget int) (pushed, edges int, outcome DrainOutcome) {
 	tol := f.tol
+	add := f.Add // bound once: a method value per push would allocate per push
 	for f.Len() > 0 {
 		if f.ShouldPromote() {
+			f.drop()
 			return pushed, edges, Saturated
 		}
 		node, ok := f.PopMax()
@@ -47,9 +52,10 @@ func Drain(f *Frontier, k PushKernel, edgeBudget int) (pushed, edges int, outcom
 		if k.Norm(node) <= tol {
 			continue // pushed down (or absorbed) since it was enqueued
 		}
-		edges += k.Push(node, f.Add)
+		edges += k.Push(node, add)
 		pushed++
 		if edgeBudget > 0 && edges > edgeBudget {
+			f.drop()
 			return pushed, edges, BudgetExceeded
 		}
 	}

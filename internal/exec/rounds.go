@@ -38,6 +38,7 @@ type Pass struct {
 	nrm []float64
 	tol float64
 	run Runner
+	sc  *PassScratch
 
 	// divisor is DeltaDivisor; tests sweep others.
 	divisor int
@@ -47,12 +48,10 @@ type Pass struct {
 	spare  []int32 // scatter: the list the next round fills
 	rowLen []int32 // pricing: stored entries per row, 0 = not read yet
 
-	// Whole-matrix round scratch: F·H̃, the per-chunk survivor lists and
-	// max norm bits, the round's X̃, and the two flat passes bound once (a
-	// closure per round would be an allocation per round).
+	// Whole-matrix round scratch: F·H̃ (the per-chunk survivor lists and
+	// max norm bits are in sc), the round's X̃, and the two flat passes
+	// bound once (a closure per round would be an allocation per round).
 	fh       *dense.Matrix
-	next     [][]int32
-	chunkMax []uint64
 	x        *dense.Matrix
 	fold     func(lo, hi int)
 	residual func(chunk, lo, hi int)
@@ -63,19 +62,57 @@ type Pass struct {
 	deltaRounds, scatterRounds int
 }
 
-// NewPass builds a pass over dense (f, r, norms) storage. Its n-length
-// scratch (the mark flags here; the row-length table and F·H̃ on first
-// use) is freed with the pass — callers demoting their dense tier drop the
-// whole pass. norms must reflect r (∞-norm per row); the pass maintains
-// it.
-func NewPass(w RowIterator, hScaled, f, r *dense.Matrix, norms []float64, tol float64, run Runner) *Pass {
+// PassScratch is the working storage a Pass borrows: the n-sized mark
+// flags, row-length table and F·H̃, the two active lists, and the
+// whole-matrix round's per-chunk survivor lists and max norm bits. A caller
+// that runs many passes over graphs of one size lends one scratch to each
+// in turn — never to two live passes at once — so a warm pass allocates
+// none of it; a pass built with a nil scratch gets its own. Each buffer
+// reaches the pass in the state the pass expects (flags false, lengths
+// zero), whatever an earlier pass left in it.
+type PassScratch struct {
+	mark         []bool
+	rowLen       []int32
+	fh           *dense.Matrix
+	active, more []int32
+	next         [][]int32
+	chunkMax     []uint64
+}
+
+// NewPass builds a pass over dense (f, r, norms) storage, borrowing its
+// n-sized scratch (the mark flags here; the row-length table and F·H̃ on
+// first use) from sc, or from a scratch of its own when sc is nil. norms
+// must reflect r (∞-norm per row); the pass maintains it.
+func NewPass(w RowIterator, hScaled, f, r *dense.Matrix, norms []float64, tol float64, run Runner, sc *PassScratch) *Pass {
 	n := w.Dim()
+	if sc == nil {
+		sc = new(PassScratch)
+	}
+	if len(sc.mark) == n {
+		clear(sc.mark)
+	} else {
+		sc.mark = make([]bool, n)
+	}
 	return &Pass{
 		w: w, n: n, hs: hScaled.Data, k: hScaled.Rows,
-		f: f, r: r, nrm: norms, tol: tol, run: run,
+		f: f, r: r, nrm: norms, tol: tol, run: run, sc: sc,
 		divisor: DeltaDivisor,
-		mark:    make([]bool, n),
+		mark:    sc.mark,
+		spare:   sc.more[:0],
 	}
+}
+
+// Dirty lists every row whose norm exceeds the tolerance, in ascending
+// order, in the scratch's list storage: the active list a drain of the
+// pass's whole norm table starts from.
+func (p *Pass) Dirty() []int32 {
+	active := p.sc.active[:0]
+	for i, norm := range p.nrm {
+		if norm > p.tol {
+			active = append(active, int32(i))
+		}
+	}
+	return active
 }
 
 // Drain runs rounds until the frontier empties, pricing each one by the
@@ -88,8 +125,10 @@ func NewPass(w RowIterator, hScaled, f, r *dense.Matrix, norms []float64, tol fl
 // above-tolerance rows every round absorbed; edges counts the entries
 // tracked rounds traversed one at a time — each of the sweeps whole-matrix
 // rounds reads all nnz(W) on the multiply kernel instead. The pass owns
-// active afterwards.
+// active afterwards, and its scratch keeps both lists' storage for the
+// next pass (remaining stays valid until that pass starts).
 func (p *Pass) Drain(active []int32, x func() *dense.Matrix, maxSweeps int) (pushed, edges, rounds, sweeps int, remaining []int32) {
+	defer func() { p.sc.active, p.sc.more = active[:0], p.spare[:0] }()
 	var xm *dense.Matrix
 	for ; len(active) > 0; rounds++ {
 		if p.tracked(active) {
@@ -117,7 +156,12 @@ func (p *Pass) Drain(active []int32, x func() *dense.Matrix, maxSweeps int) (pus
 // once per pass, from rowLen after that (an empty row is asked again).
 func (p *Pass) tracked(active []int32) bool {
 	if p.rowLen == nil {
-		p.rowLen = make([]int32, p.n)
+		if len(p.sc.rowLen) == p.n {
+			clear(p.sc.rowLen)
+		} else {
+			p.sc.rowLen = make([]int32, p.n)
+		}
+		p.rowLen = p.sc.rowLen
 	}
 	limit := p.w.NNZ() / p.divisor
 	owned := 0
@@ -138,8 +182,8 @@ func (p *Pass) tracked(active []int32) bool {
 // survivors appends the per-chunk survivor lists of the last whole-matrix
 // round, in chunk order — ascending node order, whatever the chunking.
 func (p *Pass) survivors(into []int32) []int32 {
-	for c := range p.next {
-		into = append(into, p.next[c]...)
+	for c := range p.sc.next {
+		into = append(into, p.sc.next[c]...)
 	}
 	return into
 }
@@ -162,29 +206,32 @@ func (p *Pass) ExactRound(x *dense.Matrix) float64 {
 	mDenseRounds.Inc()
 	k := p.k
 	if p.fh == nil {
-		p.fh = dense.New(p.n, k)
+		if p.sc.fh == nil || p.sc.fh.Rows != p.n || p.sc.fh.Cols != k {
+			p.sc.fh = dense.New(p.n, k)
+		}
+		p.fh = p.sc.fh
 		p.fold = func(lo, hi int) {
 			foldRows(p.fh.Data[lo*k:hi*k], p.f.Data[lo*k:hi*k], p.r.Data[lo*k:hi*k], p.hs, k)
 		}
 		p.residual = func(c, lo, hi int) {
-			p.next[c], p.chunkMax[c] = residualRows(p.r.Data[lo*k:hi*k], p.x.Data[lo*k:hi*k],
-				p.f.Data[lo*k:hi*k], p.nrm[lo:hi], k, int32(lo), p.tol, p.next[c])
+			p.sc.next[c], p.sc.chunkMax[c] = residualRows(p.r.Data[lo*k:hi*k], p.x.Data[lo*k:hi*k],
+				p.f.Data[lo*k:hi*k], p.nrm[lo:hi], k, int32(lo), p.tol, p.sc.next[c])
 		}
 	}
 	chunks := p.run.MaxChunks()
-	if len(p.next) < chunks {
-		p.next = append(p.next, make([][]int32, chunks-len(p.next))...)
-		p.chunkMax = make([]uint64, chunks)
+	if len(p.sc.next) < chunks {
+		p.sc.next = append(p.sc.next, make([][]int32, chunks-len(p.sc.next))...)
+		p.sc.chunkMax = make([]uint64, chunks)
 	}
 	p.x = x
 	p.run.Rows(p.n, p.fold)
 	p.w.MulDenseInto(p.r, p.fh)
-	for c := range p.next {
-		p.next[c] = p.next[c][:0] // chunks past n rows do not run
-		p.chunkMax[c] = 0
+	for c := range p.sc.next {
+		p.sc.next[c] = p.sc.next[c][:0] // chunks past n rows do not run
+		p.sc.chunkMax[c] = 0
 	}
 	p.run.RowsIndexed(p.n, chunks, p.residual)
-	return math.Float64frombits(slices.Max(p.chunkMax))
+	return math.Float64frombits(slices.Max(p.sc.chunkMax))
 }
 
 // scatterRound is one tracked round: a Gauss–Seidel scan of the active

@@ -43,7 +43,7 @@ func schedulePass(t *testing.T, n, active int) (*Pass, []int32) {
 		norms[i] = 1
 		list[i] = int32(i)
 	}
-	return NewPass(w, h, f, r, norms, 1e-8, Runner{}), list
+	return NewPass(w, h, f, r, norms, 1e-8, Runner{}, nil), list
 }
 
 // TestPullPassFullScanThreshold pins the pricing edge of a round. The
@@ -95,7 +95,7 @@ func TestTunedSchedulesConverge(t *testing.T) {
 			norms[i] = 1
 			list[i] = int32(i)
 		}
-		return NewPass(w, h, f, r, norms, 1e-10, Runner{Workers: workers}), f, list
+		return NewPass(w, h, f, r, norms, 1e-10, Runner{Workers: workers}, nil), f, list
 	}
 	pSeq, fSeq, aSeq := build(1, 24)
 	drainAll(pSeq, aSeq)

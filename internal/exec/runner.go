@@ -8,9 +8,10 @@
 //     long-lived worker pool, with a worker cap so benchmarks can pin a
 //     sequential baseline against identical code;
 //   - Frontier: the small-tier dirty-node set of the push solver — a
-//     Gauss–Southwell priority heap over a sparse membership map, with a
-//     promotion signal once the set saturates (the saturated tier's
-//     active list and mark flags belong to Pass);
+//     typed Gauss–Southwell max-heap over a membership flag table the
+//     caller lends, with a promotion signal once the set saturates (the
+//     saturated tier's active list and mark flags belong to Pass, in a
+//     PassScratch the caller can recycle across passes);
 //   - Drain: the sequential largest-first push loop for heap-tier
 //     frontiers, generic over a PushKernel so the solver's copy-on-write
 //     patch sessions own the storage and this package the scheduling;

@@ -165,8 +165,8 @@ func TestTrackedRoundsMatchReference(t *testing.T) {
 		for _, weighted := range []bool{false, true} {
 			for _, dyadic := range []bool{false, true} {
 				w, hs, f, r, norms, active, tol := stepFixture(t, k, weighted, dyadic, int64(100*k+7))
-				got := NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, Runner{Workers: 1})
-				want := NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, Runner{Workers: 1})
+				got := NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, Runner{Workers: 1}, nil)
+				want := NewPass(w, hs, f.Clone(), r.Clone(), slices.Clone(norms), tol, Runner{Workers: 1}, nil)
 				gotActive, wantActive := slices.Clone(active), slices.Clone(active)
 				for round := 0; round < 4 && len(wantActive) > 0; round++ {
 					var gotPushed, gotEdges, wantPushed, wantEdges int

@@ -27,11 +27,12 @@ func (k refPatchKernel) Push(node int32, dirtied func(int32, float64)) int {
 	for j := 0; j < kk; j++ {
 		fRow[j] += rRow[j]
 	}
-	copy(p.rowBuf, rRow)
+	rowBuf, rhBuf := p.sc.rowBuf, p.sc.rhBuf
+	copy(rowBuf, rRow)
 	for j := 0; j < kk; j++ {
 		rRow[j] = 0
 	}
-	exec.MulRowsH(p.rhBuf, p.rowBuf, base.hScaled.Data, kk)
+	exec.MulRowsH(rhBuf, rowBuf, base.hScaled.Data, kk)
 	cols, wts := base.w.Row(int(node))
 	for q, v := range cols {
 		wv := 1.0
@@ -41,7 +42,7 @@ func (k refPatchKernel) Push(node int32, dirtied func(int32, float64)) int {
 		nRow := p.resRow(v)
 		norm := 0.0
 		for j := 0; j < kk; j++ {
-			nRow[j] += wv * p.rhBuf[j]
+			nRow[j] += wv * rhBuf[j]
 			a := nRow[j]
 			if a < 0 {
 				a = -a
@@ -53,6 +54,19 @@ func (k refPatchKernel) Push(node int32, dirtied func(int32, float64)) int {
 		dirtied(v, norm)
 	}
 	return len(cols)
+}
+
+// sessionRows reads a sparse-tier session's slot storage back as node → row
+// maps: its cloned belief rows and its residual rows.
+func sessionRows(p *Patch) (beliefs, res map[int32][]float64) {
+	beliefs, res = map[int32][]float64{}, map[int32][]float64{}
+	for i, node := range p.sc.touched {
+		res[node] = p.resRow(node)
+		if p.sc.owned[i] {
+			beliefs[node] = p.Row(int(node))
+		}
+	}
+	return beliefs, res
 }
 
 // sameRows reports the first node whose row differs bit for bit between
@@ -122,10 +136,12 @@ func TestPushMatchesReference(t *testing.T) {
 			if gp == 0 {
 				t.Fatalf("%s: nothing pushed", tag)
 			}
-			if node, ok := sameRows(got.rows, want.rows); !ok {
+			gotRows, gotRes := sessionRows(got)
+			wantRows, wantRes := sessionRows(want)
+			if node, ok := sameRows(gotRows, wantRows); !ok {
 				t.Fatalf("%s: belief row %d differs from the reference", tag, node)
 			}
-			if node, ok := sameRows(got.res, want.res); !ok {
+			if node, ok := sameRows(gotRes, wantRes); !ok {
 				t.Fatalf("%s: residual row %d differs from the reference", tag, node)
 			}
 			got.Abort()

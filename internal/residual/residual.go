@@ -20,7 +20,9 @@
 //
 // Scheduling lives in internal/exec and has two tiers. A small frontier
 // drains through exec.Drain — the sequential priority-queue push loop — over
-// a compact sparse residual map holding only the dirty rows. Once the
+// the session's slot-indexed rows: an n-sized node→slot table, packed
+// residual and belief slabs and a touched list, seeded from the State's
+// sparse map of retained rows. Once the
 // frontier saturates (a load-factor threshold) or the pushes pass the edge
 // budget, the session promotes to private dense arrays and exec.Pass runs
 // level-synchronous rounds until the frontier is empty, pricing every round
@@ -32,7 +34,12 @@
 // what its perturbation touches, round by round, instead of a budget burnt
 // before looking. The dense tier lives and dies with the session, so an
 // idle State holds two n×k matrices (X̃ and F), not five — the sparse tier
-// is what keeps a quiescent engine's footprint small.
+// is what keeps a quiescent engine's footprint small. Every buffer a
+// session borrows — slot table, flags, slabs, frontier, the dense tier's
+// matrices and the pass scratch — comes from a per-State sync.Pool and
+// goes back at Apply or Abort, so a warm session allocates O(1) objects
+// and no n×k matrix. Pooled scratch is not resident state: the pool
+// empties within two collections and MemoryBytes does not count it.
 //
 // Applying a session discards residual mass at or below the tolerance
 // (retaining it would keep a dense array alive). Each discard perturbs the
@@ -61,6 +68,7 @@ package residual
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"factorgraph/internal/dense"
@@ -186,6 +194,12 @@ type State struct {
 
 	edgeBudget int
 
+	// pool recycles the sessions' scratch (see scratch): n-sized tables
+	// and n×k matrices, so a warm session allocates none of them. It is
+	// not resident state and MemoryBytes does not count it. Grow replaces
+	// it: every pooled buffer is sized for the old n.
+	pool *sync.Pool
+
 	// droppedMass accumulates the residual ∞-norm mass discarded by
 	// demotions, sparse-tier compactions and patch applies — the numeric
 	// cost of the Tol-bounded discards the package comment bounds at
@@ -245,6 +259,7 @@ func NewStateOn(w exec.RowIterator, h *dense.Matrix, opts Options, rhoW float64)
 		f:         dense.New(n, k),
 		promoteAt: promoteThreshold(n),
 		sRows:     make(map[int32][]float64),
+		pool:      new(sync.Pool),
 	}
 	s.resetEdgeBudget()
 	return s, nil
@@ -294,6 +309,7 @@ func (s *State) Grow(n int) {
 	}
 	s.n = n
 	s.promoteAt = promoteThreshold(n)
+	s.pool = new(sync.Pool)
 }
 
 // growMatrix returns a copy of m extended to n rows, new rows filled with
@@ -386,7 +402,7 @@ func (s *State) Init(x *dense.Matrix) (Stats, error) {
 	s.promoteForSweep()
 	// F = X̃ with R = 0: each whole-matrix round is one Jacobi sweep
 	// F ← X̃ + εWFH̃ that leaves the (F, R) pair exact.
-	pass := exec.NewPass(s.w, s.hScaled, s.f, s.r, s.norms, s.opts.Tol, exec.Runner{})
+	pass := exec.NewPass(s.w, s.hScaled, s.f, s.r, s.norms, s.opts.Tol, exec.Runner{}, nil)
 	var st Stats
 	for st.Sweeps < s.opts.MaxSweeps {
 		st.MaxResidual = pass.ExactRound(s.x)
@@ -442,19 +458,22 @@ func (s *State) demote() {
 // compact bounds the sparse tier after a drain: if retained sub-tolerance
 // rows have accumulated past the promotion threshold they are discarded
 // (the same Tol-bounded error as a demotion) so the map can never creep
-// toward a dense matrix worth of entries.
-func (s *State) compact() {
+// toward a dense matrix worth of entries. The discarded rows are appended
+// to free for reuse.
+func (s *State) compact(free [][]float64) [][]float64 {
 	if len(s.sRows) <= s.promoteAt {
-		return
+		return free
 	}
 	dropped := 0.0
 	for node, row := range s.sRows {
 		if norm := exec.RowNorm(row); norm <= s.opts.Tol {
 			dropped += norm
 			delete(s.sRows, node)
+			free = append(free, row)
 		}
 	}
 	s.addDropped(dropped)
+	return free
 }
 
 // addDropped folds discarded residual mass into the running total.
@@ -481,17 +500,6 @@ func (s *State) DroppedMass() float64 {
 	return math.Float64frombits(s.droppedMass.Load())
 }
 
-// activeFromNorms lists every node whose residual norm exceeds tol.
-func activeFromNorms(norms []float64, tol float64) []int32 {
-	active := make([]int32, 0, 1024)
-	for i, norm := range norms {
-		if norm > tol {
-			active = append(active, int32(i))
-		}
-	}
-	return active
-}
-
 func (s *State) maxNorm() float64 {
 	if s.r != nil {
 		m := 0.0
@@ -512,8 +520,12 @@ func (s *State) maxNorm() float64 {
 }
 
 // Beliefs returns the live belief matrix. It aliases internal storage:
-// callers must hold whatever lock serializes Patch.Apply, and must clone
-// rows that need to outlive that lock.
+// callers must hold whatever lock serializes Patch.Apply, and must copy
+// rows that need to outlive that lock. The alias goes bad when the lock is
+// released, not merely stale: a promoted session's Apply hands the
+// superseded matrix to the session pool, and a later promotion overwrites
+// it. (The engine's read path copies the rows it emits under its read
+// lock.)
 func (s *State) Beliefs() *dense.Matrix { return s.f }
 
 // Row returns node's live belief row (aliasing; see Beliefs).

@@ -15,7 +15,34 @@ var defaultPool = newWorkerPool(runtime.GOMAXPROCS(0))
 type rowTask struct {
 	fn     func(lo, hi int)
 	lo, hi int
-	wg     *sync.WaitGroup
+	job    *rowJob
+}
+
+// rowJob is one parallelRowsLimit call: the chunks still running and the
+// first panic any of them raised, which the calling goroutine re-raises
+// once every chunk is done. A panic must not end a pool worker: nothing
+// above it recovers, so it would end the process (net/http's handler
+// recovery never sees a goroutine it did not start).
+type rowJob struct {
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	panicked bool
+	val      any
+}
+
+// run runs one chunk, capturing a panic into its job.
+func (t rowTask) run() {
+	defer t.job.wg.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			t.job.mu.Lock()
+			if !t.job.panicked {
+				t.job.panicked, t.job.val = true, v
+			}
+			t.job.mu.Unlock()
+		}
+	}()
+	t.fn(t.lo, t.hi)
 }
 
 type workerPool struct {
@@ -36,8 +63,7 @@ func newWorkerPool(size int) *workerPool {
 
 func (p *workerPool) worker() {
 	for t := range p.tasks {
-		t.fn(t.lo, t.hi)
-		t.wg.Done()
+		t.run()
 	}
 }
 
@@ -79,9 +105,11 @@ func MaxParallelWorkers(limit int) int {
 // parallelRows splits [0, n) into one chunk per worker and runs fn on the
 // pool, blocking until every chunk completes. fn must be safe to call
 // concurrently on disjoint ranges. Small inputs run inline: the fan-out
-// overhead would dominate. The chunk count tracks the CURRENT GOMAXPROCS
-// (capped at the pool size), so lowering the proc limit after init does not
-// over-split work across contended threads.
+// overhead would dominate. A panic in any chunk is re-raised here, in the
+// calling goroutine, after every chunk has finished. The chunk count
+// tracks the CURRENT GOMAXPROCS (capped at the pool size), so lowering the
+// proc limit after init does not over-split work across contended
+// threads.
 func (p *workerPool) parallelRows(n int, fn func(lo, hi int)) {
 	p.parallelRowsLimit(n, 0, fn)
 }
@@ -105,7 +133,7 @@ func (p *workerPool) parallelRowsLimit(n, limit int, fn func(lo, hi int)) {
 		return
 	}
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
+	job := new(rowJob)
 	for w := 0; w < workers; w++ {
 		lo, hi := w*chunk, (w+1)*chunk
 		if hi > n {
@@ -114,8 +142,11 @@ func (p *workerPool) parallelRowsLimit(n, limit int, fn func(lo, hi int)) {
 		if lo >= hi {
 			continue
 		}
-		wg.Add(1)
-		p.tasks <- rowTask{fn: fn, lo: lo, hi: hi, wg: &wg}
+		job.wg.Add(1)
+		p.tasks <- rowTask{fn: fn, lo: lo, hi: hi, job: job}
 	}
-	wg.Wait()
+	job.wg.Wait()
+	if job.panicked {
+		panic(job.val)
+	}
 }
