@@ -58,12 +58,14 @@ var ErrEngineClosed = errors.New("engine closed")
 // What-if queries (Query.ExtraSeeds) flush their never-applied session under
 // the read lock — they read live base rows a concurrent Apply would swap —
 // concurrently with each other and with a writer's flush, and abort it once
-// read, so no what-if leaves memory behind. ReleaseTransient and Close are
-// NOT writers: they take mu only, because the registry calls them under its
-// own lock on unpinned engines while an async compactor may hold the writer
-// mutex through a rescale flush; a session that finds its state dropped when
-// it comes to commit is discarded (commitSession). Lock order is
-// patchMu → mu. All execution — dense rounds and saturated residual
+// read, so no what-if leaves memory behind. A label-only what-if (TopK 0,
+// explicit Nodes) ends its flush as soon as a certified error bound proves
+// every queried label final (QueryMeta.Certified). ReleaseTransient and
+// Close are NOT writers: they take mu only, because the registry calls them
+// under its own lock on unpinned engines while an async compactor may hold
+// the writer mutex through a rescale flush; a session that finds its state
+// dropped when it comes to commit is discarded (commitSession). Lock order
+// is patchMu → mu. All execution — dense rounds and saturated residual
 // drains alike — runs on the shared parallel core in internal/exec over
 // internal/sparse's worker pool.
 type Engine struct {
@@ -806,6 +808,11 @@ type QueryMeta struct {
 	// over half the stored entries and the session ran whole-matrix rounds
 	// on its private clone: a routing decision, not a failure.
 	FellBack bool
+	// Certified reports that a label-only what-if (TopK 0, explicit Nodes)
+	// ended its session before the residual tolerance, once a certified
+	// error bound proved every queried node's label final (see
+	// residual.Patch.Certify). The labels are those of the fixed point.
+	Certified bool
 	// CacheHit is always false: every what-if flushes its own session,
 	// there is no what-if cache. The field stays for callers that still
 	// read it.
@@ -881,7 +888,11 @@ func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResu
 	meta, row := QueryMeta{Residual: true}, res.Row
 	var session *residual.Patch
 	if len(q.ExtraSeeds) > 0 {
-		meta, session = e.whatIfSession(res, q.ExtraSeeds, tr)
+		var certify []int
+		if topk == 0 && q.Nodes != nil {
+			certify = q.Nodes // only labels are read: stop once they are final
+		}
+		meta, session = e.whatIfSession(res, q.ExtraSeeds, certify, tr)
 		row, stage = session.Row, "overlay_flush"
 	}
 	n := len(q.Nodes)
@@ -931,9 +942,16 @@ func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResu
 
 // whatIfSession opens a what-if session over res and flushes it; the caller
 // holds the read lock, reads its answer through the session and aborts it.
-func (e *Engine) whatIfSession(res *residual.State, extra map[int]int, tr *telemetry.Trace) (QueryMeta, *residual.Patch) {
+// A non-nil certify arms the session's label certificate for those nodes,
+// against ‖W′‖₂ ≤ ρ̄(W_base) + the overlay's drift bound (Weyl's
+// inequality; the overlay is res's adjacency under the read lock).
+func (e *Engine) whatIfSession(res *residual.State, extra map[int]int, certify []int, tr *telemetry.Trace) (QueryMeta, *residual.Patch) {
 	session := res.BeginPatch()
 	session.Trace = tr
+	if certify != nil {
+		_, rhoUpper := e.topo.Base().SpectralBracketCached()
+		session.Certify(certify, rhoUpper+e.topo.RhoDeltaBound())
+	}
 	for _, node := range sortedNodes(extra) {
 		c := extra[node]
 		// The delta is taken against the X̃ the base holds, not e.seeds:
@@ -946,7 +964,7 @@ func (e *Engine) whatIfSession(res *residual.State, extra map[int]int, tr *telem
 	st := e.flushSession(session)
 	return QueryMeta{
 		Residual: true, PushedNodes: st.Pushed, TouchedEdges: st.Edges,
-		ClonedRows: session.OwnedRows(), FellBack: st.FellBack,
+		ClonedRows: session.OwnedRows(), FellBack: st.FellBack, Certified: st.Certified,
 	}, session
 }
 

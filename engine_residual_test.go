@@ -577,12 +577,16 @@ func TestResidualPatchQuerySpeedup(t *testing.T) {
 // each) twice at GOMAXPROCS 1, then at 2 and 4, and once more at 1 with two
 // collections before every op — they empty the session pool, so each
 // session runs on freshly allocated scratch instead of recycled buffers.
-// Every what-if answer and every final belief must agree bit for bit with
+// Beside each what-if a label-only one (top_k 0, eight nodes, a flooding
+// overlay of forty seeds) stops on its label certificate; its labels and
+// push work, which pin the round it stopped at, join the replay. Every
+// what-if answer and every final belief must agree bit for bit with
 // the first run. Seed deltas queued in map order entered the push heap in
 // a different order on every run, and a parallel tracked round's survivor
 // order followed the worker count; both moved beliefs within Tol.
 func TestEngineReplayIsBitIdentical(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 2000, 8000, 0.05)
+	certified := 0
 	replay := func(collect bool) []uint64 {
 		e := warmEngine(t, g, seeds, 0)
 		var bits []uint64
@@ -611,6 +615,25 @@ func TestEngineReplayIsBitIdentical(t *testing.T) {
 						bits = append(bits, math.Float64bits(v))
 					}
 				}
+				flood, nodes := map[int]int{}, make([]int, 8)
+				for i := 0; i < 40; i++ {
+					flood[(round*37+i*53)%g.N] = i % 3
+				}
+				for i := range nodes {
+					nodes[i] = (round*311 + i*229) % g.N
+				}
+				gc()
+				meta, err := e.ClassifyEachMeta(Query{Nodes: nodes, ExtraSeeds: flood}, func(r NodeResult) error {
+					bits = append(bits, uint64(r.Label))
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if meta.Certified {
+					certified++
+				}
+				bits = append(bits, uint64(meta.PushedNodes), uint64(meta.TouchedEdges), uint64(meta.ClonedRows))
 			}
 		}
 		e.mu.RLock()
@@ -622,6 +645,10 @@ func TestEngineReplayIsBitIdentical(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a := replay(false)
+	if certified == 0 {
+		t.Fatal("no label-only what-if stopped on its certificate")
+	}
+	t.Logf("%d of 4 label-only what-ifs stopped on their certificate", certified)
 	for _, arm := range []struct {
 		procs   int
 		collect bool
@@ -796,5 +823,55 @@ func TestInitSweepsOnBenchmarkShapes(t *testing.T) {
 		if st.Sweeps != c.wantSweeps {
 			t.Errorf("%s: Init ran %d sweeps, want %d", c.name, st.Sweeps, c.wantSweeps)
 		}
+	}
+}
+
+// TestLabelOnlyWhatIfStopsAtProof: a what-if that reads only labels (top_k
+// 0, explicit nodes) ends its flush on the label certificate, with less
+// push work and the labels of the same what-if drained to the tolerance.
+// Asked with scores, or over every node, the same what-if still drains.
+func TestLabelOnlyWhatIfStopsAtProof(t *testing.T) {
+	g, seeds, _ := engineFixture(t, 2000, 8000, 0.05)
+	e := warmEngine(t, g, seeds, 0)
+	labelsOf := func(q Query) ([]int, QueryMeta) {
+		var labs []int
+		meta, err := e.ClassifyEachMeta(q, func(r NodeResult) error {
+			labs = append(labs, r.Label)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return labs, meta
+	}
+	certified := 0
+	for round := 0; round < 6; round++ {
+		flood, nodes := map[int]int{}, make([]int, 16)
+		for i := 0; i < 40; i++ {
+			flood[(round*41+i*47)%g.N] = (i + round) % 3
+		}
+		for i := range nodes {
+			nodes[i] = (round*131 + i*113) % g.N
+		}
+		got, meta := labelsOf(Query{Nodes: nodes, ExtraSeeds: flood})
+		want, full := labelsOf(Query{Nodes: nodes, TopK: 3, ExtraSeeds: flood})
+		all, whole := labelsOf(Query{ExtraSeeds: flood})
+		if full.Certified || whole.Certified {
+			t.Fatalf("round %d: a what-if that shows scores or every node stopped on a certificate", round)
+		}
+		for i, node := range nodes {
+			if got[i] != want[i] || all[node] != want[i] {
+				t.Errorf("round %d node %d: label-only %d, with scores %d, over all nodes %d", round, node, got[i], want[i], all[node])
+			}
+		}
+		if meta.Certified {
+			certified++
+			if meta.PushedNodes >= full.PushedNodes {
+				t.Errorf("round %d: certified stop pushed %d rows, the full drain %d", round, meta.PushedNodes, full.PushedNodes)
+			}
+		}
+	}
+	if certified == 0 {
+		t.Fatal("no label-only what-if stopped on its certificate")
 	}
 }

@@ -229,7 +229,7 @@ func TestPassSurvivesGOMAXPROCSRise(t *testing.T) {
 	for round := range wantMax {
 		wantMax[round] = want.ExactRound(x)
 	}
-	wantPushed, _, _, wantSweeps, wantRem := wantDrain.Drain(slices.Clone(active), xf, 4)
+	wantPushed, _, _, wantSweeps, wantRem := wantDrain.Drain(slices.Clone(active), xf, 4, nil)
 
 	runtime.GOMAXPROCS(procs)
 	for round, m := range wantMax {
@@ -243,7 +243,7 @@ func TestPassSurvivesGOMAXPROCSRise(t *testing.T) {
 	if g, w := got.survivors(nil), want.survivors(nil); !slices.Equal(g, w) {
 		t.Fatalf("survivors %v at GOMAXPROCS %d, %v at 1", g, procs, w)
 	}
-	gotPushed, _, _, gotSweeps, gotRem := gotDrain.Drain(slices.Clone(active), xf, 4)
+	gotPushed, _, _, gotSweeps, gotRem := gotDrain.Drain(slices.Clone(active), xf, 4, nil)
 	if gotSweeps == 0 || gotPushed != wantPushed || gotSweeps != wantSweeps || !slices.Equal(gotRem, wantRem) {
 		t.Fatalf("drain: pushed/sweeps %d/%d at GOMAXPROCS %d, %d/%d at 1", gotPushed, gotSweeps, procs, wantPushed, wantSweeps)
 	}

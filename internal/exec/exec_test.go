@@ -108,7 +108,7 @@ func exactX(p *Pass) func() *dense.Matrix {
 // drainAll is an uncapped Drain in the (pushed, edges, rounds, remaining)
 // shape the pricing tests read.
 func drainAll(p *Pass, active []int32) (pushed, edges, rounds int, remaining []int32) {
-	pushed, edges, rounds, _, remaining = p.Drain(active, exactX(p), 0)
+	pushed, edges, rounds, _, remaining = p.Drain(active, exactX(p), 0, nil)
 	return pushed, edges, rounds, remaining
 }
 
@@ -193,7 +193,7 @@ func TestPullPassBudget(t *testing.T) {
 	const n, k, tol = 600, 3, 1e-12
 	w, hs, f, r, norms, active := passFixture(t, n, k, 0.4, 11)
 	p := NewPass(w, hs, f, r, norms, tol, Runner{}, nil)
-	pushed, edges, _, sweeps, remaining := p.Drain(active, exactX(p), 1)
+	pushed, edges, _, sweeps, remaining := p.Drain(active, exactX(p), 1, nil)
 	if remaining == nil || sweeps != 1 {
 		t.Fatalf("tight budget drained cleanly (sweeps=%d)", sweeps)
 	}
@@ -212,6 +212,34 @@ func TestPullPassBudget(t *testing.T) {
 	for i, v := range norms {
 		if v > tol {
 			t.Fatalf("node %d left dirty after resume (%g)", i, v)
+		}
+	}
+}
+
+// TestDrainStopAfterWholeMatrixRounds: the stop predicate is asked after
+// whole-matrix rounds only, and a true answer ends the drain at once with
+// the exact dirty frontier, as a sweep cap does.
+func TestDrainStopAfterWholeMatrixRounds(t *testing.T) {
+	const n, k, tol = 600, 3, 1e-12
+	w, hs, f, r, norms, active := passFixture(t, n, k, 0.4, 11)
+	p := NewPass(w, hs, f, r, norms, tol, Runner{}, nil)
+	asked := 0
+	_, _, rounds, sweeps, remaining := p.Drain(active, exactX(p), 0, func() bool {
+		asked++
+		if asked != p.deltaRounds {
+			t.Fatalf("stop asked %d times after %d whole-matrix rounds", asked, p.deltaRounds)
+		}
+		return asked == 2
+	})
+	if asked != 2 || sweeps != 2 || remaining == nil {
+		t.Fatalf("stop after the second whole-matrix round: asked=%d sweeps=%d remaining=%v", asked, sweeps, remaining != nil)
+	}
+	if rounds != p.deltaRounds+p.scatterRounds {
+		t.Fatalf("rounds = %d, ran %d whole-matrix + %d tracked", rounds, p.deltaRounds, p.scatterRounds)
+	}
+	for _, v := range remaining {
+		if norms[v] <= tol {
+			t.Fatalf("remaining frontier lists clean node %d", v)
 		}
 	}
 }

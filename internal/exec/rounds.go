@@ -121,13 +121,16 @@ func (p *Pass) Dirty() []int32 {
 // x supplies X̃ and is called at most once, before the first whole-matrix
 // round; maxSweeps > 0 caps those rounds so a drain terminates even where
 // contraction is lost, returning the still-dirty frontier (norms exact for
-// it). remaining is nil on a clean drain. pushed counts the
-// above-tolerance rows every round absorbed; edges counts the entries
-// tracked rounds traversed one at a time — each of the sweeps whole-matrix
-// rounds reads all nnz(W) on the multiply kernel instead. The pass owns
-// active afterwards, and its scratch keeps both lists' storage for the
-// next pass (remaining stays valid until that pass starts).
-func (p *Pass) Drain(active []int32, x func() *dense.Matrix, maxSweeps int) (pushed, edges, rounds, sweeps int, remaining []int32) {
+// it). stop, when non-nil, is asked after every whole-matrix round that
+// leaves rows dirty — never after a tracked one, whose residual is carried
+// rather than recomputed — and a true answer ends the drain there with the
+// dirty frontier returned the same way. remaining is nil on a clean drain.
+// pushed counts the above-tolerance rows every round absorbed; edges counts
+// the entries tracked rounds traversed one at a time — each of the sweeps
+// whole-matrix rounds reads all nnz(W) on the multiply kernel instead. The
+// pass owns active afterwards, and its scratch keeps both lists' storage
+// for the next pass (remaining stays valid until that pass starts).
+func (p *Pass) Drain(active []int32, x func() *dense.Matrix, maxSweeps int, stop func() bool) (pushed, edges, rounds, sweeps int, remaining []int32) {
 	defer func() { p.sc.active, p.sc.more = active[:0], p.spare[:0] }()
 	var xm *dense.Matrix
 	for ; len(active) > 0; rounds++ {
@@ -147,6 +150,9 @@ func (p *Pass) Drain(active []int32, x func() *dense.Matrix, maxSweeps int) (pus
 		pushed += len(active)
 		p.ExactRound(xm)
 		active = p.survivors(active[:0])
+		if stop != nil && len(active) > 0 && stop() {
+			return pushed, edges, rounds + 1, sweeps, active
+		}
 	}
 	return pushed, edges, rounds, sweeps, nil
 }

@@ -58,6 +58,15 @@ type Patch struct {
 	norms  []float64
 	pass   *exec.Pass
 
+	// label certificate (see Certify): the nodes whose labels the caller
+	// reads, 1 − s̄ (0 when unarmed), and whether it stopped the drain.
+	// boundHook, when set, sees every bound the certificate evaluates;
+	// tests use it.
+	certNodes []int
+	certGap   float64
+	certified bool
+	boundHook func(float64)
+
 	// Trace, when set by the mutation path, records the flush tiers as
 	// "residual.flush" / "exec.drain" / "exec.rounds" spans.
 	Trace *telemetry.Trace
@@ -232,6 +241,7 @@ func (p *Patch) release() {
 	p.base.pool.Put(p.sc)
 	p.base, p.sc, p.xdel = nil, nil, nil
 	p.df, p.dr, p.dx, p.norms, p.pass = nil, nil, nil, nil, nil
+	p.certNodes = nil
 }
 
 // AddDelta queues an explicit-belief change (newXRow − oldXRow, uncentered
@@ -358,7 +368,21 @@ func (p *Patch) ensureDX() *dense.Matrix {
 // stored entries its active rows own (exec.Pass.Drain).
 // Stats.Sweeps counts the whole-matrix rounds, FellBack reports that one
 // ran, and only Options.MaxSweeps of them can leave MaxResidual above the
-// tolerance. Safe to call with concurrent readers on the base.
+// tolerance — or, on a session armed by Certify, the label certificate.
+// Safe to call with concurrent readers on the base.
+//
+// The certificate. Write A·M = εW′·M·H̃ for the session's adjacency W′
+// and E = F* − F for the distance to the session's fixed point. From
+// F* = X̃ + A·F* and R = X̃ + A·F − F, E = A·E + R. As an operator on n×k
+// matrices under the Frobenius norm, ‖A‖ ≤ ‖W′‖₂·σ_max(H̃ε) ≤ s̄, so with
+// s̄ < 1, ‖E‖_F ≤ ‖R‖_F/(1 − s̄) ≤ √(k·Σᵢ‖Rᵢ‖²_∞)/(1 − s̄) = B (plus the
+// rounding slack of bound), and every |E_ij| ≤ ‖E‖_F ≤ B. A node whose
+// top-2 margin exceeds 2B therefore has the label of F*: no entry of its
+// row can move far enough to reorder the top two. R is exact only right
+// after a whole-matrix round, which recomputes it from its definition, so
+// that is where the drain asks; a tracked round forwards R instead and is
+// never asked. A certified stop leaves rows above the tolerance, so
+// Stats.Certified is set and the session may only be Aborted.
 func (p *Patch) Flush() Stats {
 	s := p.base
 	var st Stats
@@ -373,13 +397,18 @@ func (p *Patch) Flush() Stats {
 		}
 		p.promote()
 	}
+	var stop func() bool
+	if p.certGap > 0 {
+		stop = p.labelsFinal
+	}
 	doneRounds := p.Trace.Start("exec.rounds")
 	pushed, edges, rounds, sweeps, remaining := p.pass.Drain(
-		p.pass.Dirty(), p.ensureDX, s.opts.MaxSweeps)
+		p.pass.Dirty(), p.ensureDX, s.opts.MaxSweeps, stop)
 	doneRounds()
 	st.Pushed += pushed
 	st.Edges += edges
 	st.Rounds, st.Sweeps, st.FellBack = rounds, sweeps, sweeps > 0
+	st.Certified = p.certified
 	for _, v := range remaining {
 		if p.norms[v] > st.MaxResidual {
 			st.MaxResidual = p.norms[v]
@@ -393,8 +422,13 @@ func (p *Patch) Flush() Stats {
 // copies for a sparse patch and pointer swaps for a promoted one — never
 // propagation. A promoted session's belief matrix becomes the base's, and
 // the superseded one goes back to the pool with the session's scratch,
-// for a later promotion to overwrite (see State.Beliefs).
+// for a later promotion to overwrite (see State.Beliefs). Apply panics on a
+// session its label certificate stopped: that session's residual is above
+// the tolerance, so only Abort may end it.
 func (p *Patch) Apply() {
+	if p.certified {
+		panic("residual: Apply on a session its label certificate stopped above the tolerance")
+	}
 	s := p.base
 	for node, d := range p.xdel {
 		row := s.x.Row(int(node))

@@ -58,6 +58,22 @@
 //     extra seeds, flush, read the answer through Patch.Row and end in
 //     Abort, cloning only the frontier their seeds actually touch.
 //
+// A what-if that reports only labels need not drain to the tolerance: a
+// label is final once the distance to the fixed point provably cannot
+// reorder its top two beliefs. Since E = F* − F solves E = A·E + R and
+// ‖A‖ ≤ s̄ = σ̄(H̃ε)·‖W′‖₂ in the Frobenius operator norm,
+//
+//	max|E_ij| ≤ ‖E‖_F ≤ ‖R‖_F/(1 − s̄) ≤ √(k·Σᵢ‖Rᵢ‖²_∞)/(1 − s̄) = B,
+//
+// where σ̄ is a certified upper bound on H̃ε's largest singular value
+// (sigmaBound squares H̃εᵀH̃ε, never approaching from below) and ‖W′‖₂ is
+// bounded by the caller: ρ̄(W_base) from the Collatz–Wielandt bracket plus
+// the delta overlay's Gershgorin drift bound, by Weyl's inequality. A
+// node whose top-2 margin exceeds 2B has the fixed point's label.
+// Patch.Certify arms the check; the promoted drain asks it after each
+// whole-matrix round, where R is exact, and stops once every queried node
+// passes (see Patch.Flush). Such a session is Aborted, never Applied.
+//
 // A State is NOT safe for concurrent mutation; the Engine serializes
 // Init/Patch.Apply behind its write lock and reads behind its read lock.
 // Patches never mutate their base before Apply, so any number of them may
@@ -161,6 +177,10 @@ type Stats struct {
 	// (Sweeps > 0): the perturbation had spread to where a round over every
 	// row is cheaper than tracking the frontier. It is not a failure.
 	FellBack bool
+	// Certified reports that the label certificate (Patch.Certify) ended
+	// the flush above the tolerance: every certified node's label was
+	// provably final.
+	Certified bool
 	// MaxResidual is the largest per-node residual ∞-norm left behind.
 	MaxResidual float64
 }
@@ -177,6 +197,7 @@ type State struct {
 	k    int
 
 	hScaled *dense.Matrix // centered, ε-scaled H̃ (same as propagation.State)
+	sigmaH  float64       // certified upper bound on σ_max(hScaled), for Certify
 
 	x *dense.Matrix // centered explicit beliefs, kept in sync by Patch.Apply
 	f *dense.Matrix // current belief estimate
@@ -261,6 +282,7 @@ func NewStateOn(w exec.RowIterator, h *dense.Matrix, opts Options, rhoW float64)
 		sRows:     make(map[int32][]float64),
 		pool:      new(sync.Pool),
 	}
+	s.sigmaH = sigmaBound(s.hScaled)
 	s.resetEdgeBudget()
 	return s, nil
 }
@@ -354,6 +376,7 @@ func (s *State) Rescale(c float64) {
 	for i := range s.hScaled.Data {
 		s.hScaled.Data[i] *= c
 	}
+	s.sigmaH = sigmaBound(s.hScaled)
 }
 
 // promoteThreshold is the frontier size at which a drain abandons the
@@ -376,9 +399,6 @@ func (s *State) K() int { return s.k }
 
 // N returns the node count.
 func (s *State) N() int { return s.n }
-
-// Tol returns the configured per-node residual tolerance.
-func (s *State) Tol() float64 { return s.opts.Tol }
 
 // Init solves for the fixed point from scratch: it installs x (the
 // explicit-belief matrix, uncentered) and runs dense Jacobi sweeps

@@ -20,6 +20,8 @@ var (
 		"Sparse-to-dense residual tier promotions (state and patch sessions).")
 	mDemotions = telemetry.Default().Counter("fg_residual_tier_demotions_total",
 		"Dense-to-sparse residual tier demotions.")
+	mCertified = telemetry.Default().Counter("fg_residual_certified_stops_total",
+		"Flushes a label certificate ended above the tolerance, every queried label provably final.")
 )
 
 // recordStats folds one completed drain's work into the process counters.
@@ -36,5 +38,8 @@ func recordStats(st Stats) {
 	}
 	if st.FellBack {
 		mFallbacks.Inc()
+	}
+	if st.Certified {
+		mCertified.Inc()
 	}
 }

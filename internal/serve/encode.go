@@ -119,6 +119,9 @@ func appendClassifyResponse(b []byte, resp *ClassifyResponse) ([]byte, error) {
 	if resp.FellBack {
 		b = append(b, `,"fell_back":true`...)
 	}
+	if resp.Certified {
+		b = append(b, `,"certified":true`...)
+	}
 	if len(resp.Stages) > 0 {
 		b = append(b, `,"stages":[`...)
 		for i, st := range resp.Stages {

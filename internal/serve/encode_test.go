@@ -133,8 +133,9 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// FuzzClassifyEncode: arbitrary ints, float64 bit patterns and stage names
-// render exactly as encoding/json renders them, and both refuse NaN/±Inf.
+// FuzzClassifyEncode: arbitrary ints, flags, float64 bit patterns and stage
+// names render exactly as encoding/json renders them, and both refuse
+// NaN/±Inf.
 func FuzzClassifyEncode(f *testing.F) {
 	seed := func(words ...uint64) []byte {
 		var b []byte
@@ -165,6 +166,7 @@ func FuzzClassifyEncode(f *testing.F) {
 			Count:        r.Label,
 			Residual:     flags&1 != 0,
 			FellBack:     flags&2 != 0,
+			Certified:    flags&4 != 0,
 			PushedNodes:  int(int16(flags >> 16)),
 			TouchedEdges: int(int16(flags >> 32)),
 			ClonedRows:   int(int8(flags >> 48)),

@@ -204,3 +204,45 @@ func TestEstimateGzip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLabelOnlyWhatIfOverHTTP: a flooding what-if that asks only labels of
+// explicit nodes stops on its label certificate — "certified":true, one
+// more fg_residual_certified_stops_total — with the labels the same what-if
+// reports when it asks for scores and drains to the tolerance.
+func TestLabelOnlyWhatIfOverHTTP(t *testing.T) {
+	srv := newMultiServer(0, Options{})
+	if rec, _ := doJSON(t, srv, "POST", "/v1/graphs", synthBody("flood", 500, 2500)); rec.Code != 201 {
+		t.Fatalf("create: status %d", rec.Code)
+	}
+	classify := "/v1/graphs/flood/classify"
+	if rec, _ := doJSON(t, srv, "POST", classify, `{"nodes":[0]}`); rec.Code != 200 {
+		t.Fatalf("warm classify: status %d: %s", rec.Code, rec.Body.String())
+	}
+	ask := func(body string) ClassifyResponse {
+		t.Helper()
+		rec, _ := doJSON(t, srv, "POST", classify, body)
+		if rec.Code != 200 {
+			t.Fatalf("what-if: status %d: %s", rec.Code, rec.Body.String())
+		}
+		var cr ClassifyResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil {
+			t.Fatal(err)
+		}
+		return cr
+	}
+	before := scrape(t, srv)
+	got := ask(`{"nodes":[10,20,30,40],"extra_seeds":{"10":1,"11":2,"12":0}}`)
+	after := scrape(t, srv)
+	want := ask(`{"nodes":[10,20,30,40],"top_k":3,"extra_seeds":{"10":1,"11":2,"12":0}}`)
+	if !got.Certified || want.Certified {
+		t.Fatalf("certified: label-only %v, with scores %v; want true, false", got.Certified, want.Certified)
+	}
+	if d := after["fg_residual_certified_stops_total"] - before["fg_residual_certified_stops_total"]; d < 1 {
+		t.Errorf("fg_residual_certified_stops_total rose by %v across a certified stop", d)
+	}
+	for i, r := range got.Results {
+		if r.Label != want.Results[i].Label {
+			t.Errorf("node %d: certified label %d, drained label %d", r.Node, r.Label, want.Results[i].Label)
+		}
+	}
+}

@@ -182,6 +182,10 @@ type ClassifyResponse struct {
 	// FellBack reports that the what-if ran a whole-matrix round on its
 	// private clone, exactly as a label patch's fell_back does.
 	FellBack bool `json:"fell_back,omitempty"`
+	// Certified reports that a label-only what-if (top_k 0, explicit
+	// nodes) stopped its flush once a certified error bound proved every
+	// queried label final, before the residual tolerance.
+	Certified bool `json:"certified,omitempty"`
 	// Stages is the per-stage time breakdown of how this query was served,
 	// present when the request asked for it with ?debug=1 (non-streaming
 	// only). Stage names name the engine path taken: overlay_flush for
