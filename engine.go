@@ -92,8 +92,12 @@ type Engine struct {
 	// (AsyncCompact engines only); mutations keep landing in fresh
 	// overlays stacked on the frozen epoch meanwhile. Guarded by mu;
 	// compactCond broadcasts when it clears (WaitCompaction).
-	compacting  bool
-	compactCond *sync.Cond
+	// compactPanic is the printed panic that ended the last background
+	// build, "" if it did not panic (TopoStats.CompactPanic); guarded by
+	// mu.
+	compacting   bool
+	compactCond  *sync.Cond
+	compactPanic string
 
 	// nNodes is the live node count (grown by node additions); lock-free
 	// so validation on the hot query paths never takes the engine lock.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"factorgraph/internal/core"
 	"factorgraph/internal/graph"
@@ -97,6 +98,90 @@ func TestEngineAsyncCompactParity(t *testing.T) {
 		t.Errorf("async-compacted beliefs differ from cold build by %g", d)
 	}
 	t.Logf("async stats: %d compactions (%d async), %d rescales", st.TopoCompactions, st.TopoAsyncCompactions, st.TopoRescales)
+}
+
+// TestAsyncCompactPanicIsRecovered: a panic in the background compactor's
+// lock-free build (injected through compactFault between the merge and
+// ρ(W)) must not end the process. The build ends: WaitCompaction returns,
+// TopoStats reports the panic, and the overlay stays live, so reads and
+// mutations go on. The next batch that trips the threshold builds again,
+// installs, and clears the report; the final beliefs match a cold build.
+func TestAsyncCompactPanicIsRecovered(t *testing.T) {
+	g, seeds, _ := engineFixture(t, 1500, 6000, 0.05)
+	inc, err := NewEngine(g, seeds, 3, EngineOptions{
+		AsyncCompact: true, CompactFraction: 0.01,
+		ResidualTol: 1e-10, ResidualEdgeBudget: 256,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Classify(Query{Nodes: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	edges := edgeSetOf(g)
+	n := g.N
+	next := 0
+	// trip upserts fresh edges until a batch starts a background build,
+	// then waits for that build to end.
+	trip := func() {
+		t.Helper()
+		for round := 0; round < 50; round++ {
+			var muts []EdgeMutation
+			for len(muts) < 8 {
+				next++
+				u, v := (next*7919)%n, (next*104729+1)%n
+				a, b := int32(min(u, v)), int32(max(u, v))
+				if u == v || edges[[2]int32{a, b}] {
+					continue
+				}
+				edges[[2]int32{a, b}] = true
+				muts = append(muts, EdgeMutation{U: u, V: v})
+			}
+			meta, err := inc.MutateTopology(0, muts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.CompactPending {
+				done := make(chan struct{})
+				go func() { inc.WaitCompaction(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatal("WaitCompaction still blocked after the build panicked")
+				}
+				return
+			}
+		}
+		t.Fatal("no batch tripped the compaction threshold")
+	}
+
+	compactFault = func() { panic("injected build fault") }
+	defer func() { compactFault = nil }()
+	trip()
+	ts := inc.TopoStats()
+	if ts.Compacting || ts.CompactPanic != "compactor panic: injected build fault" || ts.AsyncCompactions != 0 {
+		t.Fatalf("after the panic: compacting %v, panic %q, async compactions %d", ts.Compacting, ts.CompactPanic, ts.AsyncCompactions)
+	}
+	if ts.OverlayFraction == 0 {
+		t.Fatal("the overlay was dropped with the failed build")
+	}
+	if _, err := inc.Classify(Query{Nodes: []int{1}}); err != nil {
+		t.Fatal(err)
+	}
+
+	compactFault = nil
+	trip()
+	ts = inc.TopoStats()
+	if ts.CompactPanic != "" || ts.AsyncCompactions != 1 {
+		t.Fatalf("retry: panic %q, async compactions %d", ts.CompactPanic, ts.AsyncCompactions)
+	}
+	gf, err := graph.New(n, edgeList(edges), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := maxBeliefDiff(beliefsOf(t, inc), denseReference(t, gf, seeds, inc.Estimate().H)); d > 1e-6 {
+		t.Errorf("beliefs after the recovered build differ from a cold build by %g", d)
+	}
 }
 
 // TestReestimateIncremental pins the o(Δ) re-estimation contract: edge

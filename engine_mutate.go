@@ -518,23 +518,49 @@ func (e *Engine) startAsyncCompact() bool {
 // then takes patchMu like any mutator and swaps the build in. A stale
 // build (the engine closed, or the contraction guard forced a synchronous
 // compaction first) is discarded; Close never waits for this goroutine —
-// it aborts at the swap via the closed check.
+// it aborts at the swap via the closed check. A panic in the lock-free
+// build is recovered, not fatal: nothing was published, so the overlay
+// stays live, the panic is kept for TopoStats, and the next batch that
+// trips the threshold builds again.
 func (e *Engine) runAsyncCompact(frozen *delta.Graph) {
 	start := telemetry.Now()
-	csr := frozen.Compact()
-	rhoNew := csr.SpectralRadiusCached()
-	e.patchMu.Lock()
-	installed, _ := e.installEpoch(frozen, csr, rhoNew)
-	e.patchMu.Unlock()
-	if installed {
-		e.nAsyncCompactions.Add(1)
-		engCompactionsAsync.Inc()
-		hCompactAsync.ObserveSince(start)
+	csr, rhoNew, fault := buildEpoch(frozen)
+	if fault == "" {
+		e.patchMu.Lock()
+		installed, _ := e.installEpoch(frozen, csr, rhoNew)
+		e.patchMu.Unlock()
+		if installed {
+			e.nAsyncCompactions.Add(1)
+			engCompactionsAsync.Inc()
+			hCompactAsync.ObserveSince(start)
+		}
 	}
 	e.mu.Lock()
 	e.compacting = false
+	e.compactPanic = fault
 	e.mu.Unlock()
 	e.compactCond.Broadcast()
+}
+
+// compactFault, when set, runs inside buildEpoch between the merge and
+// ρ(W); tests use it to make the background build panic. Nil in
+// production.
+var compactFault func()
+
+// buildEpoch is the background compactor's lock-free build: the canonical
+// CSR of frozen's edge set and its spectral radius. A panic in it is
+// recovered and described in fault, which is empty on success.
+func buildEpoch(frozen *delta.Graph) (csr *sparse.CSR, rho float64, fault string) {
+	defer func() {
+		if v := recover(); v != nil {
+			fault = fmt.Sprint("compactor panic: ", v)
+		}
+	}()
+	csr = frozen.Compact()
+	if compactFault != nil {
+		compactFault()
+	}
+	return csr, csr.SpectralRadiusCached(), ""
 }
 
 // WaitCompaction blocks until no background compaction is in flight; it
@@ -568,6 +594,11 @@ type TopoStats struct {
 	// Compacting reports a background compactor currently building the
 	// next epoch.
 	Compacting bool `json:"compacting,omitempty"`
+	// CompactPanic reports the panic that ended the last background
+	// build ("compactor panic: " and the panic value), recovered: the
+	// overlay stayed live and the next trip of the threshold builds
+	// again. Empty after a build that did not panic.
+	CompactPanic string `json:"compact_panic,omitempty"`
 }
 
 // TopoStats reports the engine's live topology dimensions and mutation
@@ -579,7 +610,7 @@ func (e *Engine) TopoStats() TopoStats {
 		AsyncCompactions: e.nAsyncCompactions.Load(),
 	}
 	e.mu.RLock()
-	ts.Compacting = e.compacting
+	ts.Compacting, ts.CompactPanic = e.compacting, e.compactPanic
 	if e.topo != nil {
 		ts.Nodes = e.topo.Dim()
 		ts.Edges = e.topo.UndirectedEdges()

@@ -573,10 +573,15 @@ func TestResidualPatchQuerySpeedup(t *testing.T) {
 
 // TestEngineReplayIsBitIdentical: one request sequence gives one set of
 // beliefs, on any host. Fresh engines replay the same label patches (six
-// nodes each, every seed delta of norm 1) and what-ifs (three extra seeds
-// each) twice at GOMAXPROCS 1, then at 2 and 4, and once more at 1 with two
+// nodes each, every seed delta of norm 1), edge batches (four upserts of
+// unit and weight-2 edges plus four removals of earlier upserts, with one
+// synchronous compaction midway) and what-ifs (three extra seeds each)
+// twice at GOMAXPROCS 1, then at 2 and 4, and once more at 1 with two
 // collections before every op — they empty the session pool, so each
 // session runs on freshly allocated scratch instead of recycled buffers.
+// Each batch's push and edge counts join the replay: they pin every
+// tracked round's next list, whose order the scatter round's branch-free
+// re-queue must keep.
 // Beside each what-if a label-only one (top_k 0, eight nodes, a flooding
 // overlay of forty seeds) stops on its label certificate; its labels and
 // push work, which pin the round it stopped at, join the replay. Every
@@ -590,6 +595,7 @@ func TestEngineReplayIsBitIdentical(t *testing.T) {
 	replay := func(collect bool) []uint64 {
 		e := warmEngine(t, g, seeds, 0)
 		var bits []uint64
+		var added [][2]int // upserted edges, oldest first: each batch removes four
 		gc := func() {
 			if collect {
 				runtime.GC()
@@ -605,6 +611,32 @@ func TestEngineReplayIsBitIdentical(t *testing.T) {
 			}
 			if err := e.UpdateLabels(set, nil); err != nil {
 				t.Fatal(err)
+			}
+			var muts []EdgeMutation
+			for _, ed := range added[:min(4, len(added))] {
+				muts = append(muts, EdgeMutation{U: ed[0], V: ed[1], Remove: true})
+			}
+			added = added[min(4, len(added)):]
+			for i := 0; i < 4; i++ {
+				u := (round*389 + i*613) % g.N
+				v := (u + 1 + (round*571+i*97)%(g.N-1)) % g.N
+				muts = append(muts, EdgeMutation{U: u, V: v, W: float64(1 + i%2)})
+				added = append(added, [2]int{u, v})
+			}
+			gc()
+			mm, err := e.MutateTopology(0, muts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !mm.Residual {
+				t.Fatalf("round %d: edge batch did not flush through the residual state", round)
+			}
+			bits = append(bits, uint64(mm.PushedNodes), uint64(mm.TouchedEdges))
+			if round == 6 {
+				gc()
+				if _, err := e.CompactTopology(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if round%3 == 2 {
 				extra := map[int]int{round: 0, round + 500: 1, round + 1000: 2}

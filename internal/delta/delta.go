@@ -10,7 +10,11 @@
 // and no hash; unpatched rows read straight through to the base, so the
 // overlay implements the execution layer's RowIterator contract
 // (internal/exec) with the same slice-scan inner loops as a plain CSR —
-// kernels cannot tell a mutated graph from a frozen one.
+// kernels cannot tell a mutated graph from a frozen one. The product
+// (MulDenseInto) runs the base CSR's kernel over every row, then
+// recomputes only the patched rows, each on the same constant-stride
+// register kernel at k = 2..5 (sparse.MulRowInto), so a whole-matrix round
+// over a dirty overlay pays no slower per-entry loop for them.
 //
 // Publication is epoch-based: a published *Graph is immutable. A mutator
 // calls Clone (O(n/256): it copies the chunk pointers and takes a fresh
@@ -192,9 +196,10 @@ func (g *Graph) Row(u int) ([]int32, []float64) {
 
 // MulDenseInto computes out = W × X (RowIterator contract): the base CSR
 // kernel writes rows [0, base.N), then only the patched and added rows are
-// recomputed from their merged rows. Every output row is the ordered flat
-// scan of its own row either way, so a clean overlay, a dirty one and a cold
-// CSR of the same edge set agree bit for bit.
+// recomputed from their merged rows, on the same register kernel of X's
+// width (sparse.MulRowInto). Every output row adds its stored entries in
+// order either way, so a clean overlay, a dirty one and a cold CSR of the
+// same edge set agree bit for bit.
 func (g *Graph) MulDenseInto(out, x *dense.Matrix) {
 	if x.Rows != g.n {
 		panic(fmt.Sprintf("delta: MulDense shape mismatch: W is %d×%d, X has %d rows", g.n, g.n, x.Rows))
@@ -217,20 +222,7 @@ func (g *Graph) MulDenseInto(out, x *dense.Matrix) {
 				continue
 			}
 			node := c<<chunkBits | s
-			orow := out.Data[node*k : (node+1)*k]
-			for j := range orow {
-				orow[j] = 0
-			}
-			for p, col := range r.cols {
-				wv := 1.0
-				if r.wts != nil {
-					wv = r.wts[p]
-				}
-				xrow := x.Data[int(col)*k : int(col+1)*k]
-				for j, v := range xrow {
-					orow[j] += wv * v
-				}
-			}
+			sparse.MulRowInto(out.Data[node*k:(node+1)*k], x, r.cols, r.wts)
 		}
 	}
 }

@@ -259,7 +259,9 @@ func TestNoOpMutationsLeaveOverlayClean(t *testing.T) {
 // FuzzOverlayOps drives the overlay with an arbitrary operation stream —
 // four bytes an operation (see opStream.apply) over a small seeded base —
 // and requires the final epoch's Compact and MulDenseInto to equal a cold
-// NewSymmetricFromEdges build of the model's edge set bit for bit.
+// NewSymmetricFromEdges build of the model's edge set bit for bit —
+// MulDenseInto at every width whose patched rows take their own arm of
+// sparse.MulRowInto (2..5) and at flat-scan widths on either side (1, 7).
 func FuzzOverlayOps(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 1, 0, 3, 0, 3, 0, 0, 0, 0, 4, 5, 1})
 	f.Add(int64(2), []byte{5, 0, 0, 0, 0, 1, 2, 1, 2, 9, 9, 2, 6, 0, 0, 0, 1, 1, 2, 0})
@@ -280,7 +282,7 @@ func FuzzOverlayOps(f *testing.F) {
 		if got := g.Compact(); !sameCSR(got, want) {
 			t.Fatalf("Compact differs from a cold build:\n got %v %v %v\nwant %v %v %v", got.IndPtr, got.Indices, got.Data, want.IndPtr, want.Indices, want.Data)
 		}
-		for _, k := range []int{1, 3} {
+		for _, k := range []int{1, 2, 3, 4, 5, 7} {
 			x := dense.New(m.n, k)
 			for i := range x.Data {
 				x.Data[i] = rng.NormFloat64()

@@ -356,6 +356,61 @@ func TestRoundsAllocateNothing(t *testing.T) {
 	}
 }
 
+// fuzzFixture is the part of a round fuzz target's input both round
+// targets read first, in this order: a small graph (n ≤ 24, up to 63 edges,
+// unit or weighted rows), a delta overlay of it (up to 3 added nodes and 15
+// upserts or removals), k = 2..9 and a k×k H̃, every value a small dyadic
+// rational so no NaN arises. next and val read on from the same bytes.
+type fuzzFixture struct {
+	next func() int
+	val  func() float64
+	adj  []RowIterator // the CSR and the overlay of it
+	k    int
+	hs   *dense.Matrix
+}
+
+func newFuzzFixture(t *testing.T, data []byte) fuzzFixture {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	val := func() float64 { return float64(int8(next())) / 16 }
+	weight := func() float64 { return []float64{0.5, 1, 2, 3}[next()%4] }
+	n, k, weighted := 1+next()%24, 2+next()%8, next()%2 == 1
+	var edges [][2]int32
+	var wts []float64
+	for e := next() % 64; e > 0; e-- {
+		edges = append(edges, [2]int32{int32(next() % n), int32(next() % n)})
+		wts = append(wts, weight())
+	}
+	if !weighted {
+		wts = nil
+	}
+	csr, err := sparse.NewSymmetricFromEdges(n, edges, wts)
+	if err != nil {
+		t.Skip(err)
+	}
+	ov := delta.New(csr)
+	dim := ov.AddNodes(next() % 4)
+	for op := next() % 16; op > 0; op-- {
+		u, v := next()%dim, next()%dim
+		if next()%2 == 0 {
+			ov.SetEdge(u, v, weight())
+		} else {
+			ov.RemoveEdge(u, v)
+		}
+	}
+	hs := dense.New(k, k)
+	for i := range hs.Data {
+		hs.Data[i] = val() / 8
+	}
+	return fuzzFixture{next: next, val: val, adj: []RowIterator{csr, ov}, k: k, hs: hs}
+}
+
 // FuzzExactRound builds a small graph, a delta overlay of it (added nodes,
 // upserts and removals), k, H̃, F, R, X̃ and tol from the fuzz bytes — every
 // entry a small dyadic rational, so no NaN arises — and runs ExactRound and
@@ -367,46 +422,10 @@ func FuzzExactRound(f *testing.F) {
 	f.Add([]byte{20, 6, 0, 40, 9, 1, 17, 3, 5, 3, 11, 12, 200, 3, 1, 4, 1, 5, 9, 2, 6})
 	f.Add([]byte{3, 0, 1, 3, 0, 0, 1, 1, 2, 2, 0, 3, 5, 1, 0, 1, 255, 128, 64, 32, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
-		val := func() float64 { return float64(int8(next())) / 16 }
-		weight := func() float64 { return []float64{0.5, 1, 2, 3}[next()%4] }
-		n, k, weighted := 1+next()%24, 2+next()%8, next()%2 == 1
-		var edges [][2]int32
-		var wts []float64
-		for e := next() % 64; e > 0; e-- {
-			edges = append(edges, [2]int32{int32(next() % n), int32(next() % n)})
-			wts = append(wts, weight())
-		}
-		if !weighted {
-			wts = nil
-		}
-		csr, err := sparse.NewSymmetricFromEdges(n, edges, wts)
-		if err != nil {
-			t.Skip(err)
-		}
-		ov := delta.New(csr)
-		dim := ov.AddNodes(next() % 4)
-		for op := next() % 16; op > 0; op-- {
-			u, v := next()%dim, next()%dim
-			if next()%2 == 0 {
-				ov.SetEdge(u, v, weight())
-			} else {
-				ov.RemoveEdge(u, v)
-			}
-		}
-		hs := dense.New(k, k)
-		for i := range hs.Data {
-			hs.Data[i] = val() / 8
-		}
+		fx := newFuzzFixture(t, data)
+		next, val, k, hs := fx.next, fx.val, fx.k, fx.hs
 		tol, rounds, run := float64(next()%8)/8, 1+next()%3, Runner{Workers: 1 + next()%4}
-		for _, w := range []RowIterator{csr, ov} {
+		for _, w := range fx.adj {
 			rows := w.Dim()
 			fm, r, x := dense.New(rows, k), dense.New(rows, k), dense.New(rows, k)
 			for i := range fm.Data {

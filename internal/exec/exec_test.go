@@ -118,12 +118,12 @@ func applyA(w *sparse.CSR, hs, m *dense.Matrix) *dense.Matrix {
 	return w.MulDense(mh)
 }
 
-// TestPullPassConvergesToInvariant: after a drain, F must equal the exact
+// TestPassConvergesToInvariant: after a drain, F must equal the exact
 // solution F0 + (I − A)⁻¹ R0 within the tolerance bound, and every norm
 // must be at or below tolerance — on every worker the machine has and on
 // one, which must agree bit for bit: tracked rounds are one sequential
 // scan, and a whole-matrix round computes every row on its own.
-func TestPullPassConvergesToInvariant(t *testing.T) {
+func TestPassConvergesToInvariant(t *testing.T) {
 	const n, k, tol = 600, 3, 1e-10
 	for _, dirtyFrac := range []float64{0.05, 0.5} { // below and above the whole-matrix density
 		w, hs, f0, r0, _, _ := passFixture(t, n, k, dirtyFrac, 7)
@@ -185,11 +185,11 @@ func TestPullPassConvergesToInvariant(t *testing.T) {
 	}
 }
 
-// TestPullPassBudget: the one budget a promoted drain keeps — a cap on its
+// TestPassBudget: the one budget a promoted drain keeps — a cap on its
 // whole-matrix rounds — stops it between rounds with an exact remaining
 // frontier the caller can resume. The frontier starts tracked (under half
 // the stored entries), floods, and a one-round cap stops the flood.
-func TestPullPassBudget(t *testing.T) {
+func TestPassBudget(t *testing.T) {
 	const n, k, tol = 600, 3, 1e-12
 	w, hs, f, r, norms, active := passFixture(t, n, k, 0.4, 11)
 	p := NewPass(w, hs, f, r, norms, tol, Runner{}, nil)

@@ -43,7 +43,7 @@ type Pass struct {
 	// divisor is DeltaDivisor; tests sweep others.
 	divisor int
 
-	mark   []bool // scatter: pending-or-queued flags
+	mark   []uint8 // scatter: pending-or-queued flags, 0 or 1
 	rh     []float64
 	spare  []int32 // scatter: the list the next round fills
 	rowLen []int32 // pricing: stored entries per row, 0 = not read yet
@@ -63,15 +63,17 @@ type Pass struct {
 }
 
 // PassScratch is the working storage a Pass borrows: the n-sized mark
-// flags, row-length table and F·H̃, the two active lists, and the
-// whole-matrix round's per-chunk survivor lists and max norm bits. A caller
-// that runs many passes over graphs of one size lends one scratch to each
-// in turn — never to two live passes at once — so a warm pass allocates
-// none of it; a pass built with a nil scratch gets its own. Each buffer
-// reaches the pass in the state the pass expects (flags false, lengths
-// zero), whatever an earlier pass left in it.
+// flags (bytes, 0 or 1, so the scatter round's re-queue is arithmetic),
+// row-length table and F·H̃, the two active lists (the scatter round gives
+// each room for n+1 entries), and the whole-matrix round's per-chunk
+// survivor lists and max norm bits. A caller that runs many passes over
+// graphs of one size lends one scratch to each in turn — never to two live
+// passes at once — so a warm pass allocates none of it; a pass built with
+// a nil scratch gets its own. Each buffer reaches the pass in the state
+// the pass expects (flags clear, lengths zero), whatever an earlier pass
+// left in it.
 type PassScratch struct {
-	mark         []bool
+	mark         []uint8
 	rowLen       []int32
 	fh           *dense.Matrix
 	active, more []int32
@@ -91,7 +93,7 @@ func NewPass(w RowIterator, hScaled, f, r *dense.Matrix, norms []float64, tol fl
 	if len(sc.mark) == n {
 		clear(sc.mark)
 	} else {
-		sc.mark = make([]bool, n)
+		sc.mark = make([]uint8, n)
 	}
 	return &Pass{
 		w: w, n: n, hs: hScaled.Data, k: hScaled.Rows,
@@ -243,6 +245,13 @@ func (p *Pass) ExactRound(x *dense.Matrix) float64 {
 // scatterRound is one tracked round: a Gauss–Seidel scan of the active
 // list pushing straight into neighbor rows. mark is the pending-or-queued
 // flag and is left clean for the next round.
+//
+// The re-queue has no data-dependent branch: every neighbor is written at
+// the end of next, and the length advances by the 0/1 test "norm over tol
+// and not marked", which is ORed into the mark too. A node is kept exactly
+// where the compare-and-append would have appended it, so next holds the
+// same nodes in the same order. Its write past the kept entries needs one
+// spare slot, so next has room for n+1: at most n nodes are ever kept.
 func (p *Pass) scatterRound(active []int32, pushed, edges int) ([]int32, int, int) {
 	k := p.k
 	if cap(p.rh) < k {
@@ -251,14 +260,19 @@ func (p *Pass) scatterRound(active []int32, pushed, edges int) ([]int32, int, in
 	rh := p.rh[:k]
 	p.scatterRounds++
 	mRoundsScatter.Inc()
-	r, f, nrm, mark, tol := p.r.Data, p.f.Data, p.nrm, p.mark, p.tol
+	r, f, nrm, tol := p.r.Data, p.f.Data, p.nrm, p.tol
+	mark := p.mark[:len(nrm)] // one bounds check per edge covers both
 	for _, v := range active {
-		mark[v] = true
+		mark[v] = 1
 	}
-	next := p.spare[:0]
+	next := p.spare[:cap(p.spare)] // the caller's first list may be short
+	if len(next) <= p.n {
+		next = make([]int32, p.n+1)
+	}
+	queued := 0
 	for _, u32 := range active {
 		u := int(u32)
-		mark[u] = false
+		mark[u] = 0
 		if nrm[u] <= tol {
 			continue // absorbed earlier this round
 		}
@@ -274,21 +288,33 @@ func (p *Pass) scatterRound(active []int32, pushed, edges int) ([]int32, int, in
 		cols, wts := p.w.Row(u)
 		edges += len(cols)
 		scatterRow(r, nrm, k, cols, RowWeights(cols, wts), rh)
+		// Re-queue only nodes not still pending this round (their later
+		// scan absorbs the fresh mass — that is the Gauss–Seidel
+		// advantage) and not already queued for next.
 		for _, v := range cols {
-			// Re-queue only nodes not still pending this round (their
-			// later scan absorbs the fresh mass — that is the
-			// Gauss–Seidel advantage) and not already queued for next.
-			if nrm[v] > tol && !mark[v] {
-				mark[v] = true
-				next = append(next, v)
-			}
+			m := mark[v]
+			add := over(nrm[v], tol) &^ m
+			next[queued] = v
+			queued += int(add)
+			mark[v] = m | add
 		}
 	}
+	next = next[:queued]
 	for _, v := range next {
-		mark[v] = false
+		mark[v] = 0
 	}
 	p.spare = active
 	return next, pushed, edges
+}
+
+// over is 1 when norm > tol and 0 otherwise; the compiler turns it into a
+// flag set, not a jump.
+func over(norm, tol float64) uint8 {
+	var b uint8
+	if norm > tol {
+		b = 1
+	}
+	return b
 }
 
 // MulRowsH computes dst = src·H̃ for k-wide rows stored back to back (one

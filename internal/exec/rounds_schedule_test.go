@@ -46,12 +46,12 @@ func schedulePass(t *testing.T, n, active int) (*Pass, []int32) {
 	return NewPass(w, h, f, r, norms, 1e-8, Runner{}, nil), list
 }
 
-// TestPullPassFullScanThreshold pins the pricing edge of a round. The
+// TestPassFullScanThreshold pins the pricing edge of a round. The
 // threshold is stored entries, not nodes: a round is a tracked scatter
 // while its active rows own at most nnz(W)/DeltaDivisor of them and one
 // whole-matrix round past that. On the ring every row owns 2 of the 2n
 // entries, so the edge sits at n/DeltaDivisor active rows.
-func TestPullPassFullScanThreshold(t *testing.T) {
+func TestPassFullScanThreshold(t *testing.T) {
 	const n = 80
 	atLimit := ringCSR(t, n).NNZ() / DeltaDivisor / 2 // rows owning exactly nnz/DeltaDivisor entries
 	cases := []struct {

@@ -12,19 +12,19 @@ import (
 )
 
 // refScatterRound is the scatter round as it was written before the
-// tracked rounds shared one step (AddRowNorm): a per-edge weight test and
-// a compare-and-branch ∞-norm. It is kept as the reference the rewritten
-// round must match bit for bit.
+// tracked rounds shared one step (AddRowNorm): a per-edge weight test, a
+// compare-and-branch ∞-norm and a compare-and-branch re-queue. It is kept
+// as the reference the rewritten round must match bit for bit.
 func refScatterRound(p *Pass, active []int32, pushed, edges int) ([]int32, int, int) {
 	k := p.k
 	rh := make([]float64, k)
 	for _, v := range active {
-		p.mark[v] = true
+		p.mark[v] = 1
 	}
 	var next []int32
 	for _, u32 := range active {
 		u := int(u32)
-		p.mark[u] = false
+		p.mark[u] = 0
 		if p.nrm[u] <= p.tol {
 			continue
 		}
@@ -58,14 +58,14 @@ func refScatterRound(p *Pass, active []int32, pushed, edges int) ([]int32, int, 
 				}
 			}
 			p.nrm[v] = norm
-			if norm > p.tol && !p.mark[v] {
-				p.mark[v] = true
+			if norm > p.tol && p.mark[v] == 0 {
+				p.mark[v] = 1
 				next = append(next, int32(v))
 			}
 		}
 	}
 	for _, v := range next {
-		p.mark[v] = false
+		p.mark[v] = 0
 	}
 	return next, pushed, edges
 }
@@ -196,6 +196,63 @@ func TestTrackedRoundsMatchReference(t *testing.T) {
 	if atTol == 0 {
 		t.Fatal("no norm landed exactly on tol: the boundary is not exercised")
 	}
+}
+
+// FuzzScatterRound builds FuzzExactRound's graph, overlay, k and H̃
+// (fuzzFixture), then F, R and tol from the fuzz bytes — every entry a
+// small dyadic rational, so sums are exact and many norms land exactly on
+// tol — and runs scatterRound beside refScatterRound for a few
+// rounds, feeding each its own next list. F, R, the norms, the next list's
+// order and the pushed and edge counts must agree bit for bit, and the
+// branch-free round must leave every mark flag clear.
+func FuzzScatterRound(f *testing.F) {
+	f.Add([]byte{7, 1, 1, 12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 0, 6, 2, 2, 8})
+	f.Add([]byte{20, 6, 0, 40, 9, 1, 17, 3, 5, 3, 11, 12, 200, 3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add([]byte{3, 0, 1, 3, 0, 0, 1, 1, 2, 2, 0, 3, 5, 1, 0, 1, 255, 128, 64, 32, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fx := newFuzzFixture(t, data)
+		next, val, k, hs := fx.next, fx.val, fx.k, fx.hs
+		tol, rounds, rot := float64(next()%8)/8, 1+next()%4, next()
+		for _, w := range fx.adj {
+			rows := w.Dim()
+			fm, r := dense.New(rows, k), dense.New(rows, k)
+			for i := range fm.Data {
+				fm.Data[i], r.Data[i] = val(), val()
+			}
+			norms := make([]float64, rows)
+			var active []int32
+			for i := range norms {
+				norms[i] = RowNorm(r.Row(i))
+				if norms[i] > tol {
+					active = append(active, int32(i))
+				}
+			}
+			if len(active) > 0 { // any order: a round scans its list as given
+				j := rot % len(active)
+				active = append(active[j:], active[:j]...)
+			}
+			got := NewPass(w, hs, fm.Clone(), r.Clone(), slices.Clone(norms), tol, Runner{Workers: 1}, nil)
+			want := NewPass(w, hs, fm, r, norms, tol, Runner{Workers: 1}, nil)
+			gotActive, wantActive := slices.Clone(active), active
+			for round := 0; round < rounds && len(wantActive) > 0; round++ {
+				var gotPushed, gotEdges, wantPushed, wantEdges int
+				gotActive, gotPushed, gotEdges = got.scatterRound(gotActive, 0, 0)
+				wantActive, wantPushed, wantEdges = refScatterRound(want, wantActive, 0, 0)
+				if what, i, ok := samePass(got, want); !ok {
+					t.Fatalf("n=%d k=%d round %d: %s[%d] differs from the reference", rows, k, round, what, i)
+				}
+				if !slices.Equal(gotActive, wantActive) {
+					t.Fatalf("n=%d k=%d round %d: next %v, reference %v", rows, k, round, gotActive, wantActive)
+				}
+				if gotPushed != wantPushed || gotEdges != wantEdges {
+					t.Fatalf("n=%d k=%d round %d: pushed/edges %d/%d, reference %d/%d", rows, k, round, gotPushed, gotEdges, wantPushed, wantEdges)
+				}
+				if i := slices.IndexFunc(got.mark, func(m uint8) bool { return m != 0 }); i >= 0 {
+					t.Fatalf("n=%d k=%d round %d: mark[%d] left set", rows, k, round, i)
+				}
+			}
+		}
+	})
 }
 
 // TestRowWeights: a weighted row comes back as itself, a unit row as ones

@@ -72,8 +72,10 @@ func kernelSweepCSR(t *testing.T, weighted bool) *CSR {
 // count: whatever kernel MulDenseInto and MulDenseRowsInto route k to — the
 // flat scan at k = 1, a constant-stride kernel at 2..5, one strided panel at
 // 6..8, two at 9..16 — every entry equals the flat scan's, because each lane
-// adds its row's terms in the same order. Weighted and unweighted, on one
-// worker and on several; MulDenseRowsInto must also leave rows past N alone.
+// adds its row's terms in the same order. The per-row kernel MulRowInto,
+// fed each row's stored entries, must write the same rows. Weighted and
+// unweighted, on one worker and on several; MulDenseRowsInto must also
+// leave rows past N alone.
 func TestMulDenseKernelsBitIdentical(t *testing.T) {
 	const extra, sentinel = 3, -7.5
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -91,10 +93,15 @@ func TestMulDenseKernelsBitIdentical(t *testing.T) {
 				c.MulDenseInto(got, x)
 				gotRows := dense.Constant(c.N+extra, k, sentinel)
 				c.MulDenseRowsInto(gotRows, tall)
+				perRow := dense.Constant(c.N, k, sentinel)
+				for i := 0; i < c.N; i++ {
+					cols, wts := c.Row(i)
+					MulRowInto(perRow.Row(i), x, cols, wts)
+				}
 				for i, v := range want.Data {
-					if got.Data[i] != v || gotRows.Data[i] != v {
-						t.Fatalf("procs=%d weighted=%v k=%d: entry %d is %v (MulDenseInto) / %v (MulDenseRowsInto), flat scan %v",
-							procs, weighted, k, i, got.Data[i], gotRows.Data[i], v)
+					if got.Data[i] != v || gotRows.Data[i] != v || perRow.Data[i] != v {
+						t.Fatalf("procs=%d weighted=%v k=%d: entry %d is %v (MulDenseInto) / %v (MulDenseRowsInto) / %v (MulRowInto), flat scan %v",
+							procs, weighted, k, i, got.Data[i], gotRows.Data[i], perRow.Data[i], v)
 					}
 				}
 				for i, v := range gotRows.Data[c.N*k:] {
