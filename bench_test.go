@@ -13,7 +13,6 @@ import (
 	"factorgraph/internal/dense"
 	"factorgraph/internal/experiments"
 	"factorgraph/internal/gen"
-	"factorgraph/internal/hashimoto"
 	"factorgraph/internal/labels"
 	"factorgraph/internal/propagation"
 )
@@ -187,11 +186,11 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkNBCounting contrasts the three ways this repo can count
-// non-backtracking paths on the same ~2.5k-edge graph: the factorized
-// sketches (Algorithm 4.4, n×k intermediates), the explicit recurrence on
-// n×n sparse matrices (Prop. 4.3), and the 2m-state Hashimoto matrix —
-// quantifying the paper's §2.6/§4.6 size argument.
+// BenchmarkNBCounting contrasts two ways to count non-backtracking paths
+// on the same ~2.5k-edge graph: the factorized sketches (Algorithm 4.4,
+// n×k intermediates) and the explicit recurrence on n×n sparse matrices
+// (Prop. 4.3) — quantifying the paper's §4.6 size argument. The 2m-state
+// Hashimoto matrix of §2.6 is a test-only reference in internal/core.
 func BenchmarkNBCounting(b *testing.B) {
 	res, err := gen.Generate(gen.Config{
 		N: 500, M: 2500, Alpha: gen.Balanced(3),
@@ -217,18 +216,6 @@ func BenchmarkNBCounting(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := core.ExplicitNBPowers(res.Graph.Adj, lmax); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hashimoto", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			h, err := hashimoto.New(res.Graph.Adj)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := h.NBPathCounts(res.Graph.N, lmax); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -30,14 +30,14 @@
 // -pprof mounts pprof on the main listener too). Logs go through log/slog
 // (-log-format text|json, -log-level; debug level adds per-request access
 // logs). Non-streaming classify accepts ?debug=1 for a per-stage timing
-// breakdown. The flight recorder adds per-graph series to /metrics, a
-// rolling timeline ring (-timeline-interval, -timeline-samples), and an
-// adaptive slow-query log (-slowlog-factor, -slowlog-floor). Distributed
-// tracing: engine-backed requests extract and echo W3C traceparent
-// headers, a head sampler (-trace-sample, plus forced capture on errors
-// and slow requests) feeds the bounded trace ring behind /v1/admin/traces
-// (-trace-capacity), latency histograms carry exemplar trace ids, and the
-// per-tenant cost report is served at /v1/admin/tenants.
+// breakdown. The flight recorder adds per-graph series to /metrics and a
+// timeline ring sampled from them (-timeline-interval, -timeline-samples).
+// Distributed tracing: engine-backed requests extract and echo W3C
+// traceparent headers; a head sampler (-trace-sample) plus forced capture of
+// errors and of requests past the adaptive slow threshold (-slowlog-factor,
+// -slowlog-floor) feed the trace ring behind /v1/admin/traces and
+// /v1/admin/slowlog (-trace-capacity); latency histograms carry exemplar
+// trace ids; the per-tenant cost report is served at /v1/admin/tenants.
 package main
 
 import (

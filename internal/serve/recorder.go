@@ -4,19 +4,21 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"factorgraph"
+	"factorgraph/internal/registry"
 	"factorgraph/internal/telemetry"
 )
 
 // recorder is the flight-recorder layer: per-graph metric vectors feeding
-// /metrics, the rolling timeline behind /v1/admin/timeline, and the
-// adaptive slow-query log behind /v1/admin/slowlog. One recorder per
-// Server; the registry's lifecycle hooks (OnRelease/OnForget) keep the
-// per-graph series in step with engine residency, and the telemetry.Vec
-// LRU bound caps cardinality even if a forget is missed.
+// /metrics, the rolling timeline behind /v1/admin/timeline (sampled from
+// those same vectors), and the trace ring behind /v1/admin/traces, whose
+// captures beyond the adaptive slow-request threshold are the slow log
+// behind /v1/admin/slowlog. One recorder per Server; the registry's
+// lifecycle hooks (OnRelease/OnForget) keep the per-graph series in step
+// with engine residency, and the telemetry.Vec LRU bound caps cardinality
+// even if a forget is missed.
 type recorder struct {
 	// Work counters and latency, labelled {graph}.
 	requests  *telemetry.CounterVec
@@ -51,10 +53,6 @@ type recorder struct {
 	// and slow-log threshold exceedances are force-captured regardless.
 	sampler *telemetry.Sampler
 	traces  *telemetry.TraceStore
-
-	// tracked remembers which graphs have timeline probes installed, so
-	// the per-request path is one sync.Map load after the first request.
-	tracked sync.Map // graph name -> struct{}
 }
 
 // graphCardinality bounds the number of per-graph label values each vector
@@ -68,24 +66,8 @@ const graphCardinality = 512
 // without letting tracing cost show up in the latency distribution.
 const DefaultTraceSampleRate = 0.01
 
-func newRecorder(o Options) *recorder {
+func newRecorder(graphs *registry.Registry, o Options) *recorder {
 	reg := telemetry.Default()
-	interval := o.TimelineInterval
-	if interval <= 0 {
-		interval = telemetry.DefaultTimelineInterval
-	}
-	samples := o.TimelineSamples
-	if samples <= 0 {
-		samples = telemetry.DefaultTimelineSamples
-	}
-	factor := o.SlowLogFactor
-	if factor <= 0 {
-		factor = telemetry.DefaultSlowLogFactor
-	}
-	capacity := o.SlowLogCapacity
-	if capacity <= 0 {
-		capacity = telemetry.DefaultSlowLogCapacity
-	}
 	rate := o.TraceSampleRate
 	switch {
 	case rate == 0:
@@ -93,7 +75,7 @@ func newRecorder(o Options) *recorder {
 	case rate < 0:
 		rate = 0 // explicit off: only errors and slow requests are captured
 	}
-	return &recorder{
+	c := &recorder{
 		requests: telemetry.NewCounterVec(reg, "fg_graph_requests_total",
 			"Engine-backed HTTP requests, by graph.", "graph", graphCardinality),
 		queries: telemetry.NewCounterVec(reg, "fg_graph_queries_total",
@@ -129,22 +111,27 @@ func newRecorder(o Options) *recorder {
 		costLockWait: telemetry.NewFloatCounterVec(reg, "fg_graph_cost_lock_wait_seconds_total",
 			"Engine-lock wait time attributed to requests, by graph.", "graph", graphCardinality),
 
-		timeline: telemetry.NewTimeline(interval, samples),
-		slowlog:  telemetry.NewSlowLog(capacity, factor, o.SlowLogFloor),
-		sampler:  telemetry.NewSampler(rate),
-		traces:   telemetry.NewTraceStore(o.TraceStoreCapacity),
+		slowlog: telemetry.NewSlowLog(o.SlowLogFactor, o.SlowLogFloor),
+		sampler: telemetry.NewSampler(rate),
+		traces:  telemetry.NewTraceStore(o.TraceStoreCapacity),
 	}
+	c.timeline = telemetry.NewTimeline(o.TimelineInterval, o.TimelineSamples,
+		func(emit func(scope, name string, v float64)) { c.sampleSeries(graphs, emit) })
+	return c
 }
 
-// trackGlobals installs the process-wide timeline probes (scope "").
-func (c *recorder) trackGlobals(s *Server) {
-	c.timeline.Track("", "http_in_flight", httpInFlight.Value)
-	c.timeline.Track("", "goroutines", func() float64 {
-		return float64(runtime.NumGoroutine())
-	})
-	c.timeline.Track("", "registry_resident_bytes", func() float64 {
-		return float64(s.reg.Stats().ResidentBytes)
-	})
+// sampleSeries is the timeline's source: the process-wide series under
+// scope "", then one point per live graph of each per-graph series. It
+// reads metric handles (atomics) and the registry's totals, never an
+// engine lock.
+func (c *recorder) sampleSeries(graphs *registry.Registry, emit func(scope, name string, v float64)) {
+	emit("", "http_in_flight", httpInFlight.Value())
+	emit("", "goroutines", float64(runtime.NumGoroutine()))
+	emit("", "registry_resident_bytes", float64(graphs.Stats().ResidentBytes))
+	c.requests.Each(func(g string, n *telemetry.Counter) { emit(g, "requests_total", float64(n.Value())) })
+	c.resident.Each(func(g string, v *telemetry.Gauge) { emit(g, "resident_bytes", v.Value()) })
+	c.overlay.Each(func(g string, v *telemetry.Gauge) { emit(g, "overlay_fraction", v.Value()) })
+	c.dropped.Each(func(g string, v *telemetry.Gauge) { emit(g, "residual_dropped_mass", v.Value()) })
 }
 
 // startTrace begins the request trace for one engine-backed request: the
@@ -168,12 +155,15 @@ func (c *recorder) startTrace(r *http.Request) *telemetry.Trace {
 // capture is the tail of the tracing pipeline: it decides whether the
 // finished request's trace lands in the trace store (errors always, sampled
 // traces always, slow-log threshold exceedances always), synthesizes the
-// request root span, and returns the stored trace id (hex) for exemplar
-// linkage — "" when nothing was captured.
+// request root span, stamps the slow-log threshold in force, and returns
+// the stored trace id (hex) for exemplar linkage — "" when nothing was
+// captured. It runs before observe feeds d into the threshold's window, so
+// a request is judged against a threshold its own duration has not moved.
 func (c *recorder) capture(graph, kind string, d time.Duration, status int, tr *telemetry.Trace) string {
 	if tr == nil {
 		return ""
 	}
+	thr := c.slowlog.Threshold()
 	var reason string
 	switch {
 	case status >= http.StatusInternalServerError:
@@ -183,7 +173,7 @@ func (c *recorder) capture(graph, kind string, d time.Duration, status int, tr *
 		if tr.RemoteSampled() {
 			reason = "parent"
 		}
-	case d >= c.slowlog.Threshold():
+	case d >= thr:
 		reason = "slow"
 	default:
 		return ""
@@ -205,6 +195,7 @@ func (c *recorder) capture(graph, kind string, d time.Duration, status int, tr *
 		Kind:         kind,
 		Start:        tr.StartTime(),
 		Duration:     d,
+		Threshold:    thr,
 		Status:       status,
 		Reason:       reason,
 		Spans:        tree,
@@ -215,9 +206,8 @@ func (c *recorder) capture(graph, kind string, d time.Duration, status int, tr *
 
 // observe is the per-request tail of withEngine: per-graph counters and
 // latency (exemplar-linked when the request's trace was captured), the
-// per-tenant cost rollup, the slow-query threshold check, and (on a
-// graph's first request) timeline probe installation. The fast path is a
-// handful of LRU-map resolutions plus one atomic threshold compare.
+// per-tenant cost rollup, and the slow-log threshold's p99 window. The
+// fast path is a handful of LRU-map resolutions plus one atomic store.
 func (c *recorder) observe(graph, kind string, d time.Duration, tr *telemetry.Trace, exemplar string) {
 	c.requests.With(graph).Inc()
 	if exemplar != "" {
@@ -246,24 +236,7 @@ func (c *recorder) observe(graph, kind string, d time.Duration, tr *telemetry.Tr
 		c.costFlush.With(graph).Add(cost.FlushSeconds)
 		c.costLockWait.With(graph).Add(cost.LockWaitSeconds)
 	}
-	c.slowlog.Observe(graph, kind, d, tr)
-	c.ensureProbes(graph)
-}
-
-// ensureProbes installs the per-graph timeline probes once per resident
-// graph. Probes read vector handles (atomics), so the 10s sampler never
-// touches engine locks.
-func (c *recorder) ensureProbes(graph string) {
-	if _, loaded := c.tracked.LoadOrStore(graph, struct{}{}); loaded {
-		return
-	}
-	req := c.requests.With(graph)
-	c.timeline.Track(graph, "requests_total", func() float64 {
-		return float64(req.Value())
-	})
-	c.timeline.Track(graph, "resident_bytes", c.resident.With(graph).Value)
-	c.timeline.Track(graph, "overlay_fraction", c.overlay.With(graph).Value)
-	c.timeline.Track(graph, "residual_dropped_mass", c.dropped.With(graph).Value)
+	c.slowlog.Observe(d)
 }
 
 // refresh is the registry's OnRelease hook: the engine is still pinned, so
@@ -286,9 +259,9 @@ func (c *recorder) refresh(graph string, eng *factorgraph.Engine) {
 // forget is the registry's OnForget hook: the graph was deleted or fully
 // evicted, so every per-graph series leaves /metrics and its timeline
 // history is dropped. Runs under the registry lock — everything here is
-// registry-free (telemetry and timeline have their own locks).
+// registry-free (telemetry and timeline have their own locks, and the
+// timeline reads the registry outside its own).
 func (c *recorder) forget(graph string) {
-	c.tracked.Delete(graph)
 	c.timeline.Untrack(graph)
 	c.requests.Delete(graph)
 	c.queries.Delete(graph)
@@ -443,29 +416,35 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSlowLog serves GET /v1/admin/slowlog: the most recent slow-query
-// captures (newest first) plus the adaptive threshold currently in force.
+// handleSlowLog serves GET /v1/admin/slowlog: the retained traces that
+// beat the slow-log threshold stamped on them at capture (newest first),
+// plus the adaptive threshold currently in force. Each entry's trace_id
+// resolves through /v1/admin/traces?id= for as long as the trace ring
+// keeps it.
 func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
-	entries := s.rec.slowlog.Entries()
 	resp := SlowLogResponse{
 		ThresholdUs: s.rec.slowlog.Threshold().Microseconds(),
-		Entries:     make([]SlowLogEntry, 0, len(entries)),
+		Entries:     []SlowLogEntry{},
 	}
-	for _, e := range entries {
-		we := SlowLogEntry{
-			Time:        e.Time.UTC().Format(time.RFC3339Nano),
-			Graph:       e.Scope,
-			Route:       e.Route,
-			DurationUs:  e.Duration.Microseconds(),
-			ThresholdUs: e.Threshold.Microseconds(),
+	for _, st := range s.rec.traces.Snapshot() {
+		if st.Duration < st.Threshold {
+			continue
 		}
-		for _, sp := range e.Spans {
-			we.Stages = append(we.Stages, StageTiming{
+		e := SlowLogEntry{
+			Time:        st.Start.Add(st.Duration).UTC().Format(time.RFC3339Nano),
+			Graph:       st.Graph,
+			Route:       st.Kind,
+			TraceID:     st.ID.String(),
+			DurationUs:  st.Duration.Microseconds(),
+			ThresholdUs: st.Threshold.Microseconds(),
+		}
+		for _, sp := range st.Spans[1:] { // Spans[0] is the synthesized request root
+			e.Stages = append(e.Stages, StageTiming{
 				Stage: sp.Name,
 				Us:    float64(sp.Dur) / float64(time.Microsecond),
 			})
 		}
-		resp.Entries = append(resp.Entries, we)
+		resp.Entries = append(resp.Entries, e)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

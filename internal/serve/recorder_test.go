@@ -241,6 +241,113 @@ func TestSlowLogEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSlowLogIsTraceRingView pins the slow log as a view of the trace
+// ring: with head sampling off and a 1ns floor every request is captured
+// as "slow", the slow log lists exactly those captures, and each entry's
+// trace_id resolves to its full span tree.
+func TestSlowLogIsTraceRingView(t *testing.T) {
+	srv := newMultiServer(0, Options{SlowLogFloor: time.Nanosecond, TraceSampleRate: -1})
+	if rec, _ := doJSON(t, srv, "POST", "/v1/graphs", synthBody("recview", 200, 1000)); rec.Code != http.StatusCreated {
+		t.Fatalf("create: status %d", rec.Code)
+	}
+	for i := 0; i < 3; i++ {
+		classifyGraph(t, srv, "recview")
+	}
+	if rec, _ := doJSON(t, srv, "PATCH", "/v1/graphs/recview/labels", `{"set":{"3":1}}`); rec.Code != http.StatusOK {
+		t.Fatalf("patch: status %d: %s", rec.Code, rec.Body.String())
+	}
+
+	var slow SlowLogResponse
+	hrec, _ := doJSON(t, srv, "GET", "/v1/admin/slowlog", "")
+	if err := json.Unmarshal(hrec.Body.Bytes(), &slow); err != nil {
+		t.Fatal(err)
+	}
+	var traces TracesResponse
+	hrec, _ = doJSON(t, srv, "GET", "/v1/admin/traces", "")
+	if err := json.Unmarshal(hrec.Body.Bytes(), &traces); err != nil {
+		t.Fatal(err)
+	}
+	slowTraces := 0
+	for _, tr := range traces.Traces {
+		if tr.Reason == "slow" {
+			slowTraces++
+		}
+	}
+	if len(slow.Entries) != 4 || len(slow.Entries) != slowTraces {
+		t.Fatalf("slow log has %d entries, trace ring %d slow traces; want 4 of each", len(slow.Entries), slowTraces)
+	}
+	if slow.Entries[0].Route != "labels_patch" {
+		t.Errorf("newest entry route = %q, want labels_patch", slow.Entries[0].Route)
+	}
+	for _, e := range slow.Entries {
+		drec, _ := doJSON(t, srv, "GET", "/v1/admin/traces?id="+e.TraceID, "")
+		if drec.Code != http.StatusOK {
+			t.Fatalf("slow entry trace_id %q: status %d", e.TraceID, drec.Code)
+		}
+		var d TraceDetail
+		if err := json.Unmarshal(drec.Body.Bytes(), &d); err != nil {
+			t.Fatal(err)
+		}
+		if d.Reason != "slow" || d.Graph != e.Graph || d.Kind != e.Route || d.SpanCount != len(e.Stages)+1 {
+			t.Errorf("trace %s = %s %s/%s %d spans; entry %s/%s with %d stages",
+				e.TraceID, d.Reason, d.Graph, d.Kind, d.SpanCount, e.Graph, e.Route, len(e.Stages))
+		}
+	}
+}
+
+// TestTimelineSampleBesideDelete drives the timeline sampler against graph
+// deletion. The sampler reads the registry's totals, and DELETE drops the
+// graph's history from under the registry lock; the two must never wait
+// on each other.
+func TestTimelineSampleBesideDelete(t *testing.T) {
+	srv := newMultiServer(0, Options{TimelineInterval: time.Hour})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				srv.rec.timeline.Sample()
+			}
+		}
+	}()
+	do := func(method, path, body string) int {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			created := do("POST", "/v1/graphs", synthBody("recdel", 30, 60))
+			classified := do("POST", "/v1/graphs/recdel/classify", `{"nodes":[0]}`)
+			deleted := do("DELETE", "/v1/graphs/recdel", "")
+			if created != http.StatusCreated || classified != http.StatusOK || deleted != http.StatusOK {
+				t.Errorf("cycle %d: create %d, classify %d, delete %d", i, created, classified, deleted)
+				return
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("create/classify/DELETE loop hung beside the timeline sampler")
+	}
+	close(stop)
+	wg.Wait()
+	// A pass that raced the last DELETE may have re-emitted the graph; the
+	// next pass finds no live series for it and drops them.
+	srv.rec.timeline.Sample()
+	if snap := srv.rec.timeline.Snapshot("recdel", false); len(snap) != 0 {
+		t.Errorf("deleted graph keeps %d timeline series", len(snap))
+	}
+}
+
 // TestNumericHealthEndpoint: resident graphs report their checks, cold
 // graphs are listed without being built, and a resident graph carries the
 // contraction/overlay/sketch checks and a certified ρ(W) bracket.

@@ -107,11 +107,9 @@ type Options struct {
 	// capture threshold (default 3: capture requests 3× slower than the
 	// recent p99). SlowLogFloor, when set, is a hard minimum threshold —
 	// and doubles as the pre-warmup threshold so cold servers with a
-	// floor still capture. SlowLogCapacity bounds the capture ring
-	// (default 64 entries).
-	SlowLogFactor   float64
-	SlowLogFloor    time.Duration
-	SlowLogCapacity int
+	// floor still capture.
+	SlowLogFactor float64
+	SlowLogFloor  time.Duration
 
 	// TraceSampleRate is the head-sampling fraction of requests whose
 	// span trees are captured into the in-process trace store behind
@@ -170,12 +168,11 @@ func NewMulti(reg *registry.Registry, o Options) *Server {
 		o.FlushEvery = defaultFlushEvery
 	}
 	s := &Server{reg: reg, mux: http.NewServeMux(), start: time.Now(), flushEvery: o.FlushEvery, log: o.Logger}
-	s.rec = newRecorder(o)
+	s.rec = newRecorder(reg, o)
 	// The registry drives per-graph series lifecycle: gauges refresh while
 	// the engine is still pinned, and every per-graph series is dropped
 	// when the graph is deleted or fully evicted.
 	reg.SetHooks(registry.Hooks{OnRelease: s.rec.refresh, OnForget: s.rec.forget})
-	s.rec.trackGlobals(s)
 	s.rec.timeline.Start()
 
 	s.route("GET /healthz", "healthz", s.handleHealth)

@@ -363,10 +363,12 @@ type TimelineResponse struct {
 
 // SlowLogEntry is one captured slow request: when, where, how far past the
 // threshold, and the engine's stage breakdown when the route threads one.
+// TraceID names the request's full span tree in /v1/admin/traces?id=.
 type SlowLogEntry struct {
 	Time        string        `json:"time"`
 	Graph       string        `json:"graph,omitempty"`
 	Route       string        `json:"route"`
+	TraceID     string        `json:"trace_id"`
 	DurationUs  int64         `json:"duration_us"`
 	ThresholdUs int64         `json:"threshold_us"`
 	Stages      []StageTiming `json:"stages,omitempty"`

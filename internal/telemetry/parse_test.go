@@ -91,3 +91,37 @@ func TestParseTextTotalsUnterminatedBrace(t *testing.T) {
 		t.Errorf("ok_total = %v, want 2", got)
 	}
 }
+
+// FuzzParseTextTotals checks the scrape parser on two fronts: arbitrary
+// input never panics, and a counter family whose label value is fuzzed —
+// quotes, backslashes, newlines, braces, '#' and all — parses back from
+// the exporter's own rendering to its exact total.
+func FuzzParseTextTotals(f *testing.F) {
+	f.Add("ok_total 2\n", `C:\tmp\"x"`, uint32(3))
+	f.Add("bad_total{x=\"oops 1\n", "line1\nline2", uint32(4))
+	f.Add(`h_bucket{le="1"} 3 # {trace_id="ab"} 0.5 1`, `a} b # c {`, uint32(5))
+	f.Add("{\"\\", `\`, uint32(0))
+	f.Fuzz(func(t *testing.T, raw, label string, n uint32) {
+		_, _ = ParseTextTotals(strings.NewReader(raw)) // must not panic
+
+		if len(label) > 256<<10 {
+			// Escaping at most doubles the label, which keeps the line
+			// under ParseTextTotals' 1 MiB line cap.
+			t.Skip("label too long for one exposition line")
+		}
+		r := NewRegistry()
+		r.Counter("fz_total", "fuzzed", Labels{"v": label}).Add(int64(n))
+		r.Counter("fz_total", "fuzzed", Labels{"v": label + "#"}).Add(1)
+		var b strings.Builder
+		if err := r.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		totals, err := ParseTextTotals(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := totals["fz_total"], float64(n)+1; got != want {
+			t.Fatalf("fz_total = %v, want %v from:\n%s", got, want, b.String())
+		}
+	})
+}

@@ -8,13 +8,15 @@ import (
 	"time"
 )
 
-// SlowLog is the flight recorder's always-on slow-query capture. Every
-// request reports its duration; a request slower than the adaptive
-// threshold — the tracked p99 of a rolling window times a configurable
-// factor, floored at a minimum — has its full stage trace copied into a
-// bounded ring served at /v1/admin/slowlog. The fast path is two atomic
-// ops (a ring-slot store and a threshold load): no locks, no allocation,
-// and the reused *Trace means fast queries never render spans at all.
+// SlowLog is the flight recorder's adaptive slow-request threshold: the
+// tracked p99 of a rolling window of request durations times a
+// configurable factor, floored at a minimum. It keeps no requests of its
+// own. The serving layer compares each finished request against
+// Threshold, force-captures one that reaches it into the trace ring with
+// the threshold stamped on it, and only then feeds the duration to
+// Observe; /v1/admin/slowlog is the view of the retained traces that beat
+// their stamped threshold. The per-request cost is two atomic ops (a
+// window-slot store and a threshold load): no locks, no allocation.
 //
 // The threshold self-tunes: an idle server's p99 drops and the log starts
 // catching its relative outliers; under load the p99 rises and only the
@@ -27,8 +29,6 @@ const (
 	// DefaultSlowLogFactor multiplies the tracked p99 into the capture
 	// threshold.
 	DefaultSlowLogFactor = 3.0
-	// DefaultSlowLogCapacity is the entry-ring size.
-	DefaultSlowLogCapacity = 64
 	// slowLogWindow is the rolling duration-sample window for p99 tracking.
 	slowLogWindow = 512
 	// slowLogWarmup is the minimum observations before the adaptive
@@ -38,17 +38,7 @@ const (
 	slowLogRefreshEvery = 32
 )
 
-// SlowEntry is one captured slow query.
-type SlowEntry struct {
-	Time      time.Time
-	Scope     string // graph name ("" = none)
-	Route     string
-	Duration  time.Duration
-	Threshold time.Duration // the threshold in force at capture
-	Spans     []Span
-}
-
-// SlowLog captures stage traces of requests beyond an adaptive threshold.
+// SlowLog tracks the adaptive slow-request threshold.
 type SlowLog struct {
 	factor float64
 	floor  time.Duration
@@ -60,30 +50,17 @@ type SlowLog struct {
 	thresh atomic.Int64                // capture threshold in ns (MaxInt64 = off)
 
 	refreshMu sync.Mutex // serializes threshold recomputation
-
-	mu      sync.Mutex
-	entries []SlowEntry // ring; next is the write cursor
-	next    int
-	n       int
 }
 
-// NewSlowLog builds a slow-query log holding capacity entries (≤0 =
-// DefaultSlowLogCapacity). factor scales the tracked p99 into the capture
-// threshold (≤0 = DefaultSlowLogFactor); floor is the minimum threshold —
-// with a positive floor the log starts capturing immediately at the floor,
-// with floor 0 it stays off until the warmup window fills.
-func NewSlowLog(capacity int, factor float64, floor time.Duration) *SlowLog {
-	if capacity <= 0 {
-		capacity = DefaultSlowLogCapacity
-	}
+// NewSlowLog builds the threshold tracker. factor scales the tracked p99
+// into the capture threshold (≤0 = DefaultSlowLogFactor); floor is the
+// minimum threshold — with a positive floor capture starts immediately at
+// the floor, with floor 0 it stays off until the warmup window fills.
+func NewSlowLog(factor float64, floor time.Duration) *SlowLog {
 	if factor <= 0 {
 		factor = DefaultSlowLogFactor
 	}
-	s := &SlowLog{
-		factor:  factor,
-		floor:   floor,
-		entries: make([]SlowEntry, capacity),
-	}
+	s := &SlowLog{factor: factor, floor: floor}
 	if floor > 0 {
 		s.thresh.Store(int64(floor))
 	} else {
@@ -100,10 +77,10 @@ func (s *SlowLog) Threshold() time.Duration {
 	return time.Duration(s.thresh.Load())
 }
 
-// Observe records one request duration and, when it beats the threshold,
-// captures the trace's spans into the ring. tr may be nil (the duration
-// still feeds the p99 window; nothing is captured). Safe on a nil SlowLog.
-func (s *SlowLog) Observe(scope, route string, d time.Duration, tr *Trace) {
+// Observe feeds one request duration into the p99 window, re-deriving the
+// threshold every slowLogRefreshEvery observations once warm. Safe on a
+// nil SlowLog; a no-op while telemetry is disabled.
+func (s *SlowLog) Observe(d time.Duration) {
 	if s == nil || !enabledFlag.Load() {
 		return
 	}
@@ -112,25 +89,6 @@ func (s *SlowLog) Observe(scope, route string, d time.Duration, tr *Trace) {
 	if i >= slowLogWarmup && (i == slowLogWarmup || i%slowLogRefreshEvery == 0) {
 		s.refresh(i)
 	}
-	thr := s.thresh.Load()
-	if int64(d) < thr {
-		return
-	}
-	e := SlowEntry{
-		Time:      time.Now(),
-		Scope:     scope,
-		Route:     route,
-		Duration:  d,
-		Threshold: time.Duration(thr),
-		Spans:     tr.Spans(),
-	}
-	s.mu.Lock()
-	s.entries[s.next] = e
-	s.next = (s.next + 1) % len(s.entries)
-	if s.n < len(s.entries) {
-		s.n++
-	}
-	s.mu.Unlock()
 }
 
 // refresh re-derives the threshold from the window: max(floor, p99×factor).
@@ -163,33 +121,4 @@ func (s *SlowLog) refresh(seen uint64) {
 		thr = int64(s.floor)
 	}
 	s.thresh.Store(thr)
-}
-
-// Entries returns the captured slow queries, most recent first. Safe on
-// nil (returns nil).
-func (s *SlowLog) Entries() []SlowEntry {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]SlowEntry, 0, s.n)
-	for i := 0; i < s.n; i++ {
-		idx := s.next - 1 - i
-		if idx < 0 {
-			idx += len(s.entries)
-		}
-		out = append(out, s.entries[idx])
-	}
-	return out
-}
-
-// Len reports the number of captured entries.
-func (s *SlowLog) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
 }

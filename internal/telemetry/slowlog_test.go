@@ -1,98 +1,64 @@
 package telemetry
 
 import (
+	"math"
 	"testing"
 	"time"
 )
 
-// TestSlowLogWarmup checks that with no floor nothing is captured before
-// the warmup window, and that after warmup the threshold tracks p99×factor
-// so an outlier is captured with its spans.
+// TestSlowLogWarmup checks that with no floor the threshold stays off
+// before the warmup window fills, and that after warmup it tracks
+// p99×factor.
 func TestSlowLogWarmup(t *testing.T) {
-	s := NewSlowLog(8, 2, 0)
+	s := NewSlowLog(2, 0)
 	if s.Threshold() <= 0 {
 		t.Fatal("pre-warmup threshold should be effectively infinite")
 	}
-	tr := NewTrace()
-	tr.Add("stage", time.Millisecond)
 	for i := 0; i < slowLogWarmup-1; i++ {
-		s.Observe("g", "classify", time.Millisecond, tr)
+		s.Observe(time.Millisecond)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("captured %d entries before warmup, want 0", s.Len())
+	if thr := s.Threshold(); thr != math.MaxInt64 {
+		t.Fatalf("threshold = %v before warmup, want off", thr)
 	}
 	// The warmup-th observation derives the first threshold: p99 of a
 	// uniform 1ms window ×2 = 2ms.
-	s.Observe("g", "classify", time.Millisecond, tr)
+	s.Observe(time.Millisecond)
 	if thr := s.Threshold(); thr != 2*time.Millisecond {
 		t.Fatalf("threshold = %v, want 2ms", thr)
-	}
-	// A 5ms outlier beats the 2ms threshold and is captured.
-	s.Observe("g", "classify", 5*time.Millisecond, tr)
-	ents := s.Entries()
-	if len(ents) != 1 {
-		t.Fatalf("entries = %d, want 1", len(ents))
-	}
-	e := ents[0]
-	if e.Scope != "g" || e.Route != "classify" || e.Duration != 5*time.Millisecond {
-		t.Errorf("entry = %+v", e)
-	}
-	if e.Threshold != 2*time.Millisecond {
-		t.Errorf("entry threshold = %v, want 2ms", e.Threshold)
-	}
-	if len(e.Spans) == 0 || e.Spans[0].Name != "stage" {
-		t.Errorf("entry spans = %+v, want the trace's stage span", e.Spans)
 	}
 }
 
 // TestSlowLogFloor checks a positive floor activates capture immediately
 // and keeps the adaptive threshold from dropping below it.
 func TestSlowLogFloor(t *testing.T) {
-	s := NewSlowLog(4, 100, 10*time.Millisecond)
+	s := NewSlowLog(100, 10*time.Millisecond)
 	if thr := s.Threshold(); thr != 10*time.Millisecond {
 		t.Fatalf("initial threshold = %v, want the 10ms floor", thr)
 	}
-	s.Observe("", "classify", 20*time.Millisecond, nil) // nil trace: captured, no spans
-	if s.Len() != 1 {
-		t.Fatalf("entries = %d, want 1 (floor active before warmup)", s.Len())
+	for i := 0; i < slowLogWarmup; i++ {
+		s.Observe(time.Microsecond) // p99×100 = 100µs, under the floor
 	}
-	if spans := s.Entries()[0].Spans; spans != nil {
-		t.Errorf("nil-trace capture has spans: %+v", spans)
-	}
-}
-
-// TestSlowLogRing overfills the entry ring and checks only the most recent
-// capacity entries survive, most recent first.
-func TestSlowLogRing(t *testing.T) {
-	s := NewSlowLog(3, 1, time.Nanosecond) // capture everything
-	for i := 1; i <= 5; i++ {
-		s.Observe("", "r", time.Duration(i)*time.Millisecond, nil)
-	}
-	ents := s.Entries()
-	if len(ents) != 3 {
-		t.Fatalf("entries = %d, want 3", len(ents))
-	}
-	for i, want := range []time.Duration{5, 4, 3} {
-		if ents[i].Duration != want*time.Millisecond {
-			t.Errorf("entries[%d].Duration = %v, want %vms", i, ents[i].Duration, want)
-		}
+	if thr := s.Threshold(); thr != 10*time.Millisecond {
+		t.Fatalf("warm threshold = %v, want the 10ms floor", thr)
 	}
 }
 
-// TestSlowLogDisabled checks the global kill switch silences capture, and
-// that a nil SlowLog is inert.
+// TestSlowLogDisabled checks the global kill switch stops the window from
+// filling, and that a nil SlowLog is inert.
 func TestSlowLogDisabled(t *testing.T) {
 	defer SetEnabled(true)
-	s := NewSlowLog(4, 1, time.Nanosecond)
+	s := NewSlowLog(1, 0)
 	SetEnabled(false)
-	s.Observe("", "r", time.Second, nil)
-	if s.Len() != 0 {
-		t.Error("captured while disabled")
+	for i := 0; i < slowLogWarmup; i++ {
+		s.Observe(time.Second)
+	}
+	if thr := s.Threshold(); thr != math.MaxInt64 {
+		t.Errorf("threshold = %v after observing while disabled, want off", thr)
 	}
 	SetEnabled(true)
 	var nilLog *SlowLog
-	nilLog.Observe("", "r", time.Second, nil)
-	if nilLog.Len() != 0 || nilLog.Entries() != nil || nilLog.Threshold() != 0 {
+	nilLog.Observe(time.Second)
+	if nilLog.Threshold() != 0 {
 		t.Error("nil SlowLog should be inert")
 	}
 }

@@ -7,47 +7,42 @@ import (
 )
 
 // Timeline is the in-process flight recorder's history layer: a background
-// sampler that reads a set of registered probes at a fixed interval and
-// keeps each one's last N samples in a ring, so trend data (queries/sec,
-// resident bytes, overlay fraction, per-graph load) is available from the
-// server itself — no external Prometheus needed for the admin timeline
-// endpoint, loadgen's report tail, or the future router's placement logic.
+// sampler that calls one source function at a fixed interval and keeps the
+// last N samples of every series it emits, so trend data (queries/sec,
+// resident bytes, overlay fraction, per-graph load) is served by the admin
+// timeline endpoint with no external Prometheus.
 //
-// Probes are cheap closures over metric handles (Counter.Value,
-// Gauge.Value, ...), grouped by scope — "" for process-global series, a
-// graph name for per-graph ones — so a scope's whole history can be
-// dropped when the registry forgets the graph.
+// Series are grouped by scope — "" for process-global series, a graph name
+// for per-graph ones. A series the source stops emitting is dropped at that
+// pass; Untrack drops a scope's whole history at once, for owners that know
+// the scope is gone.
 
 // TimelinePoint is one sample: wall-clock unix milliseconds and the
-// probe's value at that instant. Counters sample cumulatively; consumers
+// series' value at that instant. Counters sample cumulatively; consumers
 // difference adjacent points for rates.
 type TimelinePoint struct {
 	UnixMs int64   `json:"t_ms"`
 	Value  float64 `json:"v"`
 }
 
-// TimelineSeries is one probe's recorded history, oldest point first.
+// TimelineSeries is one series' recorded history, oldest point first.
 type TimelineSeries struct {
 	Scope  string          `json:"graph,omitempty"` // "" = process-global
 	Name   string          `json:"name"`
 	Points []TimelinePoint `json:"points"`
 }
 
-type timelineProbe struct {
-	read func() float64
-	ring []TimelinePoint // fixed capacity; next is the write cursor
-	next int
-	n    int
-}
+type seriesKey struct{ scope, name string }
 
-// Timeline samples registered probes every interval into rings of at most
-// samples points each.
+// Timeline samples its source every interval, keeping at most samples
+// points per series.
 type Timeline struct {
 	interval time.Duration
 	samples  int
+	source   func(emit func(scope, name string, v float64))
 
 	mu     sync.Mutex
-	probes map[string]map[string]*timelineProbe // scope → name → ring
+	series map[seriesKey][]TimelinePoint // oldest point first
 	stop   chan struct{}
 	done   chan struct{}
 }
@@ -58,9 +53,11 @@ const (
 	DefaultTimelineSamples  = 90
 )
 
-// NewTimeline builds a collector (interval ≤ 0 or samples ≤ 0 select the
-// defaults). It does not sample until Start.
-func NewTimeline(interval time.Duration, samples int) *Timeline {
+// NewTimeline builds a collector over source, which is called once per
+// sampling pass and emits the current value of every live series
+// (interval ≤ 0 or samples ≤ 0 select the defaults). It does not sample
+// until Start.
+func NewTimeline(interval time.Duration, samples int, source func(emit func(scope, name string, v float64))) *Timeline {
 	if interval <= 0 {
 		interval = DefaultTimelineInterval
 	}
@@ -70,64 +67,55 @@ func NewTimeline(interval time.Duration, samples int) *Timeline {
 	return &Timeline{
 		interval: interval,
 		samples:  samples,
-		probes:   make(map[string]map[string]*timelineProbe),
+		source:   source,
+		series:   make(map[seriesKey][]TimelinePoint),
 	}
 }
 
 // Interval reports the sampling period.
 func (t *Timeline) Interval() time.Duration { return t.interval }
 
-// Track registers a probe under (scope, name); scope "" is process-global.
-// Re-tracking an existing pair replaces the reader and keeps the history.
-// Safe on a nil Timeline (no-op), so wiring code can leave the collector
-// optional.
-func (t *Timeline) Track(scope, name string, read func() float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	byName := t.probes[scope]
-	if byName == nil {
-		byName = make(map[string]*timelineProbe)
-		t.probes[scope] = byName
-	}
-	if p, ok := byName[name]; ok {
-		p.read = read
-		return
-	}
-	byName[name] = &timelineProbe{read: read, ring: make([]TimelinePoint, t.samples)}
-}
-
-// Untrack drops every probe (and its history) under scope. Safe on nil.
+// Untrack drops every series (and its history) under scope. Safe on nil.
 func (t *Timeline) Untrack(scope string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	delete(t.probes, scope)
+	for k := range t.series {
+		if k.scope == scope {
+			delete(t.series, k)
+		}
+	}
 	t.mu.Unlock()
 }
 
-// Sample takes one synchronous sampling pass over every probe. The
-// background loop calls this on its ticker; tests call it directly for
-// deterministic rings.
+// Sample takes one synchronous sampling pass. The background loop calls
+// this on its ticker; tests call it directly for deterministic histories.
+//
+// The source runs before t.mu is taken: it reads state behind other locks
+// (the serving layer's reads the graph registry), and the owners of those
+// locks call Untrack while holding them, so running the source under t.mu
+// would take the two locks in both orders and deadlock.
 func (t *Timeline) Sample() {
 	if t == nil {
 		return
 	}
+	vals := make(map[seriesKey]float64)
+	t.source(func(scope, name string, v float64) { vals[seriesKey{scope, name}] = v })
 	now := time.Now().UnixMilli()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, byName := range t.probes {
-		for _, p := range byName {
-			p.ring[p.next] = TimelinePoint{UnixMs: now, Value: p.read()}
-			p.next = (p.next + 1) % len(p.ring)
-			if p.n < len(p.ring) {
-				p.n++
-			}
+	// Rebuild the index from this pass's points, so a series the source
+	// no longer emits leaves with the old index.
+	series := make(map[seriesKey][]TimelinePoint, len(vals))
+	for k, v := range vals {
+		hist := append(t.series[k], TimelinePoint{UnixMs: now, Value: v})
+		if len(hist) > t.samples {
+			hist = hist[len(hist)-t.samples:]
 		}
+		series[k] = hist
 	}
+	t.series = series
 }
 
 // Start launches the background sampler; Stop ends it. Safe on nil, and
@@ -179,8 +167,8 @@ func (t *Timeline) Stop() {
 
 // Snapshot returns the recorded history. scope "" with all=false returns
 // only the process-global series; all=true returns every scope. Series are
-// sorted by (scope, name) and each ring is unrolled oldest-first. Safe on
-// nil (returns nil).
+// sorted by (scope, name), each oldest point first. Safe on nil (returns
+// nil).
 func (t *Timeline) Snapshot(scope string, all bool) []TimelineSeries {
 	if t == nil {
 		return nil
@@ -188,20 +176,13 @@ func (t *Timeline) Snapshot(scope string, all bool) []TimelineSeries {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []TimelineSeries
-	for sc, byName := range t.probes {
-		if !all && sc != scope {
-			continue
-		}
-		for name, p := range byName {
-			pts := make([]TimelinePoint, 0, p.n)
-			start := p.next - p.n
-			if start < 0 {
-				start += len(p.ring)
-			}
-			for i := 0; i < p.n; i++ {
-				pts = append(pts, p.ring[(start+i)%len(p.ring)])
-			}
-			out = append(out, TimelineSeries{Scope: sc, Name: name, Points: pts})
+	for k, pts := range t.series {
+		if all || k.scope == scope {
+			out = append(out, TimelineSeries{
+				Scope:  k.scope,
+				Name:   k.name,
+				Points: append([]TimelinePoint(nil), pts...),
+			})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -210,21 +191,5 @@ func (t *Timeline) Snapshot(scope string, all bool) []TimelineSeries {
 		}
 		return out[i].Name < out[j].Name
 	})
-	return out
-}
-
-// Scopes lists the tracked scopes (sorted; "" first when present). Safe on
-// nil.
-func (t *Timeline) Scopes() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.probes))
-	for sc := range t.probes {
-		out = append(out, sc)
-	}
-	sort.Strings(out)
 	return out
 }

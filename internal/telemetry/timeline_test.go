@@ -8,9 +8,11 @@ import (
 // TestTimelineRing checks sampling into the ring, oldest-first unrolling
 // and wraparound once the ring fills.
 func TestTimelineRing(t *testing.T) {
-	tl := NewTimeline(time.Hour, 3) // manual sampling only
 	var v float64
-	tl.Track("", "qps", func() float64 { v++; return v })
+	tl := NewTimeline(time.Hour, 3, func(emit func(scope, name string, v float64)) { // manual sampling only
+		v++
+		emit("", "qps", v)
+	})
 	for i := 0; i < 2; i++ {
 		tl.Sample()
 	}
@@ -37,13 +39,20 @@ func TestTimelineRing(t *testing.T) {
 	}
 }
 
-// TestTimelineScopes checks per-scope filtering, the all=true union, and
-// Untrack dropping a scope's whole history.
+// TestTimelineScopes checks per-scope filtering, the all=true union,
+// Untrack dropping a scope's whole history, and a series the source stops
+// emitting leaving at that pass.
 func TestTimelineScopes(t *testing.T) {
-	tl := NewTimeline(time.Hour, 4)
-	tl.Track("", "global", func() float64 { return 1 })
-	tl.Track("g1", "queries", func() float64 { return 2 })
-	tl.Track("g2", "queries", func() float64 { return 3 })
+	live := map[string]float64{"": 1, "g1": 2, "g2": 3}
+	tl := NewTimeline(time.Hour, 4, func(emit func(scope, name string, v float64)) {
+		for sc, v := range live {
+			name := "queries"
+			if sc == "" {
+				name = "global"
+			}
+			emit(sc, name, v)
+		}
+	})
 	tl.Sample()
 
 	if got := len(tl.Snapshot("g1", false)); got != 1 {
@@ -57,9 +66,6 @@ func TestTimelineScopes(t *testing.T) {
 	if all[0].Scope != "" || all[1].Scope != "g1" || all[2].Scope != "g2" {
 		t.Errorf("scope order wrong: %+v", all)
 	}
-	if sc := tl.Scopes(); len(sc) != 3 || sc[0] != "" {
-		t.Errorf("scopes = %v", sc)
-	}
 	tl.Untrack("g1")
 	if got := len(tl.Snapshot("g1", false)); got != 0 {
 		t.Errorf("untracked scope still has %d series", got)
@@ -67,13 +73,61 @@ func TestTimelineScopes(t *testing.T) {
 	if got := len(tl.Snapshot("", true)); got != 2 {
 		t.Errorf("series after untrack = %d, want 2", got)
 	}
+
+	delete(live, "g2")
+	tl.Sample()
+	if got := len(tl.Snapshot("g2", false)); got != 0 {
+		t.Errorf("series the source stopped emitting still has %d series", got)
+	}
+	for _, s := range tl.Snapshot("", true) {
+		want := 2 // global kept its history
+		if s.Scope == "g1" {
+			want = 1 // Untrack dropped the history; the source re-emitted it
+		}
+		if len(s.Points) != want {
+			t.Errorf("%q/%s has %d points, want %d", s.Scope, s.Name, len(s.Points), want)
+		}
+	}
+}
+
+// TestTimelineSampleUntrackNoDeadlock pins the lock order between the
+// sampler and a scope's owner. The serving layer's source reads the graph
+// registry, whose lock DELETE holds while it calls Untrack; here the
+// source waits on a goroutine that calls Untrack. Sample must not hold its
+// own lock while the source runs, or the two wait on each other forever.
+func TestTimelineSampleUntrackNoDeadlock(t *testing.T) {
+	var tl *Timeline
+	tl = NewTimeline(time.Hour, 4, func(emit func(scope, name string, v float64)) {
+		untracked := make(chan struct{})
+		go func() {
+			tl.Untrack("g")
+			close(untracked)
+		}()
+		<-untracked
+		emit("g", "x", 1)
+	})
+	sampled := make(chan struct{})
+	go func() {
+		tl.Sample()
+		tl.Sample()
+		close(sampled)
+	}()
+	select {
+	case <-sampled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Sample deadlocked against an Untrack its source waits on")
+	}
+	if snap := tl.Snapshot("g", false); len(snap) != 1 || len(snap[0].Points) != 1 {
+		t.Errorf("snapshot = %+v, want one series with the last pass's point", snap)
+	}
 }
 
 // TestTimelineStartStop smoke-tests the background sampler: it actually
 // samples, Stop halts it, and both are idempotent and nil-safe.
 func TestTimelineStartStop(t *testing.T) {
-	tl := NewTimeline(time.Millisecond, 8)
-	tl.Track("", "x", func() float64 { return 1 })
+	tl := NewTimeline(time.Millisecond, 8, func(emit func(scope, name string, v float64)) {
+		emit("", "x", 1)
+	})
 	tl.Start()
 	tl.Start() // idempotent
 	deadline := time.After(2 * time.Second)
@@ -90,12 +144,11 @@ func TestTimelineStartStop(t *testing.T) {
 	tl.Stop()
 	tl.Stop() // idempotent
 	var nilTL *Timeline
-	nilTL.Track("", "x", nil)
 	nilTL.Untrack("")
 	nilTL.Sample()
 	nilTL.Start()
 	nilTL.Stop()
-	if nilTL.Snapshot("", true) != nil || nilTL.Scopes() != nil {
+	if nilTL.Snapshot("", true) != nil {
 		t.Error("nil timeline should return nil snapshots")
 	}
 }

@@ -11,11 +11,10 @@ import (
 // engine Query, and — when the request is sampled or force-captured — the
 // recorded span tree lands in the TraceStore behind /v1/admin/traces.
 // Spans carry SpanID/parent links: Start/StartSpan maintain a cursor stack
-// of open spans so instrumented layers nest naturally, while the flat Add
-// API (kept as a compatibility shim) records post-hoc leaf spans under
-// whatever span is open. A nil *Trace is fully inert — every method is a
-// no-op that reads no clock — so instrumented code calls unconditionally
-// and untraced requests pay nothing.
+// of open spans so instrumented layers nest naturally. A nil *Trace is
+// fully inert — every method is a no-op that reads no clock — so
+// instrumented code calls unconditionally and untraced requests pay
+// nothing.
 type Trace struct {
 	t0            time.Time
 	tid           TraceID
@@ -171,26 +170,6 @@ func (t *Trace) StartSpan() func(name string) {
 		}
 		t.spans = append(t.spans, Span{Name: name, ID: id, Parent: parent, Start: s.Sub(t.t0), Dur: d})
 	}
-}
-
-// Add records a completed span of the given duration ending now, as a leaf
-// child of the currently open span. Safe on a nil trace. This is the flat
-// compatibility API: instrumented code that decides the stage name after
-// the fact with its own clock reads (guarded by t != nil) keeps working
-// unchanged, its spans simply gain ids and a parent link.
-func (t *Trace) Add(name string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	// d can exceed the elapsed wall time when the caller's clock reads
-	// straddle a coarse-timer tick; clamp so Start never goes negative.
-	start := time.Since(t.t0) - d
-	if start < 0 {
-		start = 0
-	}
-	t.mu.Lock()
-	t.spans = append(t.spans, Span{Name: name, ID: NewSpanID(), Parent: t.cursorLocked(), Start: start, Dur: d})
-	t.mu.Unlock()
 }
 
 // cursorLocked returns the id new spans should parent onto: the innermost

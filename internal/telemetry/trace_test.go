@@ -11,17 +11,17 @@ func TestTraceSpans(t *testing.T) {
 	end := tr.Start("stage_a")
 	time.Sleep(time.Millisecond)
 	end()
-	tr.Add("stage_b", 5*time.Millisecond)
+	tr.Start("stage_b")()
 
 	spans := tr.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
-	if spans[0].Name != "stage_a" || spans[0].Dur <= 0 {
+	if spans[0].Name != "stage_a" || spans[0].Dur < time.Millisecond {
 		t.Errorf("stage_a span = %+v", spans[0])
 	}
-	if spans[1].Name != "stage_b" || spans[1].Dur != 5*time.Millisecond {
-		t.Errorf("stage_b span = %+v", spans[1])
+	if spans[1].Name != "stage_b" || spans[1].Start < spans[0].Start+spans[0].Dur {
+		t.Errorf("stage_b span = %+v, want it to start after stage_a ends", spans[1])
 	}
 	if tr.Total() <= 0 {
 		t.Error("Total() should be positive")
@@ -33,38 +33,12 @@ func TestTraceSpans(t *testing.T) {
 func TestNilTrace(t *testing.T) {
 	var tr *Trace
 	tr.Start("x")()
-	tr.Add("y", time.Second)
+	tr.StartSpan()("y")
 	if tr.Spans() != nil {
 		t.Error("nil trace Spans() should be nil")
 	}
 	if tr.Total() != 0 {
 		t.Error("nil trace Total() should be 0")
-	}
-}
-
-// TestTraceAddClampsStart pins the clock-skew fix: when Add is handed a
-// duration longer than the wall time elapsed since the trace origin
-// (coarse timers can round that way), Start clamps at zero instead of
-// going negative.
-func TestTraceAddClampsStart(t *testing.T) {
-	tr := NewTrace()
-	tr.Add("skewed", time.Hour) // far beyond elapsed wall time
-	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("got %d spans, want 1", len(spans))
-	}
-	if spans[0].Start != 0 {
-		t.Errorf("Start = %v, want 0 (clamped)", spans[0].Start)
-	}
-	if spans[0].Dur != time.Hour {
-		t.Errorf("Dur = %v, want 1h (duration must be preserved)", spans[0].Dur)
-	}
-	// A plausible duration still records a positive offset.
-	time.Sleep(2 * time.Millisecond)
-	tr.Add("normal", time.Millisecond)
-	spans = tr.Spans()
-	if spans[1].Start <= 0 {
-		t.Errorf("normal span Start = %v, want > 0", spans[1].Start)
 	}
 }
 

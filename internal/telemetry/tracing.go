@@ -139,7 +139,8 @@ func (s *Sampler) Rate() float64 {
 }
 
 // StoredTrace is one completed, captured request trace as kept by the
-// TraceStore and served from GET /v1/admin/traces.
+// TraceStore and served from GET /v1/admin/traces; one whose Duration
+// reaches its Threshold is also a slow-log entry.
 type StoredTrace struct {
 	ID           TraceID
 	Root         SpanID
@@ -148,6 +149,7 @@ type StoredTrace struct {
 	Kind         string // classify | patch | mutate | ...
 	Start        time.Time
 	Duration     time.Duration
+	Threshold    time.Duration // slow-request threshold in force at capture
 	Status       int
 	Reason       string // head | parent | slow | error
 	Spans        []Span

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
@@ -172,10 +171,10 @@ func TestTraceSpanNesting(t *testing.T) {
 	tr := NewTrace()
 	endOuter := tr.Start("outer")
 	endInner := tr.Start("inner")
-	tr.Add("leaf", time.Microsecond)
+	tr.Start("leaf")()
 	endInner()
 	endOuter()
-	tr.Add("after", time.Microsecond)
+	tr.Start("after")()
 
 	spans := tr.Spans()
 	if len(spans) != 4 {

@@ -24,192 +24,76 @@ import (
 // practice eager Delete — not LRU pressure — is what releases series.
 const DefaultVecCardinality = 256
 
-// vecCore is the shared resolution machinery under CounterVec, GaugeVec
-// and HistogramVec: value → handle with LRU-bounded cardinality.
-type vecCore struct {
-	reg   *Registry
-	name  string
-	help  string
-	label string
-	limit int
+// Vec is a metric family with one dynamic label, resolving each label
+// value to a registered handle of type H: value → handle with
+// LRU-bounded cardinality. The aliases below name its four instances.
+type Vec[H any] struct {
+	reg    *Registry
+	name   string
+	label  string
+	limit  int
+	series func(*Registry, Labels) H // registers one labeled series
 
 	mu      sync.Mutex
 	entries map[string]*list.Element // value → element in lru
 	lru     *list.List               // front = most recently used
 }
 
-type vecEntry struct {
+type vecEntry[H any] struct {
 	value  string
-	handle any
+	handle H
 }
 
-func newVecCore(reg *Registry, name, help, label string, limit int) vecCore {
+type (
+	// CounterVec is a counter family with one dynamic label.
+	CounterVec = Vec[*Counter]
+	// FloatCounterVec is a float counter family with one dynamic label —
+	// seconds-valued per-graph cost accumulation.
+	FloatCounterVec = Vec[*FloatCounter]
+	// GaugeVec is a gauge family with one dynamic label.
+	GaugeVec = Vec[*Gauge]
+	// HistogramVec is a histogram family with one dynamic label; all
+	// series share one set of bucket bounds.
+	HistogramVec = Vec[*Histogram]
+)
+
+func newVec[H any](reg *Registry, name, label string, limit int, series func(*Registry, Labels) H) *Vec[H] {
 	if reg == nil {
 		reg = Default()
 	}
 	if limit <= 0 {
 		limit = DefaultVecCardinality
 	}
-	return vecCore{
+	return &Vec[H]{
 		reg:     reg,
 		name:    name,
-		help:    help,
 		label:   label,
 		limit:   limit,
+		series:  series,
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 	}
 }
 
-// resolve returns the handle for value, creating (and LRU-evicting) as
-// needed. make builds a fresh handle by registering the labeled series.
-func (c *vecCore) resolve(value string, make func(Labels) any) any {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[value]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*vecEntry).handle
-	}
-	h := make(Labels{c.label: value})
-	c.entries[value] = c.lru.PushFront(&vecEntry{value: value, handle: h})
-	for len(c.entries) > c.limit {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(*vecEntry)
-		c.lru.Remove(back)
-		delete(c.entries, ev.value)
-		c.reg.RemoveSeries(c.name, Labels{c.label: ev.value})
-	}
-	return h
-}
-
-// delete drops value's series from the vector and the registry.
-func (c *vecCore) delete(value string) {
-	c.mu.Lock()
-	el, ok := c.entries[value]
-	if ok {
-		c.lru.Remove(el)
-		delete(c.entries, value)
-	}
-	c.mu.Unlock()
-	if ok {
-		c.reg.RemoveSeries(c.name, Labels{c.label: value})
-	}
-}
-
-// len reports the number of live label values (tests and admin surfaces).
-func (c *vecCore) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// each calls fn for every live (value, handle) pair, iterating over a
-// snapshot taken under the lock so fn runs unlocked. Crucially it does NOT
-// resolve: reading a report through each never creates or resurrects a
-// series for a value that was deleted.
-func (c *vecCore) each(fn func(value string, handle any)) {
-	c.mu.Lock()
-	snap := make([]*vecEntry, 0, len(c.entries))
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		snap = append(snap, el.Value.(*vecEntry))
-	}
-	c.mu.Unlock()
-	for _, e := range snap {
-		fn(e.value, e.handle)
-	}
-}
-
-// CounterVec is a counter family with one dynamic label.
-type CounterVec struct{ core vecCore }
-
 // NewCounterVec registers a counter family on reg (nil = Default()) whose
 // series carry label={value}; at most limit (≤0 = DefaultVecCardinality)
 // distinct values are live at once.
 func NewCounterVec(reg *Registry, name, help, label string, limit int) *CounterVec {
-	return &CounterVec{core: newVecCore(reg, name, help, label, limit)}
+	return newVec(reg, name, label, limit, func(r *Registry, l Labels) *Counter { return r.Counter(name, help, l) })
 }
-
-func (v *CounterVec) With(value string) *Counter {
-	return v.core.resolve(value, func(l Labels) any {
-		return v.core.reg.Counter(v.core.name, v.core.help, l)
-	}).(*Counter)
-}
-
-// Delete releases value's series (call when the labeled object dies).
-func (v *CounterVec) Delete(value string) { v.core.delete(value) }
-
-// Len reports the number of live label values.
-func (v *CounterVec) Len() int { return v.core.len() }
-
-// Each visits every live (value, counter) pair without resolving — reading
-// never creates or resurrects a series.
-func (v *CounterVec) Each(fn func(value string, c *Counter)) {
-	v.core.each(func(value string, h any) { fn(value, h.(*Counter)) })
-}
-
-// FloatCounterVec is a float counter family with one dynamic label —
-// seconds-valued per-graph cost accumulation.
-type FloatCounterVec struct{ core vecCore }
 
 // NewFloatCounterVec registers a float counter family on reg (nil =
 // Default()) whose series carry label={value}; at most limit (≤0 =
 // DefaultVecCardinality) distinct values are live at once.
 func NewFloatCounterVec(reg *Registry, name, help, label string, limit int) *FloatCounterVec {
-	return &FloatCounterVec{core: newVecCore(reg, name, help, label, limit)}
+	return newVec(reg, name, label, limit, func(r *Registry, l Labels) *FloatCounter { return r.FloatCounter(name, help, l) })
 }
-
-func (v *FloatCounterVec) With(value string) *FloatCounter {
-	return v.core.resolve(value, func(l Labels) any {
-		return v.core.reg.FloatCounter(v.core.name, v.core.help, l)
-	}).(*FloatCounter)
-}
-
-// Delete releases value's series (call when the labeled object dies).
-func (v *FloatCounterVec) Delete(value string) { v.core.delete(value) }
-
-// Len reports the number of live label values.
-func (v *FloatCounterVec) Len() int { return v.core.len() }
-
-// Each visits every live (value, counter) pair without resolving.
-func (v *FloatCounterVec) Each(fn func(value string, c *FloatCounter)) {
-	v.core.each(func(value string, h any) { fn(value, h.(*FloatCounter)) })
-}
-
-// GaugeVec is a gauge family with one dynamic label.
-type GaugeVec struct{ core vecCore }
 
 // NewGaugeVec registers a gauge family on reg (nil = Default()) whose
 // series carry label={value}; at most limit (≤0 = DefaultVecCardinality)
 // distinct values are live at once.
 func NewGaugeVec(reg *Registry, name, help, label string, limit int) *GaugeVec {
-	return &GaugeVec{core: newVecCore(reg, name, help, label, limit)}
-}
-
-func (v *GaugeVec) With(value string) *Gauge {
-	return v.core.resolve(value, func(l Labels) any {
-		return v.core.reg.Gauge(v.core.name, v.core.help, l)
-	}).(*Gauge)
-}
-
-// Delete releases value's series (call when the labeled object dies).
-func (v *GaugeVec) Delete(value string) { v.core.delete(value) }
-
-// Len reports the number of live label values.
-func (v *GaugeVec) Len() int { return v.core.len() }
-
-// Each visits every live (value, gauge) pair without resolving.
-func (v *GaugeVec) Each(fn func(value string, g *Gauge)) {
-	v.core.each(func(value string, h any) { fn(value, h.(*Gauge)) })
-}
-
-// HistogramVec is a histogram family with one dynamic label; all series
-// share one set of bucket bounds.
-type HistogramVec struct {
-	core   vecCore
-	bounds []float64
+	return newVec(reg, name, label, limit, func(r *Registry, l Labels) *Gauge { return r.Gauge(name, help, l) })
 }
 
 // NewHistogramVec registers a histogram family on reg (nil = Default())
@@ -217,17 +101,67 @@ type HistogramVec struct {
 // label={value}; at most limit (≤0 = DefaultVecCardinality) distinct
 // values are live at once.
 func NewHistogramVec(reg *Registry, name, help, label string, bounds []float64, limit int) *HistogramVec {
-	return &HistogramVec{core: newVecCore(reg, name, help, label, limit), bounds: bounds}
+	return newVec(reg, name, label, limit, func(r *Registry, l Labels) *Histogram { return r.Histogram(name, help, bounds, l) })
 }
 
-func (v *HistogramVec) With(value string) *Histogram {
-	return v.core.resolve(value, func(l Labels) any {
-		return v.core.reg.Histogram(v.core.name, v.core.help, v.bounds, l)
-	}).(*Histogram)
+// With returns value's handle, registering its series (and LRU-evicting
+// the coldest value past the limit) on first use.
+func (v *Vec[H]) With(value string) H {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if el, ok := v.entries[value]; ok {
+		v.lru.MoveToFront(el)
+		return el.Value.(*vecEntry[H]).handle
+	}
+	h := v.series(v.reg, Labels{v.label: value})
+	v.entries[value] = v.lru.PushFront(&vecEntry[H]{value: value, handle: h})
+	for len(v.entries) > v.limit {
+		back := v.lru.Back()
+		if back == nil {
+			break
+		}
+		ev := back.Value.(*vecEntry[H])
+		v.lru.Remove(back)
+		delete(v.entries, ev.value)
+		v.reg.RemoveSeries(v.name, Labels{v.label: ev.value})
+	}
+	return h
 }
 
-// Delete releases value's series (call when the labeled object dies).
-func (v *HistogramVec) Delete(value string) { v.core.delete(value) }
+// Delete releases value's series from the vector and the registry (call
+// when the labeled object dies).
+func (v *Vec[H]) Delete(value string) {
+	v.mu.Lock()
+	el, ok := v.entries[value]
+	if ok {
+		v.lru.Remove(el)
+		delete(v.entries, value)
+	}
+	v.mu.Unlock()
+	if ok {
+		v.reg.RemoveSeries(v.name, Labels{v.label: value})
+	}
+}
 
 // Len reports the number of live label values.
-func (v *HistogramVec) Len() int { return v.core.len() }
+func (v *Vec[H]) Len() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.entries)
+}
+
+// Each calls fn for every live (value, handle) pair, iterating over a
+// snapshot taken under the lock so fn runs unlocked. Crucially it does NOT
+// resolve: reading a report through Each never creates or resurrects a
+// series for a value that was deleted.
+func (v *Vec[H]) Each(fn func(value string, h H)) {
+	v.mu.Lock()
+	snap := make([]*vecEntry[H], 0, len(v.entries))
+	for el := v.lru.Front(); el != nil; el = el.Next() {
+		snap = append(snap, el.Value.(*vecEntry[H]))
+	}
+	v.mu.Unlock()
+	for _, e := range snap {
+		fn(e.value, e.handle)
+	}
+}
