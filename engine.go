@@ -739,9 +739,9 @@ func (e *Engine) ensureWarm(tr *telemetry.Trace) error {
 	e.nPropagations.Add(1)
 	engPropagations.Inc()
 	start := telemetry.Now()
-	doneInit := tr.Start("residual.init")
+	spanInit := tr.Start("residual.init")
 	_, err = rs.Init(x)
-	doneInit()
+	spanInit.End()
 	if err != nil {
 		return fmt.Errorf("factorgraph: %w: %v", ErrEngineInternal, err)
 	}
@@ -843,9 +843,9 @@ func (e *Engine) ClassifyEachMeta(q Query, fn func(NodeResult) error) (QueryMeta
 	e.nQueries.Add(1)
 	engQueries.Inc()
 	tr := q.Trace // nil on untraced queries: every span call below is inert
-	done := tr.Start("engine.classify")
+	span := tr.Start("engine.classify")
 	meta, err := e.classifyEachMeta(q, tr, fn)
-	done()
+	span.End()
 	tr.AddWork(meta.PushedNodes, meta.TouchedEdges, meta.ClonedRows)
 	return meta, err
 }
@@ -882,8 +882,8 @@ func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResu
 	}
 	topk := min(q.TopK, k)
 	stage := "residual_direct"
-	end := tr.StartSpan()
-	defer func() { end(stage) }()
+	span := tr.Start("")
+	defer func() { span.EndAs(stage) }()
 
 	res, err := e.rlockWarm(tr)
 	if err != nil {
@@ -928,8 +928,8 @@ func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResu
 	}
 	e.mu.RUnlock()
 	// fn may write to a network: it never runs with mu held.
-	doneEmit := tr.Start("emit")
-	defer doneEmit()
+	spanEmit := tr.Start("emit")
+	defer spanEmit.End()
 	for i, lab := range labs {
 		var r []float64
 		var top []ClassScore
@@ -1095,9 +1095,9 @@ func (e *Engine) UpdateLabelsMeta(set map[int]int, remove []int) (PatchMeta, err
 // drain nested under it) and the apply swap.
 func (e *Engine) UpdateLabelsMetaCtx(ctx context.Context, set map[int]int, remove []int) (PatchMeta, error) {
 	tr := telemetry.TraceFrom(ctx)
-	done := tr.Start("engine.patch")
+	span := tr.Start("engine.patch")
 	meta, err := e.updateLabelsMeta(set, remove, tr)
-	done()
+	span.End()
 	tr.AddWork(meta.PushedNodes, meta.TouchedEdges, 0)
 	tr.AddWait(meta.FlushSeconds, meta.LockWaitSeconds)
 	return meta, err
@@ -1105,11 +1105,11 @@ func (e *Engine) UpdateLabelsMetaCtx(ctx context.Context, set map[int]int, remov
 
 func (e *Engine) updateLabelsMeta(set map[int]int, remove []int, tr *telemetry.Trace) (PatchMeta, error) {
 	lockStart := telemetry.Now()
-	doneLock := tr.Start("lock_wait")
+	spanLock := tr.Start("lock_wait")
 	e.patchMu.Lock()
 	defer e.patchMu.Unlock()
 	e.mu.Lock()
-	doneLock()
+	spanLock.End()
 	hPatchLockWaitLabel.ObserveSince(lockStart)
 	var lockWaitSec float64
 	if !lockStart.IsZero() {
@@ -1170,9 +1170,9 @@ func (e *Engine) updateLabelsMeta(set map[int]int, remove []int, tr *telemetry.T
 	}
 	e.nResidualPatches.Add(1)
 	applyStart := telemetry.Now()
-	doneApply := tr.Start("apply")
+	spanApply := tr.Start("apply")
 	e.commitSession(res, patch)
-	doneApply()
+	spanApply.End()
 	hPatchApplyLabel.ObserveSince(applyStart)
 	return PatchMeta{
 		Residual: true, PushedNodes: st.Pushed, TouchedEdges: st.Edges, FellBack: st.FellBack,

@@ -107,9 +107,9 @@ func (e *Engine) MutateTopology(addNodes int, muts []EdgeMutation) (meta MutateM
 // triggered.
 func (e *Engine) MutateTopologyCtx(ctx context.Context, addNodes int, muts []EdgeMutation) (MutateMeta, error) {
 	tr := telemetry.TraceFrom(ctx)
-	done := tr.Start("engine.mutate")
+	span := tr.Start("engine.mutate")
 	meta, err := e.mutateTopology(addNodes, muts, tr)
-	done()
+	span.End()
 	tr.AddWork(meta.PushedNodes, meta.TouchedEdges, 0)
 	tr.AddWait(meta.FlushSeconds, meta.LockWaitSeconds)
 	return meta, err
@@ -125,12 +125,12 @@ func (e *Engine) mutateTopology(addNodes int, muts []EdgeMutation, tr *telemetry
 		return MutateMeta{}, fmt.Errorf("factorgraph: negative node addition %d", addNodes)
 	}
 	lockStart := telemetry.Now()
-	doneLock := tr.Start("lock_wait")
+	spanLock := tr.Start("lock_wait")
 	e.patchMu.Lock()
 	defer e.patchMu.Unlock()
 
 	e.mu.Lock()
-	doneLock()
+	spanLock.End()
 	hPatchLockWaitTopo.ObserveSince(lockStart)
 	if !lockStart.IsZero() {
 		meta.LockWaitSeconds = time.Since(lockStart).Seconds()
@@ -263,18 +263,18 @@ func (e *Engine) mutateTopology(addNodes int, muts []EdgeMutation, tr *telemetry
 		meta.Residual = true
 		meta.PushedNodes, meta.TouchedEdges, meta.FellBack = st.Pushed, st.Edges, st.FellBack
 		applyStart := telemetry.Now()
-		doneApply := tr.Start("apply")
+		spanApply := tr.Start("apply")
 		e.commitSession(res, patch)
-		doneApply()
+		spanApply.End()
 		hPatchApplyTopo.ObserveSince(applyStart)
 	}
 
 	switch {
 	case force:
 		// Convergence is at stake: never defer to a background build.
-		doneCompact := tr.Start("delta.compact")
+		spanCompact := tr.Start("delta.compact")
 		compacted, rescaled, cerr := e.compactNow()
-		doneCompact()
+		spanCompact.End()
 		if cerr != nil {
 			return meta, cerr
 		}
@@ -283,9 +283,9 @@ func (e *Engine) mutateTopology(addNodes int, muts []EdgeMutation, tr *telemetry
 		if e.eopts.AsyncCompact {
 			meta.CompactPending = e.startAsyncCompact()
 		} else {
-			doneCompact := tr.Start("delta.compact")
+			spanCompact := tr.Start("delta.compact")
 			compacted, rescaled, cerr := e.compactNow()
-			doneCompact()
+			spanCompact.End()
 			if cerr != nil {
 				return meta, cerr
 			}

@@ -9,8 +9,8 @@ func DrainTraced(tr *telemetry.Trace, f *Frontier, k PushKernel, edgeBudget int)
 	if tr == nil {
 		return Drain(f, k, edgeBudget)
 	}
-	done := tr.Start("exec.drain")
+	span := tr.Start("exec.drain")
 	pushed, edges, outcome = Drain(f, k, edgeBudget)
-	done()
+	span.End()
 	return pushed, edges, outcome
 }

@@ -387,8 +387,8 @@ func (p *Patch) Flush() Stats {
 	s := p.base
 	var st Stats
 	defer func() { recordStats(st) }()
-	doneFlush := p.Trace.Start("residual.flush")
-	defer doneFlush()
+	spanFlush := p.Trace.Start("residual.flush")
+	defer spanFlush.End()
 	if p.df == nil {
 		var outcome exec.DrainOutcome
 		st.Pushed, st.Edges, outcome = exec.DrainTraced(p.Trace, p.front, patchKernel{p}, s.edgeBudget)
@@ -401,10 +401,10 @@ func (p *Patch) Flush() Stats {
 	if p.certGap > 0 {
 		stop = p.labelsFinal
 	}
-	doneRounds := p.Trace.Start("exec.rounds")
+	spanRounds := p.Trace.Start("exec.rounds")
 	pushed, edges, rounds, sweeps, remaining := p.pass.Drain(
 		p.pass.Dirty(), p.ensureDX, s.opts.MaxSweeps, stop)
-	doneRounds()
+	spanRounds.End()
 	st.Pushed += pushed
 	st.Edges += edges
 	st.Rounds, st.Sweeps, st.FellBack = rounds, sweeps, sweeps > 0

@@ -144,7 +144,11 @@ func (c *recorder) startTrace(r *http.Request) *telemetry.Trace {
 	if !telemetry.Enabled() {
 		return nil
 	}
-	tid, parent, parentSampled, ok := telemetry.ParseTraceparent(r.Header.Get("traceparent"))
+	var header string
+	if v := r.Header["Traceparent"]; len(v) > 0 { // canonical key: Get would re-canonicalise it
+		header = v[0]
+	}
+	tid, parent, parentSampled, ok := telemetry.ParseTraceparent(header)
 	if !ok {
 		tid, parent, parentSampled = telemetry.NewTraceID(), telemetry.SpanID{}, false
 	}
@@ -423,7 +427,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 // keeps it.
 func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 	resp := SlowLogResponse{
-		ThresholdUs: s.rec.slowlog.Threshold().Microseconds(),
+		ThresholdUs: micros(s.rec.slowlog.Threshold()),
 		Entries:     []SlowLogEntry{},
 	}
 	for _, st := range s.rec.traces.Snapshot() {
@@ -435,14 +439,11 @@ func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 			Graph:       st.Graph,
 			Route:       st.Kind,
 			TraceID:     st.ID.String(),
-			DurationUs:  st.Duration.Microseconds(),
-			ThresholdUs: st.Threshold.Microseconds(),
+			DurationUs:  micros(st.Duration),
+			ThresholdUs: micros(st.Threshold),
 		}
 		for _, sp := range st.Spans[1:] { // Spans[0] is the synthesized request root
-			e.Stages = append(e.Stages, StageTiming{
-				Stage: sp.Name,
-				Us:    float64(sp.Dur) / float64(time.Microsecond),
-			})
+			e.Stages = append(e.Stages, StageTiming{Stage: sp.Name, Us: micros(sp.Dur)})
 		}
 		resp.Entries = append(resp.Entries, e)
 	}

@@ -231,13 +231,35 @@ func TestSlowLogEndToEnd(t *testing.T) {
 		t.Errorf("entry = %s/%s, want recslow/classify", e.Graph, e.Route)
 	}
 	if e.DurationUs <= 0 {
-		t.Errorf("duration_us = %d, want > 0", e.DurationUs)
+		t.Errorf("duration_us = %g, want > 0", e.DurationUs)
 	}
 	if len(e.Stages) == 0 {
 		t.Errorf("captured entry has no stage trace")
 	}
 	if _, err := time.Parse(time.RFC3339Nano, e.Time); err != nil {
 		t.Errorf("entry time %q: %v", e.Time, err)
+	}
+}
+
+// TestSlowLogFractionalMicros checks the slow log reports fractional
+// microseconds: under a 1ns floor the threshold in force, and each entry's
+// stamped threshold, read 0.001, not a truncated 0.
+func TestSlowLogFractionalMicros(t *testing.T) {
+	srv := newMultiServer(0, Options{SlowLogFloor: time.Nanosecond})
+	if rec, _ := doJSON(t, srv, "POST", "/v1/graphs", synthBody("recfrac", 200, 1000)); rec.Code != http.StatusCreated {
+		t.Fatalf("create: status %d", rec.Code)
+	}
+	classifyGraph(t, srv, "recfrac")
+	var resp SlowLogResponse
+	hrec, _ := doJSON(t, srv, "GET", "/v1/admin/slowlog", "")
+	if err := json.Unmarshal(hrec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.ThresholdUs <= 0 {
+		t.Errorf("threshold_us = %g under a 1ns floor, want > 0", resp.ThresholdUs)
+	}
+	if len(resp.Entries) == 0 || resp.Entries[0].ThresholdUs != 0.001 {
+		t.Errorf("entries %+v, want one stamped with threshold_us 0.001", resp.Entries)
 	}
 }
 

@@ -252,8 +252,9 @@ func (s *Server) withEngine(kind string, fn func(http.ResponseWriter, *http.Requ
 			// Inject before the handler writes the header: the client learns
 			// this request's root span id and the sampling verdict, so a
 			// round-tripped traceparent proves context propagation.
-			w.Header().Set("traceparent",
-				telemetry.Traceparent(tr.TraceID(), tr.RootSpanID(), tr.Sampled()))
+			// Stored under its canonical key, so no per-request canonicalising.
+			w.Header()["Traceparent"] = []string{
+				telemetry.Traceparent(tr.TraceID(), tr.RootSpanID(), tr.Sampled())}
 		}
 		start := time.Now()
 		fn(w, r.WithContext(telemetry.WithTrace(r.Context(), tr)), eng)
@@ -329,7 +330,12 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // empty body decodes as the zero value, so every POST/PATCH field is
 // optional by default.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	return decodeJSON(w, http.MaxBytesReader(w, r.Body, limit), v)
+}
+
+// decodeJSON is decodeBody over an already bounded body.
+func decodeJSON(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -477,7 +483,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, eng *fac
 // §8.4.1.3); a qvalue of 0 ("gzip;q=0") means gzip is explicitly NOT
 // acceptable (§12.4.2).
 func acceptsGzip(r *http.Request) bool {
-	for _, enc := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
+	ae := r.Header.Get("Accept-Encoding")
+	if ae == "" {
+		return false
+	}
+	for _, enc := range strings.Split(ae, ",") {
 		parts := strings.Split(enc, ";")
 		coding := strings.TrimSpace(parts[0])
 		if !strings.EqualFold(coding, "gzip") && !strings.EqualFold(coding, "x-gzip") {
@@ -497,7 +507,7 @@ func acceptsGzip(r *http.Request) bool {
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, eng *factorgraph.Engine) {
 	var req ClassifyRequest
-	if !decodeBody(w, r, &req, maxBodyBytes) {
+	if !decodeClassify(w, r, &req) {
 		return
 	}
 	q, err := req.Query()
@@ -514,7 +524,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, eng *fac
 		// breakdown in the response.
 		tr := telemetry.TraceFrom(r.Context())
 		q.Trace = tr
-		debug := r.URL.Query().Get("debug") == "1"
+		debug := r.URL.RawQuery != "" && r.URL.Query().Get("debug") == "1"
 		var results []factorgraph.NodeResult
 		if q.Nodes != nil {
 			results = make([]factorgraph.NodeResult, 0, len(q.Nodes))
@@ -535,10 +545,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, eng *fac
 		}
 		if debug && tr != nil {
 			for _, sp := range tr.Spans() {
-				resp.Stages = append(resp.Stages, StageTiming{
-					Stage: sp.Name,
-					Us:    float64(sp.Dur) / float64(time.Microsecond),
-				})
+				resp.Stages = append(resp.Stages, StageTiming{Stage: sp.Name, Us: micros(sp.Dur)})
 			}
 		}
 		// Rendered whole before the header: a score encoding/json would

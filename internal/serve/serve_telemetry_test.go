@@ -222,3 +222,40 @@ func TestConcurrentScrapeClassifyMutate(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestRoutePanic checks the route middleware's recovery: a handler that
+// panics before writing answers a JSON 500, one that panics mid-reply
+// aborts the connection (re-panics http.ErrAbortHandler); either way the
+// in-flight gauge returns to where it was and fg_http_panics_total counts
+// the panic.
+func TestRoutePanic(t *testing.T) {
+	srv := newMultiServer(0, Options{})
+	srv.route("GET /test/panic", "test_panic", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	srv.route("GET /test/panic-late", "test_panic_late", func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte("partial"))
+		panic("boom")
+	})
+	inFlight, panics := httpInFlight.Value(), mHTTPPanics.Value()
+
+	rec, body := doJSON(t, srv, "GET", "/test/panic", "")
+	if rec.Code != http.StatusInternalServerError || body["error"] == nil {
+		t.Fatalf("panicking handler: status %d, body %s; want a JSON 500", rec.Code, rec.Body.String())
+	}
+	func() {
+		defer func() {
+			if p := recover(); p != http.ErrAbortHandler {
+				t.Errorf("panic after a write re-panicked with %v, want http.ErrAbortHandler", p)
+			}
+		}()
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/test/panic-late", nil))
+	}()
+	if got := httpInFlight.Value(); got != inFlight {
+		t.Errorf("fg_http_in_flight = %v after the panics, want %v", got, inFlight)
+	}
+	if got := mHTTPPanics.Value() - panics; got != 2 {
+		t.Errorf("fg_http_panics_total rose by %d, want 2", got)
+	}
+	if got := scrape(t, srv)["fg_http_errors_total"]; got < 1 {
+		t.Errorf("fg_http_errors_total = %v, want the 500 counted", got)
+	}
+}

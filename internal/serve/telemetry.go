@@ -15,6 +15,8 @@ import (
 var (
 	httpInFlight = telemetry.Default().Gauge("fg_http_in_flight",
 		"Requests currently being served.")
+	mHTTPPanics = telemetry.Default().Counter("fg_http_panics_total",
+		"Handler panics caught by the route middleware: a 500 when nothing was written yet, an aborted connection otherwise.")
 
 	mNDJSONRecords = telemetry.Default().Counter("fg_http_ndjson_records_total",
 		"NDJSON records written on streaming classify responses.")
@@ -85,40 +87,67 @@ func (sw *statusWriter) Flush() {
 
 // route registers pattern on the mux wrapped in the telemetry middleware:
 // request count, latency, error class and the in-flight gauge, plus a
-// debug-level access log line when the server has a logger.
+// debug-level access log line when the server has a logger. The accounting
+// is deferred, so a panicking handler still leaves the gauge and counters
+// straight: the panic becomes a JSON 500 when nothing was written yet, and
+// otherwise re-panics as http.ErrAbortHandler, which drops the half-sent
+// reply's connection.
 func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 	rm := newRouteMetrics(name)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		httpInFlight.Add(1)
 		sw := &statusWriter{ResponseWriter: w}
+		defer func() {
+			p := recover()
+			if p != nil && p != http.ErrAbortHandler {
+				mHTTPPanics.Inc()
+				if s.log != nil {
+					s.log.Error("http handler panic", slog.String("route", name), slog.Any("panic", p))
+				}
+				if sw.status == 0 {
+					sw.Header().Del("Content-Encoding")
+					writeError(sw, http.StatusInternalServerError, "internal error")
+					p = nil
+				}
+			}
+			httpInFlight.Add(-1)
+			s.account(rm, name, sw, r, time.Since(start))
+			if p != nil {
+				panic(http.ErrAbortHandler)
+			}
+		}()
 		h(sw, r)
-		httpInFlight.Add(-1)
-		dur := time.Since(start)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK // handler wrote nothing: implicit 200
-		}
-		rm.requests.Inc()
-		if sw.exemplar != "" {
-			rm.latency.ObserveExemplar(dur.Seconds(), sw.exemplar)
-		} else {
-			rm.latency.Observe(dur.Seconds())
-		}
-		switch {
-		case status >= 500:
-			rm.err5xx.Inc()
-		case status >= 400:
-			rm.err4xx.Inc()
-		}
-		if s.log != nil {
-			s.log.Debug("http request",
-				slog.String("route", name),
-				slog.String("method", r.Method),
-				slog.String("graph", r.PathValue("name")),
-				slog.Int("status", status),
-				slog.Duration("duration", dur),
-			)
-		}
 	})
+}
+
+// account is the route middleware's tail: request count, latency
+// (exemplar-linked when withEngine captured the trace), error class and the
+// access log line.
+func (s *Server) account(rm *routeMetrics, name string, sw *statusWriter, r *http.Request, dur time.Duration) {
+	status := sw.status
+	if status == 0 {
+		status = http.StatusOK // handler wrote nothing: implicit 200
+	}
+	rm.requests.Inc()
+	if sw.exemplar != "" {
+		rm.latency.ObserveExemplar(dur.Seconds(), sw.exemplar)
+	} else {
+		rm.latency.Observe(dur.Seconds())
+	}
+	switch {
+	case status >= 500:
+		rm.err5xx.Inc()
+	case status >= 400:
+		rm.err4xx.Inc()
+	}
+	if s.log != nil && s.log.Enabled(r.Context(), slog.LevelDebug) {
+		s.log.LogAttrs(r.Context(), slog.LevelDebug, "http request",
+			slog.String("route", name),
+			slog.String("method", r.Method),
+			slog.String("graph", r.PathValue("name")),
+			slog.Int("status", status),
+			slog.Duration("duration", dur),
+		)
+	}
 }

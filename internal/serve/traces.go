@@ -46,13 +46,16 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// micros renders a duration as the wire's fractional microseconds.
+func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+
 func traceSummary(st telemetry.StoredTrace) TraceSummary {
 	return TraceSummary{
 		TraceID:    st.ID.String(),
 		Graph:      st.Graph,
 		Kind:       st.Kind,
 		Time:       st.Start.UTC().Format(time.RFC3339Nano),
-		DurationUs: float64(st.Duration) / float64(time.Microsecond),
+		DurationUs: micros(st.Duration),
 		Status:     st.Status,
 		Reason:     st.Reason,
 		SpanCount:  len(st.Spans),
@@ -82,8 +85,8 @@ func traceDetail(st telemetry.StoredTrace) TraceDetail {
 			Name:       sp.Name,
 			SpanID:     sp.ID.String(),
 			ParentID:   sp.Parent.String(),
-			StartUs:    float64(sp.Start) / float64(time.Microsecond),
-			DurationUs: float64(sp.Dur) / float64(time.Microsecond),
+			StartUs:    micros(sp.Start),
+			DurationUs: micros(sp.Dur),
 		})
 	}
 	return d

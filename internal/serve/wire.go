@@ -369,17 +369,18 @@ type SlowLogEntry struct {
 	Graph       string        `json:"graph,omitempty"`
 	Route       string        `json:"route"`
 	TraceID     string        `json:"trace_id"`
-	DurationUs  int64         `json:"duration_us"`
-	ThresholdUs int64         `json:"threshold_us"`
+	DurationUs  float64       `json:"duration_us"`
+	ThresholdUs float64       `json:"threshold_us"`
 	Stages      []StageTiming `json:"stages,omitempty"`
 }
 
 // SlowLogResponse is the body of GET /v1/admin/slowlog, newest entry first.
 // ThresholdUs is the adaptive capture threshold currently in force (p99 of
-// the tracked window times the configured factor); 0 entries with a huge
-// threshold means the log is still warming up.
+// the tracked window times the configured factor), in fractional
+// microseconds like every *_us field; 0 entries with a huge threshold means
+// the log is still warming up.
 type SlowLogResponse struct {
-	ThresholdUs int64          `json:"threshold_us"`
+	ThresholdUs float64        `json:"threshold_us"`
 	Entries     []SlowLogEntry `json:"entries"`
 }
 

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,11 @@ import (
 // the threshold stamped on it, and only then feeds the duration to
 // Observe; /v1/admin/slowlog is the view of the retained traces that beat
 // their stamped threshold. The per-request cost is two atomic ops (a
-// window-slot store and a threshold load): no locks, no allocation.
+// window-slot store and a threshold load): no locks, no allocation. Every
+// slowLogRefreshEvery-th observation also re-derives the threshold, by one
+// pass over the window that keeps its few largest samples in a fixed
+// array: O(window), still no allocation, and a lock only tried, never
+// waited on.
 //
 // The threshold self-tunes: an idle server's p99 drops and the log starts
 // catching its relative outliers; under load the p99 rises and only the
@@ -36,6 +39,9 @@ const (
 	slowLogWarmup = 16
 	// slowLogRefreshEvery re-derives the threshold every N observations.
 	slowLogRefreshEvery = 32
+	// slowLogTop is how many of the largest samples refresh keeps: the
+	// p99's rank from the top of a full window, m − ceil(0.99·m) + 1.
+	slowLogTop = slowLogWindow - (slowLogWindow*99+99)/100 + 1
 )
 
 // SlowLog tracks the adaptive slow-request threshold.
@@ -101,21 +107,35 @@ func (s *SlowLog) refresh(seen uint64) {
 	if n > slowLogWindow {
 		n = slowLogWindow
 	}
-	durs := make([]int64, 0, n)
+	// The p99 is the ceil(0.99·m)-th smallest of the m positive samples,
+	// that is the (m − ceil(0.99·m) + 1)-th largest: never past the
+	// slowLogTop-th, so one pass keeping the largest few finds it.
+	var top [slowLogTop]int64 // descending
+	kept, m := 0, 0
 	for i := 0; i < n; i++ {
-		if v := s.window[i].Load(); v > 0 {
-			durs = append(durs, v)
+		v := s.window[i].Load()
+		if v <= 0 {
+			continue
 		}
+		m++
+		j := kept
+		switch {
+		case kept < len(top):
+			kept++
+		case v <= top[kept-1]:
+			continue
+		default:
+			j = kept - 1
+		}
+		for ; j > 0 && top[j-1] < v; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = v
 	}
-	if len(durs) == 0 {
+	if m == 0 {
 		return
 	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	idx := (len(durs)*99 + 99) / 100 // ceil(0.99·n): the p99 order statistic
-	if idx > len(durs) {
-		idx = len(durs)
-	}
-	p99 := durs[idx-1]
+	p99 := top[m-(m*99+99)/100]
 	thr := int64(float64(p99) * s.factor)
 	if thr < int64(s.floor) {
 		thr = int64(s.floor)

@@ -10,7 +10,7 @@ import (
 // one per request (when tracing is on), threads it through context and the
 // engine Query, and — when the request is sampled or force-captured — the
 // recorded span tree lands in the TraceStore behind /v1/admin/traces.
-// Spans carry SpanID/parent links: Start/StartSpan maintain a cursor stack
+// Spans carry SpanID/parent links: Start maintains a cursor stack
 // of open spans so instrumented layers nest naturally. A nil *Trace is
 // fully inert — every method is a no-op that reads no clock — so
 // instrumented code calls unconditionally and untraced requests pay
@@ -26,12 +26,21 @@ type Trace struct {
 	mu    sync.Mutex
 	spans []Span
 	stack []SpanID // open-span cursor; empty means "under the root span"
+	// Inline backing for spans and stack: a request's few spans record
+	// without growing either slice.
+	spanBuf  [traceInline]Span
+	stackBuf [traceInline]SpanID
 
 	// Per-request work attribution, rolled up into fg_graph_cost_* by the
 	// serving layer.
 	pushes, edges, rows int64
 	flushSec, lockSec   float64
 }
+
+// traceInline is how many spans (and open spans) a trace records before
+// its slices leave the inline arrays: a traced classify or patch records
+// at most this many.
+const traceInline = 6
 
 // Span is one recorded stage: its name, id, parent link, start offset from
 // the trace origin and duration.
@@ -56,7 +65,7 @@ type Cost struct {
 // id. Used by the debug=1 stage-breakdown path and tests; unlike
 // NewRequestTrace it is not gated on Enabled.
 func NewTrace() *Trace {
-	return &Trace{t0: time.Now(), tid: NewTraceID(), root: NewSpanID(), sampled: true}
+	return newTrace(NewTraceID(), SpanID{}, false, true)
 }
 
 // NewRequestTrace starts the per-request trace for an inbound HTTP request:
@@ -69,7 +78,11 @@ func NewRequestTrace(tid TraceID, remoteParent SpanID, remoteSampled, sampled bo
 	if !enabledFlag.Load() {
 		return nil
 	}
-	return &Trace{
+	return newTrace(tid, remoteParent, remoteSampled, sampled)
+}
+
+func newTrace(tid TraceID, remoteParent SpanID, remoteSampled, sampled bool) *Trace {
+	t := &Trace{
 		t0:            time.Now(),
 		tid:           tid,
 		root:          NewSpanID(),
@@ -77,6 +90,8 @@ func NewRequestTrace(tid TraceID, remoteParent SpanID, remoteSampled, sampled bo
 		remoteSampled: remoteSampled,
 		sampled:       sampled,
 	}
+	t.spans, t.stack = t.spanBuf[:0], t.stackBuf[:0]
+	return t
 }
 
 // TraceID returns the trace id (zero on nil).
@@ -119,56 +134,48 @@ func (t *Trace) StartTime() time.Time {
 	return t.t0
 }
 
-var nopCloser = func() {}
-
-var nopNamer = func(string) {}
-
-// Start opens a span named now and returns its closer; call the closer
-// when the stage ends. Spans opened while another is open become its
-// children. Safe on a nil trace (returns an inert closer).
-func (t *Trace) Start(name string) func() {
-	if t == nil {
-		return nopCloser
-	}
-	s := time.Now()
-	id := NewSpanID()
-	t.mu.Lock()
-	parent := t.cursorLocked()
-	t.stack = append(t.stack, id)
-	t.mu.Unlock()
-	return func() {
-		d := time.Since(s)
-		t.mu.Lock()
-		t.popLocked(id)
-		t.spans = append(t.spans, Span{Name: name, ID: id, Parent: parent, Start: s.Sub(t.t0), Dur: d})
-		t.mu.Unlock()
-	}
+// OpenSpan is a span Start opened and End or EndAs closes. It is a value,
+// so opening and closing a span allocates nothing; the zero OpenSpan (what
+// a nil trace opens) is inert.
+type OpenSpan struct {
+	t          *Trace
+	name       string
+	id, parent SpanID
+	start      time.Time
 }
 
-// StartSpan opens a span whose name is decided at close time — for stages
-// whose name depends on what happens inside them. Closing with an empty
-// name discards the span (the cursor pops, nothing is recorded): the stage
-// turned out not to happen.
-// Safe on a nil trace.
-func (t *Trace) StartSpan() func(name string) {
+// Start opens a span named name; close it with End when the stage ends.
+// Spans opened while another is open become its children. A stage whose
+// name depends on what happens inside it opens with any name and closes
+// with EndAs. Safe on a nil trace.
+func (t *Trace) Start(name string) OpenSpan {
 	if t == nil {
-		return nopNamer
+		return OpenSpan{}
 	}
-	s := time.Now()
-	id := NewSpanID()
+	sp := OpenSpan{t: t, name: name, id: NewSpanID(), start: time.Now()}
 	t.mu.Lock()
-	parent := t.cursorLocked()
-	t.stack = append(t.stack, id)
+	sp.parent = t.cursorLocked()
+	t.stack = append(t.stack, sp.id)
 	t.mu.Unlock()
-	return func(name string) {
-		d := time.Since(s)
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		t.popLocked(id)
-		if name == "" {
-			return
-		}
-		t.spans = append(t.spans, Span{Name: name, ID: id, Parent: parent, Start: s.Sub(t.t0), Dur: d})
+	return sp
+}
+
+// End closes the span under the name it was opened with.
+func (sp OpenSpan) End() { sp.EndAs(sp.name) }
+
+// EndAs closes the span under name. An empty name discards it (the cursor
+// pops, nothing is recorded): the stage turned out not to happen.
+func (sp OpenSpan) EndAs(name string) {
+	t := sp.t
+	if t == nil {
+		return
+	}
+	d := time.Since(sp.start)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.popLocked(sp.id)
+	if name != "" {
+		t.spans = append(t.spans, Span{Name: name, ID: sp.id, Parent: sp.parent, Start: sp.start.Sub(t.t0), Dur: d})
 	}
 }
 

@@ -75,11 +75,16 @@ func ParseSpanID(s string) (SpanID, bool) {
 
 // Traceparent renders a version-00 W3C traceparent header value.
 func Traceparent(tid TraceID, sid SpanID, sampled bool) string {
-	flags := "00"
+	var b [55]byte
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], tid[:])
+	b[35] = '-'
+	hex.Encode(b[36:52], sid[:])
+	copy(b[52:], "-00")
 	if sampled {
-		flags = "01"
+		b[54] = '1'
 	}
-	return "00-" + tid.String() + "-" + sid.String() + "-" + flags
+	return string(b[:])
 }
 
 // ParseTraceparent parses a version-00 W3C traceparent header

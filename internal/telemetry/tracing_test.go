@@ -171,10 +171,10 @@ func TestTraceSpanNesting(t *testing.T) {
 	tr := NewTrace()
 	endOuter := tr.Start("outer")
 	endInner := tr.Start("inner")
-	tr.Start("leaf")()
-	endInner()
-	endOuter()
-	tr.Start("after")()
+	tr.Start("leaf").End()
+	endInner.End()
+	endOuter.End()
+	tr.Start("after").End()
 
 	spans := tr.Spans()
 	if len(spans) != 4 {
@@ -204,12 +204,9 @@ func TestTraceSpanNesting(t *testing.T) {
 
 func TestStartSpanDeferredNameAndDiscard(t *testing.T) {
 	tr := NewTrace()
-	end := tr.StartSpan()
-	end("decided_late")
-	discard := tr.StartSpan()
-	discard("") // the stage turned out not to happen
-	after := tr.Start("after")
-	after()
+	tr.Start("").EndAs("decided_late")
+	tr.Start("").EndAs("") // the stage turned out not to happen
+	tr.Start("after").End()
 
 	spans := tr.Spans()
 	if len(spans) != 2 {
