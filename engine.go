@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -909,11 +910,17 @@ func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResu
 		}
 		return i
 	}
-	labs := make([]int, n)
+	sc := readScratchPool.Get().(*readScratch)
+	defer readScratchPool.Put(sc) // after the emit loop, on every path
+	sc.labs = slices.Grow(sc.labs[:0], n)[:n]
+	labs := sc.labs
 	var scores []float64
-	var slab []ClassScore // every record's Top, k apiece
+	// Every record's Top, k apiece. Not pooled: NodeResult.Top aliases it
+	// and ClassifyEach callers may keep records.
+	var slab []ClassScore
 	if topk > 0 {
-		scores = make([]float64, n*k)
+		sc.scores = slices.Grow(sc.scores[:0], n*k)[:n*k]
+		scores = sc.scores
 		slab = make([]ClassScore, n*k)
 	}
 	for i := range labs {
@@ -943,6 +950,17 @@ func (e *Engine) classifyEachMeta(q Query, tr *telemetry.Trace, fn func(NodeResu
 	}
 	return meta, nil
 }
+
+// readScratch is a read's labels and scores, copied out under the read
+// lock and emitted outside it: n-sized on a full-graph stream, so pooled
+// rather than allocated per query. A sync.Pool, not a field on Engine, so an
+// idle engine keeps none of it past two collections.
+type readScratch struct {
+	labs   []int
+	scores []float64
+}
+
+var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
 
 // whatIfSession opens a what-if session over res and flushes it; the caller
 // holds the read lock, reads its answer through the session and aborts it.

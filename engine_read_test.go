@@ -3,6 +3,8 @@ package factorgraph
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -143,8 +145,8 @@ func TestTopKTiesOrderByClass(t *testing.T) {
 }
 
 // TestFullGraphReadAllocs: a warm full-graph top-2 ClassifyEach allocates a
-// constant handful — labels, scores and the one Top slab — not a slice per
-// record.
+// constant handful — the one Top slab, with labels and scores pooled — not
+// a slice per record.
 func TestFullGraphReadAllocs(t *testing.T) {
 	g, seeds, _ := engineFixture(t, 2000, 12000, 0.05)
 	eng, err := NewEngine(g, seeds, 3)
@@ -161,6 +163,47 @@ func TestFullGraphReadAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(10, read); a > 10 {
 		t.Errorf("a full-graph top-2 read allocates %.0f times, want ≤ 10", a)
 	}
+}
+
+// TestConcurrentReadsMatchSequential: full-graph and point reads from
+// several goroutines at once, which trade the pooled read scratch between
+// sizes and yield inside their emit loops, return exactly what the same
+// reads return one at a time.
+func TestConcurrentReadsMatchSequential(t *testing.T) {
+	g, seeds, _ := engineFixture(t, 1500, 9000, 0.05)
+	eng, err := NewEngine(g, seeds, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []Query{{TopK: 2}, {Nodes: []int{3, 1400, 77}, TopK: 3}, {}, {Nodes: []int{9}, TopK: 1}}
+	want := make([][]NodeResult, len(queries))
+	for i, q := range queries {
+		if want[i], err = eng.Classify(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				j := (r + i) % len(queries)
+				var got []NodeResult
+				err := eng.ClassifyEach(queries[j], func(res NodeResult) error {
+					if got = append(got, res); len(got)%16 == 1 {
+						runtime.Gosched() // let another read take the pool's scratch
+					}
+					return nil
+				})
+				if err != nil || !reflect.DeepEqual(got, want[j]) {
+					t.Errorf("reader %d, query %d: results differ from the sequential read (err %v)", r, j, err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }
 
 // TestMutateTopologyNodeLimit: node growth past the CSR's int32 id space is

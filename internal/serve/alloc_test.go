@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 
+	"factorgraph/internal/registry"
 	"factorgraph/internal/telemetry"
 )
 
@@ -66,8 +69,8 @@ func pointRequest(t testing.TB, n int) (*http.Request, *resetBody) {
 // TestPointRequestAllocs pins what a warm point classify allocates through
 // Server.ServeHTTP with a reused request and writer: the count, not a
 // clock, so the test holds on any host. The decode, the request trace, its
-// headers and the slow-log threshold are allocation-light by design; 46
-// allocations before they were.
+// headers, the slow-log threshold and the engine's read scratch are
+// allocation-light by design; 46 allocations before they were, 15 after.
 func TestPointRequestAllocs(t *testing.T) {
 	srv, eng := newTestServer(t, 2000, 10000)
 	defer eng.Close()
@@ -84,8 +87,48 @@ func TestPointRequestAllocs(t *testing.T) {
 	if w.status != http.StatusOK {
 		t.Fatalf("classify: status %d: %s", w.status, w.body.String())
 	}
-	const maxAllocs = 26
+	const maxAllocs = 17
 	if got := testing.AllocsPerRun(500, serve); got > maxAllocs {
 		t.Errorf("a warm point classify allocates %.0f times, want ≤ %d", got, maxAllocs)
+	}
+}
+
+// TestStreamAllocBytes pins the bytes a warm full-graph top-2 stream over
+// 2 000 nodes allocates, from a runtime.MemStats delta: the records' Top
+// slab (n·k ClassScore, 96 KB) and the per-request cost, but not the n-sized
+// labels and scores the engine copies out under its read lock (64 KB), which
+// come from a pool.
+func TestStreamAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled objects at random under -race")
+	}
+	eng := newTestEngine(t, 2000, 10000)
+	defer eng.Close()
+	reg := registry.New(registry.Options{})
+	if err := reg.RegisterEngine(testGraph, eng); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewMulti(reg, Options{TraceSampleRate: -1}) // no sampled trace to store
+	defer srv.Close()
+	w := &discardWriter{header: http.Header{}}
+	stream := func() {
+		srv.ServeHTTP(w, httptest.NewRequest("POST", testPath("classify"), strings.NewReader(`{"top_k":2,"stream":true}`)))
+	}
+	for i := 0; i < 8; i++ { // the cold solve, the pools, the per-graph series
+		stream()
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		stream()
+	}
+	runtime.ReadMemStats(&after)
+	perStream := (after.TotalAlloc - before.TotalAlloc) / runs
+	// 104 768 measured, 170 300 with labels and scores allocated per query;
+	// the headroom covers a pool emptied by a collection mid-loop.
+	const maxBytes = 2000*3*16 + 20<<10
+	if perStream > maxBytes {
+		t.Errorf("a warm 2 000-record stream allocates %d bytes, want ≤ %d", perStream, maxBytes)
 	}
 }

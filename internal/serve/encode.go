@@ -18,7 +18,9 @@ import (
 // json.NewEncoder(w).Encode(v) writes, minus its trailing newline, which the
 // caller appends (TestEncodeMatchesEncodingJSON and FuzzClassifyEncode hold
 // the two side by side). On error — a non-finite score, which encoding/json
-// refuses too — an appender returns b as it received it.
+// refuses too — an appender returns b as it received it. Scores are
+// rendered by appendFloat, whose fixed-point range goes through
+// appendShortestF in float.go (FuzzAppendFloat holds it to strconv).
 //
 // The classify body comes in through decodeClassify, the decode-side twin:
 // a hand parser for the canonical grammar every client sends, which hands
@@ -49,8 +51,12 @@ func putBuf(b *[]byte) {
 
 // appendFloat is encoding/json's float64 rule: shortest round-trip digits in
 // 'f' form, 'e' form outside [1e-6, 1e21) with a one-digit negative exponent
-// written e-7, not e-07. NaN and ±Inf are not JSON.
+// written e-7, not e-07. NaN and ±Inf are not JSON. Normal doubles of the
+// 'f' range take appendShortestF; the rest take strconv.
 func appendFloat(b []byte, f float64) ([]byte, error) {
+	if b, ok := appendShortestF(b, f); ok {
+		return b, nil
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}

@@ -46,6 +46,7 @@ var floatTable = []float64{
 	0, math.Copysign(0, -1), 1, -1, 0.5, 1.0 / 3, -2.0 / 3, 0.1, 100, 123456789,
 	1e-6, -1e-6, 9.99999e-7, 1e-7, -1e-7, 1.5e-9, 1e-10, 1e-100, 1e-300,
 	1e20, 1e21, -1e21, 999999999999999999999.0, 1e22, 1e100, 1e300,
+	math.Nextafter(1e-6, 0), math.Nextafter(1e21, 0), 1<<53 + 2, -(1<<53 + 2),
 	5e-324, math.SmallestNonzeroFloat64 * 3, math.MaxFloat64, -math.MaxFloat64,
 	math.NaN(), math.Inf(1), math.Inf(-1),
 }
@@ -116,11 +117,14 @@ func randClassifyResponse(rng *rand.Rand) ClassifyResponse {
 }
 
 // TestEncodeMatchesEncodingJSON: byte identity with encoding/json is the
-// appenders' contract — on a float table covering both format switches, and
+// appenders' contract — on a float table covering both format switches and
+// the edges of appendShortestF's range, alone and as a record's score, and
 // on 100 000 seeded random records and replies.
 func TestEncodeMatchesEncodingJSON(t *testing.T) {
-	for i := range floatTable {
+	for i, f := range floatTable {
 		checkEncode(t, &floatTable[i], appendFloatPtr)
+		r := factorgraph.NodeResult{Node: i, Top: []factorgraph.ClassScore{{Class: 1, Score: f}, {Score: -f}}}
+		checkEncode(t, &r, appendNodeResult)
 	}
 	rng := rand.New(rand.NewPCG(25, 25))
 	for i := 0; i < 100_000; i++ {
