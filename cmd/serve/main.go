@@ -57,7 +57,6 @@ import (
 	"factorgraph"
 	"factorgraph/internal/registry"
 	"factorgraph/internal/serve"
-	"factorgraph/internal/telemetry"
 )
 
 func main() {
@@ -165,7 +164,7 @@ func run() error {
 	if *metricsAddr != "" {
 		go func() {
 			admin := http.NewServeMux()
-			admin.Handle("GET /metrics", telemetry.Handler(telemetry.Default()))
+			admin.Handle("GET /metrics", srvHandler.Metrics())
 			admin.HandleFunc("GET /debug/pprof/", pprof.Index)
 			admin.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 			admin.HandleFunc("GET /debug/pprof/profile", pprof.Profile)

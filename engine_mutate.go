@@ -153,8 +153,8 @@ func (e *Engine) mutateTopology(addNodes int, muts []EdgeMutation, tr *telemetry
 		}
 		if m.U == m.V {
 			// The reproduction serves simple undirected graphs end-to-end
-			// (cold builds never produce self-loops, loadgen avoids them,
-			// and the paper's W is hollow); the delta storage layer can
+			// (cold builds never produce self-loops and the paper's W is
+			// hollow); the delta storage layer can
 			// represent u == v, but accepting it here would create graphs a
 			// cold rebuild of the same edge stream cannot reproduce.
 			// Rejected for upserts and removals alike, before any mutation

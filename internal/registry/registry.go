@@ -70,18 +70,13 @@ type Registry struct {
 }
 
 // Hooks are optional lifecycle callbacks for per-graph state owned by the
-// layers above the registry — the serve layer hangs per-graph metric
-// vectors, timeline probes and health gauges on them.
+// layers above the registry — the serve layer drops a graph's metric
+// series and timeline history through them.
 type Hooks struct {
-	// OnRelease fires as a request's engine pin is released, OUTSIDE the
-	// registry lock and with the engine still pinned, so it may take the
-	// engine's own (read) locks — this mirrors the footprint re-measure
-	// and is where per-graph gauges refresh.
-	OnRelease func(name string, eng *factorgraph.Engine)
 	// OnForget fires when a graph's per-name state must be dropped: on
 	// DELETE, on a tier-2 (full) eviction, and again at the deferred
-	// engine close when a DELETE raced in-flight requests (so a gauge
-	// refresh that slipped between the two cannot leak series). It runs
+	// engine close when a DELETE raced in-flight requests (so series a
+	// pinned request re-created between the two cannot leak). It runs
 	// under the registry lock — keep it fast and never call back into the
 	// registry.
 	OnForget func(name string)
@@ -90,12 +85,6 @@ type Hooks struct {
 // SetHooks installs the lifecycle callbacks; call it during wiring,
 // before traffic. Passing a zero Hooks clears them.
 func (r *Registry) SetHooks(h Hooks) { r.hooks.Store(&h) }
-
-func (r *Registry) onRelease(name string, eng *factorgraph.Engine) {
-	if h := r.hooks.Load(); h != nil && h.OnRelease != nil {
-		h.OnRelease(name, eng)
-	}
-}
 
 func (r *Registry) onForgetLocked(name string) {
 	if h := r.hooks.Load(); h != nil && h.OnForget != nil {
@@ -353,18 +342,14 @@ func (r *Registry) releaseFunc(e *entry, eng *factorgraph.Engine) func() {
 			// under us; applyMemLocked re-checks it is still installed.
 			m := eng.MemoryFootprint()
 			ts := eng.TopoStats()
-			// Per-graph gauge refresh: outside r.mu for the same reason as
-			// the measurements above, and before refs-- so the engine stays
-			// pinned throughout the callback.
-			r.onRelease(e.name, eng)
 			r.mu.Lock()
 			e.refs--
 			if e.deleted && e.refs == 0 && e.engine != nil {
 				e.engine.Close()
 				e.engine = nil
-				// The refresh above may have recreated series a racing
-				// DELETE already forgot; forget again now that the last
-				// pin is gone.
+				// A request or health read that held this pin may have
+				// re-created series a racing DELETE already forgot; forget
+				// again now that the last pin is gone.
 				r.onForgetLocked(e.name)
 			}
 			if e.engine == eng && !e.deleted {

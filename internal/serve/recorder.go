@@ -16,9 +16,8 @@ import (
 // those same vectors), and the trace ring behind /v1/admin/traces, whose
 // captures beyond the adaptive slow-request threshold are the slow log
 // behind /v1/admin/slowlog. One recorder per Server; the registry's
-// lifecycle hooks (OnRelease/OnForget) keep the per-graph series in step
-// with engine residency, and the telemetry.Vec LRU bound caps cardinality
-// even if a forget is missed.
+// OnForget hook drops a graph's series when it leaves, and the
+// telemetry.Vec LRU bound caps cardinality even if a forget is missed.
 type recorder struct {
 	// Work counters and latency, labelled {graph}.
 	requests  *telemetry.CounterVec
@@ -27,8 +26,8 @@ type recorder struct {
 	mutations *telemetry.CounterVec
 	latency   *telemetry.HistogramVec
 
-	// Numeric-health gauges, labelled {graph}; refreshed on every engine
-	// release (OnRelease fires with the engine still pinned).
+	// Numeric-health gauges, labelled {graph}; set by numericHealth, which
+	// the /metrics scrape, the timeline and /v1/admin/health run.
 	resident *telemetry.GaugeVec
 	dropped  *telemetry.GaugeVec
 	margin   *telemetry.GaugeVec
@@ -121,10 +120,10 @@ func newRecorder(graphs *registry.Registry, o Options) *recorder {
 }
 
 // sampleSeries is the timeline's source: the process-wide series under
-// scope "", then one point per live graph of each per-graph series. It
-// reads metric handles (atomics) and the registry's totals, never an
-// engine lock.
+// scope "", then one point per live graph of each per-graph series, after
+// numericHealth has refreshed the health gauges.
 func (c *recorder) sampleSeries(graphs *registry.Registry, emit func(scope, name string, v float64)) {
+	c.numericHealth(graphs, nil)
 	emit("", "http_in_flight", httpInFlight.Value())
 	emit("", "goroutines", float64(runtime.NumGoroutine()))
 	emit("", "registry_resident_bytes", float64(graphs.Stats().ResidentBytes))
@@ -243,20 +242,32 @@ func (c *recorder) observe(graph, kind string, d time.Duration, tr *telemetry.Tr
 	c.slowlog.Observe(d)
 }
 
-// refresh is the registry's OnRelease hook: the engine is still pinned, so
-// reading its numeric health and footprint is safe. Runs on every request
-// release — NumericHealth is a brief read-lock snapshot by design.
-func (c *recorder) refresh(graph string, eng *factorgraph.Engine) {
-	h := eng.NumericHealth()
-	c.resident.With(graph).Set(float64(eng.MemoryFootprint()))
-	c.dropped.With(graph).Set(h.ResidualDroppedMass)
-	c.epochAge.With(graph).Set(h.EpochAgeSeconds)
-	c.margin.With(graph).Set(h.ContractionMargin)
-	c.overlay.With(graph).Set(h.OverlayFraction)
-	if h.SketchDriftLimit > 0 {
-		c.drift.With(graph).Set(h.SketchDrift / h.SketchDriftLimit)
-	} else {
-		c.drift.With(graph).Set(0)
+// numericHealth is the one reader of per-graph numeric health. It pins
+// each resident engine without building it or moving it in the LRU order,
+// sets the graph's health gauges from one NumericHealth snapshot while the
+// pin holds, and hands the snapshot to fn (cold graphs with built false).
+// fn may be nil.
+func (c *recorder) numericHealth(graphs *registry.Registry, fn func(graph string, h factorgraph.NumericHealth, built bool)) {
+	for _, info := range graphs.List() {
+		eng, release, built := graphs.AcquireIfBuilt(info.Name)
+		var h factorgraph.NumericHealth
+		if built {
+			h = eng.NumericHealth()
+			c.resident.With(info.Name).Set(float64(eng.MemoryFootprint()))
+			c.dropped.With(info.Name).Set(h.ResidualDroppedMass)
+			c.epochAge.With(info.Name).Set(h.EpochAgeSeconds)
+			c.margin.With(info.Name).Set(h.ContractionMargin)
+			c.overlay.With(info.Name).Set(h.OverlayFraction)
+			drift := 0.0
+			if h.SketchDriftLimit > 0 {
+				drift = h.SketchDrift / h.SketchDriftLimit
+			}
+			c.drift.With(info.Name).Set(drift)
+			release()
+		}
+		if fn != nil {
+			fn(info.Name, h, built)
+		}
 	}
 }
 
@@ -456,16 +467,13 @@ func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 // residency.
 func (s *Server) handleNumericHealth(w http.ResponseWriter, r *http.Request) {
 	resp := NumericHealthResponse{Status: healthOK}
-	for _, info := range s.reg.List() {
-		eng, release, ok := s.reg.AcquireIfBuilt(info.Name)
-		if !ok {
-			resp.Cold = append(resp.Cold, info.Name)
-			continue
+	s.rec.numericHealth(s.reg, func(graph string, h factorgraph.NumericHealth, built bool) {
+		if !built {
+			resp.Cold = append(resp.Cold, graph)
+			return
 		}
-		h := eng.NumericHealth()
-		release()
 		gh := GraphHealth{
-			Graph:  info.Name,
+			Graph:  graph,
 			Status: healthOK,
 			Epoch:  h.Epoch,
 			Checks: numericChecks(h),
@@ -477,6 +485,6 @@ func (s *Server) handleNumericHealth(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp.Graphs = append(resp.Graphs, gh)
-	}
+	})
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -36,8 +37,9 @@ func classifyGraph(t *testing.T, srv *Server, name string) {
 }
 
 // TestPerGraphSeriesLifecycle is the flight-recorder cardinality
-// acceptance test: per-graph series appear on the first request, refresh
-// while resident, and leave /metrics completely on DELETE. The telemetry
+// acceptance test: per-graph series appear on the first request, are
+// exported at every scrape while resident, and leave /metrics completely
+// on DELETE. The telemetry
 // registry is process-global, so assertions are scoped to this test's
 // graph names.
 func TestPerGraphSeriesLifecycle(t *testing.T) {
@@ -77,6 +79,48 @@ func TestPerGraphSeriesLifecycle(t *testing.T) {
 	if !strings.Contains(text, `fg_graph_requests_total{graph="recldab"}`) {
 		t.Errorf("surviving graph's series disappeared")
 	}
+}
+
+// TestHealthGaugesReadAtScrape: the health gauges are read when /metrics is
+// scraped, not when a request releases its engine. A background epoch swap
+// that no request follows must still show in the next scrape.
+func TestHealthGaugesReadAtScrape(t *testing.T) {
+	srv := newMultiServer(0, Options{})
+	body := `{"name":"recswap","async_compact":true,"compact_fraction":0.02,"warm":true,"synthetic":{"n":2000,"m":10000,"f":0.1,"seed":7}}`
+	if rec, _ := doJSON(t, srv, "POST", "/v1/graphs", body); rec.Code != http.StatusCreated {
+		t.Fatalf("create: %d: %s", rec.Code, rec.Body.String())
+	}
+	eng, release, err := srv.Registry().Acquire("recswap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	var tripped EdgesPatchResponse
+	for i := 0; !tripped.Compacting; i++ {
+		if i == 2000 {
+			t.Fatal("no patch crossed the compaction trigger")
+		}
+		rec, resp := patchEdges(t, srv, "recswap", fmt.Sprintf(`{"set":[[%d,%d]]}`, i, (i*7+11)%2000))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("patch %d: %d: %s", i, rec.Code, rec.Body.String())
+		}
+		tripped = resp
+	}
+	eng.WaitCompaction()
+	want := eng.NumericHealth().OverlayFraction
+	if want >= tripped.OverlayFraction {
+		t.Fatalf("overlay %v after the swap, %v before it: no epoch swap landed", want, tripped.OverlayFraction)
+	}
+	prefix := `fg_graph_overlay_fraction{graph="recswap"} `
+	for _, ln := range strings.Split(rawScrape(t, srv), "\n") {
+		if v, ok := strings.CutPrefix(ln, prefix); ok {
+			if got, err := strconv.ParseFloat(v, 64); err != nil || got != want {
+				t.Errorf("%s%s, want %v (NumericHealth after the swap)", prefix, v, want)
+			}
+			return
+		}
+	}
+	t.Errorf("no %s series", prefix)
 }
 
 // TestPerGraphSeriesEviction: a tier-2 (full) eviction unregisters the

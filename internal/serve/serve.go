@@ -169,10 +169,9 @@ func NewMulti(reg *registry.Registry, o Options) *Server {
 	}
 	s := &Server{reg: reg, mux: http.NewServeMux(), start: time.Now(), flushEvery: o.FlushEvery, log: o.Logger}
 	s.rec = newRecorder(reg, o)
-	// The registry drives per-graph series lifecycle: gauges refresh while
-	// the engine is still pinned, and every per-graph series is dropped
-	// when the graph is deleted or fully evicted.
-	reg.SetHooks(registry.Hooks{OnRelease: s.rec.refresh, OnForget: s.rec.forget})
+	// Every per-graph series is dropped when the graph is deleted or fully
+	// evicted; the health gauges are read when they are asked for (Metrics).
+	reg.SetHooks(registry.Hooks{OnForget: s.rec.forget})
 	s.rec.timeline.Start()
 
 	s.route("GET /healthz", "healthz", s.handleHealth)
@@ -184,10 +183,7 @@ func NewMulti(reg *registry.Registry, o Options) *Server {
 	s.route("GET /v1/admin/traces", "admin_traces", s.handleTraces)
 	s.route("GET /v1/admin/tenants", "admin_tenants", s.handleTenants)
 
-	metrics := telemetry.Handler(telemetry.Default())
-	s.route("GET /metrics", "metrics", func(w http.ResponseWriter, r *http.Request) {
-		metrics.ServeHTTP(w, r)
-	})
+	s.route("GET /metrics", "metrics", s.Metrics().ServeHTTP)
 
 	s.route("POST /v1/graphs", "graph_create", s.handleGraphCreate)
 	s.route("GET /v1/graphs", "graph_list", s.handleGraphList)
@@ -215,6 +211,17 @@ func NewMulti(reg *registry.Registry, o Options) *Server {
 // Registry exposes the backing registry (cmd/serve registers its
 // flag-built graph through it before listening).
 func (s *Server) Registry() *registry.Registry { return s.reg }
+
+// Metrics serves the Prometheus text exposition with every resident
+// graph's health gauges read at the scrape; cmd/serve also mounts it on its
+// -metrics-addr listener.
+func (s *Server) Metrics() http.Handler {
+	metrics := telemetry.Handler(telemetry.Default())
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.rec.numericHealth(s.reg, nil)
+		metrics.ServeHTTP(w, r)
+	})
+}
 
 // Close stops the flight recorder's background sampler. The Server holds
 // no listeners of its own; cmd/serve calls this during shutdown.

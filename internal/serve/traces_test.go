@@ -12,8 +12,9 @@ import (
 	"factorgraph/internal/telemetry"
 )
 
-// TestTraceEndToEnd is the tracing acceptance walk: a classify carrying a
-// client traceparent is head-sampled, its span tree lands in the trace
+// TestTraceEndToEnd is the tracing acceptance walk: every engine-backed
+// route echoes a client traceparent's trace id under a server root span; a
+// classify carrying one is head-sampled, its span tree lands in the trace
 // store under the client's trace id, the latency histogram emits an
 // exemplar pointing at that id, and the per-tenant cost series reconcile
 // with the engine's own residual work counters.
@@ -26,32 +27,43 @@ func TestTraceEndToEnd(t *testing.T) {
 	classifyGraph(t, srv, "tracee2e") // warm: build + resolve off the measured path
 
 	// The client mints a trace context but leaves it UNSAMPLED (flags 00):
-	// the server's head sampler owns the verdict, exactly like loadgen.
-	tid := telemetry.NewTraceID()
-	parent := telemetry.NewSpanID()
-	req := httptest.NewRequest("POST", "/v1/graphs/tracee2e/classify",
-		strings.NewReader(`{"nodes":[0,1,2],"top_k":2}`))
-	req.Header.Set("traceparent", telemetry.Traceparent(tid, parent, false))
-	hrec := httptest.NewRecorder()
-	srv.ServeHTTP(hrec, req)
-	if hrec.Code != http.StatusOK {
-		t.Fatalf("classify: status %d: %s", hrec.Code, hrec.Body.String())
-	}
-
-	// The response traceparent proves propagation: same trace id, the
-	// server's root span (not our parent), and the sampled flag set.
-	rtid, rsid, rsampled, ok := telemetry.ParseTraceparent(hrec.Header().Get("traceparent"))
-	if !ok {
-		t.Fatalf("response traceparent %q does not parse", hrec.Header().Get("traceparent"))
-	}
-	if rtid != tid {
-		t.Errorf("response trace id %s, want %s (context not propagated)", rtid, tid)
-	}
-	if rsid == parent {
-		t.Errorf("response parent span id %s echoes ours — no server span minted", rsid)
-	}
-	if !rsampled {
-		t.Errorf("rate-1 sampler left the response unsampled")
+	// the server's head sampler owns the verdict. The classify row's trace
+	// is walked below.
+	var tid telemetry.TraceID
+	var parent telemetry.SpanID
+	for _, rt := range []struct{ method, route, body string }{
+		{"POST", "classify", `{"nodes":[0,1,2],"top_k":2}`},
+		{"POST", "estimate", `{"method":"mce"}`},
+		{"GET", "labels", ""},
+		{"PATCH", "labels", `{"set":{"5":1}}`},
+		{"PATCH", "edges", `{"set":[[0,7]]}`},
+	} {
+		rowTID, rowParent := telemetry.NewTraceID(), telemetry.NewSpanID()
+		req := httptest.NewRequest(rt.method, "/v1/graphs/tracee2e/"+rt.route, strings.NewReader(rt.body))
+		req.Header.Set("traceparent", telemetry.Traceparent(rowTID, rowParent, false))
+		hrec := httptest.NewRecorder()
+		srv.ServeHTTP(hrec, req)
+		if hrec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", rt.method, rt.route, hrec.Code, hrec.Body.String())
+		}
+		// The response traceparent proves propagation: same trace id, the
+		// server's root span (not our parent), and the sampled flag set.
+		rtid, rsid, rsampled, ok := telemetry.ParseTraceparent(hrec.Header().Get("traceparent"))
+		if !ok {
+			t.Fatalf("%s %s: response traceparent %q does not parse", rt.method, rt.route, hrec.Header().Get("traceparent"))
+		}
+		if rtid != rowTID {
+			t.Errorf("%s %s: response trace id %s, want %s (context not propagated)", rt.method, rt.route, rtid, rowTID)
+		}
+		if rsid == rowParent {
+			t.Errorf("%s %s: response parent span id %s echoes ours — no server span minted", rt.method, rt.route, rsid)
+		}
+		if !rsampled {
+			t.Errorf("%s %s: rate-1 sampler left the response unsampled", rt.method, rt.route)
+		}
+		if rt.route == "classify" {
+			tid, parent = rowTID, rowParent
+		}
 	}
 
 	// The stored trace resolves by the client's id and spans every layer:

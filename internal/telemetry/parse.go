@@ -10,9 +10,9 @@ import (
 // ParseTextTotals is the minimal scrape-side inverse of WriteText: it reads
 // a Prometheus text exposition and returns each metric name summed across
 // its label combinations (histogram components appear under their expanded
-// _bucket/_sum/_count names). cmd/loadgen uses it to fold server-side
-// counters into bench reports; it ignores comment lines and skips lines it
-// cannot parse rather than failing the whole scrape.
+// _bucket/_sum/_count names). Tests use it to compare counter deltas
+// across scrapes; it ignores comment lines and skips lines it cannot parse
+// rather than failing the whole scrape.
 //
 // It is robust to the exposition features the exporter actually emits:
 // escaped label values (`\"`, `\\`, `\n` — a `}` or `#` inside a quoted
