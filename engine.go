@@ -476,7 +476,11 @@ func (e *Engine) K() int { return e.k }
 func (e *Engine) liveN() int { return int(e.nNodes.Load()) }
 
 // Graph returns the underlying graph (shared, read-only): the canonical
-// CSR of the current topology epoch, which compactions replace.
+// CSR of the current topology epoch, which compactions replace. It is the
+// epoch's base without the live delta overlay, so edge mutations and node
+// additions since the last compaction are not in it; Dims and TopoStats
+// report the live dimensions. A reference built from it before a
+// compaction is built on the wrong graph.
 func (e *Engine) Graph() *Graph {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -528,24 +532,22 @@ func (e *Engine) Stats() EngineStats {
 // NumericHealth is a point-in-time reading of the engine's numeric
 // machinery — the quantities that silently decide correctness fallbacks
 // and accuracy drift but are invisible in work counters. The flight
-// recorder exports them per graph and the /v1/admin/health rollup applies
-// ok/warn thresholds to them.
+// recorder exports them per graph as gauges; the /v1/admin/health rollup
+// checks only the ρ(W) bracket among them.
 type NumericHealth struct {
-	// ResidualDroppedMass is the cumulative residual ∞-norm mass discarded
-	// by tier demotions, sparse compactions and patch applies since the
-	// residual state was (re)initialized; each unit perturbs served
-	// beliefs by at most s/(1−s) of itself. ResidualTol is the per-node
-	// discard threshold in force.
+	// ResidualDroppedMass is the sum of the residual ∞-norms discarded as
+	// sub-tolerance by tier demotions, sparse compactions and patch
+	// applies since the residual state was (re)initialized. It counts
+	// discards, not error: every later whole-matrix round re-measures the
+	// residual exactly and so takes back what was discarded before it (see
+	// residual.State.DroppedMass).
 	ResidualDroppedMass float64
-	ResidualTol         float64
 
-	// ContractionSEff is the worst-case effective convergence parameter
-	// s·(1+ρ(ΔW)bound/ρ(W)) of the pinned ε under the live overlay;
-	// ContractionMargin is ContractionGuard − ContractionSEff — when it
-	// reaches zero the next mutation batch forces a compaction.
-	ContractionSEff   float64
+	// ContractionMargin is the contraction guard minus the worst-case
+	// effective convergence parameter s·(1+ρ(ΔW)bound/ρ(W)) of the pinned
+	// ε under the live overlay — when it reaches zero the next mutation
+	// batch forces a compaction.
 	ContractionMargin float64
-	ContractionGuard  float64
 
 	// RhoW ≤ ρ(W) ≤ RhoWUpper is the spectral-radius bracket of the pinned
 	// epoch's base CSR: RhoW is the Lanczos value ε is derived from,
@@ -554,9 +556,9 @@ type NumericHealth struct {
 	RhoWUpper float64
 
 	// OverlayFraction is the delta overlay's patched share of the base
-	// rows; CompactTrigger is the fraction that triggers compaction.
+	// rows; compaction runs when it reaches the engine's compaction
+	// fraction.
 	OverlayFraction float64
-	CompactTrigger  float64
 
 	// EpochAgeSeconds is the age of the current topology epoch (time
 	// since construction, or since the last compaction epoch swap).
@@ -589,29 +591,21 @@ type NumericHealth struct {
 // surfaces can poll it freely.
 func (e *Engine) NumericHealth() NumericHealth {
 	e.mu.RLock()
-	h := NumericHealth{
-		ContractionGuard: contractionGuard,
-		ResidualTol:      e.eopts.ResidualTol,
-	}
-	if h.ResidualTol == 0 {
-		h.ResidualTol = residual.DefaultTol
-	}
+	var h NumericHealth
 	if e.topo != nil { // nil once closed
 		s := e.eopts.S
 		bound := e.topo.RhoDeltaBound()
+		sEff := s
 		switch {
 		case e.rhoW > 0:
-			h.ContractionSEff = s * (1 + bound/e.rhoW)
+			sEff = s * (1 + bound/e.rhoW)
 		case bound > 0:
-			h.ContractionSEff = 1 // degenerate base: guard trips immediately
-		default:
-			h.ContractionSEff = s
+			sEff = 1 // degenerate base: guard trips immediately
 		}
-		h.ContractionMargin = contractionGuard - h.ContractionSEff
+		h.ContractionMargin = contractionGuard - sEff
 		// A load: every epoch's base was memoized before it was installed.
 		h.RhoW, h.RhoWUpper = e.topo.Base().SpectralBracketCached()
 		h.OverlayFraction = e.topo.PatchedFraction()
-		h.CompactTrigger = e.compactFraction()
 		h.SketchDriftLimit = sketchDriftFraction * float64(e.topo.UndirectedEdges())
 		h.Epoch = e.topo.Stats().Compactions
 	}

@@ -510,12 +510,15 @@ func (s *State) addDropped(v float64) {
 	}
 }
 
-// DroppedMass reports the cumulative residual ∞-norm mass this state has
-// discarded at tier demotions, sparse compactions and patch applies. Each
-// unit of reported mass perturbs the served fixed point by at most
-// s/(1−s) of itself (see the package comment), so the health rollup can
-// compare it against the 1e-6 parity budget directly. Safe to call
-// concurrently with flushes.
+// DroppedMass reports the sum of the sub-tolerance residual ∞-norms this
+// state has discarded at tier demotions, sparse compactions and patch
+// applies: a count of drain work left undone, not an error bound. Each
+// discard moves the fixed point by at most Tol·s/(1−s) per node (see the
+// package comment), but the moves do not pile up past the next
+// whole-matrix round: it recomputes R from F exactly, which returns every
+// earlier discard to the residual it drains. On CI's smoke traffic the
+// async tenant's sum reached 6.25e-4 while its served beliefs sat 1.85e-8
+// from the fixed point. Safe to call concurrently with flushes.
 func (s *State) DroppedMass() float64 {
 	return math.Float64frombits(s.droppedMass.Load())
 }

@@ -245,14 +245,19 @@ func (c *recorder) observe(graph, kind string, d time.Duration, tr *telemetry.Tr
 // numericHealth is the one reader of per-graph numeric health. It pins
 // each resident engine without building it or moving it in the LRU order,
 // sets the graph's health gauges from one NumericHealth snapshot while the
-// pin holds, and hands the snapshot to fn (cold graphs with built false).
-// fn may be nil.
-func (c *recorder) numericHealth(graphs *registry.Registry, fn func(graph string, h factorgraph.NumericHealth, built bool)) {
+// pin holds, and hands the snapshot and the compactor's last panic
+// (TopoStats.CompactPanic) to fn (cold graphs with built false). fn may be
+// nil.
+func (c *recorder) numericHealth(graphs *registry.Registry, fn func(graph string, h factorgraph.NumericHealth, compactPanic string, built bool)) {
 	for _, info := range graphs.List() {
 		eng, release, built := graphs.AcquireIfBuilt(info.Name)
 		var h factorgraph.NumericHealth
+		var compactPanic string
 		if built {
 			h = eng.NumericHealth()
+			if fn != nil { // only the rollup reads it; a scrape does no extra work
+				compactPanic = eng.TopoStats().CompactPanic
+			}
 			c.resident.With(info.Name).Set(float64(eng.MemoryFootprint()))
 			c.dropped.With(info.Name).Set(h.ResidualDroppedMass)
 			c.epochAge.With(info.Name).Set(h.EpochAgeSeconds)
@@ -266,7 +271,7 @@ func (c *recorder) numericHealth(graphs *registry.Registry, fn func(graph string
 			release()
 		}
 		if fn != nil {
-			fn(info.Name, h, built)
+			fn(info.Name, h, compactPanic, built)
 		}
 	}
 }
@@ -296,84 +301,25 @@ func (c *recorder) forget(graph string) {
 	c.costLockWait.Delete(graph)
 }
 
-// Numeric-health rollup thresholds. The warn levels are deliberately
-// early — the point of the rollup is headroom, not alarms after the
-// machinery already fell back.
-const (
-	// healthMarginWarn: warn when the contraction margin drops below this —
-	// the next mutation batches are likely to force a synchronous
-	// compaction.
-	healthMarginWarn = 0.05
-	// healthTriggerShare: warn when the overlay fraction or the sketch
-	// drift passes this share of its compaction/drop trigger.
-	healthTriggerShare = 0.8
-	// healthDroppedTolMultiple: warn when the cumulative dropped residual
-	// mass exceeds this many multiples of the per-node tolerance — the
-	// discards are no longer individually negligible in aggregate.
-	healthDroppedTolMultiple = 1e4
-	// healthRhoBracketWarn: warn when the ρ(W) bracket's relative width
-	// (ρ̄ − ρ)/ρ passes this — ε rests on a ρ that is no longer certified
-	// to three digits.
-	healthRhoBracketWarn = 1e-3
-	// healthEpochAgeWarn: warn when an epoch older than this still has an
-	// overlay past the warn share of its compaction trigger — the
-	// compaction that should have swapped a fresh epoch in never landed.
-	// Old epochs with small overlays are normal (slow-mutating graphs
-	// never cross the trigger) and stay ok.
-	healthEpochAgeWarn = float64(3600)
-)
+// healthRhoBracketWarn: the rho_w_bracket check warns when the ρ(W)
+// bracket's relative width (ρ̄ − ρ)/ρ passes this — ε rests on a ρ that is
+// no longer certified to three digits.
+const healthRhoBracketWarn = 1e-3
 
 const (
 	healthOK   = "ok"
 	healthWarn = "warn"
 )
 
-// numericChecks applies the rollup thresholds to one engine's health
-// snapshot.
-func numericChecks(h factorgraph.NumericHealth) []HealthCheck {
-	droppedWarn := healthDroppedTolMultiple * h.ResidualTol
-	checks := []HealthCheck{
-		{
-			Name:   "residual_dropped_mass",
-			Value:  h.ResidualDroppedMass,
-			WarnAt: droppedWarn,
-			Status: statusAbove(h.ResidualDroppedMass, droppedWarn),
-			Detail: "cumulative residual mass discarded by demotions/compactions",
-		},
-		{
-			Name:   "contraction_margin",
-			Value:  h.ContractionMargin,
-			WarnAt: healthMarginWarn,
-			Status: statusBelow(h.ContractionMargin, healthMarginWarn),
-			Detail: "guard minus worst-case effective s under the live overlay",
-		},
-		{
-			Name:   "overlay_fraction",
-			Value:  h.OverlayFraction,
-			WarnAt: healthTriggerShare * h.CompactTrigger,
-			Status: statusAbove(h.OverlayFraction, healthTriggerShare*h.CompactTrigger),
-			Detail: "patched share of stored entries vs the compaction trigger",
-		},
-		rhoBracketCheck(h),
-		{
-			Name:   "epoch_age_seconds",
-			Value:  h.EpochAgeSeconds,
-			WarnAt: healthEpochAgeWarn,
-			Status: statusEpochAge(h),
-			Detail: "age of the current epoch; warns only when compaction looks overdue",
-		},
-	}
-	if h.SketchDriftLimit > 0 {
-		frac := h.SketchDrift / h.SketchDriftLimit
-		checks = append(checks, HealthCheck{
-			Name:   "sketch_drift_fraction",
-			Value:  frac,
-			WarnAt: healthTriggerShare,
-			Status: statusAbove(frac, healthTriggerShare),
-			Detail: "estimator-sketch drift vs the cache-drop threshold",
-		})
-	}
-	return checks
+// numericChecks is one engine's health rollup. Each check names the fault
+// it detects. The capacity signals — dropped mass, contraction margin,
+// overlay fraction, epoch age, sketch drift — are fg_graph_* gauges, not
+// checks: the engine acts on each itself (compaction at margin 0 or at the
+// overlay trigger, a sketch drop at its drift limit, exact residuals at
+// every whole-matrix round), so nearing one forecasts a latency event, not
+// a wrong answer.
+func numericChecks(h factorgraph.NumericHealth, compactPanic string) []HealthCheck {
+	return []HealthCheck{rhoBracketCheck(h), compactorCheck(compactPanic)}
 }
 
 // rhoBracketCheck reports the relative width (ρ̄ − ρ)/ρ of the pinned
@@ -396,23 +342,26 @@ func rhoBracketCheck(h factorgraph.NumericHealth) HealthCheck {
 	}
 }
 
+// compactorCheck reads 1 while the last background compaction build
+// panicked (TopoStats.CompactPanic) and 0 otherwise. The overlay stays
+// live after such a panic and the next trip of the trigger builds again,
+// so the warning clears at the first build that lands.
+func compactorCheck(compactPanic string) HealthCheck {
+	c := HealthCheck{
+		Name:   "compactor",
+		WarnAt: 1,
+		Detail: "1 while the last background compaction build panicked",
+	}
+	if compactPanic != "" {
+		c.Value = 1
+		c.Detail += ": " + compactPanic
+	}
+	c.Status = statusAbove(c.Value, c.WarnAt)
+	return c
+}
+
 func statusAbove(v, warnAt float64) string {
-	if warnAt > 0 && v >= warnAt {
-		return healthWarn
-	}
-	return healthOK
-}
-
-func statusBelow(v, warnAt float64) string {
-	if v < warnAt {
-		return healthWarn
-	}
-	return healthOK
-}
-
-func statusEpochAge(h factorgraph.NumericHealth) string {
-	if h.EpochAgeSeconds > healthEpochAgeWarn &&
-		h.OverlayFraction >= healthTriggerShare*h.CompactTrigger && h.CompactTrigger > 0 {
+	if v >= warnAt {
 		return healthWarn
 	}
 	return healthOK
@@ -461,13 +410,13 @@ func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleNumericHealth serves GET /v1/admin/health: per-graph numeric-health
-// checks with ok/warn thresholds, rolled up to one top-level status. Cold
-// graphs are listed but never built — health polling must not change
+// handleNumericHealth serves GET /v1/admin/health: per-graph
+// rho_w_bracket and compactor checks, rolled up to one top-level status.
+// Cold graphs are listed but never built — health polling must not change
 // residency.
 func (s *Server) handleNumericHealth(w http.ResponseWriter, r *http.Request) {
 	resp := NumericHealthResponse{Status: healthOK}
-	s.rec.numericHealth(s.reg, func(graph string, h factorgraph.NumericHealth, built bool) {
+	s.rec.numericHealth(s.reg, func(graph string, h factorgraph.NumericHealth, compactPanic string, built bool) {
 		if !built {
 			resp.Cold = append(resp.Cold, graph)
 			return
@@ -476,7 +425,7 @@ func (s *Server) handleNumericHealth(w http.ResponseWriter, r *http.Request) {
 			Graph:  graph,
 			Status: healthOK,
 			Epoch:  h.Epoch,
-			Checks: numericChecks(h),
+			Checks: numericChecks(h, compactPanic),
 		}
 		for _, c := range gh.Checks {
 			if c.Status == healthWarn {

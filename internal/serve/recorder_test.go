@@ -416,7 +416,7 @@ func TestTimelineSampleBesideDelete(t *testing.T) {
 
 // TestNumericHealthEndpoint: resident graphs report their checks, cold
 // graphs are listed without being built, and a resident graph carries the
-// contraction/overlay/sketch checks and a certified ρ(W) bracket.
+// compactor check and a certified ρ(W) bracket.
 func TestNumericHealthEndpoint(t *testing.T) {
 	srv := newMultiServer(0, Options{})
 	body := `{"name":"rechealth","synthetic":{"n":200,"m":1000,"f":0.1,"seed":7}}`
@@ -448,7 +448,7 @@ func TestNumericHealthEndpoint(t *testing.T) {
 	if gh == nil {
 		t.Fatalf("no health entry for rechealth: %+v", resp)
 	}
-	want := map[string]bool{"residual_dropped_mass": false, "contraction_margin": false, "overlay_fraction": false, "epoch_age_seconds": false, "rho_w_bracket": false}
+	want := map[string]bool{"rho_w_bracket": false, "compactor": false}
 	for _, c := range gh.Checks {
 		if c.Name == "rho_w_bracket" && (c.Status != "ok" || !(c.Value >= 0 && c.Value <= 1e-3)) {
 			t.Errorf("rho_w_bracket = %+v, want ok with a relative width in [0, 1e-3]", c)
@@ -480,58 +480,111 @@ func TestNumericHealthEndpoint(t *testing.T) {
 	}
 }
 
-// TestNumericChecksThresholds pins the warn directions of the rollup.
-func TestNumericChecksThresholds(t *testing.T) {
-	h := factorgraph.NumericHealth{
-		ResidualDroppedMass: 1,
-		ResidualTol:         1e-8,
-		ContractionMargin:   0.01,
-		OverlayFraction:     0.24,
-		CompactTrigger:      0.25,
-		EpochAgeSeconds:     7200,
-		SketchDrift:         9,
-		SketchDriftLimit:    10,
-		RhoW:                10,
-		RhoWUpper:           10.1,
-	}
-	status := map[string]string{}
-	for _, c := range numericChecks(h) {
-		status[c.Name] = c.Status
-	}
-	for name, wantStatus := range map[string]string{
-		"residual_dropped_mass": "warn", // 1 >> 1e4 × 1e-8
-		"contraction_margin":    "warn", // 0.01 < 0.05
-		"overlay_fraction":      "warn", // 0.24 ≥ 0.8 × 0.25
-		"epoch_age_seconds":     "warn", // 2h old with a live overlay
-		"sketch_drift_fraction": "warn", // 0.9 ≥ 0.8
-		"rho_w_bracket":         "warn", // 0.01 > 1e-3
+// TestHealthOKOnSmokeTraffic replays CI's serve-smoke traffic against each
+// of its tenant shapes — one estimate, then 30 rounds of a classify, a
+// one-label patch and a two-edge upsert — and requires /v1/admin/health to
+// read ok: healthy engines under ordinary traffic must not warn. The plain
+// sync row also pins that its dropped-mass gauge sits above 1e-4, the
+// level a removed threshold check warned at, so the test keeps covering
+// the case that check misread.
+func TestHealthOKOnSmokeTraffic(t *testing.T) {
+	for _, tc := range []struct {
+		name, spec  string
+		asyncWait   bool
+		droppedOver float64
+	}{
+		{name: "smokesync", spec: `"synthetic":{"n":2000,"m":10000,"f":0.1,"seed":1}`, droppedOver: 1e-4},
+		{name: "smokesync07", spec: `"compact_fraction":0.07,"synthetic":{"n":2000,"m":10000,"f":0.1,"seed":1}`},
+		{name: "smokeasync", spec: `"async_compact":true,"compact_fraction":0.02,"synthetic":{"n":2000,"m":10000,"f":0.1,"seed":2}`, asyncWait: true},
 	} {
-		if status[name] != wantStatus {
-			t.Errorf("check %s = %q, want %q", name, status[name], wantStatus)
-		}
-	}
-	// An upper bound that is not finite warns with a value JSON can carry.
-	h.RhoWUpper = math.Inf(1)
-	if c := rhoBracketCheck(h); c.Status != "warn" || c.Value != math.MaxFloat64 {
-		t.Errorf("infinite ρ̄: %+v, want warn at the largest float", c)
-	}
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newMultiServer(0, Options{})
+			body := fmt.Sprintf(`{"name":%q,"warm":true,%s}`, tc.name, tc.spec)
+			if rec, _ := doJSON(t, srv, "POST", "/v1/graphs", body); rec.Code != http.StatusCreated {
+				t.Fatalf("create: %d: %s", rec.Code, rec.Body.String())
+			}
+			g := "/v1/graphs/" + tc.name
+			do := func(method, path, body string) {
+				t.Helper()
+				if rec, _ := doJSON(t, srv, method, path, body); rec.Code != http.StatusOK {
+					t.Fatalf("%s %s: %d: %s", method, path, rec.Code, rec.Body.String())
+				}
+			}
+			do("POST", g+"/estimate", `{"method":"mce"}`)
+			for i := 1; i <= 30; i++ {
+				u, v := (i*37)%2000, (i*91+13)%2000
+				do("POST", g+"/classify", fmt.Sprintf(`{"nodes":[%d,%d,%d,%d],"top_k":2}`, u, v, u+1, v+1))
+				do("PATCH", g+"/labels", fmt.Sprintf(`{"set":{"%d":%d}}`, u, i%3))
+				do("PATCH", g+"/edges", fmt.Sprintf(`{"set":[[%d,%d],[%d,%d]]}`, u, (u+1000)%2000, v, (v+500)%2000))
+			}
+			if tc.asyncWait {
+				eng, release, err := srv.Registry().Acquire(tc.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.WaitCompaction()
+				release()
+			}
 
-	// The healthy side of every threshold.
-	h = factorgraph.NumericHealth{
-		ResidualDroppedMass: 1e-6,
-		ResidualTol:         1e-8,
-		ContractionMargin:   0.3,
-		OverlayFraction:     0.05,
-		CompactTrigger:      0.25,
-		EpochAgeSeconds:     7200, // old but with an empty overlay: fine
-		SketchDrift:         1,
-		SketchDriftLimit:    10,
-		RhoW:                10,
-		RhoWUpper:           10.001,
+			hrec, _ := doJSON(t, srv, "GET", "/v1/admin/health", "")
+			var resp NumericHealthResponse
+			if err := json.Unmarshal(hrec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("health: %d: %v", hrec.Code, err)
+			}
+			if resp.Status != "ok" || len(resp.Graphs) != 1 {
+				t.Errorf("health after smoke traffic: %s", hrec.Body.String())
+			}
+			if tc.droppedOver > 0 {
+				prefix := fmt.Sprintf("fg_graph_residual_dropped_mass{graph=%q} ", tc.name)
+				got := math.NaN()
+				for _, ln := range strings.Split(rawScrape(t, srv), "\n") {
+					if v, ok := strings.CutPrefix(ln, prefix); ok {
+						got, _ = strconv.ParseFloat(v, 64)
+					}
+				}
+				if !(got > tc.droppedOver) {
+					t.Errorf("%s%v, want > %v", prefix, got, tc.droppedOver)
+				}
+			}
+		})
 	}
-	for _, c := range numericChecks(h) {
-		if c.Status != "ok" {
-			t.Errorf("check %s = %q, want ok (value %v, warn_at %v)", c.Name, c.Status, c.Value, c.WarnAt)
+}
+
+// TestNumericChecksThresholds pins both checks of the rollup on each side
+// of its threshold.
+func TestNumericChecksThresholds(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		rhoUpper     float64 // ρ̄ over ρ = 10
+		compactPanic string
+		check        string
+		status       string
+		value        float64
+	}{
+		{name: "wide bracket", rhoUpper: 10.1, check: "rho_w_bracket", status: "warn", value: 1e-2},
+		{name: "infinite bound", rhoUpper: math.Inf(1), check: "rho_w_bracket", status: "warn", value: math.MaxFloat64},
+		{name: "certified bracket", rhoUpper: 10.001, check: "rho_w_bracket", status: "ok", value: 1e-4},
+		{name: "compactor panicked", rhoUpper: 10, compactPanic: "compactor panic: injected", check: "compactor", status: "warn", value: 1},
+		{name: "compactor fine", rhoUpper: 10, check: "compactor", status: "ok", value: 0},
+	} {
+		h := factorgraph.NumericHealth{RhoW: 10, RhoWUpper: tc.rhoUpper}
+		checks := numericChecks(h, tc.compactPanic)
+		if len(checks) != 2 || checks[0].Name != "rho_w_bracket" || checks[1].Name != "compactor" {
+			t.Fatalf("%s: checks %+v, want rho_w_bracket and compactor", tc.name, checks)
+		}
+		for _, c := range checks {
+			if c.Name != tc.check {
+				if c.Status != "ok" {
+					t.Errorf("%s: unrelated check %+v warns", tc.name, c)
+				}
+				continue
+			}
+			if c.Status != tc.status || math.Abs(c.Value-tc.value) > 1e-9*tc.value {
+				t.Errorf("%s: %+v, want %s at %v", tc.name, c, tc.status, tc.value)
+			}
+			if tc.compactPanic != "" && !strings.Contains(c.Detail, tc.compactPanic) {
+				t.Errorf("%s: detail %q does not carry the panic", tc.name, c.Detail)
+			}
 		}
 	}
 }

@@ -471,9 +471,8 @@ type TenantsResponse struct {
 }
 
 // HealthCheck is one numeric-health reading with its warn threshold
-// applied. The comparison direction depends on the check (margin warns
-// low, everything else warns high); Status carries the verdict so clients
-// need not re-implement the thresholds.
+// applied: a check warns when Value reaches WarnAt. Status carries the
+// verdict so clients need not re-implement the thresholds.
 type HealthCheck struct {
 	Name   string  `json:"name"`
 	Status string  `json:"status"` // ok | warn
