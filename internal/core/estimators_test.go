@@ -222,7 +222,7 @@ func TestDCEEvaluatorReuse(t *testing.T) {
 
 // goldenSketch summarizes a seeded 2 000-node planted graph with 10 % of
 // its labels: uniform degrees or power-law, skew-8 planted H.
-func goldenSketch(t *testing.T, k int, powerLaw bool, seed uint64) *Summaries {
+func goldenSketch(t testing.TB, k int, powerLaw bool, seed uint64) *Summaries {
 	t.Helper()
 	var dist gen.DegreeDist = gen.Uniform{}
 	if powerLaw {
@@ -249,7 +249,8 @@ func goldenSketch(t *testing.T, k int, powerLaw bool, seed uint64) *Summaries {
 // stays under a recorded bound. That parent spent 1 198 iterations and
 // 22 178 evaluations on the k = 3 sketch with 3 restarts stopped by MaxIter,
 // and 3 000 iterations (every restart at MaxIter) on the k = 5 one; this
-// tree spends 247 / 448 and 1 151 / 1 629 with every restart converged.
+// tree spends 247 / 455 and 1 162 / 1 649 with every restart converged
+// (TestDCErGoldenBits pins them exactly).
 func TestDCErGoldenSketches(t *testing.T) {
 	for _, c := range []struct {
 		name          string

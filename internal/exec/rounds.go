@@ -319,7 +319,9 @@ func over(norm, tol float64) uint8 {
 
 // MulRowsH computes dst = src·H̃ for k-wide rows stored back to back (one
 // row or a block of them) against a k×k row-major H̃ — the one copy of the
-// product every round of both solvers runs. Up to k = 8 the row is loaded once
+// product every round of both solvers runs, and every k×k product of the
+// DCE estimator's energy and gradient (k rows against a k×k right factor).
+// Up to k = 8 the row is loaded once
 // into locals and H̃ read through a fixed-size array (no bounds checks in
 // the lane loop); wider rows take four lanes at a time in register
 // accumulators. Each lane sums in column order whatever k is, so every

@@ -58,26 +58,47 @@ func LBFGS(obj Objective, x0 []float64, opts LBFGSOptions) (Result, error) {
 	}
 	opts.defaults(dim)
 
-	x := append([]float64(nil), x0...)
+	// One slab holds the run's vectors: x, g, gNew, dir, trial, alpha and
+	// the Memory+1 correction pairs' s and y (the pairs in hist and the one
+	// being formed). Nothing reuses it after the call; Result.X is x.
+	m := opts.Memory
+	slab := make([]float64, (5+2*(m+1))*dim+m)
+	take := func(n int) []float64 {
+		v := slab[:n:n]
+		slab = slab[n:]
+		return v
+	}
+	x, g, gNew, dir, trial := take(dim), take(dim), take(dim), take(dim), take(dim)
+	alpha := take(m)
+
+	copy(x, x0)
 	fx := obj.Value(x)
 	evals := 1
 	if math.IsNaN(fx) || math.IsInf(fx, 0) {
 		return Result{}, errors.New("optimize: objective not finite at start")
 	}
-	g := append([]float64(nil), obj.Grad(x)...)
-	gNew := make([]float64, dim)
+	copy(g, obj.Grad(x))
 
-	// hist holds the correction pairs oldest first; once full, a new pair
-	// takes over the storage of the one it evicts.
+	// hist is a ring of correction pairs: the n held run oldest first from
+	// hist[old]. An accepted pair swaps its s and y into the slot it fills
+	// (once full, the oldest pair's), whose storage forms the next one.
 	type pair struct {
-		s, y []float64
-		rho  float64
+		s, y  []float64
+		rho   float64 // 1/sᵀy
+		gamma float64 // sᵀy/yᵀy, the initial Hessian scale when the pair is newest
 	}
-	hist := make([]pair, 0, opts.Memory)
-	s, y := make([]float64, dim), make([]float64, dim)
-	dir := make([]float64, dim)
-	trial := make([]float64, dim)
-	alpha := make([]float64, opts.Memory)
+	hist := make([]pair, m)
+	for i := range hist {
+		hist[i].s, hist[i].y = take(dim), take(dim)
+	}
+	old, n := 0, 0
+	at := func(t int) *pair {
+		if t += old; t >= m {
+			t -= m
+		}
+		return &hist[t]
+	}
+	s, y := take(dim), take(dim)
 
 	for it := 0; it < opts.MaxIter; it++ {
 		gInf := 0.0
@@ -89,32 +110,35 @@ func LBFGS(obj Objective, x0 []float64, opts LBFGSOptions) (Result, error) {
 		if gInf < opts.GradTol {
 			return Result{X: x, Value: fx, Iterations: it, Evaluations: evals, Converged: true}, nil
 		}
-		// Two-loop recursion: dir = −H·g.
+		// Two-loop recursion: dir = −H·g. Each pair's axpy runs in one pass
+		// with the dot product the next pair needs of its result.
 		copy(dir, g)
-		for i := len(hist) - 1; i >= 0; i-- {
-			p := hist[i]
-			alpha[i] = p.rho * dot(p.s, dir)
-			axpy(dir, p.y, -alpha[i])
-		}
-		if len(hist) > 0 {
-			last := hist[len(hist)-1]
-			gamma := dot(last.s, last.y) / dot(last.y, last.y)
-			if gamma > 0 && !math.IsNaN(gamma) {
+		if n > 0 {
+			newest := at(n - 1)
+			alpha[n-1] = newest.rho * dot(newest.s, dir)
+			for t := n - 1; t > 0; t-- {
+				p, q := at(t), at(t-1)
+				alpha[t-1] = q.rho * axpyDot(dir, p.y, -alpha[t], q.s)
+			}
+			axpy(dir, at(0).y, -alpha[0])
+			if gamma := newest.gamma; gamma > 0 && !math.IsNaN(gamma) {
 				for i := range dir {
 					dir[i] *= gamma
 				}
 			}
+			beta := at(0).rho * dot(at(0).y, dir)
+			for t := 0; t < n-1; t++ {
+				p, q := at(t), at(t+1)
+				beta = q.rho * axpyDot(dir, p.s, alpha[t]-beta, q.y)
+			}
+			axpy(dir, at(n-1).s, alpha[n-1]-beta)
 		}
-		for i := 0; i < len(hist); i++ {
-			p := hist[i]
-			beta := p.rho * dot(p.y, dir)
-			axpy(dir, p.s, alpha[i]-beta)
-		}
-		for i := range dir {
+		dg := 0.0
+		for i, v := range g {
 			dir[i] = -dir[i]
+			dg += dir[i] * v
 		}
 		// Descent check; fall back to −g.
-		dg := dot(dir, g)
 		if dg >= 0 || math.IsNaN(dg) {
 			for i := range dir {
 				dir[i] = -g[i]
@@ -172,20 +196,22 @@ func LBFGS(obj Objective, x0 []float64, opts LBFGSOptions) (Result, error) {
 			copy(gNew, obj.Grad(trial))
 		}
 		// Curvature pair.
+		sy := 0.0
 		for i := range x {
 			s[i] = trial[i] - x[i]
 			y[i] = gNew[i] - g[i]
+			sy += s[i] * y[i]
 		}
-		if sy := dot(s, y); sy > 0 {
-			p := pair{s: s, y: y, rho: 1 / sy}
-			if len(hist) < opts.Memory {
-				hist = append(hist, p)
-				s, y = make([]float64, dim), make([]float64, dim)
-			} else {
-				s, y = hist[0].s, hist[0].y
-				copy(hist, hist[1:])
-				hist[len(hist)-1] = p
+		if sy > 0 {
+			p := at(n)
+			if n < m {
+				n++
+			} else if old++; old == m {
+				old = 0
 			}
+			p.s, s = s, p.s
+			p.y, y = y, p.y
+			p.rho, p.gamma = 1/sy, sy/dot(p.y, p.y)
 		}
 		copy(x, trial)
 		fx = fNew
@@ -195,16 +221,30 @@ func LBFGS(obj Objective, x0 []float64, opts LBFGSOptions) (Result, error) {
 }
 
 func dot(a, b []float64) float64 {
+	b = b[:len(a)]
 	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
+// axpyDot computes dst += c·src and returns aᵀdst, summed in index order
+// as dot sums it.
+func axpyDot(dst, src []float64, c float64, a []float64) float64 {
+	src, a = src[:len(dst)], a[:len(dst)]
+	s := 0.0
+	for i, v := range src {
+		dst[i] += c * v
+		s += a[i] * dst[i]
 	}
 	return s
 }
 
 // axpy computes dst += c·src.
 func axpy(dst, src []float64, c float64) {
-	for i := range dst {
-		dst[i] += c * src[i]
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] += c * v
 	}
 }
