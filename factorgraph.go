@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"factorgraph/internal/core"
@@ -328,22 +329,66 @@ func PropagateBeliefs(g *Graph, seeds []int, k int, h *Matrix) (*Matrix, error) 
 // remaining seven times. That shortcut needs 𝟙ᵀH̃ = 0, which holds because
 // DCEr's H comes from core.FromFree, whose rows and columns sum to one by
 // construction.
+//
+// Its n-sized work buffers — the sketch's three walks and the degrees it
+// reads, X, and LinBP's F and F·H̃ — come from a pool shared by all calls
+// and go back to it before Classify returns: a warm call allocates little
+// beyond the labels it returns, and a garbage collection empties the
+// pool. The labels and the estimate own nothing pooled.
 func Classify(g *Graph, seeds []int, k int) ([]int, *Estimate, error) {
-	f, est, err := classifyBeliefs(g, seeds, k)
+	b, _ := classifyPool.Get().(*classifyBufs)
+	if b == nil || b.n != g.Adj.N || b.k != k {
+		b = newClassifyBufs(g.Adj.N, k)
+	}
+	defer classifyPool.Put(b)
+	f, est, err := classifyOn(g, seeds, k, b)
 	if err != nil {
 		return nil, nil, err
 	}
 	return dense.ArgmaxRows(f), est, nil
 }
 
-// classifyBeliefs is Classify up to the belief matrix.
+// classifyPool recycles Classify's classifyBufs between calls. A sync.Pool
+// keeps nothing through two collections, so no buffer stays resident once
+// calls stop.
+var classifyPool sync.Pool
+
+// classifyBufs are the n-sized buffers of one n-node, k-class pipeline
+// run, each a view of one slab: the sketch's walks and degrees, X, and
+// LinBP's F and F·H̃.
+type classifyBufs struct {
+	n, k     int
+	sketch   core.WalkScratch
+	x, f, fh *Matrix
+}
+
+// newClassifyBufs allocates the buffers of a run. Every buffer's first use
+// overwrites it or clears it.
+func newClassifyBufs(n, k int) *classifyBufs {
+	nk := n * max(k, 0) // a k the sketch refuses still sizes a slab
+	slab := make([]float64, 6*nk+n)
+	m := func(i int) *Matrix { return &Matrix{Rows: n, Cols: k, Data: slab[i*nk : (i+1)*nk : (i+1)*nk]} }
+	return &classifyBufs{
+		n: n, k: k,
+		sketch: core.WalkScratch{Walks: []*Matrix{m(0), m(1), m(2)}, Deg: slab[6*nk:]},
+		x:      m(3), f: m(4), fh: m(5),
+	}
+}
+
+// classifyBeliefs is Classify up to the belief matrix, on buffers of its
+// own, since F outlives the call.
 func classifyBeliefs(g *Graph, seeds []int, k int) (*Matrix, *Estimate, error) {
+	return classifyOn(g, seeds, k, newClassifyBufs(g.Adj.N, k))
+}
+
+// classifyOn runs the pipeline on b's buffers; F is b.f.
+func classifyOn(g *Graph, seeds []int, k int, b *classifyBufs) (*Matrix, *Estimate, error) {
 	se, lmax, err := sketchEstimatorFor("dcer", EstimateOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
 	start := time.Now()
-	s, walks, err := core.SummarizeWalks(g.Adj, seeds, k, sketchOptions(lmax), core.MaxPlainWalks)
+	s, walks, err := core.SummarizeWalks(g.Adj, seeds, k, sketchOptions(lmax), core.MaxPlainWalks, &b.sketch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -351,15 +396,14 @@ func classifyBeliefs(g *Graph, seeds []int, k int) (*Matrix, *Estimate, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	x, err := labels.Matrix(seeds, k)
+	if err := labels.MatrixInto(b.x, seeds); err != nil {
+		return nil, nil, err
+	}
+	st, err := propagation.NewStateWith(g.Adj, est.H, propagation.DefaultLinBPOptions(), b.f, b.fh)
 	if err != nil {
 		return nil, nil, err
 	}
-	st, err := propagation.NewState(g.Adj, est.H, propagation.DefaultLinBPOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := st.RunFrom(x, walks)
+	f, err := st.RunFrom(b.x, walks)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -152,12 +152,23 @@ func Summarize(w *sparse.CSR, seed []int, k int, opts SummaryOptions) (*Summarie
 //
 // seed is the sparse label vector (labels.Unlabeled for unknown nodes).
 func SummarizeOn(w Topology, seed []int, k int, opts SummaryOptions) (*Summaries, error) {
-	s, _, err := SummarizeWalks(w, seed, k, opts, 0)
+	s, _, err := SummarizeWalks(w, seed, k, opts, 0, nil)
 	return s, err
 }
 
 // MaxPlainWalks is the most plain walks SummarizeWalks derives.
 const MaxPlainWalks = 3
+
+// WalkScratch lends SummarizeWalks its n-sized buffers, so a caller that
+// recycles them allocates none: Walks[ℓ−1] receives N⁽ℓ⁾ (each n×k, at
+// least as many as the walk is deep — ⌈ℓmax/2⌉ or plain, whichever is
+// more) and, over a CSR, Deg (length ≥ n) the weighted degrees. A KeepN
+// sketch retains its walks, so it takes none from here. The returned walks
+// are Walks' matrices.
+type WalkScratch struct {
+	Walks []*dense.Matrix
+	Deg   []float64
+}
 
 // SummarizeWalks is SummarizeOn that also returns the first plain walks
 // WʲX, j = 1..plain (plain ≤ MaxPlainWalks), which LinBP's first rounds
@@ -168,8 +179,9 @@ const MaxPlainWalks = 3
 //	W²X = N⁽²⁾ + DX,  W³X = N⁽³⁾ + (D−I)N⁽¹⁾ + W·DX,
 //
 // where W·DX is a second scatter from the labeled rows. The walk runs at
-// least plain deep, so asking for walks never changes the sketches.
-func SummarizeWalks(w Topology, seed []int, k int, opts SummaryOptions, plain int) (*Summaries, []*dense.Matrix, error) {
+// least plain deep, so asking for walks never changes the sketches. sc may
+// be nil.
+func SummarizeWalks(w Topology, seed []int, k int, opts SummaryOptions, plain int, sc *WalkScratch) (*Summaries, []*dense.Matrix, error) {
 	n := w.Dim()
 	if len(seed) != n {
 		return nil, nil, fmt.Errorf("core: %d seed labels for %d nodes", len(seed), n)
@@ -206,14 +218,31 @@ func SummarizeWalks(w Topology, seed []int, k int, opts SummaryOptions, plain in
 	if opts.KeepN {
 		depth = max(depth, lmax-1)
 	}
-	deg := w.Degrees()
+	var deg []float64
+	if c, ok := w.(*sparse.CSR); ok && sc != nil && len(sc.Deg) >= n {
+		deg = c.DegreesInto(sc.Deg)
+	} else {
+		deg = w.Degrees()
+	}
 
-	// walks[ℓ−1] = N⁽ℓ⁾.
+	// walks[ℓ−1] = N⁽ℓ⁾, each taken just before its first write. Only
+	// N⁽¹⁾, a scatter, needs a zero buffer; every product overwrites its
+	// own.
+	lend := sc != nil && !opts.KeepN && len(sc.Walks) >= depth
+	walk := func(l int) *dense.Matrix {
+		if lend {
+			return sc.Walks[l-1]
+		}
+		return dense.New(n, k)
+	}
 	walks := make([]*dense.Matrix, depth)
-	walks[0] = dense.New(n, k)
+	walks[0] = walk(1)
+	if lend {
+		clear(walks[0].Data)
+	}
 	scatterSeeds(w, lab, seed, nil, walks[0])
 	for l := 2; l <= depth; l++ {
-		next := dense.New(n, k)
+		next := walk(l)
 		w.MulDenseInto(next, walks[l-2])
 		switch {
 		case nb && l == 2: // − DX

@@ -257,7 +257,7 @@ func TestSummarizeProductCount(t *testing.T) {
 		want  int
 	}{{false, 0, 2}, {true, 0, 3}, {false, MaxPlainWalks, 2}} {
 		topo := &countingTopology{CSR: res.Graph.Adj}
-		if _, _, err := SummarizeWalks(topo, seed, 3, SummaryOptions{LMax: 5, NonBacktracking: true, KeepN: tc.keepN}, tc.plain); err != nil {
+		if _, _, err := SummarizeWalks(topo, seed, 3, SummaryOptions{LMax: 5, NonBacktracking: true, KeepN: tc.keepN}, tc.plain, nil); err != nil {
 			t.Fatal(err)
 		}
 		if topo.products != tc.want {
@@ -282,7 +282,7 @@ func TestSummarizeWalksArePlainPowers(t *testing.T) {
 	}
 	x, _ := labels.Matrix(seed, 3)
 	for _, keep := range []bool{false, true} {
-		_, walks, err := SummarizeWalks(w, seed, 3, SummaryOptions{LMax: 5, NonBacktracking: true, KeepN: keep}, MaxPlainWalks)
+		_, walks, err := SummarizeWalks(w, seed, 3, SummaryOptions{LMax: 5, NonBacktracking: true, KeepN: keep}, MaxPlainWalks, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestSummarizeWalksArePlainPowers(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := SummarizeWalks(w, seed, 3, SummaryOptions{}, MaxPlainWalks+1); err == nil {
+	if _, _, err := SummarizeWalks(w, seed, 3, SummaryOptions{}, MaxPlainWalks+1, nil); err == nil {
 		t.Error("expected an error for too many plain walks")
 	}
 }

@@ -233,17 +233,14 @@ func TestScaleNormalize(t *testing.T) {
 	}
 }
 
-func TestPower(t *testing.T) {
+func TestPowers(t *testing.T) {
 	a := FromRows([][]float64{{1, 1}, {0, 1}})
-	if !Equal(Power(a, 0), Identity(2), 0) {
-		t.Error("a⁰ ≠ I")
-	}
-	if !Equal(Power(a, 3), FromRows([][]float64{{1, 3}, {0, 1}}), 1e-12) {
-		t.Errorf("a³ = %v", Power(a, 3))
-	}
 	ps := Powers(a, 3)
-	if len(ps) != 3 || !Equal(ps[2], Power(a, 3), 1e-12) {
+	if len(ps) != 3 || !Equal(ps[0], a, 0) || !Equal(ps[1], Mul(a, a), 0) || !Equal(ps[2], Mul(Mul(a, a), a), 0) {
 		t.Errorf("Powers wrong: %v", ps)
+	}
+	if !Equal(ps[2], FromRows([][]float64{{1, 3}, {0, 1}}), 0) {
+		t.Errorf("a³ = %v", ps[2])
 	}
 }
 

@@ -227,21 +227,6 @@ func ScaleNormalize(m *Matrix) *Matrix {
 	return Scale(m, float64(m.Rows)/total)
 }
 
-// Power returns mᵖ for a square matrix m and p ≥ 0 (m⁰ = I).
-func Power(m *Matrix, p int) *Matrix {
-	if m.Rows != m.Cols {
-		panic("dense: Power requires a square matrix")
-	}
-	if p < 0 {
-		panic("dense: negative matrix power")
-	}
-	out := Identity(m.Rows)
-	for i := 0; i < p; i++ {
-		out = Mul(out, m)
-	}
-	return out
-}
-
 // Powers returns the slice [m¹, m², …, mᵖ].
 func Powers(m *Matrix, p int) []*Matrix {
 	out := make([]*Matrix, p)
@@ -284,29 +269,66 @@ func MaxAbs(m *Matrix) float64 {
 }
 
 // ArgmaxRows returns, for each row, the index of its maximum entry. Ties
-// resolve to the lowest index, matching the paper's label(·) operator.
+// resolve to the lowest index, matching the paper's label(·) operator; NaN
+// never wins, and a row with no entry above −Inf gives 0.
+//
+// That is the loop "keep j if v_j > best, best starting at −Inf", whose
+// last kept j is the one with v_j > −Inf and no earlier entry ≥ v_j. The
+// k = 3 and k = 5 arms read a row once and test that for each entry with
+// flag arithmetic, so a row costs no mispredicted branch.
 func ArgmaxRows(m *Matrix) []int {
-	return ArgmaxRowsInto(nil, m)
-}
-
-// ArgmaxRowsInto is ArgmaxRows reusing dst when it has sufficient capacity;
-// hot loops (LinBP's label-stability early stop) call it once per iteration.
-func ArgmaxRowsInto(dst []int, m *Matrix) []int {
-	if cap(dst) < m.Rows {
-		dst = make([]int, m.Rows)
-	}
-	dst = dst[:m.Rows]
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		best, bi := math.Inf(-1), 0
-		for j, v := range row {
-			if v > best {
-				best, bi = v, j
+	dst := make([]int, m.Rows)
+	k, ninf := m.Cols, math.Inf(-1)
+	switch k {
+	case 3:
+		d := m.Data[:3*len(dst)]
+		for i := range dst {
+			r := (*[3]float64)(d[3*i:])
+			a, b, c := r[0], r[1], r[2]
+			bi := b2i(b > ninf) & b2i(!(a >= b))
+			if b2i(c > ninf)&b2i(!(a >= c))&b2i(!(b >= c)) != 0 {
+				bi = 2
 			}
+			dst[i] = bi
 		}
-		dst[i] = bi
+	case 5:
+		d := m.Data[:5*len(dst)]
+		for i := range dst {
+			r := (*[5]float64)(d[5*i:])
+			a, b, c, e, f := r[0], r[1], r[2], r[3], r[4]
+			bi := b2i(b > ninf) & b2i(!(a >= b))
+			if b2i(c > ninf)&b2i(!(a >= c))&b2i(!(b >= c)) != 0 {
+				bi = 2
+			}
+			if b2i(e > ninf)&b2i(!(a >= e))&b2i(!(b >= e))&b2i(!(c >= e)) != 0 {
+				bi = 3
+			}
+			if b2i(f > ninf)&b2i(!(a >= f))&b2i(!(b >= f))&b2i(!(c >= f))&b2i(!(e >= f)) != 0 {
+				bi = 4
+			}
+			dst[i] = bi
+		}
+	default:
+		for i := range dst {
+			best, bi := ninf, 0
+			for j, v := range m.Data[i*k : (i+1)*k] {
+				if v > best {
+					best, bi = v, j
+				}
+			}
+			dst[i] = bi
+		}
 	}
 	return dst
+}
+
+// b2i is 1 for true and 0 for false; the compiler sets it from the flags.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // SpectralRadiusSym estimates the spectral radius of a symmetric matrix by

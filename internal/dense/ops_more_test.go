@@ -39,24 +39,6 @@ func TestMulIntoPanics(t *testing.T) {
 	}
 }
 
-func TestPowerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for negative power")
-		}
-	}()
-	Power(Identity(2), -1)
-}
-
-func TestPowerNonSquarePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-square")
-		}
-	}()
-	Power(New(2, 3), 2)
-}
-
 func TestSymNormalizeZeroRow(t *testing.T) {
 	m := FromRows([][]float64{{0, 0}, {0, 4}})
 	got := SymNormalize(m)

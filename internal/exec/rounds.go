@@ -422,11 +422,17 @@ func MulRowsH(dst, src, hs []float64, k int) {
 // X̃ once after its last round. The sparse multiply always runs on the
 // full shared pool; the Runner's worker cap applies to the flat pass.
 func (r Runner) FoldRound(w RowIterator, x, g, fh, hScaled *dense.Matrix, c float64) {
-	mDenseRounds.Inc()
 	k := hScaled.Cols
 	r.Rows(g.Rows, func(lo, hi int) {
 		foldXRows(fh.Data[lo*k:hi*k], x.Data[lo*k:hi*k], g.Data[lo*k:hi*k], hScaled.Data, c, k)
 	})
+	SpMMRound(w, g, fh)
+}
+
+// SpMMRound is FoldRound after its flat pass, for a caller whose own pass
+// formed fh: it counts the round and writes W·fh into g.
+func SpMMRound(w RowIterator, g, fh *dense.Matrix) {
+	mDenseRounds.Inc()
 	w.MulDenseInto(g, fh)
 }
 

@@ -28,16 +28,29 @@ func NumClasses(labels []int) int {
 // labeled c; unlabeled nodes have an all-zero row (paper Section 2.1).
 func Matrix(labels []int, k int) (*dense.Matrix, error) {
 	x := dense.New(len(labels), k)
+	if err := MatrixInto(x, labels); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// MatrixInto is Matrix written over x, a len(labels)×k matrix of any
+// contents.
+func MatrixInto(x *dense.Matrix, labels []int) error {
+	if x.Rows != len(labels) {
+		return fmt.Errorf("labels: %d labels for a %d-row matrix", len(labels), x.Rows)
+	}
+	clear(x.Data)
 	for i, l := range labels {
 		if l == Unlabeled {
 			continue
 		}
-		if l < 0 || l >= k {
-			return nil, fmt.Errorf("labels: node %d has label %d outside [0,%d)", i, l, k)
+		if l < 0 || l >= x.Cols {
+			return fmt.Errorf("labels: node %d has label %d outside [0,%d)", i, l, x.Cols)
 		}
-		x.Set(i, l, 1)
+		x.Data[i*x.Cols+l] = 1
 	}
-	return x, nil
+	return nil
 }
 
 // Counts returns the number of labeled nodes per class.

@@ -1,10 +1,12 @@
 package propagation
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
 	"factorgraph/internal/dense"
+	"factorgraph/internal/exec"
 	"factorgraph/internal/labels"
 	"factorgraph/internal/sparse"
 )
@@ -134,6 +136,82 @@ func TestFoldRoundMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				check("Run", got, 0)
+			}
+		}
+	}
+}
+
+// refHornerRows is RunFrom's start as separate passes: MulRowsH over all
+// rows, adding the next walk after each step, then the next round's flat
+// pass — (x − c) + G formed in full, then MulRowsH.
+func refHornerRows(x []float64, ws [][]float64, hs []float64, c float64, k int) []float64 {
+	src := ws[len(ws)-1]
+	for j := len(ws) - 1; j >= 0; j-- {
+		t := make([]float64, len(x))
+		exec.MulRowsH(t, src, hs, k)
+		if j > 0 {
+			for i, v := range ws[j-1] {
+				t[i] += v
+			}
+		}
+		src = t
+	}
+	f := make([]float64, len(x))
+	for i, v := range x {
+		f[i] = (v - c) + src[i]
+	}
+	out := make([]float64, len(x))
+	exec.MulRowsH(out, f, hs, k)
+	return out
+}
+
+// TestHornerRowsMatchesReference: hornerRows, on all rows at once and on
+// uneven row chunks, leaves the bits refHornerRows does — for k = 2..9
+// (the k = 3 and k = 5 register arms and the stack-block arm, 300 rows so
+// the block wraps), one to three walks, centred and not.
+func TestHornerRowsMatchesReference(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewPCG(5, 23))
+	for k := 2; k <= 9; k++ {
+		hs := make([]float64, k*k)
+		for i := range hs {
+			hs[i] = rng.NormFloat64() / float64(k)
+		}
+		x := make([]float64, n*k)
+		for i := range x {
+			if rng.IntN(4) == 0 {
+				x[i] = 1
+			}
+		}
+		var ws [][]float64
+		for j := 0; j < 3; j++ {
+			w := make([]float64, n*k)
+			for i := range w {
+				w[i] = rng.NormFloat64() * float64(j+1)
+			}
+			ws = append(ws, w)
+		}
+		for _, c := range []float64{0, 1 / float64(k)} {
+			for walks := 1; walks <= 3; walks++ {
+				want := refHornerRows(x, ws[:walks], hs, c, k)
+				got := make([]float64, n*k)
+				hornerRows(got, x, ws[:walks], hs, c, k)
+				chunked := make([]float64, n*k)
+				for lo := 0; lo < n; {
+					hi := min(lo+1+rng.IntN(97), n)
+					var cw [][]float64
+					for _, w := range ws[:walks] {
+						cw = append(cw, w[lo*k:hi*k])
+					}
+					hornerRows(chunked[lo*k:hi*k], x[lo*k:hi*k], cw, hs, c, k)
+					lo = hi
+				}
+				for i, v := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(v) || math.Float64bits(chunked[i]) != math.Float64bits(v) {
+						t.Fatalf("k=%d walks=%d c=%v: entry %d is %v (chunked %v), reference %v",
+							k, walks, c, i, got[i], chunked[i], v)
+					}
+				}
 			}
 		}
 	}

@@ -36,10 +36,17 @@ type State struct {
 // NewState validates shapes, computes ε = s/(ρ(W)·ρ(H̃)) once, and
 // allocates the iteration buffers for an n×k propagation.
 func NewState(w *sparse.CSR, h *dense.Matrix, opts LinBPOptions) (*State, error) {
+	return NewStateWith(w, h, opts, nil, nil)
+}
+
+// NewStateWith is NewState on caller-owned iteration buffers f and fh,
+// each n×k with any contents (nil ones are allocated): a caller that
+// recycles them allocates no n×k matrix per State. Run's result aliases f.
+func NewStateWith(w *sparse.CSR, h *dense.Matrix, opts LinBPOptions, f, fh *dense.Matrix) (*State, error) {
 	if w.N == 0 {
 		return nil, fmt.Errorf("propagation: empty graph")
 	}
-	return NewStateOn(w, h, opts, w.SpectralRadiusCached())
+	return newState(w, h, opts, w.SpectralRadiusCached(), f, fh)
 }
 
 // NewStateOn is NewState over an arbitrary RowIterator adjacency with a
@@ -47,10 +54,14 @@ func NewState(w *sparse.CSR, h *dense.Matrix, opts LinBPOptions) (*State, error)
 // compaction scales like the serving engine's residual solver instead of
 // re-running the ρ(W) eigensolve over a moving graph.
 func NewStateOn(w exec.RowIterator, h *dense.Matrix, opts LinBPOptions, rhoW float64) (*State, error) {
+	return newState(w, h, opts, rhoW, nil, nil)
+}
+
+func newState(w exec.RowIterator, h *dense.Matrix, opts LinBPOptions, rhoW float64, f, fh *dense.Matrix) (*State, error) {
 	if h.Rows != h.Cols {
 		return nil, fmt.Errorf("propagation: H is %d×%d, want square", h.Rows, h.Cols)
 	}
-	n := w.Dim()
+	n, k := w.Dim(), h.Rows
 	if n == 0 {
 		return nil, fmt.Errorf("propagation: empty graph")
 	}
@@ -60,16 +71,14 @@ func NewStateOn(w exec.RowIterator, h *dense.Matrix, opts LinBPOptions, rhoW flo
 	if opts.Iterations < 0 {
 		return nil, fmt.Errorf("propagation: negative iteration count %d", opts.Iterations)
 	}
-	opts.defaults()
-	s := &State{
-		w:    w,
-		n:    n,
-		rhoW: rhoW,
-		opts: opts,
-		k:    h.Rows,
-		f:    dense.New(n, h.Rows),
-		fh:   dense.New(n, h.Rows),
+	if f == nil {
+		f = dense.New(n, k)
 	}
+	if fh == nil {
+		fh = dense.New(n, k)
+	}
+	opts.defaults()
+	s := &State{w: w, n: n, rhoW: rhoW, opts: opts, k: k, f: f, fh: fh}
 	if err := s.setH(h); err != nil {
 		return nil, err
 	}
@@ -126,10 +135,11 @@ func (s *State) Run(x *dense.Matrix) (*dense.Matrix, error) {
 //
 //	F⁽ᴶ⁾ = X̃ + ((…(P_J·H̃ + P_{J−1})·H̃ + …) + P₁)·H̃,  P_j = WʲX,
 //
-// O(nk²·J) flat work in place of J products; the loop then runs the
-// remaining Iterations − J rounds. With no walks this is Run. Centering
-// needs H̃'s columns to sum to zero, which holds for any doubly stochastic
-// H (core.FromFree builds every estimate that way); an H whose columns do
+// O(nk²·J) flat work in place of J products, done in one pass
+// (hornerRows) that goes on to round J + 1's flat pass; the loop then runs
+// the remaining rounds. With no walks this is Run. Centering needs H̃'s
+// columns to sum to zero, which holds for any doubly stochastic H
+// (core.FromFree builds every estimate that way); an H whose columns do
 // not sum to one is refused.
 func (s *State) RunFrom(x *dense.Matrix, walks []*dense.Matrix) (*dense.Matrix, error) {
 	if x.Rows != s.n || x.Cols != s.k {
@@ -143,27 +153,24 @@ func (s *State) RunFrom(x *dense.Matrix, walks []*dense.Matrix) (*dense.Matrix, 
 	if s.opts.Center {
 		c = 1.0 / float64(k)
 	}
-	if len(walks) == 0 {
+	it := len(walks)
+	if it == 0 {
 		clear(s.f.Data)
 	} else {
-		// The Horner steps alternate f and fh so that the last (j = 0)
-		// lands in f.
+		// The pass writes only round J + 1's F·H̃; that round's SpMM then
+		// writes G over f.
 		s.run.Rows(s.n, func(lo, hi int) {
-			bufs := [2][]float64{s.f.Data[lo*k : hi*k], s.fh.Data[lo*k : hi*k]}
-			t := walks[len(walks)-1].Data[lo*k : hi*k]
-			for j := len(walks) - 1; j >= 0; j-- {
-				dst := bufs[j&1]
-				exec.MulRowsH(dst, t, s.hScaled.Data, k)
-				if j > 0 {
-					for i, v := range walks[j-1].Data[lo*k : hi*k] {
-						dst[i] += v
-					}
-				}
-				t = dst
+			var buf [4][]float64
+			ws := buf[:0]
+			for _, p := range walks {
+				ws = append(ws, p.Data[lo*k:hi*k])
 			}
+			hornerRows(s.fh.Data[lo*k:hi*k], x.Data[lo*k:hi*k], ws, s.hScaled.Data, c, k)
 		})
+		exec.SpMMRound(s.w, s.f, s.fh)
+		it++
 	}
-	for it := len(walks); it < s.opts.Iterations; it++ {
+	for ; it < s.opts.Iterations; it++ {
 		s.run.FoldRound(s.w, x, s.f, s.fh, s.hScaled, c)
 	}
 	s.run.Rows(s.n, func(lo, hi int) {
@@ -175,14 +182,89 @@ func (s *State) RunFrom(x *dense.Matrix, walks []*dense.Matrix) (*dense.Matrix, 
 	return s.f, nil
 }
 
-// checkWalks refuses walks RunFrom cannot start from: more than the
-// iteration count, the wrong shape, or (centered) an H̃ whose columns do
+// hornerRows is RunFrom's start over k-wide rows stored back to back.
+// From the walks ws[j] = Wʲ⁺¹X it forms, with MulRowsH's arithmetic,
+//
+//	G = ((…(ws[J−1]·H̃ + ws[J−2])·H̃ + …) + ws[0])·H̃,
+//
+// then goes on to the next round's flat pass and writes only its
+// dst = ((x − c) + G)·H̃, in exec.FoldRound's arithmetic. Three walks at
+// k = 3 and k = 5 keep each row in registers through every step; any
+// other case runs the steps through MulRowsH on blocks of rows on the
+// stack. All leave the same bits. dst must not alias x or a walk.
+func hornerRows(dst, x []float64, ws [][]float64, hs []float64, c float64, k int) {
+	x = x[:len(dst)]
+	switch {
+	case k == 3 && len(ws) == 3:
+		h := (*[9]float64)(hs)
+		p1, p2, p3 := ws[0][:len(dst)], ws[1][:len(dst)], ws[2][:len(dst)]
+		for i := 0; i+3 <= len(dst); i += 3 {
+			a, b, d := p3[i], p3[i+1], p3[i+2]
+			a, b, d = a*h[0]+b*h[3]+d*h[6]+p2[i], a*h[1]+b*h[4]+d*h[7]+p2[i+1], a*h[2]+b*h[5]+d*h[8]+p2[i+2]
+			a, b, d = a*h[0]+b*h[3]+d*h[6]+p1[i], a*h[1]+b*h[4]+d*h[7]+p1[i+1], a*h[2]+b*h[5]+d*h[8]+p1[i+2]
+			a, b, d = a*h[0]+b*h[3]+d*h[6], a*h[1]+b*h[4]+d*h[7], a*h[2]+b*h[5]+d*h[8]
+			a, b, d = (x[i]-c)+a, (x[i+1]-c)+b, (x[i+2]-c)+d
+			dst[i], dst[i+1], dst[i+2] = a*h[0]+b*h[3]+d*h[6], a*h[1]+b*h[4]+d*h[7], a*h[2]+b*h[5]+d*h[8]
+		}
+	case k == 5 && len(ws) == 3:
+		h := (*[25]float64)(hs)
+		p1, p2, p3 := ws[0][:len(dst)], ws[1][:len(dst)], ws[2][:len(dst)]
+		for i := 0; i+5 <= len(dst); i += 5 {
+			t := *(*[5]float64)(p3[i:])
+			for _, p := range [2]*[5]float64{(*[5]float64)(p2[i:]), (*[5]float64)(p1[i:])} {
+				s0, s1, s2, s3, s4 := t[0], t[1], t[2], t[3], t[4]
+				for j := 0; j < 5; j++ {
+					t[j] = s0*h[j] + s1*h[5+j] + s2*h[10+j] + s3*h[15+j] + s4*h[20+j] + p[j]
+				}
+			}
+			s0, s1, s2, s3, s4 := t[0], t[1], t[2], t[3], t[4]
+			for j := 0; j < 5; j++ {
+				t[j] = s0*h[j] + s1*h[5+j] + s2*h[10+j] + s3*h[15+j] + s4*h[20+j]
+			}
+			xs, d := (*[5]float64)(x[i:]), (*[5]float64)(dst[i:])
+			s0, s1, s2, s3, s4 = (xs[0]-c)+t[0], (xs[1]-c)+t[1], (xs[2]-c)+t[2], (xs[3]-c)+t[3], (xs[4]-c)+t[4]
+			for j := 0; j < 5; j++ {
+				d[j] = s0*h[j] + s1*h[5+j] + s2*h[10+j] + s3*h[15+j] + s4*h[20+j]
+			}
+		}
+	default:
+		var stack [2][128]float64
+		bufs := [2][]float64{stack[0][:], stack[1][:]}
+		if k > len(stack[0]) {
+			bufs = [2][]float64{make([]float64, k), make([]float64, k)}
+		}
+		blk := len(bufs[0]) / k * k
+		for lo := 0; lo < len(dst); lo += blk {
+			hi := min(lo+blk, len(dst))
+			// The steps alternate the two blocks; G lands in the first.
+			src := ws[len(ws)-1][lo:hi]
+			for j := len(ws) - 1; j > 0; j-- {
+				t := bufs[j&1][:hi-lo]
+				exec.MulRowsH(t, src, hs, k)
+				for i, v := range ws[j-1][lo:hi] {
+					t[i] += v
+				}
+				src = t
+			}
+			g := bufs[0][:hi-lo]
+			exec.MulRowsH(g, src, hs, k)
+			for i, v := range x[lo:hi] {
+				g[i] = (v - c) + g[i]
+			}
+			exec.MulRowsH(dst[lo:hi], g, hs, k)
+		}
+	}
+}
+
+// checkWalks refuses walks RunFrom cannot start from: as many as the
+// iteration count or more (the start runs the next round's flat pass), the
+// wrong shape, or (centered) an H̃ whose columns do
 // not sum to zero.
 func (s *State) checkWalks(walks []*dense.Matrix) error {
 	if len(walks) == 0 {
 		return nil
 	}
-	if len(walks) > s.opts.Iterations {
+	if len(walks) >= s.opts.Iterations {
 		return fmt.Errorf("propagation: %d walks for %d iterations", len(walks), s.opts.Iterations)
 	}
 	for _, p := range walks {
@@ -199,13 +281,4 @@ func (s *State) checkWalks(walks []*dense.Matrix) error {
 		}
 	}
 	return nil
-}
-
-// RunLabels is Run followed by the row-argmax label(·) operator.
-func (s *State) RunLabels(x *dense.Matrix) ([]int, error) {
-	f, err := s.Run(x)
-	if err != nil {
-		return nil, err
-	}
-	return dense.ArgmaxRows(f), nil
 }

@@ -266,7 +266,13 @@ func (c *CSR) At(i, j int) float64 {
 // Degrees returns the weighted degree (row sum) of every row — the diagonal
 // of the paper's degree matrix D.
 func (c *CSR) Degrees() []float64 {
-	d := make([]float64, c.N)
+	return c.DegreesInto(make([]float64, c.N))
+}
+
+// DegreesInto is Degrees written into d[:N], which it returns; d must hold
+// at least N values.
+func (c *CSR) DegreesInto(d []float64) []float64 {
+	d = d[:c.N]
 	for i := 0; i < c.N; i++ {
 		lo, hi := c.IndPtr[i], c.IndPtr[i+1]
 		if c.Data == nil {
